@@ -1,0 +1,96 @@
+(* The two native timing gates CI runs on a 2-core runner (pin the process
+   with [taskset -c 0,1]):
+
+     gates [perf|obs]     both gates by default, or just the named one
+
+   perf  Sanity envelope, not a scaling target: a 2-domain barrier run of
+         SYMM must stay within 4x of sequential on >= 2 cores (12x on an
+         oversubscribed single core).  Catches lock convoys, livelock and
+         order-of-magnitude sync regressions.  Each side is the minimum of
+         3 timed runs after a verified warm-up.
+   obs   The flight recorder's write path must cost at most 5% wall time:
+         SYMM domore.d2 is timed off and on in 7 back-to-back pairs, order
+         alternating so drift hits both sides, and the gate statistic is
+         the median per-pair ratio.  A noisy box can skew one attempt, so
+         up to 3 attempts are made and the first clean one passes.
+
+   Both use the calibrated spin work model (1 ns per simulated cycle) on
+   the train input.  Exit status 1 on a failed gate. *)
+
+module C = Xinv_core.Crossinv
+module Wl = Xinv_workloads
+
+let symm = Wl.Registry.find "SYMM"
+
+let run ?(verify = false) ?(flight = false) technique threads =
+  let o =
+    C.run_request
+    @@ C.Request.make
+         ~backend:
+           (`Native { C.native_defaults with C.work = Xinv_native.Work.Spin 1.0; flight })
+         ~input:Wl.Workload.Train ~verify ~technique ~threads symm
+  in
+  if verify && not o.C.verified then begin
+    Printf.eprintf "gates: SYMM under %s failed verification\n"
+      (C.technique_name technique);
+    exit 1
+  end;
+  C.cost_value o.C.cost
+
+let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
+
+let min_of_3 technique threads =
+  ignore (run ~verify:true technique threads);
+  List.fold_left Float.min infinity
+    (List.init 3 (fun _ -> run technique threads))
+
+let perf () =
+  let cores = Domain.recommended_domain_count () in
+  let envelope = if cores >= 2 then 4.0 else 12.0 in
+  let seq = min_of_3 C.Sequential 1 in
+  let par = min_of_3 C.Barrier 2 in
+  let ratio = par /. seq in
+  Printf.printf "perf: cores=%d SYMM.seq %.2f ms, SYMM.barrier.d2 %.2f ms (%.2fx)\n%!"
+    cores (seq /. 1e6) (par /. 1e6) ratio;
+  if ratio > envelope then
+    fail "perf FAIL: barrier.d2 is %.2fx sequential (envelope %.1fx at %d cores)"
+      ratio envelope cores;
+  Printf.printf "perf ok: %.2fx within %.1fx envelope\n%!" ratio envelope
+
+let obs () =
+  let reps = 7 and attempts = 3 in
+  let time flight = run ~flight C.Domore 2 in
+  ignore (time false);
+  ignore (time true);
+  let pair i =
+    if i mod 2 = 0 then
+      let off = time false in
+      time true /. off
+    else
+      let on = time true in
+      on /. time false
+  in
+  let rec go attempt =
+    let ratios = Array.init reps pair in
+    Array.sort compare ratios;
+    let ratio = ratios.(reps / 2) in
+    Printf.printf "obs[%d/%d]: SYMM.domore.d2 median of %d off/on pair ratios: %.3fx\n%!"
+      attempt attempts reps ratio;
+    if ratio <= 1.05 then
+      Printf.printf "obs ok: recorder overhead %.1f%% within 5%% budget\n%!"
+        (Float.max 0. ((ratio -. 1.) *. 100.))
+    else if attempt < attempts then go (attempt + 1)
+    else
+      fail "obs FAIL: flight recorder costs %.1f%% wall time (budget 5%%) in %d attempts"
+        ((ratio -. 1.) *. 100.) attempts
+  in
+  go 1
+
+let () =
+  match Array.to_list Sys.argv with
+  | [ _ ] ->
+      perf ();
+      obs ()
+  | [ _; "perf" ] -> perf ()
+  | [ _; "obs" ] -> obs ()
+  | _ -> fail "usage: gates [perf|obs]"

@@ -922,37 +922,21 @@ let plan_cmd =
 
 let trace_cmd =
   let run (wl : Wl.Workload.t) technique threads width out =
-    let program = wl.Wl.Workload.program Wl.Workload.Train in
-    let env = wl.Wl.Workload.fresh_env Wl.Workload.Train in
     let obs =
       match out with Some _ -> Some (Xinv_obs.Recorder.create ()) | None -> None
     in
+    (* The run [xinv run -i train] executes, engine configuration included. *)
     let r =
       match technique with
-      | Cx.Barrier ->
-          Xinv_parallel.Barrier_exec.run ~trace:true ?obs ~threads
-            ~plan:(Wl.Workload.plan_fn wl) program env
-      | Cx.Speccross ->
-          let cfg =
-            {
-              (Xinv_speccross.Runtime.default_config ~workers:(threads - 1)) with
-              Xinv_speccross.Runtime.sig_kind =
-                Xinv_runtime.Signature.Segmented
-                  (Xinv_ir.Memory.bounds env.Xinv_ir.Env.mem);
-            }
+      | Cx.Barrier | Cx.Domore | Cx.Speccross -> (
+          let req =
+            Cx.Request.make ~input:Wl.Workload.Train ?obs ~technique ~threads wl
           in
-          Xinv_speccross.Runtime.run ~config:cfg ?obs ~trace:true program env
-      | Cx.Domore -> (
-          match Xinv_ir.Mtcg.generate program env with
-          | Xinv_ir.Mtcg.Inapplicable reason ->
-              Printf.eprintf "DOMORE inapplicable to %s: %s\n" wl.Wl.Workload.name
-                reason;
-              exit 1
-          | Xinv_ir.Mtcg.Plan mplan ->
-              let config =
-                Xinv_domore.Domore.default_config ~workers:(Stdlib.max 1 (threads - 1))
-              in
-              Xinv_domore.Domore.run ~config ?obs ~trace:true ~plan:mplan program env)
+          match Cx.simulate ~trace:true req with
+          | r -> Option.get r
+          | exception Failure msg ->
+              prerr_endline msg;
+              exit 1)
       | _ ->
           prerr_endline "trace supports -x barrier, -x domore and -x speccross";
           exit 1
@@ -1431,19 +1415,6 @@ let submit_cmd =
       & pos 0 (some workload_conv) None
       & info [] ~docv:"WORKLOAD" ~doc:"Registry workload to run.")
   in
-  let grain_opt =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "grain" ] ~docv:"N" ~doc:"Native chunk size (default 1).")
-  in
-  let batch_opt =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Native write-combining factor (default 32).")
-  in
   let submit_deadline =
     Arg.(
       value
@@ -1472,7 +1443,7 @@ let submit_cmd =
           rejected/failed/unreachable.")
     Term.(
       const run $ socket_arg $ wl_arg $ tech_arg $ run_threads_arg $ input_arg
-      $ backend_arg $ submit_policy $ grain_opt $ batch_opt $ sig_arg
+      $ backend_arg $ submit_policy $ grain_arg $ batch_arg $ sig_arg
       $ spec_arg $ cache_mode_arg $ inject_arg $ submit_deadline
       $ priority_arg $ tenant_arg $ no_verify_arg)
 

@@ -17,6 +17,8 @@ type technique =
   | Speccross
   | Speccross_inject of int
 
+let inject_prefix = "speccross-inject@"
+
 let technique_name = function
   | Sequential -> "sequential"
   | Barrier -> "barrier"
@@ -27,7 +29,7 @@ let technique_name = function
   | Domore -> "domore"
   | Domore_dup -> "domore-dup"
   | Speccross -> "speccross"
-  | Speccross_inject e -> Printf.sprintf "speccross-inject@%d" e
+  | Speccross_inject e -> inject_prefix ^ string_of_int e
 
 let technique_of_string s =
   match String.lowercase_ascii s with
@@ -40,6 +42,12 @@ let technique_of_string s =
   | "domore" -> Some Domore
   | "domore-dup" -> Some Domore_dup
   | "speccross" -> Some Speccross
+  | s when String.starts_with ~prefix:inject_prefix s -> (
+      let p = String.length inject_prefix in
+      let epoch = String.sub s p (String.length s - p) in
+      if String.for_all (fun c -> c >= '0' && c <= '9') epoch then
+        Option.map (fun e -> Speccross_inject e) (int_of_string_opt epoch)
+      else None)
   | _ -> None
 
 type cost = Sim_cycles of float | Wall_ns of float
@@ -200,9 +208,182 @@ let applicable ?(backend = `Sim) ?(cache = `Off) ?cache_dir technique
           (Printf.sprintf "%s has no native backend (simulator only)"
              (technique_name technique))
 
-let sequential_cost (wl : Wl.Workload.t) input =
-  let env = wl.Wl.Workload.fresh_env input in
-  (Ir.Seq_interp.run (wl.Wl.Workload.program input) env, env)
+(* ---- policy resolution ---- *)
+
+let technique_of_policy (p : Cache.Policy.t) =
+  match technique_of_string p.Cache.Policy.technique with
+  | Some t -> t
+  | None -> Sequential
+
+(* The policy pins the performance axes (grain, batch); the caller's
+   native_opts keep supplying the environmental ones (work model, pool,
+   faults, deadlines, flight recording). *)
+let backend_of_policy ~native (p : Cache.Policy.t) =
+  match p.Cache.Policy.backend with
+  | `Sim -> `Sim None
+  | `Native ->
+      `Native
+        { native with grain = p.Cache.Policy.grain; batch = p.Cache.Policy.batch }
+
+(* ---- online adaptive controller ---- *)
+
+type adaptive_phase = [ `Probing | `Candidate | `Sequential ]
+
+type adaptive = {
+  a_probe_runs : int;
+  a_margin : float;
+  mutable a_runs : int;
+  mutable a_cand_ns : float;
+  mutable a_seq_ns : float;
+  mutable a_phase : adaptive_phase;
+  mutable a_bad : int;
+  mutable a_switches : int;
+}
+
+let adaptive ?(probe_runs = 3) ?(margin = 1.1) () =
+  {
+    a_probe_runs = Stdlib.max 1 probe_runs;
+    a_margin = margin;
+    a_runs = 0;
+    a_cand_ns = 0.;
+    a_seq_ns = 0.;
+    a_phase = `Probing;
+    a_bad = 0;
+    a_switches = 0;
+  }
+
+let adaptive_phase t = t.a_phase
+let adaptive_switches t = t.a_switches
+
+(* One observation of the candidate policy against the sequential baseline
+   measured inside the same run.  Pure decision logic — no events — so tests
+   can drive the state machine with synthetic timings. *)
+let adaptive_note t ~cand_ns ~seq_ns =
+  t.a_runs <- t.a_runs + 1;
+  t.a_cand_ns <- t.a_cand_ns +. cand_ns;
+  t.a_seq_ns <- t.a_seq_ns +. seq_ns;
+  match t.a_phase with
+  | `Sequential -> `Keep
+  | `Probing ->
+      if t.a_runs < t.a_probe_runs then `Keep
+      else if t.a_cand_ns <= t.a_margin *. t.a_seq_ns then begin
+        t.a_phase <- `Candidate;
+        `Keep
+      end
+      else begin
+        t.a_phase <- `Sequential;
+        t.a_switches <- t.a_switches + 1;
+        `Switch
+      end
+  | `Candidate ->
+      if cand_ns > t.a_margin *. seq_ns then begin
+        t.a_bad <- t.a_bad + 1;
+        if t.a_bad >= 2 then begin
+          t.a_phase <- `Sequential;
+          t.a_switches <- t.a_switches + 1;
+          `Switch
+        end
+        else `Keep
+      end
+      else begin
+        t.a_bad <- 0;
+        `Keep
+      end
+
+type policy =
+  [ `Fixed | `Auto | `Adaptive of adaptive | `Reified of Cache.Policy.t * string ]
+
+(* ---- the request record ----
+
+   Every way of asking this library for one execution — the autotuner's
+   measurement runs, the CLI, the experiments and one serve-daemon
+   submission — is a value of this record.  [run_request] is the single
+   execution path. *)
+
+module Request = struct
+  type t = {
+    workload : Wl.Workload.t;
+    technique : technique;
+    threads : int;
+    backend : backend;
+    input : Wl.Workload.input;
+    checkpoint_every : int;
+    verify : bool;
+    cache : [ `Off | `Ro | `Rw ];
+    cache_dir : string option;
+    obs : Xinv_obs.Recorder.t option;
+    policy : policy;
+    sig_kind : [ `Range | `Segmented | `Bloom | `Exact ] option;
+    spec_distance : int option;
+  }
+
+  let make ?(backend = `Sim None) ?(input = Wl.Workload.Ref)
+      ?(checkpoint_every = 1000) ?(verify = true) ?(cache = `Off) ?cache_dir
+      ?obs ?(policy = `Fixed) ?sig_kind ?spec_distance ~technique ~threads
+      workload =
+    {
+      workload;
+      technique;
+      threads;
+      backend;
+      input;
+      checkpoint_every;
+      verify;
+      cache;
+      cache_dir;
+      obs;
+      policy;
+      sig_kind;
+      spec_distance;
+    }
+
+  (* The caller's native_opts keep supplying the environmental knobs (work
+     model, pool, faults, deadlines, flight recording) when a policy
+     overrides the performance axes. *)
+  let native_opts t =
+    match t.backend with `Native o -> o | `Sim _ -> native_defaults
+
+  (* Pin every axis a stored policy decides; the result is a fully-resolved
+     [`Fixed] request. *)
+  let apply_policy (p : Cache.Policy.t) t =
+    {
+      t with
+      backend = backend_of_policy ~native:(native_opts t) p;
+      technique = technique_of_policy p;
+      threads = Stdlib.max 1 p.Cache.Policy.domains;
+      checkpoint_every = p.Cache.Policy.epoch_size;
+      sig_kind = Some p.Cache.Policy.sig_kind;
+      spec_distance = p.Cache.Policy.spec_distance;
+      policy = `Fixed;
+    }
+end
+
+(* ---- engine configuration: the one resolution step ----
+
+   Everything a technique's engine is configured with that does not depend
+   on the backend is decided here, once per attempt: the MTCG plan, DOMORE's
+   scheduling policy (§3.4) and worker count, and SPECCROSS's train-input
+   profile, its §4.4 profitability verdict, speculative distance, signature
+   scheme, injected misspeculation and per-loop modes.  The resolved configs
+   are the simulator's own records; the native engines derive theirs from
+   them, adding only the native performance knobs. *)
+
+module Engine = struct
+  type t =
+    | Sequential
+    | Barrier
+    | Doacross
+    | Dswp
+    | Inspector of Ir.Mtcg.plan
+    | Tls of Ir.Mtcg.plan
+    | Domore of (Ir.Mtcg.plan * Xinv_domore.Domore.config)
+    | Domore_dup of (Ir.Mtcg.plan * Xinv_domore.Domore.config)
+    | Speccross of {
+        config : Xinv_speccross.Runtime.config;
+        profile : Xinv_speccross.Profiler.t;
+        profitable : bool;
+      }
+end
 
 (* SPECCROSS profiles the train input matching the run input's speculative
    flavour, as the paper's toolchain does. *)
@@ -215,22 +396,17 @@ let spec_profile ~actx (wl : Wl.Workload.t) input =
   let train_env = wl.Wl.Workload.fresh_env train_input in
   profiler_profile actx (wl.Wl.Workload.program train_input) train_env
 
-let spec_distance_of prof ~workers =
-  match prof.Xinv_speccross.Profiler.min_task_distance with
-  | Some d -> Stdlib.max workers d
-  | None ->
-      (* No profiled conflict: still bound the lead (a few invocations) so
-         threads stay loosely coupled and the checker's comparison windows
-         stay small. *)
+(* An overridden distance below the worker count would let the throttle
+   strangle the pipeline; the profiled default is clamped the same way.  With
+   no profiled conflict the lead is still bounded (a few invocations) so
+   threads stay loosely coupled and the checker's comparison windows stay
+   small. *)
+let spec_distance override (prof : Xinv_speccross.Profiler.t) ~workers =
+  match (override, prof.Xinv_speccross.Profiler.min_task_distance) with
+  | Some d, _ | None, Some d -> Stdlib.max workers d
+  | None, None ->
       Stdlib.max (4 * workers)
         (int_of_float (4. *. prof.Xinv_speccross.Profiler.avg_tasks_per_epoch))
-
-(* ---- tunable SPECCROSS knobs ----
-
-   The signature scheme and the speculative distance were hard-wired
-   (Segmented over the live memory bounds; the profiled distance); both are
-   now policy axes.  [None] keeps the historical default, so every existing
-   call site is unchanged. *)
 
 let reify_sig sel env =
   match sel with
@@ -240,113 +416,105 @@ let reify_sig sel env =
   | Some `Bloom -> Xinv_runtime.Signature.Bloom { bits = 4096; hashes = 3 }
   | Some `Exact -> Xinv_runtime.Signature.Exact
 
-(* An overridden distance below the worker count would let the throttle
-   strangle the pipeline; clamp like the profiled default does. *)
-let resolve_spec_distance override prof ~workers =
-  match override with
-  | Some d -> Stdlib.max workers d
-  | None -> spec_distance_of prof ~workers
+let sim_machine (r : Request.t) =
+  match r.Request.backend with
+  | `Sim (Some m) -> m
+  | `Sim None | `Native _ -> Sim.Machine.default
+
+let resolve_with ~actx (r : Request.t) env =
+  let wl = r.Request.workload in
+  let program = wl.Wl.Workload.program r.Request.input in
+  let machine = sim_machine r in
+  let mtcg what =
+    match mtcg_verdict actx program env with
+    | Ir.Mtcg.Plan plan -> plan
+    | Ir.Mtcg.Inapplicable reason ->
+        failwith
+          (Printf.sprintf "%s inapplicable to %s: %s" what wl.Wl.Workload.name
+             reason)
+  in
+  let domore ~workers =
+    let policy =
+      if wl.Wl.Workload.mem_partition then Xinv_domore.Policy.Mem_partition
+      else Xinv_domore.Policy.Round_robin
+    in
+    (mtcg "DOMORE", { Xinv_domore.Domore.machine; policy; workers })
+  in
+  let workers = Stdlib.max 1 (r.Request.threads - 1) in
+  match r.Request.technique with
+  | Sequential -> Engine.Sequential
+  | Barrier -> Engine.Barrier
+  | Doacross -> Engine.Doacross
+  | Dswp -> Engine.Dswp
+  | Inspector -> Engine.Inspector (mtcg "inspector-executor")
+  | Tls -> Engine.Tls (mtcg "TLS")
+  | Domore -> Engine.Domore (domore ~workers)
+  | Domore_dup -> Engine.Domore_dup (domore ~workers:r.Request.threads)
+  | (Speccross | Speccross_inject _) as t ->
+      let profile = spec_profile ~actx wl r.Request.input in
+      let config =
+        {
+          Xinv_speccross.Runtime.machine;
+          workers;
+          sig_kind = reify_sig r.Request.sig_kind env;
+          checkpoint_every = r.Request.checkpoint_every;
+          spec_distance = spec_distance r.Request.spec_distance profile ~workers;
+          mode_of = spec_mode_of_plan wl;
+          inject_misspec =
+            (match t with Speccross_inject e -> Some (e, 0) | _ -> None);
+          non_spec_barriers = false;
+          tm_style = false;
+        }
+      in
+      Engine.Speccross
+        {
+          config;
+          profile;
+          (* §4.4: a minimum dependence distance below the worker count
+             recommends against speculating — both backends then run real
+             barriers. *)
+          profitable = Xinv_speccross.Profiler.profitable profile ~workers;
+        }
+
+let resolve (r : Request.t) env =
+  let actx = analysis_ctx ?obs:r.Request.obs r.Request.cache r.Request.cache_dir in
+  resolve_with ~actx r env
+
+let engine_profile = function
+  | Engine.Speccross { profile; _ } -> Some profile
+  | _ -> None
 
 (* ---- simulated backend ---- *)
 
-let run_sim ~actx ~machine ~input ~checkpoint_every ~sig_sel ~spec_override
-    ?obs ~technique ~threads (wl : Wl.Workload.t) =
-  let program = wl.Wl.Workload.program input in
-  let env = wl.Wl.Workload.fresh_env input in
-  let plan = Wl.Workload.plan_fn wl in
-  let run, profile =
-    match technique with
-    | Sequential -> (None, None)
-    | Barrier ->
-        (Some (Par.Barrier_exec.run ~machine ?obs ~threads ~plan program env), None)
-    | Doacross -> (Some (Par.Doacross.run ~machine ?obs ~threads program env), None)
-    | Dswp -> (Some (Par.Dswp.run ~machine ?obs ~threads program env), None)
-    | Inspector -> (
-        match mtcg_verdict actx program env with
-        | Ir.Mtcg.Inapplicable reason ->
-            failwith
-              (Printf.sprintf "inspector-executor inapplicable to %s: %s"
-                 wl.Wl.Workload.name reason)
-        | Ir.Mtcg.Plan mplan ->
-            (Some (Par.Inspector.run ~machine ~threads ~plan:mplan program env), None))
-    | Tls -> (
-        match mtcg_verdict actx program env with
-        | Ir.Mtcg.Inapplicable reason ->
-            failwith
-              (Printf.sprintf "TLS inapplicable to %s: %s" wl.Wl.Workload.name reason)
-        | Ir.Mtcg.Plan mplan ->
-            (Some (Par.Tls.run ~machine ~threads ~plan:mplan program env), None))
-    | Domore -> (
-        match mtcg_verdict actx program env with
-        | Ir.Mtcg.Inapplicable reason ->
-            failwith
-              (Printf.sprintf "DOMORE inapplicable to %s: %s" wl.Wl.Workload.name
-                 reason)
-        | Ir.Mtcg.Plan mplan ->
-            let workers = Stdlib.max 1 (threads - 1) in
-            let config =
-              {
-                Xinv_domore.Domore.machine;
-                policy =
-                  (if wl.Wl.Workload.mem_partition then Xinv_domore.Policy.Mem_partition
-                   else Xinv_domore.Policy.Round_robin);
-                workers;
-              }
-            in
-            (Some (Xinv_domore.Domore.run ~config ?obs ~plan:mplan program env), None))
-    | Domore_dup -> (
-        match mtcg_verdict actx program env with
-        | Ir.Mtcg.Inapplicable reason ->
-            failwith
-              (Printf.sprintf "DOMORE inapplicable to %s: %s" wl.Wl.Workload.name
-                 reason)
-        | Ir.Mtcg.Plan mplan ->
-            let config =
-              {
-                Xinv_domore.Domore.machine;
-                policy =
-                  (if wl.Wl.Workload.mem_partition then Xinv_domore.Policy.Mem_partition
-                   else Xinv_domore.Policy.Round_robin);
-                workers = threads;
-              }
-            in
-            (Some (Xinv_domore.Duplicated.run ~config ?obs ~plan:mplan program env), None))
-    | Speccross | Speccross_inject _ ->
-        let prof = spec_profile ~actx wl input in
-        let workers = Stdlib.max 1 (threads - 1) in
-        if not (Xinv_speccross.Profiler.profitable prof ~workers) then
-          (* §4.4: a minimum dependence distance below the worker count
-             recommends against speculating — fall back to real barriers. *)
-          ( Some (Par.Barrier_exec.run ~machine ?obs ~threads ~plan program env),
-            Some prof )
-        else
-          let inject =
-            match technique with Speccross_inject e -> Some (e, 0) | _ -> None
-          in
-          let config =
-            {
-              Xinv_speccross.Runtime.machine;
-              workers;
-              sig_kind = reify_sig sig_sel env;
-              checkpoint_every;
-              spec_distance = resolve_spec_distance spec_override prof ~workers;
-              mode_of = spec_mode_of_plan wl;
-              inject_misspec = inject;
-              non_spec_barriers = false;
-              tm_style = false;
-            }
-          in
-          (Some (Xinv_speccross.Runtime.run ~config ?obs program env), Some prof)
+let sim_engine ?(trace = false) (r : Request.t) engine env =
+  let wl = r.Request.workload and obs = r.Request.obs in
+  let program = wl.Wl.Workload.program r.Request.input in
+  let machine = sim_machine r and threads = r.Request.threads in
+  let barrier () =
+    Par.Barrier_exec.run ~machine ?obs ~trace ~threads
+      ~plan:(Wl.Workload.plan_fn wl) program env
   in
-  (run, profile, env)
+  match engine with
+  | Engine.Sequential -> None
+  | Engine.Barrier | Engine.Speccross { profitable = false; _ } ->
+      Some (barrier ())
+  | Engine.Doacross -> Some (Par.Doacross.run ~machine ?obs ~threads program env)
+  | Engine.Dswp -> Some (Par.Dswp.run ~machine ?obs ~threads program env)
+  | Engine.Inspector plan ->
+      Some (Par.Inspector.run ~machine ~threads ~plan program env)
+  | Engine.Tls plan -> Some (Par.Tls.run ~machine ~threads ~plan program env)
+  | Engine.Domore (plan, config) ->
+      Some (Xinv_domore.Domore.run ~config ?obs ~trace ~plan program env)
+  | Engine.Domore_dup (plan, config) ->
+      Some (Xinv_domore.Duplicated.run ~config ?obs ~plan program env)
+  | Engine.Speccross { config; _ } ->
+      Some (Xinv_speccross.Runtime.run ~config ?obs ~trace program env)
+
+let simulate ?trace (r : Request.t) =
+  let env = r.Request.workload.Wl.Workload.fresh_env r.Request.input in
+  sim_engine ?trace r (resolve r env) env
 
 (* ---- native backend ---- *)
-
-let native_mtcg_plan ~actx program env name =
-  match mtcg_verdict actx program env with
-  | Ir.Mtcg.Inapplicable reason ->
-      failwith (Printf.sprintf "DOMORE inapplicable to %s: %s" name reason)
-  | Ir.Mtcg.Plan mplan -> mplan
 
 let native_pool_size ~technique ~threads =
   match technique with
@@ -355,10 +523,37 @@ let native_pool_size ~technique ~threads =
   | Domore | Speccross | Speccross_inject _ -> Stdlib.max 1 (threads - 1)
   | Doacross | Dswp | Inspector | Tls -> 0
 
+let ndomore_config opts (c : Xinv_domore.Domore.config) =
+  {
+    (Nat.Ndomore.default_config ~workers:c.Xinv_domore.Domore.workers) with
+    Nat.Ndomore.policy = c.Xinv_domore.Domore.policy;
+    work = opts.work;
+    grain = opts.grain;
+    batch = opts.batch;
+  }
+
+let nspec_config opts (c : Xinv_speccross.Runtime.config) =
+  let module R = Xinv_speccross.Runtime in
+  {
+    (Nat.Nspec.default_config ~workers:c.R.workers) with
+    Nat.Nspec.sig_kind = c.R.sig_kind;
+    checkpoint_every = c.R.checkpoint_every;
+    spec_distance = c.R.spec_distance;
+    mode_of = c.R.mode_of;
+    inject_misspec = c.R.inject_misspec;
+    work = opts.work;
+    grain = opts.grain;
+  }
+
 (* One native attempt of one technique; raises on failure. *)
-let run_native_once ~actx ~opts ~wd ~fault ?fr ~input ~checkpoint_every
-    ~sig_sel ~spec_override ~technique ~threads (wl : Wl.Workload.t) env =
-  let program = wl.Wl.Workload.program input in
+let run_native_once ~actx ~opts ~wd ~fault ?fr (r : Request.t) env =
+  let wl = r.Request.workload and technique = r.Request.technique in
+  let threads = r.Request.threads in
+  if not (native_supported technique) then
+    failwith
+      (Printf.sprintf "%s has no native backend (simulator only)"
+         (technique_name technique));
+  let program = wl.Wl.Workload.program r.Request.input in
   let plan = Wl.Workload.plan_fn wl in
   let work = opts.work in
   let with_pool f =
@@ -366,70 +561,33 @@ let run_native_once ~actx ~opts ~wd ~fault ?fr ~input ~checkpoint_every
     | Some pool -> f pool
     | None -> Nat.Pool.with_pool ~workers:(native_pool_size ~technique ~threads) f
   in
-  let policy =
-    if wl.Wl.Workload.mem_partition then Xinv_domore.Policy.Mem_partition
-    else Xinv_domore.Policy.Round_robin
+  let barrier ?grain () =
+    with_pool (fun pool ->
+        Nat.Nbarrier.run ~pool ~wd ?fault ?fr ~work ?grain ~threads ~plan program
+          env)
   in
-  match technique with
-  | Sequential -> (Nat.Nbarrier.run_seq ~work program env, None)
-  | Doacross | Dswp | Inspector | Tls ->
-      failwith
-        (Printf.sprintf "%s has no native backend (simulator only)"
-           (technique_name technique))
-  | Barrier ->
-      ( with_pool (fun pool ->
-            Nat.Nbarrier.run ~pool ~wd ?fault ?fr ~work ~grain:opts.grain
-              ~threads ~plan program env),
-        None )
-  | Domore ->
-      let mplan = native_mtcg_plan ~actx program env wl.Wl.Workload.name in
-      let workers = Stdlib.max 1 (threads - 1) in
-      let config =
-        { (Nat.Ndomore.default_config ~workers) with
-          Nat.Ndomore.policy; work; grain = opts.grain; batch = opts.batch }
-      in
-      ( with_pool (fun pool ->
-            Nat.Ndomore.run ~pool ~wd ?fault ?fr ~config ~plan:mplan program env),
-        None )
-  | Domore_dup ->
-      let mplan = native_mtcg_plan ~actx program env wl.Wl.Workload.name in
-      let config =
-        { (Nat.Ndomore.default_config ~workers:threads) with
-          Nat.Ndomore.policy; work; grain = opts.grain; batch = opts.batch }
-      in
-      ( with_pool (fun pool ->
-            Nat.Ndomore.run_duplicated ~pool ~wd ?fault ?fr ~config ~plan:mplan
-              program env),
-        None )
-  | Speccross | Speccross_inject _ ->
-      let prof = spec_profile ~actx wl input in
-      let workers = Stdlib.max 1 (threads - 1) in
-      if not (Xinv_speccross.Profiler.profitable prof ~workers) then
-        (* Same §4.4 decision as the simulated path: a short minimum
-           dependence distance recommends real barriers instead. *)
-        ( with_pool (fun pool ->
-              Nat.Nbarrier.run ~pool ~wd ?fault ?fr ~work ~threads ~plan
-                program env),
-          Some prof )
-      else
-        let inject =
-          match technique with Speccross_inject e -> Some (e, 0) | _ -> None
-        in
-        let config =
-          {
-            (Nat.Nspec.default_config ~workers) with
-            Nat.Nspec.sig_kind = reify_sig sig_sel env;
-            checkpoint_every;
-            spec_distance = resolve_spec_distance spec_override prof ~workers;
-            mode_of = spec_mode_of_plan wl;
-            inject_misspec = inject;
-            work;
-            grain = opts.grain;
-          }
-        in
-        ( with_pool (fun pool ->
-              Nat.Nspec.run ~pool ~wd ?fault ?fr ~config program env),
-          Some prof )
+  let engine = resolve_with ~actx r env in
+  let nrun =
+    match engine with
+    | Engine.Sequential -> Nat.Nbarrier.run_seq ~work program env
+    | Engine.Barrier -> barrier ~grain:opts.grain ()
+    | Engine.Speccross { profitable = false; _ } -> barrier ()
+    | Engine.Domore (plan, c) ->
+        with_pool (fun pool ->
+            Nat.Ndomore.run ~pool ~wd ?fault ?fr ~config:(ndomore_config opts c)
+              ~plan program env)
+    | Engine.Domore_dup (plan, c) ->
+        with_pool (fun pool ->
+            Nat.Ndomore.run_duplicated ~pool ~wd ?fault ?fr
+              ~config:(ndomore_config opts c) ~plan program env)
+    | Engine.Speccross { config; _ } ->
+        with_pool (fun pool ->
+            Nat.Nspec.run ~pool ~wd ?fault ?fr ~config:(nspec_config opts config)
+              program env)
+    | Engine.Doacross | Engine.Dswp | Engine.Inspector _ | Engine.Tls _ ->
+        assert false (* rejected above, before any analysis *)
+  in
+  (nrun, engine_profile engine)
 
 (* Runtime failures trigger degradation; environment-level errors and
    programming bugs do not. *)
@@ -491,8 +649,9 @@ let source_code source =
   | "default" -> 3
   | _ -> 4 (* adaptive:* *)
 
-let run_native ~actx ~opts ~source ~input ~checkpoint_every ?obs ~sig_sel
-    ~spec_override ~technique ~threads (wl : Wl.Workload.t) =
+let run_native ~actx ~opts ~source (r : Request.t) =
+  let wl = r.Request.workload and input = r.Request.input in
+  let obs = r.Request.obs and threads = r.Request.threads in
   let program = wl.Wl.Workload.program input in
   (* Wall-clock baseline and bit-exact reference memory in one pass. *)
   let seq_env = wl.Wl.Workload.fresh_env input in
@@ -598,8 +757,9 @@ let run_native ~actx ~opts ~source ~input ~checkpoint_every ?obs ~sig_sel
           (tech, nrun, profile, env)
         in
         match
-          run_native_once ~actx ~opts ~wd ~fault ?fr ~input ~checkpoint_every
-            ~sig_sel ~spec_override ~technique:tech ~threads wl env
+          run_native_once ~actx ~opts ~wd ~fault ?fr
+            { r with Request.technique = tech }
+            env
         with
         | result -> finish result
         | exception e when rest <> [] && opts.degrade && degradable e ->
@@ -623,7 +783,9 @@ let run_native ~actx ~opts ~source ~input ~checkpoint_every ?obs ~sig_sel
             write_postmortem ~tech ~next:None e fr;
             raise e)
   in
-  let executed, nrun, nprofile, env = attempt (degrade_chain technique) in
+  let executed, nrun, nprofile, env =
+    attempt (degrade_chain r.Request.technique)
+  in
   (if Nat.Fault.fired fault then
      match fault with
      | Some f ->
@@ -661,17 +823,19 @@ let run_native ~actx ~opts ~source ~input ~checkpoint_every ?obs ~sig_sel
 (* ---- unified entry point ---- *)
 
 (* One fully-resolved execution: every knob pinned, no policy lookup. *)
-let run_configured ~actx ~source ~backend ~input ~checkpoint_every ~verify ?obs
-    ~sig_sel ~spec_override ~technique ~threads (wl : Wl.Workload.t) =
-  assert (threads > 0);
-  match backend with
-  | `Sim machine ->
-      let machine = Option.value machine ~default:Sim.Machine.default in
-      let seq_cost, seq_env = sequential_cost wl input in
-      let run, profile, env =
-        run_sim ~actx ~machine ~input ~checkpoint_every ~sig_sel ~spec_override
-          ?obs ~technique ~threads wl
+let exec ~actx ~source (r : Request.t) =
+  let technique = r.Request.technique and verify = r.Request.verify in
+  assert (r.Request.threads > 0);
+  match r.Request.backend with
+  | `Sim _ ->
+      let wl = r.Request.workload in
+      let seq_env = wl.Wl.Workload.fresh_env r.Request.input in
+      let seq_cost =
+        Ir.Seq_interp.run (wl.Wl.Workload.program r.Request.input) seq_env
       in
+      let env = wl.Wl.Workload.fresh_env r.Request.input in
+      let engine = resolve_with ~actx r env in
+      let run = sim_engine r engine env in
       let mismatches =
         if verify && technique <> Sequential then
           Ir.Memory.diff seq_env.Ir.Env.mem env.Ir.Env.mem
@@ -692,7 +856,7 @@ let run_configured ~actx ~source ~backend ~input ~checkpoint_every ~verify ?obs
         speedup;
         verified = mismatches = [];
         mismatches;
-        profile;
+        profile = engine_profile engine;
         run;
         nrun = None;
         degraded = [];
@@ -706,8 +870,7 @@ let run_configured ~actx ~source ~backend ~input ~checkpoint_every ~verify ?obs
   | `Native opts ->
       let ( nrun, seq_run, profile, env, seq_env, executed, degraded, flight,
             postmortems ) =
-        run_native ~actx ~opts ~source ~input ~checkpoint_every ?obs ~sig_sel
-          ~spec_override ~technique ~threads wl
+        run_native ~actx ~opts ~source r
       in
       let requested_sequential = technique = Sequential && degraded = [] in
       let mismatches =
@@ -734,164 +897,6 @@ let run_configured ~actx ~source ~backend ~input ~checkpoint_every ~verify ?obs
         postmortems;
         policy_source = source;
       }
-
-(* ---- policy resolution ---- *)
-
-let technique_of_policy (p : Cache.Policy.t) =
-  match technique_of_string p.Cache.Policy.technique with
-  | Some t -> t
-  | None -> Sequential
-
-(* The policy pins the performance axes (grain, batch); the caller's
-   native_opts keep supplying the environmental ones (work model, pool,
-   faults, deadlines, flight recording). *)
-let backend_of_policy ~native (p : Cache.Policy.t) =
-  match p.Cache.Policy.backend with
-  | `Sim -> `Sim None
-  | `Native ->
-      `Native
-        { native with grain = p.Cache.Policy.grain; batch = p.Cache.Policy.batch }
-
-(* ---- online adaptive controller ---- *)
-
-type adaptive_phase = [ `Probing | `Candidate | `Sequential ]
-
-type adaptive = {
-  a_probe_runs : int;
-  a_margin : float;
-  mutable a_runs : int;
-  mutable a_cand_ns : float;
-  mutable a_seq_ns : float;
-  mutable a_phase : adaptive_phase;
-  mutable a_bad : int;
-  mutable a_switches : int;
-}
-
-let adaptive ?(probe_runs = 3) ?(margin = 1.1) () =
-  {
-    a_probe_runs = Stdlib.max 1 probe_runs;
-    a_margin = margin;
-    a_runs = 0;
-    a_cand_ns = 0.;
-    a_seq_ns = 0.;
-    a_phase = `Probing;
-    a_bad = 0;
-    a_switches = 0;
-  }
-
-let adaptive_phase t = t.a_phase
-let adaptive_switches t = t.a_switches
-
-(* One observation of the candidate policy against the sequential baseline
-   measured inside the same run.  Pure decision logic — no events — so tests
-   can drive the state machine with synthetic timings. *)
-let adaptive_note t ~cand_ns ~seq_ns =
-  t.a_runs <- t.a_runs + 1;
-  t.a_cand_ns <- t.a_cand_ns +. cand_ns;
-  t.a_seq_ns <- t.a_seq_ns +. seq_ns;
-  match t.a_phase with
-  | `Sequential -> `Keep
-  | `Probing ->
-      if t.a_runs < t.a_probe_runs then `Keep
-      else if t.a_cand_ns <= t.a_margin *. t.a_seq_ns then begin
-        t.a_phase <- `Candidate;
-        `Keep
-      end
-      else begin
-        t.a_phase <- `Sequential;
-        t.a_switches <- t.a_switches + 1;
-        `Switch
-      end
-  | `Candidate ->
-      if cand_ns > t.a_margin *. seq_ns then begin
-        t.a_bad <- t.a_bad + 1;
-        if t.a_bad >= 2 then begin
-          t.a_phase <- `Sequential;
-          t.a_switches <- t.a_switches + 1;
-          `Switch
-        end
-        else `Keep
-      end
-      else begin
-        t.a_bad <- 0;
-        `Keep
-      end
-
-type policy =
-  [ `Fixed | `Auto | `Adaptive of adaptive | `Reified of Cache.Policy.t * string ]
-
-(* ---- the request record ----
-
-   Every way of asking this library for one execution — the historical
-   optional-argument [run], the reified-policy [run_policy], the autotuner's
-   measurement runs, the CLI, and one serve-daemon submission — is a value
-   of this record.  [run_request] is the single execution path; everything
-   else constructs a [Request.t] and calls it. *)
-
-module Request = struct
-  type t = {
-    workload : Wl.Workload.t;
-    technique : technique;
-    threads : int;
-    backend : backend;
-    input : Wl.Workload.input;
-    checkpoint_every : int;
-    verify : bool;
-    cache : [ `Off | `Ro | `Rw ];
-    cache_dir : string option;
-    obs : Xinv_obs.Recorder.t option;
-    policy : policy;
-    sig_kind : [ `Range | `Segmented | `Bloom | `Exact ] option;
-    spec_distance : int option;
-  }
-
-  let make ?(backend = `Sim None) ?(input = Wl.Workload.Ref)
-      ?(checkpoint_every = 1000) ?(verify = true) ?(cache = `Off) ?cache_dir
-      ?obs ?(policy = `Fixed) ?sig_kind ?spec_distance ~technique ~threads
-      workload =
-    {
-      workload;
-      technique;
-      threads;
-      backend;
-      input;
-      checkpoint_every;
-      verify;
-      cache;
-      cache_dir;
-      obs;
-      policy;
-      sig_kind;
-      spec_distance;
-    }
-
-  (* The caller's native_opts keep supplying the environmental knobs (work
-     model, pool, faults, deadlines, flight recording) when a policy
-     overrides the performance axes. *)
-  let native_opts t =
-    match t.backend with `Native o -> o | `Sim _ -> native_defaults
-
-  (* Pin every axis a stored policy decides; the result is a fully-resolved
-     [`Fixed] request (this is what [run_with_policy] used to do). *)
-  let apply_policy (p : Cache.Policy.t) t =
-    {
-      t with
-      backend = backend_of_policy ~native:(native_opts t) p;
-      technique = technique_of_policy p;
-      threads = Stdlib.max 1 p.Cache.Policy.domains;
-      checkpoint_every = p.Cache.Policy.epoch_size;
-      sig_kind = Some p.Cache.Policy.sig_kind;
-      spec_distance = p.Cache.Policy.spec_distance;
-      policy = `Fixed;
-    }
-end
-
-let exec ~actx ~source (r : Request.t) =
-  run_configured ~actx ~source ~backend:r.Request.backend ~input:r.Request.input
-    ~checkpoint_every:r.Request.checkpoint_every ~verify:r.Request.verify
-    ?obs:r.Request.obs ~sig_sel:r.Request.sig_kind
-    ~spec_override:r.Request.spec_distance ~technique:r.Request.technique
-    ~threads:r.Request.threads r.Request.workload
 
 let run_request (r : Request.t) =
   assert (r.Request.threads > 0);
@@ -983,23 +988,3 @@ let run_request (r : Request.t) =
                        Printf.sprintf "candidate at %.2fx of sequential" ratio;
                    })));
       o
-
-(* ---- deprecated wrappers ---- *)
-
-let run ?backend ?input ?checkpoint_every ?verify ?cache ?cache_dir ?obs
-    ?policy ?sig_kind ?spec_distance ~technique ~threads (wl : Wl.Workload.t) =
-  run_request
-    (Request.make ?backend ?input ?checkpoint_every ?verify ?cache ?cache_dir
-       ?obs ?policy ?sig_kind ?spec_distance ~technique ~threads wl)
-
-let run_policy ?input ?verify ?cache ?cache_dir ?obs
-    ?(native = native_defaults) ?(source = "searched") (p : Cache.Policy.t) wl
-    =
-  (* Technique and threads are placeholders: [`Reified] pins every axis the
-     policy decides before execution. *)
-  run_request
-    (Request.make
-       ~backend:(`Native native)
-       ?input ?verify ?cache ?cache_dir ?obs
-       ~policy:(`Reified (p, source))
-       ~technique:Sequential ~threads:1 wl)

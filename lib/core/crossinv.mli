@@ -6,13 +6,17 @@
     {[
       let wl = Xinv_workloads.Registry.find "CG" in
       (* simulated machine (default backend) *)
-      let o = Crossinv.run ~technique:Crossinv.Domore ~threads:8 wl in
+      let o =
+        Crossinv.run_request
+          (Crossinv.Request.make ~technique:Crossinv.Domore ~threads:8 wl)
+      in
       (* real domains, with robustness bounds *)
       let o' =
-        Crossinv.run
-          ~backend:
-            (`Native { Crossinv.native_defaults with deadline_ms = Some 60_000. })
-          ~technique:Crossinv.Domore ~threads:4 wl
+        Crossinv.run_request
+          (Crossinv.Request.make
+             ~backend:
+               (`Native { Crossinv.native_defaults with deadline_ms = Some 60_000. })
+             ~technique:Crossinv.Domore ~threads:4 wl)
       in
       Format.printf "sim %.2fx / native %.2fx, verified: %b@."
         o.Crossinv.speedup o'.Crossinv.speedup o'.Crossinv.verified
@@ -34,6 +38,8 @@ type technique =
 val technique_name : technique -> string
 
 val technique_of_string : string -> technique option
+(** Inverse of {!technique_name} (plus a few short aliases):
+    [technique_of_string (technique_name t) = Some t] for every [t]. *)
 
 (** {1 The unified entry point} *)
 
@@ -121,7 +127,7 @@ type outcome = {
   policy_source : string;
       (** where the run's configuration came from: ["fixed"] (caller's
           arguments, the default), ["cached"] / ["default"] for
-          [~policy:`Auto], ["searched"] for {!run_policy}, or
+          [~policy:`Auto], the label of a [`Reified] policy, or
           ["adaptive:cached"] / ["adaptive:default"] /
           ["adaptive:sequential"] under the online controller *)
 }
@@ -136,7 +142,7 @@ val applicable :
 (** Compile-time applicability of the technique to the workload on the
     given backend (default [`Sim]).  Native inapplicability (Doacross,
     DSWP, Inspector, TLS have no native engines) is an [Error], not an
-    exception.  [cache]/[cache_dir] as in {!run}: the DOMORE applicability
+    exception.  [cache]/[cache_dir] as in {!run_request}: the DOMORE applicability
     check is itself a full [Mtcg.generate] and benefits the same way. *)
 
 val supported : backend:[ `Sim | `Native ] -> technique list
@@ -152,7 +158,8 @@ val supported : backend:[ `Sim | `Native ] -> technique list
     when it does not pay ([`Adaptive]). *)
 
 type adaptive
-(** Mutable controller state shared across a stream of {!run} calls. *)
+(** Mutable controller state shared across a stream of {!run_request}
+    calls. *)
 
 type adaptive_phase = [ `Probing | `Candidate | `Sequential ]
 
@@ -171,8 +178,8 @@ val adaptive_switches : adaptive -> int
 val adaptive_note :
   adaptive -> cand_ns:float -> seq_ns:float -> [ `Keep | `Switch ]
 (** The controller's decision function, exposed for tests: feed one
-    run's candidate and sequential timings, get the transition. {!run}
-    with [~policy:(`Adaptive ctl)] calls this internally. *)
+    run's candidate and sequential timings, get the transition.
+    {!run_request} with [policy = `Adaptive ctl] calls this internally. *)
 
 type policy =
   [ `Fixed  (** the request's own fields, the historical behaviour *)
@@ -185,9 +192,8 @@ type policy =
 
 (** {1 The request record}
 
-    Every way of asking this library for one execution — the historical
-    optional-argument {!run}, the reified-policy {!run_policy}, the
-    autotuner's measurement runs, the CLI, and one serve-daemon
+    Every way of asking this library for one execution — the autotuner's
+    measurement runs, the CLI, the experiments and one serve-daemon
     submission — is a value of {!Request.t}.  {!run_request} is the single
     execution path; everything else constructs a request and submits it. *)
 
@@ -239,32 +245,11 @@ module Request : sig
 end
 
 val run_request : Request.t -> outcome
-(** The single execution path.  Resolves the request's [policy] field
-    (bumping [policy.source.*] counters and emitting [Policy_applied] /
-    [Tune_switch] events when [obs] is attached), then executes.  See
-    {!run} for the execution semantics — {!run} is now a thin wrapper
-    that builds a request and calls this. *)
-
-val run :
-  ?backend:backend ->
-  ?input:Xinv_workloads.Workload.input ->
-  ?checkpoint_every:int ->
-  ?verify:bool ->
-  ?cache:[ `Off | `Ro | `Rw ] ->
-  ?cache_dir:string ->
-  ?obs:Xinv_obs.Recorder.t ->
-  ?policy:policy ->
-  ?sig_kind:[ `Range | `Segmented | `Bloom | `Exact ] ->
-  ?spec_distance:int ->
-  technique:technique ->
-  threads:int ->
-  Xinv_workloads.Workload.t ->
-  outcome
-[@@deprecated "construct a Crossinv.Request.t and call Crossinv.run_request"]
-(** Runs the workload under the technique with [threads] execution
-    contexts total (DOMORE: 1 scheduler + workers; SPECCROSS: workers +
-    1 checker) on the chosen backend (default: simulated, default
-    machine).  SPECCROSS profiles the train input first and falls back to
+(** The single execution path.  Runs the request's workload under its
+    technique with [threads] execution contexts total (DOMORE: 1 scheduler
+    + workers; SPECCROSS: workers + 1 checker) on the chosen backend
+    (default: simulated, default machine), with the engine configuration
+    {!resolve} computes.  SPECCROSS profiles the train input first and falls back to
     barriers when unprofitable (§4.4), on both backends.
 
     With [cache] (default [`Off]), the run consults the incremental
@@ -274,7 +259,7 @@ val run :
     near-zero [analysis_ns].  [`Ro] never writes; [`Rw] publishes fresh
     results atomically.
 
-    With [?obs], the run is instrumented: the simulated backend streams
+    With [obs], the run is instrumented: the simulated backend streams
     typed events and metrics into the recorder; the native backend bumps
     aggregate counters ([domore.*], [speccross.*], [barrier.crossings])
     plus the robustness counters [fault.injected], [watchdog.stall] and
@@ -292,7 +277,7 @@ val run :
     [degrade] off, the typed error ({!Xinv_native.Fault.Injected},
     {!Xinv_native.Watchdog.Stalled}, …) is raised instead.
 
-    [?policy] (default [`Fixed]) selects where the configuration comes
+    [policy] (default [`Fixed]) selects where the configuration comes
     from.  [`Auto] looks the workload's fingerprint up in the analysis
     cache: a stored tuned policy overrides backend, technique, threads,
     grain, batch, signature kind, speculative distance and epoch size
@@ -303,52 +288,63 @@ val run :
     the stream to sequential execution when the candidate does not pay
     (see {!adaptive}).  Policy resolution bumps the
     [policy.source.cached|searched|default] counters and emits
-    [Policy_applied] / [Tune_switch] events when [?obs] is attached.
+    [Policy_applied] / [Tune_switch] events when [obs] is attached.
 
-    [?sig_kind] and [?spec_distance] expose the two previously hard-wired
+    [sig_kind] and [spec_distance] expose the two previously hard-wired
     SPECCROSS knobs (default: [`Segmented] over live memory bounds; the
     profiled distance).  A [spec_distance] below the worker count is
     clamped up to it.
 
     @raise Failure when the technique is inapplicable to the backend
-    (see {!applicable}).
-
-    @deprecated construct a {!Request.t} and call {!run_request}. *)
-
-val run_policy :
-  ?input:Xinv_workloads.Workload.input ->
-  ?verify:bool ->
-  ?cache:[ `Off | `Ro | `Rw ] ->
-  ?cache_dir:string ->
-  ?obs:Xinv_obs.Recorder.t ->
-  ?native:native_opts ->
-  ?source:string ->
-  Xinv_cache.Policy.t ->
-  Xinv_workloads.Workload.t ->
-  outcome
-[@@deprecated
-  "construct a Crossinv.Request.t with ~policy:(`Reified (p, source)) and \
-   call Crossinv.run_request"]
-(** Reify a {!Xinv_cache.Policy.t} into one run: backend, technique,
-    threads, grain, batch, signature kind, speculative distance and epoch
-    size all come from the policy; [?native] (default {!native_defaults})
-    supplies the environmental knobs.  This is the measurement primitive
-    the {!Xinv_tune} search and the tuned benchmark drive.  [?source]
-    (default ["searched"]) labels the outcome's [policy_source] and the
-    [policy.source.*] counter.
-
-    @deprecated
-      construct a {!Request.t} with [~policy:(`Reified (p, source))] and
-      call {!run_request}. *)
+    (see {!applicable}). *)
 
 val spec_mode_of_plan :
   Xinv_workloads.Workload.t -> string -> Xinv_speccross.Runtime.mode
 (** Map the workload's Table 5.1 plan onto SPECCROSS execution modes. *)
 
+(** {1 Engine configuration}
+
+    One resolution step turns a request into its engine's configuration;
+    both backends, [xinv trace] and the experiments consume it rather than
+    rebuilding it. *)
+
+module Engine : sig
+  type t =
+    | Sequential
+    | Barrier
+    | Doacross
+    | Dswp
+    | Inspector of Xinv_ir.Mtcg.plan
+    | Tls of Xinv_ir.Mtcg.plan
+    | Domore of (Xinv_ir.Mtcg.plan * Xinv_domore.Domore.config)
+        (** §3.4 policy: memory partitioning where the workload asks for
+            it, round-robin otherwise; 1 scheduler + [threads - 1] workers *)
+    | Domore_dup of (Xinv_ir.Mtcg.plan * Xinv_domore.Domore.config)
+        (** same policy, [threads] workers and no scheduler *)
+    | Speccross of {
+        config : Xinv_speccross.Runtime.config;
+            (** profiled (or clamped override) distance, signature scheme,
+                per-loop modes and injected misspeculation *)
+        profile : Xinv_speccross.Profiler.t;  (** train-input profile *)
+        profitable : bool;
+            (** §4.4 verdict; when [false] both backends run barriers *)
+      }
+end
+
+val resolve : Request.t -> Xinv_ir.Env.t -> Engine.t
+(** Resolve the request's technique against [env] (a fresh environment of
+    the request's input, which the engine then runs on).  The machine in
+    the configs is the request's simulated machine (the default one for a
+    native request); native runs derive their engine configs from these
+    records.  Consults the analysis cache per the request's [cache].
+    @raise Failure when the MTCG transformation is inapplicable. *)
+
+val simulate : ?trace:bool -> Request.t -> Xinv_parallel.Run.t option
+(** The simulated engine call {!run_request} makes for a fixed request —
+    {!resolve} on a fresh environment, then that engine — without the
+    sequential baseline or verification; [None] for [Sequential].
+    [trace] (default off) records the timeline segments of the barrier,
+    DOMORE and SPECCROSS engines, which [xinv trace] renders. *)
+
 val native_pool_size : technique:technique -> threads:int -> int
 (** Pool domains one native run of [technique] needs beyond the caller. *)
-
-(** The pre-unification wrappers [execute] / [execute_native] (deprecated
-    since the [`Sim]/[`Native] facade merge) are gone; {!run} and
-    {!run_policy} are this release's deprecated wrappers over
-    {!run_request}. *)

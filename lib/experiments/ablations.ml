@@ -3,48 +3,14 @@ module Sim = Xinv_sim
 module Par = Xinv_parallel
 module Wl = Xinv_workloads
 module Cx = Xinv_core.Crossinv
-module Sp = Xinv_speccross
-
-let run_spec_with ~sig_kind ~threads (wl : Wl.Workload.t) =
-  let input = Common.spec_input wl in
-  let program = wl.Wl.Workload.program input in
-  let seq_env = wl.Wl.Workload.fresh_env input in
-  let seq_cost = Ir.Seq_interp.run program seq_env in
-  let train_input =
-    match input with Wl.Workload.Ref_spec -> Wl.Workload.Train_spec | _ -> Wl.Workload.Train
-  in
-  let prof =
-    Sp.Profiler.profile
-      (wl.Wl.Workload.program train_input)
-      (wl.Wl.Workload.fresh_env train_input)
-  in
-  let env = wl.Wl.Workload.fresh_env input in
-  let workers = threads - 1 in
-  let cfg =
-    {
-      (Sp.Runtime.default_config ~workers) with
-      Sp.Runtime.sig_kind = sig_kind env;
-      spec_distance =
-        (match prof.Sp.Profiler.min_task_distance with
-        | Some d -> Stdlib.max workers d
-        | None ->
-            Stdlib.max (4 * workers)
-              (int_of_float (4. *. prof.Sp.Profiler.avg_tasks_per_epoch)));
-      mode_of = Cx.spec_mode_of_plan wl;
-    }
-  in
-  let r = Sp.Runtime.run ~config:cfg program env in
-  assert (Ir.Memory.equal seq_env.Ir.Env.mem env.Ir.Env.mem);
-  (Par.Run.speedup ~seq_cost r, r.Par.Run.misspecs)
 
 let signatures () =
   let kinds =
     [
-      ("plain range", fun _env -> Xinv_runtime.Signature.Range);
-      ( "per-array range",
-        fun env -> Xinv_runtime.Signature.Segmented (Ir.Memory.bounds env.Ir.Env.mem) );
-      ("Bloom 4096/3", fun _ -> Xinv_runtime.Signature.Bloom { bits = 4096; hashes = 3 });
-      ("exact set", fun _ -> Xinv_runtime.Signature.Exact);
+      ("plain range", `Range);
+      ("per-array range", `Segmented);
+      ("Bloom 4096/3", `Bloom);
+      ("exact set", `Exact);
     ]
   in
   let benches = [ "JACOBI"; "FDTD"; "SYMM" ] in
@@ -54,9 +20,15 @@ let signatures () =
         let wl = Wl.Registry.find name in
         name
         :: List.concat_map
-             (fun (_, kind) ->
-               let s, m = run_spec_with ~sig_kind:kind ~threads:16 wl in
-               [ Xinv_util.Tab.fmt_speedup s; string_of_int m ])
+             (fun (_, sig_kind) ->
+               let o =
+                 Common.speedup_at ~input:(Common.spec_input wl) ~sig_kind wl
+                   Cx.Speccross 16
+               in
+               [
+                 Xinv_util.Tab.fmt_speedup o.Cx.speedup;
+                 string_of_int (Option.get o.Cx.run).Par.Run.misspecs;
+               ])
              kinds)
       benches
   in
@@ -87,20 +59,19 @@ let policies () =
         let program = wl.Wl.Workload.program Wl.Workload.Ref in
         let seq_env = wl.Wl.Workload.fresh_env Wl.Workload.Ref in
         let seq_cost = Ir.Seq_interp.run program seq_env in
+        let req = Cx.Request.make ~technique:Cx.Domore ~threads:24 wl in
         name
         :: List.map
              (fun (_, policy) ->
                let env = wl.Wl.Workload.fresh_env Wl.Workload.Ref in
-               match Ir.Mtcg.generate program env with
-               | Ir.Mtcg.Inapplicable _ -> "-"
-               | Ir.Mtcg.Plan plan ->
-                   let config =
-                     { (Xinv_domore.Domore.default_config ~workers:23) with
-                       Xinv_domore.Domore.policy }
-                   in
+               match Cx.resolve req env with
+               | Cx.Engine.Domore (plan, config) ->
+                   let config = { config with Xinv_domore.Domore.policy } in
                    let r = Xinv_domore.Domore.run ~config ~plan program env in
                    assert (Ir.Memory.equal seq_env.Ir.Env.mem env.Ir.Env.mem);
-                   Xinv_util.Tab.fmt_speedup (Par.Run.speedup ~seq_cost r))
+                   Xinv_util.Tab.fmt_speedup (Par.Run.speedup ~seq_cost r)
+               | _ -> assert false
+               | exception Failure _ -> "-")
              pols)
       benches
   in

@@ -3,8 +3,12 @@ module Cx = Xinv_core.Crossinv
 
 let threads_axis = [ 2; 4; 6; 8; 10; 12; 14; 16; 18; 20; 22; 24 ]
 
-let speedup_at ?(input = Wl.Workload.Ref) ?checkpoint_every wl technique threads =
-  let o = Cx.run_request @@ Cx.Request.make ?checkpoint_every ~input ~technique ~threads wl in
+let speedup_at ?(input = Wl.Workload.Ref) ?checkpoint_every ?sig_kind wl technique
+    threads =
+  let o =
+    Cx.run_request
+    @@ Cx.Request.make ?checkpoint_every ?sig_kind ~input ~technique ~threads wl
+  in
   if not o.Cx.verified then
     failwith
       (Printf.sprintf "%s under %s with %d threads diverged from sequential (%d cells)"

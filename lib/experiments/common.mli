@@ -6,6 +6,7 @@ val threads_axis : int list
 val speedup_at :
   ?input:Xinv_workloads.Workload.input ->
   ?checkpoint_every:int ->
+  ?sig_kind:[ `Range | `Segmented | `Bloom | `Exact ] ->
   Xinv_workloads.Workload.t ->
   Xinv_core.Crossinv.technique ->
   int ->

@@ -172,6 +172,13 @@ let fig2_8 () =
 
 (* ---------- Figure 4.4: TM-style checking vs SPECCROSS epochs ---------- *)
 
+(* The SPECCROSS configuration [xinv run] would use, regardless of the §4.4
+   profitability verdict: these experiments vary one knob of it. *)
+let spec_config req env =
+  match Cx.resolve req env with
+  | Cx.Engine.Speccross { config; profile; _ } -> (config, profile)
+  | _ -> assert false
+
 let fig4_4 () =
   let threads = 16 in
   let rows =
@@ -182,36 +189,12 @@ let fig4_4 () =
         let program = wl.Wl.Workload.program input in
         let seq_env = wl.Wl.Workload.fresh_env input in
         let seq_cost = Ir.Seq_interp.run program seq_env in
-        let train_input =
-          match input with
-          | Wl.Workload.Ref_spec -> Wl.Workload.Train_spec
-          | _ -> Wl.Workload.Train
-        in
-        let prof =
-          Xinv_speccross.Profiler.profile
-            (wl.Wl.Workload.program train_input)
-            (wl.Wl.Workload.fresh_env train_input)
-        in
+        let req = Cx.Request.make ~input ~technique:Cx.Speccross ~threads wl in
         let run tm =
           let env = wl.Wl.Workload.fresh_env input in
-          let workers = threads - 1 in
-          let cfg =
-            {
-              (Xinv_speccross.Runtime.default_config ~workers) with
-              Xinv_speccross.Runtime.sig_kind =
-                Xinv_runtime.Signature.Segmented (Ir.Memory.bounds env.Ir.Env.mem);
-              spec_distance =
-                (match prof.Xinv_speccross.Profiler.min_task_distance with
-                | Some d -> Stdlib.max workers d
-                | None ->
-                    Stdlib.max (4 * workers)
-                      (int_of_float
-                         (4. *. prof.Xinv_speccross.Profiler.avg_tasks_per_epoch)));
-              mode_of = Cx.spec_mode_of_plan wl;
-              tm_style = tm;
-            }
-          in
-          let r = Xinv_speccross.Runtime.run ~config:cfg program env in
+          let config, _ = spec_config req env in
+          let config = { config with Xinv_speccross.Runtime.tm_style = tm } in
+          let r = Xinv_speccross.Runtime.run ~config program env in
           assert (Ir.Memory.equal seq_env.Ir.Env.mem env.Ir.Env.mem);
           ( Par.Run.speedup ~seq_cost r,
             Sim.Engine.total r.Par.Run.engine Sim.Category.Checker )
@@ -390,18 +373,15 @@ let fluid_custom ~barriers threads =
   let seq_env = wl.Wl.Workload.fresh_env Wl.Workload.Ref in
   let seq_cost = Ir.Seq_interp.run program seq_env in
   let env = wl.Wl.Workload.fresh_env Wl.Workload.Ref in
-  let train_env = wl.Wl.Workload.fresh_env Wl.Workload.Train in
-  let prof =
-    Xinv_speccross.Profiler.profile (wl.Wl.Workload.program Wl.Workload.Train) train_env
+  let config, profile =
+    spec_config (Cx.Request.make ~technique:Cx.Speccross ~threads wl) env
   in
-  let workers = Stdlib.max 1 (threads - 1) in
   let cfg =
     {
-      (Xinv_speccross.Runtime.default_config ~workers) with
-      Xinv_speccross.Runtime.sig_kind =
-        Xinv_runtime.Signature.Segmented (Ir.Memory.bounds env.Ir.Env.mem);
-      spec_distance =
-        Stdlib.max workers prof.Xinv_speccross.Profiler.spec_distance;
+      config with
+      Xinv_speccross.Runtime.spec_distance =
+        Stdlib.max config.Xinv_speccross.Runtime.workers
+          profile.Xinv_speccross.Profiler.spec_distance;
       mode_of = fluid_mode_domore wl;
       non_spec_barriers = barriers;
     }

@@ -58,23 +58,19 @@ let tab5_3 () =
     List.map
       (fun (wl : Wl.Workload.t) ->
         let input = Common.spec_input wl in
-        let dist inp =
-          let env = wl.Wl.Workload.fresh_env inp in
-          let prof =
-            Xinv_speccross.Profiler.profile (wl.Wl.Workload.program inp) env
-          in
+        let dist (prof : Xinv_speccross.Profiler.t) =
           match prof.Xinv_speccross.Profiler.min_task_distance with
           | None -> "*"
           | Some d -> string_of_int d
         in
-        let train_input =
-          match input with
-          | Wl.Workload.Ref_spec -> Wl.Workload.Train_spec
-          | _ -> Wl.Workload.Train
-        in
-        let train_dist = dist train_input in
-        let ref_dist = dist input in
         let o = Common.speedup_at ~input wl Cx.Speccross 24 in
+        (* the run's own profile is the train one *)
+        let train_dist = dist (Option.get o.Cx.profile) in
+        let ref_dist =
+          dist
+            (Xinv_speccross.Profiler.profile (wl.Wl.Workload.program input)
+               (wl.Wl.Workload.fresh_env input))
+        in
         let tasks, epochs, checks =
           match o.Cx.run with
           | Some r ->

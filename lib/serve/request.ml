@@ -1,7 +1,7 @@
 module Cx = Xinv_core.Crossinv
 module Wl = Xinv_workloads
 
-type workload = [ `Name of string | `Inline of string ]
+type workload = [ `Name of string ]
 
 type t = {
   workload : workload;
@@ -24,8 +24,9 @@ type t = {
 }
 
 let make ?(input = Wl.Workload.Ref) ?(backend = `Sim)
-    ?(technique = "sequential") ?(threads = 1) ?(policy = `Fixed) ?(grain = 1)
-    ?(batch = 32) ?sig_kind ?spec_distance ?(checkpoint_every = 1000)
+    ?(technique = "sequential") ?(threads = 1) ?(policy = `Fixed)
+    ?(grain = Cx.native_defaults.Cx.grain) ?(batch = Cx.native_defaults.Cx.batch)
+    ?sig_kind ?spec_distance ?(checkpoint_every = 1000)
     ?(verify = true) ?(cache = `Off) ?fault ?deadline_ms ?(priority = `Normal)
     ?(tenant = "default") workload =
   {
@@ -46,14 +47,6 @@ let make ?(input = Wl.Workload.Ref) ?(backend = `Sim)
     deadline_ms;
     priority;
     tenant;
-  }
-
-let of_workload ?priority ?tenant t (wl : Wl.Workload.t) =
-  {
-    t with
-    workload = `Inline (Marshal.to_string wl [ Marshal.Closures ]);
-    priority = Option.value priority ~default:t.priority;
-    tenant = Option.value tenant ~default:t.tenant;
   }
 
 (* ---- codec ---- *)
@@ -89,13 +82,9 @@ let cache_of_tag = function
   | n -> raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "cache %d" n)))
 
 let put w t =
-  (match t.workload with
-  | `Name n ->
-      Wire.put_u8 w 0;
-      Wire.put_string w n
-  | `Inline m ->
-      Wire.put_u8 w 1;
-      Wire.put_string w m);
+  let (`Name n) = t.workload in
+  Wire.put_u8 w 0;
+  Wire.put_string w n;
   Wire.put_u8 w (input_tag t.input);
   Wire.put_u8 w (match t.backend with `Sim -> 0 | `Native -> 1);
   Wire.put_string w t.technique;
@@ -117,8 +106,8 @@ let get r =
   let workload =
     match Wire.get_u8 r with
     | 0 -> `Name (Wire.get_string r)
-    | 1 -> `Inline (Wire.get_string r)
     | n ->
+        (* tag 1, a marshalled workload, is retired: rejected undecoded *)
         raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "workload %d" n)))
   in
   let input = input_of_tag (Wire.get_u8 r) in
@@ -189,13 +178,9 @@ let to_crossinv ?obs ?pool ?cache_dir ?(cache_limit = `Rw) ?deadline_ms
     Error (`Bad_request (Printf.sprintf "bad thread count %d" t.threads))
   else
     let wl =
-      match t.workload with
-      | `Name n -> (
-          try Ok (Wl.Registry.find n)
-          with Invalid_argument _ -> Error (`Unknown_workload n))
-      | `Inline m -> (
-          try Ok (Marshal.from_string m 0 : Wl.Workload.t)
-          with _ -> Error (`Bad_request "inline workload does not unmarshal"))
+      let (`Name n) = t.workload in
+      try Ok (Wl.Registry.find n)
+      with Invalid_argument _ -> Error (`Unknown_workload n)
     in
     let fault =
       match t.fault with
@@ -237,9 +222,7 @@ let to_crossinv ?obs ?pool ?cache_dir ?(cache_limit = `Rw) ?deadline_ms
                  ~technique ~threads:t.threads wl))
 
 let describe t =
-  let name =
-    match t.workload with `Name n -> n | `Inline _ -> "<inline>"
-  in
+  let (`Name name) = t.workload in
   Printf.sprintf "%s/%s %s x%d %s%s tenant=%s"
     name
     (Wl.Workload.input_name t.input)

@@ -3,23 +3,14 @@
 
     Where the core record holds live values (a workload descriptor full of
     closures, a recorder, a domain pool), this one holds only data that
-    survives a socket: the workload by registry name (or as a marshalled
-    descriptor for same-binary callers), the technique by
+    survives a socket: the workload by registry name, the technique by
     {!Xinv_core.Crossinv.technique_name} spelling, and scheduling fields
     the in-process API has no use for (deadline, priority, tenant).
     {!to_crossinv} resolves it against the live registry into a core
     request; the daemon injects its own shared pool, cache directory and
     cancellation hook at that point. *)
 
-type workload =
-  [ `Name of string  (** registry lookup, case-insensitive *)
-  | `Inline of string
-    (** a marshalled {!Xinv_workloads.Workload.t} (with closures) — a
-        same-process construct for callers embedding {!Server} as a
-        library.  Unmarshalling bytes of unknown provenance is
-        memory-unsafe, so the daemon's socket front end rejects inline
-        workloads with [Bad_request]; only registry names cross the
-        wire. *) ]
+type workload = [ `Name of string  (** registry lookup, case-insensitive *) ]
 
 type t = {
   workload : workload;
@@ -66,17 +57,13 @@ val make :
   ?tenant:string ->
   workload ->
   t
-(** Defaults mirror {!Xinv_core.Crossinv.Request.make} where the two
-    overlap (sim backend, [Ref] input, checkpoint every 1000, verify on,
-    cache off, fixed policy) plus serve-side defaults: technique
-    ["sequential"], 1 thread, native grain 1 / batch 32, no deadline,
-    [`Normal] priority, tenant ["default"]. *)
-
-val of_workload : ?priority:[ `High | `Normal ] -> ?tenant:string ->
-  t -> Xinv_workloads.Workload.t -> t
-(** Re-point an existing request at an inline workload descriptor, for
-    in-process {!Server.submit} only — the socket boundary rejects the
-    resulting request (see {!workload}). *)
+(** {!to_crossinv} of the result equals
+    {!Xinv_core.Crossinv.Request.make} with the same arguments (sim
+    backend, [Ref] input, checkpoint every 1000, verify on, cache off,
+    fixed policy; native grain and batch from
+    {!Xinv_core.Crossinv.native_defaults}), which the test suite checks
+    field by field.  Serve-side defaults: technique ["sequential"], 1
+    thread, no deadline, [`Normal] priority, tenant ["default"]. *)
 
 val put : Wire.writer -> t -> unit
 val get : Wire.reader -> t
@@ -85,8 +72,7 @@ val get : Wire.reader -> t
 type resolve_error =
   [ `Unknown_workload of string
   | `Bad_request of string
-    (** unparsable technique, non-positive thread count, or an inline
-        descriptor that does not unmarshal *) ]
+    (** unparsable technique or fault spec, non-positive thread count *) ]
 
 val to_crossinv :
   ?obs:Xinv_obs.Recorder.t ->

@@ -492,19 +492,6 @@ let handle_message s msg =
       Protocol.send_server s.fd
         (Protocol.Shutdown_ack { served = served s.srv });
       false
-  | Protocol.Run { Request.workload = `Inline _; _ } ->
-      (* an [`Inline] workload is a Marshal image, and unmarshalling
-         bytes that arrived from an arbitrary peer is memory-unsafe (a
-         crafted or cross-binary payload can crash the daemon outside any
-         exception handler).  The socket boundary therefore only admits
-         registry names; [Request.of_workload] stays a same-process
-         construct. *)
-      Protocol.send_server s.fd
-        (Protocol.Rejected
-           (Protocol.Bad_request
-              "inline workloads are not accepted over the socket; submit a \
-               registry workload name"));
-      true
   | Protocol.Run req -> reply_watching s (submit s.srv req)
   | Protocol.Tune tr -> reply_watching s (submit_tune s.srv tr)
 

@@ -107,10 +107,9 @@ val serve : t -> socket:string -> unit
     while its request is in flight (disconnect ⇒ {!cancel}, and no reply
     is written to the dead peer).  SIGPIPE is set to ignore
     process-wide, so a racing disconnect surfaces as a per-connection
-    [EPIPE] instead of killing the daemon.  Requests carrying an
-    [`Inline] workload (a Marshal image — memory-unsafe to decode from
-    an untrusted peer) are rejected with [Bad_request] at this boundary;
-    only in-process {!submit} accepts them.  On shutdown every
+    [EPIPE] instead of killing the daemon.  A frame that does not decode
+    (including the retired marshalled-workload tag) gets one
+    [Bad_request] reply and its connection is dropped.  On shutdown every
     still-open connection is forcibly EOF'd so idle keep-alive clients
     cannot stall the exit.  Returns after the listener is closed, the
     socket file unlinked, all connection threads joined and the

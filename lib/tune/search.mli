@@ -4,7 +4,7 @@
     function for every evaluation, so given the same seed and the same
     measure it visits the same trial sequence and returns the same best
     policy.  Tests drive it with a synthetic cost model; {!Tune} drives it
-    with real [Crossinv.run_policy] wall times.
+    with real [Crossinv.run_request] wall times.
 
     Policies are canonicalized ({!Space.canon}) and deduplicated by
     {!Xinv_cache.Policy.key} — each distinct configuration is measured at

@@ -48,7 +48,8 @@ val tune :
     policy is consulted first — a hit returns immediately with
     [source = `Cached]; otherwise a {!Search.search} runs (default:
     [Hill], [budget] 32 trials, [seed] 42) measuring each candidate with
-    [Crossinv.run_policy] under a per-trial watchdog deadline of
+    [Crossinv.run_request] (a [`Reified] policy) under a per-trial
+    watchdog deadline of
     [1.5 ×] the incumbent's wall time (floored at 20 ms, capped at
     [trial_deadline_ms], default 2000) with degradation off, so trials
     slower than the incumbent are cut off and marked pruned rather than
@@ -63,8 +64,9 @@ val apply :
   report ->
   Xinv_workloads.Workload.t ->
   Xinv_core.Crossinv.outcome
-(** Run the report's best policy once ([Crossinv.run_policy] with the
-    report's source as the outcome's [policy_source]). *)
+(** Run the report's best policy once ([Crossinv.run_request] with a
+    [`Reified] policy labelled with the report's source, which becomes the
+    outcome's [policy_source]). *)
 
 val report_json : report -> string
 (** The report as an [xinv-tune/1] JSON object (schema, workload, input,

@@ -692,6 +692,8 @@ let test_differential_native_registry () =
                       in
                       let cold = go ~cache:`Rw ~cache_dir:dir () in
                       let warm = go ~cache:`Rw ~cache_dir:dir () in
+                      Alcotest.(check bool) (name "cold run misses") true
+                        (cold.C.cache_misses > 0);
                       Alcotest.(check (pair bool int))
                         (name "warm run served entirely from cache")
                         (true, 0)

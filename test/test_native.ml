@@ -382,6 +382,7 @@ let test_stall_report_structure () =
         C.run_request @@ C.Request.make ~backend:(`Native C.native_defaults) ~input:Wl.Workload.Train
           ~technique:tech ~threads wl
       in
+      check_verified ("SYMM/" ^ C.technique_name tech) n;
       List.iter
         (fun (cause, ns) ->
           Alcotest.(check bool)
@@ -391,20 +392,28 @@ let test_stall_report_structure () =
             (C.technique_name tech ^ ": positive blocked time for " ^ cause)
             true (ns > 0.))
         (nrun n).Nat.Nrun.stalls)
-    [ C.Barrier; C.Domore; C.Speccross ]
+    [ C.Sequential; C.Barrier; C.Domore; C.Speccross ]
 
 let test_native_obs_counters () =
   let wl = Wl.Registry.find "SYMM" in
   let obs = Xinv_obs.Recorder.create () in
   let n =
-    C.run_request @@ C.Request.make ~backend:(`Native C.native_defaults) ~input:Wl.Workload.Train ~obs
-      ~technique:C.Domore ~threads wl
+    C.run_request @@ C.Request.make
+      ~backend:(`Native { C.native_defaults with C.flight = true })
+      ~input:Wl.Workload.Train ~obs ~technique:C.Domore ~threads wl
   in
+  check_verified "SYMM/domore with flight" n;
   let counters = Xinv_obs.Metrics.counters (Xinv_obs.Recorder.metrics obs) in
   Alcotest.(check (option int))
     "native run feeds domore.tasks_dispatched"
     (Some (nrun n).Nat.Nrun.tasks)
-    (List.assoc_opt "domore.tasks_dispatched" counters)
+    (List.assoc_opt "domore.tasks_dispatched" counters);
+  match n.C.flight with
+  | Some fl when Xinv_obs.Flight.total_length fl > 0 ->
+      let v = Xinv_obs.Critpath.analyze fl in
+      Alcotest.(check bool) "flight yields a bottleneck verdict" true
+        (v.Xinv_obs.Critpath.v_bottleneck <> "")
+  | _ -> Alcotest.fail "recorded run surfaced no flight events"
 
 let suite =
   [

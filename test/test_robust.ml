@@ -1,5 +1,5 @@
 (* Robustness layer: fault injection, watchdogs, cohort cancellation and
-   graceful degradation behind the unified Crossinv.run entry point.
+   graceful degradation behind the unified Crossinv.run_request entry point.
 
    The fault matrix runs every native engine under every fault kind it can
    suffer and demands a clean unwind, a verified degraded result and
@@ -287,46 +287,48 @@ let test_backend_applicability () =
   Alcotest.(check bool) "sim lists tls" true
     (List.mem C.Tls (C.supported ~backend:`Sim))
 
-(* ---------- deprecated wrappers ---------- *)
+(* ---------- technique names and the shared engine configuration ---------- *)
 
-(* The optional-argument entry points must keep working for one release
-   after the Request.t redesign, and must be exact synonyms for the
-   record form.  This is the only call site allowed to silence the
-   deprecation alert. *)
-let[@alert "-deprecated"] test_deprecated_wrappers () =
-  let wl = wl () in
-  let o = C.run ~input:Wl.Workload.Train ~technique:C.Barrier ~threads:4 wl in
-  Alcotest.(check bool) "run still verifies" true o.C.verified;
-  (match o.C.cost with
-  | C.Sim_cycles _ -> ()
-  | C.Wall_ns _ -> Alcotest.fail "run must default to the simulator");
-  let r =
-    C.run_request
-    @@ C.Request.make ~input:Wl.Workload.Train ~technique:C.Barrier ~threads:4
-         wl
-  in
-  Alcotest.(check bool)
-    "wrapper and record form agree on cost" true
-    (C.cost_value o.C.cost = C.cost_value r.C.cost);
-  Alcotest.(check string)
-    "wrapper and record form agree on source" r.C.policy_source
-    o.C.policy_source;
-  let p =
-    {
-      Xinv_cache.Policy.backend = `Sim;
-      technique = "barrier";
-      domains = 4;
-      grain = 1;
-      batch = 32;
-      sig_kind = `Segmented;
-      spec_distance = None;
-      epoch_size = 1000;
-    }
-  in
-  let n = C.run_policy ~input:Wl.Workload.Train p wl in
-  Alcotest.(check bool) "run_policy still verifies" true n.C.verified;
-  Alcotest.(check string)
-    "run_policy labels the source" "searched" n.C.policy_source
+let gen_technique =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ C.Sequential; C.Barrier; C.Doacross; C.Dswp; C.Inspector; C.Tls;
+            C.Domore; C.Domore_dup; C.Speccross ];
+        map (fun e -> C.Speccross_inject e) (int_range 0 100_000);
+      ])
+
+let prop_technique_roundtrip =
+  QCheck.Test.make ~name:"api: technique_of_string inverts technique_name"
+    ~count:200
+    (QCheck.make ~print:C.technique_name gen_technique)
+    (fun t -> C.technique_of_string (C.technique_name t) = Some t)
+
+(* [xinv trace] renders [simulate ~trace:true]; it must be the run that
+   [run_request] executes, engine configuration included (CG under
+   SPECCROSS at 8 threads takes the §4.4 barrier fallback). *)
+let test_simulate_matches_run_request () =
+  List.iter
+    (fun (technique, names) ->
+      List.iter
+        (fun name ->
+          let req =
+            C.Request.make ~input:Wl.Workload.Train ~technique ~threads:8
+              (Wl.Registry.find name)
+          in
+          let label = name ^ "/" ^ C.technique_name technique in
+          match (C.simulate ~trace:true req, (C.run_request req).C.run) with
+          | Some t, Some r ->
+              Alcotest.(check (float 0.)) (label ^ " makespan")
+                r.Xinv_parallel.Run.makespan t.Xinv_parallel.Run.makespan
+          | _ -> Alcotest.fail (label ^ ": no simulated run"))
+        names)
+    [
+      (C.Barrier, [ "JACOBI"; "CG" ]);
+      (C.Domore, [ "CG"; "SYMM" ]);
+      (C.Speccross, [ "JACOBI"; "FDTD"; "CG" ]);
+    ]
 
 let suite =
   [
@@ -349,8 +351,9 @@ let suite =
       test_degraded_sequential_still_answers;
     Alcotest.test_case "api: per-backend applicability and support" `Quick
       test_backend_applicability;
-    Alcotest.test_case "api: deprecated wrappers still work" `Quick
-      test_deprecated_wrappers;
+    QCheck_alcotest.to_alcotest prop_technique_roundtrip;
+    Alcotest.test_case "api: trace's engine call matches run_request" `Quick
+      test_simulate_matches_run_request;
   ]
   @ List.map
       (fun (technique, spec) ->

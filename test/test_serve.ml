@@ -105,7 +105,7 @@ let sample_snapshot () =
 let client_msgs () =
   [
     Proto.Run sample_request;
-    Proto.Run (SReq.make (`Inline "\000\001binary\255"));
+    Proto.Run (SReq.make (`Name "CG"));
     Proto.Ping;
     Proto.Stats;
     Proto.Shutdown;
@@ -184,9 +184,7 @@ let test_protocol_wrong_side () =
 let gen_request =
   let open QCheck.Gen in
   let str = string_size ~gen:(char_range '\000' '\255') (int_range 0 12) in
-  let* workload =
-    oneof [ map (fun s -> `Name s) str; map (fun s -> `Inline s) str ]
-  in
+  let* workload = map (fun s -> `Name s) str in
   let* input =
     oneofl
       [ Wl.Workload.Train; Wl.Workload.Train_spec; Wl.Workload.Ref;
@@ -213,6 +211,45 @@ let gen_request =
     (SReq.make ~input ~backend ~technique ~threads ~policy ~grain ~batch
        ?sig_kind ?spec_distance ~checkpoint_every ~verify ~cache ?fault
        ?deadline_ms:deadline ~priority ~tenant workload)
+
+(* One set of defaults: a bare serve request resolves to exactly the core
+   request [Crossinv.Request.make] builds, on either backend. *)
+let test_make_defaults_match_core () =
+  let wl = Wl.Registry.find "CG" in
+  List.iter
+    (fun (backend, core_backend) ->
+      let sreq = SReq.make ~backend (`Name "CG") in
+      let got =
+        match SReq.to_crossinv sreq with
+        | Ok r -> r
+        | Error _ -> Alcotest.fail "default request does not resolve"
+      in
+      let want =
+        Cx.Request.make ~backend:core_backend ~technique:Cx.Sequential
+          ~threads:1 wl
+      in
+      let kind (r : Cx.Request.t) =
+        match r.Cx.Request.backend with `Sim _ -> "sim" | `Native _ -> "native"
+      in
+      let opts = Cx.Request.native_opts in
+      let field name eq =
+        Alcotest.(check bool) (kind want ^ " " ^ name) true (eq got want)
+      in
+      field "backend kind" (fun a b -> kind a = kind b);
+      field "technique" (fun a b -> a.Cx.Request.technique = b.Cx.Request.technique);
+      field "threads" (fun a b -> a.Cx.Request.threads = b.Cx.Request.threads);
+      field "input" (fun a b -> a.Cx.Request.input = b.Cx.Request.input);
+      field "checkpoint_every" (fun a b ->
+          a.Cx.Request.checkpoint_every = b.Cx.Request.checkpoint_every);
+      field "verify" (fun a b -> a.Cx.Request.verify = b.Cx.Request.verify);
+      field "cache" (fun a b -> a.Cx.Request.cache = b.Cx.Request.cache);
+      field "policy" (fun a b -> a.Cx.Request.policy = b.Cx.Request.policy);
+      field "sig_kind" (fun a b -> a.Cx.Request.sig_kind = b.Cx.Request.sig_kind);
+      field "spec_distance" (fun a b ->
+          a.Cx.Request.spec_distance = b.Cx.Request.spec_distance);
+      field "grain" (fun a b -> (opts a).Cx.grain = (opts b).Cx.grain);
+      field "batch" (fun a b -> (opts a).Cx.batch = (opts b).Cx.batch))
+    [ (`Sim, `Sim None); (`Native, `Native Cx.native_defaults) ]
 
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"random run request survives the wire" ~count:200
@@ -587,13 +624,28 @@ let test_tune_then_auto () =
             SReq.make ~policy:`Auto ~cache:`Rw ~input:Wl.Workload.Train
               ~backend:`Native ~technique:"barrier" ~threads:2 (`Name "FDTD")
           in
-          match Server.await (Server.submit srv req) with
+          (match Server.await (Server.submit srv req) with
           | Proto.Outcome s ->
               Alcotest.(check string) "tuned policy applied" "cached"
                 s.Proto.o_policy_source;
               Alcotest.(check bool) "verified" true s.Proto.o_verified
           | m ->
               Alcotest.failf "auto run: %s"
+                (Format.asprintf "%a" Proto.pp_server m));
+          (* a repeated request is served from the daemon's warm cache *)
+          let dreq =
+            SReq.make ~cache:`Rw ~input:Wl.Workload.Train ~backend:`Native
+              ~technique:"domore" ~threads:2 (`Name "SYMM")
+          in
+          ignore (Server.await (Server.submit srv dreq));
+          match Server.await (Server.submit srv dreq) with
+          | Proto.Outcome s ->
+              Alcotest.(check bool) "warm repeat verified" true
+                s.Proto.o_verified;
+              Alcotest.(check (pair bool int)) "warm repeat only hits" (true, 0)
+                (s.Proto.o_cache_hits > 0, s.Proto.o_cache_misses)
+          | m ->
+              Alcotest.failf "warm repeat: %s"
                 (Format.asprintf "%a" Proto.pp_server m)))
 
 (* ---------- socket integration ---------- *)
@@ -612,6 +664,15 @@ let wait_for_socket path =
         end
   in
   go ()
+
+(* A Run frame whose workload carries the retired tag 1 (a marshalled
+   descriptor). *)
+let retired_workload_frame () =
+  let tag, _ = Wire.decode_frame (Proto.encode_client (Proto.Run sample_request)) in
+  let w = Wire.writer () in
+  Wire.put_u8 w 1;
+  Wire.put_string w "\132\149\166\190 not a workload";
+  Wire.encode_frame ~tag (Wire.contents w)
 
 let test_socket_two_clients () =
   let socket =
@@ -680,14 +741,25 @@ let test_socket_two_clients () =
    with
   | Proto.Rejected (Proto.Bad_request _) -> ()
   | m -> Alcotest.failf "garbage: %s" (Format.asprintf "%a" Proto.pp_server m));
-  (* an inline workload (a Marshal image) is refused at the socket
-     boundary without ever being submitted *)
+  (* a Run frame carrying the retired workload tag 1 (a marshalled
+     descriptor) fails to decode, so it is never unmarshalled or submitted;
+     it gets a typed rejection and the daemon keeps answering *)
+  let frame = retired_workload_frame () in
+  (match Proto.decode_client frame with
+  | _ -> Alcotest.fail "workload tag 1 decoded"
+  | exception Wire.Error (Wire.Bad_payload _) -> ());
   (match
-     SClient.call ~socket (Proto.Run (SReq.make (`Inline "\000\001junk\255")))
+     SClient.with_connection socket (fun fd ->
+         ignore (Unix.write_substring fd frame 0 (String.length frame));
+         Proto.recv_server fd)
    with
   | Proto.Rejected (Proto.Bad_request _) -> ()
   | m ->
-      Alcotest.failf "inline over socket: %s"
+      Alcotest.failf "workload tag 1: %s" (Format.asprintf "%a" Proto.pp_server m));
+  (match SClient.call ~socket Proto.Ping with
+  | Proto.Pong p -> Alcotest.(check int) "nothing submitted" 10 p.Proto.p_served
+  | m ->
+      Alcotest.failf "ping after workload tag 1: %s"
         (Format.asprintf "%a" Proto.pp_server m));
   (* a client that vanishes mid-request must not kill the daemon: its
      parked job is cancelled, and the reply that would have hit the dead
@@ -764,4 +836,6 @@ let suite =
       test_tune_then_auto;
     Alcotest.test_case "two clients over the socket" `Slow
       test_socket_two_clients;
+    Alcotest.test_case "make defaults match Crossinv.Request.make" `Quick
+      test_make_defaults_match_core;
   ]

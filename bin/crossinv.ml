@@ -375,15 +375,7 @@ let run_cmd =
         | Some fl ->
             Printf.printf "  flight           %d events recorded, %d dropped\n"
               (Xinv_obs.Flight.total_length fl)
-              (Xinv_obs.Flight.total_drops fl);
-            if verbose then
-              Format.printf "  %a@." Xinv_obs.Critpath.pp
-                (Xinv_obs.Critpath.analyze
-                   ?wall_ns:
-                     (Option.map (fun nr -> nr.Xinv_native.Nrun.wall_ns) o.Cx.nrun)
-                   ?stalls:
-                     (Option.map (fun nr -> nr.Xinv_native.Nrun.stalls) o.Cx.nrun)
-                   fl)
+              (Xinv_obs.Flight.total_drops fl)
         | None -> ());
         (match o.Cx.run with
         | Some r when verbose -> Format.printf "  %a@." Xinv_parallel.Run.pp r
@@ -395,14 +387,8 @@ let run_cmd =
         | Some prof when verbose ->
             Format.printf "  %a@." Xinv_speccross.Profiler.pp prof
         | _ -> ());
-        (match (obs, o.Cx.run) with
-        | Some _, Some r when stats ->
-            Format.printf "%a@." Xinv_obs.Report.pp (Xinv_parallel.Run.report r)
-        | Some obs, _ when stats ->
-            List.iter
-              (fun (name, v) -> Printf.printf "  %-32s %d\n" name v)
-              (Xinv_obs.Metrics.counters (Xinv_obs.Recorder.metrics obs))
-        | _ -> ());
+        if stats || (verbose && o.Cx.flight <> None) then
+          Option.iter (Format.printf "%a@." Xinv_obs.Report.pp) (Cx.report ?obs o);
         if not o.Cx.verified then exit 2
   in
   let wl_arg =
@@ -429,136 +415,6 @@ let run_cmd =
 
 (* ---- stats ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* The native stats document: wall-clock fields and flight-derived
-   attribution, where the sim report would show virtual time. *)
-let native_stats_json ~(wl : Wl.Workload.t) ~technique ~threads ~(o : Cx.outcome)
-    ~(nr : Xinv_native.Nrun.t) ~verdict ~counters =
-  let b = Buffer.create 4096 in
-  let fnum f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f in
-  let obj kvs =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) v) kvs)
-    ^ "}"
-  in
-  Buffer.add_string b "{\n  \"schema\": \"xinv-stats/2\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"workload\": \"%s\",\n" (json_escape wl.Wl.Workload.name));
-  Buffer.add_string b
-    (Printf.sprintf "  \"technique\": \"%s\",\n"
-       (json_escape (Cx.technique_name o.Cx.technique)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"requested\": \"%s\",\n"
-       (json_escape (Cx.technique_name technique)));
-  Buffer.add_string b "  \"backend\": \"native\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"domains\": %d,\n" threads);
-  Buffer.add_string b (Printf.sprintf "  \"wall_ns\": %s,\n" (fnum nr.Xinv_native.Nrun.wall_ns));
-  Buffer.add_string b
-    (Printf.sprintf "  \"seq_wall_ns\": %s,\n" (fnum (Cx.cost_value o.Cx.seq_cost)));
-  Buffer.add_string b (Printf.sprintf "  \"speedup\": %s,\n" (fnum o.Cx.speedup));
-  Buffer.add_string b (Printf.sprintf "  \"verified\": %b,\n" o.Cx.verified);
-  Buffer.add_string b
-    (Printf.sprintf "  \"degraded\": %d,\n" (List.length o.Cx.degraded));
-  Buffer.add_string b
-    (Printf.sprintf "  \"tasks\": %d,\n" nr.Xinv_native.Nrun.tasks);
-  Buffer.add_string b
-    (Printf.sprintf "  \"invocations\": %d,\n" nr.Xinv_native.Nrun.invocations);
-  Buffer.add_string b
-    (Printf.sprintf "  \"sync_forwarded\": %d,\n" nr.Xinv_native.Nrun.conds);
-  Buffer.add_string b
-    (Printf.sprintf "  \"signature_checks\": %d,\n" nr.Xinv_native.Nrun.checks);
-  Buffer.add_string b
-    (Printf.sprintf "  \"misspeculations\": %d,\n" nr.Xinv_native.Nrun.misspecs);
-  Buffer.add_string b
-    (Printf.sprintf "  \"barrier_episodes\": %d,\n"
-       nr.Xinv_native.Nrun.barrier_episodes);
-  Buffer.add_string b
-    (Printf.sprintf "  \"stall_by_cause\": %s,\n"
-       (obj (List.map (fun (k, v) -> (k, fnum v)) nr.Xinv_native.Nrun.stalls)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"dominant_stall\": %s,\n"
-       (match Xinv_native.Nrun.dominant_stall nr with
-       | Some c -> Printf.sprintf "\"%s\"" (json_escape c)
-       | None -> "null"));
-  Buffer.add_string b
-    (Printf.sprintf "  \"flight\": %s,\n"
-       (match o.Cx.flight with
-       | None -> "null"
-       | Some fl ->
-           obj
-             [
-               ("events", string_of_int (Xinv_obs.Flight.total_length fl));
-               ("drops", string_of_int (Xinv_obs.Flight.total_drops fl));
-               ("capacity", string_of_int (Xinv_obs.Flight.capacity fl));
-               ("rings", string_of_int (Xinv_obs.Flight.domains fl));
-             ]));
-  Buffer.add_string b
-    (Printf.sprintf "  \"critpath\": %s,\n"
-       (match verdict with
-       | None -> "null"
-       | Some v -> Xinv_obs.Critpath.to_json v));
-  Buffer.add_string b
-    (Printf.sprintf "  \"counters\": %s\n"
-       (obj (List.map (fun (k, v) -> (k, string_of_int v)) counters)));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let native_stats_text ~(wl : Wl.Workload.t) ~threads ~(o : Cx.outcome)
-    ~(nr : Xinv_native.Nrun.t) ~verdict ~counters =
-  Printf.printf "%s under %s, %d domains (native backend):\n"
-    wl.Wl.Workload.name
-    (Cx.technique_name o.Cx.technique)
-    threads;
-  Printf.printf "  wall             %.3f ms\n" (nr.Xinv_native.Nrun.wall_ns /. 1e6);
-  Printf.printf "  sequential       %.3f ms\n" (Cx.cost_value o.Cx.seq_cost /. 1e6);
-  Printf.printf "  speedup          %.2fx\n" o.Cx.speedup;
-  Printf.printf "  verified         %b\n" o.Cx.verified;
-  Printf.printf "  tasks            %d (%d invocations)\n"
-    nr.Xinv_native.Nrun.tasks nr.Xinv_native.Nrun.invocations;
-  if nr.Xinv_native.Nrun.conds > 0 then
-    Printf.printf "  sync forwarded   %d\n" nr.Xinv_native.Nrun.conds;
-  if nr.Xinv_native.Nrun.checks > 0 then
-    Printf.printf "  sig checks       %d (%d misspeculations)\n"
-      nr.Xinv_native.Nrun.checks nr.Xinv_native.Nrun.misspecs;
-  if nr.Xinv_native.Nrun.barrier_episodes > 0 then
-    Printf.printf "  barrier episodes %d\n" nr.Xinv_native.Nrun.barrier_episodes;
-  let wall = Stdlib.max nr.Xinv_native.Nrun.wall_ns 1. in
-  let capacity = wall *. float_of_int threads in
-  if nr.Xinv_native.Nrun.stalls <> [] then begin
-    Printf.printf "  blocked wall time by cause (%% of %d-domain capacity):\n"
-      threads;
-    List.iter
-      (fun (cause, ns) ->
-        Printf.printf "    %-14s %10.3f ms  %5.1f%%\n" cause (ns /. 1e6)
-          (100. *. ns /. capacity))
-      (List.sort (fun (_, a) (_, b) -> compare b a) nr.Xinv_native.Nrun.stalls)
-  end;
-  (match o.Cx.flight with
-  | Some fl ->
-      Printf.printf "  flight           %d events recorded, %d dropped\n"
-        (Xinv_obs.Flight.total_length fl)
-        (Xinv_obs.Flight.total_drops fl)
-  | None -> ());
-  (match verdict with
-  | Some v -> Format.printf "  %a@." Xinv_obs.Critpath.pp v
-  | None -> ());
-  if counters <> [] then begin
-    print_endline "  counters:";
-    List.iter (fun (k, v) -> Printf.printf "    %-32s %d\n" k v) counters
-  end
-
 let stats_cmd =
   let run wl technique threads input backend domains json csv =
     (match (backend, domains) with
@@ -573,65 +429,25 @@ let stats_cmd =
           wl.Wl.Workload.name reason;
         exit 1
     | Ok () -> (
-        match backend with
-        | `Sim ->
-            let obs = Xinv_obs.Recorder.create () in
-            let o = Cx.run_request @@ Cx.Request.make ~input ~obs ~technique ~threads wl in
-            let r =
-              match o.Cx.run with
-              | Some r -> r
-              | None ->
-                  Printf.eprintf "sequential execution has no stats\n";
-                  exit 1
-            in
-            let report = Xinv_parallel.Run.report r in
+        let obs = Xinv_obs.Recorder.create () in
+        let b, threads =
+          match backend with
+          | `Sim -> (`Sim None, threads)
+          | `Native ->
+              ( `Native { Cx.native_defaults with Cx.flight = true },
+                Option.value domains ~default:4 )
+        in
+        let o =
+          Cx.run_request @@ Cx.Request.make ~backend:b ~input ~obs ~technique ~threads wl
+        in
+        match Cx.report ~obs o with
+        | None ->
+            Printf.eprintf "sequential execution has no stats\n";
+            exit 1
+        | Some report ->
             if json then print_string (Xinv_obs.Report.to_json report)
             else if csv then print_string (Xinv_obs.Report.to_csv report)
-            else Format.printf "%a@." Xinv_obs.Report.pp report
-        | `Native ->
-            let threads = Option.value domains ~default:4 in
-            let obs = Xinv_obs.Recorder.create () in
-            let o =
-              Cx.run_request @@ Cx.Request.make
-                ~backend:(`Native { Cx.native_defaults with Cx.flight = true })
-                ~input ~obs ~technique ~threads wl
-            in
-            let nr =
-              match o.Cx.nrun with
-              | Some nr -> nr
-              | None -> assert false (* native backend always fills nrun *)
-            in
-            let verdict =
-              Option.map
-                (Xinv_obs.Critpath.analyze ~wall_ns:nr.Xinv_native.Nrun.wall_ns
-                   ~stalls:nr.Xinv_native.Nrun.stalls)
-                o.Cx.flight
-            in
-            let counters =
-              Xinv_obs.Metrics.counters (Xinv_obs.Recorder.metrics obs)
-            in
-            if json then
-              print_string
-                (native_stats_json ~wl ~technique ~threads ~o ~nr ~verdict
-                   ~counters)
-            else if csv then begin
-              Printf.printf "wall_ns,%.0f\n" nr.Xinv_native.Nrun.wall_ns;
-              Printf.printf "seq_wall_ns,%.0f\n" (Cx.cost_value o.Cx.seq_cost);
-              Printf.printf "speedup,%.3f\n" o.Cx.speedup;
-              Printf.printf "verified,%b\n" o.Cx.verified;
-              List.iter
-                (fun (c, ns) -> Printf.printf "stall.%s,%.0f\n" c ns)
-                nr.Xinv_native.Nrun.stalls;
-              (match o.Cx.flight with
-              | Some fl ->
-                  Printf.printf "flight.events,%d\n"
-                    (Xinv_obs.Flight.total_length fl);
-                  Printf.printf "flight.drops,%d\n"
-                    (Xinv_obs.Flight.total_drops fl)
-              | None -> ());
-              List.iter (fun (k, v) -> Printf.printf "%s,%d\n" k v) counters
-            end
-            else native_stats_text ~wl ~threads ~o ~nr ~verdict ~counters)
+            else Format.printf "%a@." Xinv_obs.Report.pp report)
   in
   let wl_arg =
     Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
@@ -641,17 +457,15 @@ let stats_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Emit the JSON document: $(b,xinv-stats/1) for the sim backend, \
-             $(b,xinv-stats/2) (wall-clock fields, flight and critical-path \
-             attribution) for the native backend.")
+            "Emit the $(b,xinv-stats/3) JSON document (the same keys on both \
+             backends; $(b,clock) names the time unit).")
   in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit key,value CSV.") in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Run one workload instrumented and print the stall/utilization report \
-          (text, --json or --csv), on either backend (--backend native adds \
-          flight-recorder and critical-path attribution).")
+          (text, --json or --csv), on either backend.")
     Term.(
       const run $ wl_arg $ tech_arg $ threads_arg $ input_arg $ backend_arg
       $ domains_arg $ json $ csv)
@@ -659,58 +473,35 @@ let stats_cmd =
 (* ---- top ---- *)
 
 (* One live frame against a flight recorder that is still being written:
-   per-domain event counts, utilization, dominant stall, last sampled queue
-   depth and commit rate.  Reads are racy by design — Flight.read skips
-   torn slots. *)
+   the run's report so far, per domain.  Reads are racy by design —
+   Flight.read skips torn slots. *)
 let render_frame ~(wl : Wl.Workload.t) ~technique ~frame fl =
-  let module Fl = Xinv_obs.Flight in
-  let elapsed = float_of_int (Fl.elapsed_ns fl) in
+  let r = Xinv_obs.Report.of_flight fl in
+  let secs = r.Xinv_obs.Report.makespan /. 1e9 in
   Printf.printf
     "xinv top — %s under %s  |  frame %d  |  %.2f s  |  %d events (%d dropped)\n"
     wl.Wl.Workload.name
     (Cx.technique_name technique)
-    frame (elapsed /. 1e9) (Fl.total_length fl) (Fl.total_drops fl);
-  Printf.printf "  %-6s %10s %7s  %-14s %6s %10s\n" "domain" "events" "util%"
-    "dominant stall" "queue" "commits/s";
-  for d = 0 to Fl.domains fl - 1 do
-    let entries = Fl.read fl ~domain:d in
-    let stall = Array.make Fl.ncauses 0 in
-    let queue = ref (-1) in
-    let commits = ref 0 in
-    let lo = ref max_int and hi = ref 0 in
-    List.iter
-      (fun (e : Fl.entry) ->
-        if e.Fl.f_at < !lo then lo := e.Fl.f_at;
-        if e.Fl.f_at > !hi then hi := e.Fl.f_at;
-        match e.Fl.f_kind with
-        | Fl.Stall_end ->
-            if e.Fl.f_a >= 0 && e.Fl.f_a < Fl.ncauses then
-              stall.(e.Fl.f_a) <- stall.(e.Fl.f_a) + e.Fl.f_b
-        | Fl.Queue_sample -> queue := e.Fl.f_b
-        | Fl.Epoch_commit -> incr commits
-        | _ -> ())
-      entries;
-    (* Utilization over the ring's own retained window, so a drop-oldest
-       ring still reports the recent past rather than the whole run. *)
-    let window =
-      if !hi > !lo then float_of_int (!hi - !lo) else Stdlib.max elapsed 1.
-    in
-    let total_stall = float_of_int (Array.fold_left ( + ) 0 stall) in
-    let util = Float.max 0. (Float.min 100. (100. *. (1. -. (total_stall /. window)))) in
-    let dominant = ref "-" and best = ref 0 in
-    Array.iteri
-      (fun i v ->
-        if v > !best then begin
-          best := v;
-          dominant := Fl.cause_name i
-        end)
-      stall;
-    Printf.printf "  %-6d %10d %6.1f%%  %-14s %6s %10.1f\n" d
-      (Fl.recorded fl ~domain:d)
-      util !dominant
-      (if !queue < 0 then "-" else string_of_int !queue)
-      (float_of_int !commits /. (window /. 1e9))
-  done
+    frame secs r.Xinv_obs.Report.events_logged r.Xinv_obs.Report.drops;
+  Printf.printf "  %-6s %10s %7s  %s\n" "domain" "events" "util%" "dominant stall";
+  List.iter
+    (fun (tr : Xinv_obs.Report.thread_report) ->
+      Printf.printf "  %-6d %10d %6.1f%%  %s\n" tr.Xinv_obs.Report.tid
+        tr.Xinv_obs.Report.events
+        (100. *. tr.Xinv_obs.Report.utilization)
+        (match tr.Xinv_obs.Report.dominant with
+        | Some c -> Xinv_obs.Cause.name c
+        | None -> "-"))
+    r.Xinv_obs.Report.per_thread;
+  Printf.printf "  bottleneck: %s\n" r.Xinv_obs.Report.bottleneck;
+  (match r.Xinv_obs.Report.queue_occupancy with
+  | Some q ->
+      Printf.printf "  queue occupancy p50 %.0f  max %.0f\n" q.Xinv_obs.Report.p50
+        q.Xinv_obs.Report.pmax
+  | None -> ());
+  if secs > 0. then
+    Printf.printf "  commits/s %.1f\n"
+      (float_of_int r.Xinv_obs.Report.epochs_committed /. secs)
 
 let top_cmd =
   let run wl technique domains interval_ms runs frames openmetrics =
@@ -948,7 +739,9 @@ let trace_cmd =
             ~process_name:
               (Printf.sprintf "crossinv %s %s" wl.Wl.Workload.name
                  (Cx.technique_name technique))
-            ~engine:r.Xinv_parallel.Run.engine ?recorder:obs ()
+            ~clock:Xinv_obs.Flight.Cycles ~tracks:(Xinv_parallel.Run.tracks r)
+            ~segments:(Xinv_sim.Engine.segments r.Xinv_parallel.Run.engine)
+            (Xinv_parallel.Run.entries r)
         in
         let oc = open_out path in
         output_string oc json;

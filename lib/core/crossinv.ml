@@ -807,16 +807,6 @@ let run_native ~actx ~opts ~source (r : Request.t) =
       bump_counter obs "speccross.misspeculations" nrun.Nat.Nrun.misspecs;
       bump_counter obs "barrier.crossings" nrun.Nat.Nrun.barrier_episodes
   | _ -> bump_counter obs "barrier.crossings" nrun.Nat.Nrun.barrier_episodes);
-  (* Per-cause blocked wall time, as recorded by the engines' Stallcat
-     accounting — one Worker_stalled event per cause with the aggregate
-     duration, so `xinv stats` and Perfetto name the run's bottleneck. *)
-  List.iter
-    (fun (name, ns) ->
-      match Xinv_obs.Event.stall_cause_of_name name with
-      | Some cause ->
-          record_event obs (Xinv_obs.Event.Worker_stalled { cause; dur = ns })
-      | None -> ())
-    nrun.Nat.Nrun.stalls;
   ( nrun, seq_run, nprofile, env, seq_env, executed, !degraded, !last_flight,
     !postmortems )
 
@@ -988,3 +978,21 @@ let run_request (r : Request.t) =
                        Printf.sprintf "candidate at %.2fx of sequential" ratio;
                    })));
       o
+
+let report ?obs o =
+  match (o.run, o.nrun) with
+  | Some r, _ -> Some (Par.Run.report r)
+  | None, Some nr ->
+      let metrics = Option.map Xinv_obs.Recorder.metrics obs in
+      let counters = Option.map Xinv_obs.Metrics.counters metrics
+      and gauges = Option.map Xinv_obs.Metrics.gauges metrics
+      and blocked = nr.Nat.Nrun.stalls in
+      Some
+        (match o.flight with
+        | Some fl -> Xinv_obs.Report.of_flight ~wall_ns:nr.Nat.Nrun.wall_ns ~blocked ?counters ?gauges fl
+        | None ->
+            Xinv_obs.Report.build ~backend:"native" ~clock:Xinv_obs.Flight.Ns
+              ~makespan:nr.Nat.Nrun.wall_ns
+              ~tracks:(Array.init nr.Nat.Nrun.domains (Printf.sprintf "domain %d"))
+              ~blocked ?counters ?gauges [])
+  | None, None -> None

@@ -132,6 +132,14 @@ type outcome = {
           ["adaptive:sequential"] under the online controller *)
 }
 
+val report : ?obs:Xinv_obs.Recorder.t -> outcome -> Xinv_obs.Report.t option
+(** The run's {!Xinv_obs.Report}, on either backend: the simulated run's
+    entries and engine charges, or the native run's flight entries (when
+    recorded) with its Stallcat blocked totals as the per-cause figures.
+    [obs] supplies the native run's counters (a simulated run carries its
+    own recorder).  [None] for a simulated sequential execution, which
+    has no run record. *)
+
 val applicable :
   ?backend:[ `Sim | `Native ] ->
   ?cache:[ `Off | `Ro | `Rw ] ->

@@ -84,8 +84,8 @@ let run ?config ?obs ?(trace = false) ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) 
                   (match h_occupancy with
                   | Some h -> Obs.Metrics.observe h (float_of_int loads.(w))
                   | None -> ());
-                  Obs.Recorder.record o ~at ~tid:0
-                    (Obs.Event.Queue_sampled { queue = w; len = loads.(w) })
+                  Obs.Recorder.emit o ~at ~domain:0 Obs.Flight.Queue_sample ~a:w
+                    ~b:loads.(w)
                 done);
             let tid =
               Policy.pick policy ~loads:loads_opt ~mem:env.Ir.Env.mem ~threads:workers
@@ -105,9 +105,8 @@ let run ?config ?obs ?(trace = false) ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) 
                 | None -> ()
                 | Some o ->
                     (match m_conds with Some c -> Obs.Metrics.incr c | None -> ());
-                    Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid:0
-                      (Obs.Event.Sync_forwarded
-                         { to_tid = tid; dep_tid = dt; dep_iter = di }));
+                    Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:0
+                      Obs.Flight.Sync_send ~a:di ~b:(tid + 1));
                 Sim.Channel.produce queues.(tid)
                   (Sync (Rt.Sync_cond.to_int (Rt.Sync_cond.Wait { dep_tid = dt; dep_iter = di }))))
               deps;
@@ -115,8 +114,8 @@ let run ?config ?obs ?(trace = false) ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) 
             | None -> ()
             | Some o ->
                 (match m_dispatched with Some c -> Obs.Metrics.incr c | None -> ());
-                Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid:0
-                  (Obs.Event.Task_dispatched { iter = !iternum; to_tid = tid }));
+                Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:0 Obs.Flight.Dispatch
+                  ~a:!iternum ~b:(tid + 1));
             Sim.Channel.produce queues.(tid) (Do { t; j; inner = ii; iter = !iternum });
             incr iternum
           done)
@@ -136,9 +135,7 @@ let run ?config ?obs ?(trace = false) ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) 
           let t0 = Sim.Proc.now () in
           let msg = Sim.Channel.consume q in
           let dur = Sim.Proc.now () -. t0 -. machine.Sim.Machine.queue_consume in
-          if dur > 0. then
-            Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid
-              (Obs.Event.Worker_stalled { cause = Obs.Event.Queue_empty; dur });
+          Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid Obs.Cause.Queue_empty dur;
           msg
     in
     let continue_ = ref true in
@@ -157,10 +154,8 @@ let run ?config ?obs ?(trace = false) ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) 
                   let t0 = Sim.Proc.now () in
                   Sim.Mono_cell.wait_ge ~cat:Sim.Category.Sync_wait cells.(dep_tid)
                     dep_iter;
-                  let dur = Sim.Proc.now () -. t0 in
-                  if dur > 0. then
-                    Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid
-                      (Obs.Event.Worker_stalled { cause = Obs.Event.Sync_cond; dur })))
+                  Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid
+                    Obs.Cause.Sync_cond (Sim.Proc.now () -. t0)))
       | Do { t; j; inner; iter } ->
           let il = bodies.(inner) in
           let env_j = Ir.Env.with_inner (Ir.Env.with_outer env t) j in

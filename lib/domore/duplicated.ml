@@ -37,14 +37,12 @@ let iteration_executor ~(config : Domore.config) ~(plan : Ir.Mtcg.plan) ~cells ~
         | Some o ->
             Obs.Metrics.incr
               (Obs.Metrics.counter (Obs.Recorder.metrics o) "domore.sync_conds_forwarded");
-            Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid
-              (Obs.Event.Sync_forwarded { to_tid = tid; dep_tid = dt; dep_iter = di });
+            Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:tid Obs.Flight.Sync_send
+              ~a:di ~b:tid;
             let t0 = Sim.Proc.now () in
             Sim.Mono_cell.wait_ge ~cat:Sim.Category.Sync_wait cells.(dt) di;
-            let dur = Sim.Proc.now () -. t0 in
-            if dur > 0. then
-              Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid
-                (Obs.Event.Worker_stalled { cause = Obs.Event.Sync_cond; dur }))
+            Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid Obs.Cause.Sync_cond
+              (Sim.Proc.now () -. t0))
       deps;
     List.iter
       (fun (s : Ir.Stmt.t) ->

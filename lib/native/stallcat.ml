@@ -5,44 +5,27 @@
    nanoseconds to one cause bucket.  The buckets are padded atomics because
    several domains report concurrently.
 
-   The cause names intentionally match the simulator's Obs stall
-   vocabulary where the concepts coincide, so bench rows and `xinv stats`
-   reports read the same across backends. *)
+   The causes are the one stall vocabulary of both backends,
+   {!Xinv_obs.Cause}. *)
 
-type cause =
-  | Queue_empty   (* consumer waiting for work words *)
-  | Queue_full    (* producer waiting for ring space *)
-  | Sync_cond     (* worker waiting on a forwarded synchronization condition *)
-  | Barrier_wait  (* party waiting at a barrier *)
-  | Checker_lag   (* speculative worker waiting for the checker to drain *)
-  | Throttle      (* speculative worker held back by the spec-distance range *)
-  | Rally         (* waiting for peers at a checkpoint / irreversible rally *)
+type cause = Xinv_obs.Cause.t =
+  | Queue_empty
+  | Queue_full
+  | Sync_cond
+  | Barrier_wait
+  | Checker_lag
+  | Throttle
+  | Rally
 
-let all = [ Queue_empty; Queue_full; Sync_cond; Barrier_wait; Checker_lag; Throttle; Rally ]
+let all = Xinv_obs.Cause.all
 
-let index = function
-  | Queue_empty -> 0
-  | Queue_full -> 1
-  | Sync_cond -> 2
-  | Barrier_wait -> 3
-  | Checker_lag -> 4
-  | Throttle -> 5
-  | Rally -> 6
+let name = Xinv_obs.Cause.name
 
-let name = function
-  | Queue_empty -> "queue-empty"
-  | Queue_full -> "queue-full"
-  | Sync_cond -> "sync-cond"
-  | Barrier_wait -> "barrier"
-  | Checker_lag -> "checker-lag"
-  | Throttle -> "throttle"
-  | Rally -> "rally"
+let index = Xinv_obs.Cause.index
 
 type t = int Atomic.t array (* accumulated ns per cause, padded *)
 
-let ncauses = List.length all
-
-let create () = Pad.atomic_array ncauses 0
+let create () = Pad.atomic_array Xinv_obs.Cause.count 0
 
 let add_ns t cause ns =
   if ns > 0 then ignore (Atomic.fetch_and_add t.(index cause) ns)
@@ -80,14 +63,3 @@ let to_list t =
       let v = Atomic.get t.(index c) in
       if v > 0 then Some (name c, float_of_int v) else None)
     all
-
-let dominant t =
-  let best = ref None in
-  List.iter
-    (fun c ->
-      let v = Atomic.get t.(index c) in
-      match !best with
-      | Some (_, bv) when bv >= v -> ()
-      | _ -> if v > 0 then best := Some (name c, v))
-    all;
-  Option.map fst !best

@@ -2,10 +2,11 @@
 
     Engines wrap their blocking slow paths in {!timed}; the accumulated
     nanoseconds per cause flow into {!Nrun.t.stalls} and from there into
-    bench rows and the Obs stall report, so every measured configuration
-    names its bottleneck (queue-empty vs barrier-wait vs checker-lag …). *)
+    bench rows and {!Xinv_obs.Report}'s blocked totals, so every measured
+    configuration names its bottleneck (queue-empty vs barrier vs
+    checker-lag …). *)
 
-type cause =
+type cause = Xinv_obs.Cause.t =
   | Queue_empty
   | Queue_full
   | Sync_cond
@@ -17,7 +18,7 @@ type cause =
 val all : cause list
 
 val name : cause -> string
-(** Stable label, shared with the bench JSON and the Obs vocabulary. *)
+(** {!Xinv_obs.Cause.name}: the label bench rows and reports share. *)
 
 type t
 
@@ -38,6 +39,3 @@ val ns : t -> cause -> int
 
 val to_list : t -> (string * float) list
 (** Non-zero buckets as [(name, ns)], in fixed cause order. *)
-
-val dominant : t -> string option
-(** The cause with the most blocked time, if any blocking happened. *)

@@ -1,45 +1,4 @@
-type stall_cause =
-  | Sync_cond
-  | Barrier
-  | Queue_empty
-  | Queue_full
-  | Checker_lag
-  | Checkpoint_wait
-  | Throttle
-
-let stall_cause_name = function
-  | Sync_cond -> "sync-cond"
-  | Barrier -> "barrier"
-  | Queue_empty -> "queue-empty"
-  | Queue_full -> "queue-full"
-  | Checker_lag -> "checker-lag"
-  | Checkpoint_wait -> "checkpoint-wait"
-  | Throttle -> "throttle"
-
-let all_stall_causes =
-  [ Sync_cond; Barrier; Queue_empty; Queue_full; Checker_lag; Checkpoint_wait; Throttle ]
-
-let stall_cause_of_name = function
-  | "sync-cond" -> Some Sync_cond
-  | "barrier" -> Some Barrier
-  | "queue-empty" -> Some Queue_empty
-  | "queue-full" -> Some Queue_full
-  | "checker-lag" -> Some Checker_lag
-  | "checkpoint-wait" -> Some Checkpoint_wait
-  | "throttle" | "rally" -> Some Throttle
-  | _ -> None
-
 type t =
-  | Sync_forwarded of { to_tid : int; dep_tid : int; dep_iter : int }
-  | Worker_stalled of { cause : stall_cause; dur : float }
-  | Queue_sampled of { queue : int; len : int }
-  | Task_dispatched of { iter : int; to_tid : int }
-  | Epoch_committed of { epoch : int }
-  | Misspeculated of { epoch : int; worker : int }
-  | Recovery_finished of { dur : float; epochs_redone : int }
-  | Checkpoint_forked of { epoch : int }
-  | Signature_checked of { worker : int; epoch : int; window : int; conflict : bool }
-  | Barrier_crossed of { episode : int }
   | Fault_injected of { kind : string; domain : int; site : int }
   | Run_stalled of { role : string; waiting_for : string; waited_ns : float }
   | Degraded of { from_ : string; to_ : string; reason : string }
@@ -48,55 +7,3 @@ type t =
   | Policy_applied of { source : string; policy : string }
   | Tune_trial of { policy : string; wall_ns : float; pruned : bool }
   | Tune_switch of { from_ : string; to_ : string; reason : string }
-
-let name = function
-  | Sync_forwarded _ -> "sync_forwarded"
-  | Worker_stalled _ -> "worker_stalled"
-  | Queue_sampled _ -> "queue_sampled"
-  | Task_dispatched _ -> "task_dispatched"
-  | Epoch_committed _ -> "epoch_committed"
-  | Misspeculated _ -> "misspeculated"
-  | Recovery_finished _ -> "recovery_finished"
-  | Checkpoint_forked _ -> "checkpoint_forked"
-  | Signature_checked _ -> "signature_checked"
-  | Barrier_crossed _ -> "barrier_crossed"
-  | Fault_injected _ -> "fault_injected"
-  | Run_stalled _ -> "run_stalled"
-  | Degraded _ -> "degraded"
-  | Fingerprint_hit _ -> "fingerprint_hit"
-  | Fingerprint_miss _ -> "fingerprint_miss"
-  | Policy_applied _ -> "policy_applied"
-  | Tune_trial _ -> "tune_trial"
-  | Tune_switch _ -> "tune_switch"
-
-type arg = I of int | F of float | B of bool | S of string
-
-let args = function
-  | Sync_forwarded { to_tid; dep_tid; dep_iter } ->
-      [ ("to_tid", I to_tid); ("dep_tid", I dep_tid); ("dep_iter", I dep_iter) ]
-  | Worker_stalled { cause; dur } ->
-      [ ("cause", S (stall_cause_name cause)); ("dur", F dur) ]
-  | Queue_sampled { queue; len } -> [ ("queue", I queue); ("len", I len) ]
-  | Task_dispatched { iter; to_tid } -> [ ("iter", I iter); ("to_tid", I to_tid) ]
-  | Epoch_committed { epoch } -> [ ("epoch", I epoch) ]
-  | Misspeculated { epoch; worker } -> [ ("epoch", I epoch); ("worker", I worker) ]
-  | Recovery_finished { dur; epochs_redone } ->
-      [ ("dur", F dur); ("epochs_redone", I epochs_redone) ]
-  | Checkpoint_forked { epoch } -> [ ("epoch", I epoch) ]
-  | Signature_checked { worker; epoch; window; conflict } ->
-      [ ("worker", I worker); ("epoch", I epoch); ("window", I window); ("conflict", B conflict) ]
-  | Barrier_crossed { episode } -> [ ("episode", I episode) ]
-  | Fault_injected { kind; domain; site } ->
-      [ ("kind", S kind); ("domain", I domain); ("site", I site) ]
-  | Run_stalled { role; waiting_for; waited_ns } ->
-      [ ("role", S role); ("waiting_for", S waiting_for); ("waited_ns", F waited_ns) ]
-  | Degraded { from_; to_; reason } ->
-      [ ("from", S from_); ("to", S to_); ("reason", S reason) ]
-  | Fingerprint_hit { fp } -> [ ("fp", S fp) ]
-  | Fingerprint_miss { fp; reason } -> [ ("fp", S fp); ("reason", S reason) ]
-  | Policy_applied { source; policy } ->
-      [ ("source", S source); ("policy", S policy) ]
-  | Tune_trial { policy; wall_ns; pruned } ->
-      [ ("policy", S policy); ("wall_ns", F wall_ns); ("pruned", B pruned) ]
-  | Tune_switch { from_; to_; reason } ->
-      [ ("from", S from_); ("to", S to_); ("reason", S reason) ]

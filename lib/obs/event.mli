@@ -1,46 +1,11 @@
-(** Typed observability events.
+(** Once-per-run control records.
 
-    One constructor per runtime phenomenon the dissertation's evaluation
-    reasons about: synchronization conditions forwarded by the DOMORE
-    scheduler, worker stalls and their causes, queue occupancy samples,
-    SPECCROSS epoch commits / misspeculations / recoveries, checkpoints,
-    signature checks and barrier crossings.  Events are recorded by
-    {!Recorder} with simulated timestamps and consume no virtual time, so
-    enabling them cannot perturb a run. *)
-
-type stall_cause =
-  | Sync_cond  (** blocked on a DOMORE cross-iteration synchronization condition *)
-  | Barrier  (** blocked at a (real or speculative-range) barrier *)
-  | Queue_empty  (** consumer blocked on an empty communication queue *)
-  | Queue_full  (** producer blocked on a full communication queue *)
-  | Checker_lag  (** blocked waiting for the speculation checker to catch up *)
-  | Checkpoint_wait  (** blocked on checkpointing or recovery rendezvous *)
-  | Throttle  (** speculative worker held back by the spec-distance range *)
-
-val stall_cause_name : stall_cause -> string
-
-val all_stall_causes : stall_cause list
-
-val stall_cause_of_name : string -> stall_cause option
-(** Inverse of {!stall_cause_name}, for the native backend's string-keyed
-    stall report ({!Xinv_native.Stallcat} names map onto these causes). *)
+    Faults, watchdog stalls, degradations, cache lookups and policy
+    decisions happen at most a few times per run and outside any engine's
+    hot loop.  Run events (dispatches, stalls, commits, …) are
+    {!Flight.entry} records instead, on both backends. *)
 
 type t =
-  | Sync_forwarded of { to_tid : int; dep_tid : int; dep_iter : int }
-      (** the scheduler emitted a synchronization condition to [to_tid] *)
-  | Worker_stalled of { cause : stall_cause; dur : float }
-      (** a worker resumed after [dur] simulated cycles blocked *)
-  | Queue_sampled of { queue : int; len : int }
-      (** scheduler-side occupancy snapshot of worker queue [queue] *)
-  | Task_dispatched of { iter : int; to_tid : int }
-  | Epoch_committed of { epoch : int }
-      (** speculative execution of [epoch] completed without rollback *)
-  | Misspeculated of { epoch : int; worker : int }
-  | Recovery_finished of { dur : float; epochs_redone : int }
-  | Checkpoint_forked of { epoch : int }
-  | Signature_checked of { worker : int; epoch : int; window : int; conflict : bool }
-      (** one checking request: [window] signatures compared *)
-  | Barrier_crossed of { episode : int }
   | Fault_injected of { kind : string; domain : int; site : int }
       (** a {!Xinv_native.Fault} fired at (domain, site) during a native run *)
   | Run_stalled of { role : string; waiting_for : string; waited_ns : float }
@@ -61,11 +26,3 @@ type t =
           incumbent) *)
   | Tune_switch of { from_ : string; to_ : string; reason : string }
       (** the online adaptive controller switched policy mid-stream *)
-
-val name : t -> string
-(** Short stable identifier, used as the Perfetto event name. *)
-
-type arg = I of int | F of float | B of bool | S of string
-
-val args : t -> (string * arg) list
-(** Payload as a flat association list (Perfetto [args], CSV columns). *)

@@ -9,7 +9,14 @@ type kind =
   | Stall_begin
   | Stall_end
   | Queue_sample
+  | Checkpoint
+  | Sig_check
+  | Recovery
   | Mark
+
+type clock = Cycles | Ns
+
+let clock_name = function Cycles -> "cycles" | Ns -> "ns"
 
 let kind_code = function
   | Dispatch -> 0
@@ -22,21 +29,19 @@ let kind_code = function
   | Stall_begin -> 7
   | Stall_end -> 8
   | Queue_sample -> 9
-  | Mark -> 10
+  | Checkpoint -> 10
+  | Sig_check -> 11
+  | Recovery -> 12
+  | Mark -> 13
 
-let kind_of_code = function
-  | 0 -> Some Dispatch
-  | 1 -> Some Sync_send
-  | 2 -> Some Sync_recv
-  | 3 -> Some Barrier_arrive
-  | 4 -> Some Barrier_release
-  | 5 -> Some Epoch_commit
-  | 6 -> Some Misspec
-  | 7 -> Some Stall_begin
-  | 8 -> Some Stall_end
-  | 9 -> Some Queue_sample
-  | 10 -> Some Mark
-  | _ -> None
+(* Indexed by [kind_code]. *)
+let kinds =
+  [|
+    Dispatch; Sync_send; Sync_recv; Barrier_arrive; Barrier_release; Epoch_commit;
+    Misspec; Stall_begin; Stall_end; Queue_sample; Checkpoint; Sig_check; Recovery; Mark;
+  |]
+
+let kind_of_code c = if c >= 0 && c < Array.length kinds then Some kinds.(c) else None
 
 let kind_name = function
   | Dispatch -> "dispatch"
@@ -49,20 +54,10 @@ let kind_name = function
   | Stall_begin -> "stall-begin"
   | Stall_end -> "stall-end"
   | Queue_sample -> "queue-sample"
+  | Checkpoint -> "checkpoint"
+  | Sig_check -> "sig-check"
+  | Recovery -> "recovery"
   | Mark -> "mark"
-
-(* Must match Xinv_native.Stallcat.index order; obs cannot depend on native,
-   so the table is duplicated here and pinned by a parity test. *)
-let cause_names =
-  [|
-    "queue-empty"; "queue-full"; "sync-cond"; "barrier"; "checker-lag";
-    "throttle"; "rally";
-  |]
-
-let ncauses = Array.length cause_names
-
-let cause_name i =
-  if i >= 0 && i < ncauses then cause_names.(i) else "unknown"
 
 type entry = {
   f_at : int;
@@ -105,6 +100,8 @@ let record t ~domain kind ~a ~b =
 let mark t ~domain v = record t ~domain Mark ~a:v ~b:0
 
 let domains t = Array.length t.rings
+
+let tracks t = Array.init (domains t) (Printf.sprintf "domain %d")
 
 let capacity t = t.rings.(0).cap
 

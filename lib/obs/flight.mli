@@ -1,4 +1,9 @@
-(** Wall-clock flight recorder for the native backend.
+(** The event record of both backends, and the native flight recorder.
+
+    {!entry} is the one run-event record: the native engines write it into
+    the wall-clock rings below, the simulator's engines write it with
+    virtual-cycle stamps into {!Recorder}'s growable log, and {!Report} and
+    {!Perfetto} read it the same way from either.
 
     One fixed-capacity ring buffer per domain, single-writer, lock-free:
     each domain records only into its own ring, so the write path is four
@@ -22,15 +27,24 @@ type kind =
   | Barrier_release  (** a = episode *)
   | Epoch_commit  (** a = epoch *)
   | Misspec  (** a = epoch, b = worker *)
-  | Stall_begin  (** a = stall-cause code (see {!cause_name}) *)
-  | Stall_end  (** a = stall-cause code, b = duration in ns *)
+  | Stall_begin  (** a = {!Cause.index} *)
+  | Stall_end  (** a = {!Cause.index}, b = duration in clock ticks *)
   | Queue_sample  (** a = queue index, b = queue length *)
+  | Checkpoint  (** a = epoch the checkpoint resumes from *)
+  | Sig_check  (** a = epoch, b = signatures compared *)
+  | Recovery  (** a = epochs redone, b = duration in clock ticks *)
   | Mark  (** free-form breadcrumb *)
 
 val kind_name : kind -> string
 
+type clock =
+  | Cycles  (** simulated cycles *)
+  | Ns  (** wall-clock nanoseconds *)
+
+val clock_name : clock -> string
+
 type entry = {
-  f_at : int;  (** ns since the recorder was created *)
+  f_at : int;  (** clock ticks since the run (or the recorder) started *)
   f_domain : int;
   f_kind : kind;
   f_a : int;
@@ -54,6 +68,9 @@ val mark : t -> domain:int -> int -> unit
 (** [mark t ~domain v] records a {!Mark} breadcrumb carrying [v]. *)
 
 val domains : t -> int
+
+val tracks : t -> string array
+(** One ["domain N"] name per ring. *)
 
 val capacity : t -> int
 
@@ -79,14 +96,3 @@ val entries : t -> entry list
 
 val elapsed_ns : t -> int
 (** Largest timestamp recorded so far (0 when empty). *)
-
-val cause_name : int -> string
-(** Decodes the stall-cause code carried by [Stall_begin]/[Stall_end].
-    The table mirrors [Xinv_native.Stallcat.index] order exactly:
-    queue-empty, queue-full, sync-cond, barrier, checker-lag, throttle,
-    rally (a parity test in the native suite guards the correspondence).
-    Out-of-range codes decode to ["unknown"]. *)
-
-val cause_names : string array
-
-val ncauses : int

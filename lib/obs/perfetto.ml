@@ -1,151 +1,66 @@
 module Sim = Xinv_sim
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* All numbers as plain floats: trace_event timestamps are microseconds and
    fractional values are accepted by both importers. *)
 let num f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.3f" f
 
-let add_args b args =
-  Buffer.add_string b "\"args\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":" (escape k));
-      match v with
-      | Event.I n -> Buffer.add_string b (string_of_int n)
-      | Event.F f -> Buffer.add_string b (num f)
-      | Event.B v -> Buffer.add_string b (if v then "true" else "false")
-      | Event.S s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (escape s)))
-    args;
-  Buffer.add_char b '}'
+let str = Json.str
 
-let to_json ?(process_name = "crossinv-sim") ~engine ?recorder () =
+let to_json ?(process_name = "crossinv") ~clock ~tracks ?(segments = []) entries =
   let b = Buffer.create 65536 in
   let first = ref true in
-  let event emit =
+  let event fmt =
     if !first then first := false else Buffer.add_string b ",\n";
     Buffer.add_string b "    {";
-    emit ();
-    Buffer.add_char b '}'
+    Printf.kbprintf (fun b -> Buffer.add_char b '}') b fmt
   in
+  (* Simulated cycles are exported one per microsecond. *)
+  let us ticks =
+    match clock with Flight.Cycles -> ticks | Flight.Ns -> ticks /. 1e3
+  in
+  let at (e : Flight.entry) = num (us (float_of_int e.Flight.f_at)) in
   Buffer.add_string b "{\n  \"traceEvents\": [\n";
-  event (fun () ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"ts\":0,");
-      add_args b [ ("name", Event.S process_name) ]);
-  for tid = 0 to Sim.Engine.thread_count engine - 1 do
-    event (fun () ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"ts\":0," tid);
-        add_args b [ ("name", Event.S (Sim.Engine.name_of engine tid)) ])
-  done;
+  event "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"ts\":0,\"args\":{\"name\":%s}"
+    (str process_name);
+  Array.iteri
+    (fun tid name ->
+      event
+        "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"ts\":0,\"args\":{\"name\":%s}"
+        tid (str name))
+    tracks;
   List.iter
     (fun (seg : Sim.Trace.segment) ->
-      event (fun () ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":0,\"tid\":%d"
-               (escape seg.Sim.Trace.label)
-               (escape (Sim.Category.to_string seg.Sim.Trace.cat))
-               (num seg.Sim.Trace.t_start)
-               (num (seg.Sim.Trace.t_end -. seg.Sim.Trace.t_start))
-               seg.Sim.Trace.tid)))
-    (Sim.Engine.segments engine);
-  (match recorder with
-  | None -> ()
-  | Some r ->
-      Recorder.iter
-        (fun (e : Recorder.entry) ->
-          match e.Recorder.ev with
-          | Event.Queue_sampled { queue; len } ->
-              event (fun () ->
-                  Buffer.add_string b
-                    (Printf.sprintf
-                       "\"name\":\"queue%d\",\"ph\":\"C\",\"ts\":%s,\"pid\":0,\"tid\":%d,"
-                       queue (num e.Recorder.at) e.Recorder.tid);
-                  add_args b [ ("len", Event.I len) ])
-          | ev ->
-              event (fun () ->
-                  Buffer.add_string b
-                    (Printf.sprintf
-                       "\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":0,\"tid\":%d,"
-                       (Event.name ev) (num e.Recorder.at) e.Recorder.tid);
-                  add_args b (Event.args ev)))
-        r);
-  Buffer.add_string b "\n  ],\n  \"displayTimeUnit\": \"ms\"\n}\n";
-  Buffer.contents b
-
-let flight_to_json ?(process_name = "crossinv-native") flight =
-  let b = Buffer.create 65536 in
-  let first = ref true in
-  let event emit =
-    if !first then first := false else Buffer.add_string b ",\n";
-    Buffer.add_string b "    {";
-    emit ();
-    Buffer.add_char b '}'
-  in
-  let us ns = float_of_int ns /. 1e3 in
-  Buffer.add_string b "{\n  \"traceEvents\": [\n";
-  event (fun () ->
-      Buffer.add_string b
-        "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"ts\":0,";
-      add_args b [ ("name", Event.S process_name) ]);
-  for d = 0 to Flight.domains flight - 1 do
-    event (fun () ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"ts\":0," d);
-        add_args b [ ("name", Event.S (Printf.sprintf "domain %d" d)) ])
-  done;
+      event "\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":0,\"tid\":%d"
+        (str seg.Sim.Trace.label)
+        (str (Sim.Category.to_string seg.Sim.Trace.cat))
+        (num seg.Sim.Trace.t_start)
+        (num (seg.Sim.Trace.t_end -. seg.Sim.Trace.t_start))
+        seg.Sim.Trace.tid)
+    segments;
   List.iter
     (fun (e : Flight.entry) ->
       match e.Flight.f_kind with
       | Flight.Stall_end ->
-          (* Place the duration event where the stall began. *)
-          event (fun () ->
-              Buffer.add_string b
-                (Printf.sprintf
-                   "\"name\":\"stall:%s\",\"cat\":\"stall\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":0,\"tid\":%d"
-                   (escape (Flight.cause_name e.Flight.f_a))
-                   (num (us (e.Flight.f_at - e.Flight.f_b)))
-                   (num (us e.Flight.f_b))
-                   e.Flight.f_domain))
+          (* The span starts where the stall began. *)
+          event
+            "\"name\":%s,\"cat\":\"stall\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":0,\"tid\":%d"
+            (str
+               ("stall:"
+               ^ match Cause.of_index e.Flight.f_a with Some c -> Cause.name c | None -> "unknown"))
+            (num (us (float_of_int (e.Flight.f_at - e.Flight.f_b))))
+            (num (us (float_of_int e.Flight.f_b)))
+            e.Flight.f_domain
       | Flight.Stall_begin -> ()
       | Flight.Queue_sample ->
-          event (fun () ->
-              Buffer.add_string b
-                (Printf.sprintf
-                   "\"name\":\"queue%d\",\"ph\":\"C\",\"ts\":%s,\"pid\":0,\"tid\":%d,"
-                   e.Flight.f_a
-                   (num (us e.Flight.f_at))
-                   e.Flight.f_domain);
-              add_args b [ ("len", Event.I e.Flight.f_b) ])
+          event "\"name\":\"queue%d\",\"ph\":\"C\",\"ts\":%s,\"pid\":0,\"tid\":%d,\"args\":{\"len\":%d}"
+            e.Flight.f_a (at e) e.Flight.f_domain e.Flight.f_b
       | k ->
-          event (fun () ->
-              Buffer.add_string b
-                (Printf.sprintf
-                   "\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":0,\"tid\":%d,"
-                   (escape (Flight.kind_name k))
-                   (num (us e.Flight.f_at))
-                   e.Flight.f_domain);
-              add_args b [ ("a", Event.I e.Flight.f_a); ("b", Event.I e.Flight.f_b) ]))
-    (Flight.entries flight);
+          event
+            "\"name\":%s,\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":0,\"tid\":%d,\"args\":{\"a\":%d,\"b\":%d}"
+            (str (Flight.kind_name k))
+            (at e) e.Flight.f_domain e.Flight.f_a e.Flight.f_b)
+    entries;
   Buffer.add_string b "\n  ],\n  \"displayTimeUnit\": \"ms\"\n}\n";
   Buffer.contents b

@@ -1,26 +1,19 @@
-(** Chrome/Perfetto [trace_event] JSON export.
+(** Chrome/Perfetto [trace_event] JSON export, for either backend.
 
-    Builds one process with one track per simulated thread: engine trace
-    segments become duration events ([ph:"X"]), typed {!Event} records become
-    instant events ([ph:"i"]) on the recording thread's track, and
-    [Queue_sampled] records become counter events ([ph:"C"]) so Perfetto
-    draws queue occupancy as a graph.  Simulated cycles are exported as
-    microseconds.  The output loads in https://ui.perfetto.dev and in
-    [chrome://tracing]. *)
+    One process with one track per thread or domain.  [Stall_end] entries
+    become duration events named [stall:<cause>] (placed where the stall
+    began), [Queue_sample] entries become counter events ([ph:"C"]) so
+    Perfetto draws queue occupancy as a graph, and every other entry is an
+    instant event named by {!Flight.kind_name}.  Simulated cycles are
+    exported as microseconds, wall-clock nanoseconds are scaled to them.
+    The output loads in https://ui.perfetto.dev and in [chrome://tracing]. *)
 
 val to_json :
   ?process_name:string ->
-  engine:Xinv_sim.Engine.t ->
-  ?recorder:Recorder.t ->
-  unit ->
+  clock:Flight.clock ->
+  tracks:string array ->
+  ?segments:Xinv_sim.Trace.segment list ->
+  Flight.entry list ->
   string
-(** The engine provides thread names and (when created with [~trace:true])
-    the duration segments; the recorder, when given, provides instant and
-    counter events. *)
-
-val flight_to_json : ?process_name:string -> Flight.t -> string
-(** Wall-clock export of a native {!Flight} recording: one track per
-    domain, [Stall_end] entries become duration events (placed at
-    [ts - dur] and labelled by stall cause), [Queue_sample] entries become
-    counter tracks, everything else renders as instant events.
-    Nanosecond flight timestamps are exported as microseconds. *)
+(** [tracks] names the tracks; [segments] (a simulated run's engine trace)
+    become duration events categorized by engine charge. *)

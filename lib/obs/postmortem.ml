@@ -12,30 +12,24 @@ let render ~workload ~technique ~attempt ~reason ~event ?degraded_to ?counters
   line "reason: %s" reason;
   line "event: %s" event;
   (match degraded_to with Some t -> line "degraded-to: %s" t | None -> ());
-  let verdict =
-    match flight with Some f -> Some (Critpath.analyze f) | None -> None
-  in
-  (match flight with
-  | Some f ->
-      line "flight-events: %d" (Flight.total_length f);
-      line "flight-drops: %d" (Flight.total_drops f)
-  | None ->
-      line "flight-events: 0";
-      line "flight-drops: 0");
+  let report = Option.map (fun f -> Report.of_flight f) flight in
+  line "flight-events: %d"
+    (match report with Some r -> r.Report.events_logged | None -> 0);
+  line "flight-drops: %d" (match report with Some r -> r.Report.drops | None -> 0);
   (* Always list every cause: attribution stays parseable and non-empty even
      when the fault fired before any wait blocked. *)
   line "stall-attribution:";
-  let stalls =
-    match verdict with
-    | Some v -> v.Critpath.v_stalls
-    | None -> Array.to_list (Array.map (fun n -> (n, 0.)) Flight.cause_names)
-  in
-  List.iter (fun (name, ns) -> line "  %-12s %.0f" name ns) stalls;
-  (match verdict with
-  | Some v ->
-      line "bottleneck: %s" v.Critpath.v_bottleneck;
-      line "critical-path: %d edges %.0f ns" v.Critpath.v_chain
-        v.Critpath.v_chain_ns
+  List.iter
+    (fun c ->
+      line "  %-12s %.0f" (Cause.name c)
+        (match report with
+        | Some r -> List.assoc c r.Report.stall_by_cause
+        | None -> 0.))
+    Cause.all;
+  (match report with
+  | Some r ->
+      line "bottleneck: %s" r.Report.bottleneck;
+      line "critical-path: %d edges %.0f ns" r.Report.chain r.Report.chain_span
   | None -> line "bottleneck: unknown (no flight recording)");
   (match counters with
   | Some cs when cs <> [] ->
@@ -87,7 +81,8 @@ let write ~dir ~base ~workload ~technique ~attempt ~reason ~event ?degraded_to
     match flight with
     | Some f ->
         let path = Filename.concat dir (base ^ ".trace.json") in
-        write_file path (Perfetto.flight_to_json f);
+        write_file path (Perfetto.to_json ~process_name:"crossinv-native" ~clock:Flight.Ns
+            ~tracks:(Flight.tracks f) (Flight.entries f));
         Some path
     | None -> None
   in

@@ -6,7 +6,7 @@
     ([reason:], [event:], [degraded-to:], ...), a [stall-attribution:]
     section that always lists every stall cause (so attribution is non-empty
     even for faults that fired before any wait blocked), a [bottleneck:]
-    line from {!Critpath}, a [counters:] section and a tail of recent
+    line from {!Report}, a [counters:] section and a tail of recent
     flight events per domain. *)
 
 val render :

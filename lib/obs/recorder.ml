@@ -1,33 +1,36 @@
 type entry = { at : float; tid : int; ev : Event.t }
 
-type t = { mutable log : entry array; mutable len : int; metrics : Metrics.t }
+type t = {
+  mutable log : Flight.entry array;
+  mutable len : int;
+  mutable events : entry list; (* newest first *)
+  metrics : Metrics.t;
+}
 
-let dummy_entry = { at = 0.; tid = -1; ev = Event.Barrier_crossed { episode = -1 } }
+let dummy = { Flight.f_at = 0; f_domain = 0; f_kind = Flight.Mark; f_a = 0; f_b = 0 }
 
-let create () = { log = [||]; len = 0; metrics = Metrics.create () }
+let create () = { log = [||]; len = 0; events = []; metrics = Metrics.create () }
 
-let record t ~at ~tid ev =
+let ticks x = int_of_float (Float.round x)
+
+let emit t ~at ~domain kind ~a ~b =
   if t.len = Array.length t.log then begin
-    let ncap = Stdlib.max 256 (2 * t.len) in
-    let narr = Array.make ncap dummy_entry in
+    let narr = Array.make (Stdlib.max 256 (2 * t.len)) dummy in
     Array.blit t.log 0 narr 0 t.len;
     t.log <- narr
   end;
-  t.log.(t.len) <- { at; tid; ev };
+  t.log.(t.len) <- { Flight.f_at = ticks at; f_domain = domain; f_kind = kind; f_a = a; f_b = b };
   t.len <- t.len + 1
 
-let length t = t.len
+let stall t ~at ~domain cause dur =
+  if dur > 0. then emit t ~at ~domain Flight.Stall_end ~a:(Cause.index cause) ~b:(ticks dur)
 
-let entries t =
-  let acc = ref [] in
-  for i = t.len - 1 downto 0 do
-    acc := t.log.(i) :: !acc
-  done;
-  !acc
+let flight t = List.init t.len (fun i -> t.log.(i))
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.log.(i)
-  done
+let record t ~at ~tid ev = t.events <- { at; tid; ev } :: t.events
+
+let length t = t.len + List.length t.events
+
+let entries t = List.rev t.events
 
 let metrics t = t.metrics

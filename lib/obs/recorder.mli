@@ -1,28 +1,41 @@
 (** The observability collection point threaded through the runtimes.
 
-    Holds the typed event log (a flat growable array, recorded with simulated
-    timestamps) and the {!Metrics} registry.  Recording consumes no virtual
-    time and performs no effects, so a run with a recorder attached is
-    bit-identical (makespan, tasks, checks, misspeculations) to the same run
-    without one — the property test in [test_obs.ml] pins this.
+    Holds the run's {!Flight.entry} log (a growable array: the simulator
+    emits every event with its virtual-cycle stamp and never drops one),
+    the once-per-run {!Event} control records and the {!Metrics} registry.
+    Recording consumes no virtual time and performs no effects, so a run
+    with a recorder attached is bit-identical (makespan, tasks, checks,
+    misspeculations) to the same run without one — the property test in
+    [test_obs.ml] pins this.
 
     Observability is off by default: executors take the recorder as an
     optional argument and instrumented sites guard on its presence, so the
     disabled path costs one pattern match. *)
 
-type entry = { at : float;  (** simulated time *) tid : int; ev : Event.t }
+type entry = { at : float; tid : int; ev : Event.t }
 
 type t
 
 val create : unit -> t
 
-val record : t -> at:float -> tid:int -> Event.t -> unit
+val emit : t -> at:float -> domain:int -> Flight.kind -> a:int -> b:int -> unit
+(** Append one run event stamped [at] (rounded to a whole tick). *)
 
-val length : t -> int
+val stall : t -> at:float -> domain:int -> Cause.t -> float -> unit
+(** [stall t ~at ~domain cause dur] emits the [Stall_end] entry of a wait
+    that ended at [at] after [dur] ticks blocked; a wait of [dur <= 0] is
+    no stall and emits nothing. *)
+
+val flight : t -> Flight.entry list
+(** The run events, in emission order. *)
+
+val record : t -> at:float -> tid:int -> Event.t -> unit
+(** Append one control record. *)
 
 val entries : t -> entry list
-(** Oldest first. *)
+(** The control records, oldest first. *)
 
-val iter : (entry -> unit) -> t -> unit
+val length : t -> int
+(** Run events plus control records. *)
 
 val metrics : t -> Metrics.t

@@ -1,28 +1,34 @@
-module Sim = Xinv_sim
-
 type thread_report = {
   tid : int;
   thread_name : string;
-  busy : float;
+  events : int;
   work : float;
   stall : float;
   utilization : float;
+  dominant : Cause.t option;
 }
 
 type percentiles = { p50 : float; p90 : float; p99 : float; pmax : float }
 
 type t = {
+  backend : string;
+  clock : Flight.clock;
   makespan : float;
   threads : int;
   utilization : float;
   per_thread : thread_report list;
-  stall_by_cause : (string * float) list;
-  stall_events : (string * float) list;
+  stall_by_cause : (Cause.t * float) list;
+  dominant_stall : Cause.t option;
+  bottleneck : string;
+  chain : int;
+  chain_span : float;
+  events_logged : int;
+  drops : int;
   sync_forwarded : int;
   queue_occupancy : percentiles option;
   epochs_committed : int;
   misspeculations : int;
-  recovery_cycles : float;
+  recovery : float;
   epochs_redone : int;
   checkpoints : int;
   signature_checks : int;
@@ -30,166 +36,232 @@ type t = {
   barrier_crossings : int;
   counters : (string * int) list;
   gauges : (string * float) list;
-  events_logged : int;
 }
 
-let stall_categories =
-  [
-    Sim.Category.Barrier_wait;
-    Sim.Category.Sync_wait;
-    Sim.Category.Queue;
-    Sim.Category.Checker;
-    Sim.Category.Checkpoint;
-  ]
+let pct part whole = if whole > 0. then 100. *. part /. whole else 0.
 
-let percentile_of_sorted arr q =
-  let n = Array.length arr in
+(* Nearest rank: the smallest sample with at least [q] of the samples at or
+   below it. *)
+let percentile sorted q =
+  let n = Array.length sorted in
   if n = 0 then 0.
-  else arr.(Stdlib.min (n - 1) (int_of_float (q *. float_of_int n)))
+  else
+    let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
+    sorted.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
 
-let build ~engine ?recorder () =
-  let makespan = Sim.Engine.now engine in
-  let threads = Sim.Engine.thread_count engine in
+(* The largest positive total; ties go to the earlier cause. *)
+let dominant totals =
+  List.fold_left
+    (fun acc (c, v) ->
+      match acc with
+      | Some (_, bv) when bv >= v -> acc
+      | _ -> if v > 0. then Some (c, v) else acc)
+    None totals
+
+(* Longest-chain DP over the timestamp-ordered stream.  Edges worth one
+   chain step: a dispatch consumed by the target track's next event, a
+   sync-recv back to the source track's frontier, and an epoch commit
+   extending its own track's chain.  Plain same-track succession propagates
+   chain length without adding an edge. *)
+let longest_chain ntracks (es : Flight.entry array) =
+  let n = Array.length es in
+  let chainlen = Array.make (Stdlib.max n 1) 0 in
+  let chainstart = Array.make (Stdlib.max n 1) 0 in
+  let last = Array.make ntracks (-1) in
+  let pend = Array.make ntracks (-1) in
+  let best = ref 0 and best_span = ref 0. in
+  for i = 0 to n - 1 do
+    let e = es.(i) in
+    let d = e.Flight.f_domain in
+    let len = ref 0 and start = ref e.Flight.f_at in
+    let consider p w =
+      if p >= 0 then begin
+        let cl = chainlen.(p) + w in
+        if cl > !len || (cl = !len && chainstart.(p) < !start) then begin
+          len := cl;
+          start := chainstart.(p)
+        end
+      end
+    in
+    consider last.(d) (match e.Flight.f_kind with Flight.Epoch_commit -> 1 | _ -> 0);
+    (match e.Flight.f_kind with
+    | Flight.Sync_recv ->
+        let src = e.Flight.f_b in
+        if src >= 0 && src < ntracks then consider last.(src) 1
+    | _ -> ());
+    if pend.(d) >= 0 then begin
+      consider pend.(d) 1;
+      pend.(d) <- -1
+    end;
+    chainlen.(i) <- !len;
+    chainstart.(i) <- !start;
+    (match e.Flight.f_kind with
+    | Flight.Dispatch ->
+        let tgt = e.Flight.f_b in
+        if tgt >= 0 && tgt < ntracks then pend.(tgt) <- i
+    | _ -> ());
+    last.(d) <- i;
+    if !len > !best then begin
+      best := !len;
+      best_span := float_of_int (e.Flight.f_at - !start)
+    end
+  done;
+  (!best, !best_span)
+
+let build ~backend ~clock ~makespan ~tracks ?work ?blocked ?(counters = [])
+    ?(gauges = []) ?(drops = 0) entries =
+  let es = Array.of_list entries in
+  Array.stable_sort (fun a b -> compare a.Flight.f_at b.Flight.f_at) es;
+  let n = Array.length tracks in
+  let blocked_on = Array.make_matrix n Cause.count 0. in
+  let events = Array.make n 0 in
+  let sync_forwarded = ref 0 and epochs_committed = ref 0 and misspeculations = ref 0 in
+  let recovery = ref 0. and epochs_redone = ref 0 and checkpoints = ref 0 in
+  let signature_checks = ref 0 and signatures_compared = ref 0 in
+  let barrier_crossings = ref 0 in
+  let samples = ref [] in
+  Array.iter
+    (fun (e : Flight.entry) ->
+      let d = e.Flight.f_domain in
+      events.(d) <- events.(d) + 1;
+      match e.Flight.f_kind with
+      | Flight.Stall_end ->
+          if e.Flight.f_a >= 0 && e.Flight.f_a < Cause.count then
+            blocked_on.(d).(e.Flight.f_a) <-
+              blocked_on.(d).(e.Flight.f_a) +. float_of_int e.Flight.f_b
+      | Flight.Sync_send -> incr sync_forwarded
+      | Flight.Queue_sample -> samples := float_of_int e.Flight.f_b :: !samples
+      | Flight.Epoch_commit -> incr epochs_committed
+      | Flight.Misspec -> incr misspeculations
+      | Flight.Recovery ->
+          recovery := !recovery +. float_of_int e.Flight.f_b;
+          epochs_redone := !epochs_redone + e.Flight.f_a
+      | Flight.Checkpoint -> incr checkpoints
+      | Flight.Sig_check ->
+          incr signature_checks;
+          signatures_compared := !signatures_compared + e.Flight.f_b
+      | Flight.Barrier_release -> incr barrier_crossings
+      | Flight.Dispatch | Flight.Sync_recv | Flight.Barrier_arrive | Flight.Stall_begin
+      | Flight.Mark ->
+          ())
+    es;
+  let per_cause row = List.map (fun c -> (c, row (Cause.index c))) Cause.all in
+  let stall_by_cause =
+    match blocked with
+    | Some kvs ->
+        List.map
+          (fun c -> (c, Option.value ~default:0. (List.assoc_opt (Cause.name c) kvs)))
+          Cause.all
+    | None ->
+        per_cause (fun i ->
+            Array.fold_left (fun acc row -> acc +. row.(i)) 0. blocked_on)
+  in
   let per_thread =
-    List.init threads (fun tid ->
+    List.init n (fun tid ->
+        let stall = Array.fold_left ( +. ) 0. blocked_on.(tid) in
         let work =
-          Sim.Engine.charged engine tid Sim.Category.Work
-          +. Sim.Engine.charged engine tid Sim.Category.Sequential
-        in
-        let stall =
-          List.fold_left
-            (fun acc cat -> acc +. Sim.Engine.charged engine tid cat)
-            0. stall_categories
+          match work with
+          | Some w -> w.(tid)
+          | None -> Float.max 0. (makespan -. stall)
         in
         {
           tid;
-          thread_name = Sim.Engine.name_of engine tid;
-          busy = Sim.Engine.busy engine tid;
+          thread_name = tracks.(tid);
+          events = events.(tid);
           work;
           stall;
           utilization = (if makespan > 0. then work /. makespan else 0.);
+          dominant = Option.map fst (dominant (per_cause (fun i -> blocked_on.(tid).(i))));
         })
   in
-  let stall_by_cause =
-    List.map
-      (fun cat -> (Sim.Category.to_string cat, Sim.Engine.total engine cat))
-      stall_categories
+  let capacity = float_of_int n *. makespan in
+  let utilization =
+    if capacity <= 0. then 0.
+    else
+      match work with
+      | Some w -> Array.fold_left ( +. ) 0. w /. capacity
+      | None -> 1. -. (List.fold_left (fun acc (_, v) -> acc +. v) 0. stall_by_cause /. capacity)
   in
-  let total_work =
-    Sim.Engine.total engine Sim.Category.Work
-    +. Sim.Engine.total engine Sim.Category.Sequential
+  let dominant_stall = dominant stall_by_cause in
+  let bottleneck =
+    match dominant_stall with
+    | Some (c, v) when pct v capacity >= 5. ->
+        Printf.sprintf "%s (%.1f%% of %d-thread capacity blocked)" (Cause.name c)
+          (pct v capacity) n
+    | Some (c, v) ->
+        Printf.sprintf "compute (dominant stall %s at only %.1f%% of capacity)"
+          (Cause.name c) (pct v capacity)
+    | None -> "compute (no stalls recorded)"
   in
-  let capacity = float_of_int threads *. makespan in
-  (* Event-derived aggregates. *)
-  let sync_forwarded = ref 0 in
-  let epochs_committed = ref 0 in
-  let misspeculations = ref 0 in
-  let recovery_cycles = ref 0. in
-  let epochs_redone = ref 0 in
-  let checkpoints = ref 0 in
-  let signature_checks = ref 0 in
-  let signatures_compared = ref 0 in
-  let barrier_crossings = ref 0 in
-  let queue_samples = ref [] in
-  let nqueue_samples = ref 0 in
-  let stall_tbl = Hashtbl.create 8 in
-  (match recorder with
-  | None -> ()
-  | Some r ->
-      Recorder.iter
-        (fun (e : Recorder.entry) ->
-          match e.Recorder.ev with
-          | Event.Sync_forwarded _ -> incr sync_forwarded
-          | Event.Worker_stalled { cause; dur } ->
-              let k = Event.stall_cause_name cause in
-              let cur = try Hashtbl.find stall_tbl k with Not_found -> 0. in
-              Hashtbl.replace stall_tbl k (cur +. dur)
-          | Event.Queue_sampled { len; _ } ->
-              queue_samples := float_of_int len :: !queue_samples;
-              incr nqueue_samples
-          | Event.Task_dispatched _ -> ()
-          | Event.Epoch_committed _ -> incr epochs_committed
-          | Event.Misspeculated _ -> incr misspeculations
-          | Event.Recovery_finished { dur; epochs_redone = n } ->
-              recovery_cycles := !recovery_cycles +. dur;
-              epochs_redone := !epochs_redone + n
-          | Event.Checkpoint_forked _ -> incr checkpoints
-          | Event.Signature_checked { window; _ } ->
-              incr signature_checks;
-              signatures_compared := !signatures_compared + window
-          | Event.Barrier_crossed _ -> incr barrier_crossings
-          (* Robustness events surface through the fault.injected /
-             watchdog.stall / degrade.level counters below. *)
-          | Event.Fault_injected _ | Event.Run_stalled _ | Event.Degraded _ ->
-              ()
-          (* Cache events surface through the cache.* counters. *)
-          | Event.Fingerprint_hit _ | Event.Fingerprint_miss _ -> ()
-          (* Tuning events surface through the tune.*/policy.* counters. *)
-          | Event.Policy_applied _ | Event.Tune_trial _ | Event.Tune_switch _
-            -> ())
-        r);
-  let stall_events =
-    List.filter_map
-      (fun cause ->
-        let k = Event.stall_cause_name cause in
-        match Hashtbl.find_opt stall_tbl k with Some v -> Some (k, v) | None -> None)
-      Event.all_stall_causes
-  in
+  let chain, chain_span = longest_chain n es in
   let queue_occupancy =
-    if !nqueue_samples = 0 then None
-    else begin
-      let arr = Array.of_list !queue_samples in
-      Array.sort compare arr;
-      Some
-        {
-          p50 = percentile_of_sorted arr 0.50;
-          p90 = percentile_of_sorted arr 0.90;
-          p99 = percentile_of_sorted arr 0.99;
-          pmax = arr.(Array.length arr - 1);
-        }
-    end
+    match !samples with
+    | [] -> None
+    | l ->
+        let arr = Array.of_list l in
+        Array.sort compare arr;
+        Some
+          {
+            p50 = percentile arr 0.50;
+            p90 = percentile arr 0.90;
+            p99 = percentile arr 0.99;
+            pmax = arr.(Array.length arr - 1);
+          }
   in
   {
+    backend;
+    clock;
     makespan;
-    threads;
-    utilization = (if capacity > 0. then total_work /. capacity else 0.);
+    threads = n;
+    utilization;
     per_thread;
     stall_by_cause;
-    stall_events;
+    dominant_stall = Option.map fst dominant_stall;
+    bottleneck;
+    chain;
+    chain_span;
+    events_logged = Array.length es;
+    drops;
     sync_forwarded = !sync_forwarded;
     queue_occupancy;
     epochs_committed = !epochs_committed;
     misspeculations = !misspeculations;
-    recovery_cycles = !recovery_cycles;
+    recovery = !recovery;
     epochs_redone = !epochs_redone;
     checkpoints = !checkpoints;
     signature_checks = !signature_checks;
     signatures_compared = !signatures_compared;
     barrier_crossings = !barrier_crossings;
-    counters = (match recorder with Some r -> Metrics.counters (Recorder.metrics r) | None -> []);
-    gauges = (match recorder with Some r -> Metrics.gauges (Recorder.metrics r) | None -> []);
-    events_logged = (match recorder with Some r -> Recorder.length r | None -> 0);
+    counters;
+    gauges;
   }
 
-let pct part whole = if whole > 0. then 100. *. part /. whole else 0.
+let of_flight ?wall_ns ?blocked ?counters ?gauges fl =
+  build ~backend:"native" ~clock:Flight.Ns
+    ~makespan:(match wall_ns with Some w -> w | None -> float_of_int (Flight.elapsed_ns fl))
+    ~tracks:(Flight.tracks fl)
+    ?blocked ?counters ?gauges ~drops:(Flight.total_drops fl) (Flight.entries fl)
+
+(* Ticks in the unit a reader expects: cycles as counted, wall time in ms. *)
+let amount clock x =
+  match clock with
+  | Flight.Cycles -> Printf.sprintf "%.0f cycles" x
+  | Flight.Ns -> Printf.sprintf "%.3f ms" (x /. 1e6)
 
 let pp ppf t =
   let capacity = float_of_int t.threads *. t.makespan in
-  Format.fprintf ppf "@[<v>makespan %.0f cycles, %d threads, %d events logged@,"
-    t.makespan t.threads t.events_logged;
+  let amount = amount t.clock in
+  Format.fprintf ppf "@[<v>%s backend: makespan %s, %d threads, %d events logged (%d dropped)@,"
+    t.backend (amount t.makespan) t.threads t.events_logged t.drops;
   Format.fprintf ppf "utilization      %.1f%%@," (100. *. t.utilization);
+  Format.fprintf ppf "bottleneck: %s@," t.bottleneck;
+  Format.fprintf ppf "critical path: %d edges spanning %s@," t.chain (amount t.chain_span);
   Format.fprintf ppf "sync-conditions forwarded  %d@," t.sync_forwarded;
-  Format.fprintf ppf "worker stall time by cause (cycles, %% of capacity):@,";
+  Format.fprintf ppf "worker stall time by cause (%% of capacity):@,";
   List.iter
-    (fun (name, cycles) ->
-      Format.fprintf ppf "  %-14s %12.0f  (%4.1f%%)@," name cycles (pct cycles capacity))
+    (fun (c, v) ->
+      Format.fprintf ppf "  %-12s %18s  (%4.1f%%)@," (Cause.name c) (amount v) (pct v capacity))
     t.stall_by_cause;
-  if t.stall_events <> [] then begin
-    Format.fprintf ppf "stall episodes observed (event log):@,";
-    List.iter
-      (fun (name, cycles) -> Format.fprintf ppf "  %-14s %12.0f@," name cycles)
-      t.stall_events
-  end;
   (match t.queue_occupancy with
   | Some q ->
       Format.fprintf ppf "queue occupancy  p50 %.0f  p90 %.0f  p99 %.0f  max %.0f@,"
@@ -197,18 +269,18 @@ let pp ppf t =
   | None -> ());
   if t.epochs_committed > 0 || t.misspeculations > 0 || t.signature_checks > 0 then
     Format.fprintf ppf
-      "epochs committed %d, misspeculated %d, recovery cycles %.0f (%d epochs redone)@,\
+      "epochs committed %d, misspeculated %d, recovery %s (%d epochs redone)@,\
        checkpoints %d, signature checks %d (%d signatures compared)@,"
-      t.epochs_committed t.misspeculations t.recovery_cycles t.epochs_redone
+      t.epochs_committed t.misspeculations (amount t.recovery) t.epochs_redone
       t.checkpoints t.signature_checks t.signatures_compared;
   if t.barrier_crossings > 0 then
     Format.fprintf ppf "barrier crossings %d@," t.barrier_crossings;
-  Format.fprintf ppf "per-thread (busy%% / work%% / stall%% of makespan):@,";
+  Format.fprintf ppf "per-thread (work%% / stall%% of makespan, dominant stall):@,";
   List.iter
     (fun tr ->
-      Format.fprintf ppf "  t%-3d %-12s %5.1f%% / %5.1f%% / %5.1f%%@," tr.tid
-        tr.thread_name (pct tr.busy t.makespan) (pct tr.work t.makespan)
-        (pct tr.stall t.makespan))
+      Format.fprintf ppf "  t%-3d %-12s %5.1f%% / %5.1f%%  %s@," tr.tid tr.thread_name
+        (pct tr.work t.makespan) (pct tr.stall t.makespan)
+        (match tr.dominant with Some c -> Cause.name c | None -> "-"))
     t.per_thread;
   if t.counters <> [] then begin
     Format.fprintf ppf "counters:@,";
@@ -220,95 +292,89 @@ let pp ppf t =
   end;
   Format.fprintf ppf "@]"
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let fnum f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f
+
+let str = Json.str
+
+let obj kvs =
+  "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s: %s" (str k) v) kvs) ^ "}"
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  let fnum f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f in
-  Buffer.add_string b "{\n  \"schema\": \"xinv-stats/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"makespan\": %s,\n" (fnum t.makespan));
-  Buffer.add_string b (Printf.sprintf "  \"threads\": %d,\n" t.threads);
-  Buffer.add_string b (Printf.sprintf "  \"utilization\": %s,\n" (fnum t.utilization));
-  Buffer.add_string b (Printf.sprintf "  \"events_logged\": %d,\n" t.events_logged);
-  Buffer.add_string b (Printf.sprintf "  \"sync_forwarded\": %d,\n" t.sync_forwarded);
-  let obj kvs =
-    "{"
-    ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (escape k) v) kvs)
-    ^ "}"
+  let thread tr =
+    obj
+      [
+        ("tid", string_of_int tr.tid);
+        ("name", str tr.thread_name);
+        ("events", string_of_int tr.events);
+        ("work", fnum tr.work);
+        ("stall", fnum tr.stall);
+        ("utilization", fnum tr.utilization);
+        ("dominant_stall", match tr.dominant with Some c -> str (Cause.name c) | None -> "null");
+      ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "  \"stall_by_cause\": %s,\n"
-       (obj (List.map (fun (k, v) -> (k, fnum v)) t.stall_by_cause)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"stall_events\": %s,\n"
-       (obj (List.map (fun (k, v) -> (k, fnum v)) t.stall_events)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"queue_occupancy\": %s,\n"
-       (match t.queue_occupancy with
-       | None -> "null"
-       | Some q ->
-           obj
-             [
-               ("p50", fnum q.p50); ("p90", fnum q.p90); ("p99", fnum q.p99);
-               ("max", fnum q.pmax);
-             ]));
-  Buffer.add_string b
-    (Printf.sprintf "  \"speculation\": %s,\n"
-       (obj
+  let fields =
+    [
+      ("schema", str "xinv-stats/3");
+      ("backend", str t.backend);
+      ("clock", str (Flight.clock_name t.clock));
+      ("makespan", fnum t.makespan);
+      ("threads", string_of_int t.threads);
+      ("utilization", fnum t.utilization);
+      ("events_logged", string_of_int t.events_logged);
+      ("drops", string_of_int t.drops);
+      ("sync_forwarded", string_of_int t.sync_forwarded);
+      ("stall_by_cause", obj (List.map (fun (c, v) -> (Cause.name c, fnum v)) t.stall_by_cause));
+      ( "dominant_stall",
+        match t.dominant_stall with Some c -> str (Cause.name c) | None -> "null" );
+      ("bottleneck", str t.bottleneck);
+      ( "critical_path",
+        obj [ ("edges", string_of_int t.chain); ("span", fnum t.chain_span) ] );
+      ( "queue_occupancy",
+        match t.queue_occupancy with
+        | None -> "null"
+        | Some q ->
+            obj [ ("p50", fnum q.p50); ("p90", fnum q.p90); ("p99", fnum q.p99); ("max", fnum q.pmax) ]
+      );
+      ( "speculation",
+        obj
           [
             ("epochs_committed", string_of_int t.epochs_committed);
             ("misspeculated", string_of_int t.misspeculations);
-            ("recovery_cycles", fnum t.recovery_cycles);
+            ("recovery", fnum t.recovery);
             ("epochs_redone", string_of_int t.epochs_redone);
             ("checkpoints", string_of_int t.checkpoints);
             ("signature_checks", string_of_int t.signature_checks);
             ("signatures_compared", string_of_int t.signatures_compared);
-          ]));
-  Buffer.add_string b
-    (Printf.sprintf "  \"barrier_crossings\": %d,\n" t.barrier_crossings);
-  Buffer.add_string b "  \"per_thread\": [\n";
-  let n = List.length t.per_thread in
-  List.iteri
-    (fun i tr ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"tid\": %d, \"name\": \"%s\", \"busy\": %s, \"work\": %s, \"stall\": %s, \"utilization\": %s}%s\n"
-           tr.tid (escape tr.thread_name) (fnum tr.busy) (fnum tr.work) (fnum tr.stall)
-           (fnum tr.utilization)
-           (if i = n - 1 then "" else ",")))
-    t.per_thread;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"counters\": %s,\n"
-       (obj (List.map (fun (k, v) -> (k, string_of_int v)) t.counters)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"gauges\": %s\n"
-       (obj (List.map (fun (k, v) -> (k, fnum v)) t.gauges)));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+          ] );
+      ("barrier_crossings", string_of_int t.barrier_crossings);
+      ("per_thread", "[\n    " ^ String.concat ",\n    " (List.map thread t.per_thread) ^ "\n  ]");
+      ("counters", obj (List.map (fun (k, v) -> (k, string_of_int v)) t.counters));
+      ("gauges", obj (List.map (fun (k, v) -> (k, fnum v)) t.gauges));
+    ]
+  in
+  "{\n"
+  ^ String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %s: %s" (str k) v) fields)
+  ^ "\n}\n"
 
 let to_csv t =
   let b = Buffer.create 1024 in
   let line k v = Buffer.add_string b (Printf.sprintf "%s,%s\n" k v) in
   line "key" "value";
+  line "backend" t.backend;
+  line "clock" (Flight.clock_name t.clock);
   line "makespan" (Printf.sprintf "%.3f" t.makespan);
   line "threads" (string_of_int t.threads);
   line "utilization" (Printf.sprintf "%.4f" t.utilization);
   line "events_logged" (string_of_int t.events_logged);
+  line "drops" (string_of_int t.drops);
   line "sync_forwarded" (string_of_int t.sync_forwarded);
   List.iter
-    (fun (k, v) -> line ("stall." ^ k) (Printf.sprintf "%.3f" v))
+    (fun (c, v) -> line ("stall." ^ Cause.name c) (Printf.sprintf "%.3f" v))
     t.stall_by_cause;
+  line "dominant_stall"
+    (match t.dominant_stall with Some c -> Cause.name c | None -> "");
+  line "critical_path.edges" (string_of_int t.chain);
+  line "critical_path.span" (Printf.sprintf "%.3f" t.chain_span);
   (match t.queue_occupancy with
   | Some q ->
       line "queue_occupancy.p50" (Printf.sprintf "%.0f" q.p50);
@@ -318,7 +384,7 @@ let to_csv t =
   | None -> ());
   line "epochs_committed" (string_of_int t.epochs_committed);
   line "misspeculated" (string_of_int t.misspeculations);
-  line "recovery_cycles" (Printf.sprintf "%.3f" t.recovery_cycles);
+  line "recovery" (Printf.sprintf "%.3f" t.recovery);
   line "epochs_redone" (string_of_int t.epochs_redone);
   line "checkpoints" (string_of_int t.checkpoints);
   line "signature_checks" (string_of_int t.signature_checks);

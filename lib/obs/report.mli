@@ -1,53 +1,94 @@
-(** Stall diagnosis and utilization analysis over one simulated run.
+(** The one run analyzer of both backends.
 
-    Combines the engine's per-thread per-category cycle accounting with the
-    typed event log into the numbers Chapter 5 of the dissertation argues
-    with: per-thread utilization, stall-time breakdown by cause, queue
-    occupancy percentiles, and misspeculation cost attribution. *)
+    Built from the same inputs on the simulator and on real domains: the
+    run's {!Flight.entry} stream, its clock, one name per track (thread or
+    domain), the per-cause blocked totals and the metrics registry.  It
+    derives what the dissertation's evaluation argues with — utilization,
+    blocked time by {!Cause}, the dominant stall and a one-line bottleneck
+    verdict, the longest dispatch→sync→commit chain, queue occupancy and
+    the speculation summary — and renders it as text, as the
+    [xinv-stats/3] JSON document and as CSV. *)
 
 type thread_report = {
   tid : int;
   thread_name : string;
-  busy : float;  (** cycles charged to any category *)
-  work : float;  (** Work + Sequential cycles *)
-  stall : float;  (** Barrier_wait + Sync_wait + Queue + Checker + Checkpoint *)
+  events : int;  (** entries recorded on this track *)
+  work : float;
+      (** useful work: the engine's Work + Sequential charges on the sim,
+          makespan minus blocked time where no charges exist *)
+  stall : float;  (** blocked time, from this track's stall-end entries *)
   utilization : float;  (** work / makespan *)
+  dominant : Cause.t option;  (** this track's largest stall cause *)
 }
 
 type percentiles = { p50 : float; p90 : float; p99 : float; pmax : float }
 
 type t = {
+  backend : string;  (** ["sim"] or ["native"] *)
+  clock : Flight.clock;  (** unit of every time below *)
   makespan : float;
-  threads : int;
-  utilization : float;  (** (Work + Sequential) / (threads * makespan) *)
+  threads : int;  (** tracks *)
+  utilization : float;  (** total work / (threads * makespan) *)
   per_thread : thread_report list;
-  stall_by_cause : (string * float) list;
-      (** stall/overhead cycles per engine category, all threads summed *)
-  stall_events : (string * float) list;
-      (** blocked time per {!Event.stall_cause}, from [Worker_stalled] events *)
-  sync_forwarded : int;  (** DOMORE synchronization conditions forwarded *)
-  queue_occupancy : percentiles option;  (** from [Queue_sampled] events *)
+  stall_by_cause : (Cause.t * float) list;
+      (** blocked time only, every cause in {!Cause.all} order *)
+  dominant_stall : Cause.t option;  (** the largest entry of [stall_by_cause] *)
+  bottleneck : string;  (** one-line verdict naming the dominant stall or compute *)
+  chain : int;  (** edges on the longest dispatch→sync→commit chain *)
+  chain_span : float;  (** time that chain spans *)
+  events_logged : int;  (** entries analyzed *)
+  drops : int;  (** entries lost to ring overwrite before analysis *)
+  sync_forwarded : int;  (** [Sync_send] entries *)
+  queue_occupancy : percentiles option;  (** from [Queue_sample] entries *)
   epochs_committed : int;
   misspeculations : int;
-  recovery_cycles : float;  (** virtual time inside misspeculation recovery *)
+  recovery : float;  (** time inside misspeculation recovery *)
   epochs_redone : int;
   checkpoints : int;
   signature_checks : int;
   signatures_compared : int;  (** sum of checking-window sizes *)
-  barrier_crossings : int;
+  barrier_crossings : int;  (** [Barrier_release] entries *)
   counters : (string * int) list;  (** metrics registry dump *)
   gauges : (string * float) list;
-  events_logged : int;
 }
 
-val build : engine:Xinv_sim.Engine.t -> ?recorder:Recorder.t -> unit -> t
+val build :
+  backend:string ->
+  clock:Flight.clock ->
+  makespan:float ->
+  tracks:string array ->
+  ?work:float array ->
+  ?blocked:(string * float) list ->
+  ?counters:(string * int) list ->
+  ?gauges:(string * float) list ->
+  ?drops:int ->
+  Flight.entry list ->
+  t
+(** Every entry's domain must index [tracks].  [work] gives per-track
+    useful work (default: makespan minus the track's blocked time).
+    [blocked] gives authoritative per-cause totals keyed by {!Cause.name}
+    (the native Stallcat accounting, which a drop-oldest ring can
+    undercount); by default they are the sums of the stall-end entries. *)
+
+val of_flight :
+  ?wall_ns:float ->
+  ?blocked:(string * float) list ->
+  ?counters:(string * int) list ->
+  ?gauges:(string * float) list ->
+  Flight.t ->
+  t
+(** {!build} over a native recording: one ["domain N"] track per ring,
+    nanosecond clock, makespan [wall_ns] (default: the recording's elapsed
+    time). *)
+
+val percentile : float array -> float -> float
+(** [percentile sorted q] is the nearest-rank [q]-quantile ([0 < q <= 1])
+    of an ascending array; 0 when empty. *)
 
 val pp : Format.formatter -> t -> unit
-(** Human-readable stats: headline counters, worker stall time by cause,
-    per-thread utilization, queue occupancy, speculation summary. *)
 
 val to_json : t -> string
-(** The machine-readable dump ([xinv-stats/1] schema, see EXPERIMENTS.md). *)
+(** The [xinv-stats/3] document (see EXPERIMENTS.md). *)
 
 val to_csv : t -> string
 (** Flat [key,value] lines covering the same scalar fields as the JSON. *)

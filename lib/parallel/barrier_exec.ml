@@ -63,11 +63,9 @@ let run ?(machine = Sim.Machine.default) ?(nlocks = 64) ?(trace = false) ?obs ~t
               Sim.Barrier.wait ~cost:barrier_cost bar;
               let dur = Sim.Proc.now () -. t0 -. barrier_cost in
               (match m_crossings with Some c -> Obs.Metrics.incr c | None -> ());
-              if dur > 0. then
-                Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid
-                  (Obs.Event.Worker_stalled { cause = Obs.Event.Barrier; dur });
-              Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid
-                (Obs.Event.Barrier_crossed { episode = Sim.Barrier.waits bar })))
+              Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid Obs.Cause.Barrier_wait dur;
+              Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:tid Obs.Flight.Barrier_release
+                ~a:(Sim.Barrier.waits bar) ~b:0))
         p.Ir.Program.inners
     done
   in

@@ -90,10 +90,8 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads (p : Ir.Program.t) env =
                   let module Obs = Xinv_obs in
                   let t0 = Sim.Proc.now () in
                   Sim.Mono_cell.wait_ge cell (!j - 1);
-                  let dur = Sim.Proc.now () -. t0 in
-                  if dur > 0. then
-                    Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid
-                      (Obs.Event.Worker_stalled { cause = Obs.Event.Sync_cond; dur }));
+                  Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid
+                    Obs.Cause.Sync_cond (Sim.Proc.now () -. t0));
               Sim.Proc.advance ~label:"recv" Sim.Category.Queue comm;
               List.iter
                 (fun (s : Ir.Stmt.t) ->
@@ -113,8 +111,8 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads (p : Ir.Program.t) env =
           | Some o ->
               let module Obs = Xinv_obs in
               (match m_crossings with Some c -> Obs.Metrics.incr c | None -> ());
-              Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid
-                (Obs.Event.Barrier_crossed { episode = Sim.Barrier.waits bar }))
+              Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:tid
+                Obs.Flight.Barrier_release ~a:(Sim.Barrier.waits bar) ~b:0)
         p.Ir.Program.inners
     done
   in

@@ -104,10 +104,8 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads (p : Ir.Program.t) env =
                     let dur =
                       Sim.Proc.now () -. t0 -. machine.Sim.Machine.queue_consume
                     in
-                    if dur > 0. then
-                      Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid
-                        (Obs.Event.Worker_stalled
-                           { cause = Obs.Event.Queue_empty; dur })
+                    Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid
+                      Obs.Cause.Queue_empty dur
               end;
               let env_j = Ir.Env.with_inner env_t j in
               List.iter
@@ -127,8 +125,8 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads (p : Ir.Program.t) env =
           | Some o ->
               let module Obs = Xinv_obs in
               (match m_crossings with Some c -> Obs.Metrics.incr c | None -> ());
-              Obs.Recorder.record o ~at:(Sim.Proc.now ()) ~tid
-                (Obs.Event.Barrier_crossed { episode = Sim.Barrier.waits bar }))
+              Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:tid
+                Obs.Flight.Barrier_release ~a:(Sim.Barrier.waits bar) ~b:0)
         p.Ir.Program.inners
     done
   in

@@ -42,7 +42,21 @@ let utilization r =
     (category_total r Xinv_sim.Category.Work +. category_total r Xinv_sim.Category.Sequential)
     /. cap
 
-let report r = Xinv_obs.Report.build ~engine:r.engine ?recorder:r.recorder ()
+let tracks r = Array.init (Xinv_sim.Engine.thread_count r.engine) (Xinv_sim.Engine.name_of r.engine)
+
+let entries r = match r.recorder with Some o -> Xinv_obs.Recorder.flight o | None -> []
+
+let report r =
+  let metrics = Option.map Xinv_obs.Recorder.metrics r.recorder in
+  Xinv_obs.Report.build ~backend:"sim" ~clock:Xinv_obs.Flight.Cycles ~makespan:r.makespan
+    ~tracks:(tracks r)
+    ~work:
+      (Array.init (Xinv_sim.Engine.thread_count r.engine) (fun tid ->
+           Xinv_sim.Engine.charged r.engine tid Xinv_sim.Category.Work
+           +. Xinv_sim.Engine.charged r.engine tid Xinv_sim.Category.Sequential))
+    ?counters:(Option.map Xinv_obs.Metrics.counters metrics)
+    ?gauges:(Option.map Xinv_obs.Metrics.gauges metrics)
+    (entries r)
 
 let pp ppf r =
   Format.fprintf ppf

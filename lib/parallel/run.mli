@@ -38,8 +38,14 @@ val barrier_overhead_pct : t -> float
 val utilization : t -> float
 (** Fraction of [threads * makespan] charged to useful work. *)
 
+val tracks : t -> string array
+(** One name per engine thread. *)
+
+val entries : t -> Xinv_obs.Flight.entry list
+(** The run events the recorder logged, if the run carried one. *)
+
 val report : t -> Xinv_obs.Report.t
-(** Stall/utilization diagnosis from the engine accounting plus the event
-    log when the run carried a recorder. *)
+(** {!Xinv_obs.Report.build} over the run's entries, cycle clock, with the
+    engine's Work + Sequential charges as per-thread work. *)
 
 val pp : Format.formatter -> t -> unit

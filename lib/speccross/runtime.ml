@@ -83,8 +83,13 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
   let { machine; workers; _ } = cfg in
   assert (workers > 0);
   let module Obs = Xinv_obs in
-  let record ~at ~tid ev =
-    match obs with None -> () | Some o -> Obs.Recorder.record o ~at ~tid ev
+  let emit ~at ~tid kind ~a ~b =
+    match obs with None -> () | Some o -> Obs.Recorder.emit o ~at ~domain:tid kind ~a ~b
+  in
+  let stall ~tid cause dur =
+    match obs with
+    | None -> ()
+    | Some o -> Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid cause dur
   in
   let mincr = function Some c -> Obs.Metrics.incr c | None -> () in
   let m_epochs, m_misspecs, m_checks, m_ckpts =
@@ -107,7 +112,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
   Rt.Checkpoint.save ckpts ~epoch:0 mem;
   (* The initial checkpoint happens before the simulation starts. *)
   mincr m_ckpts;
-  record ~at:0. ~tid:0 (Obs.Event.Checkpoint_forked { epoch = 0 });
+  emit ~at:0. ~tid:0 Obs.Flight.Checkpoint ~a:0 ~b:0;
   let states : (int, gstate) Hashtbl.t = Hashtbl.create 4 in
   let gen = ref 0 in
   let st = ref (fresh_gstate ~id:0 ~workers) in
@@ -236,15 +241,12 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
               end
             done;
             mincr m_checks;
-            record ~at:(Sim.Proc.now ()) ~tid:workers
-              (Obs.Event.Signature_checked
-                 { worker = r.worker; epoch = r.epoch; window = !win;
-                   conflict = !conflict });
+            emit ~at:(Sim.Proc.now ()) ~tid:workers Obs.Flight.Sig_check ~a:r.epoch ~b:!win;
             if !conflict then begin
               if not !(s.abort) then begin
                 mincr m_misspecs;
-                record ~at:(Sim.Proc.now ()) ~tid:workers
-                  (Obs.Event.Misspeculated { epoch = r.epoch; worker = r.worker })
+                emit ~at:(Sim.Proc.now ()) ~tid:workers Obs.Flight.Misspec ~a:r.epoch
+                  ~b:r.worker
               end;
               do_abort s
             end
@@ -284,10 +286,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
         if w' <> w then
           Sim.Mono_cell.wait_ge ~cat:Sim.Category.Barrier_wait s.tpos.(w') floor_
       done;
-      let dur = Sim.Proc.now () -. t0 in
-      if dur > 0. then
-        record ~at:(Sim.Proc.now ()) ~tid:w
-          (Obs.Event.Worker_stalled { cause = Obs.Event.Barrier; dur })
+      stall ~tid:w Obs.Cause.Throttle (Sim.Proc.now () -. t0)
     end
   in
   (* Speculative bracket around one task. *)
@@ -516,7 +515,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
       Sim.Barrier.wait ~cost:barrier_cost bar;
       if w = 0 then begin
         mincr m_epochs;
-        record ~at:(Sim.Proc.now ()) ~tid:w (Obs.Event.Epoch_committed { epoch = e' })
+        emit ~at:(Sim.Proc.now ()) ~tid:w Obs.Flight.Epoch_commit ~a:e' ~b:0
       end
     done;
     (* Fresh checkpoint at the resume point. *)
@@ -525,15 +524,13 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
         machine.Sim.Machine.checkpoint_cost;
       Rt.Checkpoint.save ckpts ~epoch:!resume_from mem;
       mincr m_ckpts;
-      record ~at:(Sim.Proc.now ()) ~tid:w
-        (Obs.Event.Checkpoint_forked { epoch = !resume_from })
+      emit ~at:(Sim.Proc.now ()) ~tid:w Obs.Flight.Checkpoint ~a:!resume_from ~b:0
     end;
     Sim.Barrier.wait ~cost:0. bar;
     if w = 0 then
-      record ~at:(Sim.Proc.now ()) ~tid:w
-        (Obs.Event.Recovery_finished
-           { dur = Sim.Proc.now () -. t_rec;
-             epochs_redone = !redo_to - !redo_from + 1 });
+      emit ~at:(Sim.Proc.now ()) ~tid:w Obs.Flight.Recovery
+        ~a:(!redo_to - !redo_from + 1)
+        ~b:(int_of_float (Float.round (Sim.Proc.now () -. t_rec)));
     !resume_from
   in
 
@@ -554,10 +551,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
         done;
         let t0 = Sim.Proc.now () in
         Sim.Mono_cell.wait_ge ~cat:Sim.Category.Checker s.processed !(s.submitted);
-        let drain = Sim.Proc.now () -. t0 in
-        if drain > 0. then
-          record ~at:(Sim.Proc.now ()) ~tid:w
-            (Obs.Event.Worker_stalled { cause = Obs.Event.Checker_lag; dur = drain });
+        stall ~tid:w Obs.Cause.Checker_lag (Sim.Proc.now () -. t0);
         if !(s.abort) then e := recover w s
         else begin
           Sim.Channel.produce checker_q (Finish s.g_id);
@@ -595,8 +589,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
                 machine.Sim.Machine.checkpoint_cost;
               Rt.Checkpoint.save ckpts ~epoch:!e mem;
               mincr m_ckpts;
-              record ~at:(Sim.Proc.now ()) ~tid:w
-                (Obs.Event.Checkpoint_forked { epoch = !e });
+              emit ~at:(Sim.Proc.now ()) ~tid:w Obs.Flight.Checkpoint ~a:!e ~b:0;
               Rt.Siglog.clear_before siglog ~epoch:!e;
               Sim.Mono_cell.raise_to s.ckpt_done !e
             end
@@ -604,10 +597,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
           else begin
             let t0 = Sim.Proc.now () in
             Sim.Mono_cell.wait_ge ~cat:Sim.Category.Checkpoint s.ckpt_done !e;
-            let dur = Sim.Proc.now () -. t0 in
-            if dur > 0. then
-              record ~at:(Sim.Proc.now ()) ~tid:w
-                (Obs.Event.Worker_stalled { cause = Obs.Event.Checkpoint_wait; dur })
+            stall ~tid:w Obs.Cause.Rally (Sim.Proc.now () -. t0)
           end
         end;
         if !(s.abort) then e := recover w s
@@ -621,10 +611,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
             done;
             let t0 = Sim.Proc.now () in
             Sim.Mono_cell.wait_ge ~cat:Sim.Category.Checker s.processed !(s.submitted);
-            let drain = Sim.Proc.now () -. t0 in
-            if drain > 0. then
-              record ~at:(Sim.Proc.now ()) ~tid:w
-                (Obs.Event.Worker_stalled { cause = Obs.Event.Checker_lag; dur = drain });
+            stall ~tid:w Obs.Cause.Checker_lag (Sim.Proc.now () -. t0);
             if not !(s.abort) then begin
               let il, env_t = env_of_epoch !e in
               List.iter
@@ -648,8 +635,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
                 machine.Sim.Machine.checkpoint_cost;
               Rt.Checkpoint.save ckpts ~epoch:(!e + 1) mem;
               mincr m_ckpts;
-              record ~at:(Sim.Proc.now ()) ~tid:w
-                (Obs.Event.Checkpoint_forked { epoch = !e + 1 });
+              emit ~at:(Sim.Proc.now ()) ~tid:w Obs.Flight.Checkpoint ~a:(!e + 1) ~b:0;
               Rt.Siglog.clear_before siglog ~epoch:(!e + 1);
               Sim.Mono_cell.raise_to s.io_done !e
             end
@@ -660,8 +646,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
             Sim.Mono_cell.raise_to s.tpos.(w) (epoch_base.(!e + 1) - 1);
             if w = 0 then begin
               mincr m_epochs;
-              record ~at:(Sim.Proc.now ()) ~tid:w
-                (Obs.Event.Epoch_committed { epoch = !e })
+              emit ~at:(Sim.Proc.now ()) ~tid:w Obs.Flight.Epoch_commit ~a:!e ~b:0
             end;
             incr e
           end
@@ -672,8 +657,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
           exec_epoch_spec s w !e;
           if w = 0 && not !(s.abort) then begin
             mincr m_epochs;
-            record ~at:(Sim.Proc.now ()) ~tid:w
-              (Obs.Event.Epoch_committed { epoch = !e })
+            emit ~at:(Sim.Proc.now ()) ~tid:w Obs.Flight.Epoch_commit ~a:!e ~b:0
           end;
           incr e
         end

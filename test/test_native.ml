@@ -410,9 +410,9 @@ let test_native_obs_counters () =
     (List.assoc_opt "domore.tasks_dispatched" counters);
   match n.C.flight with
   | Some fl when Xinv_obs.Flight.total_length fl > 0 ->
-      let v = Xinv_obs.Critpath.analyze fl in
+      let v = Xinv_obs.Report.of_flight fl in
       Alcotest.(check bool) "flight yields a bottleneck verdict" true
-        (v.Xinv_obs.Critpath.v_bottleneck <> "")
+        (v.Xinv_obs.Report.bottleneck <> "")
   | _ -> Alcotest.fail "recorded run surfaced no flight events"
 
 let suite =

@@ -203,17 +203,17 @@ let test_metrics_histogram () =
 let test_recorder_order () =
   let r = Obs.Recorder.create () in
   for i = 0 to 99 do
-    Obs.Recorder.record r ~at:(float_of_int i) ~tid:(i mod 3)
-      (Obs.Event.Barrier_crossed { episode = i })
+    Obs.Recorder.emit r ~at:(float_of_int i) ~domain:(i mod 3)
+      Obs.Flight.Barrier_release ~a:i ~b:0
   done;
   Alcotest.(check int) "length" 100 (Obs.Recorder.length r);
-  let seen = ref (-1.) in
-  Obs.Recorder.iter
-    (fun (e : Obs.Recorder.entry) ->
-      Alcotest.(check bool) "append order preserved" true (e.Obs.Recorder.at > !seen);
-      seen := e.Obs.Recorder.at)
-    r;
-  Alcotest.(check (float 0.)) "last timestamp" 99. !seen
+  let seen = ref (-1) in
+  List.iter
+    (fun (e : Obs.Flight.entry) ->
+      Alcotest.(check bool) "append order preserved" true (e.Obs.Flight.f_at > !seen);
+      seen := e.Obs.Flight.f_at)
+    (Obs.Recorder.flight r);
+  Alcotest.(check int) "last timestamp" 99 !seen
 
 (* ---- Perfetto export: valid JSON, tracks, phases, monotone timestamps ---- *)
 
@@ -232,7 +232,10 @@ let domore_traced_run () =
 let test_perfetto_export () =
   let r, obs = domore_traced_run () in
   let eng = r.Xinv_parallel.Run.engine in
-  let json = Obs.Perfetto.to_json ~engine:eng ~recorder:obs () in
+  let json =
+    Obs.Perfetto.to_json ~clock:Obs.Flight.Cycles ~tracks:(Xinv_parallel.Run.tracks r)
+      ~segments:(Sim.Engine.segments eng) (Obs.Recorder.flight obs)
+  in
   let doc = parse_json json in
   let events = match member "traceEvents" doc with Arr l -> l | _ -> [] in
   Alcotest.(check bool) "has events" true (events <> []);
@@ -255,15 +258,20 @@ let test_perfetto_export () =
   Alcotest.(check bool) "duration events" true (count "X" > 0);
   Alcotest.(check bool) "instant events" true (count "i" > 0);
   Alcotest.(check bool) "counter events" true (count "C" > 0);
-  (* Engine.segments round-trip: every segment is one X event. *)
+  (* Engine.segments round-trip: every segment is one X event besides the
+     stall spans. *)
+  let stall_spans =
+    List.length (List.filter (fun e -> member "cat" e = Str "stall") events)
+  in
+  Alcotest.(check bool) "stall spans" true (stall_spans > 0);
   Alcotest.(check int) "segments round-trip" (List.length (Sim.Engine.segments eng))
-    (count "X");
-  (* Per-track X timestamps are monotone non-decreasing with non-negative
-     durations. *)
+    (count "X" - stall_spans);
+  (* Per-track segment timestamps are monotone non-decreasing with
+     non-negative durations. *)
   let last = Hashtbl.create 8 in
   List.iter
     (fun e ->
-      if member "ph" e = Str "X" then begin
+      if member "ph" e = Str "X" && member "cat" e <> Str "stall" then begin
         let tid = int_of_float (num_of (member "tid" e)) in
         let ts = num_of (member "ts" e) in
         let dur = num_of (member "dur" e) in
@@ -304,7 +312,7 @@ let test_misspec_report () =
   Alcotest.(check int) "report agrees with the run" r.Xinv_parallel.Run.misspecs
     report.Obs.Report.misspeculations;
   Alcotest.(check bool) "recovery time attributed" true
-    (report.Obs.Report.recovery_cycles > 0.);
+    (report.Obs.Report.recovery > 0.);
   Alcotest.(check bool) "redone epochs counted" true
     (report.Obs.Report.epochs_redone > 0);
   let rendered = Format.asprintf "%a" Obs.Report.pp report in
@@ -388,20 +396,114 @@ let test_flight_wraparound () =
   Alcotest.(check int) "total length" 1 (Obs.Flight.total_length fl);
   Alcotest.(check int) "total drops" 0 (Obs.Flight.total_drops fl)
 
-(* ---- stall-cause table parity with the native engines ---- *)
+(* ---- one report, one trace format on both backends ---- *)
 
-let test_flight_cause_parity () =
-  let module Stallcat = Xinv_native.Stallcat in
-  Alcotest.(check int) "cause count" (List.length Stallcat.all)
-    Obs.Flight.ncauses;
-  List.iteri
-    (fun i cause ->
-      Alcotest.(check string)
-        (Printf.sprintf "cause %d" i)
-        (Stallcat.name cause) (Obs.Flight.cause_name i))
-    Stallcat.all;
-  Alcotest.(check string) "out of range decodes benignly" "unknown"
-    (Obs.Flight.cause_name 99)
+let keys = function Obj kvs -> List.map fst kvs | _ -> []
+
+let known_causes = List.map Obs.Cause.name Obs.Cause.all
+
+let test_one_report_both_backends () =
+  let wl = Wl.Registry.find "SYMM" in
+  List.iter
+    (fun technique ->
+      let go backend =
+        let obs = Obs.Recorder.create () in
+        let o =
+          Cx.run_request @@ Cx.Request.make ~backend ~input:Wl.Workload.Train ~obs ~technique
+            ~threads:2 wl
+        in
+        let report =
+          match Cx.report ~obs o with Some r -> r | None -> Alcotest.fail "no report"
+        in
+        let trace =
+          match (o.Cx.run, o.Cx.flight) with
+          | Some r, _ ->
+              Obs.Perfetto.to_json ~clock:Obs.Flight.Cycles
+                ~tracks:(Xinv_parallel.Run.tracks r) (Xinv_parallel.Run.entries r)
+          | None, Some fl ->
+              Obs.Perfetto.to_json ~clock:Obs.Flight.Ns ~tracks:(Obs.Flight.tracks fl)
+                (Obs.Flight.entries fl)
+          | None, None -> Alcotest.fail "no recording"
+        in
+        (parse_json (Obs.Report.to_json report), parse_json trace)
+      in
+      let tag f = Cx.technique_name technique ^ ": " ^ f in
+      let sim_doc, sim_trace = go (`Sim None) in
+      let nat_doc, nat_trace =
+        go (`Native { Cx.native_defaults with Cx.flight = true })
+      in
+      Alcotest.(check (list string)) (tag "same keys on both backends") (keys sim_doc)
+        (keys nat_doc);
+      List.iter
+        (fun doc ->
+          Alcotest.(check string) (tag "schema") "xinv-stats/3" (str_of (member "schema" doc));
+          Alcotest.(check (list string)) (tag "stall_by_cause lists every cause")
+            known_causes (keys (member "stall_by_cause" doc)))
+        [ sim_doc; nat_doc ];
+      List.iter
+        (fun trace ->
+          let events = match member "traceEvents" trace with Arr l -> l | _ -> [] in
+          Alcotest.(check bool) (tag "trace has events") true (events <> []);
+          List.iter
+            (fun e ->
+              match member "name" e with
+              | Str n when String.length n > 6 && String.sub n 0 6 = "stall:" ->
+                  Alcotest.(check bool) (tag ("known stall span " ^ n)) true
+                    (List.mem (String.sub n 6 (String.length n - 6)) known_causes)
+              | _ -> ())
+            events)
+        [ sim_trace; nat_trace ])
+    [ Cx.Barrier; Cx.Domore; Cx.Speccross ]
+
+(* stall_by_cause counts blocked time only: on the sim it is exactly the
+   stall-end entries, not the engine's queue/checker charges (which include
+   each queue operation's cost and the checker's comparisons). *)
+let test_stall_by_cause_blocked () =
+  List.iter
+    (fun (name, technique) ->
+      let wl = Wl.Registry.find name in
+      let obs = Obs.Recorder.create () in
+      let o =
+        Cx.run_request @@ Cx.Request.make ~input:Wl.Workload.Train ~obs ~technique ~threads:8 wl
+      in
+      let r = match o.Cx.run with Some r -> r | None -> Alcotest.fail "no run" in
+      let report = Xinv_parallel.Run.report r in
+      List.iter
+        (fun c ->
+          let from_entries =
+            List.fold_left
+              (fun acc (e : Obs.Flight.entry) ->
+                if e.Obs.Flight.f_kind = Obs.Flight.Stall_end
+                   && e.Obs.Flight.f_a = Obs.Cause.index c
+                then acc +. float_of_int e.Obs.Flight.f_b
+                else acc)
+              0. (Xinv_parallel.Run.entries r)
+          in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s/%s: %s" name (Cx.technique_name technique) (Obs.Cause.name c))
+            from_entries
+            (List.assoc c report.Obs.Report.stall_by_cause))
+        Obs.Cause.all)
+    [ ("JACOBI", Cx.Speccross); ("CG", Cx.Domore) ]
+
+let test_native_rally_kept () =
+  Alcotest.(check bool) "rally parses as Rally" true
+    (Obs.Cause.of_name "rally" = Some Obs.Cause.Rally);
+  let r =
+    Obs.Report.build ~backend:"native" ~clock:Obs.Flight.Ns ~makespan:100.
+      ~tracks:[| "domain 0" |]
+      ~blocked:[ ("rally", 7.); ("throttle", 3.) ]
+      []
+  in
+  Alcotest.(check (float 0.)) "rally kept" 7.
+    (List.assoc Obs.Cause.Rally r.Obs.Report.stall_by_cause);
+  Alcotest.(check (float 0.)) "throttle kept" 3.
+    (List.assoc Obs.Cause.Throttle r.Obs.Report.stall_by_cause)
+
+let test_percentile_nearest_rank () =
+  Alcotest.(check (float 0.)) "p50 of [1; 2]" 1. (Obs.Report.percentile [| 1.; 2. |] 0.5);
+  Alcotest.(check (float 0.)) "p99 of 1..100" 99.
+    (Obs.Report.percentile (Array.init 100 (fun i -> float_of_int (i + 1))) 0.99)
 
 (* ---- snapshot and OpenMetrics exposition ---- *)
 
@@ -452,43 +554,41 @@ let test_critpath_synthetic () =
      a chain of length >= 2. *)
   Obs.Flight.record fl ~domain:0 Obs.Flight.Dispatch ~a:0 ~b:1;
   Obs.Flight.record fl ~domain:1 Obs.Flight.Sync_recv ~a:0 ~b:0;
-  Obs.Flight.record fl ~domain:1 Obs.Flight.Stall_end ~a:2 ~b:5000;
+  Obs.Flight.record fl ~domain:1 Obs.Flight.Stall_end
+    ~a:(Obs.Cause.index Obs.Cause.Sync_cond) ~b:5000;
   Obs.Flight.record fl ~domain:1 Obs.Flight.Epoch_commit ~a:0 ~b:0;
-  let v = Obs.Critpath.analyze ~wall_ns:10000. fl in
-  Alcotest.(check int) "events" 4 v.Obs.Critpath.v_events;
-  Alcotest.(check int) "drops" 0 v.Obs.Critpath.v_drops;
+  let v = Obs.Report.of_flight ~wall_ns:10000. fl in
+  Alcotest.(check int) "events" 4 v.Obs.Report.events_logged;
+  Alcotest.(check int) "drops" 0 v.Obs.Report.drops;
   Alcotest.(check bool) "chain crosses the dispatch and the commit" true
-    (v.Obs.Critpath.v_chain >= 2);
-  Alcotest.(check (option string)) "dominant cause" (Some "sync-cond")
-    v.Obs.Critpath.v_dominant;
+    (v.Obs.Report.chain >= 2);
+  Alcotest.(check bool) "dominant cause" true
+    (v.Obs.Report.dominant_stall = Some Obs.Cause.Sync_cond);
   Alcotest.(check (float 1e-9)) "sync-cond attribution" 5000.
-    (List.assoc "sync-cond" v.Obs.Critpath.v_stalls);
-  Alcotest.(check int) "all causes listed" Obs.Flight.ncauses
-    (List.length v.Obs.Critpath.v_stalls);
+    (List.assoc Obs.Cause.Sync_cond v.Obs.Report.stall_by_cause);
+  Alcotest.(check int) "all causes listed" Obs.Cause.count
+    (List.length v.Obs.Report.stall_by_cause);
   (* 5000 ns blocked of 2 x 10000 ns capacity = 25% >= the 5% threshold. *)
   Alcotest.(check bool) "bottleneck names the cause" true
-    (String.length v.Obs.Critpath.v_bottleneck > 9
-    && String.sub v.Obs.Critpath.v_bottleneck 0 9 = "sync-cond");
+    (String.length v.Obs.Report.bottleneck > 9
+    && String.sub v.Obs.Report.bottleneck 0 9 = "sync-cond");
   (* Authoritative stall totals override flight-derived ones. *)
-  let v' =
-    Obs.Critpath.analyze ~wall_ns:10000. ~stalls:[ ("barrier", 9000.) ] fl
-  in
-  Alcotest.(check (option string)) "?stalls overrides dominance"
-    (Some "barrier") v'.Obs.Critpath.v_dominant;
-  (* Valid JSON with the fields bench rows embed. *)
-  let doc = parse_json (Obs.Critpath.to_json v) in
+  let v' = Obs.Report.of_flight ~wall_ns:10000. ~blocked:[ ("barrier", 9000.) ] fl in
+  Alcotest.(check bool) "?blocked overrides dominance" true
+    (v'.Obs.Report.dominant_stall = Some Obs.Cause.Barrier_wait);
+  let doc = parse_json (Obs.Report.to_json v) in
   Alcotest.(check string) "json dominant" "sync-cond"
-    (str_of (member "dominant" doc));
-  Alcotest.(check (float 1e-9)) "json stall_ns" 5000.
-    (num_of (member "sync-cond" (member "stall_ns" doc)));
+    (str_of (member "dominant_stall" doc));
+  Alcotest.(check (float 1e-9)) "json stall_by_cause" 5000.
+    (num_of (member "sync-cond" (member "stall_by_cause" doc)));
   (* An idle recording blames compute, not a stall. *)
   let empty = Obs.Flight.create ~capacity:8 ~domains:1 () in
-  let ve = Obs.Critpath.analyze ~wall_ns:1000. empty in
-  Alcotest.(check (option string)) "no stalls -> no dominant" None
-    ve.Obs.Critpath.v_dominant;
+  let ve = Obs.Report.of_flight ~wall_ns:1000. empty in
+  Alcotest.(check bool) "no stalls -> no dominant" true
+    (ve.Obs.Report.dominant_stall = None);
   Alcotest.(check bool) "no stalls -> compute-bound verdict" true
-    (String.length ve.Obs.Critpath.v_bottleneck >= 7
-    && String.sub ve.Obs.Critpath.v_bottleneck 0 7 = "compute")
+    (String.length ve.Obs.Report.bottleneck >= 7
+    && String.sub ve.Obs.Report.bottleneck 0 7 = "compute")
 
 (* ---- flight-recorder perturbation: recorded native runs bit-identical ---- *)
 
@@ -558,7 +658,13 @@ let suite =
     Alcotest.test_case "misspeculation report" `Quick test_misspec_report;
     Alcotest.test_case "obs off/on bit-identical" `Slow test_obs_off_bit_identical;
     Alcotest.test_case "flight ring wraparound" `Quick test_flight_wraparound;
-    Alcotest.test_case "flight cause-table parity" `Quick test_flight_cause_parity;
+    Alcotest.test_case "one report on both backends" `Quick
+      test_one_report_both_backends;
+    Alcotest.test_case "stall_by_cause is blocked time" `Quick
+      test_stall_by_cause_blocked;
+    Alcotest.test_case "native rally stays rally" `Quick test_native_rally_kept;
+    Alcotest.test_case "percentiles are nearest rank" `Quick
+      test_percentile_nearest_rank;
     Alcotest.test_case "snapshot and openmetrics" `Quick test_snapshot_openmetrics;
     Alcotest.test_case "critical path synthetic" `Quick test_critpath_synthetic;
     Alcotest.test_case "flight off/on bit-identical" `Slow

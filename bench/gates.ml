@@ -1,7 +1,7 @@
-(* The two native timing gates CI runs on a 2-core runner (pin the process
-   with [taskset -c 0,1]):
+(* The timing gates CI runs on a 2-core runner (pin the process with
+   [taskset -c 0,1]):
 
-     gates [perf|obs]     both gates by default, or just the named one
+     gates [perf|obs|serve]     every gate by default, or just the named one
 
    perf  Sanity envelope, not a scaling target: a 2-domain barrier run of
          SYMM must stay within 4x of sequential on >= 2 cores (12x on an
@@ -13,9 +13,15 @@
          alternating so drift hits both sides, and the gate statistic is
          the median per-pair ratio.  A noisy box can skew one attempt, so
          up to 3 attempts are made and the first clean one passes.
+   serve A socket reply must leave as soon as its job finishes: an
+         in-process daemon on a temp socket answers 51 round trips of an
+         unknown-workload run (queued, popped by the scheduler, rejected)
+         on one connection, and the median round trip must stay within
+         10 ms.  A fixed-cadence wait anywhere on the reply path (a 20 ms
+         poll puts the median at ~20 ms) fails it.
 
-   Both use the calibrated spin work model (1 ns per simulated cycle) on
-   the train input.  Exit status 1 on a failed gate. *)
+   perf and obs use the calibrated spin work model (1 ns per simulated
+   cycle) on the train input.  Exit status 1 on a failed gate. *)
 
 module C = Xinv_core.Crossinv
 module Wl = Xinv_workloads
@@ -86,11 +92,55 @@ let obs () =
   in
   go 1
 
+module Server = Xinv_serve.Server
+module Proto = Xinv_serve.Protocol
+module SClient = Xinv_serve.Client
+
+let serve () =
+  let trips = 51 and budget_ms = 10. in
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xinv-gate-%d.sock" (Unix.getpid ()))
+  in
+  let srv = Server.create { Server.default_config with Server.domains = 1 } in
+  let daemon = Thread.create (fun () -> Server.serve srv ~socket) () in
+  let rec connect tries =
+    match SClient.connect socket with
+    | fd -> fd
+    | exception Unix.Unix_error _ when tries > 0 ->
+        Thread.delay 0.01;
+        connect (tries - 1)
+  in
+  let fd = connect 500 in
+  let req = Xinv_serve.Request.make (`Name "NO_SUCH_WORKLOAD") in
+  let ms =
+    Array.init trips (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        (match SClient.request fd (Proto.Run req) with
+        | Proto.Rejected (Proto.Unknown_workload _) -> ()
+        | m ->
+            fail "serve FAIL: unexpected reply %s"
+              (Format.asprintf "%a" Proto.pp_server m));
+        (Unix.gettimeofday () -. t0) *. 1e3)
+  in
+  Unix.close fd;
+  ignore (SClient.call ~socket Proto.Shutdown);
+  Thread.join daemon;
+  Array.sort compare ms;
+  let p50 = ms.(trips / 2) in
+  Printf.printf "serve: %d socket round trips, median %.2f ms (min %.2f, max %.2f)\n%!"
+    trips p50 ms.(0) ms.(trips - 1);
+  if p50 > budget_ms then
+    fail "serve FAIL: median round trip %.2f ms exceeds %.0f ms" p50 budget_ms;
+  Printf.printf "serve ok: median round trip within %.0f ms\n%!" budget_ms
+
 let () =
   match Array.to_list Sys.argv with
   | [ _ ] ->
       perf ();
-      obs ()
+      obs ();
+      serve ()
   | [ _; "perf" ] -> perf ()
   | [ _; "obs" ] -> obs ()
-  | _ -> fail "usage: gates [perf|obs]"
+  | [ _; "serve" ] -> serve ()
+  | _ -> fail "usage: gates [perf|obs|serve]"

@@ -34,13 +34,14 @@ type job = {
   mutable result : Protocol.server_msg option;
   mutable wd : Nat.Watchdog.t option;
   mutable cancelled : bool;
+  mutable waker : Unix.file_descr option;
+      (** write end of the watching connection's self-pipe *)
 }
 
 type t = {
   cfg : config;
   metrics : Metrics.t;
   mutable pool : Nat.Pool.t;
-  mutable pool_creates : int;
   queue : job Fair.t;
   mu : Mutex.t;
   work : Condition.t;
@@ -64,57 +65,62 @@ type t = {
 let now () = Unix.gettimeofday ()
 
 let metrics t = t.metrics
-let pool_creates t = t.pool_creates
+let pool_creates t = t.c_pool_create.Metrics.c_value
 let served t = Atomic.get t.served_jobs
 
 let tenant_counter t tenant what =
   Metrics.counter t.metrics (Printf.sprintf "serve.tenant.%s.%s" tenant what)
 
-let new_pool t =
-  t.pool_creates <- t.pool_creates + 1;
-  Metrics.incr t.c_pool_create;
-  Nat.Pool.create ~workers:t.cfg.domains
+let new_pool cfg c_pool_create =
+  Metrics.incr c_pool_create;
+  Nat.Pool.create ~workers:cfg.domains
 
 let create cfg =
   let metrics = Metrics.create () in
   let c_pool_create = Metrics.counter metrics "serve.pool.create" in
-  let t =
-    {
-      cfg;
-      metrics;
-      pool = Nat.Pool.create ~workers:0 (* replaced below *);
-      pool_creates = 0;
-      queue = Fair.create ~capacity:cfg.queue_capacity;
-      mu = Mutex.create ();
-      work = Condition.create ();
-      stopping = false;
-      scheduler = None;
-      served_jobs = Atomic.make 0;
-      next_id = Atomic.make 0;
-      started_at = now ();
-      c_pool_create;
-      c_submitted = Metrics.counter metrics "serve.submitted";
-      c_completed = Metrics.counter metrics "serve.completed";
-      c_rejected = Metrics.counter metrics "serve.rejected";
-      c_failed = Metrics.counter metrics "serve.failed";
-      c_cancelled = Metrics.counter metrics "serve.cancelled";
-      c_deadline_missed = Metrics.counter metrics "serve.deadline_missed";
-      h_queue_wait = Metrics.histogram metrics "serve.queue_wait_ms";
-      g_depth = Metrics.gauge metrics "serve.queue.depth";
-    }
-  in
-  Nat.Pool.shutdown t.pool;
-  t.pool <- new_pool t;
-  t
+  {
+    cfg;
+    metrics;
+    pool = new_pool cfg c_pool_create;
+    queue = Fair.create ~capacity:cfg.queue_capacity;
+    mu = Mutex.create ();
+    work = Condition.create ();
+    stopping = false;
+    scheduler = None;
+    served_jobs = Atomic.make 0;
+    next_id = Atomic.make 0;
+    started_at = now ();
+    c_pool_create;
+    c_submitted = Metrics.counter metrics "serve.submitted";
+    c_completed = Metrics.counter metrics "serve.completed";
+    c_rejected = Metrics.counter metrics "serve.rejected";
+    c_failed = Metrics.counter metrics "serve.failed";
+    c_cancelled = Metrics.counter metrics "serve.cancelled";
+    c_deadline_missed = Metrics.counter metrics "serve.deadline_missed";
+    h_queue_wait = Metrics.histogram metrics "serve.queue_wait_ms";
+    g_depth = Metrics.gauge metrics "serve.queue.depth";
+  }
 
 (* ---- job lifecycle ---- *)
+
+let wake_byte = Bytes.make 1 '!'
 
 let finish t job msg =
   Mutex.lock job.jm;
   let first = job.result = None in
   if first then begin
     job.result <- Some msg;
-    Condition.broadcast job.jc
+    Condition.broadcast job.jc;
+    (* Wake the connection watching this job.  The write happens under
+       [jm]: the connection sees the result only by taking [jm] after this
+       unlock, so it cannot have closed its pipe yet and the fd is never a
+       recycled one.  A write error is ignored: EAGAIN means the pipe is
+       full, so a wake is already pending. *)
+    match job.waker with
+    | Some w -> (
+        try ignore (Unix.single_write w wake_byte 0 1)
+        with Unix.Unix_error _ -> ())
+    | None -> ()
   end;
   Mutex.unlock job.jm;
   if first then begin
@@ -165,6 +171,7 @@ let enqueue t ~kind ~priority ~tenant ~deadline_ms =
       result = None;
       wd = None;
       cancelled = false;
+      waker = None;
     }
   in
   Metrics.incr t.c_submitted;
@@ -238,7 +245,7 @@ let fit_threads ~pool ~technique threads =
   go threads
 
 let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
-  if not (Nat.Pool.live t.pool) then t.pool <- new_pool t;
+  if not (Nat.Pool.live t.pool) then t.pool <- new_pool t.cfg t.c_pool_create;
   let req =
     match req.Request.backend with
     | `Sim -> req
@@ -430,23 +437,46 @@ let pong t =
   {
     Protocol.p_uptime_ns = (now () -. t.started_at) *. 1e9;
     p_pool_domains = Nat.Pool.workers t.pool;
-    p_pool_creates = t.pool_creates;
+    p_pool_creates = pool_creates t;
     p_queued = queued t;
     p_served = served t;
   }
 
 (* ---- socket front end ---- *)
 
-(* While a connection's request is in flight, poll the socket: pending
-   bytes that peek to EOF mean the client hung up, so its job is
-   cancelled (only that cohort unwinds; the pool and every other tenant's
-   run are untouched) and [None] is returned — the peer is dead, so no
-   reply must be written to it.  OCaml's [Condition] has no timed wait,
-   hence the 20 ms poll cadence — queue waits dominate it in any loaded
-   daemon. *)
-let await_watching t fd job =
+type session = {
+  srv : t;
+  fd : Unix.file_descr;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  mutable shutdown_seen : bool;
+}
+
+(* Empties the non-blocking self-pipe: a short read means it is drained. *)
+let drain fd =
+  let b = Bytes.create 64 in
+  let rec go () =
+    match Unix.read fd b 0 64 with
+    | 64 -> go ()
+    | _ | (exception Unix.Unix_error _) -> ()
+  in
+  go ()
+
+(* While a connection's request is in flight, its thread blocks in
+   [select] on the client socket and the connection's self-pipe, whose
+   fd is armed as the job's [waker]: [finish] writes a byte there, so the
+   reply goes out as soon as the job completes.  A readable pipe is
+   drained and the job re-checked (a stale byte from an earlier request
+   costs one spurious check).  A readable socket is peeked: EOF means the
+   client hung up, so its job is cancelled (only that cohort unwinds; the
+   pool and every other tenant's run are untouched) and [None] is
+   returned — the peer is dead, so no reply must be written to it. *)
+let await_watching s job =
+  Mutex.lock job.jm;
+  job.waker <- Some s.wake_w;
+  Mutex.unlock job.jm;
   let gone () =
-    cancel t job;
+    cancel s.srv job;
     ignore (await job);
     None
   in
@@ -454,26 +484,25 @@ let await_watching t fd job =
     match peek job with
     | Some r -> Some r
     | None -> (
-        match Unix.select [ fd ] [] [] 0. with
-        | [], _, _ ->
-            Thread.delay 0.02;
-            go ()
-        | _ :: _, _, _ -> (
-            let b = Bytes.create 1 in
-            match Unix.recv fd b 0 1 [ Unix.MSG_PEEK ] with
-            | 0 -> gone ()
-            | _ ->
-                (* client pipelined its next frame; stop watching *)
-                Some (await job)
-            | exception Unix.Unix_error _ -> gone ())
-        | exception Unix.Unix_error _ -> gone ())
+        match Unix.select [ s.fd; s.wake_r ] [] [] (-1.) with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | exception Unix.Unix_error _ -> gone ()
+        | ready, _, _ -> (
+            if List.mem s.wake_r ready then drain s.wake_r;
+            if not (List.mem s.fd ready) then go ()
+            else
+              let b = Bytes.create 1 in
+              match Unix.recv s.fd b 0 1 [ Unix.MSG_PEEK ] with
+              | 0 -> gone ()
+              | _ ->
+                  (* client pipelined its next frame; stop watching *)
+                  Some (await job)
+              | exception Unix.Unix_error _ -> gone ()))
   in
   go ()
 
-type session = { srv : t; fd : Unix.file_descr; mutable shutdown_seen : bool }
-
 let reply_watching s job =
-  match await_watching s.srv s.fd job with
+  match await_watching s job with
   | Some r ->
       Protocol.send_server s.fd r;
       true
@@ -510,12 +539,15 @@ let handle_conn s =
     | exception _ -> ()
   in
   Fun.protect
-    ~finally:(fun () -> try Unix.close s.fd with _ -> ())
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with _ -> ())
+        [ s.fd; s.wake_r; s.wake_w ])
     session
 
 let serve t ~socket =
-  (* A client that disconnects between the poll in [await_watching] and a
-     reply write would otherwise deliver SIGPIPE, whose default action
+  (* A client that disconnects between the last check in [await_watching]
+     and a reply write would otherwise deliver SIGPIPE, whose default action
      terminates the whole multi-tenant daemon.  Ignored, a write to a
      dead peer fails with a catchable [EPIPE] instead, which the session
      loop treats as end-of-connection. *)
@@ -534,7 +566,12 @@ let serve t ~socket =
     if not (Atomic.get stop_requested) then begin
       match Unix.accept fd with
       | cfd, _ ->
-          let s = { srv = t; fd = cfd; shutdown_seen = false } in
+          let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+          Unix.set_nonblock wake_r;
+          Unix.set_nonblock wake_w;
+          let s =
+            { srv = t; fd = cfd; wake_r; wake_w; shutdown_seen = false }
+          in
           let th =
             Thread.create
               (fun () ->

@@ -102,10 +102,14 @@ val pong : t -> Protocol.pong
 
 val serve : t -> socket:string -> unit
 (** Bind the Unix-domain socket (unlinking any stale file), start the
-    scheduler, and accept clients until a [Shutdown] frame arrives; each
-    connection gets its own thread that watches for client disconnect
-    while its request is in flight (disconnect ⇒ {!cancel}, and no reply
-    is written to the dead peer).  SIGPIPE is set to ignore
+    scheduler, and accept clients until a [Shutdown] frame arrives.  Each
+    connection gets its own thread and its own self-pipe.  While a
+    request is in flight the thread blocks on both the client socket and
+    the pipe: the job's completion writes a byte to the pipe, so the
+    reply is sent as soon as the job finishes, and the peer's EOF is seen
+    as soon as it arrives (disconnect ⇒ {!cancel}, and no reply is
+    written to the dead peer).  The pipe is closed with its connection.
+    SIGPIPE is set to ignore
     process-wide, so a racing disconnect surfaces as a per-connection
     [EPIPE] instead of killing the daemon.  A frame that does not decode
     (including the retired marshalled-workload tag) gets one

@@ -3,8 +3,9 @@
    scheduling contract (admission control, deadlines, cancellation, one
    shared pool across a thousand runs), a differential harness proving a
    submitted run ≡ the in-process [Crossinv.run_request] for every
-   registry workload on both backends, and a two-client socket
-   integration test against a live daemon. *)
+   registry workload on both backends, a two-client socket integration
+   test against a live daemon, and the socket wake-up's fd hygiene and
+   back-to-back reply order. *)
 
 module Cx = Xinv_core.Crossinv
 module Wl = Xinv_workloads
@@ -800,6 +801,103 @@ let test_socket_two_clients () =
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket);
   Alcotest.(check int) "pool never churned" 1 (Server.pool_creates srv)
 
+(* ---------- socket wake-up: fd hygiene and back-to-back replies ---------- *)
+
+(* Runs [f srv socket] against an in-process daemon, then shuts it down
+   over the socket and joins it. *)
+let with_daemon tag f =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xinv-test-%s-%d.sock" tag (Unix.getpid ()))
+  in
+  let srv = Server.create { Server.default_config with Server.domains = 2 } in
+  let daemon = Thread.create (fun () -> Server.serve srv ~socket) () in
+  wait_for_socket socket;
+  Fun.protect
+    ~finally:(fun () ->
+      (try ignore (SClient.call ~socket Proto.Shutdown) with _ -> ());
+      Thread.join daemon)
+    (fun () -> f srv socket)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Every connection owns a self-pipe for its wake-ups; 100 connections,
+   a fifth of them hanging up mid-request on a parked native run, must
+   leave no fd behind once the daemon has shut down. *)
+let test_socket_fd_hygiene () =
+  if not (Sys.file_exists "/proc/self/fd") then ()
+  else begin
+    let before = open_fds () in
+    with_daemon "fds" (fun srv socket ->
+        for i = 1 to 100 do
+          if i mod 5 = 0 then begin
+            let ghost = SClient.connect socket in
+            Proto.send_client ghost
+              (Proto.Run (native_req ~tenant:"ghost" ~fault:"poison@1:0" ()));
+            Thread.delay 0.05 (* let the run start and park *);
+            Unix.close ghost
+          end
+          else
+            match SClient.call ~socket (Proto.Run (sim_req ())) with
+            | Proto.Outcome s when s.Proto.o_verified -> ()
+            | m ->
+                Alcotest.failf "cycle %d: %s" i
+                  (Format.asprintf "%a" Proto.pp_server m)
+        done;
+        let deadline = Unix.gettimeofday () +. 10. in
+        while Server.served srv < 100 && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        Alcotest.(check int) "every job finished" 100 (Server.served srv));
+    let after = open_fds () in
+    if abs (after - before) > 2 then
+      Alcotest.failf "fds before the daemon %d, after shutdown %d" before after
+  end
+
+(* 200 requests back to back on one connection: unknown-workload
+   rejections the scheduler finishes almost at once (often before the
+   connection has armed its wake-up) and a few sim runs, sometimes three
+   frames pipelined.  Every request must get exactly its own reply, in
+   order, with stale wake bytes from earlier requests harmless. *)
+let test_socket_back_to_back () =
+  with_daemon "b2b" (fun _ socket ->
+      let n = 200 in
+      let reqs =
+        Array.init n (fun i ->
+            if i mod 40 = 20 then sim_req ()
+            else sim_req ~workload:(Printf.sprintf "NO_SUCH_%d" i) ())
+      in
+      let expect i m =
+        match m with
+        | Proto.Outcome s when i mod 40 = 20 ->
+            Alcotest.(check string) "sim reply" "FDTD" s.Proto.o_workload;
+            Alcotest.(check bool) "sim verified" true s.Proto.o_verified
+        | Proto.Rejected (Proto.Unknown_workload w) when i mod 40 <> 20 ->
+            Alcotest.(check string) "own rejection"
+              (Printf.sprintf "NO_SUCH_%d" i) w
+        | m ->
+            Alcotest.failf "request %d: %s" i
+              (Format.asprintf "%a" Proto.pp_server m)
+      in
+      let t0 = Unix.gettimeofday () in
+      SClient.with_connection socket (fun fd ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          let rec go i =
+            if i < n then begin
+              let k = if i mod 7 = 3 then min 3 (n - i) else 1 in
+              for j = i to i + k - 1 do
+                Proto.send_client fd (Proto.Run reqs.(j))
+              done;
+              for j = i to i + k - 1 do
+                expect j (Proto.recv_server fd)
+              done;
+              go (i + k)
+            end
+          in
+          go 0);
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt > 10. then Alcotest.failf "200 round trips took %.1f s" dt)
+
 let suite =
   [
     Alcotest.test_case "wire primitives round-trip" `Quick test_wire_prims;
@@ -838,4 +936,8 @@ let suite =
       test_socket_two_clients;
     Alcotest.test_case "make defaults match Crossinv.Request.make" `Quick
       test_make_defaults_match_core;
+    Alcotest.test_case "no fd leaks across 100 socket connections" `Slow
+      test_socket_fd_hygiene;
+    Alcotest.test_case "back-to-back socket replies arrive in order" `Slow
+      test_socket_back_to_back;
   ]

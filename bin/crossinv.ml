@@ -270,10 +270,7 @@ let run_cmd =
     if threads < 1 then
       usage_error "--threads/--domains must be >= 1 (got %d)" threads;
     let backend_name = match backend with `Sim -> "sim" | `Native -> "native" in
-    (* The applicability probe reads the cache but never warms it, so the
-       run's own hit/miss line reflects what was on disk beforehand. *)
-    let probe_cache = match cache with `Off -> `Off | `Ro | `Rw -> `Ro in
-    match Cx.applicable ~backend ~cache:probe_cache ?cache_dir technique wl with
+    match Cx.applicable ~backend technique wl with
     | Error reason ->
         Printf.eprintf "%s is inapplicable to %s on the %s backend: %s\n"
           (Cx.technique_name technique)
@@ -346,9 +343,12 @@ let run_cmd =
         (match cache with
         | `Off ->
             Printf.printf "  analysis         %.3f ms\n" (o.Cx.analysis_ns /. 1e6)
+        | `Ro | `Rw when o.Cx.cache_hits = 0 && o.Cx.cache_misses = 0 ->
+            Printf.printf "  analysis         %.3f ms (no cached analysis)\n"
+              (o.Cx.analysis_ns /. 1e6)
         | `Ro | `Rw ->
             let status =
-              if o.Cx.cache_hits > 0 && o.Cx.cache_misses = 0 then "cache hit"
+              if o.Cx.cache_misses = 0 then "cache hit"
               else if o.Cx.cache_hits = 0 then "cache miss"
               else "cache partial"
             in
@@ -944,8 +944,8 @@ let cache_cmd =
       in
       List.iter
         (fun (e : Store.entry_info) ->
-          (* Components stored per entry: D = DOMORE plan (or negative
-             verdict), P = SPECCROSS profile, T = tuned policy. *)
+          (* Components stored per entry: P = SPECCROSS profile,
+             T = tuned policy. *)
           let components =
             match open_in_bin (Filename.concat dir (e.Store.e_fp ^ ".xc")) with
             | exception Sys_error _ -> "?"
@@ -960,10 +960,6 @@ let cache_cmd =
                 | Ok a ->
                     String.concat ""
                       [
-                        (match a.Xinv_cache.Artifact.domore with
-                        | Some (Ok _) -> "D"
-                        | Some (Error _) -> "d"
-                        | None -> "-");
                         (match a.Xinv_cache.Artifact.profile with
                         | Some _ -> "P"
                         | None -> "-");
@@ -988,9 +984,8 @@ let cache_cmd =
       (Cmd.info "ls"
          ~doc:
            "List entries sorted by modification time (oldest first) with \
-            human-readable size, timestamp and stored components — D = \
-            DOMORE plan, d = cached inapplicability, P = SPECCROSS profile, \
-            T = tuned policy — plus a totals footer.")
+            human-readable size, timestamp and stored components — P = \
+            SPECCROSS profile, T = tuned policy — plus a totals footer.")
       Term.(const run $ cache_dir_arg)
   in
   let clear_c =

@@ -67,123 +67,7 @@ let merge_save t fp names update =
     Store.save t.store fp (update base)
   end
 
-(* Statement ids are process-local; artifacts reference statements by
-   canonical position in the {!Ir.Pdg.stmt_table} order.  [to_graph] numbers
-   dense nodes in that same order, so SCC output needs no remapping. *)
-
-let positions_of_plan (plan : Ir.Mtcg.plan) =
-  let pos = Hashtbl.create 32 in
-  List.iteri
-    (fun i ((s : Ir.Stmt.t), _) -> Hashtbl.replace pos s.Ir.Stmt.sid i)
-    plan.Ir.Mtcg.pdg.Ir.Pdg.stmts;
-  Hashtbl.find pos
-
-let domore_of_verdict = function
-  | Ir.Mtcg.Inapplicable reason -> (Error reason, None, None)
-  | Ir.Mtcg.Plan plan ->
-      let pos_of = positions_of_plan plan in
-      let edges =
-        List.map
-          (fun (e : Ir.Pdg.edge) ->
-            ( pos_of e.Ir.Pdg.src,
-              pos_of e.Ir.Pdg.dst,
-              e.Ir.Pdg.kind,
-              e.Ir.Pdg.carried_outer ))
-          plan.Ir.Mtcg.pdg.Ir.Pdg.edges
-      in
-      let scc =
-        let g, _sids = Ir.Pdg.to_graph plan.Ir.Mtcg.pdg in
-        Ir.Scc.topological g
-      in
-      let d =
-        {
-          Artifact.d_assign =
-            List.map
-              (fun (sid, side) -> (pos_of sid, side))
-              plan.Ir.Mtcg.partition.Ir.Partition.assign;
-          d_moved = List.map pos_of plan.Ir.Mtcg.partition.Ir.Partition.moved;
-          d_guard_ratio = plan.Ir.Mtcg.guard_ratio;
-          d_slice = plan.Ir.Mtcg.slice;
-          d_slices = List.map snd plan.Ir.Mtcg.slices;
-        }
-      in
-      (Ok d, Some edges, Some scc)
-
-(* Rebuild a full [Mtcg.plan] for the live program from the stored bundle.
-   Any inconsistency (position out of range, inner-loop count drift) raises
-   and is treated as a miss by the caller. *)
-let replay_plan (p : Ir.Program.t) (a : Artifact.t) =
-  match a.Artifact.domore with
-  | None -> None
-  | Some (Error reason) -> Some (Ir.Mtcg.Inapplicable reason)
-  | Some (Ok d) ->
-      let table = Array.of_list (Ir.Pdg.stmt_table p) in
-      let sid_of pos = (fst table.(pos)).Ir.Stmt.sid in
-      let edges =
-        match a.Artifact.pdg_edges with
-        | None -> raise Not_found
-        | Some es ->
-            List.map
-              (fun (src, dst, kind, carried_outer) ->
-                { Ir.Pdg.src = sid_of src; dst = sid_of dst; kind; carried_outer })
-              es
-      in
-      let pdg = { Ir.Pdg.stmts = Array.to_list table; edges } in
-      let partition =
-        {
-          Ir.Partition.assign =
-            List.map (fun (pos, side) -> (sid_of pos, side)) d.Artifact.d_assign;
-          moved = List.map sid_of d.Artifact.d_moved;
-        }
-      in
-      let scheduler_extra =
-        List.filter
-          (fun (s : Ir.Stmt.t) ->
-            List.mem s.Ir.Stmt.sid partition.Ir.Partition.moved)
-          (Ir.Program.body_stmts p)
-      in
-      let slices =
-        List.map2
-          (fun (il : Ir.Program.inner) sl -> (il.Ir.Program.ilabel, sl))
-          p.Ir.Program.inners d.Artifact.d_slices
-      in
-      Some
-        (Ir.Mtcg.Plan
-           {
-             Ir.Mtcg.program = p;
-             partition;
-             pdg;
-             slice = d.Artifact.d_slice;
-             slices;
-             scheduler_extra;
-             guard_ratio = d.Artifact.d_guard_ratio;
-           })
-
-let fresh_plan t fp names why p env =
-  miss t fp why;
-  let verdict = Ir.Mtcg.generate p env in
-  let domore, pdg_edges, scc_order = domore_of_verdict verdict in
-  merge_save t fp names (fun a ->
-      {
-        a with
-        Artifact.domore = Some domore;
-        pdg_edges =
-          (if pdg_edges = None then a.Artifact.pdg_edges else pdg_edges);
-        scc_order =
-          (if scc_order = None then a.Artifact.scc_order else scc_order);
-      });
-  verdict
-
-let plan t p env =
-  let fp, names = Fingerprint.keyed p env in
-  match lookup t fp names with
-  | Ok a -> (
-      match (try replay_plan p a with _ -> None) with
-      | Some v ->
-          hit t fp;
-          v
-      | None -> fresh_plan t fp names "partial" p env)
-  | Error why -> fresh_plan t fp names why p env
+let plan _ p env = Ir.Mtcg.generate p env
 
 let bump_policy_counter t name =
   Obs.Metrics.incr (Obs.Metrics.counter (Store.metrics t.store) name)

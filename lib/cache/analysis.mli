@@ -1,20 +1,19 @@
-(** Cached front door to the analysis pipeline.
+(** Cached front door to the analysis pipeline's one expensive step.
 
-    {!plan} and {!profile} are drop-in replacements for
-    [Xinv_ir.Mtcg.generate] and [Xinv_speccross.Profiler.profile]: same
-    signatures (modulo the handle), same results — proven bit-identical by
-    the differential suite in [test/test_cache.ml] — but on a cache hit the
-    expensive work (PDG construction, partitioning, slicing, or the full
-    sequential profiling run) is skipped entirely and the result is
-    reconstructed from the stored artifact.
+    {!profile} is a drop-in replacement for
+    [Xinv_speccross.Profiler.profile]: same result — proven bit-identical
+    by the differential suite in [test/test_cache.ml] — but on a cache hit
+    the full sequential profiling run is skipped and the profile is read
+    from the stored artifact.  {!cached_policy}/{!store_policy} keep the
+    autotuned execution policy next to it.  The DOMORE MTCG partition is
+    not cached: deriving it fresh takes microseconds, less than keying the
+    lookup.
 
     Hit discipline: a stored artifact is replayed only when the fingerprint
-    matches, the name vector matches (alias defense), the artifact holds the
-    component being asked for, and reconstruction against the live program
-    succeeds; anything else — including a corrupt or wrong-version entry —
-    degrades to fresh analysis.  In [`Rw] mode fresh results are merged into
-    the entry (a fingerprint accumulates its DOMORE plan and its SPECCROSS
-    profile independently) and published atomically. *)
+    matches, the name vector matches (alias defense) and the artifact holds
+    the component being asked for; anything else — including a corrupt or
+    wrong-version entry — degrades to fresh analysis.  In [`Rw] mode fresh
+    results are merged into the entry and published atomically. *)
 
 type mode = [ `Ro | `Rw ]
 
@@ -29,23 +28,24 @@ val store : t -> Store.t
 val mode : t -> mode
 
 val hits : t -> int
-(** Usable hits served (plan + profile). *)
+(** Usable profile hits served. *)
 
 val misses : t -> int
 
 val plan : t -> Xinv_ir.Program.t -> Xinv_ir.Env.t -> Xinv_ir.Mtcg.verdict
-(** Cached [Mtcg.generate].  Caches negative verdicts too: a workload DOMORE
-    rejects is rejected from the cache with the same reason, without
-    rebuilding the PDG. *)
+(** [Mtcg.generate], uncached: the handle is ignored and nothing is
+    counted.  Its only caller is the [cache.plan_replay] span of
+    [bench/xbench]'s traced replay; lib, bin and test code call
+    [Mtcg.generate] directly.  A benchmark change deletes it. *)
 
 val cached_policy :
   t -> Xinv_ir.Program.t -> Xinv_ir.Env.t -> Policy.tuned option
 (** The tuned execution policy stored for this workload's fingerprint, if
-    any.  Same hit discipline as {!plan}/{!profile} (fingerprint + name
+    any.  Same hit discipline as {!profile} (fingerprint + name
     vector must match, decode must succeed) but accounted under the
     [policy.cache.hit]/[policy.cache.miss] counters instead of
     [cache.hit]/[cache.miss]: a missing policy must not make a run that
-    replayed its whole analysis look like a partial cache hit. *)
+    replayed its profile look like a partial cache hit. *)
 
 val store_policy :
   t -> Xinv_ir.Program.t -> Xinv_ir.Env.t -> Policy.tuned -> unit

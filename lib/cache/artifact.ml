@@ -1,34 +1,16 @@
-type domore = {
-  d_assign : (int * Xinv_ir.Partition.side) list;
-  d_moved : int list;
-  d_guard_ratio : float;
-  d_slice : Xinv_ir.Slice.t;
-  d_slices : Xinv_ir.Slice.t list;
-}
-
 type t = {
   names : string list;
-  pdg_edges : (int * int * Xinv_ir.Pdg.kind * bool) list option;
-  scc_order : int list list option;
-  domore : (domore, string) result option;
   profile : Xinv_speccross.Profiler.t option;
   policy : Policy.tuned option;
 }
 
-let empty ~names =
-  {
-    names;
-    pdg_edges = None;
-    scc_order = None;
-    domore = None;
-    profile = None;
-    policy = None;
-  }
+let empty ~names = { names; profile = None; policy = None }
 
 let magic = "xinvcache\n"
 
-(* v2: the bundle gained the tuned execution policy. *)
-let schema_version = 2
+(* v2: the bundle gained the tuned execution policy.
+   v3: the DOMORE plan, PDG edges and SCC order left the bundle. *)
+let schema_version = 3
 
 (* The payload is a Marshal image of the closure-free record above.  Marshal
    output is only guaranteed readable by a compatible runtime, which is

@@ -1,13 +1,10 @@
-(** Versioned binary serialization of one workload's analysis bundle.
+(** Versioned binary serialization of one workload's cached analysis.
 
-    The payload is everything the compile-time/profiling pipeline produces
-    for a fingerprinted workload: the PDG edge set, the SCC order of its
-    condensation, the DOMORE partition + [computeAddr] slices + performance
-    guard ratio (or the inapplicability verdict — negative results are worth
-    caching too), and the SPECCROSS dependence-distance profile.  Statements
-    are referenced by {e canonical position} ({!Xinv_ir.Pdg.stmt_table}
-    order), never by the process-local [Stmt.sid], so an artifact written by
-    one process reconstructs correctly in another.
+    The payload holds only what is worth keeping across invocations: the
+    SPECCROSS dependence-distance profile (a full profiling run on the
+    train input) and the autotuned execution policy.  The DOMORE MTCG
+    partition is a static pass that costs less to recompute than to look
+    up, so it is never stored.
 
     Wire format: magic string, schema version, payload length, MD5 payload
     checksum, payload.  {!decode} validates magic, version, length and
@@ -15,28 +12,12 @@
     wrong-version and zero-length files are rejected with a reason instead of
     crashing (or worse, deserializing garbage). *)
 
-type domore = {
-  d_assign : (int * Xinv_ir.Partition.side) list;
-      (** canonical position -> partition side *)
-  d_moved : int list;  (** canonical positions forced into the scheduler *)
-  d_guard_ratio : float;
-  d_slice : Xinv_ir.Slice.t;  (** region-wide [computeAddr] slice *)
-  d_slices : Xinv_ir.Slice.t list;  (** per inner loop, in program order *)
-}
-
 type t = {
   names : string list;
       (** {!Fingerprint.name_vector} of the workload that produced this
           bundle; a loaded artifact whose vector differs from the current
           workload's is an alias (same structure, different names) and must
           not be replayed *)
-  pdg_edges : (int * int * Xinv_ir.Pdg.kind * bool) list option;
-      (** (src position, dst position, kind, outer-carried); [None] when the
-          PDG was not computed for this fingerprint yet *)
-  scc_order : int list list option;
-      (** condensation SCCs (canonical positions), topological order *)
-  domore : (domore, string) result option;
-      (** [Some (Error reason)] caches DOMORE inapplicability *)
   profile : Xinv_speccross.Profiler.t option;
       (** SPECCROSS dependence-distance profile of this exact input *)
   policy : Policy.tuned option;
@@ -50,7 +31,8 @@ val empty : names:string list -> t
 val schema_version : int
 (** Bump on any change to the payload type, the fingerprint traversal, or
     the meaning of either — old entries then miss on the version check and
-    are re-analyzed, never misinterpreted. *)
+    are re-analyzed (and overwritten by the next [`Rw] save), never
+    misinterpreted. *)
 
 val encode : t -> string
 

@@ -109,6 +109,10 @@ let load t fp =
   | Some raw -> (
       match Artifact.decode raw with
       | Ok a -> Ok a
+      | Error "version" as stale ->
+          (* Written by an older schema: intact, merely outdated.  A miss
+             that the next [save] overwrites in place, not corruption. *)
+          stale
       | Error reason ->
           quarantine t path;
           Error reason)

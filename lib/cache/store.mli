@@ -9,9 +9,11 @@
       other domains) only ever observe absent or complete entries — never a
       torn write;
     - {e corrupt-entry quarantine}: an entry that fails {!Artifact.decode}
-      (truncated, bit-flipped, wrong version, zero-length) is moved aside to
+      (truncated, bit-flipped, zero-length) is moved aside to
       [<entry>.quarantined] and reported as invalid — the caller falls back
-      to fresh analysis; the store never raises on bad data;
+      to fresh analysis; the store never raises on bad data.  An intact
+      entry from another schema version is a plain miss: it stays in place
+      (and under the size cap) until the next {!save} replaces it;
     - {e LRU size cap}: after each write, oldest-first eviction keeps the
       directory under [max_bytes];
     - {e best-effort IO}: filesystem errors (read-only dir, ENOSPC, races
@@ -37,8 +39,9 @@ val dir : t -> string
 
 val load : t -> Fingerprint.t -> (Artifact.t, string) result
 (** [Error reason] on anything but a complete, valid entry: ["absent"], or
-    an {!Artifact.decode} reason (the entry is then quarantined).  Performs
-    no hit/miss accounting — {!Analysis} decides usability. *)
+    an {!Artifact.decode} reason (the entry is then quarantined, except on
+    ["version"]).  Performs no hit/miss accounting — {!Analysis} decides
+    usability. *)
 
 val save : t -> Fingerprint.t -> Artifact.t -> unit
 (** Atomic tmp+rename publication, then LRU enforcement.  Best-effort:
@@ -58,7 +61,7 @@ val evictions : t -> int
 
 val invalidated : t -> int
 (** The [cache.quarantine] counter: entries quarantined after failing
-    {!Artifact.decode}. *)
+    {!Artifact.decode} for any reason but ["version"]. *)
 
 val stores : t -> int
 (** The [cache.store] counter. *)

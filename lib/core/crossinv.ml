@@ -119,7 +119,8 @@ type outcome = {
    Every compile-time/profiling step of a run — [Mtcg.generate] and
    [Profiler.profile] — goes through this context, which (a) accumulates the
    wall time spent in analysis regardless of caching, and (b) consults the
-   incremental analysis cache when one is attached. *)
+   incremental analysis cache for the profile when one is attached.  The
+   MTCG plan is always derived fresh: it is cheaper than a cache lookup. *)
 
 type analysis_ctx = {
   a_cache : Cache.Analysis.t option;
@@ -142,10 +143,7 @@ let timed actx f =
   r
 
 let mtcg_verdict actx program env =
-  timed actx (fun () ->
-      match actx.a_cache with
-      | None -> Ir.Mtcg.generate program env
-      | Some c -> Cache.Analysis.plan c program env)
+  timed actx (fun () -> Ir.Mtcg.generate program env)
 
 let profiler_profile actx program env =
   timed actx (fun () ->
@@ -179,17 +177,14 @@ let supported ~backend =
   | `Sim -> all
   | `Native -> List.filter native_supported all
 
-let applicable ?(backend = `Sim) ?(cache = `Off) ?cache_dir technique
-    (wl : Wl.Workload.t) =
+let applicable ?(backend = `Sim) technique (wl : Wl.Workload.t) =
   let shared () =
     match technique with
     | Sequential | Barrier | Doacross | Dswp -> Ok ()
-    | Inspector | Tls | Domore | Domore_dup -> (
-        let actx = analysis_ctx cache cache_dir in
-        let env = wl.Wl.Workload.fresh_env Wl.Workload.Ref in
-        match mtcg_verdict actx (wl.Wl.Workload.program Wl.Workload.Ref) env with
-        | Ir.Mtcg.Plan _ -> Ok ()
-        | Ir.Mtcg.Inapplicable reason -> Error reason)
+    | Inspector | Tls | Domore | Domore_dup ->
+        Par.Plan.domore_applicable
+          (wl.Wl.Workload.program Wl.Workload.Ref)
+          (wl.Wl.Workload.fresh_env Wl.Workload.Ref)
     | Speccross | Speccross_inject _ ->
         if
           List.exists

@@ -116,8 +116,10 @@ type outcome = {
   analysis_ns : float;
       (** wall time spent in compile-time analysis and profiling
           ([Mtcg.generate], [Profiler.profile]) — cached or fresh *)
-  cache_hits : int;  (** analysis-cache hits served during this run *)
-  cache_misses : int;  (** analysis-cache misses (0/0 when the cache is off) *)
+  cache_hits : int;  (** profile-cache hits served during this run *)
+  cache_misses : int;
+      (** profile-cache misses (0/0 when the cache is off or the run
+          profiles nothing) *)
   flight : Xinv_obs.Flight.t option;
       (** the last attempt's flight recording (native backend with
           [flight] or [postmortem_dir] set; [None] otherwise) *)
@@ -142,16 +144,14 @@ val report : ?obs:Xinv_obs.Recorder.t -> outcome -> Xinv_obs.Report.t option
 
 val applicable :
   ?backend:[ `Sim | `Native ] ->
-  ?cache:[ `Off | `Ro | `Rw ] ->
-  ?cache_dir:string ->
   technique ->
   Xinv_workloads.Workload.t ->
   (unit, string) result
 (** Compile-time applicability of the technique to the workload on the
     given backend (default [`Sim]).  Native inapplicability (Doacross,
     DSWP, Inspector, TLS have no native engines) is an [Error], not an
-    exception.  [cache]/[cache_dir] as in {!run_request}: the DOMORE applicability
-    check is itself a full [Mtcg.generate] and benefits the same way. *)
+    exception.  The DOMORE-family check is a fresh [Mtcg.generate] on the
+    ref input ({!Xinv_parallel.Plan.domore_applicable}). *)
 
 val supported : backend:[ `Sim | `Native ] -> technique list
 (** Techniques with an engine on the backend. *)
@@ -262,10 +262,12 @@ val run_request : Request.t -> outcome
 
     With [cache] (default [`Off]), the run consults the incremental
     analysis cache in [cache_dir] (default [~/.cache/xinv]): on a
-    fingerprint hit the DOMORE plan and the SPECCROSS profile are
-    reconstructed from disk instead of re-derived — identical results,
-    near-zero [analysis_ns].  [`Ro] never writes; [`Rw] publishes fresh
-    results atomically.
+    fingerprint hit the SPECCROSS profile is read from disk instead of
+    re-measured by a profiling run — identical results, near-zero
+    profiling time in [analysis_ns].  The DOMORE plan is always derived
+    fresh (it costs less than the lookup), so a DOMORE, Inspector or TLS
+    run counts no hit and no miss.  [`Ro] never writes; [`Rw] publishes
+    fresh results atomically.
 
     With [obs], the run is instrumented: the simulated backend streams
     typed events and metrics into the recorder; the native backend bumps
@@ -344,7 +346,8 @@ val resolve : Request.t -> Xinv_ir.Env.t -> Engine.t
     the request's input, which the engine then runs on).  The machine in
     the configs is the request's simulated machine (the default one for a
     native request); native runs derive their engine configs from these
-    records.  Consults the analysis cache per the request's [cache].
+    records.  Consults the analysis cache for the SPECCROSS profile per
+    the request's [cache].
     @raise Failure when the MTCG transformation is inapplicable. *)
 
 val simulate : ?trace:bool -> Request.t -> Xinv_parallel.Run.t option

@@ -28,13 +28,6 @@ type t = {
 
 val build : Program.t -> t
 
-val stmt_table : Program.t -> (Stmt.t * loc) list
-(** The statement/location listing {!build} starts from, in the canonical
-    program order (per inner loop: pre, then body).  A statement's index in
-    this list is its {e canonical position} — the process-independent
-    identifier cached analysis artifacts use in place of the process-local
-    [sid]. *)
-
 val conflict : Stmt.t -> Stmt.t -> bool
 (** May one statement's writes overlap the other's accesses (including
     index-array reads)?  Symmetric in neither argument: tests writes of the

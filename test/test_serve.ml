@@ -484,7 +484,7 @@ let pick_technique ~backend wl =
   in
   List.find
     (fun t ->
-      match Cx.applicable ~backend ~cache:`Off t wl with
+      match Cx.applicable ~backend t wl with
       | Ok () -> true
       | Error _ -> false)
     candidates
@@ -636,7 +636,7 @@ let test_tune_then_auto () =
           (* a repeated request is served from the daemon's warm cache *)
           let dreq =
             SReq.make ~cache:`Rw ~input:Wl.Workload.Train ~backend:`Native
-              ~technique:"domore" ~threads:2 (`Name "SYMM")
+              ~technique:"speccross" ~threads:2 (`Name "SYMM")
           in
           ignore (Server.await (Server.submit srv dreq));
           match Server.await (Server.submit srv dreq) with

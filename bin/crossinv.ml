@@ -143,10 +143,12 @@ let grain_arg =
     & opt (some int) None
     & info [ "grain" ] ~docv:"N"
         ~doc:
-          "Native chunk size: iterations dispatched/distributed as one block \
-           (barrier block-cyclic blocks, DOMORE chunk frames, SPECCROSS \
-           speculative blocks).  Default 1 reproduces the per-iteration \
-           protocols exactly.")
+          (Printf.sprintf
+             "Native chunk size: iterations dispatched/distributed as one \
+              block (barrier block-cyclic blocks, DOMORE chunk frames, \
+              SPECCROSS speculative blocks).  Default %d reproduces the \
+              per-iteration protocols exactly."
+             Cx.native_defaults.Cx.grain))
 
 let batch_arg =
   Arg.(
@@ -154,9 +156,11 @@ let batch_arg =
     & opt (some int) None
     & info [ "batch" ] ~docv:"N"
         ~doc:
-          "Native write-combining factor: queue words per atomic publish in \
-           the DOMORE scheduler (default 32); 1 publishes per word like the \
-           unbatched protocol.")
+          (Printf.sprintf
+             "Native write-combining factor: queue words per atomic publish \
+              in the DOMORE scheduler (default %d); 1 publishes per word like \
+              the unbatched protocol."
+             Cx.native_defaults.Cx.batch))
 
 let cache_mode_arg =
   Arg.(
@@ -219,6 +223,28 @@ let usage_error fmt =
       exit 3)
     fmt
 
+(* The numeric checks [run] and [submit] share; returns the thread count,
+   defaulting to the 24 simulated cores of the paper's machine or 4
+   domains. *)
+let check_run_args ~backend ~grain ~batch ~deadline_ms threads =
+  (match grain with
+  | Some g when g < 1 -> usage_error "--grain must be >= 1 (got %d)" g
+  | _ -> ());
+  (match batch with
+  | Some b when b < 1 -> usage_error "--batch must be >= 1 (got %d)" b
+  | _ -> ());
+  (match deadline_ms with
+  | Some ms when ms <= 0. -> usage_error "--deadline-ms must be > 0 (got %g)" ms
+  | _ -> ());
+  let threads =
+    match threads with
+    | Some n -> n
+    | None -> ( match backend with `Sim -> 24 | `Native -> 4)
+  in
+  if threads < 1 then
+    usage_error "--threads/--domains must be >= 1 (got %d)" threads;
+  threads
+
 let run_cmd =
   let run wl technique threads input backend domains verbose stats inject
       deadline_ms no_degrade grain batch cache cache_dir flight postmortem_dir
@@ -249,26 +275,13 @@ let run_cmd =
          --backend native)";
       exit 1
     end;
-    (match grain with
-    | Some g when g < 1 -> usage_error "--grain must be >= 1 (got %d)" g
-    | _ -> ());
-    (match batch with
-    | Some b when b < 1 -> usage_error "--batch must be >= 1 (got %d)" b
-    | _ -> ());
     (match domains with
     | Some d when d < 1 -> usage_error "--domains must be >= 1 (got %d)" d
     | _ -> ());
-    (match deadline_ms with
-    | Some ms when ms <= 0. ->
-        usage_error "--deadline-ms must be > 0 (got %g)" ms
-    | _ -> ());
     let threads =
-      match (domains, threads) with
-      | Some n, _ | None, Some n -> n
-      | None, None -> ( match backend with `Sim -> 24 | `Native -> 4)
+      check_run_args ~backend ~grain ~batch ~deadline_ms
+        (if Option.is_some domains then domains else threads)
     in
-    if threads < 1 then
-      usage_error "--threads/--domains must be >= 1 (got %d)" threads;
     let backend_name = match backend with `Sim -> "sim" | `Native -> "native" in
     match Cx.applicable ~backend technique wl with
     | Error reason ->
@@ -1157,23 +1170,7 @@ let submit_cmd =
   in
   let run socket wl technique threads input backend policy grain batch sig_kind
       spec_distance cache inject deadline_ms priority tenant no_verify =
-    (match grain with
-    | Some g when g < 1 -> usage_error "--grain must be >= 1 (got %d)" g
-    | _ -> ());
-    (match batch with
-    | Some b when b < 1 -> usage_error "--batch must be >= 1 (got %d)" b
-    | _ -> ());
-    (match deadline_ms with
-    | Some ms when ms <= 0. ->
-        usage_error "--deadline-ms must be > 0 (got %g)" ms
-    | _ -> ());
-    let threads =
-      match threads with
-      | Some n -> n
-      | None -> ( match backend with `Sim -> 24 | `Native -> 4)
-    in
-    if threads < 1 then
-      usage_error "--threads/--domains must be >= 1 (got %d)" threads;
+    let threads = check_run_args ~backend ~grain ~batch ~deadline_ms threads in
     let req =
       SReq.make ~input ~backend
         ~technique:(Cx.technique_name technique)

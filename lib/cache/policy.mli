@@ -11,6 +11,11 @@
     spent, search seed) inside the analysis-cache artifact keyed by the
     workload's {!Fingerprint} — so a tuned workload never re-searches.
 
+    The same record is also the wire form of a run's axes: a serve-daemon
+    request ([Xinv_serve.Request.t]) carries one, and the daemon resolves
+    it through [Crossinv.Request.apply_policy] like a tuned policy.
+    {!default} is the one place the axis defaults are written.
+
     This module is deliberately dependency-free (strings and ints only):
     the technique is stored by name and the signature scheme as a selector,
     so the cache layer never depends on the engine layers above it. *)
@@ -44,7 +49,9 @@ type tuned = {
 
 val default : t
 (** Native sequential on one domain with default knobs — the incumbent
-    every search starts from. *)
+    every search starts from, and the source of every axis default
+    ([Crossinv.native_defaults], [Crossinv.Request.make] and
+    [Xinv_serve.Request.make] read it). *)
 
 val backend_name : backend -> string
 

@@ -68,7 +68,6 @@ type native_opts = {
   grain : int;
   batch : int;
   flight : bool;
-  flight_capacity : int;
   postmortem_dir : string option;
   on_flight : (Xinv_obs.Flight.t -> unit) option;
   on_watchdog : (Nat.Watchdog.t -> unit) option;
@@ -82,10 +81,9 @@ let native_defaults =
     deadline_ms = None;
     wait_timeout_ms = None;
     degrade = true;
-    grain = 1;
-    batch = 32;
+    grain = Cache.Policy.default.grain;
+    batch = Cache.Policy.default.batch;
     flight = false;
-    flight_capacity = Xinv_obs.Flight.default_capacity;
     postmortem_dir = None;
     on_flight = None;
     on_watchdog = None;
@@ -308,14 +306,15 @@ module Request = struct
     cache_dir : string option;
     obs : Xinv_obs.Recorder.t option;
     policy : policy;
-    sig_kind : [ `Range | `Segmented | `Bloom | `Exact ] option;
+    sig_kind : Cache.Policy.sig_kind;
     spec_distance : int option;
   }
 
   let make ?(backend = `Sim None) ?(input = Wl.Workload.Ref)
-      ?(checkpoint_every = 1000) ?(verify = true) ?(cache = `Off) ?cache_dir
-      ?obs ?(policy = `Fixed) ?sig_kind ?spec_distance ~technique ~threads
-      workload =
+      ?(checkpoint_every = Cache.Policy.default.epoch_size) ?(verify = true)
+      ?(cache = `Off) ?cache_dir ?obs ?(policy = `Fixed)
+      ?(sig_kind = Cache.Policy.default.sig_kind) ?spec_distance ~technique
+      ~threads workload =
     {
       workload;
       technique;
@@ -347,7 +346,7 @@ module Request = struct
       technique = technique_of_policy p;
       threads = Stdlib.max 1 p.Cache.Policy.domains;
       checkpoint_every = p.Cache.Policy.epoch_size;
-      sig_kind = Some p.Cache.Policy.sig_kind;
+      sig_kind = p.Cache.Policy.sig_kind;
       spec_distance = p.Cache.Policy.spec_distance;
       policy = `Fixed;
     }
@@ -405,11 +404,11 @@ let spec_distance override (prof : Xinv_speccross.Profiler.t) ~workers =
 
 let reify_sig sel env =
   match sel with
-  | None | Some `Segmented ->
+  | `Segmented ->
       Xinv_runtime.Signature.Segmented (Ir.Memory.bounds env.Ir.Env.mem)
-  | Some `Range -> Xinv_runtime.Signature.Range
-  | Some `Bloom -> Xinv_runtime.Signature.Bloom { bits = 4096; hashes = 3 }
-  | Some `Exact -> Xinv_runtime.Signature.Exact
+  | `Range -> Xinv_runtime.Signature.Range
+  | `Bloom -> Xinv_runtime.Signature.Bloom { bits = 4096; hashes = 3 }
+  | `Exact -> Xinv_runtime.Signature.Exact
 
 let sim_machine (r : Request.t) =
   match r.Request.backend with
@@ -736,9 +735,7 @@ let run_native ~actx ~opts ~source (r : Request.t) =
         let fr =
           if not want_flight then None
           else
-            Some
-              (Xinv_obs.Flight.create ~capacity:opts.flight_capacity
-                 ~domains:flight_domains ())
+            Some (Xinv_obs.Flight.create ~domains:flight_domains ())
         in
         last_flight := fr;
         (match fr with
@@ -933,7 +930,7 @@ let run_request (r : Request.t) =
                 r with
                 Request.technique = Sequential;
                 threads = 1;
-                sig_kind = None;
+                sig_kind = Cache.Policy.default.sig_kind;
                 spec_distance = None;
                 policy = `Fixed;
               }

@@ -64,19 +64,18 @@ type native_opts = {
   grain : int;
       (** iterations dispatched/distributed as one chunk (barrier
           block-cyclic blocks, DOMORE chunk frames, SPECCROSS speculative
-          blocks).  Default 1: per-iteration protocols, bit-identical to
-          the simulator's dispatch. *)
+          blocks).  Default {!Xinv_cache.Policy.default}'s, one:
+          per-iteration protocols, bit-identical to the simulator's
+          dispatch. *)
   batch : int;
       (** native write-combining factor: words per {!Xinv_native.Spsc.Batch}
           publish in the DOMORE scheduler, owned iterations per
-          completion-cell publish in the duplicated variant.  Default 32;
-          1 publishes per word/iteration like the pre-batching protocol. *)
+          completion-cell publish in the duplicated variant.  Default
+          {!Xinv_cache.Policy.default}'s; 1 publishes per word/iteration
+          like the pre-batching protocol. *)
   flight : bool;
       (** attach a {!Xinv_obs.Flight} recorder to every attempt (default
           off).  Implied by [postmortem_dir]. *)
-  flight_capacity : int;
-      (** per-domain ring capacity (default
-          {!Xinv_obs.Flight.default_capacity}) *)
   postmortem_dir : string option;
       (** when set, every failed attempt (injected fault, watchdog stall or
           cancellation, worker exception — whether it degrades or escapes)
@@ -218,7 +217,7 @@ module Request : sig
     cache_dir : string option;
     obs : Xinv_obs.Recorder.t option;
     policy : policy;
-    sig_kind : [ `Range | `Segmented | `Bloom | `Exact ] option;
+    sig_kind : Xinv_cache.Policy.sig_kind;
     spec_distance : int option;
   }
 
@@ -238,8 +237,9 @@ module Request : sig
     Xinv_workloads.Workload.t ->
     t
   (** Smart constructor with the facade's defaults: simulated backend
-      (default machine), [Ref] input, checkpoint every 1000, verification
-      on, cache off, [`Fixed] policy. *)
+      (default machine), [Ref] input, verification on, cache off,
+      [`Fixed] policy; checkpoint interval and signature kind from
+      {!Xinv_cache.Policy.default}. *)
 
   val native_opts : t -> native_opts
   (** The request's native options, or {!native_defaults} on the sim

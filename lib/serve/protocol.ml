@@ -138,46 +138,24 @@ let tag_shutdown_ack = 70
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Wire.Error (Wire.Bad_payload s))) fmt
 
-let put_priority w = function
-  | `High -> Wire.put_u8 w 0
-  | `Normal -> Wire.put_u8 w 1
-
-let get_priority r =
-  match Wire.get_u8 r with
-  | 0 -> `High
-  | 1 -> `Normal
-  | n -> bad "priority %d" n
-
 let put_tune w t =
   Wire.put_string w t.t_workload;
-  Wire.put_u8 w
-    (match t.t_input with
-    | Xinv_workloads.Workload.Train -> 0
-    | Train_spec -> 1
-    | Ref -> 2
-    | Ref_spec -> 3);
+  Wire.put_enum w Request.input_tags t.t_input;
   Wire.put_u32 w t.t_budget;
   Wire.put_u32 w t.t_seed;
   Wire.put_opt w Wire.put_u32 t.t_max_domains;
   Wire.put_string w t.t_strategy;
-  put_priority w t.t_priority;
+  Wire.put_enum w Request.priority_tags t.t_priority;
   Wire.put_string w t.t_tenant
 
 let get_tune r =
   let t_workload = Wire.get_string r in
-  let t_input =
-    match Wire.get_u8 r with
-    | 0 -> Xinv_workloads.Workload.Train
-    | 1 -> Xinv_workloads.Workload.Train_spec
-    | 2 -> Xinv_workloads.Workload.Ref
-    | 3 -> Xinv_workloads.Workload.Ref_spec
-    | n -> bad "input %d" n
-  in
+  let t_input = Wire.get_enum r "input" Request.input_tags in
   let t_budget = Wire.get_u32 r in
   let t_seed = Wire.get_u32 r in
   let t_max_domains = Wire.get_opt r Wire.get_u32 in
   let t_strategy = Wire.get_string r in
-  let t_priority = get_priority r in
+  let t_priority = Wire.get_enum r "priority" Request.priority_tags in
   let t_tenant = Wire.get_string r in
   {
     t_workload;
@@ -436,19 +414,13 @@ let decode_server s =
 
 (* ---- stream transport ---- *)
 
-let send_client fd m =
-  let s = encode_client m in
-  let tag, payload = Wire.decode_frame s in
-  Wire.write_frame fd ~tag payload
+let send_client fd m = Wire.write_frame fd (encode_client m)
 
 let recv_client fd =
   let tag, payload = Wire.read_frame fd in
   decode_client_payload tag payload
 
-let send_server fd m =
-  let s = encode_server m in
-  let tag, payload = Wire.decode_frame s in
-  Wire.write_frame fd ~tag payload
+let send_server fd m = Wire.write_frame fd (encode_server m)
 
 let recv_server fd =
   let tag, payload = Wire.read_frame fd in

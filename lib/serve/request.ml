@@ -1,20 +1,14 @@
 module Cx = Xinv_core.Crossinv
 module Wl = Xinv_workloads
+module Policy = Xinv_cache.Policy
 
 type workload = [ `Name of string ]
 
 type t = {
   workload : workload;
   input : Wl.Workload.input;
-  backend : [ `Sim | `Native ];
-  technique : string;
-  threads : int;
+  axes : Policy.t;
   policy : [ `Fixed | `Auto ];
-  grain : int;
-  batch : int;
-  sig_kind : [ `Range | `Segmented | `Bloom | `Exact ] option;
-  spec_distance : int option;
-  checkpoint_every : int;
   verify : bool;
   cache : [ `Off | `Ro | `Rw ];
   fault : string option;
@@ -24,23 +18,27 @@ type t = {
 }
 
 let make ?(input = Wl.Workload.Ref) ?(backend = `Sim)
-    ?(technique = "sequential") ?(threads = 1) ?(policy = `Fixed)
-    ?(grain = Cx.native_defaults.Cx.grain) ?(batch = Cx.native_defaults.Cx.batch)
-    ?sig_kind ?spec_distance ?(checkpoint_every = 1000)
+    ?(technique = Policy.default.technique) ?(threads = Policy.default.domains)
+    ?(policy = `Fixed) ?(grain = Policy.default.grain)
+    ?(batch = Policy.default.batch) ?(sig_kind = Policy.default.sig_kind)
+    ?spec_distance ?(checkpoint_every = Policy.default.epoch_size)
     ?(verify = true) ?(cache = `Off) ?fault ?deadline_ms ?(priority = `Normal)
     ?(tenant = "default") workload =
   {
     workload;
     input;
-    backend;
-    technique;
-    threads;
+    axes =
+      {
+        Policy.backend;
+        technique;
+        domains = threads;
+        grain;
+        batch;
+        sig_kind;
+        spec_distance;
+        epoch_size = checkpoint_every;
+      };
     policy;
-    grain;
-    batch;
-    sig_kind;
-    spec_distance;
-    checkpoint_every;
     verify;
     cache;
     fault;
@@ -51,55 +49,36 @@ let make ?(input = Wl.Workload.Ref) ?(backend = `Sim)
 
 (* ---- codec ---- *)
 
-let input_tag = function
-  | Wl.Workload.Train -> 0
-  | Wl.Workload.Train_spec -> 1
-  | Wl.Workload.Ref -> 2
-  | Wl.Workload.Ref_spec -> 3
+let input_tags =
+  Wl.Workload.[ (Train, 0); (Train_spec, 1); (Ref, 2); (Ref_spec, 3) ]
 
-let input_of_tag = function
-  | 0 -> Wl.Workload.Train
-  | 1 -> Wl.Workload.Train_spec
-  | 2 -> Wl.Workload.Ref
-  | 3 -> Wl.Workload.Ref_spec
-  | n -> raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "input %d" n)))
+let priority_tags = [ (`High, 0); (`Normal, 1) ]
+let backend_tags = [ (`Sim, 0); (`Native, 1) ]
+let policy_tags = [ (`Fixed, 0); (`Auto, 1) ]
+let sig_tags = [ (`Range, 0); (`Segmented, 1); (`Bloom, 2); (`Exact, 3) ]
+let cache_tags = [ (`Off, 0); (`Ro, 1); (`Rw, 2) ]
 
-let sig_tag = function `Range -> 0 | `Segmented -> 1 | `Bloom -> 2 | `Exact -> 3
-
-let sig_of_tag = function
-  | 0 -> `Range
-  | 1 -> `Segmented
-  | 2 -> `Bloom
-  | 3 -> `Exact
-  | n -> raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "sig_kind %d" n)))
-
-let cache_tag = function `Off -> 0 | `Ro -> 1 | `Rw -> 2
-
-let cache_of_tag = function
-  | 0 -> `Off
-  | 1 -> `Ro
-  | 2 -> `Rw
-  | n -> raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "cache %d" n)))
-
+(* The xinv-serve/1 field order interleaves [policy] with the axes; a
+   frame any client has ever written must keep decoding. *)
 let put w t =
-  let (`Name n) = t.workload in
+  let (`Name n) = t.workload and a = t.axes in
   Wire.put_u8 w 0;
   Wire.put_string w n;
-  Wire.put_u8 w (input_tag t.input);
-  Wire.put_u8 w (match t.backend with `Sim -> 0 | `Native -> 1);
-  Wire.put_string w t.technique;
-  Wire.put_u32 w t.threads;
-  Wire.put_u8 w (match t.policy with `Fixed -> 0 | `Auto -> 1);
-  Wire.put_u32 w t.grain;
-  Wire.put_u32 w t.batch;
-  Wire.put_opt w (fun w k -> Wire.put_u8 w (sig_tag k)) t.sig_kind;
-  Wire.put_opt w Wire.put_u32 t.spec_distance;
-  Wire.put_u32 w t.checkpoint_every;
+  Wire.put_enum w input_tags t.input;
+  Wire.put_enum w backend_tags a.Policy.backend;
+  Wire.put_string w a.Policy.technique;
+  Wire.put_u32 w a.Policy.domains;
+  Wire.put_enum w policy_tags t.policy;
+  Wire.put_u32 w a.Policy.grain;
+  Wire.put_u32 w a.Policy.batch;
+  Wire.put_opt w (fun w -> Wire.put_enum w sig_tags) (Some a.Policy.sig_kind);
+  Wire.put_opt w Wire.put_u32 a.Policy.spec_distance;
+  Wire.put_u32 w a.Policy.epoch_size;
   Wire.put_bool w t.verify;
-  Wire.put_u8 w (cache_tag t.cache);
+  Wire.put_enum w cache_tags t.cache;
   Wire.put_opt w Wire.put_string t.fault;
   Wire.put_opt w Wire.put_f64 t.deadline_ms;
-  Wire.put_u8 w (match t.priority with `High -> 0 | `Normal -> 1);
+  Wire.put_enum w priority_tags t.priority;
   Wire.put_string w t.tenant
 
 let get r =
@@ -110,51 +89,41 @@ let get r =
         (* tag 1, a marshalled workload, is retired: rejected undecoded *)
         raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "workload %d" n)))
   in
-  let input = input_of_tag (Wire.get_u8 r) in
-  let backend =
-    match Wire.get_u8 r with
-    | 0 -> `Sim
-    | 1 -> `Native
-    | n ->
-        raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "backend %d" n)))
-  in
+  let input = Wire.get_enum r "input" input_tags in
+  let backend = Wire.get_enum r "backend" backend_tags in
   let technique = Wire.get_string r in
-  let threads = Wire.get_u32 r in
-  let policy =
-    match Wire.get_u8 r with
-    | 0 -> `Fixed
-    | 1 -> `Auto
-    | n -> raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "policy %d" n)))
-  in
+  let domains = Wire.get_u32 r in
+  let policy = Wire.get_enum r "policy" policy_tags in
   let grain = Wire.get_u32 r in
   let batch = Wire.get_u32 r in
-  let sig_kind = Wire.get_opt r (fun r -> sig_of_tag (Wire.get_u8 r)) in
+  let sig_kind =
+    (* an absent signature is the default one *)
+    Option.value ~default:Policy.default.sig_kind
+      (Wire.get_opt r (fun r -> Wire.get_enum r "sig_kind" sig_tags))
+  in
   let spec_distance = Wire.get_opt r Wire.get_u32 in
-  let checkpoint_every = Wire.get_u32 r in
+  let epoch_size = Wire.get_u32 r in
   let verify = Wire.get_bool r in
-  let cache = cache_of_tag (Wire.get_u8 r) in
+  let cache = Wire.get_enum r "cache" cache_tags in
   let fault = Wire.get_opt r Wire.get_string in
   let deadline_ms = Wire.get_opt r Wire.get_f64 in
-  let priority =
-    match Wire.get_u8 r with
-    | 0 -> `High
-    | 1 -> `Normal
-    | n ->
-        raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "priority %d" n)))
-  in
+  let priority = Wire.get_enum r "priority" priority_tags in
   let tenant = Wire.get_string r in
   {
     workload;
     input;
-    backend;
-    technique;
-    threads;
+    axes =
+      {
+        Policy.backend;
+        technique;
+        domains;
+        grain;
+        batch;
+        sig_kind;
+        spec_distance;
+        epoch_size;
+      };
     policy;
-    grain;
-    batch;
-    sig_kind;
-    spec_distance;
-    checkpoint_every;
     verify;
     cache;
     fault;
@@ -172,61 +141,43 @@ let min_cache a b = if cache_rank a <= cache_rank b then a else b
 type resolve_error =
   [ `Unknown_workload of string | `Bad_request of string ]
 
+let ( let* ) = Result.bind
+
 let to_crossinv ?obs ?pool ?cache_dir ?(cache_limit = `Rw) ?deadline_ms
     ?on_watchdog t =
-  if t.threads < 1 then
-    Error (`Bad_request (Printf.sprintf "bad thread count %d" t.threads))
-  else
-    let wl =
-      let (`Name n) = t.workload in
-      try Ok (Wl.Registry.find n)
-      with Invalid_argument _ -> Error (`Unknown_workload n)
-    in
-    let fault =
-      match t.fault with
-      | None -> Ok None
-      | Some s -> (
-          match Xinv_native.Fault.spec_of_string s with
-          | Ok sp -> Ok (Some sp)
-          | Error m -> Error (`Bad_request ("bad fault spec: " ^ m)))
-    in
-    match (wl, fault) with
-    | (Error _ as e), _ -> e
-    | _, (Error _ as e) -> e
-    | Ok wl, Ok fault -> (
-        match Cx.technique_of_string t.technique with
-        | None -> Error (`Bad_request ("unknown technique " ^ t.technique))
-        | Some technique ->
-            let backend =
-              match t.backend with
-              | `Sim -> `Sim None
-              | `Native ->
-                  `Native
-                    {
-                      Cx.native_defaults with
-                      pool;
-                      grain = t.grain;
-                      batch = t.batch;
-                      fault;
-                      deadline_ms;
-                      on_watchdog;
-                    }
-            in
-            Ok
-              (Cx.Request.make ~backend ~input:t.input
-                 ~checkpoint_every:t.checkpoint_every ~verify:t.verify
-                 ~cache:(min_cache t.cache cache_limit)
-                 ?cache_dir ?obs
-                 ~policy:(t.policy :> Cx.policy)
-                 ?sig_kind:t.sig_kind ?spec_distance:t.spec_distance
-                 ~technique ~threads:t.threads wl))
-
-let describe t =
-  let (`Name name) = t.workload in
-  Printf.sprintf "%s/%s %s x%d %s%s tenant=%s"
-    name
-    (Wl.Workload.input_name t.input)
-    t.technique t.threads
-    (match t.backend with `Sim -> "sim" | `Native -> "native")
-    (match t.priority with `High -> " high" | `Normal -> "")
-    t.tenant
+  let a = t.axes in
+  let* () =
+    if a.Policy.domains >= 1 then Ok ()
+    else
+      Error (`Bad_request (Printf.sprintf "bad thread count %d" a.Policy.domains))
+  in
+  let* wl =
+    let (`Name n) = t.workload in
+    try Ok (Wl.Registry.find n)
+    with Invalid_argument _ -> Error (`Unknown_workload n)
+  in
+  let* fault =
+    match t.fault with
+    | None -> Ok None
+    | Some s -> (
+        match Xinv_native.Fault.spec_of_string s with
+        | Ok sp -> Ok (Some sp)
+        | Error m -> Error (`Bad_request ("bad fault spec: " ^ m)))
+  in
+  let* technique =
+    Option.to_result
+      ~none:(`Bad_request ("unknown technique " ^ a.Policy.technique))
+      (Cx.technique_of_string a.Policy.technique)
+  in
+  (* The daemon's environment rides on a native backend; [apply_policy]
+     keeps it when the axes pick native and drops it for the simulator. *)
+  let env =
+    `Native { Cx.native_defaults with pool; fault; deadline_ms; on_watchdog }
+  in
+  let r =
+    Cx.Request.make ~backend:env ~input:t.input ~verify:t.verify
+      ~cache:(min_cache t.cache cache_limit)
+      ?cache_dir ?obs ~technique ~threads:a.Policy.domains wl
+    |> Cx.Request.apply_policy a
+  in
+  Ok { r with Cx.Request.policy = (t.policy :> Cx.policy) }

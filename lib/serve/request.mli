@@ -1,29 +1,30 @@
 (** A serializable run request — the unit of work submitted to the serve
-    daemon, and the wire twin of {!Xinv_core.Crossinv.Request.t}.
+    daemon.
 
-    Where the core record holds live values (a workload descriptor full of
-    closures, a recorder, a domain pool), this one holds only data that
-    survives a socket: the workload by registry name, the technique by
-    {!Xinv_core.Crossinv.technique_name} spelling, and scheduling fields
-    the in-process API has no use for (deadline, priority, tenant).
-    {!to_crossinv} resolves it against the live registry into a core
-    request; the daemon injects its own shared pool, cache directory and
-    cancellation hook at that point. *)
+    The record is five things: the workload by registry name, its input,
+    the run's execution axes as one {!Xinv_cache.Policy.t} (backend,
+    technique, threads, grain, batch, signature, speculative distance,
+    checkpoint interval — the same data-only record the autotuner searches
+    and the cache stores), the run flags (tuned-policy lookup,
+    verification, cache mode, fault injection), and the scheduling
+    envelope the in-process API has no use for (deadline, priority,
+    tenant).  Everything in it survives a socket.  {!to_crossinv} resolves
+    it against the live registry through
+    {!Xinv_core.Crossinv.Request.apply_policy} — the one mapping from a
+    policy to a core request — after the daemon's own pool, cache
+    directory and cancellation hook have been attached. *)
 
 type workload = [ `Name of string  (** registry lookup, case-insensitive *) ]
 
 type t = {
   workload : workload;
   input : Xinv_workloads.Workload.input;
-  backend : [ `Sim | `Native ];
-  technique : string;  (** {!Xinv_core.Crossinv.technique_name} spelling *)
-  threads : int;
+  axes : Xinv_cache.Policy.t;
+      (** the execution axes; [domains] is the thread count and [technique]
+          the {!Xinv_core.Crossinv.technique_name} spelling *)
   policy : [ `Fixed | `Auto ];
-  grain : int;
-  batch : int;
-  sig_kind : [ `Range | `Segmented | `Bloom | `Exact ] option;
-  spec_distance : int option;
-  checkpoint_every : int;
+      (** [`Auto] lets a tuned policy from the analysis cache override
+          [axes] *)
   verify : bool;
   cache : [ `Off | `Ro | `Rw ];
       (** intersected with the daemon's cache mode: a request can opt
@@ -57,17 +58,20 @@ val make :
   ?tenant:string ->
   workload ->
   t
-(** {!to_crossinv} of the result equals
-    {!Xinv_core.Crossinv.Request.make} with the same arguments (sim
-    backend, [Ref] input, checkpoint every 1000, verify on, cache off,
-    fixed policy; native grain and batch from
-    {!Xinv_core.Crossinv.native_defaults}), which the test suite checks
-    field by field.  Serve-side defaults: technique ["sequential"], 1
-    thread, no deadline, [`Normal] priority, tenant ["default"]. *)
+(** Labelled constructor.  Omitted axes come from
+    {!Xinv_cache.Policy.default}, except the backend, which defaults to
+    [`Sim] like {!Xinv_core.Crossinv.Request.make}.  Other defaults: [Ref]
+    input, [`Fixed] policy, verify on, cache off, no fault, no deadline,
+    [`Normal] priority, tenant ["default"]. *)
 
 val put : Wire.writer -> t -> unit
 val get : Wire.reader -> t
-(** Payload codec (raises {!Wire.Error} on malformed input). *)
+(** Payload codec (raises {!Wire.Error} on malformed input).  An absent
+    signature on the wire decodes as {!Xinv_cache.Policy.default}'s. *)
+
+val input_tags : (Xinv_workloads.Workload.input * int) list
+val priority_tags : ([ `High | `Normal ] * int) list
+(** Wire tag tables shared with the tune payload. *)
 
 type resolve_error =
   [ `Unknown_workload of string
@@ -83,11 +87,11 @@ val to_crossinv :
   ?on_watchdog:(Xinv_native.Watchdog.t -> unit) ->
   t ->
   (Xinv_core.Crossinv.Request.t, resolve_error) result
-(** Resolve against the live registry.  [deadline_ms] is the
-    {e remaining} budget the scheduler computed (the request's own
-    [deadline_ms] minus queue wait); [cache_limit] caps the request's
-    cache mode ([`Rw] > [`Ro] > [`Off]); the native pool, watchdog hook
-    and recorder are the daemon's. *)
-
-val describe : t -> string
-(** One-line human rendering for logs. *)
+(** Resolve against the live registry: the daemon's environment on a
+    {!Xinv_core.Crossinv.Request.make} request, then
+    {!Xinv_core.Crossinv.Request.apply_policy} of [axes], then the
+    request's [policy].  [deadline_ms] is the {e remaining} budget the
+    scheduler computed (the request's own [deadline_ms] minus queue
+    wait); [cache_limit] caps the request's cache mode ([`Rw] > [`Ro] >
+    [`Off]); the native pool, watchdog hook and recorder are the
+    daemon's and reach only a native run. *)

@@ -246,19 +246,6 @@ let fit_threads ~pool ~technique threads =
 
 let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
   if not (Nat.Pool.live t.pool) then t.pool <- new_pool t.cfg t.c_pool_create;
-  let req =
-    match req.Request.backend with
-    | `Sim -> req
-    | `Native -> (
-        match Cx.technique_of_string req.Request.technique with
-        | None -> req (* surfaces as Bad_request below *)
-        | Some technique ->
-            {
-              req with
-              Request.threads =
-                fit_threads ~pool:t.pool ~technique req.Request.threads;
-            })
-  in
   let on_watchdog wd =
     Mutex.lock job.jm;
     job.wd <- Some wd;
@@ -275,6 +262,19 @@ let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
   | Error (`Bad_request r) ->
       finish t job (Protocol.Rejected (Protocol.Bad_request r))
   | Ok creq -> (
+      let native =
+        match creq.Cx.Request.backend with `Native _ -> true | `Sim _ -> false
+      in
+      let creq =
+        if not native then creq
+        else
+          {
+            creq with
+            Cx.Request.threads =
+              fit_threads ~pool:t.pool ~technique:creq.Cx.Request.technique
+                creq.Cx.Request.threads;
+          }
+      in
       let was_cancelled () =
         Mutex.lock job.jm;
         let c = job.cancelled in
@@ -288,7 +288,7 @@ let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
              completed sequentially after the cancel point — the client is
              gone either way, and the cancellation wins.  (Sim runs have no
              cancel point and deliver their outcome; see the mli.) *)
-          if was_cancelled () && req.Request.backend = `Native then
+          if was_cancelled () && native then
             finish t job (Protocol.Rejected Protocol.Cancelled)
           else
             finish t job

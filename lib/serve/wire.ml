@@ -125,6 +125,16 @@ let get_list r f =
 
 let reader_done r = r.pos = String.length r.buf
 
+(* Enums travel as one byte; each is described by one (value, tag) table
+   that both directions read. *)
+let put_enum w table v = put_u8 w (List.assoc v table)
+
+let get_enum r what table =
+  let n = get_u8 r in
+  match List.find_opt (fun (_, tag) -> tag = n) table with
+  | Some (v, _) -> v
+  | None -> fail (Bad_payload (Printf.sprintf "%s %d" what n))
+
 (* ---- frames ---- *)
 
 let encode_frame ~tag payload =
@@ -168,9 +178,8 @@ let rec write_all fd buf off len =
     write_all fd buf (off + n) (len - n)
   end
 
-let write_frame fd ~tag payload =
-  let s = encode_frame ~tag payload in
-  write_all fd (Bytes.unsafe_of_string s) 0 (String.length s)
+let write_frame fd frame =
+  write_all fd (Bytes.unsafe_of_string frame) 0 (String.length frame)
 
 (* [eof_ok] distinguishes a client that hung up between frames (clean
    [Closed]) from one that died mid-frame ([Truncated]). *)

@@ -83,6 +83,15 @@ val get_list : reader -> (reader -> 'a) -> 'a list
 val reader_done : reader -> bool
 (** True when every payload byte has been consumed. *)
 
+(** {1 Enums} *)
+
+val put_enum : writer -> ('a * int) list -> 'a -> unit
+(** One byte: the value's tag in the (value, tag) table. *)
+
+val get_enum : reader -> string -> ('a * int) list -> 'a
+(** Inverse of {!put_enum}; a tag missing from the table raises
+    [Error (Bad_payload "<what> <tag>")]. *)
+
 (** {1 Frames} *)
 
 val encode_frame : tag:int -> string -> string
@@ -95,7 +104,8 @@ val decode_frame : string -> int * string
 
 (** {1 Stream transport} *)
 
-val write_frame : Unix.file_descr -> tag:int -> string -> unit
+val write_frame : Unix.file_descr -> string -> unit
+(** Write one frame as {!encode_frame} returned it. *)
 
 val read_frame : Unix.file_descr -> int * string
 (** Blocking read of one frame.  A clean EOF before the first header byte

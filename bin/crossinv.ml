@@ -348,9 +348,10 @@ let run_cmd =
           (match backend with `Sim -> "threads" | `Native -> "domains")
           backend_name
           (Wl.Workload.input_name input);
-        Printf.printf "  sequential cost  %s\n" (Cx.cost_to_string o.Cx.seq_cost);
+        Printf.printf "  sequential cost  %s\n"
+          (Option.fold ~none:"not measured" ~some:Cx.cost_to_string o.Cx.seq_cost);
         Printf.printf "  cost             %s\n" (Cx.cost_to_string o.Cx.cost);
-        Printf.printf "  speedup          %.2fx\n" o.Cx.speedup;
+        Option.iter (Printf.printf "  speedup          %.2fx\n") o.Cx.speedup;
         if o.Cx.policy_source <> "fixed" then
           Printf.printf "  policy source    %s\n" o.Cx.policy_source;
         (match cache with

@@ -33,9 +33,12 @@ let () =
 
   (* Strategy shoot-out at 16 cores. *)
   let threads = 16 in
-  let baseline = (Cx.run_request @@ Cx.Request.make ~technique:Cx.Barrier ~threads wl).Cx.speedup in
+  let speedup technique =
+    Option.get (Cx.run_request @@ Cx.Request.make ~technique ~threads wl).Cx.speedup
+  in
+  let baseline = speedup Cx.Barrier in
   Printf.printf "LOCALWRITE + barriers           : %5.2fx\n" baseline;
-  let spec = (Cx.run_request @@ Cx.Request.make ~technique:Cx.Speccross ~threads wl).Cx.speedup in
+  let spec = speedup Cx.Speccross in
   Printf.printf "LOCALWRITE + speculative        : %5.2fx\n" spec;
 
   (* Within-epoch duplicated DOMORE + speculative barriers. *)

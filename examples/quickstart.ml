@@ -19,7 +19,7 @@ let () =
       | Ok () ->
           let o = Cx.run_request @@ Cx.Request.make ~technique ~threads:24 wl in
           Printf.printf "%-12s %6.2fx speedup on 24 simulated cores (verified: %b)\n"
-            (Cx.technique_name technique) o.Cx.speedup o.Cx.verified)
+            (Cx.technique_name technique) (Option.get o.Cx.speedup) o.Cx.verified)
     [ Cx.Barrier; Cx.Doacross; Cx.Dswp; Cx.Domore; Cx.Speccross ];
   print_newline ();
   (* The same loop nest on the conflict-free sparsity used for the
@@ -27,11 +27,13 @@ let () =
   let o = Cx.run_request @@ Cx.Request.make ~input:Wl.Workload.Ref_spec ~technique:Cx.Speccross ~threads:24 wl in
   Printf.printf
     "speccross on the banded (conflict-free) input: %.2fx — barriers were pure waste\n"
-    o.Cx.speedup;
+    (Option.get o.Cx.speedup);
   print_newline ();
   (* The same entry point runs on real OCaml 5 domains: select the native
      backend.  Costs come back as wall-clock time instead of simulated
-     cycles, and the run is watchdog-bounded — a failure (or an armed
+     cycles (the sequential baseline is there because verification is on
+     by default; a request with ~verify:false runs once and has none), and
+     the run is watchdog-bounded — a failure (or an armed
      --inject fault) cancels the cohort and degrades to a weaker technique
      instead of hanging. *)
   let n =
@@ -41,7 +43,7 @@ let () =
   in
   Printf.printf "domore on 2 real domains: %s vs sequential %s (verified: %b)\n"
     (Cx.cost_to_string n.Cx.cost)
-    (Cx.cost_to_string n.Cx.seq_cost)
+    (Cx.cost_to_string (Option.get n.Cx.seq_cost))
     n.Cx.verified;
   List.iter
     (fun (s : Cx.degrade_step) ->

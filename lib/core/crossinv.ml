@@ -96,8 +96,8 @@ type degrade_step = { d_from : technique; d_to : technique; d_reason : string }
 type outcome = {
   technique : technique;  (** the technique that actually executed *)
   cost : cost;
-  seq_cost : cost;
-  speedup : float;
+  seq_cost : cost option;
+  speedup : float option;
   verified : bool;
   mismatches : (string * int) list;
   profile : Xinv_speccross.Profiler.t option;
@@ -643,13 +643,19 @@ let source_code source =
   | "default" -> 3
   | _ -> 4 (* adaptive:* *)
 
-let run_native ~actx ~opts ~source (r : Request.t) =
+let run_native ~actx ~opts ~source ~baseline (r : Request.t) =
   let wl = r.Request.workload and input = r.Request.input in
   let obs = r.Request.obs and threads = r.Request.threads in
   let program = wl.Wl.Workload.program input in
-  (* Wall-clock baseline and bit-exact reference memory in one pass. *)
-  let seq_env = wl.Wl.Workload.fresh_env input in
-  let seq_run = Nat.Nbarrier.run_seq ~work:opts.work program seq_env in
+  (* Wall-clock baseline and bit-exact reference memory in one pass, ahead
+     of the engine. *)
+  let seq =
+    if baseline then
+      let seq_env = wl.Wl.Workload.fresh_env input in
+      let seq_run = Nat.Nbarrier.run_seq ~work:opts.work program seq_env in
+      Some (Wall_ns seq_run.Nat.Nrun.wall_ns, seq_env)
+    else None
+  in
   (* The degradation chain shares one overall deadline and one armed fault
      (which fires at most once across every attempt). *)
   let overall_deadline =
@@ -799,85 +805,95 @@ let run_native ~actx ~opts ~source (r : Request.t) =
       bump_counter obs "speccross.misspeculations" nrun.Nat.Nrun.misspecs;
       bump_counter obs "barrier.crossings" nrun.Nat.Nrun.barrier_episodes
   | _ -> bump_counter obs "barrier.crossings" nrun.Nat.Nrun.barrier_episodes);
-  ( nrun, seq_run, nprofile, env, seq_env, executed, !degraded, !last_flight,
-    !postmortems )
+  (nrun, seq, nprofile, env, executed, !degraded, !last_flight, !postmortems)
 
 (* ---- unified entry point ---- *)
 
-(* One fully-resolved execution: every knob pinned, no policy lookup. *)
-let exec ~actx ~source (r : Request.t) =
+(* The sequential baseline is a result only some requests consume: [verify]
+   diffs the run's memory against it, and the [`Adaptive] controller weighs
+   the run's cost against it.  An execution that ran [Sequential] (asked
+   for, or degraded to) is its own baseline: its cost is the sequential
+   cost and its memory the reference. *)
+let outcome ~actx ~source ~verify ~executed ~cost ~speedup env seq =
+  let seq_cost, speedup, mismatches =
+    match (executed, seq) with
+    | Sequential, _ -> (Some cost, Some 1.0, [])
+    | _, None -> (None, None, [])
+    | _, Some (seq_cost, seq_env) ->
+        ( Some seq_cost,
+          Some (speedup (cost_value seq_cost)),
+          if verify then Ir.Memory.diff seq_env.Ir.Env.mem env.Ir.Env.mem
+          else [] )
+  in
+  {
+    technique = executed;
+    cost;
+    seq_cost;
+    speedup;
+    verified = mismatches = [];
+    mismatches;
+    profile = None;
+    run = None;
+    nrun = None;
+    degraded = [];
+    analysis_ns = actx.a_ns;
+    cache_hits = fst (cache_stats actx);
+    cache_misses = snd (cache_stats actx);
+    flight = None;
+    postmortems = [];
+    policy_source = source;
+  }
+
+(* One fully-resolved execution: every knob pinned, no policy lookup.
+   [baseline] asks for the sequential baseline; a [Sequential] request
+   never runs a second one. *)
+let exec ~actx ~source ~baseline (r : Request.t) =
   let technique = r.Request.technique and verify = r.Request.verify in
+  let baseline = baseline && technique <> Sequential in
   assert (r.Request.threads > 0);
   match r.Request.backend with
   | `Sim _ ->
       let wl = r.Request.workload in
-      let seq_env = wl.Wl.Workload.fresh_env r.Request.input in
-      let seq_cost =
-        Ir.Seq_interp.run (wl.Wl.Workload.program r.Request.input) seq_env
+      let program = wl.Wl.Workload.program r.Request.input in
+      let seq =
+        if baseline then
+          let seq_env = wl.Wl.Workload.fresh_env r.Request.input in
+          Some (Sim_cycles (Ir.Seq_interp.run program seq_env), seq_env)
+        else None
       in
       let env = wl.Wl.Workload.fresh_env r.Request.input in
       let engine = resolve_with ~actx r env in
       let run = sim_engine r engine env in
-      let mismatches =
-        if verify && technique <> Sequential then
-          Ir.Memory.diff seq_env.Ir.Env.mem env.Ir.Env.mem
-        else []
-      in
-      let cost =
+      let cost, speedup =
         match run with
-        | None -> Sim_cycles seq_cost
-        | Some r -> Sim_cycles r.Par.Run.makespan
-      in
-      let speedup =
-        match run with None -> 1.0 | Some r -> Par.Run.speedup ~seq_cost r
+        | None ->
+            (* [Sequential]: interpreting is the execution *)
+            (Ir.Seq_interp.run program env, fun _ -> 1.0)
+        | Some run ->
+            (run.Par.Run.makespan, fun seq_cost -> Par.Run.speedup ~seq_cost run)
       in
       {
-        technique;
-        cost;
-        seq_cost = Sim_cycles seq_cost;
-        speedup;
-        verified = mismatches = [];
-        mismatches;
+        (outcome ~actx ~source ~verify ~executed:technique
+           ~cost:(Sim_cycles cost) ~speedup env seq)
+        with
         profile = engine_profile engine;
         run;
-        nrun = None;
-        degraded = [];
-        analysis_ns = actx.a_ns;
-        cache_hits = fst (cache_stats actx);
-        cache_misses = snd (cache_stats actx);
-        flight = None;
-        postmortems = [];
-        policy_source = source;
       }
   | `Native opts ->
-      let ( nrun, seq_run, profile, env, seq_env, executed, degraded, flight,
-            postmortems ) =
-        run_native ~actx ~opts ~source r
+      let nrun, seq, profile, env, executed, degraded, flight, postmortems =
+        run_native ~actx ~opts ~source ~baseline r
       in
-      let requested_sequential = technique = Sequential && degraded = [] in
-      let mismatches =
-        if verify && not requested_sequential then
-          Ir.Memory.diff seq_env.Ir.Env.mem env.Ir.Env.mem
-        else []
-      in
-      let seq_wall_ns = seq_run.Nat.Nrun.wall_ns in
       {
-        technique = executed;
-        cost = Wall_ns nrun.Nat.Nrun.wall_ns;
-        seq_cost = Wall_ns seq_wall_ns;
-        speedup = Nat.Nrun.speedup ~seq_wall_ns nrun;
-        verified = mismatches = [];
-        mismatches;
+        (outcome ~actx ~source ~verify ~executed
+           ~cost:(Wall_ns nrun.Nat.Nrun.wall_ns)
+           ~speedup:(fun seq_wall_ns -> Nat.Nrun.speedup ~seq_wall_ns nrun)
+           env seq)
+        with
         profile;
-        run = None;
         nrun = Some nrun;
         degraded;
-        analysis_ns = actx.a_ns;
-        cache_hits = fst (cache_stats actx);
-        cache_misses = snd (cache_stats actx);
         flight;
         postmortems;
-        policy_source = source;
       }
 
 let run_request (r : Request.t) =
@@ -886,6 +902,13 @@ let run_request (r : Request.t) =
   let wl = r.Request.workload in
   let input = r.Request.input in
   let actx = analysis_ctx ?obs r.Request.cache r.Request.cache_dir in
+  (* Verification and the adaptive controller are the baseline's only
+     consumers; without them a request executes once. *)
+  let baseline =
+    r.Request.verify
+    || match r.Request.policy with `Adaptive _ -> true | _ -> false
+  in
+  let exec ~source r = exec ~actx ~source ~baseline r in
   let lookup_tuned () =
     match actx.a_cache with
     | None -> None
@@ -896,13 +919,13 @@ let run_request (r : Request.t) =
               (wl.Wl.Workload.fresh_env input))
   in
   match r.Request.policy with
-  | `Fixed -> exec ~actx ~source:"fixed" r
+  | `Fixed -> exec ~source:"fixed" r
   | `Reified (p, source) ->
       bump_counter obs ("policy.source." ^ source) 1;
       record_event obs
         (Xinv_obs.Event.Policy_applied
            { source; policy = Cache.Policy.to_string p });
-      exec ~actx ~source (Request.apply_policy p r)
+      exec ~source (Request.apply_policy p r)
   | `Auto -> (
       match lookup_tuned () with
       | Some tuned ->
@@ -911,7 +934,7 @@ let run_request (r : Request.t) =
           record_event obs
             (Xinv_obs.Event.Policy_applied
                { source = "cached"; policy = Cache.Policy.to_string p });
-          exec ~actx ~source:"cached" (Request.apply_policy p r)
+          exec ~source:"cached" (Request.apply_policy p r)
       | None ->
           bump_counter obs "policy.source.default" 1;
           record_event obs
@@ -920,12 +943,12 @@ let run_request (r : Request.t) =
                  source = "default";
                  policy = technique_name r.Request.technique;
                });
-          exec ~actx ~source:"default" r)
+          exec ~source:"default" r)
   | `Adaptive ctl ->
       let o =
         match ctl.a_phase with
         | `Sequential ->
-            exec ~actx ~source:"adaptive:sequential"
+            exec ~source:"adaptive:sequential"
               {
                 r with
                 Request.technique = Sequential;
@@ -937,27 +960,25 @@ let run_request (r : Request.t) =
         | `Probing | `Candidate -> (
             match lookup_tuned () with
             | Some tuned ->
-                exec ~actx ~source:"adaptive:cached"
+                exec ~source:"adaptive:cached"
                   (Request.apply_policy tuned.Cache.Policy.policy r)
-            | None -> exec ~actx ~source:"adaptive:default" r)
+            | None -> exec ~source:"adaptive:default" r)
       in
-      (match ctl.a_phase with
-      | `Sequential -> ()
-      | `Probing | `Candidate -> (
+      (match (ctl.a_phase, o.seq_cost) with
+      | `Sequential, _ -> ()
+      | (`Probing | `Candidate), None ->
+          assert false (* an adaptive request always measures its baseline *)
+      | ((`Probing | `Candidate) as phase), Some seq_cost -> (
           let from_phase =
-            match ctl.a_phase with `Probing -> "probe" | _ -> "candidate"
+            match phase with `Probing -> "probe" | `Candidate -> "candidate"
           in
           match
             adaptive_note ctl ~cand_ns:(cost_value o.cost)
-              ~seq_ns:(cost_value o.seq_cost)
+              ~seq_ns:(cost_value seq_cost)
           with
           | `Keep -> ()
           | `Switch ->
-              let ratio =
-                if cost_value o.seq_cost > 0. then
-                  ctl.a_cand_ns /. Stdlib.max 1. ctl.a_seq_ns
-                else 0.
-              in
+              let ratio = ctl.a_cand_ns /. Stdlib.max 1. ctl.a_seq_ns in
               bump_counter obs "tune.switch" 1;
               record_event obs
                 (Xinv_obs.Event.Tune_switch

@@ -18,8 +18,11 @@
                (`Native { Crossinv.native_defaults with deadline_ms = Some 60_000. })
              ~technique:Crossinv.Domore ~threads:4 wl)
       in
+      (* verification is on by default, so both runs measure a baseline *)
       Format.printf "sim %.2fx / native %.2fx, verified: %b@."
-        o.Crossinv.speedup o'.Crossinv.speedup o'.Crossinv.verified
+        (Option.get o.Crossinv.speedup)
+        (Option.get o'.Crossinv.speedup)
+        o'.Crossinv.verified
     ]} *)
 
 type technique =
@@ -104,9 +107,19 @@ type outcome = {
   technique : technique;
       (** the technique that actually executed (after degradation) *)
   cost : cost;  (** the run's cost in its backend's unit *)
-  seq_cost : cost;  (** sequential execution of the same input, same unit *)
-  speedup : float;
-  verified : bool;  (** final memory identical to sequential execution *)
+  seq_cost : cost option;
+      (** sequential execution of the same input, same unit.  [None]
+          exactly when no baseline ran: a request with [verify] off and a
+          policy other than [`Adaptive] executes once.  When [technique] is
+          [Sequential] (asked for or degraded to), the run is its own
+          baseline and this is [Some cost]. *)
+  speedup : float option;
+      (** [seq_cost] over [cost]; [None] exactly when [seq_cost] is, [Some
+          1.0] for a [Sequential] execution *)
+  verified : bool;
+      (** [false] only when a check ran and found a mismatch; [true] when
+          [verify] was off (nothing was checked) and for a [Sequential]
+          execution, whose memory is the reference *)
   mismatches : (string * int) list;  (** locations that differ, when any *)
   profile : Xinv_speccross.Profiler.t option;  (** SPECCROSS profiling result *)
   run : Xinv_parallel.Run.t option;  (** simulated backend's run record *)
@@ -268,6 +281,15 @@ val run_request : Request.t -> outcome
     fresh (it costs less than the lookup), so a DOMORE, Inspector or TLS
     run counts no hit and no miss.  [`Ro] never writes; [`Rw] publishes
     fresh results atomically.
+
+    The sequential baseline runs only when something consumes it:
+    [verify] (default on) diffs the final memory against the baseline's,
+    and [`Adaptive] compares the run's cost with the baseline's.  It runs
+    on its own fresh environment ahead of the engine (the simulator's
+    sequential interpreter, or one native sequential run).  With [verify]
+    off and no adaptive controller, nothing but the request's own
+    technique executes, and [seq_cost] and [speedup] are [None].  A
+    [Sequential] execution never runs a second, separate baseline.
 
     With [obs], the run is instrumented: the simulated backend streams
     typed events and metrics into the recorder; the native backend bumps

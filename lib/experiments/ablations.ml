@@ -26,7 +26,7 @@ let signatures () =
                    Cx.Speccross 16
                in
                [
-                 Xinv_util.Tab.fmt_speedup o.Cx.speedup;
+                 Xinv_util.Tab.fmt_speedup (Common.speedup o);
                  string_of_int (Option.get o.Cx.run).Par.Run.misspecs;
                ])
              kinds)
@@ -85,8 +85,8 @@ let contention () =
   let levels = [ 0.0; 0.011; 0.022; 0.044 ] in
   let cell technique input wl alpha =
     let machine = { Sim.Machine.default with Sim.Machine.contention = alpha } in
-    (Cx.run_request @@ Cx.Request.make ~backend:(`Sim (Some machine)) ~input ~technique ~threads:24 wl)
-      .Cx.speedup
+    Common.speedup
+      (Cx.run_request @@ Cx.Request.make ~backend:(`Sim (Some machine)) ~input ~technique ~threads:24 wl)
   in
   let rows =
     [
@@ -122,7 +122,8 @@ let inspector () =
           | Error _ -> "-"
           | Ok () ->
               Xinv_util.Tab.fmt_speedup
-                (Cx.run_request @@ Cx.Request.make ~technique ~threads:24 wl).Cx.speedup
+                (Common.speedup
+                   (Cx.run_request @@ Cx.Request.make ~technique ~threads:24 wl))
         in
         [ name; s Cx.Barrier; s Cx.Inspector; s Cx.Domore ])
       benches

@@ -16,6 +16,11 @@ let speedup_at ?(input = Wl.Workload.Ref) ?checkpoint_every ?sig_kind wl techniq
          (List.length o.Cx.mismatches));
   o
 
+let speedup (o : Cx.outcome) =
+  match o.Cx.speedup with
+  | Some s -> s
+  | None -> invalid_arg "Common.speedup: the run measured no sequential baseline"
+
 type series = { label : string; points : (int * float) list }
 
 let sweep ?input ~label wl technique =
@@ -23,7 +28,7 @@ let sweep ?input ~label wl technique =
     label;
     points =
       List.map
-        (fun n -> (n, (speedup_at ?input wl technique n).Cx.speedup))
+        (fun n -> (n, speedup (speedup_at ?input wl technique n)))
         threads_axis;
   }
 

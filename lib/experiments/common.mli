@@ -14,6 +14,11 @@ val speedup_at :
 (** One verified run; raises [Failure] when verification fails, so a figure
     can never silently report numbers from a wrong execution. *)
 
+val speedup : Xinv_core.Crossinv.outcome -> float
+(** The run's speedup over its sequential baseline.  Every experiment runs
+    verified, so the baseline is always there.
+    @raise Invalid_argument for a run that measured none. *)
+
 type series = { label : string; points : (int * float) list }
 
 val sweep :

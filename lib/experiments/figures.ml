@@ -91,9 +91,7 @@ let fig2_2 () =
     List.map
       (fun name ->
         let wl = Wl.Registry.find name in
-        let static_speedup =
-          (Common.speedup_at wl Cx.Barrier 8).Cx.speedup
-        in
+        let static_speedup = Common.speedup (Common.speedup_at wl Cx.Barrier 8) in
         (* Dynamically allocated arrays: every index goes through a pointer
            the compiler cannot analyze; the static planner no longer proves
            DOALL, so the loop stays sequential. *)
@@ -308,7 +306,8 @@ let fig5_3 () =
           let technique =
             if misspec then Cx.Speccross_inject (nepochs / 2) else Cx.Speccross
           in
-          (Common.speedup_at ~input ~checkpoint_every:every wl technique 24).Cx.speedup
+          Common.speedup
+            (Common.speedup_at ~input ~checkpoint_every:every wl technique 24)
         in
         [
           string_of_int count;
@@ -333,7 +332,7 @@ let fig5_4 () =
         | Error _ -> acc
         | Ok () -> (
             match Common.speedup_at ~input wl t 24 with
-            | o -> Stdlib.max acc o.Cx.speedup
+            | o -> Stdlib.max acc (Common.speedup o)
             | exception Failure _ -> acc))
       0. techniques
   in

@@ -74,8 +74,8 @@ let summary_of_outcome ~workload ~queue_wait_ns (o : Cx.outcome) =
     o_cost_kind =
       (match o.Cx.cost with Cx.Sim_cycles _ -> `Cycles | Cx.Wall_ns _ -> `Wall_ns);
     o_cost = Cx.cost_value o.Cx.cost;
-    o_seq_cost = Cx.cost_value o.Cx.seq_cost;
-    o_speedup = o.Cx.speedup;
+    o_seq_cost = Option.fold ~none:Float.nan ~some:Cx.cost_value o.Cx.seq_cost;
+    o_speedup = Option.value ~default:Float.nan o.Cx.speedup;
     o_verified = o.Cx.verified;
     o_mismatches = List.length o.Cx.mismatches;
     o_degraded =
@@ -430,18 +430,23 @@ let recv_server fd =
 
 let pp_server ppf = function
   | Outcome s ->
+      let cost c =
+        match s.o_cost_kind with
+        | `Cycles -> Printf.sprintf "%.0f cycles" c
+        | `Wall_ns -> Printf.sprintf "%.2f ms" (c /. 1e6)
+      in
       Format.fprintf ppf
         "@[<v>workload         %s@,technique        %s@,cost             %s@,\
-         seq cost         %s@,speedup          %.2fx@,verified         %b@,\
-         policy source    %s@,queue wait       %.2f ms%a@]"
-        s.o_workload s.o_technique
-        (match s.o_cost_kind with
-        | `Cycles -> Printf.sprintf "%.0f cycles" s.o_cost
-        | `Wall_ns -> Printf.sprintf "%.2f ms" (s.o_cost /. 1e6))
-        (match s.o_cost_kind with
-        | `Cycles -> Printf.sprintf "%.0f cycles" s.o_seq_cost
-        | `Wall_ns -> Printf.sprintf "%.2f ms" (s.o_seq_cost /. 1e6))
-        s.o_speedup s.o_verified s.o_policy_source
+         %a@,verified         %b@,policy source    %s@,\
+         queue wait       %.2f ms%a@]"
+        s.o_workload s.o_technique (cost s.o_cost)
+        (fun ppf s ->
+          if Float.is_nan s.o_seq_cost then
+            Format.fprintf ppf "seq cost         not measured (verify off)"
+          else
+            Format.fprintf ppf "seq cost         %s@,speedup          %.2fx"
+              (cost s.o_seq_cost) s.o_speedup)
+        s s.o_verified s.o_policy_source
         (s.o_queue_wait_ns /. 1e6)
         (fun ppf steps ->
           List.iter

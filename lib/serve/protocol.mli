@@ -56,8 +56,12 @@ type summary = {
   o_cost_kind : [ `Cycles | `Wall_ns ];
   o_cost : float;
   o_seq_cost : float;
-  o_speedup : float;
+      (** the sequential baseline's cost, or [nan] when the run measured
+          none (verify off, no adaptive controller) *)
+  o_speedup : float;  (** [nan] exactly when [o_seq_cost] is *)
   o_verified : bool;
+      (** [false] only when a check ran and found a mismatch; [true] when
+          verify was off *)
   o_mismatches : int;
   o_degraded : (string * string * string) list;  (** from, to, reason *)
   o_analysis_ns : float;
@@ -73,6 +77,8 @@ val summary_of_outcome :
   queue_wait_ns:float ->
   Xinv_core.Crossinv.outcome ->
   summary
+(** An outcome without a baseline ([seq_cost = None]) keeps the wire
+    layout: [o_seq_cost] and [o_speedup] carry [nan]. *)
 
 type pong = {
   p_uptime_ns : float;
@@ -114,4 +120,5 @@ val send_server : Unix.file_descr -> server_msg -> unit
 val recv_server : Unix.file_descr -> server_msg
 
 val pp_server : Format.formatter -> server_msg -> unit
-(** Human rendering for the CLI client. *)
+(** Human rendering for the CLI client.  An outcome without a baseline
+    shows [seq cost  not measured (verify off)] and no speedup line. *)

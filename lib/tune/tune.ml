@@ -84,14 +84,21 @@ let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
           Core.Crossinv.run_request
             (Core.Crossinv.Request.make
                ~backend:(`Native native)
-               ~input ~cache ?cache_dir ?obs
+               ~input ~verify:true ~cache ?cache_dir ?obs
                ~policy:(`Reified (p, "searched"))
                ~technique:Core.Crossinv.Sequential ~threads:1 wl)
         with
         | o ->
+            (* The trial's baseline becomes the tuned policy's
+               [seq_wall_ns]: verification is what measures it. *)
+            let seq_ns =
+              match o.Core.Crossinv.seq_cost with
+              | Some c -> Core.Crossinv.cost_value c
+              | None -> invalid_arg "Tune.measure: the trial ran no sequential baseline"
+            in
             {
               Search.m_wall_ns = Core.Crossinv.cost_value o.Core.Crossinv.cost;
-              m_seq_ns = Core.Crossinv.cost_value o.Core.Crossinv.seq_cost;
+              m_seq_ns = seq_ns;
               m_ok = o.Core.Crossinv.verified;
               m_pruned = false;
             }

@@ -415,6 +415,61 @@ let test_native_obs_counters () =
         (v.Xinv_obs.Report.bottleneck <> "")
   | _ -> Alcotest.fail "recorded run surfaced no flight events"
 
+(* ---------- the sequential baseline runs only when consumed ---------- *)
+
+let symm_request ?policy ~backend ~verify technique =
+  C.Request.make ~backend ~input:Wl.Workload.Train ~verify ?policy ~technique
+    ~threads:2 (Wl.Registry.find "SYMM")
+
+let backends = [ ("sim", `Sim None); ("native", `Native C.native_defaults) ]
+
+let test_unverified_runs_once () =
+  (* Nothing consumes a baseline: the request executes its technique and
+     nothing else, so there is no sequential cost to report. *)
+  List.iter
+    (fun (name, backend) ->
+      let o = C.run_request (symm_request ~backend ~verify:false C.Barrier) in
+      Alcotest.(check bool) (name ^ ": no baseline") true (o.C.seq_cost = None);
+      Alcotest.(check bool) (name ^ ": no speedup") true (o.C.speedup = None);
+      Alcotest.(check bool) (name ^ ": unchecked counts as verified") true
+        o.C.verified)
+    backends
+
+let test_sequential_is_its_own_baseline () =
+  (* A Sequential run is the baseline: one execution whose cost is both
+     figures, not two separately timed runs. *)
+  List.iter
+    (fun (name, backend) ->
+      let o = C.run_request (symm_request ~backend ~verify:true C.Sequential) in
+      Alcotest.(check bool) (name ^ ": seq cost is the run's cost") true
+        (o.C.seq_cost = Some o.C.cost);
+      Alcotest.(check (option (float 0.))) (name ^ ": speedup") (Some 1.0)
+        o.C.speedup;
+      Alcotest.(check bool) (name ^ ": verified") true o.C.verified)
+    backends
+
+let test_adaptive_measures_baseline_unverified () =
+  (* The adaptive controller consumes the baseline, so it runs with verify
+     off too, on every probe. *)
+  let backend = `Native C.native_defaults in
+  let ctl = C.adaptive ~probe_runs:3 ~margin:1e9 () in
+  for i = 1 to 3 do
+    let o =
+      C.run_request
+        (symm_request ~policy:(`Adaptive ctl) ~backend ~verify:false C.Barrier)
+    in
+    match o.C.seq_cost with
+    | Some c when C.cost_value c > 0. -> ()
+    | _ -> Alcotest.failf "probe %d measured no baseline" i
+  done;
+  let ctl = C.adaptive ~probe_runs:1 ~margin:0. () in
+  let (_ : C.outcome) =
+    C.run_request
+      (symm_request ~policy:(`Adaptive ctl) ~backend ~verify:false C.Barrier)
+  in
+  Alcotest.(check bool) "one losing probe switches to sequential" true
+    (C.adaptive_phase ctl = `Sequential)
+
 let suite =
   [
     Alcotest.test_case "spsc: FIFO across two domains" `Quick test_spsc_two_domains;
@@ -448,4 +503,10 @@ let suite =
       test_stall_report_structure;
     Alcotest.test_case "obs: native runs feed metrics" `Quick
       test_native_obs_counters;
+    Alcotest.test_case "baseline: unverified request runs once" `Quick
+      test_unverified_runs_once;
+    Alcotest.test_case "baseline: sequential is its own" `Quick
+      test_sequential_is_its_own_baseline;
+    Alcotest.test_case "baseline: adaptive measures it unverified" `Quick
+      test_adaptive_measures_baseline_unverified;
   ]

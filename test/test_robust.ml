@@ -266,7 +266,8 @@ let test_degraded_sequential_still_answers () =
       ~input:Wl.Workload.Train ~technique:C.Domore ~threads:4 (wl ())
   in
   Alcotest.(check bool) "verified" true o.C.verified;
-  Alcotest.(check bool) "speedup stays finite" true (Float.is_finite o.C.speedup)
+  Alcotest.(check bool) "speedup stays finite" true
+    (Float.is_finite (Option.get o.C.speedup))
 
 (* ---------- backend applicability ---------- *)
 

@@ -423,6 +423,56 @@ let test_golden_frames () =
       | _ -> Alcotest.fail "golden frame is not a run request")
     golden_frames
 
+(* qcheck: random outcome summaries survive the wire, including those of a
+   run without a baseline, whose [nan] slots compare by bits *)
+let gen_summary =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(char_range '\000' '\255') (int_range 0 12) in
+  let f = float_range 0. 1e12 in
+  let* o_workload = str in
+  let* o_technique = str in
+  let* o_cost_kind = oneofl [ `Cycles; `Wall_ns ] in
+  let* o_cost = f in
+  let* o_seq_cost, o_speedup =
+    oneof [ pair f (float_range 0. 64.); return (Float.nan, Float.nan) ]
+  in
+  let* o_verified = bool in
+  let* o_mismatches = int_range 0 1000 in
+  let* o_degraded = list_size (int_range 0 3) (triple str str str) in
+  let* o_analysis_ns = f in
+  let* o_cache_hits = int_range 0 100 in
+  let* o_cache_misses = int_range 0 100 in
+  let* o_policy_source = str in
+  let* o_tasks = int_range 0 1_000_000 in
+  let* o_queue_wait_ns = f in
+  return
+    {
+      Proto.o_workload; o_technique; o_cost_kind; o_cost; o_seq_cost;
+      o_speedup; o_verified; o_mismatches; o_degraded; o_analysis_ns;
+      o_cache_hits; o_cache_misses; o_policy_source; o_tasks; o_queue_wait_ns;
+    }
+
+let same_summary (a : Proto.summary) (b : Proto.summary) =
+  let bits (f : Proto.summary -> float) = Int64.bits_of_float (f a) = Int64.bits_of_float (f b) in
+  let zero s =
+    { s with Proto.o_cost = 0.; o_seq_cost = 0.; o_speedup = 0.;
+             o_analysis_ns = 0.; o_queue_wait_ns = 0. }
+  in
+  zero a = zero b
+  && bits (fun s -> s.Proto.o_cost)
+  && bits (fun s -> s.Proto.o_seq_cost)
+  && bits (fun s -> s.Proto.o_speedup)
+  && bits (fun s -> s.Proto.o_analysis_ns)
+  && bits (fun s -> s.Proto.o_queue_wait_ns)
+
+let prop_summary_roundtrip =
+  QCheck.Test.make ~name:"random outcome summary survives the wire" ~count:200
+    (QCheck.make gen_summary)
+    (fun s ->
+      match Proto.decode_server (Proto.encode_server (Proto.Outcome s)) with
+      | Proto.Outcome back -> same_summary s back
+      | _ -> false)
+
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"random run request survives the wire" ~count:200
     (QCheck.make gen_request)
@@ -729,6 +779,36 @@ let test_differential_submit_vs_inprocess () =
                     (Format.asprintf "%a" Proto.pp_server m))
             [ `Sim; `Native ])
         (Wl.Registry.all ()))
+
+(* ---------- a submitted run without a baseline ---------- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_unverified_submit_has_no_baseline () =
+  with_server ~domains:1 (fun srv ->
+      Server.start srv;
+      let req =
+        SReq.make ~backend:`Native ~technique:"barrier" ~threads:2
+          ~input:Wl.Workload.Train ~verify:false (`Name "SYMM")
+      in
+      match Server.await (Server.submit srv req) with
+      | Proto.Outcome s as m ->
+          Alcotest.(check bool) "seq cost slot is nan" true
+            (Float.is_nan s.Proto.o_seq_cost);
+          Alcotest.(check bool) "speedup slot is nan" true
+            (Float.is_nan s.Proto.o_speedup);
+          Alcotest.(check bool) "unchecked counts as verified" true
+            s.Proto.o_verified;
+          let shown = Format.asprintf "%a" Proto.pp_server m in
+          Alcotest.(check bool) "says not measured" true
+            (contains shown "seq cost         not measured (verify off)");
+          Alcotest.(check bool) "prints no nan" false (contains shown "nan");
+          Alcotest.(check bool) "prints no speedup line" false
+            (contains shown "speedup")
+      | m -> Alcotest.failf "%s" (Format.asprintf "%a" Proto.pp_server m))
 
 (* ---------- one shared pool across a thousand queued runs ---------- *)
 
@@ -1114,4 +1194,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_resolves_like_core;
     Alcotest.test_case "golden run frames resolve as recorded" `Quick
       test_golden_frames;
+    QCheck_alcotest.to_alcotest prop_summary_roundtrip;
+    Alcotest.test_case "unverified submit reports no baseline" `Quick
+      test_unverified_submit_has_no_baseline;
   ]

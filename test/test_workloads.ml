@@ -164,7 +164,9 @@ let test_end_to_end_verified () =
 let test_speedups_in_band () =
   (* Coarse bands from the dissertation's evaluation at 24 threads. *)
   let s name technique input =
-    (Cx.run_request @@ Cx.Request.make ~input ~technique ~threads:24 (Wl.Registry.find name)).Cx.speedup
+    Option.get
+      (Cx.run_request @@ Cx.Request.make ~input ~technique ~threads:24 (Wl.Registry.find name))
+        .Cx.speedup
   in
   Alcotest.(check bool) "CG barrier below 1x" true
     (s "CG" Cx.Barrier Wl.Workload.Ref < 1.0);
@@ -182,7 +184,7 @@ let test_headline_geomeans () =
      We check the qualitative claims rather than exact values. *)
   let domore = Wl.Registry.domore_set () in
   let speed technique (wl : Wl.Workload.t) =
-    (Cx.run_request @@ Cx.Request.make ~technique ~threads:24 wl).Cx.speedup
+    Option.get (Cx.run_request @@ Cx.Request.make ~technique ~threads:24 wl).Cx.speedup
   in
   let g_domore = Xinv_util.Stats.geomean (List.map (speed Cx.Domore) domore) in
   let g_barrier = Xinv_util.Stats.geomean (List.map (speed Cx.Barrier) domore) in

@@ -3,11 +3,14 @@
 
      gates [perf|obs|serve]     every gate by default, or just the named one
 
-   perf  Sanity envelope, not a scaling target: a 2-domain barrier run of
-         SYMM must stay within 4x of sequential on >= 2 cores (12x on an
-         oversubscribed single core).  Catches lock convoys, livelock and
-         order-of-magnitude sync regressions.  Each side is the minimum of
-         3 timed runs after a verified warm-up.
+   perf  Envelope, not a scaling target: a 2-domain barrier run of SYMM
+         must stay within 1.5x of sequential on >= 2 cores (12x on an
+         oversubscribed single core).  With waits that park and wake on
+         the release, ten runs pinned to 2 vCPUs measured 0.51-0.96x;
+         waits that nap instead measured 1.57-2.62x and fail it, as do
+         lock convoys, livelock and order-of-magnitude sync regressions.
+         Each side is the minimum of 3 timed runs after a verified
+         warm-up.
    obs   The flight recorder's write path must cost at most 5% wall time:
          SYMM domore.d2 is timed off and on in 7 back-to-back pairs, order
          alternating so drift hits both sides, and the gate statistic is
@@ -52,7 +55,7 @@ let min_of_3 technique threads =
 
 let perf () =
   let cores = Domain.recommended_domain_count () in
-  let envelope = if cores >= 2 then 4.0 else 12.0 in
+  let envelope = if cores >= 2 then 1.5 else 12.0 in
   let seq = min_of_3 C.Sequential 1 in
   let par = min_of_3 C.Barrier 2 in
   let ratio = par /. seq in

@@ -5,21 +5,26 @@ type t = {
   count : int Atomic.t;
   sense : int Atomic.t;
   poisoned_ : bool Atomic.t;
+  wake : Wake.t;  (* signalled by the release and by [poison] *)
 }
 
 let create ~parties =
   if parties <= 0 then invalid_arg "Nbar.create: parties must be positive";
   (* Each atomic on its own cache line: arrivals hammer [count] while
-     released parties spin on [sense]; sharing a line would make every
-     arrival invalidate every spinner. *)
+     released parties poll [sense]; sharing a line would make every
+     arrival invalidate every waiter. *)
   {
     parties;
     count = Pad.atomic 0;
     sense = Pad.atomic 0;
     poisoned_ = Pad.atomic false;
+    wake = Wake.create ();
   }
 
-let poison t = Atomic.set t.poisoned_ true
+let poison t =
+  Atomic.set t.poisoned_ true;
+  Wake.signal t.wake
+
 let poisoned t = Atomic.get t.poisoned_
 
 let wait ?wd ?(role = "party") t =
@@ -28,13 +33,12 @@ let wait ?wd ?(role = "party") t =
   if Atomic.fetch_and_add t.count 1 = t.parties - 1 then begin
     (* Last arrival resets and flips the sense, releasing the others. *)
     Atomic.set t.count 0;
-    Atomic.set t.sense (s + 1)
+    Atomic.set t.sense (s + 1);
+    Wake.signal t.wake
   end
   else begin
-    let pred () = Atomic.get t.sense <> s || Atomic.get t.poisoned_ in
-    (match wd with
-    | Some wd -> Watchdog.wait wd ~role ~for_:"barrier" pred
-    | None -> Backoff.wait_until pred);
+    Watchdog.wait ?wd ~role ~for_:"barrier" ~on:[ t.wake ] (fun () ->
+        Atomic.get t.sense <> s || Atomic.get t.poisoned_);
     (* A poison racing a legitimate release lets the release win: only a
        party still stuck on the old sense reports the poisoning. *)
     if Atomic.get t.sense = s then raise Poisoned

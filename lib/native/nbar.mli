@@ -4,7 +4,7 @@
     and everything done after it on any other.
 
     A barrier can be {e poisoned} when a party dies: instead of leaving
-    the surviving parties spinning for an arrival that will never come,
+    the surviving parties waiting for an arrival that will never come,
     every current and future [wait] raises {!Poisoned}. *)
 
 type t
@@ -14,7 +14,9 @@ exception Poisoned
 val create : parties:int -> t
 
 val wait : ?wd:Watchdog.t -> ?role:string -> t -> unit
-(** @raise Poisoned if the barrier is or becomes poisoned while waiting
+(** Waits through {!Watchdog.wait}: a party that arrives well before the
+    last one parks, and the release (or {!poison}) wakes it.
+    @raise Poisoned if the barrier is or becomes poisoned while waiting
       (a release racing the poison wins — parties already released
       proceed normally).
     @raise Watchdog.Stalled / Watchdog.Cancelled per [wd]'s bounds. *)

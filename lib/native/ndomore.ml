@@ -24,14 +24,27 @@ let default_config ~workers =
 let do_header inner = 3 lor (inner lsl 3)
 let do_chunk_header inner = 7 lor (inner lsl 3)
 
+(* Per-worker completion frontiers: [at.(w)] is the last iteration worker [w]
+   finished, and [wake.(w)] is signalled after every store to it. *)
+type cells = { at : int Atomic.t array; wake : Wake.t array }
+
+let new_cells workers =
+  { at = Array.init workers (fun _ -> Pad.atomic (-1));
+    wake = Array.init workers (fun _ -> Wake.create ()) }
+
+let complete cells w iter =
+  Atomic.set cells.at.(w) iter;
+  Wake.signal cells.wake.(w)
+
 (* [domain] is this waiter's flight ring, [src] the ring of the worker the
    condition points at; the recv lands in the waiter's ring once satisfied. *)
 let wait_cell ~wd ~role ~stat ?fr ~domain ~src cells dep_tid dep_iter =
-  if Atomic.get cells.(dep_tid) < dep_iter then
+  if Atomic.get cells.at.(dep_tid) < dep_iter then
     Stallcat.timed ?fr ~domain stat Stallcat.Sync_cond (fun () ->
-        Watchdog.wait wd ~role
+        Watchdog.wait ~wd ~role
           ~for_:(Printf.sprintf "iteration %d of worker %d" dep_iter dep_tid)
-          (fun () -> Atomic.get cells.(dep_tid) >= dep_iter));
+          ~on:[ cells.wake.(dep_tid) ]
+          (fun () -> Atomic.get cells.at.(dep_tid) >= dep_iter));
   match fr with
   | Some f -> Obs.Flight.record f ~domain Obs.Flight.Sync_recv ~a:dep_iter ~b:src
   | None -> ()
@@ -61,7 +74,7 @@ let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) e
   let bufs =
     Array.init workers (fun w -> Spsc.Batch.create ~size:(max 1 batch) queues.(w))
   in
-  let cells = Array.init workers (fun _ -> Pad.atomic (-1)) in
+  let cells = new_cells workers in
   let shadow = Rt.Shadow.create () in
   let iternum = ref 0 in
   let conds = ref 0 in
@@ -84,11 +97,13 @@ let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) e
       done;
       !all
     in
+    let space = Array.to_list (Array.map Spsc.on_pop queues) in
     let push_word tid word =
       if not (Spsc.Batch.add bufs.(tid) word) then
         Stallcat.timed ?fr ~domain:0 stat Stallcat.Queue_full (fun () ->
-            Watchdog.wait wd ~role
+            Watchdog.wait ~wd ~role
               ~for_:(Printf.sprintf "space on worker %d's queue" tid)
+              ~on:space
               (fun () ->
                 ignore (drain_all ());
                 Spsc.Batch.add bufs.(tid) word))
@@ -96,7 +111,8 @@ let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) e
     let flush_all () =
       if not (drain_all ()) then
         Stallcat.timed ?fr ~domain:0 stat Stallcat.Queue_full (fun () ->
-            Watchdog.wait wd ~role ~for_:"worker queue space (flush)" drain_all)
+            Watchdog.wait ~wd ~role ~for_:"worker queue space (flush)" ~on:space
+              drain_all)
     in
     (* The one open chunk: a run of consecutive iterations bound for the
        same worker, sealed into a frame when the run breaks (different
@@ -257,7 +273,7 @@ let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) e
           Work.burn work (s.Ir.Stmt.cost env_j);
           s.Ir.Stmt.exec env_j)
         il.Ir.Program.body;
-      Atomic.set cells.(w) iter
+      complete cells w iter
     in
     let continue_ = ref true in
     while !continue_ do
@@ -330,7 +346,7 @@ let run_duplicated ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan)
     invalid_arg "Ndomore.run_duplicated: body statements re-partitioned into the scheduler";
   let wd = match wd with Some w -> w | None -> Watchdog.unbounded () in
   let stat = Stallcat.create () in
-  let cells = Array.init workers (fun _ -> Pad.atomic (-1)) in
+  let cells = new_cells workers in
   let batch = max 1 batch in
   let tasks = ref 0 in
   let worker tid () =
@@ -347,7 +363,7 @@ let run_duplicated ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan)
     let unpublished = ref 0 in
     let publish () =
       if !unpublished > 0 then begin
-        Atomic.set cells.(tid) !last_done;
+        complete cells tid !last_done;
         unpublished := 0;
         ev Obs.Flight.Epoch_commit ~domain:tid ~a:!last_done ~b:0
       end
@@ -388,7 +404,7 @@ let run_duplicated ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan)
               then Watchdog.park wd ~role;
               Rt.Shadow.Deps.iter
                 (fun ~tid:dt ~iter:di ->
-                  if Atomic.get cells.(dt) < di then begin
+                  if Atomic.get cells.at.(dt) < di then begin
                     publish ();
                     wait_cell ~wd ~role ~stat ?fr ~domain:tid ~src:dt cells dt
                       di

@@ -5,8 +5,9 @@
     memory ({!Xinv_runtime.Shadow}) and streams synchronization conditions
     plus Do-task messages to worker domains over lock-free int queues
     ({!Spsc}).  Workers publish completed iteration numbers in monotonic
-    [Atomic] cells; a [Wait] condition spins until the named worker's cell
-    reaches the named iteration.
+    [Atomic] cells; a [Wait] condition waits until the named worker's cell
+    reaches the named iteration, parking after a short spin and woken by
+    that worker's next completion store.
 
     Wire format (one word per message on the queue): words with low bits
     00/01/10 are {!Xinv_runtime.Sync_cond.to_int} encodings; low bits 11

@@ -124,7 +124,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   (* The frontier arrays are the contended heart of the protocol: every
      worker writes its own slot while every peer polls all of them, so each
      slot lives on its own cache line ({!Pad}), as do the scalar flags the
-     throttle and rally predicates spin on. *)
+     throttle and rally predicates poll. *)
   let tpos = Pad.atomic_array workers (-1) in
   let dpos = Pad.atomic_array workers (-1) in
   let progress = Pad.atomic_array workers (-1) in
@@ -144,6 +144,18 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   let resume_from = Pad.atomic 0 in
   let finished = Pad.atomic false in
   let injected = Pad.atomic false in
+  (* Every wait of the protocol reads the frontier flags above, so every
+     store to one of them goes through [publish], which signals [changed]
+     (one atomic load while nobody is parked). *)
+  let changed = Wake.create () in
+  let publish a v =
+    Atomic.set a v;
+    Wake.signal changed
+  in
+  let publish_incr a =
+    Atomic.incr a;
+    Wake.signal changed
+  in
   let bar = Nbar.create ~parties:workers in
   let stat = Stallcat.create () in
   let tasks_total = ref 0 in
@@ -153,7 +165,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   let wait_or_abort ?(cause = Stallcat.Rally) ~w ~for_ pred =
     if not (pred () || aborted ()) then
       Stallcat.timed ?fr ~domain:w stat cause (fun () ->
-          Watchdog.wait wd ~role:(role_of w) ~for_ (fun () ->
+          Watchdog.wait ~wd ~role:(role_of w) ~for_ ~on:[ changed ] (fun () ->
               pred () || aborted ()))
   in
   let episodes = Array.make workers 0 in
@@ -244,34 +256,45 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
         Array.iter Queue.clear pending;
         Array.fill storage 0 workers [];
         incr cur_gen;
-        Atomic.set checker_gen !cur_gen;
+        publish checker_gen !cur_gen;
         Atomic.incr misspec_ctr;
         ev Obs.Flight.Misspec ~domain:workers ~a:r.r_epoch ~b:r.r_worker;
-        Atomic.set abort true;
+        publish abort true;
         (* abort is published before processed so a worker that observes the
            full drain also observes the abort *)
-        Atomic.incr processed
+        publish_incr processed
       end
-      else Atomic.incr processed
+      else publish_incr processed
     in
-    let b = Backoff.create () in
+    (* Process pending requests in ascending global position, so every
+       signature a later request's window needs is in storage first. *)
+    let pick () =
+      let best = ref (-1) in
+      for w = 0 to workers - 1 do
+        match Queue.peek_opt pending.(w) with
+        | Some r ->
+            if !best < 0 || r.r_g < (Queue.peek pending.(!best)).r_g then
+              best := w
+        | None -> ()
+      done;
+      !best
+    in
+    (* Idle until a request arrives, the oldest pending one becomes ready
+       (a frontier moved), the run finishes or the cohort is cancelled. *)
+    let idle_on =
+      changed :: Watchdog.on_cancel wd :: Array.to_list (Array.map Spsc.on_push qs)
+    in
+    let has_work () =
+      Atomic.get finished || Watchdog.cancelled wd
+      || Array.exists (fun q -> Spsc.length q > 0) qs
+      ||
+      let b = pick () in
+      b >= 0 && ready (Queue.peek pending.(b))
+    in
     let running = ref true in
     while !running do
       let any = drain () in
       prune ();
-      (* Process pending requests in ascending global position, so every
-         signature a later request's window needs is in storage first. *)
-      let pick () =
-        let best = ref (-1) in
-        for w = 0 to workers - 1 do
-          match Queue.peek_opt pending.(w) with
-          | Some r ->
-              if !best < 0 || r.r_g < (Queue.peek pending.(!best)).r_g then
-                best := w
-          | None -> ()
-        done;
-        !best
-      in
       let progressed = ref true in
       while !progressed do
         progressed := false;
@@ -302,8 +325,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
       in
       if Atomic.get finished && empty then running := false
       else if Watchdog.cancelled wd then running := false
-      else if any then Backoff.reset b
-      else Backoff.once b
+      else if not any then ignore (Wake.await idle_on has_work : bool)
     done
   in
 
@@ -336,7 +358,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
        speculative range (dissertation 4.2.1).  A stalled worker keeps
        executing but stops publishing: its frozen frontier starves the
        peers' range throttle, which the watchdog then bounds. *)
-    if not q_stalled.(w) then Atomic.set tpos.(w) g;
+    if not q_stalled.(w) then publish tpos.(w) g;
     if aborted () then raise Abort_now;
     let floor_ = g - cfg.spec_distance + 1 in
     if floor_ > 0 then
@@ -360,7 +382,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
       (try ignore (task ()) with e when containable e -> ())
     else begin
       (* Everything of mine below [g] is already enqueued. *)
-      Atomic.set dpos.(w) (g - 1);
+      publish dpos.(w) (g - 1);
       let started = Array.map Atomic.get dpos in
       let sg = Rt.Signature.create cfg.sig_kind in
       let force = ref false in
@@ -371,26 +393,26 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
           Atomic.set injected true;
           force := true
       | _ -> ());
-      Atomic.incr submitted;
+      publish_incr submitted;
       Atomic.incr submitted_total;
       submit ~w
         { r_gen = gen; r_worker = w; r_epoch = epoch; r_g = g; r_sig = sg;
           r_started = started; r_force = !force };
-      Atomic.set dpos.(w) g
+      publish dpos.(w) g
     end
   in
   (* Submit a no-signature forced conflict: used when speculative state is
      so inconsistent that even scheduling-side evaluation raises. *)
   let submit_forced ~w ~gen ~epoch ~g =
-    Atomic.set dpos.(w) (g - 1);
+    publish dpos.(w) (g - 1);
     let started = Array.map Atomic.get dpos in
-    Atomic.incr submitted;
+    publish_incr submitted;
     Atomic.incr submitted_total;
     submit ~w
       { r_gen = gen; r_worker = w; r_epoch = epoch; r_g = g;
         r_sig = Rt.Signature.create cfg.sig_kind; r_started = started;
         r_force = true };
-    Atomic.set dpos.(w) g
+    publish dpos.(w) g
   in
   let exec_epoch_spec ~w ~gen e =
     let il, env_t = env_of_epoch e in
@@ -450,7 +472,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
               (* Ownership itself read garbage: force a conflict. *)
               submit_forced ~w ~gen ~epoch:e ~g;
               raise Abort_now
-          | Some false -> Atomic.set dpos.(w) g
+          | Some false -> publish dpos.(w) g
           | Some true ->
               run_task ~w ~gen ~epoch:e ~g (fun () ->
                   let addrs = Ir.Footprint.body_filtered ~hot env_j il in
@@ -508,24 +530,24 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
     (* All workers rallied: nothing new is being pushed or executed. *)
     if w = 0 then begin
       Stallcat.timed ?fr ~domain:w stat Stallcat.Checker_lag (fun () ->
-          Watchdog.wait wd ~role ~for_:"checker generation bump" (fun () ->
-              Atomic.get checker_gen > !gen));
+          Watchdog.wait ~wd ~role ~for_:"checker generation bump" ~on:[ changed ]
+            (fun () -> Atomic.get checker_gen > !gen));
       let ck = Rt.Checkpoint.restore ckpts ~into:mem in
       Atomic.set redo_from ck;
       Atomic.set redo_to (Stdlib.min (Atomic.get max_epoch) (nepochs - 1));
       let rf = Atomic.get redo_to + 1 in
       Atomic.set resume_from rf;
-      Atomic.set submitted 0;
-      Atomic.set processed 0;
+      publish submitted 0;
+      publish processed 0;
       let base = epoch_base.(rf) - 1 in
       for w' = 0 to workers - 1 do
-        Atomic.set tpos.(w') base;
-        Atomic.set dpos.(w') base;
-        Atomic.set progress.(w') (rf - 1)
+        publish tpos.(w') base;
+        publish dpos.(w') base;
+        publish progress.(w') (rf - 1)
       done;
       (* Everyone already exited their abort-escaping waits (they are at the
          barrier), so the flag can drop before they resume. *)
-      Atomic.set abort false
+      publish abort false
     end;
     bar_wait ~w;
     gen := Atomic.get checker_gen;
@@ -538,7 +560,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
     if w = 0 then begin
       let rf = Atomic.get resume_from in
       Rt.Checkpoint.save ckpts ~epoch:rf mem;
-      Atomic.set ckpt_done rf;
+      publish ckpt_done rf;
       Atomic.set prune_floor (epoch_base.(rf) - 1)
     end;
     bar_wait ~w;
@@ -555,21 +577,21 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
       if aborted () then e := recover w gen
       else if !e >= nepochs then begin
         if not q_stalled.(w) then begin
-          Atomic.set progress.(w) nepochs;
-          Atomic.set tpos.(w) epoch_base.(nepochs);
-          Atomic.set dpos.(w) epoch_base.(nepochs)
+          publish progress.(w) nepochs;
+          publish tpos.(w) epoch_base.(nepochs);
+          publish dpos.(w) epoch_base.(nepochs)
         end;
         wait_or_abort ~w ~for_:"peers to finish" (fun () ->
             all_progress_ge nepochs);
         wait_or_abort ~cause:Stallcat.Checker_lag ~w ~for_:"checker drain" drained;
         if aborted () then e := recover w gen
         else begin
-          if w = 0 then Atomic.set finished true;
+          if w = 0 then publish finished true;
           running := false
         end
       end
       else begin
-        if not q_stalled.(w) then Atomic.set progress.(w) !e;
+        if not q_stalled.(w) then publish progress.(w) !e;
         (* Fault sites are epoch ordinals. *)
         Fault.inject fault Fault.Worker_raise ~domain:w ~site:!e;
         if w = 0 then
@@ -599,7 +621,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
             if not (aborted ()) then begin
               Rt.Checkpoint.save ckpts ~epoch:!e mem;
               Atomic.set prune_floor (epoch_base.(!e) - 1);
-              Atomic.set ckpt_done !e
+              publish ckpt_done !e
             end
           end
           else
@@ -633,7 +655,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
               done;
               Rt.Checkpoint.save ckpts ~epoch:(!e + 1) mem;
               Atomic.set prune_floor (epoch_base.(!e + 1) - 1);
-              Atomic.set io_done !e
+              publish io_done !e
             end
           end
           else
@@ -641,15 +663,15 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
                 Atomic.get io_done >= !e);
           if aborted () then e := recover w gen
           else begin
-            Atomic.set tpos.(w) (epoch_base.(!e + 1) - 1);
-            Atomic.set dpos.(w) (epoch_base.(!e + 1) - 1);
+            publish tpos.(w) (epoch_base.(!e + 1) - 1);
+            publish dpos.(w) (epoch_base.(!e + 1) - 1);
             ev Obs.Flight.Epoch_commit ~domain:w ~a:!e ~b:0;
             incr e
           end
         end
         else begin
-          Atomic.set tpos.(w) (epoch_base.(!e) - 1);
-          Atomic.set dpos.(w) (epoch_base.(!e) - 1);
+          publish tpos.(w) (epoch_base.(!e) - 1);
+          publish dpos.(w) (epoch_base.(!e) - 1);
           (try
              exec_epoch_spec ~w ~gen:!gen !e;
              if not (aborted ()) then begin

@@ -4,29 +4,34 @@ type slot = {
   cell : msg Atomic.t;
   done_ : int Atomic.t;  (* jobs completed; read by the dispatcher to join *)
   err : exn option Atomic.t;
+  wake : Wake.t;
+      (* signalled on every [cell] hand-off (job, quit) and completion: the
+         idle worker and the joining dispatcher are never parked at once *)
 }
 
 type t = { slots : slot array; doms : unit Domain.t array; mutable live : bool }
 
 let worker_loop (s : slot) =
-  let b = Backoff.create () in
+  let ready () = match Atomic.get s.cell with Idle -> false | Job _ | Quit -> true in
   let running = ref true in
   while !running do
+    ignore (Wake.await [ s.wake ] ready : bool);
     match Atomic.get s.cell with
-    | Idle -> Backoff.once b
+    | Idle -> ()
     | Quit -> running := false
     | Job f ->
-        Backoff.reset b;
         (try f () with e -> Atomic.set s.err (Some e));
         Atomic.set s.cell Idle;
-        Atomic.incr s.done_
+        Atomic.incr s.done_;
+        Wake.signal s.wake
   done
 
 let create ~workers =
   if workers < 0 then invalid_arg "Pool.create: negative worker count";
   let slots =
     Array.init workers (fun _ ->
-        { cell = Atomic.make Idle; done_ = Atomic.make 0; err = Atomic.make None })
+        { cell = Atomic.make Idle; done_ = Atomic.make 0; err = Atomic.make None;
+          wake = Wake.create () })
   in
   let doms = Array.map (fun s -> Domain.spawn (fun () -> worker_loop s)) slots in
   { slots; doms; live = true }
@@ -44,37 +49,37 @@ let run ?wd ?(on_stall = fun (_ : exn) -> ()) t fns =
     for i = 1 to n - 1 do
       let s = t.slots.(i - 1) in
       Atomic.set s.err None;
-      Atomic.set s.cell (Job fns.(i))
+      Atomic.set s.cell (Job fns.(i));
+      Wake.signal s.wake
     done;
     let main_err = ref None in
     (try fns.(0) () with e -> main_err := Some e);
     let join i =
       let s = t.slots.(i - 1) in
-      let pred () = Atomic.get s.done_ > before.(i - 1) in
-      match wd with
-      | None -> Backoff.wait_until pred
-      | Some wd -> (
-          (* The join must outlive cancellation — cancelled workers are
-             still unwinding — so it is non-cancellable. *)
-          let role = "pool" and for_ = Printf.sprintf "join of worker %d" i in
-          try Watchdog.wait ~cancellable:false wd ~role ~for_ pred
-          with Watchdog.Stalled _ as stall -> (
-            (* Give the caller one chance to cancel the cohort (close
-               queues, poison barriers) and the worker one more timeout
-               window to unwind before declaring it wedged.  The window
-               comes from a fresh grace watchdog: the original absolute
-               deadline may already be in the past — often exactly why
-               this join stalled — and a zero-width second chance would
-               condemn a shared pool whose workers unwind fine once
-               cancelled. *)
-            on_stall stall;
-            try Watchdog.wait ~cancellable:false (Watchdog.grace wd) ~role ~for_ pred
-            with Watchdog.Stalled _ ->
-              (* The domain is unrecoverable; abandoning its join would
-                 corrupt the next run, so the pool dies with it.  The
-                 domain itself is leaked until process exit. *)
-              t.live <- false;
-              raise stall))
+      (* The join must outlive cancellation — cancelled workers are still
+         unwinding — so it is non-cancellable. *)
+      let await wd =
+        Watchdog.wait ~cancellable:false ?wd ~role:"pool"
+          ~for_:(Printf.sprintf "join of worker %d" i) ~on:[ s.wake ] (fun () ->
+            Atomic.get s.done_ > before.(i - 1))
+      in
+      try await wd
+      with Watchdog.Stalled _ as stall -> (
+        (* Give the caller one chance to cancel the cohort (close queues,
+           poison barriers) and the worker one more timeout window to
+           unwind before declaring it wedged.  The window comes from a
+           fresh grace watchdog: the original absolute deadline may already
+           be in the past — often exactly why this join stalled — and a
+           zero-width second chance would condemn a shared pool whose
+           workers unwind fine once cancelled. *)
+        on_stall stall;
+        try await (Option.map Watchdog.grace wd)
+        with Watchdog.Stalled _ ->
+          (* The domain is unrecoverable; abandoning its join would corrupt
+             the next run, so the pool dies with it.  The domain itself is
+             leaked until process exit. *)
+          t.live <- false;
+          raise stall)
     in
     let join_err = ref None in
     for i = 1 to n - 1 do
@@ -91,7 +96,11 @@ let run ?wd ?(on_stall = fun (_ : exn) -> ()) t fns =
 let shutdown t =
   if t.live then begin
     t.live <- false;
-    Array.iter (fun s -> Atomic.set s.cell Quit) t.slots;
+    Array.iter
+      (fun s ->
+        Atomic.set s.cell Quit;
+        Wake.signal s.wake)
+      t.slots;
     Array.iter Domain.join t.doms
   end
 

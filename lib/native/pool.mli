@@ -1,7 +1,7 @@
 (** Persistent domain pool.
 
-    Domains are spawned once and park in a resident backoff loop between
-    jobs ("pinned" in the sense of one dedicated domain per worker for the
+    Domains are spawned once and park between jobs — a short spin, then
+    blocked in the kernel until the next job is handed over ("pinned" in the sense of one dedicated domain per worker for the
     backend's whole lifetime; OS-level CPU affinity is left to the runner —
     see EXPERIMENTS.md).  Spawning domains per run would dominate the
     short regions the benchmarks measure. *)

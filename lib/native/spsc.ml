@@ -2,7 +2,7 @@ exception Closed
 
 (* Hot-path layout:
    - [head]/[tail] are padded onto their own cache lines (Pad.atomic), so a
-     producer advancing [tail] never invalidates the consumer's spin on
+     producer advancing [tail] never invalidates the consumer's polls of
      [head] and vice versa.
    - Each side keeps a *cached* copy of the peer's index (again padded and
      single-writer): the producer only re-reads [head] when the queue looks
@@ -21,6 +21,8 @@ type 'a t = {
   closed_ : bool Atomic.t;
   head_cache : Pad.cell;  (* producer's view of head; producer-only *)
   tail_cache : Pad.cell;  (* consumer's view of tail; consumer-only *)
+  on_push : Wake.t;  (* signalled after every publish of [tail] and by close *)
+  on_pop : Wake.t;  (* signalled after every advance of [head] and by close *)
 }
 
 let create ~dummy ~capacity =
@@ -39,10 +41,19 @@ let create ~dummy ~capacity =
     closed_ = Pad.atomic false;
     head_cache = Pad.cell 0;
     tail_cache = Pad.cell 0;
+    on_push = Wake.create ();
+    on_pop = Wake.create ();
   }
 
 let capacity t = t.cap
-let close t = Atomic.set t.closed_ true
+
+let close t =
+  Atomic.set t.closed_ true;
+  Wake.signal t.on_push;
+  Wake.signal t.on_pop
+
+let on_push t = t.on_push
+let on_pop t = t.on_pop
 let closed t = Atomic.get t.closed_
 
 let try_push t x =
@@ -55,6 +66,7 @@ let try_push t x =
     t.buf.(tail land t.mask) <- x;
     (* seq_cst store publishes the slot write to the consumer *)
     Atomic.set t.tail (tail + 1);
+    Wake.signal t.on_push;
     true
   end
 
@@ -75,6 +87,7 @@ let try_push_array t src ~pos ~len =
         t.buf.((tail + k) land t.mask) <- src.(pos + k)
       done;
       Atomic.set t.tail (tail + n);
+      Wake.signal t.on_push;
       n
     end
   end
@@ -90,9 +103,7 @@ let push ?wd ?(role = "producer") t x =
       pushed := ok;
       ok
     in
-    (match wd with
-    | Some wd -> Watchdog.wait wd ~role ~for_:"queue slot" pred
-    | None -> Backoff.wait_until pred);
+    Watchdog.wait ?wd ~role ~for_:"queue slot" ~on:[ t.on_pop ] pred;
     if not !pushed then raise Closed
   end
 
@@ -106,6 +117,7 @@ let try_pop t =
     let x = t.buf.(i) in
     t.buf.(i) <- t.dummy;
     Atomic.set t.head (head + 1);
+    Wake.signal t.on_pop;
     Some x
   end
 
@@ -128,6 +140,7 @@ let pop_chunk t dst ~pos ~len =
         t.buf.(i) <- t.dummy
       done;
       Atomic.set t.head (head + n);
+      Wake.signal t.on_pop;
       n
     end
   end
@@ -148,9 +161,7 @@ let pop ?wd ?(role = "consumer") t =
             true
         | None -> Atomic.get t.closed_
       in
-      (match wd with
-      | Some wd -> Watchdog.wait wd ~role ~for_:"queue item" pred
-      | None -> Backoff.wait_until pred);
+      Watchdog.wait ?wd ~role ~for_:"queue item" ~on:[ t.on_push ] pred;
       if !got then !r else raise Closed
 
 let length t = Stdlib.max 0 (Atomic.get t.tail - Atomic.get t.head)
@@ -183,9 +194,8 @@ module Batch = struct
   let flush ?wd ?(role = "producer") b =
     if not (try_flush b) then begin
       let pred () = Atomic.get b.q.closed_ || try_flush b in
-      (match wd with
-      | Some wd -> Watchdog.wait wd ~role ~for_:"queue space for batch" pred
-      | None -> Backoff.wait_until pred);
+      Watchdog.wait ?wd ~role ~for_:"queue space for batch" ~on:[ b.q.on_pop ]
+        pred;
       if b.fill > 0 then raise Closed
     end
 

@@ -14,7 +14,11 @@
 
     The bulk operations ({!try_push_array}, {!pop_chunk}, {!Batch}) amortize
     the expensive seq_cst counter store over many items: one atomic publish
-    per batch instead of one per element. *)
+    per batch instead of one per element.
+
+    Blocking operations wait through {!Watchdog.wait}: a blocked side
+    parks, and every counter store (and {!close}) signals the peer's wake
+    point, {!on_push} or {!on_pop}. *)
 
 type 'a t
 
@@ -37,6 +41,16 @@ val close : 'a t -> unit
 
 val closed : 'a t -> bool
 
+val on_push : 'a t -> Wake.t
+(** Signalled after every publish of new items and by {!close}: the wake
+    point of a consumer that waits on [try_pop] outside {!pop} (the
+    SPECCROSS checker, which polls several queues at once). *)
+
+val on_pop : 'a t -> Wake.t
+(** Signalled after every pop and by {!close}: the wake point of a
+    producer waiting for room outside {!push} (the DOMORE scheduler, which
+    waits for space on any of its queues). *)
+
 val try_push : 'a t -> 'a -> bool
 (** Producer only.  False when full. *)
 
@@ -46,7 +60,7 @@ val try_push_array : 'a t -> 'a array -> pos:int -> len:int -> int
     number written (0 when full). *)
 
 val push : ?wd:Watchdog.t -> ?role:string -> 'a t -> 'a -> unit
-(** Producer only.  Blocks (with backoff) while full.
+(** Producer only.  Waits (parked) while full.
     @raise Closed when the queue is or becomes closed.
     @raise Watchdog.Stalled / Watchdog.Cancelled per [wd]'s bounds. *)
 
@@ -59,7 +73,7 @@ val pop_chunk : 'a t -> 'a array -> pos:int -> len:int -> int
     when empty — closure must be checked separately). *)
 
 val pop : ?wd:Watchdog.t -> ?role:string -> 'a t -> 'a
-(** Consumer only.  Blocks (with backoff) while empty.
+(** Consumer only.  Waits (parked) while empty.
     @raise Closed when the queue is closed and fully drained.
     @raise Watchdog.Stalled / Watchdog.Cancelled per [wd]'s bounds. *)
 

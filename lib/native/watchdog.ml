@@ -8,6 +8,7 @@ type t = {
   wait_timeout_s : float;  (* per-wait budget; infinity when unbounded *)
   root : exn option Atomic.t;
   stall_count : int Atomic.t;
+  on_cancel : Wake.t;
 }
 
 let make deadline_at wait_timeout_s =
@@ -16,6 +17,7 @@ let make deadline_at wait_timeout_s =
     wait_timeout_s;
     root = Atomic.make None;
     stall_count = Atomic.make 0;
+    on_cancel = Wake.create ();
   }
 
 let unbounded () = make infinity infinity
@@ -51,11 +53,17 @@ let grace t =
 let cancelled t = Atomic.get t.root <> None
 let root_cause t = Atomic.get t.root
 let stalls t = Atomic.get t.stall_count
+let on_cancel t = t.on_cancel
 
 let rec cancel t e =
   match Atomic.get t.root with
   | Some _ -> false
-  | None -> Atomic.compare_and_set t.root None (Some e) || cancel t e
+  | None ->
+      if Atomic.compare_and_set t.root None (Some e) then begin
+        Wake.signal t.on_cancel;
+        true
+      end
+      else cancel t e
 
 let raise_if_cancelled t ~role = if cancelled t then raise (Cancelled role)
 
@@ -64,41 +72,22 @@ let stall t ~role ~for_ ~started =
   let waited_ns = (Unix.gettimeofday () -. started) *. 1e9 in
   raise (Stalled { role; waiting_for = for_; waited_ns })
 
-(* Clock reads are amortized over the spin phase: during the first
-   [Backoff.spin_rounds] steps only every 32nd iteration checks the clock;
-   once the backoff escalates to naps, every iteration does (the nap
-   dominates the gettimeofday). *)
-let check_clock b =
-  let s = Backoff.steps b in
-  s land 31 = 0 || s > 128
-
-let wait ?(cancellable = true) t ~role ~for_ pred =
-  if not (pred ()) then begin
-    let b = Backoff.create () in
-    let time_bounded = bounded t in
-    let started = if time_bounded then Unix.gettimeofday () else 0. in
-    let give_up_at = Float.min (started +. t.wait_timeout_s) t.deadline_at in
-    let continue = ref true in
-    while !continue do
-      if pred () then continue := false
-      else if cancellable && cancelled t then raise (Cancelled role)
-      else begin
-        if time_bounded && check_clock b && Unix.gettimeofday () > give_up_at
-        then stall t ~role ~for_ ~started;
-        Backoff.once b
-      end
-    done
-  end
+let wait ?(cancellable = true) ?wd ~role ~for_ ~on pred =
+  if not (pred ()) then
+    match wd with
+    | None -> ignore (Wake.await on pred : bool)
+    | Some t ->
+        let started = if bounded t then Unix.gettimeofday () else 0. in
+        let until = Float.min (started +. t.wait_timeout_s) t.deadline_at in
+        let was_cancelled = ref false in
+        let pred () =
+          pred ()
+          || cancellable && cancelled t && (was_cancelled := true; true)
+        in
+        let on = if cancellable then t.on_cancel :: on else on in
+        if not (Wake.await ~until on pred) then stall t ~role ~for_ ~started
+        else if !was_cancelled then raise (Cancelled role)
 
 let park t ~role =
-  let b = Backoff.create () in
-  let time_bounded = bounded t in
-  let started = if time_bounded then Unix.gettimeofday () else 0. in
-  let give_up_at = Float.min (started +. t.wait_timeout_s) t.deadline_at in
-  while true do
-    if cancelled t then raise (Cancelled role);
-    if time_bounded && check_clock b && Unix.gettimeofday () > give_up_at then
-      stall t ~role ~for_:"park" ~started;
-    Backoff.once b
-  done;
+  wait ~wd:t ~role ~for_:"park" ~on:[] (fun () -> false);
   assert false

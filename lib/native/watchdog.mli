@@ -1,8 +1,8 @@
 (** Bounded waits and cohort cancellation for the native backend.
 
-    The lock-free primitives ({!Nbar}, {!Spsc}, the {!Pool} join) spin
+    The lock-free primitives ({!Nbar}, {!Spsc}, the {!Pool} join) wait
     until a peer makes progress; if that peer died the wait never ends.
-    A watchdog turns every such spin into a bounded, cancellable wait:
+    A watchdog turns every such wait into a bounded, cancellable one:
 
     - a {e per-run deadline} ([deadline_ms], absolute) and a {e per-wait
       timeout} ([wait_timeout_ms], relative to each wait's start) bound
@@ -11,7 +11,7 @@
     - a {e cancellation token}: the first failing domain publishes its
       exception via {!cancel}; every other domain's waits then raise
       {!Cancelled} so the whole cohort unwinds promptly instead of
-      spinning on state the dead domain will never update.
+      waiting on state the dead domain will never update.
 
     One watchdog is shared by every domain of one run (all operations are
     thread-safe); an {!unbounded} watchdog still provides cancellation. *)
@@ -36,12 +36,23 @@ val create : ?deadline_ms:float -> ?wait_timeout_ms:float -> unit -> t
     individual wait.  Omitted bounds are infinite. *)
 
 val wait :
-  ?cancellable:bool -> t -> role:string -> for_:string -> (unit -> bool) -> unit
-(** [wait t ~role ~for_ pred] spins (with {!Backoff} escalation) until
-    [pred ()] holds.
-    @raise Cancelled when the token is set (unless [cancellable:false],
+  ?cancellable:bool ->
+  ?wd:t ->
+  role:string ->
+  for_:string ->
+  on:Wake.t list ->
+  (unit -> bool) ->
+  unit
+(** [wait ?wd ~role ~for_ ~on pred] returns once [pred ()] holds.  It
+    is {!Wake.await}: a short spin, then the waiter parks on the wake
+    points [on] (and on [wd]'s cancellation), which must be signalled by
+    every write that can turn [pred] true.  Parking loses no wake-up,
+    releases the domain's runtime lock, and still honours [wd]'s bounds:
+    a parked waiter wakes by itself when its time runs out.  Without
+    [wd] the wait is unbounded and not cancellable.
+    @raise Cancelled when [wd]'s token is set (unless [cancellable:false],
       used by the pool join which must keep waiting for unwinding workers).
-    @raise Stalled when a time bound is exceeded. *)
+    @raise Stalled when a time bound of [wd] is exceeded. *)
 
 val park : t -> role:string -> 'a
 (** Block until cancelled or timed out — never returns normally.  Used by
@@ -53,6 +64,11 @@ val cancel : t -> exn -> bool
 (** Set the cancellation token.  True iff this call was the first: the
     winner's exception becomes the run's {!root_cause}; later calls are
     secondary failures and are dropped. *)
+
+val on_cancel : t -> Wake.t
+(** Signalled by the winning {!cancel}: lets an unbounded wait that is
+    not a {!wait} (the SPECCROSS checker idling between signatures) park
+    and still notice cancellation. *)
 
 val cancelled : t -> bool
 val root_cause : t -> exn option

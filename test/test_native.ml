@@ -470,6 +470,55 @@ let test_adaptive_measures_baseline_unverified () =
   Alcotest.(check bool) "one losing probe switches to sequential" true
     (C.adaptive_phase ctl = `Sequential)
 
+(* ---------- parking ---------- *)
+
+let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_parkers_leak_no_fd () =
+  if Sys.file_exists "/proc/self/fd" then
+    Nat.Pool.with_pool ~workers:2 (fun pool ->
+        let backend = `Native { C.native_defaults with C.pool = Some pool } in
+        let request technique =
+          ignore
+            (C.run_request
+               (C.Request.make ~backend ~input:Wl.Workload.Train ~verify:false
+                  ~technique ~threads:2 (Wl.Registry.find "CG"))
+              : C.outcome)
+        in
+        request C.Domore;
+        (* Parkers are recycled, so their number is bounded by the most
+           waiters ever parked at once: every pool domain idle and the
+           calling thread waiting.  Reach that bound before counting. *)
+        Unix.sleepf 0.01;
+        (try
+           Nat.Watchdog.wait
+             ~wd:(Nat.Watchdog.create ~wait_timeout_ms:20. ())
+             ~role:"main" ~for_:"nothing" ~on:[] (fun () -> false)
+         with Nat.Watchdog.Stalled _ -> ());
+        let before = fd_count () in
+        let techniques = [| C.Barrier; C.Domore; C.Speccross |] in
+        for i = 1 to 500 do
+          request techniques.(i mod 3)
+        done;
+        Alcotest.(check int) "open fds after 500 native requests" before
+          (fd_count ()))
+
+let test_idle_pool_parks () =
+  Nat.Pool.with_pool ~workers:1 (fun pool ->
+      Nat.Pool.run pool [| ignore; ignore |];
+      let cpu () =
+        let t = Unix.times () in
+        t.Unix.tms_utime +. t.Unix.tms_stime
+      in
+      let c0 = cpu () and t0 = Unix.gettimeofday () in
+      Unix.sleepf 0.3;
+      let used = cpu () -. c0 and wall = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "idle 1-worker pool used %.1f%% of a core"
+           (100. *. used /. wall))
+        true
+        (used < 0.1 *. wall))
+
 let suite =
   [
     Alcotest.test_case "spsc: FIFO across two domains" `Quick test_spsc_two_domains;
@@ -509,4 +558,8 @@ let suite =
       test_sequential_is_its_own_baseline;
     Alcotest.test_case "baseline: adaptive measures it unverified" `Quick
       test_adaptive_measures_baseline_unverified;
+    Alcotest.test_case "park: parkers leak no fd over 500 requests" `Quick
+      test_parkers_leak_no_fd;
+    Alcotest.test_case "park: an idle pool does not spin" `Quick
+      test_idle_pool_parks;
   ]

@@ -101,7 +101,7 @@ let test_watchdog_cancellation () =
   | _ -> Alcotest.fail "root cause is the first exception");
   Alcotest.check_raises "waits observe the token"
     (Nat.Watchdog.Cancelled "w") (fun () ->
-      Nat.Watchdog.wait wd ~role:"w" ~for_:"nothing" (fun () -> false))
+      Nat.Watchdog.wait ~wd ~role:"w" ~for_:"nothing" ~on:[] (fun () -> false))
 
 (* ---------- primitive unwinding ---------- *)
 
@@ -331,6 +331,148 @@ let test_simulate_matches_run_request () =
       (C.Speccross, [ "JACOBI"; "FDTD"; "CG" ]);
     ]
 
+(* ---------- parking: wakes, bounds, no lost wake-up ---------- *)
+
+(* Long enough that a waiter has left its spin phase (about 60 us) and is
+   parked in the kernel when the release comes. *)
+let past_spin_budget = 0.02
+
+(* A waiter that outlives its spin phase and parks is woken by [release]
+   promptly.  Its per-wait bound is 10 s, so a lost wake-up fails as a
+   [Stalled] instead of hanging, and the 1 s check tells the two apart. *)
+let check_woken name ~expect ~wait ~release =
+  let d =
+    Domain.spawn (fun () ->
+        let r =
+          match wait () with
+          | r -> r
+          | exception Nat.Nbar.Poisoned -> "Poisoned"
+          | exception Nat.Spsc.Closed -> "Closed"
+          | exception Nat.Watchdog.Cancelled _ -> "Cancelled"
+          | exception Nat.Watchdog.Stalled _ -> "Stalled"
+        in
+        (r, Unix.gettimeofday ()))
+  in
+  Unix.sleepf past_spin_budget;
+  let released = Unix.gettimeofday () in
+  release ();
+  let r, woke = Domain.join d in
+  Alcotest.(check string) (name ^ ": outcome") expect r;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: woken %.1f ms after the release" name
+       ((woke -. released) *. 1e3))
+    true
+    (woke -. released < 1.0)
+
+let test_parked_waiters_wake () =
+  let bounded () = Nat.Watchdog.create ~wait_timeout_ms:10_000. () in
+  (let wd = bounded () in
+   let bar = Nat.Nbar.create ~parties:2 in
+   check_woken "barrier release" ~expect:"released"
+     ~wait:(fun () -> Nat.Nbar.wait ~wd bar; "released")
+     ~release:(fun () -> Nat.Nbar.wait ~wd bar));
+  (let wd = bounded () in
+   let bar = Nat.Nbar.create ~parties:2 in
+   check_woken "Nbar.poison" ~expect:"Poisoned"
+     ~wait:(fun () -> Nat.Nbar.wait ~wd bar; "released")
+     ~release:(fun () -> Nat.Nbar.poison bar));
+  (let wd = bounded () in
+   let q = Nat.Spsc.create ~dummy:0 ~capacity:4 in
+   check_woken "Spsc.close" ~expect:"Closed"
+     ~wait:(fun () -> string_of_int (Nat.Spsc.pop ~wd q))
+     ~release:(fun () -> Nat.Spsc.close q));
+  (let wd = bounded () in
+   let q = Nat.Spsc.create ~dummy:0 ~capacity:4 in
+   check_woken "push" ~expect:"42"
+     ~wait:(fun () -> string_of_int (Nat.Spsc.pop ~wd q))
+     ~release:(fun () -> Nat.Spsc.push q 42));
+  let wd = bounded () in
+  let q = Nat.Spsc.create ~dummy:0 ~capacity:4 in
+  check_woken "Watchdog.cancel" ~expect:"Cancelled"
+    ~wait:(fun () -> string_of_int (Nat.Spsc.pop ~wd q))
+    ~release:(fun () -> ignore (Nat.Watchdog.cancel wd Exit : bool))
+
+let test_parked_pop_times_out () =
+  let q = Nat.Spsc.create ~dummy:0 ~capacity:4 in
+  let wd = Nat.Watchdog.create ~wait_timeout_ms:50. () in
+  let t0 = Unix.gettimeofday () in
+  match Nat.Spsc.pop ~wd q with
+  | (_ : int) -> Alcotest.fail "pop of an empty queue returned"
+  | exception Nat.Watchdog.Stalled _ ->
+      let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      Alcotest.(check bool)
+        (Printf.sprintf "parked pop gave up after %.1f ms (bound 50 ms)" ms)
+        true
+        (ms >= 49. && ms < 250.)
+
+(* Seeded delays on both sides of the spin budget: most rounds arrive while
+   the peer still spins, one in eight after it has parked. *)
+let delay rng =
+  match Xinv_util.Prng.int rng 8 with
+  | 0 -> Unix.sleepf 1e-4
+  | 1 | 2 | 3 ->
+      for _ = 1 to Xinv_util.Prng.int rng 200 do
+        Domain.cpu_relax ()
+      done
+  | _ -> ()
+
+let test_no_lost_wakeup_stress () =
+  (* Every wait is bounded at 10 s: a lost wake-up fails as Stalled. *)
+  let wd = Nat.Watchdog.create ~wait_timeout_ms:10_000. () in
+  let n = 20_000 in
+  let bar = Nat.Nbar.create ~parties:2 in
+  let peer =
+    Domain.spawn (fun () ->
+        let rng = Xinv_util.Prng.create ~seed:2 in
+        for _ = 1 to n do
+          delay rng;
+          Nat.Nbar.wait ~wd ~role:"peer" bar
+        done)
+  in
+  let rng = Xinv_util.Prng.create ~seed:1 in
+  for _ = 1 to n do
+    delay rng;
+    Nat.Nbar.wait ~wd ~role:"main" bar
+  done;
+  Domain.join peer;
+  Alcotest.(check int) "every barrier episode completed" n (Nat.Nbar.waits bar);
+  (* Capacity-1 ping-pong: the second push of each round waits for the
+     echo side's pop, and each pop waits for the peer's push. *)
+  let ping = Nat.Spsc.create ~dummy:0 ~capacity:1 in
+  let pong = Nat.Spsc.create ~dummy:0 ~capacity:1 in
+  let echo =
+    Domain.spawn (fun () ->
+        let rng = Xinv_util.Prng.create ~seed:3 in
+        for _ = 1 to n do
+          let x = Nat.Spsc.pop ~wd ping in
+          delay rng;
+          let y = Nat.Spsc.pop ~wd ping in
+          Nat.Spsc.push ~wd pong (if x = y then x else -1)
+        done)
+  in
+  let rng = Xinv_util.Prng.create ~seed:4 in
+  let bad = ref 0 in
+  for i = 1 to n do
+    Nat.Spsc.push ~wd ping i;
+    Nat.Spsc.push ~wd ping i;
+    delay rng;
+    if Nat.Spsc.pop ~wd pong <> i then incr bad
+  done;
+  Domain.join echo;
+  Alcotest.(check int) "every item echoed in order" 0 !bad;
+  (* Pool runs separated by idle gaps past the spin budget, so the workers
+     park between jobs and the hand-off must wake them. *)
+  let done_ = Atomic.make 0 in
+  let runs = 2_000 in
+  Nat.Pool.with_pool ~workers:2 (fun pool ->
+      let job () = Atomic.incr done_ in
+      for _ = 1 to runs do
+        Unix.sleepf 1e-4;
+        Nat.Pool.run ~wd pool [| job; job; job |]
+      done);
+  Alcotest.(check int) "every pool job ran" (3 * runs) (Atomic.get done_);
+  Alcotest.(check int) "no wait stalled" 0 (Nat.Watchdog.stalls wd)
+
 let suite =
   [
     Alcotest.test_case "fault: spec parsing and round trip" `Quick
@@ -365,3 +507,11 @@ let suite =
           `Quick
           (check_degrades technique spec))
       fault_matrix
+  @ [
+      Alcotest.test_case "park: parked waiters wake on every release" `Quick
+        test_parked_waiters_wake;
+      Alcotest.test_case "park: bounded parked pop raises Stalled on time"
+        `Quick test_parked_pop_times_out;
+      Alcotest.test_case "park: no lost wake-up under stress" `Quick
+        test_no_lost_wakeup_stress;
+    ]

@@ -583,10 +583,13 @@ let run_native_once ~actx ~opts ~wd ~fault ?fr (r : Request.t) env =
   in
   (nrun, engine_profile engine)
 
-(* Runtime failures trigger degradation; environment-level errors and
-   programming bugs do not. *)
+(* Runtime failures trigger degradation; environment-level errors,
+   programming bugs and a caller's cancellation do not.  Inside a cohort
+   [Cancelled] is always secondary — {!Nat.Pool.run} re-raises the root
+   cause — so one that escapes the engine is the caller's, and final. *)
 let degradable = function
-  | Out_of_memory | Stack_overflow | Assert_failure _ | Invalid_argument _ ->
+  | Out_of_memory | Stack_overflow | Assert_failure _ | Invalid_argument _
+  | Nat.Watchdog.Cancelled _ ->
       false
   | _ -> true
 

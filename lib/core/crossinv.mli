@@ -94,7 +94,11 @@ type native_opts = {
           starts waiting on it — the serve daemon's cancellation handle:
           [Watchdog.cancel] on it unwinds just that request's cohort
           (e.g. when the submitting client disconnects) without touching
-          a shared pool. *)
+          a shared pool, and the attempt raises the exception it was
+          cancelled with.  Cancelling with {!Xinv_native.Watchdog.Cancelled}
+          makes that final: the request raises it without degrading to
+          another attempt.  Any other exception is treated like a runtime
+          failure of the attempt and may degrade. *)
 }
 
 val native_defaults : native_opts

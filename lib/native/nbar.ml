@@ -1,11 +1,8 @@
-exception Poisoned
-
 type t = {
   parties : int;
   count : int Atomic.t;
   sense : int Atomic.t;
-  poisoned_ : bool Atomic.t;
-  wake : Wake.t;  (* signalled by the release and by [poison] *)
+  wake : Wake.t;  (* signalled by the release *)
 }
 
 let create ~parties =
@@ -13,22 +10,9 @@ let create ~parties =
   (* Each atomic on its own cache line: arrivals hammer [count] while
      released parties poll [sense]; sharing a line would make every
      arrival invalidate every waiter. *)
-  {
-    parties;
-    count = Pad.atomic 0;
-    sense = Pad.atomic 0;
-    poisoned_ = Pad.atomic false;
-    wake = Wake.create ();
-  }
-
-let poison t =
-  Atomic.set t.poisoned_ true;
-  Wake.signal t.wake
-
-let poisoned t = Atomic.get t.poisoned_
+  { parties; count = Pad.atomic 0; sense = Pad.atomic 0; wake = Wake.create () }
 
 let wait ?wd ?(role = "party") t =
-  if Atomic.get t.poisoned_ then raise Poisoned;
   let s = Atomic.get t.sense in
   if Atomic.fetch_and_add t.count 1 = t.parties - 1 then begin
     (* Last arrival resets and flips the sense, releasing the others. *)
@@ -36,12 +20,8 @@ let wait ?wd ?(role = "party") t =
     Atomic.set t.sense (s + 1);
     Wake.signal t.wake
   end
-  else begin
+  else
     Watchdog.wait ?wd ~role ~for_:"barrier" ~on:[ t.wake ] (fun () ->
-        Atomic.get t.sense <> s || Atomic.get t.poisoned_);
-    (* A poison racing a legitimate release lets the release win: only a
-       party still stuck on the old sense reports the poisoning. *)
-    if Atomic.get t.sense = s then raise Poisoned
-  end
+        Atomic.get t.sense <> s)
 
 let waits t = Atomic.get t.sense

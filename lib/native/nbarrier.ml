@@ -154,28 +154,8 @@ let run ~pool ?wd ?fault ?fr ?(work = Work.Off) ?(grain = 1) ~threads ~plan
         p.Ir.Program.inners
     done
   in
-  let cancel_cohort e =
-    ignore (Watchdog.cancel wd e);
-    Nbar.poison bar
-  in
-  let guard tid fn () =
-    try fn ()
-    with e -> (
-      let first = Watchdog.cancel wd e in
-      Nbar.poison bar;
-      match e with
-      | (Watchdog.Cancelled _ | Nbar.Poisoned) when not first ->
-          ignore tid (* secondary unwind, not a failure of its own *)
-      | _ -> raise e)
-  in
-  let fns = Array.init threads (fun tid -> guard tid (worker tid)) in
   let wall_ns =
-    Nrun.timed (fun () ->
-        try Pool.run ~wd ~on_stall:cancel_cohort pool fns
-        with e -> (
-          match Watchdog.root_cause wd with
-          | Some root when root != e -> raise root
-          | _ -> raise e))
+    Nrun.timed (fun () -> Pool.run ~wd pool (Array.init threads worker))
   in
   let tech0 = plan (List.hd p.Ir.Program.inners).Ir.Program.ilabel in
   Nrun.make

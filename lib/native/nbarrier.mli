@@ -26,9 +26,10 @@ val run :
     distribution and leaves the memory state bit-identical.
 
     All barrier waits are bounded by [wd] (an internal unbounded watchdog
-    provides cancellation when omitted).  A failing domain poisons the
-    barrier and cancels the cohort; the first failure is re-raised after
-    the run unwinds.  [fault] injection sites are global invocation
+    provides cancellation when omitted).  The threads run as one
+    {!Pool.run} cohort: a failing thread cancels [wd], which wakes every
+    barrier waiter, and the root cause is re-raised after the run unwinds
+    — also when the caller cancelled [wd] itself.  [fault] injection sites are global invocation
     ordinals; the barrier engine honours [Worker_raise] and
     [Poison_cond].
 

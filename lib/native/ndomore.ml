@@ -49,11 +49,6 @@ let wait_cell ~wd ~role ~stat ?fr ~domain ~src cells dep_tid dep_iter =
   | Some f -> Obs.Flight.record f ~domain Obs.Flight.Sync_recv ~a:dep_iter ~b:src
   | None -> ()
 
-let reraise_root wd e =
-  match Watchdog.root_cause wd with
-  | Some root when root != e -> raise root
-  | _ -> raise e
-
 let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) env =
   let config = match config with Some c -> c | None -> default_config ~workers:3 in
   let { policy; workers; queue_capacity; work; grain; batch } = config in
@@ -226,13 +221,7 @@ let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) e
       done;
       seal ()
     in
-    (* Workers block on their queues: release them even if scheduling itself
-       fails.  Closing the queues (rather than pushing end tokens, which can
-       block on a full queue whose consumer is dead) guarantees the wakeup. *)
-    (try sched ()
-     with e ->
-       Array.iter Spsc.close queues;
-       raise e);
+    sched ();
     for w = 0 to workers - 1 do
       push_word w end_word
     done;
@@ -305,28 +294,11 @@ let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) e
               cells dep_tid dep_iter
     done
   in
-  let cancel_cohort e =
-    ignore (Watchdog.cancel wd e);
-    Array.iter Spsc.close queues
-  in
-  let guard fn () =
-    try fn ()
-    with e -> (
-      let first = Watchdog.cancel wd e in
-      Array.iter Spsc.close queues;
-      match e with
-      | (Watchdog.Cancelled _ | Spsc.Closed) when not first -> ()
-      | _ -> raise e)
-  in
   let fns =
     Array.init (workers + 1) (fun i ->
-        if i = 0 then guard scheduler else guard (fun () -> worker (i - 1) ()))
+        if i = 0 then scheduler else worker (i - 1))
   in
-  let wall_ns =
-    Nrun.timed (fun () ->
-        try Pool.run ~wd ~on_stall:cancel_cohort pool fns
-        with e -> reraise_root wd e)
-  in
+  let wall_ns = Nrun.timed (fun () -> Pool.run ~wd pool fns) in
   Nrun.make ~technique:"native-DOMORE" ~domains:(workers + 1) ~workers ~wall_ns
     ~tasks:!iternum ~invocations:(Ir.Program.invocations p) ~conds:!conds
     ~checks:!conds ~stalls:(Stallcat.to_list stat) ()
@@ -426,20 +398,8 @@ let run_duplicated ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan)
     done;
     publish ()
   in
-  let guard fn () =
-    try fn ()
-    with e -> (
-      let first = Watchdog.cancel wd e in
-      match e with
-      | Watchdog.Cancelled _ when not first -> ()
-      | _ -> raise e)
-  in
-  let fns = Array.init workers (fun tid -> guard (worker tid)) in
-  let cancel_cohort e = ignore (Watchdog.cancel wd e) in
   let wall_ns =
-    Nrun.timed (fun () ->
-        try Pool.run ~wd ~on_stall:cancel_cohort pool fns
-        with e -> reraise_root wd e)
+    Nrun.timed (fun () -> Pool.run ~wd pool (Array.init workers worker))
   in
   Nrun.make ~technique:"native-DOMORE-dup" ~domains:workers ~workers ~wall_ns
     ~tasks:!tasks ~invocations:(Ir.Program.invocations p)

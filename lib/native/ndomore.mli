@@ -50,9 +50,11 @@ val run :
     therefore the sync-condition count — matches the simulator exactly.
 
     All queue operations and cell waits are bounded by [wd] (an internal
-    unbounded watchdog provides cancellation when omitted).  A failing
-    domain closes every queue and cancels the cohort; the first failure
-    is re-raised after the run unwinds.  [fault] sites are combined
+    unbounded watchdog provides cancellation when omitted).  Scheduler
+    and workers run as one {!Pool.run} cohort: a failing domain cancels
+    [wd], which wakes every queue and cell waiter, and the root cause is
+    re-raised after the run unwinds — also when the caller cancelled [wd]
+    itself.  [fault] sites are combined
     iteration numbers: [Scheduler_die] raises in the scheduler,
     [Worker_raise] in the dispatched worker, [Queue_stall] wedges the
     scheduler before feeding the matched worker, and [Poison_cond] sends

@@ -50,9 +50,7 @@ exception Abort_now
    the whole cohort. *)
 let containable = function
   | Out_of_memory | Stack_overflow -> false
-  | Fault.Injected _ | Watchdog.Stalled _ | Watchdog.Cancelled _
-  | Spsc.Closed | Nbar.Poisoned ->
-      false
+  | Fault.Injected _ | Watchdog.Stalled _ | Watchdog.Cancelled _ -> false
   | _ -> true
 
 let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
@@ -683,36 +681,10 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
       end
     done
   in
-  let cancel_cohort e =
-    ignore (Watchdog.cancel wd e);
-    Array.iter Spsc.close qs;
-    Nbar.poison bar
-  in
-  let guard fn () =
-    try fn ()
-    with e -> (
-      let first = Watchdog.cancel wd e in
-      Array.iter Spsc.close qs;
-      Nbar.poison bar;
-      match e with
-      | (Watchdog.Cancelled _ | Spsc.Closed | Nbar.Poisoned) when not first ->
-          ()
-      | _ -> raise e)
-  in
   let fns =
-    Array.init (workers + 1) (fun i ->
-        if i = 0 then guard (fun () -> worker 0 ())
-        else if i <= workers - 1 then guard (fun () -> worker i ())
-        else guard checker)
+    Array.init (workers + 1) (fun i -> if i < workers then worker i else checker)
   in
-  let wall_ns =
-    Nrun.timed (fun () ->
-        try Pool.run ~wd ~on_stall:cancel_cohort pool fns
-        with e -> (
-          match Watchdog.root_cause wd with
-          | Some root when root != e -> raise root
-          | _ -> raise e))
-  in
+  let wall_ns = Nrun.timed (fun () -> Pool.run ~wd pool fns) in
   Nrun.make ~technique:"native-SPECCROSS" ~domains:(workers + 1) ~workers ~wall_ns
     ~tasks:!tasks_total ~invocations:(Ir.Program.invocations p)
     ~checks:(Atomic.get submitted_total) ~misspecs:(Atomic.get misspec_ctr)

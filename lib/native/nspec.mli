@@ -57,10 +57,11 @@ val run :
 
     Every blocking wait (throttle, rallies, barrier, queue push) is
     bounded by [wd] (an internal unbounded watchdog provides cancellation
-    when omitted).  A failing domain closes the request queues, poisons
-    the rally barrier and cancels the cohort; the first failure is
-    re-raised after the run unwinds — speculative misspeculation recovery
-    is unaffected.  [fault] sites are epoch ordinals ([Checker_die]:
+    when omitted).  Workers and checker run as one {!Pool.run} cohort: a
+    failing domain cancels [wd], which wakes every waiter, and the root
+    cause is re-raised after the run unwinds — also when the caller
+    cancelled [wd] itself.  Speculative misspeculation recovery is
+    unaffected.  [fault] sites are epoch ordinals ([Checker_die]:
     drained-request count): [Worker_raise] raises in the matched worker,
     [Scheduler_die] in worker 0, [Checker_die] in the checker,
     [Queue_stall] freezes the matched worker's signature stream, and

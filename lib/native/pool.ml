@@ -39,12 +39,26 @@ let create ~workers =
 let workers t = Array.length t.doms
 let live t = t.live
 
-let run ?wd ?(on_stall = fun (_ : exn) -> ()) t fns =
+let run ?wd t fns =
   if not t.live then invalid_arg "Pool.run: pool was shut down";
   let n = Array.length fns in
   if n = 0 then ()
   else begin
     if n - 1 > Array.length t.doms then invalid_arg "Pool.run: too many functions";
+    (* With a watchdog, the first function to fail cancels it, which wakes
+       every peer parked on the cohort's waits. *)
+    let fns =
+      match wd with
+      | None -> fns
+      | Some wd ->
+          Array.map
+            (fun f () ->
+              try f ()
+              with e ->
+                ignore (Watchdog.cancel wd e : bool);
+                raise e)
+            fns
+    in
     let before = Array.init (n - 1) (fun i -> Atomic.get t.slots.(i).done_) in
     for i = 1 to n - 1 do
       let s = t.slots.(i - 1) in
@@ -65,27 +79,26 @@ let run ?wd ?(on_stall = fun (_ : exn) -> ()) t fns =
       in
       try await wd
       with Watchdog.Stalled _ as stall -> (
-        (* Give the caller one chance to cancel the cohort (close queues,
-           poison barriers) and the worker one more timeout window to
-           unwind before declaring it wedged.  The window comes from a
-           fresh grace watchdog: the original absolute deadline may already
-           be in the past — often exactly why this join stalled — and a
-           zero-width second chance would condemn a shared pool whose
+        (* Cancel the cohort so the worker unwinds, and give it one more
+           timeout window before declaring it wedged.  The window comes from
+           a fresh grace watchdog: the original absolute deadline may
+           already be in the past — often exactly why this join stalled —
+           and a zero-width second chance would condemn a shared pool whose
            workers unwind fine once cancelled. *)
-        on_stall stall;
+        Option.iter (fun wd -> ignore (Watchdog.cancel wd stall : bool)) wd;
         try await (Option.map Watchdog.grace wd)
         with Watchdog.Stalled _ ->
           (* The domain is unrecoverable; abandoning its join would corrupt
              the next run, so the pool dies with it.  The domain itself is
              leaked until process exit. *)
-          t.live <- false;
-          raise stall)
+          t.live <- false)
     in
-    let join_err = ref None in
     for i = 1 to n - 1 do
-      try join i with e -> if !join_err = None then join_err := Some e
+      join i
     done;
-    (match !join_err with Some e -> raise e | None -> ());
+    (match Option.bind wd Watchdog.root_cause with
+    | Some e -> raise e
+    | None -> ());
     (match !main_err with Some e -> raise e | None -> ());
     Array.iteri
       (fun i s -> if i < n - 1 then

@@ -19,20 +19,25 @@ val live : t -> bool
     replaces a dead pool instead of calling {!run} into an
     [Invalid_argument]. *)
 
-val run :
-  ?wd:Watchdog.t -> ?on_stall:(exn -> unit) -> t -> (unit -> unit) array -> unit
+val run : ?wd:Watchdog.t -> t -> (unit -> unit) array -> unit
 (** [run pool fns] executes [fns.(0)] on the calling domain and
     [fns.(1..)] on pool domains, returning when all have finished.
     [Array.length fns - 1] must not exceed [workers pool].  If any
     function raises, the first exception (lowest index) is re-raised
     after all functions have terminated.
 
-    With [wd], joins are bounded: a worker that exceeds the watchdog's
-    bounds triggers [on_stall] (the engine's chance to cancel the cohort
-    so wedged workers unwind), then one more bounded wait; if the worker
-    is still stuck the pool is marked dead — its domains leak until
-    process exit, but the stall surfaces as {!Watchdog.Stalled} instead
-    of a hang, and the poisoned pool can never corrupt a later run. *)
+    With [wd], [fns] run as one cohort that unwinds through the watchdog:
+    - the first function to raise cancels [wd] with its exception, which
+      wakes every peer waiting on [wd] with {!Watchdog.Cancelled};
+    - a join that exceeds [wd]'s bounds cancels [wd] with the
+      {!Watchdog.Stalled}, then waits one more window (see
+      {!Watchdog.grace}); a worker still stuck after that marks the pool
+      dead — its domain leaks until process exit, but the stall surfaces
+      instead of a hang, and the dead pool can never corrupt a later run;
+    - once every function has terminated, a cancelled [wd] re-raises its
+      {!Watchdog.root_cause}, whoever cancelled it — a peer's secondary
+      [Cancelled] never hides the failure, and a caller's cancellation is
+      never mistaken for a completed run. *)
 
 val shutdown : t -> unit
 (** Terminates and joins the pool domains.  The pool is unusable after.

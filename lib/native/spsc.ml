@@ -1,5 +1,3 @@
-exception Closed
-
 (* Hot-path layout:
    - [head]/[tail] are padded onto their own cache lines (Pad.atomic), so a
      producer advancing [tail] never invalidates the consumer's polls of
@@ -18,11 +16,10 @@ type 'a t = {
   dummy : 'a;
   head : int Atomic.t;  (* next slot to pop; advanced only by the consumer *)
   tail : int Atomic.t;  (* next slot to fill; advanced only by the producer *)
-  closed_ : bool Atomic.t;
   head_cache : Pad.cell;  (* producer's view of head; producer-only *)
   tail_cache : Pad.cell;  (* consumer's view of tail; consumer-only *)
-  on_push : Wake.t;  (* signalled after every publish of [tail] and by close *)
-  on_pop : Wake.t;  (* signalled after every advance of [head] and by close *)
+  on_push : Wake.t;  (* signalled after every publish of [tail] *)
+  on_pop : Wake.t;  (* signalled after every advance of [head] *)
 }
 
 let create ~dummy ~capacity =
@@ -38,7 +35,6 @@ let create ~dummy ~capacity =
     dummy;
     head = Pad.atomic 0;
     tail = Pad.atomic 0;
-    closed_ = Pad.atomic false;
     head_cache = Pad.cell 0;
     tail_cache = Pad.cell 0;
     on_push = Wake.create ();
@@ -47,14 +43,8 @@ let create ~dummy ~capacity =
 
 let capacity t = t.cap
 
-let close t =
-  Atomic.set t.closed_ true;
-  Wake.signal t.on_push;
-  Wake.signal t.on_pop
-
 let on_push t = t.on_push
 let on_pop t = t.on_pop
-let closed t = Atomic.get t.closed_
 
 let try_push t x =
   let tail = Atomic.get t.tail in
@@ -93,19 +83,9 @@ let try_push_array t src ~pos ~len =
   end
 
 let push ?wd ?(role = "producer") t x =
-  if Atomic.get t.closed_ then raise Closed;
-  if not (try_push t x) then begin
-    let pushed = ref false in
-    let pred () =
-      Atomic.get t.closed_
-      ||
-      let ok = try_push t x in
-      pushed := ok;
-      ok
-    in
-    Watchdog.wait ?wd ~role ~for_:"queue slot" ~on:[ t.on_pop ] pred;
-    if not !pushed then raise Closed
-  end
+  if not (try_push t x) then
+    Watchdog.wait ?wd ~role ~for_:"queue slot" ~on:[ t.on_pop ] (fun () ->
+        try_push t x)
 
 let try_pop t =
   let head = Atomic.get t.head in
@@ -123,7 +103,7 @@ let try_pop t =
 
 (* Bulk drain: pops up to [len] items into [dst.(pos ..)], with a single
    atomic store of [head] covering all of them.  Returns the number popped
-   (0 when empty — check [closed] separately).  Consumer only. *)
+   (0 when empty).  Consumer only. *)
 let pop_chunk t dst ~pos ~len =
   if len = 0 then 0
   else begin
@@ -150,19 +130,13 @@ let pop ?wd ?(role = "consumer") t =
   | Some x -> x
   | None ->
       let r = ref t.dummy in
-      let got = ref false in
-      (* Drain before reporting closure: items pushed before [close] must
-         still reach the consumer, so emptiness is re-checked first. *)
-      let pred () =
-        match try_pop t with
-        | Some x ->
-            r := x;
-            got := true;
-            true
-        | None -> Atomic.get t.closed_
-      in
-      Watchdog.wait ?wd ~role ~for_:"queue item" ~on:[ t.on_push ] pred;
-      if !got then !r else raise Closed
+      Watchdog.wait ?wd ~role ~for_:"queue item" ~on:[ t.on_push ] (fun () ->
+          match try_pop t with
+          | Some x ->
+              r := x;
+              true
+          | None -> false);
+      !r
 
 let length t = Stdlib.max 0 (Atomic.get t.tail - Atomic.get t.head)
 
@@ -192,12 +166,9 @@ module Batch = struct
     end
 
   let flush ?wd ?(role = "producer") b =
-    if not (try_flush b) then begin
-      let pred () = Atomic.get b.q.closed_ || try_flush b in
+    if not (try_flush b) then
       Watchdog.wait ?wd ~role ~for_:"queue space for batch" ~on:[ b.q.on_pop ]
-        pred;
-      if b.fill > 0 then raise Closed
-    end
+        (fun () -> try_flush b)
 
   let add b x =
     if b.fill >= Array.length b.store then ignore (try_flush b);
@@ -209,7 +180,6 @@ module Batch = struct
     end
 
   let push ?wd ?role b x =
-    if Atomic.get b.q.closed_ then raise Closed;
     if not (add b x) then begin
       flush ?wd ?role b;
       b.store.(0) <- x;

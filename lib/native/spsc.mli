@@ -17,12 +17,12 @@
     per batch instead of one per element.
 
     Blocking operations wait through {!Watchdog.wait}: a blocked side
-    parks, and every counter store (and {!close}) signals the peer's wake
-    point, {!on_push} or {!on_pop}. *)
+    parks, and every counter store signals the peer's wake point,
+    {!on_push} or {!on_pop}.  A queue has no closed state: a blocked side
+    whose peer died unwinds when the cohort's watchdog is cancelled
+    ({!Pool.run}). *)
 
 type 'a t
-
-exception Closed
 
 val create : dummy:'a -> capacity:int -> 'a t
 (** The queue admits exactly [capacity] items (the backing buffer is rounded
@@ -34,20 +34,13 @@ val create : dummy:'a -> capacity:int -> 'a t
 val capacity : 'a t -> int
 (** The requested capacity: the exact maximum occupancy. *)
 
-val close : 'a t -> unit
-(** Marks the queue closed (any domain may call it — cancellation runs on
-    whichever domain failed first).  Blocked producers and consumers wake
-    with {!Closed}; the consumer first drains items already enqueued. *)
-
-val closed : 'a t -> bool
-
 val on_push : 'a t -> Wake.t
-(** Signalled after every publish of new items and by {!close}: the wake
+(** Signalled after every publish of new items: the wake
     point of a consumer that waits on [try_pop] outside {!pop} (the
     SPECCROSS checker, which polls several queues at once). *)
 
 val on_pop : 'a t -> Wake.t
-(** Signalled after every pop and by {!close}: the wake point of a
+(** Signalled after every pop: the wake point of a
     producer waiting for room outside {!push} (the DOMORE scheduler, which
     waits for space on any of its queues). *)
 
@@ -61,7 +54,6 @@ val try_push_array : 'a t -> 'a array -> pos:int -> len:int -> int
 
 val push : ?wd:Watchdog.t -> ?role:string -> 'a t -> 'a -> unit
 (** Producer only.  Waits (parked) while full.
-    @raise Closed when the queue is or becomes closed.
     @raise Watchdog.Stalled / Watchdog.Cancelled per [wd]'s bounds. *)
 
 val try_pop : 'a t -> 'a option
@@ -70,11 +62,10 @@ val try_pop : 'a t -> 'a option
 val pop_chunk : 'a t -> 'a array -> pos:int -> len:int -> int
 (** Consumer only.  Pops up to [len] items into [dst.(pos ..)] with a
     single atomic store of the head index; returns the number popped (0
-    when empty — closure must be checked separately). *)
+    when empty). *)
 
 val pop : ?wd:Watchdog.t -> ?role:string -> 'a t -> 'a
 (** Consumer only.  Waits (parked) while empty.
-    @raise Closed when the queue is closed and fully drained.
     @raise Watchdog.Stalled / Watchdog.Cancelled per [wd]'s bounds. *)
 
 val length : 'a t -> int
@@ -108,7 +99,7 @@ module Batch : sig
 
   val flush : ?wd:Watchdog.t -> ?role:string -> 'a b -> unit
   (** Blocking {!try_flush} until the buffer drains.
-      @raise Closed if the queue closes first. *)
+      @raise Watchdog.Stalled / Watchdog.Cancelled per [wd]'s bounds. *)
 
   val add : 'a b -> 'a -> bool
   (** Append without blocking (auto-[try_flush] when the buffer fills);
@@ -118,5 +109,5 @@ module Batch : sig
 
   val push : ?wd:Watchdog.t -> ?role:string -> 'a b -> 'a -> unit
   (** Blocking [add]: flushes and waits for ring space as needed.
-      @raise Closed when the queue is or becomes closed. *)
+      @raise Watchdog.Stalled / Watchdog.Cancelled per [wd]'s bounds. *)
 end

@@ -9,9 +9,10 @@
       the wall-clock of any single wait — exceeding either raises
       {!Stalled} with the role, the awaited resource and the time spent;
     - a {e cancellation token}: the first failing domain publishes its
-      exception via {!cancel}; every other domain's waits then raise
-      {!Cancelled} so the whole cohort unwinds promptly instead of
-      waiting on state the dead domain will never update.
+      exception via {!cancel} ({!Pool.run} does this for its cohort);
+      every other domain's waits then raise {!Cancelled} so the whole
+      cohort unwinds promptly instead of waiting on state the dead domain
+      will never update.  Cancellation is the only way a cohort unwinds.
 
     One watchdog is shared by every domain of one run (all operations are
     thread-safe); an {!unbounded} watchdog still provides cancellation. *)

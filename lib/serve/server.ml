@@ -206,6 +206,10 @@ let submit_tune t (tr : Protocol.tune_req) =
   enqueue t ~kind:(KTune tr) ~priority:tr.Protocol.t_priority
     ~tenant:tr.Protocol.t_tenant ~deadline_ms:t.cfg.default_deadline_ms
 
+(* Cancelling with [Cancelled] makes the request final: the degradation
+   chain does not retry a request whose client is gone. *)
+let disconnect_exn = Nat.Watchdog.Cancelled "client disconnected"
+
 let cancel t job =
   Mutex.lock t.mu;
   let withdrawn = Fair.remove t.queue (fun j -> j.id = job.id) in
@@ -223,14 +227,11 @@ let cancel t job =
       job.cancelled <- true;
       let wd = job.wd in
       Mutex.unlock job.jm;
-      (match wd with
-      | Some wd ->
-          ignore (Nat.Watchdog.cancel wd (Failure "client disconnected"))
-      | None -> ())
+      match wd with
+      | Some wd -> ignore (Nat.Watchdog.cancel wd disconnect_exn)
+      | None -> ()
 
 (* ---- execution ---- *)
-
-let disconnect_exn = Failure "client disconnected"
 
 (* A tuned [`Auto] policy or an oversized request may ask for more
    contexts than the shared pool holds; shrink to the largest thread
@@ -284,10 +285,10 @@ let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
       let workload = creq.Cx.Request.workload.Xinv_workloads.Workload.name in
       match Cx.run_request creq with
       | o ->
-          (* A cancelled native cohort is degradable, so the run may have
-             completed sequentially after the cancel point — the client is
-             gone either way, and the cancellation wins.  (Sim runs have no
-             cancel point and deliver their outcome; see the mli.) *)
+          (* A cancel that lands after the last cancel point (in the
+             sequential baseline, say) lets the run complete — the client
+             is gone either way, and the cancellation wins.  (Sim runs have
+             no cancel point and deliver their outcome; see the mli.) *)
           if was_cancelled () && native then
             finish t job (Protocol.Rejected Protocol.Cancelled)
           else

@@ -80,9 +80,11 @@ val peek : job -> Protocol.server_msg option
 
 val cancel : t -> job -> unit
 (** Queued: withdrawn and finished as [Rejected Cancelled].  Running
-    native: the job's watchdog token is cancelled so only that cohort
-    unwinds, and the job finishes [Rejected Cancelled] even if the
-    degradation chain completed a weaker attempt after the cancel point.
+    native: the job's watchdog is cancelled with
+    {!Xinv_native.Watchdog.Cancelled}, so only that cohort unwinds and the
+    request is not retried down the degradation chain; the job finishes
+    [Rejected Cancelled], also when the cancel lands after the run's last
+    cancel point and the run completes.
     Running sim: no cancel point — the run completes and delivers its
     outcome.  Finished: no-op. *)
 

@@ -105,37 +105,6 @@ let test_spsc_batch_equivalence () =
       input out
   done
 
-let test_spsc_batch_close_drain () =
-  (* Early close: already-published words drain in order, then Closed; a
-     producer buffer stranded behind a closed-and-full ring raises Closed
-     out of flush rather than spinning forever. *)
-  let q = Nat.Spsc.create ~dummy:0 ~capacity:8 in
-  let b = Nat.Spsc.Batch.create ~size:4 q in
-  for i = 1 to 6 do
-    Nat.Spsc.Batch.push b i
-  done;
-  Nat.Spsc.Batch.flush b;
-  Alcotest.(check int) "flushed buffer is empty" 0 (Nat.Spsc.Batch.pending b);
-  Nat.Spsc.close q;
-  for i = 1 to 6 do
-    Alcotest.(check int) "drains in order after close" i (Nat.Spsc.pop q)
-  done;
-  Alcotest.check_raises "pop past the drained tail" Nat.Spsc.Closed (fun () ->
-      ignore (Nat.Spsc.pop q));
-  Alcotest.check_raises "push into closed queue" Nat.Spsc.Closed (fun () ->
-      Nat.Spsc.Batch.push b 7);
-  let qf = Nat.Spsc.create ~dummy:0 ~capacity:2 in
-  let bf = Nat.Spsc.Batch.create ~size:4 qf in
-  for i = 1 to 4 do
-    Alcotest.(check bool) "buffers while ring is filling" true
-      (Nat.Spsc.Batch.add bf i)
-  done;
-  Alcotest.(check int) "all four words buffered locally" 4
-    (Nat.Spsc.Batch.pending bf);
-  Nat.Spsc.close qf;
-  Alcotest.check_raises "flush of stranded words after close" Nat.Spsc.Closed
-    (fun () -> Nat.Spsc.Batch.flush bf)
-
 let test_pad_isolation () =
   let a = Nat.Pad.atomic 7 in
   Atomic.incr a;
@@ -526,8 +495,6 @@ let suite =
       test_spsc_exact_capacity;
     Alcotest.test_case "spsc: batched stream = unbatched stream" `Quick
       test_spsc_batch_equivalence;
-    Alcotest.test_case "spsc: early close drains then raises" `Quick
-      test_spsc_batch_close_drain;
     Alcotest.test_case "pad: cache-line isolation helpers" `Quick
       test_pad_isolation;
     Alcotest.test_case "nbar: sense-reversing rounds" `Quick test_nbar_rounds;
@@ -558,8 +525,8 @@ let suite =
       test_sequential_is_its_own_baseline;
     Alcotest.test_case "baseline: adaptive measures it unverified" `Quick
       test_adaptive_measures_baseline_unverified;
-    Alcotest.test_case "park: parkers leak no fd over 500 requests" `Quick
-      test_parkers_leak_no_fd;
     Alcotest.test_case "park: an idle pool does not spin" `Quick
       test_idle_pool_parks;
+    Alcotest.test_case "park: parkers leak no fd over 500 requests" `Quick
+      test_parkers_leak_no_fd;
   ]

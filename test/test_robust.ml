@@ -103,36 +103,6 @@ let test_watchdog_cancellation () =
     (Nat.Watchdog.Cancelled "w") (fun () ->
       Nat.Watchdog.wait ~wd ~role:"w" ~for_:"nothing" ~on:[] (fun () -> false))
 
-(* ---------- primitive unwinding ---------- *)
-
-let test_spsc_close () =
-  let q = Nat.Spsc.create ~dummy:0 ~capacity:4 in
-  Alcotest.(check bool) "push 1" true (Nat.Spsc.try_push q 1);
-  Alcotest.(check bool) "push 2" true (Nat.Spsc.try_push q 2);
-  Nat.Spsc.close q;
-  Alcotest.check_raises "producer wakes with Closed" Nat.Spsc.Closed (fun () ->
-      Nat.Spsc.push q 3);
-  Alcotest.(check int) "consumer drains first" 1 (Nat.Spsc.pop q);
-  Alcotest.(check int) "consumer drains second" 2 (Nat.Spsc.pop q);
-  Alcotest.check_raises "then observes Closed" Nat.Spsc.Closed (fun () ->
-      ignore (Nat.Spsc.pop q : int))
-
-let test_nbar_poison () =
-  let bar = Nat.Nbar.create ~parties:2 in
-  let woke = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        match Nat.Nbar.wait bar with
-        | () -> ()
-        | exception Nat.Nbar.Poisoned -> Atomic.set woke true)
-  in
-  Nat.Nbar.poison bar;
-  Domain.join d;
-  Alcotest.(check bool) "blocked party wakes with Poisoned" true
-    (Atomic.get woke);
-  Alcotest.check_raises "later waits fail fast" Nat.Nbar.Poisoned (fun () ->
-      Nat.Nbar.wait bar)
-
 (* ---------- graceful degradation matrix ---------- *)
 
 let wl () = Wl.Registry.find "SYMM"
@@ -346,8 +316,6 @@ let check_woken name ~expect ~wait ~release =
         let r =
           match wait () with
           | r -> r
-          | exception Nat.Nbar.Poisoned -> "Poisoned"
-          | exception Nat.Spsc.Closed -> "Closed"
           | exception Nat.Watchdog.Cancelled _ -> "Cancelled"
           | exception Nat.Watchdog.Stalled _ -> "Stalled"
         in
@@ -371,16 +339,27 @@ let test_parked_waiters_wake () =
    check_woken "barrier release" ~expect:"released"
      ~wait:(fun () -> Nat.Nbar.wait ~wd bar; "released")
      ~release:(fun () -> Nat.Nbar.wait ~wd bar));
+  let cancel wd () = ignore (Nat.Watchdog.cancel wd Exit : bool) in
   (let wd = bounded () in
    let bar = Nat.Nbar.create ~parties:2 in
-   check_woken "Nbar.poison" ~expect:"Poisoned"
+   check_woken "cancel wakes Nbar.wait" ~expect:"Cancelled"
      ~wait:(fun () -> Nat.Nbar.wait ~wd bar; "released")
-     ~release:(fun () -> Nat.Nbar.poison bar));
+     ~release:(cancel wd));
   (let wd = bounded () in
-   let q = Nat.Spsc.create ~dummy:0 ~capacity:4 in
-   check_woken "Spsc.close" ~expect:"Closed"
-     ~wait:(fun () -> string_of_int (Nat.Spsc.pop ~wd q))
-     ~release:(fun () -> Nat.Spsc.close q));
+   let q = Nat.Spsc.create ~dummy:0 ~capacity:1 in
+   Nat.Spsc.push q 1;
+   check_woken "cancel wakes Spsc.push into a full queue" ~expect:"Cancelled"
+     ~wait:(fun () -> Nat.Spsc.push ~wd q 2; "pushed")
+     ~release:(cancel wd));
+  (let wd = bounded () in
+   let q = Nat.Spsc.create ~dummy:0 ~capacity:2 in
+   let b = Nat.Spsc.Batch.create ~size:4 q in
+   for i = 1 to 4 do
+     ignore (Nat.Spsc.Batch.add b i : bool)
+   done;
+   check_woken "cancel wakes Batch.flush of stranded words" ~expect:"Cancelled"
+     ~wait:(fun () -> Nat.Spsc.Batch.flush ~wd b; "flushed")
+     ~release:(cancel wd));
   (let wd = bounded () in
    let q = Nat.Spsc.create ~dummy:0 ~capacity:4 in
    check_woken "push" ~expect:"42"
@@ -388,9 +367,9 @@ let test_parked_waiters_wake () =
      ~release:(fun () -> Nat.Spsc.push q 42));
   let wd = bounded () in
   let q = Nat.Spsc.create ~dummy:0 ~capacity:4 in
-  check_woken "Watchdog.cancel" ~expect:"Cancelled"
+  check_woken "cancel wakes Spsc.pop" ~expect:"Cancelled"
     ~wait:(fun () -> string_of_int (Nat.Spsc.pop ~wd q))
-    ~release:(fun () -> ignore (Nat.Watchdog.cancel wd Exit : bool))
+    ~release:(cancel wd)
 
 let test_parked_pop_times_out () =
   let q = Nat.Spsc.create ~dummy:0 ~capacity:4 in
@@ -473,6 +452,64 @@ let test_no_lost_wakeup_stress () =
   Alcotest.(check int) "every pool job ran" (3 * runs) (Atomic.get done_);
   Alcotest.(check int) "no wait stalled" 0 (Nat.Watchdog.stalls wd)
 
+(* ---------- cancellation unwinds through the watchdog alone ---------- *)
+
+(* A cohort whose watchdog is already cancelled must raise the root cause,
+   not return as if it had completed, and must leave the pool usable. *)
+let test_cancelled_engines_raise_root () =
+  let wl = wl () in
+  let input = Wl.Workload.Train in
+  let program = wl.Wl.Workload.program input in
+  let plan =
+    match Ir.Mtcg.generate program (wl.Wl.Workload.fresh_env input) with
+    | Ir.Mtcg.Plan plan -> plan
+    | Ir.Mtcg.Inapplicable r -> Alcotest.fail r
+  in
+  Nat.Pool.with_pool ~workers:3 (fun pool ->
+      let check name run =
+        let wd = Nat.Watchdog.unbounded () in
+        ignore (Nat.Watchdog.cancel wd Exit : bool);
+        let env = wl.Wl.Workload.fresh_env input in
+        Alcotest.check_raises (name ^ ": raises the root cause") Exit
+          (fun () -> ignore (run wd env : Nat.Nrun.t));
+        Alcotest.(check bool) (name ^ ": pool stays live") true
+          (Nat.Pool.live pool)
+      in
+      check "barrier" (fun wd env ->
+          Nat.Nbarrier.run ~pool ~wd ~threads:4
+            ~plan:(Wl.Workload.plan_fn wl) program env);
+      check "domore" (fun wd env ->
+          Nat.Ndomore.run ~pool ~wd ~plan program env);
+      check "domore-dup" (fun wd env ->
+          Nat.Ndomore.run_duplicated ~pool ~wd ~plan program env);
+      check "speccross" (fun wd env ->
+          let config =
+            { (Nat.Nspec.default_config ~workers:3) with
+              Nat.Nspec.mode_of = C.spec_mode_of_plan wl }
+          in
+          Nat.Nspec.run ~pool ~wd ~config program env))
+
+(* A caller's cancellation is final: the request raises [Cancelled] from
+   its first attempt instead of degrading to a weaker technique. *)
+let test_caller_cancel_is_final () =
+  List.iter
+    (fun technique ->
+      let name = C.technique_name technique in
+      let attempts = ref 0 in
+      let on_watchdog wd =
+        incr attempts;
+        ignore (Nat.Watchdog.cancel wd (Nat.Watchdog.Cancelled "caller") : bool)
+      in
+      let opts = { C.native_defaults with C.on_watchdog = Some on_watchdog } in
+      (match
+         C.run_request @@ C.Request.make ~backend:(`Native opts)
+           ~input:Wl.Workload.Train ~technique ~threads:4 (wl ())
+       with
+      | (_ : C.outcome) -> Alcotest.fail (name ^ ": a cancelled request returned")
+      | exception Nat.Watchdog.Cancelled _ -> ());
+      Alcotest.(check int) (name ^ ": exactly one attempt") 1 !attempts)
+    [ C.Barrier; C.Domore; C.Speccross ]
+
 let suite =
   [
     Alcotest.test_case "fault: spec parsing and round trip" `Quick
@@ -485,9 +522,6 @@ let suite =
       test_watchdog_stalled_queue;
     Alcotest.test_case "watchdog: first cancel wins, waits observe it" `Quick
       test_watchdog_cancellation;
-    Alcotest.test_case "spsc: close drains then raises" `Quick test_spsc_close;
-    Alcotest.test_case "nbar: poison wakes blocked parties" `Quick
-      test_nbar_poison;
     Alcotest.test_case "degrade: no-degrade raises the typed error" `Quick
       test_no_degrade_raises_typed_error;
     Alcotest.test_case "degrade: bottom of the chain still answers" `Quick
@@ -514,4 +548,8 @@ let suite =
         `Quick test_parked_pop_times_out;
       Alcotest.test_case "park: no lost wake-up under stress" `Quick
         test_no_lost_wakeup_stress;
+      Alcotest.test_case "cancel: a cancelled cohort raises its root cause"
+        `Quick test_cancelled_engines_raise_root;
+      Alcotest.test_case "cancel: a caller's cancellation is not degraded"
+        `Quick test_caller_cancel_is_final;
     ]

@@ -72,7 +72,6 @@ let run ?config ?obs ?(trace = false) ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) 
             let env_j = Ir.Env.with_inner env_t j in
             Sim.Proc.advance ~label:"computeAddr" Sim.Category.Runtime
               (slice_cost +. machine.Sim.Machine.sched_per_iter);
-            let waddrs = Ir.Slice.write_addresses slice env_j in
             for w = 0 to workers - 1 do
               loads.(w) <- Sim.Channel.length queues.(w)
             done;
@@ -88,16 +87,10 @@ let run ?config ?obs ?(trace = false) ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) 
                     ~b:loads.(w)
                 done);
             let tid =
-              Policy.pick policy ~loads:loads_opt ~mem:env.Ir.Env.mem ~threads:workers
-                ~iter:!iternum ~write_addrs:waddrs
+              Policy.assign policy slice shadow deps ~loads:loads_opt ~threads:workers
+                ~iter:!iternum ~slot:!iternum env_j
             in
             Sim.Proc.advance ~label:"shadow" Sim.Category.Runtime shadow_cost;
-            Rt.Shadow.Deps.clear deps;
-            Ir.Slice.iter_read_addresses slice env_j (fun addr ->
-                Rt.Shadow.note_read_deps shadow addr ~tid ~iter:!iternum deps);
-            List.iter
-              (fun addr -> Rt.Shadow.note_write_deps shadow addr ~tid ~iter:!iternum deps)
-              waddrs;
             Rt.Shadow.Deps.iter
               (fun ~tid:dt ~iter:di ->
                 incr conds;

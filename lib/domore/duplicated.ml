@@ -3,27 +3,20 @@ module Ir = Xinv_ir
 module Rt = Xinv_runtime
 
 let iteration_executor ~(config : Domore.config) ~(plan : Ir.Mtcg.plan) ~cells ~shadow
-    ?deps ?obs ~iternum ~tid env (il : Ir.Program.inner) =
+    ~deps ?obs ~iternum ~tid env (il : Ir.Program.inner) =
   let module Obs = Xinv_obs in
   let machine = config.Domore.machine in
   let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
   (* Duplicated scheduling work: every thread pays it for every iteration. *)
   Sim.Proc.advance ~label:"computeAddr" Sim.Category.Redundant
     (Ir.Slice.cost_per_iter slice +. machine.Sim.Machine.sched_per_iter);
-  let waddrs = Ir.Slice.write_addresses slice env in
   let owner =
-    Policy.pick config.Domore.policy ~loads:None ~mem:env.Ir.Env.mem
-      ~threads:config.Domore.workers ~iter:!iternum ~write_addrs:waddrs
+    Policy.assign config.Domore.policy slice shadow deps ~loads:None
+      ~threads:config.Domore.workers ~iter:!iternum ~slot:!iternum env
   in
   Sim.Proc.advance ~label:"shadow" Sim.Category.Redundant
     (machine.Sim.Machine.shadow_per_addr
-    *. float_of_int (List.length slice.Ir.Slice.reads + List.length waddrs));
-  let deps = match deps with Some d -> Rt.Shadow.Deps.clear d; d | None -> Rt.Shadow.Deps.create () in
-  Ir.Slice.iter_read_addresses slice env (fun addr ->
-      Rt.Shadow.note_read_deps shadow addr ~tid:owner ~iter:!iternum deps);
-  List.iter
-    (fun addr -> Rt.Shadow.note_write_deps shadow addr ~tid:owner ~iter:!iternum deps)
-    waddrs;
+    *. float_of_int (List.length slice.Ir.Slice.reads + List.length slice.Ir.Slice.writes));
   if owner = tid then begin
     let wf = Sim.Machine.work_factor machine ~threads:config.Domore.workers in
     (* Conditions are self-produced and self-consumed (Figure 3.9). *)

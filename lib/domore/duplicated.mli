@@ -21,7 +21,7 @@ val iteration_executor :
   plan:Xinv_ir.Mtcg.plan ->
   cells:Xinv_sim.Mono_cell.t array ->
   shadow:Xinv_runtime.Shadow.t ->
-  ?deps:Xinv_runtime.Shadow.Deps.t ->
+  deps:Xinv_runtime.Shadow.Deps.t ->
   ?obs:Xinv_obs.Recorder.t ->
   iternum:int ref ->
   tid:int ->
@@ -33,6 +33,5 @@ val iteration_executor :
     duplicated scheduling cost, and if the iteration belongs to [tid], waits
     on its synchronization conditions, executes the body, and publishes
     completion.  [shadow] must be the calling thread's private copy;
-    [iternum] the thread's private combined iteration counter; [deps] an
-    optional per-thread scratch accumulator (allocated per call when
-    omitted). *)
+    [iternum] the thread's private combined iteration counter; [deps] its
+    scratch accumulator.  The scheduling step itself is {!Policy.assign}. *)

@@ -24,3 +24,16 @@ let pick t ~loads ~mem ~threads ~iter ~write_addrs =
             if ls.(w) < ls.(!best) then best := w
           done;
           !best)
+
+let assign t slice shadow deps ~loads ~threads ~iter ~slot env =
+  let waddrs = Xinv_ir.Slice.write_addresses slice env in
+  let tid =
+    pick t ~loads ~mem:env.Xinv_ir.Env.mem ~threads ~iter:slot ~write_addrs:waddrs
+  in
+  Xinv_runtime.Shadow.Deps.clear deps;
+  Xinv_ir.Slice.iter_read_addresses slice env (fun addr ->
+      Xinv_runtime.Shadow.note_read_deps shadow addr ~tid ~iter deps);
+  List.iter
+    (fun addr -> Xinv_runtime.Shadow.note_write_deps shadow addr ~tid ~iter deps)
+    waddrs;
+  tid

@@ -1,6 +1,17 @@
 module Ir = Xinv_ir
-module Par = Xinv_parallel
+module Intra = Xinv_parallel.Intra
 module Obs = Xinv_obs
+
+let exec_pre work env_t (il : Ir.Program.inner) =
+  List.iter (Work.exec work env_t) il.Ir.Program.pre
+
+let run_invocation_seq work env_t (il : Ir.Program.inner) =
+  exec_pre work env_t il;
+  let trip = il.Ir.Program.trip env_t in
+  for j = 0 to trip - 1 do
+    List.iter (Work.exec work (Ir.Env.with_inner env_t j)) il.Ir.Program.body
+  done;
+  trip
 
 let run_seq ?(work = Work.Off) (p : Ir.Program.t) env =
   let tasks = ref 0 in
@@ -9,35 +20,76 @@ let run_seq ?(work = Work.Off) (p : Ir.Program.t) env =
         for t = 0 to p.Ir.Program.outer_trip - 1 do
           let env_t = Ir.Env.with_outer env t in
           List.iter
-            (fun (il : Ir.Program.inner) ->
-              List.iter
-                (fun (s : Ir.Stmt.t) ->
-                  Work.burn work (s.Ir.Stmt.cost env_t);
-                  s.Ir.Stmt.exec env_t)
-                il.Ir.Program.pre;
-              let trip = il.Ir.Program.trip env_t in
-              tasks := !tasks + trip;
-              for j = 0 to trip - 1 do
-                let env_j = Ir.Env.with_inner env_t j in
-                List.iter
-                  (fun (s : Ir.Stmt.t) ->
-                    Work.burn work (s.Ir.Stmt.cost env_j);
-                    s.Ir.Stmt.exec env_j)
-                  il.Ir.Program.body
-              done)
+            (fun il -> tasks := !tasks + run_invocation_seq work env_t il)
             p.Ir.Program.inners
         done)
   in
   Nrun.make ~technique:"native-sequential" ~domains:1 ~workers:1 ~wall_ns
     ~tasks:!tasks ~invocations:(Ir.Program.invocations p) ()
 
-(* Owner of a write access: the same index-range partition the simulator's
-   LOCALWRITE uses ({!Xinv_parallel.Intra.owner}). *)
-let owner_of env ~threads (a : Ir.Access.t) =
-  let mem = env.Ir.Env.mem in
-  let idx = Ir.Expr.eval env a.Ir.Access.index in
-  let size = Ir.Memory.size mem a.Ir.Access.base in
-  idx * threads / size
+type share = {
+  work : Work.t;
+  grain : int;
+  threads : int;
+  locks : Mutex.t array;  (* the DOANY lock stripe *)
+  total_words : int;
+}
+
+let share ~work ~grain ~threads env =
+  { work; grain; threads; locks = Array.init 64 (fun _ -> Mutex.create ());
+    total_words = Ir.Memory.total_words env.Ir.Env.mem }
+
+let exec_iteration sh tech ~tid env_j (il : Ir.Program.inner) =
+  match (tech : Intra.technique) with
+  | Intra.Doall | Intra.Spec_doall ->
+      List.iter (Work.exec sh.work env_j) il.Ir.Program.body
+  | Intra.Doany ->
+      List.iter
+        (fun (s : Ir.Stmt.t) ->
+          if s.Ir.Stmt.commutes && s.Ir.Stmt.writes <> [] then begin
+            let m =
+              sh.locks.(Intra.lock_index ~nlocks:(Array.length sh.locks)
+                          ~total_words:sh.total_words env_j (List.hd s.Ir.Stmt.writes))
+            in
+            Mutex.lock m;
+            Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () ->
+                Work.exec sh.work env_j s)
+          end
+          else Work.exec sh.work env_j s)
+        il.Ir.Program.body
+  | Intra.Localwrite ->
+      let threads = sh.threads in
+      let executor = Intra.executor ~threads env_j il in
+      List.iter
+        (fun (s : Ir.Stmt.t) ->
+          if s.Ir.Stmt.writes = [] then begin
+            (* Redundant traversal on every thread; semantics once. *)
+            Work.burn sh.work (s.Ir.Stmt.cost env_j);
+            if tid = executor then s.Ir.Stmt.exec env_j
+          end
+          else if Intra.owns ~threads ~tid env_j s then Work.exec sh.work env_j s)
+        il.Ir.Program.body
+
+let run_share sh ~tid tech env_t (il : Ir.Program.inner) =
+  let trip = il.Ir.Program.trip env_t in
+  if Intra.visits_all_iterations tech then
+    for j = 0 to trip - 1 do
+      exec_iteration sh tech ~tid (Ir.Env.with_inner env_t j) il
+    done
+  else begin
+    (* Block-cyclic: thread [tid] owns blocks of [grain] consecutive
+       iterations, [threads * grain] apart — grain 1 is the classic cyclic
+       distribution, larger grains trade balance for locality
+       (taskloop-style chunking). *)
+    let base = ref (tid * sh.grain) in
+    while !base < trip do
+      let stop = Stdlib.min trip (!base + sh.grain) in
+      for j = !base to stop - 1 do
+        exec_iteration sh tech ~tid (Ir.Env.with_inner env_t j) il
+      done;
+      base := !base + (sh.threads * sh.grain)
+    done
+  end
 
 let run ~pool ?wd ?fault ?fr ?(work = Work.Off) ?(grain = 1) ~threads ~plan
     (p : Ir.Program.t) env =
@@ -52,50 +104,8 @@ let run ~pool ?wd ?fault ?fr ?(work = Work.Off) ?(grain = 1) ~threads ~plan
   let wd = match wd with Some w -> w | None -> Watchdog.unbounded () in
   let stat = Stallcat.create () in
   let bar = Nbar.create ~parties:threads in
-  let nlocks = 64 in
-  let locks = Array.init nlocks (fun _ -> Mutex.create ()) in
-  let total_words = Ir.Memory.total_words env.Ir.Env.mem in
-  let lock_of env_j (a : Ir.Access.t) =
-    let addr = Ir.Access.addr env_j env_j.Ir.Env.mem a in
-    locks.(addr * nlocks / Stdlib.max 1 total_words)
-  in
+  let sh = share ~work ~grain ~threads env in
   let tasks = ref 0 and invocations = ref 0 in
-  let exec_stmt env_j (s : Ir.Stmt.t) =
-    Work.burn work (s.Ir.Stmt.cost env_j);
-    s.Ir.Stmt.exec env_j
-  in
-  let exec_iteration tech tid env_j (il : Ir.Program.inner) =
-    match (tech : Par.Intra.technique) with
-    | Par.Intra.Doall | Par.Intra.Spec_doall ->
-        List.iter (exec_stmt env_j) il.Ir.Program.body
-    | Par.Intra.Doany ->
-        List.iter
-          (fun (s : Ir.Stmt.t) ->
-            if s.Ir.Stmt.commutes && s.Ir.Stmt.writes <> [] then begin
-              let m = lock_of env_j (List.hd s.Ir.Stmt.writes) in
-              Mutex.lock m;
-              Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () ->
-                  exec_stmt env_j s)
-            end
-            else exec_stmt env_j s)
-          il.Ir.Program.body
-    | Par.Intra.Localwrite ->
-        let body = il.Ir.Program.body in
-        let owners_of (s : Ir.Stmt.t) =
-          List.sort_uniq compare (List.map (owner_of env_j ~threads) s.Ir.Stmt.writes)
-        in
-        let all_owners = List.concat_map owners_of body |> List.sort_uniq compare in
-        let executor = match all_owners with o :: _ -> o | [] -> 0 in
-        List.iter
-          (fun (s : Ir.Stmt.t) ->
-            if s.Ir.Stmt.writes = [] then begin
-              (* Redundant traversal on every thread; semantics once. *)
-              Work.burn work (s.Ir.Stmt.cost env_j);
-              if tid = executor then s.Ir.Stmt.exec env_j
-            end
-            else if List.mem tid (owners_of s) then exec_stmt env_j s)
-          body
-  in
   let ninners = List.length p.Ir.Program.inners in
   let worker tid () =
     let role = Printf.sprintf "worker %d" tid in
@@ -113,42 +123,20 @@ let run ~pool ?wd ?fault ?fr ?(work = Work.Off) ?(grain = 1) ~threads ~plan
         (fun k (il : Ir.Program.inner) ->
           let site = (t * ninners) + k in
           let tech = plan il.Ir.Program.ilabel in
-          if tid = 0 then
-            List.iter
-              (fun (s : Ir.Stmt.t) ->
-                Work.burn work (s.Ir.Stmt.cost env_t);
-                s.Ir.Stmt.exec env_t)
-              il.Ir.Program.pre;
+          if tid = 0 then exec_pre work env_t il;
           (* Unlike the simulator, real workers race ahead: order the
              sequential region before any body iteration reads it. *)
           bwait ();
           Fault.inject fault Fault.Worker_raise ~domain:tid ~site;
           if Fault.fires fault Fault.Poison_cond ~domain:tid ~site then
             Watchdog.park wd ~role;
-          let trip = il.Ir.Program.trip env_t in
           if tid = 0 then begin
+            let trip = il.Ir.Program.trip env_t in
             incr invocations;
             tasks := !tasks + trip;
             ev Obs.Flight.Dispatch ~domain:0 ~a:site ~b:trip
           end;
-          if Par.Intra.visits_all_iterations tech then
-            for j = 0 to trip - 1 do
-              exec_iteration tech tid (Ir.Env.with_inner env_t j) il
-            done
-          else begin
-            (* Block-cyclic: thread [tid] owns blocks of [grain] consecutive
-               iterations, [threads * grain] apart — grain 1 is the classic
-               cyclic distribution, larger grains trade balance for locality
-               (taskloop-style chunking). *)
-            let base = ref (tid * grain) in
-            while !base < trip do
-              let stop = Stdlib.min trip (!base + grain) in
-              for j = !base to stop - 1 do
-                exec_iteration tech tid (Ir.Env.with_inner env_t j) il
-              done;
-              base := !base + (threads * grain)
-            done
-          end;
+          run_share sh ~tid tech env_t il;
           bwait ();
           if tid = 0 then ev Obs.Flight.Epoch_commit ~domain:0 ~a:site ~b:0)
         p.Ir.Program.inners
@@ -159,7 +147,7 @@ let run ~pool ?wd ?fault ?fr ?(work = Work.Off) ?(grain = 1) ~threads ~plan
   in
   let tech0 = plan (List.hd p.Ir.Program.inners).Ir.Program.ilabel in
   Nrun.make
-    ~technique:(Printf.sprintf "native-%s+barrier" (Par.Intra.name tech0))
+    ~technique:(Printf.sprintf "native-%s+barrier" (Intra.name tech0))
     ~domains:threads ~workers:threads ~wall_ns ~tasks:!tasks
     ~invocations:!invocations ~barrier_episodes:(Nbar.waits bar)
     ~stalls:(Stallcat.to_list stat) ()

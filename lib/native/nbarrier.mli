@@ -5,6 +5,51 @@
 val run_seq : ?work:Work.t -> Xinv_ir.Program.t -> Xinv_ir.Env.t -> Nrun.t
 (** Program order on the calling domain; the wall-clock baseline. *)
 
+(** {2 One invocation}
+
+    The pieces {!run} is built from, shared with the native SPECCROSS
+    engine's non-speculative epochs ({!Nspec}): one engine executes an
+    invocation under a barrier, whether or not it speculates elsewhere. *)
+
+val exec_pre : Work.t -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> unit
+(** The invocation's sequential region, in the outer iteration's
+    environment.  {!run} runs it on thread 0 before a barrier. *)
+
+val run_invocation_seq : Work.t -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> int
+(** The whole invocation in program order on the calling domain:
+    sequential region, then every iteration.  Returns the trip count. *)
+
+type share
+(** What the threads of a barrier cohort share to execute their parts of
+    an invocation: the work model, the grain, the thread count and the
+    DOANY lock stripe ({!Xinv_parallel.Intra.lock_index}). *)
+
+val share : work:Work.t -> grain:int -> threads:int -> Xinv_ir.Env.t -> share
+
+val exec_iteration :
+  share ->
+  Xinv_parallel.Intra.technique ->
+  tid:int ->
+  Xinv_ir.Env.t ->
+  Xinv_ir.Program.inner ->
+  unit
+(** Thread [tid]'s part of one iteration, in its environment: the whole
+    body, under the DOANY lock stripe when it commutes, or for LOCALWRITE
+    the statements it owns, with traversal statements burned and applied
+    by the {!Xinv_parallel.Intra.executor}. *)
+
+val run_share :
+  share ->
+  tid:int ->
+  Xinv_parallel.Intra.technique ->
+  Xinv_ir.Env.t ->
+  Xinv_ir.Program.inner ->
+  unit
+(** Thread [tid]'s share of one invocation's iterations through
+    {!exec_iteration}, with no synchronization: LOCALWRITE visits every
+    iteration; the other techniques take blocks of [grain] iterations
+    cyclically. *)
+
 val run :
   pool:Pool.t ->
   ?wd:Watchdog.t ->

@@ -5,15 +5,17 @@ module Obs = Xinv_obs
 type config = {
   policy : Xinv_domore.Policy.t;
   workers : int;
-  queue_capacity : int;
   work : Work.t;
   grain : int;
   batch : int;
 }
 
 let default_config ~workers =
-  { policy = Xinv_domore.Policy.Round_robin; workers; queue_capacity = 1024;
-    work = Work.Off; grain = 1; batch = 32 }
+  { policy = Xinv_domore.Policy.Round_robin; workers; work = Work.Off; grain = 1;
+    batch = 32 }
+
+(* Words per worker queue. *)
+let queue_capacity = 1024
 
 (* Do-task framing: the Sync_cond encoding never produces tag 3, so a header
    word with low bits 11 is unambiguous on the same queue.  Bit 2
@@ -51,7 +53,7 @@ let wait_cell ~wd ~role ~stat ?fr ~domain ~src cells dep_tid dep_iter =
 
 let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) env =
   let config = match config with Some c -> c | None -> default_config ~workers:3 in
-  let { policy; workers; queue_capacity; work; grain; batch } = config in
+  let { policy; workers; work; grain; batch } = config in
   (* Flight ring mapping: scheduler -> 0, worker w -> w+1. *)
   let ev k ~domain ~a ~b =
     match fr with Some f -> Obs.Flight.record f ~domain k ~a ~b | None -> ()
@@ -146,24 +148,19 @@ let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) e
         let env_t = Ir.Env.with_outer env t in
         Array.iteri
           (fun ii (il : Ir.Program.inner) ->
-            List.iter
-              (fun (s : Ir.Stmt.t) ->
-                Work.burn work (s.Ir.Stmt.cost env_t);
-                s.Ir.Stmt.exec env_t)
-              il.Ir.Program.pre;
+            Nbarrier.exec_pre work env_t il;
             let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
             let trip = il.Ir.Program.trip env_t in
             for j = 0 to trip - 1 do
               Fault.inject fault Fault.Scheduler_die ~domain:0 ~site:!iternum;
-              let env_j = Ir.Env.with_inner env_t j in
-              let waddrs = Ir.Slice.write_addresses slice env_j in
               if sample_loads then
                 for w = 0 to workers - 1 do
                   loads.(w) <- Spsc.length queues.(w) + Spsc.Batch.pending bufs.(w)
                 done;
               let tid =
-                Xinv_domore.Policy.pick policy ~loads:loads_opt ~mem:env.Ir.Env.mem
-                  ~threads:workers ~iter:(!iternum / grain) ~write_addrs:waddrs
+                Xinv_domore.Policy.assign policy slice shadow deps ~loads:loads_opt
+                  ~threads:workers ~iter:!iternum ~slot:(!iternum / grain)
+                  (Ir.Env.with_inner env_t j)
               in
               (* A stalled queue: the producer wedges and the consumer
                  starves — exactly what the watchdog must detect. *)
@@ -182,13 +179,6 @@ let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) e
                 ev Obs.Flight.Sync_send ~domain:0 ~a:Rt.Sync_cond.max_iter
                   ~b:(tid + 1)
               end;
-              Rt.Shadow.Deps.clear deps;
-              Ir.Slice.iter_read_addresses slice env_j (fun addr ->
-                  Rt.Shadow.note_read_deps shadow addr ~tid ~iter:!iternum deps);
-              List.iter
-                (fun addr ->
-                  Rt.Shadow.note_write_deps shadow addr ~tid ~iter:!iternum deps)
-                waddrs;
               if Rt.Shadow.Deps.length deps > 0 then begin
                 (* Conditions must precede this iteration's frame on [tid]'s
                    queue, so any open chunk is sealed first. *)
@@ -256,12 +246,7 @@ let run ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) e
     let exec_one env_t inner j iter =
       Fault.inject fault Fault.Worker_raise ~domain:w ~site:iter;
       let il = bodies.(inner) in
-      let env_j = Ir.Env.with_inner env_t j in
-      List.iter
-        (fun (s : Ir.Stmt.t) ->
-          Work.burn work (s.Ir.Stmt.cost env_j);
-          s.Ir.Stmt.exec env_j)
-        il.Ir.Program.body;
+      List.iter (Work.exec work (Ir.Env.with_inner env_t j)) il.Ir.Program.body;
       complete cells w iter
     in
     let continue_ = ref true in
@@ -348,28 +333,16 @@ let run_duplicated ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan)
              per-invocation slots make the replicated writes idempotent
              (same values in racy stores — benign under the OCaml memory
              model for these int/float arrays). *)
-          List.iter
-            (fun (s : Ir.Stmt.t) ->
-              Work.burn work (s.Ir.Stmt.cost env_t);
-              s.Ir.Stmt.exec env_t)
-            il.Ir.Program.pre;
+          Nbarrier.exec_pre work env_t il;
           let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
           let trip = il.Ir.Program.trip env_t in
           if tid = 0 then tasks := !tasks + trip;
           for j = 0 to trip - 1 do
             let env_j = Ir.Env.with_inner env_t j in
-            let waddrs = Ir.Slice.write_addresses slice env_j in
             let owner =
-              Xinv_domore.Policy.pick policy ~loads:None ~mem:env.Ir.Env.mem
-                ~threads:workers ~iter:!iternum ~write_addrs:waddrs
+              Xinv_domore.Policy.assign policy slice shadow deps ~loads:None
+                ~threads:workers ~iter:!iternum ~slot:!iternum env_j
             in
-            Rt.Shadow.Deps.clear deps;
-            Ir.Slice.iter_read_addresses slice env_j (fun addr ->
-                Rt.Shadow.note_read_deps shadow addr ~tid:owner ~iter:!iternum deps);
-            List.iter
-              (fun addr ->
-                Rt.Shadow.note_write_deps shadow addr ~tid:owner ~iter:!iternum deps)
-              waddrs;
             if owner = tid then begin
               Fault.inject fault Fault.Worker_raise ~domain:tid ~site:!iternum;
               if Fault.fires fault Fault.Poison_cond ~domain:tid ~site:!iternum
@@ -382,11 +355,7 @@ let run_duplicated ~pool ?wd ?fault ?fr ?config ~(plan : Ir.Mtcg.plan)
                       di
                   end)
                 deps;
-              List.iter
-                (fun (s : Ir.Stmt.t) ->
-                  Work.burn work (s.Ir.Stmt.cost env_j);
-                  s.Ir.Stmt.exec env_j)
-                il.Ir.Program.body;
+              List.iter (Work.exec work env_j) il.Ir.Program.body;
               last_done := !iternum;
               incr unpublished;
               if !unpublished >= batch then publish ()

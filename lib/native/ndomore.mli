@@ -22,7 +22,6 @@
 type config = {
   policy : Xinv_domore.Policy.t;
   workers : int;  (** worker domains, excluding the scheduler *)
-  queue_capacity : int;
   work : Work.t;
   grain : int;
       (** max consecutive iterations dispatched as one chunk frame; 1

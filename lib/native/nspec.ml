@@ -1,6 +1,7 @@
 module Ir = Xinv_ir
 module Rt = Xinv_runtime
 module Sx = Xinv_speccross
+module Intra = Xinv_parallel.Intra
 module Obs = Xinv_obs
 
 type config = {
@@ -11,7 +12,6 @@ type config = {
   mode_of : string -> Sx.Runtime.mode;
   inject_misspec : (int * int) option;
   work : Work.t;
-  queue_capacity : int;
   grain : int;
 }
 
@@ -24,9 +24,11 @@ let default_config ~workers =
     mode_of = (fun _ -> Sx.Runtime.M_doall);
     inject_misspec = None;
     work = Work.Off;
-    queue_capacity = 1024;
     grain = 1;
   }
+
+(* Requests per worker-to-checker queue. *)
+let queue_capacity = 1024
 
 (* Signature request, one per speculative task.  [r_started] is the dpos
    snapshot taken at task entry; [r_g] the task's global position. *)
@@ -70,45 +72,21 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   if workers > Pool.workers pool then invalid_arg "Nspec.run: pool too small";
   let wd = match wd with Some w -> w | None -> Watchdog.unbounded () in
   let mem = env.Ir.Env.mem in
-  let inners = Array.of_list p.Ir.Program.inners in
-  let ninners = Array.length inners in
-  let nepochs = p.Ir.Program.outer_trip * ninners in
-  Array.iter
-    (fun (il : Ir.Program.inner) ->
-      match cfg.mode_of il.Ir.Program.ilabel with
-      | Sx.Runtime.M_domore _ ->
-          invalid_arg "Nspec.run: M_domore epochs are not supported natively"
-      | Sx.Runtime.M_doall | Sx.Runtime.M_localwrite -> ())
-    inners;
+  let ep = Sx.Runtime.Epochs.make p env in
+  let nepochs = ep.Sx.Runtime.Epochs.count and epoch_base = ep.Sx.Runtime.Epochs.base in
+  let env_of_epoch = Sx.Runtime.Epochs.env_of ep and hot = ep.Sx.Runtime.Epochs.hot in
+  (* The technique a non-speculative epoch runs under in {!Nbarrier}. *)
+  let technique_of (il : Ir.Program.inner) =
+    match cfg.mode_of il.Ir.Program.ilabel with
+    | Sx.Runtime.M_doall -> Intra.Doall
+    | Sx.Runtime.M_localwrite -> Intra.Localwrite
+    | Sx.Runtime.M_domore _ ->
+        invalid_arg "Nspec.run: M_domore epochs are not supported natively"
+  in
+  Array.iter (fun il -> ignore (technique_of il)) ep.Sx.Runtime.Epochs.inners;
+  let sh = Nbarrier.share ~work:cfg.work ~grain:1 ~threads:workers env in
   let ckpts = Rt.Checkpoint.create () in
   Rt.Checkpoint.save ckpts ~epoch:0 mem;
-  let env_of_epoch e =
-    let t = e / ninners in
-    (inners.(e mod ninners), Ir.Env.with_outer env t)
-  in
-  let hot_arrays =
-    List.concat_map
-      (fun (st : Ir.Stmt.t) ->
-        List.map (fun (a : Ir.Access.t) -> a.Ir.Access.base) st.Ir.Stmt.writes)
-      (Ir.Program.body_stmts p)
-    |> List.sort_uniq String.compare
-  in
-  let hot arr = List.mem arr hot_arrays in
-  let irreversible =
-    Array.map
-      (fun (il : Ir.Program.inner) ->
-        List.exists
-          (fun (st : Ir.Stmt.t) -> st.Ir.Stmt.side_effect)
-          (il.Ir.Program.pre @ il.Ir.Program.body))
-      inners
-  in
-  (* Global task position of each epoch's first task; trip counts read only
-     input data the region never writes, so this pre-pass is safe. *)
-  let epoch_base = Array.make (nepochs + 1) 0 in
-  for e = 0 to nepochs - 1 do
-    let il, env_t = env_of_epoch e in
-    epoch_base.(e + 1) <- epoch_base.(e) + il.Ir.Program.trip env_t
-  done;
 
   (* ---- shared state ---- *)
   let dummy_req =
@@ -117,7 +95,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   in
   let qs =
     Array.init workers (fun _ ->
-        Spsc.create ~dummy:dummy_req ~capacity:cfg.queue_capacity)
+        Spsc.create ~dummy:dummy_req ~capacity:queue_capacity)
   in
   (* The frontier arrays are the contended heart of the protocol: every
      worker writes its own slot while every peer polls all of them, so each
@@ -328,21 +306,6 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   in
 
   (* ---- per-epoch execution ---- *)
-  let exec_pre env_t (il : Ir.Program.inner) =
-    (* Replicated on every worker (privatizable per-invocation slots). *)
-    List.iter
-      (fun (s : Ir.Stmt.t) ->
-        Work.burn cfg.work (s.Ir.Stmt.cost env_t);
-        s.Ir.Stmt.exec env_t)
-      il.Ir.Program.pre
-  in
-  let plain_body env_j (il : Ir.Program.inner) =
-    List.iter
-      (fun (s : Ir.Stmt.t) ->
-        Work.burn cfg.work (s.Ir.Stmt.cost env_j);
-        s.Ir.Stmt.exec env_j)
-      il.Ir.Program.body
-  in
   let submit ~w req =
     (* Fast path: the checker normally keeps the ring drained.  Only a
        genuinely full queue pays the blocking (and stall-accounted) push. *)
@@ -414,7 +377,8 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   in
   let exec_epoch_spec ~w ~gen e =
     let il, env_t = env_of_epoch e in
-    (try exec_pre env_t il
+    (* Replicated on every worker (privatizable per-invocation slots). *)
+    (try Nbarrier.exec_pre cfg.work env_t il
      with ex when containable ex ->
        submit_forced ~w ~gen ~epoch:e ~g:epoch_base.(e);
        raise Abort_now);
@@ -440,7 +404,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
               for j = j0 to j1 do
                 let env_j = Ir.Env.with_inner env_t j in
                 let addrs = Ir.Footprint.body_filtered ~hot env_j il in
-                plain_body env_j il;
+                Nbarrier.exec_iteration sh Intra.Doall ~tid:w env_j il;
                 acc := List.rev_append addrs !acc
               done;
               !acc);
@@ -452,16 +416,10 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
           let env_j = Ir.Env.with_inner env_t j in
           let g = epoch_base.(e) + j in
           throttle ~w g;
-          let owned (st : Ir.Stmt.t) =
-            List.exists
-              (fun (a : Ir.Access.t) ->
-                let idx = Ir.Expr.eval env_j a.Ir.Access.index in
-                let size = Ir.Memory.size mem a.Ir.Access.base in
-                idx * workers / size = w)
-              st.Ir.Stmt.writes
-          in
           let mine =
-            match List.exists owned il.Ir.Program.body with
+            match
+              List.exists (Intra.owns ~threads:workers ~tid:w env_j) il.Ir.Program.body
+            with
             | m -> Some m
             | exception ex when containable ex -> None
           in
@@ -474,51 +432,15 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
           | Some true ->
               run_task ~w ~gen ~epoch:e ~g (fun () ->
                   let addrs = Ir.Footprint.body_filtered ~hot env_j il in
-                  List.iter
-                    (fun (stm : Ir.Stmt.t) ->
-                      if stm.Ir.Stmt.writes = [] || owned stm then begin
-                        Work.burn cfg.work (stm.Ir.Stmt.cost env_j);
-                        stm.Ir.Stmt.exec env_j
-                      end)
-                    il.Ir.Program.body;
+                  Nbarrier.exec_iteration sh Intra.Localwrite ~tid:w env_j il;
                   addrs))
         done
   in
   let exec_epoch_nonspec w e =
     let il, env_t = env_of_epoch e in
-    if w = 0 then exec_pre env_t il;
+    if w = 0 then Nbarrier.exec_pre cfg.work env_t il;
     bar_wait ~w;
-    let trip = il.Ir.Program.trip env_t in
-    (match cfg.mode_of il.Ir.Program.ilabel with
-    | Sx.Runtime.M_domore _ -> assert false
-    | Sx.Runtime.M_doall ->
-        let j = ref w in
-        while !j < trip do
-          plain_body (Ir.Env.with_inner env_t !j) il;
-          j := !j + workers
-        done
-    | Sx.Runtime.M_localwrite ->
-        for j = 0 to trip - 1 do
-          let env_j = Ir.Env.with_inner env_t j in
-          List.iter
-            (fun (stm : Ir.Stmt.t) ->
-              if stm.Ir.Stmt.writes = [] then begin
-                Work.burn cfg.work (stm.Ir.Stmt.cost env_j);
-                if w = 0 then stm.Ir.Stmt.exec env_j
-              end
-              else if
-                List.exists
-                  (fun (a : Ir.Access.t) ->
-                    let idx = Ir.Expr.eval env_j a.Ir.Access.index in
-                    let size = Ir.Memory.size mem a.Ir.Access.base in
-                    idx * workers / size = w)
-                  stm.Ir.Stmt.writes
-              then begin
-                Work.burn cfg.work (stm.Ir.Stmt.cost env_j);
-                stm.Ir.Stmt.exec env_j
-              end)
-            il.Ir.Program.body
-        done)
+    Nbarrier.run_share sh ~tid:w (technique_of il) env_t il
   in
 
   (* ---- recovery ---- *)
@@ -627,7 +549,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
                 Atomic.get ckpt_done >= !e)
         end;
         if aborted () then e := recover w gen
-        else if irreversible.(!e mod ninners) then begin
+        else if Sx.Runtime.Epochs.irreversible ep !e then begin
           (* Rally, drain, one worker executes the epoch exactly once,
              checkpoint, resume (§4.2.2). *)
           if w = 0 then begin
@@ -636,21 +558,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
             wait_or_abort ~cause:Stallcat.Checker_lag ~w ~for_:"checker drain" drained;
             if not (aborted ()) then begin
               let il, env_t = env_of_epoch !e in
-              List.iter
-                (fun (st : Ir.Stmt.t) ->
-                  Work.burn cfg.work (st.Ir.Stmt.cost env_t);
-                  st.Ir.Stmt.exec env_t)
-                il.Ir.Program.pre;
-              let trip = il.Ir.Program.trip env_t in
-              tasks_total := !tasks_total + trip;
-              for j = 0 to trip - 1 do
-                let env_j = Ir.Env.with_inner env_t j in
-                List.iter
-                  (fun (st : Ir.Stmt.t) ->
-                    Work.burn cfg.work (st.Ir.Stmt.cost env_j);
-                    st.Ir.Stmt.exec env_j)
-                  il.Ir.Program.body
-              done;
+              tasks_total := !tasks_total + Nbarrier.run_invocation_seq cfg.work env_t il;
               Rt.Checkpoint.save ckpts ~epoch:(!e + 1) mem;
               Atomic.set prune_floor (epoch_base.(!e + 1) - 1);
               publish io_done !e

@@ -12,13 +12,16 @@
     compares a task only against other workers' signatures {e above the
     snapshot} and {e from earlier epochs}: anything at or below the
     snapshot was finished before the task started and is therefore ordered;
-    same-epoch tasks are independent by construction.
+    same-epoch tasks are independent by construction.  The epoch layout
+    is the simulator's ({!Xinv_speccross.Runtime.Epochs}), as are the
+    LOCALWRITE ownership rules ({!Xinv_parallel.Intra.owns}).
 
     On a conflict the checker flips the global abort flag and bumps the
     generation; workers rally at a sense-reversing barrier, worker 0
     restores the last in-memory checkpoint, the misspeculated epochs are
-    re-executed non-speculatively with real barriers, a fresh checkpoint is
-    taken and speculation resumes.  Requests from dead generations are
+    re-executed non-speculatively with real barriers, each through the
+    barrier engine's per-invocation share ({!Nbarrier.run_share}), a fresh
+    checkpoint is taken and speculation resumes.  Requests from dead generations are
     drained and dropped, so recovery never leaks stale conflicts. *)
 
 type config = {
@@ -30,7 +33,6 @@ type config = {
       (** per-inner execution mode; [M_domore] is not supported natively *)
   inject_misspec : (int * int) option;  (** force one conflict at (epoch, worker) *)
   work : Work.t;
-  queue_capacity : int;
   grain : int;
       (** [M_doall] tasks per speculative block: one throttle step, one
           signature and one checking request per block of [grain]

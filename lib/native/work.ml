@@ -41,3 +41,7 @@ let burn w cycles =
         let units = cycles *. ns_per_cycle /. ns_per_unit () in
         if units >= 1. then spin_units (int_of_float units)
       end
+
+let exec w env (s : Xinv_ir.Stmt.t) =
+  burn w (s.Xinv_ir.Stmt.cost env);
+  s.Xinv_ir.Stmt.exec env

@@ -20,3 +20,9 @@ val calibrated_spin : ns_per_cycle:float -> t
 val burn : t -> float -> unit
 (** [burn w cycles] consumes CPU for roughly [cycles] times the configured
     factor.  [Off] is free.  Safe to call concurrently from any domain. *)
+
+val exec : t -> Xinv_ir.Env.t -> Xinv_ir.Stmt.t -> unit
+(** Execute one statement natively: burn its modeled cost, then run its
+    semantics.  Every native engine executes statements through this; the
+    LOCALWRITE traversal in {!Nbarrier}, which burns on every worker but
+    applies the semantics once, is the only other [burn] site. *)

@@ -193,6 +193,10 @@ let build ~backend ~clock ~makespan ~tracks ?work ?blocked ?(counters = [])
           (Cause.name c) (pct v capacity)
     | None -> "compute (no stalls recorded)"
   in
+  (* A counter of the same meaning is authoritative: a ring can drop
+     entries, and a native engine may log once per domain what its counter
+     counts once per run. *)
+  let count name logged = Option.value ~default:!logged (List.assoc_opt name counters) in
   let chain, chain_span = longest_chain n es in
   let queue_occupancy =
     match !samples with
@@ -222,16 +226,16 @@ let build ~backend ~clock ~makespan ~tracks ?work ?blocked ?(counters = [])
     chain_span;
     events_logged = Array.length es;
     drops;
-    sync_forwarded = !sync_forwarded;
+    sync_forwarded = count "domore.sync_conds_forwarded" sync_forwarded;
     queue_occupancy;
-    epochs_committed = !epochs_committed;
-    misspeculations = !misspeculations;
+    epochs_committed = count "speccross.epochs_committed" epochs_committed;
+    misspeculations = count "speccross.misspeculations" misspeculations;
     recovery = !recovery;
     epochs_redone = !epochs_redone;
     checkpoints = !checkpoints;
-    signature_checks = !signature_checks;
+    signature_checks = count "speccross.signature_checks" signature_checks;
     signatures_compared = !signatures_compared;
-    barrier_crossings = !barrier_crossings;
+    barrier_crossings = count "barrier.crossings" barrier_crossings;
     counters;
     gauges;
   }

@@ -38,16 +38,21 @@ type t = {
   chain_span : float;  (** time that chain spans *)
   events_logged : int;  (** entries analyzed *)
   drops : int;  (** entries lost to ring overwrite before analysis *)
-  sync_forwarded : int;  (** [Sync_send] entries *)
+  sync_forwarded : int;
+      (** the [domore.sync_conds_forwarded] counter, else [Sync_send] entries *)
   queue_occupancy : percentiles option;  (** from [Queue_sample] entries *)
   epochs_committed : int;
+      (** the [speccross.epochs_committed] counter, else [Epoch_commit] entries *)
   misspeculations : int;
+      (** the [speccross.misspeculations] counter, else [Misspec] entries *)
   recovery : float;  (** time inside misspeculation recovery *)
   epochs_redone : int;
   checkpoints : int;
   signature_checks : int;
+      (** the [speccross.signature_checks] counter, else [Sig_check] entries *)
   signatures_compared : int;  (** sum of checking-window sizes *)
-  barrier_crossings : int;  (** [Barrier_release] entries *)
+  barrier_crossings : int;
+      (** the [barrier.crossings] counter, else [Barrier_release] entries *)
   counters : (string * int) list;  (** metrics registry dump *)
   gauges : (string * float) list;
 }
@@ -68,7 +73,9 @@ val build :
     useful work (default: makespan minus the track's blocked time).
     [blocked] gives authoritative per-cause totals keyed by {!Cause.name}
     (the native Stallcat accounting, which a drop-oldest ring can
-    undercount); by default they are the sums of the stall-end entries. *)
+    undercount); by default they are the sums of the stall-end entries.
+    Likewise a summary count whose counter is in [counters] is taken from
+    it, so on both backends a report's counts equal its counters. *)
 
 val of_flight :
   ?wall_ns:float ->

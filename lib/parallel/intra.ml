@@ -28,16 +28,31 @@ type ctx = {
 let make_ctx ~machine ~threads ~tid ~locks ~total_words =
   { machine; threads; tid; locks; nlocks = Array.length locks; total_words }
 
-let owner ctx env (a : Xinv_ir.Access.t) =
-  let mem = env.Xinv_ir.Env.mem in
+let owner_of ~threads env (a : Xinv_ir.Access.t) =
   let idx = Xinv_ir.Expr.eval env a.Xinv_ir.Access.index in
-  let size = Xinv_ir.Memory.size mem a.Xinv_ir.Access.base in
+  let size = Xinv_ir.Memory.size env.Xinv_ir.Env.mem a.Xinv_ir.Access.base in
   assert (idx >= 0 && idx < size);
-  idx * ctx.threads / size
+  idx * threads / size
 
-let lock_of ctx env (a : Xinv_ir.Access.t) =
-  let addr = Xinv_ir.Access.addr env env.Xinv_ir.Env.mem a in
-  ctx.locks.(addr * ctx.nlocks / Stdlib.max 1 ctx.total_words)
+let rec owns_any ~threads ~tid env = function
+  | [] -> false
+  | a :: rest -> owner_of ~threads env a = tid || owns_any ~threads ~tid env rest
+
+let owns ~threads ~tid env (s : Xinv_ir.Stmt.t) =
+  owns_any ~threads ~tid env s.Xinv_ir.Stmt.writes
+
+let executor ~threads env (il : Xinv_ir.Program.inner) =
+  let low = ref max_int in
+  List.iter
+    (fun (s : Xinv_ir.Stmt.t) ->
+      List.iter
+        (fun a -> low := Stdlib.min !low (owner_of ~threads env a))
+        s.Xinv_ir.Stmt.writes)
+    il.Xinv_ir.Program.body;
+  if !low = max_int then 0 else !low
+
+let lock_index ~nlocks ~total_words env (a : Xinv_ir.Access.t) =
+  Xinv_ir.Access.addr env env.Xinv_ir.Env.mem a * nlocks / Stdlib.max 1 total_words
 
 let exec_stmt ctx env (s : Xinv_ir.Stmt.t) =
   let wf = Xinv_sim.Machine.work_factor ctx.machine ~threads:ctx.threads in
@@ -59,45 +74,39 @@ let exec_doany ctx env (il : Xinv_ir.Program.inner) =
   List.iter
     (fun (s : Xinv_ir.Stmt.t) ->
       if s.Xinv_ir.Stmt.commutes && s.Xinv_ir.Stmt.writes <> [] then begin
-        let m = lock_of ctx env (List.hd s.Xinv_ir.Stmt.writes) in
+        let m =
+          ctx.locks.(lock_index ~nlocks:ctx.nlocks ~total_words:ctx.total_words env
+                       (List.hd s.Xinv_ir.Stmt.writes))
+        in
         Xinv_sim.Mutex.with_lock m (fun () -> exec_stmt ctx env s)
       end
       else exec_stmt ctx env s)
     il.Xinv_ir.Program.body
 
 let exec_localwrite ctx env (il : Xinv_ir.Program.inner) =
-  (* Determine whether this thread owns any write of the iteration; decide
-     who executes the non-writing (traversal) statements. *)
-  let body = il.Xinv_ir.Program.body in
-  let owners_of (s : Xinv_ir.Stmt.t) =
-    List.sort_uniq compare (List.map (owner ctx env) s.Xinv_ir.Stmt.writes)
-  in
-  let my_writes =
-    List.filter
-      (fun s -> s.Xinv_ir.Stmt.writes <> [] && List.mem ctx.tid (owners_of s))
-      body
-  in
-  let all_owners = List.concat_map owners_of body |> List.sort_uniq compare in
-  let executor = match all_owners with o :: _ -> o | [] -> 0 in
+  (* Determine whether this thread owns any write of the iteration; the
+     iteration's lowest owner applies the non-writing (traversal)
+     statements. *)
+  let threads = ctx.threads in
+  let mine = List.exists (owns ~threads ~tid:ctx.tid env) il.Xinv_ir.Program.body in
+  let executor = executor ~threads env il in
   List.iter
     (fun (s : Xinv_ir.Stmt.t) ->
-      if s.Xinv_ir.Stmt.writes = [] then begin
-        (* Redundant computation on every thread; semantics applied once. *)
-        let cat =
-          if my_writes <> [] then Xinv_sim.Category.Work else Xinv_sim.Category.Redundant
-        in
-        let wf = Xinv_sim.Machine.work_factor ctx.machine ~threads:ctx.threads in
-        Xinv_sim.Proc.advance ~label:s.Xinv_ir.Stmt.name cat (wf *. s.Xinv_ir.Stmt.cost env);
-        if ctx.tid = executor then s.Xinv_ir.Stmt.exec env
-      end
-      else begin
-        let owners = owners_of s in
-        assert (List.length owners = 1);
-        if List.mem ctx.tid owners then exec_stmt ctx env s
-        else
-          Xinv_sim.Proc.advance ~label:"own?" Xinv_sim.Category.Redundant (visit_cost s)
-      end)
-    body
+      match s.Xinv_ir.Stmt.writes with
+      | [] ->
+          (* Redundant computation on every thread; semantics applied once. *)
+          let cat = if mine then Xinv_sim.Category.Work else Xinv_sim.Category.Redundant in
+          let wf = Xinv_sim.Machine.work_factor ctx.machine ~threads in
+          Xinv_sim.Proc.advance ~label:s.Xinv_ir.Stmt.name cat (wf *. s.Xinv_ir.Stmt.cost env);
+          if ctx.tid = executor then s.Xinv_ir.Stmt.exec env
+      | a :: rest ->
+          (* All writes of a statement fall in one owner's partition. *)
+          let o = owner_of ~threads env a in
+          assert (List.for_all (fun b -> owner_of ~threads env b = o) rest);
+          if o = ctx.tid then exec_stmt ctx env s
+          else
+            Xinv_sim.Proc.advance ~label:"own?" Xinv_sim.Category.Redundant (visit_cost s))
+    il.Xinv_ir.Program.body
 
 let exec_spec_doall ctx env (il : Xinv_ir.Program.inner) =
   let accesses =

@@ -36,9 +36,29 @@ val make_ctx :
   total_words:int ->
   ctx
 
-val owner : ctx -> Xinv_ir.Env.t -> Xinv_ir.Access.t -> int
+(** {2 Machine-independent rules}
+
+    Shared by every engine that applies these techniques: the simulated
+    barrier engine below, the SPECCROSS runtime's LOCALWRITE epochs, and
+    the native barrier and SPECCROSS engines.  Only how an engine waits and
+    charges time differs. *)
+
+val owner_of : threads:int -> Xinv_ir.Env.t -> Xinv_ir.Access.t -> int
 (** LOCALWRITE owner of a write access: contiguous block partition of the
-    written array across worker threads. *)
+    written array across [threads] workers.  Asserts the index is in
+    bounds. *)
+
+val owns : threads:int -> tid:int -> Xinv_ir.Env.t -> Xinv_ir.Stmt.t -> bool
+(** Whether worker [tid] owns some write of the statement. *)
+
+val executor : threads:int -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> int
+(** The worker that applies a LOCALWRITE iteration's non-writing statements
+    (which every worker visits): the lowest owner of any write in the
+    iteration, or 0 when the body writes nothing. *)
+
+val lock_index : nlocks:int -> total_words:int -> Xinv_ir.Env.t -> Xinv_ir.Access.t -> int
+(** DOANY lock stripe of an access: the flat address space split into
+    [nlocks] equal ranges. *)
 
 val exec_iteration : technique -> ctx -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> unit
 (** Execute (or, for LOCALWRITE non-owners, visit) the iteration whose

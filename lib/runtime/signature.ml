@@ -161,15 +161,3 @@ let merge ~into src =
       Hashtbl.iter (fun addr () -> Hashtbl.replace a addr ()) b;
       into.adds <- into.adds + src.adds
   | _ -> invalid_arg "Signature.merge: kind mismatch"
-
-let pp ppf t =
-  match t.repr with
-  | R_range r ->
-      if is_empty t then Format.fprintf ppf "range(empty)"
-      else Format.fprintf ppf "range[%d, %d]" r.lo r.hi
-  | R_seg sgm ->
-      let populated = ref 0 in
-      Array.iteri (fun s lo -> if lo <= sgm.hi.(s) then incr populated) sgm.lo;
-      Format.fprintf ppf "segmented(%d segments)" !populated
-  | R_bloom b -> Format.fprintf ppf "bloom(%d bits, %d adds)" b.bits t.adds
-  | R_exact h -> Format.fprintf ppf "exact(%d addrs)" (Hashtbl.length h)

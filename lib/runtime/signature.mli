@@ -55,4 +55,3 @@ val intersects : t -> t -> bool
 val merge : into:t -> t -> unit
 (** Fold another signature of the same kind into [into]. *)
 
-val pp : Format.formatter -> t -> unit

@@ -29,6 +29,56 @@ let default_config ~workers =
     tm_style = false;
   }
 
+module Epochs = struct
+  type t = {
+    env : Ir.Env.t;
+    inners : Ir.Program.inner array;
+    count : int;
+    base : int array;
+    hot : string -> bool;
+    side_effecting : bool array;
+  }
+
+  let env_of t e =
+    let n = Array.length t.inners in
+    (t.inners.(e mod n), Ir.Env.with_outer t.env (e / n))
+
+  let irreversible t e = t.side_effecting.(e mod Array.length t.inners)
+
+  let make (p : Ir.Program.t) env =
+    let inners = Array.of_list p.Ir.Program.inners in
+    let count = p.Ir.Program.outer_trip * Array.length inners in
+    (* SPECCROSS only instruments accesses that may alias across
+       invocations: anything touching an array some inner-loop body
+       writes. *)
+    let hot_arrays =
+      List.concat_map
+        (fun (st : Ir.Stmt.t) ->
+          List.map (fun (a : Ir.Access.t) -> a.Ir.Access.base) st.Ir.Stmt.writes)
+        (Ir.Program.body_stmts p)
+      |> List.sort_uniq String.compare
+    in
+    let side_effecting =
+      Array.map
+        (fun (il : Ir.Program.inner) ->
+          List.exists
+            (fun (st : Ir.Stmt.t) -> st.Ir.Stmt.side_effect)
+            (il.Ir.Program.pre @ il.Ir.Program.body))
+        inners
+    in
+    let t =
+      { env; inners; count; base = Array.make (count + 1) 0;
+        hot = (fun arr -> List.mem arr hot_arrays); side_effecting }
+    in
+    (* Trip counts only read input data the region never writes, so this
+       pre-pass is safe. *)
+    for e = 0 to count - 1 do
+      let il, env_t = env_of t e in
+      t.base.(e + 1) <- t.base.(e) + il.Ir.Program.trip env_t
+    done;
+    t
+end
+
 (* Sentinel larger than any epoch number, used to release waiters on abort. *)
 let wake = max_int / 2
 
@@ -70,7 +120,6 @@ type cmsg =
       gen : int;
       worker : int;
       epoch : int;
-      task : int;
       sg : Rt.Signature.t;
       started : (int * int) array;
       force : bool;
@@ -103,9 +152,8 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
     | None -> (None, None, None, None)
   in
   let mem = env.Ir.Env.mem in
-  let inners = Array.of_list p.Ir.Program.inners in
-  let ninners = Array.length inners in
-  let nepochs = p.Ir.Program.outer_trip * ninners in
+  let ep = Epochs.make p env in
+  let nepochs = ep.Epochs.count in
   let eng = Sim.Engine.create ~trace () in
   let siglog = Rt.Siglog.create ~workers in
   let ckpts = Rt.Checkpoint.create () in
@@ -124,43 +172,12 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
   let max_epoch = ref 0 in
   let redo_from = ref 0 and redo_to = ref 0 and resume_from = ref 0 in
   let requests_total = ref 0 in
-  let comparisons = ref 0 in
   let misspecs = ref 0 in
   let tasks_total = ref 0 in
   let injected = ref false in
 
-  let env_of_epoch e =
-    let t = e / ninners in
-    (inners.(e mod ninners), Ir.Env.with_outer env t)
-  in
-  (* SPECCROSS only instruments accesses that may alias across invocations:
-     anything touching an array some inner-loop body writes. *)
-  let hot_arrays =
-    List.concat_map
-      (fun (st_ : Ir.Stmt.t) ->
-        List.map (fun (a : Ir.Access.t) -> a.Ir.Access.base) st_.Ir.Stmt.writes)
-      (Ir.Program.body_stmts p)
-    |> List.sort_uniq String.compare
-  in
-  let hot arr = List.mem arr hot_arrays in
-  (* Epochs containing irreversible (side-effecting) statements execute
-     non-speculatively: all workers synchronize, one executes, and a fresh
-     checkpoint follows so recovery never replays them (§4.2.2). *)
-  let irreversible =
-    Array.map
-      (fun (il : Ir.Program.inner) ->
-        List.exists
-          (fun (st_ : Ir.Stmt.t) -> st_.Ir.Stmt.side_effect)
-          (il.Ir.Program.pre @ il.Ir.Program.body))
-      inners
-  in
-  (* Global task index of each epoch's first task; trip counts only read
-     input data the region never writes. *)
-  let epoch_base = Array.make (nepochs + 1) 0 in
-  for e = 0 to nepochs - 1 do
-    let il, env_t = env_of_epoch e in
-    epoch_base.(e + 1) <- epoch_base.(e) + il.Ir.Program.trip env_t
-  done;
+  let env_of_epoch = Epochs.env_of ep and epoch_base = ep.Epochs.base in
+  let hot = ep.Epochs.hot in
 
   (* Within-epoch DOMORE completion cells, keyed by generation:epoch; shared
      between the workers that execute the epoch. *)
@@ -224,19 +241,12 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
                   Sim.Proc.advance ~label:"check" Sim.Category.Checker
                     (machine.Sim.Machine.check_per_sig
                     *. float_of_int (List.length window));
-                comparisons := !comparisons + List.length window;
                 List.iter
-                  (fun (we, wt, sg') ->
+                  (fun (we, _, sg') ->
                     (* Same-epoch pairs are provably independent: TM-style
                        checking pays for them but cannot flag them. *)
-                    if we < r.epoch && Rt.Signature.intersects r.sg sg' then begin
-                      if Sys.getenv_opt "XINV_DEBUG" <> None then
-                        Format.eprintf
-                          "[speccross] conflict: w%d e%d t%d (%a) vs w%d e%d t%d (%a)@."
-                          r.worker r.epoch r.task Rt.Signature.pp r.sg w' we wt
-                          Rt.Signature.pp sg';
-                      conflict := true
-                    end)
+                    if we < r.epoch && Rt.Signature.intersects r.sg sg' then
+                      conflict := true)
                   window
               end
             done;
@@ -316,7 +326,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
       incr s.submitted;
       incr requests_total;
       Sim.Channel.produce checker_q
-        (Request { gen = s.g_id; worker = w; epoch; task; sg; started; force });
+        (Request { gen = s.g_id; worker = w; epoch; sg; started; force });
       (* Everything strictly below (epoch, task+1) is now complete, so later
          tasks' comparison windows exclude this one once it is finished. *)
       s.positions.(w) <- (epoch, task + 1)
@@ -343,14 +353,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
         for j = 0 to trip - 1 do
           let env_j = Ir.Env.with_inner env_t j in
           throttle s ~w (epoch_base.(e) + j);
-          let owned (st_ : Ir.Stmt.t) =
-            List.exists
-              (fun (a : Ir.Access.t) ->
-                let idx = Ir.Expr.eval env_j a.Ir.Access.index in
-                let size = Ir.Memory.size mem a.Ir.Access.base in
-                idx * workers / size = w)
-              st_.Ir.Stmt.writes
-          in
+          let owned = Xinv_parallel.Intra.owns ~threads:workers ~tid:w env_j in
           let mine = List.exists owned il.Ir.Program.body in
           if mine then begin
             let addrs = Ir.Footprint.body_filtered ~hot env_j il in
@@ -462,12 +465,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
             (fun (stm : Ir.Stmt.t) ->
               let owned =
                 stm.Ir.Stmt.writes = []
-                || List.exists
-                     (fun (a : Ir.Access.t) ->
-                       let idx = Ir.Expr.eval env_j a.Ir.Access.index in
-                       let size = Ir.Memory.size mem a.Ir.Access.base in
-                       idx * workers / size = w)
-                     stm.Ir.Stmt.writes
+                || Xinv_parallel.Intra.owns ~threads:workers ~tid:w env_j stm
               in
               if owned then begin
                 let cat =
@@ -601,7 +599,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
           end
         end;
         if !(s.abort) then e := recover w s
-        else if irreversible.(!e mod ninners) && not cfg.non_spec_barriers then begin
+        else if Epochs.irreversible ep !e && not cfg.non_spec_barriers then begin
           (* Irreversible epoch: rally everyone, drain the checker, let one
              worker execute the epoch exactly once, checkpoint, resume. *)
           if w = 0 then begin
@@ -669,17 +667,6 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
   done;
   ignore (Sim.Engine.spawn eng ~name:"checker" checker);
   Sim.Engine.run eng;
-  if Sys.getenv_opt "XINV_DEBUG" <> None then
-    Format.eprintf
-      "[speccross] makespan %.0f requests %d comparisons %d misspecs %d@\n\
-      \  work %.0f runtime %.0f checker %.0f barrier %.0f queue %.0f ckpt %.0f@."
-      (Sim.Engine.now eng) !requests_total !comparisons !misspecs
-      (Sim.Engine.total eng Sim.Category.Work)
-      (Sim.Engine.total eng Sim.Category.Runtime)
-      (Sim.Engine.total eng Sim.Category.Checker)
-      (Sim.Engine.total eng Sim.Category.Barrier_wait)
-      (Sim.Engine.total eng Sim.Category.Queue)
-      (Sim.Engine.total eng Sim.Category.Checkpoint);
   Xinv_parallel.Run.make ~technique:"SPECCROSS" ~threads:(workers + 1)
     ~makespan:(Sim.Engine.now eng) ~engine:eng ~tasks:!tasks_total
     ~invocations:(Ir.Program.invocations p) ~checks:!requests_total

@@ -18,6 +18,36 @@ type mode =
       (** §3.4 duplicated-scheduler DOMORE handles the epoch's irregular
           conflicts; the checker still guards cross-epoch dependences *)
 
+(** The epoch layout of a region (§4.2), the machine-independent half of
+    SPECCROSS that the simulated runtime below and the native engine
+    ([Xinv_native.Nspec]) share: epoch [e] is inner loop [e mod n] of outer
+    iteration [e / n], for [n] inner loops. *)
+module Epochs : sig
+  type t = {
+    env : Xinv_ir.Env.t;  (** the region's environment *)
+    inners : Xinv_ir.Program.inner array;
+    count : int;  (** epochs: outer trip count times inner loops *)
+    base : int array;
+        (** global task position of each epoch's first task; [base.(count)]
+            is the region's task total *)
+    hot : string -> bool;
+        (** arrays some inner-loop body writes: the only accesses that may
+            alias across epochs, so the only ones a signature records *)
+    side_effecting : bool array;  (** per inner loop: has irreversible statements *)
+  }
+
+  val make : Xinv_ir.Program.t -> Xinv_ir.Env.t -> t
+
+  val env_of : t -> int -> Xinv_ir.Program.inner * Xinv_ir.Env.t
+  (** The inner loop of an epoch and its outer iteration's environment. *)
+
+  val irreversible : t -> int -> bool
+  (** Whether an epoch contains irreversible (side-effecting) statements:
+      such epochs execute non-speculatively, once, with all workers
+      rallied, and a fresh checkpoint follows so recovery never replays
+      them (§4.2.2). *)
+end
+
 type config = {
   machine : Xinv_sim.Machine.t;
   workers : int;  (** worker threads; the checker is one extra *)

@@ -290,6 +290,22 @@ let test_native_inject_recovers () =
     (nrun n).Nat.Nrun.misspecs;
   check_verified "SYMM/inject" n
 
+(* Recovery re-executes the misspeculated epochs through the barrier
+   engine's per-invocation share; for LOCALWRITE epochs that is the
+   owner-compute path, with traversal statements applied by the
+   iteration's lowest owner. *)
+let test_native_inject_recovers_localwrite () =
+  List.iter
+    (fun (name, input) ->
+      let n =
+        C.run_request @@ C.Request.make ~backend:(`Native C.native_defaults) ~input
+          ~technique:(C.Speccross_inject 3) ~threads:3 (Wl.Registry.find name)
+      in
+      Alcotest.(check int) (name ^ ": exactly one forced misspeculation") 1
+        (nrun n).Nat.Nrun.misspecs;
+      check_verified (name ^ "/inject") n)
+    [ ("CG", Wl.Workload.Ref_spec); ("FLUIDANIMATE-2", Wl.Workload.Train) ]
+
 let test_native_bloom_speccross () =
   (* Exercise the Bloom signature kind natively (Segmented is the default):
      termination and correctness, not zero false positives. *)
@@ -529,4 +545,6 @@ let suite =
       test_idle_pool_parks;
     Alcotest.test_case "park: parkers leak no fd over 500 requests" `Quick
       test_parkers_leak_no_fd;
+    Alcotest.test_case "speccross: recovery through LOCALWRITE epochs" `Quick
+      test_native_inject_recovers_localwrite;
   ]

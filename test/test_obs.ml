@@ -647,6 +647,54 @@ let test_flight_off_bit_identical () =
         (sim.Cx.flight = None && sim.Cx.postmortems = []))
     (Wl.Registry.all ())
 
+(* Every summary count a report shares with a counter equals that counter:
+   on both backends, with and without flight entries.  The sim report is
+   rebuilt from its counters alone for the entry-less case. *)
+let test_report_counts_are_counters () =
+  let shared =
+    [
+      ("domore.sync_conds_forwarded", fun r -> r.Obs.Report.sync_forwarded);
+      ("speccross.epochs_committed", fun r -> r.Obs.Report.epochs_committed);
+      ("speccross.misspeculations", fun r -> r.Obs.Report.misspeculations);
+      ("speccross.signature_checks", fun r -> r.Obs.Report.signature_checks);
+      ("barrier.crossings", fun r -> r.Obs.Report.barrier_crossings);
+    ]
+  in
+  List.iter
+    (fun (name, technique, headline) ->
+      let wl = Wl.Registry.find name in
+      let check label (r : Obs.Report.t) =
+        let tag k = Printf.sprintf "%s %s %s" name label k in
+        Alcotest.(check bool) (tag (headline ^ " counted")) true
+          (Option.value ~default:0 (List.assoc_opt headline r.Obs.Report.counters) > 0);
+        List.iter
+          (fun (k, get) ->
+            match List.assoc_opt k r.Obs.Report.counters with
+            | Some v -> Alcotest.(check int) (tag k) v (get r)
+            | None -> ())
+          shared
+      in
+      let go backend =
+        let obs = Obs.Recorder.create () in
+        let o =
+          Cx.run_request @@ Cx.Request.make ~backend ~input:Wl.Workload.Train ~obs ~technique
+            ~threads:3 wl
+        in
+        match Cx.report ~obs o with Some r -> r | None -> Alcotest.fail "no report"
+      in
+      let sim = go (`Sim None) in
+      check "sim" sim;
+      check "sim, counters only"
+        (Obs.Report.build ~backend:"sim" ~clock:Obs.Flight.Cycles
+           ~makespan:sim.Obs.Report.makespan ~tracks:[| "t0" |]
+           ~counters:sim.Obs.Report.counters []);
+      check "native" (go (`Native Cx.native_defaults));
+      check "native+flight" (go (`Native { Cx.native_defaults with Cx.flight = true })))
+    [
+      ("ECLAT", Cx.Domore, "domore.sync_conds_forwarded");
+      ("JACOBI", Cx.Speccross, "speccross.signature_checks");
+    ]
+
 let suite =
   [
     Alcotest.test_case "metrics counter" `Quick test_metrics_counter;
@@ -669,4 +717,6 @@ let suite =
     Alcotest.test_case "critical path synthetic" `Quick test_critpath_synthetic;
     Alcotest.test_case "flight off/on bit-identical" `Slow
       test_flight_off_bit_identical;
+    Alcotest.test_case "report counts equal their counters" `Quick
+      test_report_counts_are_counters;
   ]

@@ -35,23 +35,11 @@ let default =
 
 let backend_name = function `Sim -> "sim" | `Native -> "native"
 
-let backend_of_name = function
-  | "sim" -> Some `Sim
-  | "native" -> Some `Native
-  | _ -> None
-
 let sig_kind_name = function
   | `Range -> "range"
   | `Segmented -> "segmented"
   | `Bloom -> "bloom"
   | `Exact -> "exact"
-
-let sig_kind_of_name = function
-  | "range" -> Some `Range
-  | "segmented" -> Some `Segmented
-  | "bloom" -> Some `Bloom
-  | "exact" -> Some `Exact
-  | _ -> None
 
 let equal (a : t) (b : t) = a = b
 

@@ -55,11 +55,7 @@ val default : t
 
 val backend_name : backend -> string
 
-val backend_of_name : string -> backend option
-
 val sig_kind_name : sig_kind -> string
-
-val sig_kind_of_name : string -> sig_kind option
 
 val equal : t -> t -> bool
 

@@ -169,11 +169,6 @@ let run ?config ?obs ?(trace = false) ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) 
     ~makespan:(Sim.Engine.now eng) ~engine:eng ~tasks:!iternum
     ~invocations:(Ir.Program.invocations p) ~checks:!conds ?recorder:obs ()
 
-let transform_and_run ?config ?obs (p : Ir.Program.t) env =
-  match Ir.Mtcg.generate p env with
-  | Ir.Mtcg.Inapplicable reason -> Error reason
-  | Ir.Mtcg.Plan plan -> Ok (run ?config ?obs ~plan p env)
-
 let scheduler_worker_ratio (r : Xinv_parallel.Run.t) =
   let eng = r.Xinv_parallel.Run.engine in
   let sched = Sim.Engine.busy eng 0 -. Sim.Engine.charged eng 0 Sim.Category.Idle in

@@ -32,14 +32,5 @@ val run :
     it.  @raise Invalid_argument if the plan re-partitioned body statements
     into the scheduler (unsupported degenerate case). *)
 
-val transform_and_run :
-  ?config:config ->
-  ?obs:Xinv_obs.Recorder.t ->
-  Xinv_ir.Program.t ->
-  Xinv_ir.Env.t ->
-  (Xinv_parallel.Run.t, string) result
-(** Full pipeline: MTCG compile (against a pristine copy of the input
-    state), then {!run}. *)
-
 val scheduler_worker_ratio : Xinv_parallel.Run.t -> float
 (** Scheduler busy time over total worker work (Table 5.2's metric). *)

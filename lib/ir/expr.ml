@@ -64,8 +64,6 @@ let rec uses_ovar = function
   | Load (_, ix) -> uses_ovar ix
   | Bin (_, x, y) -> uses_ovar x || uses_ovar y
 
-let is_loop_invariant e = not (uses_ivar e)
-
 let ( + ) a b = Bin (Add, a, b)
 
 let ( - ) a b = Bin (Sub, a, b)

@@ -25,10 +25,6 @@ val to_string : t -> string
 val loads : t -> (string * t) list
 (** All [Load] sub-terms (array name, index expression), outermost first. *)
 
-val is_loop_invariant : t -> bool
-(** True when the expression does not mention [Ivar] (constant within one
-    inner-loop invocation as long as loaded arrays are not written). *)
-
 val uses_ivar : t -> bool
 
 val uses_ovar : t -> bool

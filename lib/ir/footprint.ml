@@ -17,12 +17,6 @@ let all env s = reads env s @ writes env s
 
 let body env (il : Program.inner) = List.concat_map (all env) il.Program.body
 
-let access_count (il : Program.inner) =
-  List.fold_left
-    (fun acc (s : Stmt.t) ->
-      acc + List.length s.Stmt.reads + List.length s.Stmt.writes)
-    0 il.Program.body
-
 let body_filtered ~hot env (il : Program.inner) =
   List.concat_map
     (fun (s : Stmt.t) ->

@@ -12,9 +12,6 @@ val all : Env.t -> Stmt.t -> int list
 val body : Env.t -> Program.inner -> int list
 (** Footprint of one whole inner-loop iteration. *)
 
-val access_count : Program.inner -> int
-(** Static count of instrumented accesses per iteration (cost model). *)
-
 val body_filtered : hot:(string -> bool) -> Env.t -> Program.inner -> int list
 (** Footprint restricted to arrays satisfying [hot] — the accesses SPECCROSS
     actually instruments (those that may alias across invocations). *)

@@ -103,8 +103,6 @@ let loc_of t sid =
   | Some (_, l) -> l
   | None -> invalid_arg (Printf.sprintf "Pdg.loc_of: unknown sid %d" sid)
 
-let edges_between t a b = List.filter (fun e -> e.src = a && e.dst = b) t.edges
-
 let cross_iter_pairs t =
   t.edges
   |> List.filter_map (fun e -> if e.kind = Cross_iter then Some (e.src, e.dst) else None)

@@ -37,8 +37,6 @@ val stmt_of : t -> int -> Stmt.t
 
 val loc_of : t -> int -> loc
 
-val edges_between : t -> int -> int -> edge list
-
 val cross_iter_pairs : t -> (int * int) list
 (** Statement-id pairs connected by a [Cross_iter] edge. *)
 

@@ -20,8 +20,6 @@ let all_stmts p = List.concat_map (fun il -> il.pre @ il.body) p.inners
 
 let body_stmts p = List.concat_map (fun il -> il.body) p.inners
 
-let pre_stmts p = List.concat_map (fun il -> il.pre) p.inners
-
 let find_inner p label =
   match List.find_opt (fun il -> String.equal il.ilabel label) p.inners with
   | Some il -> il

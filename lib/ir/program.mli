@@ -30,8 +30,6 @@ val all_stmts : t -> Stmt.t list
 
 val body_stmts : t -> Stmt.t list
 
-val pre_stmts : t -> Stmt.t list
-
 val find_inner : t -> string -> inner
 
 val iteration_cost : t -> inner -> Env.t -> float

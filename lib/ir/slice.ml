@@ -87,11 +87,5 @@ let write_addresses s env =
 let read_addresses s env =
   List.map (fun a -> Access.addr env env.Env.mem a) s.reads
 
-let iter_addresses s env f =
-  List.iter (fun a -> f (Access.addr env env.Env.mem a)) s.accesses
-
-let iter_write_addresses s env f =
-  List.iter (fun a -> f (Access.addr env env.Env.mem a)) s.writes
-
 let iter_read_addresses s env f =
   List.iter (fun a -> f (Access.addr env env.Env.mem a)) s.reads

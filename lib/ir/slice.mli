@@ -41,12 +41,6 @@ val write_addresses : t -> Env.t -> int list
 
 val read_addresses : t -> Env.t -> int list
 
-val iter_addresses : t -> Env.t -> (int -> unit) -> unit
-(** Evaluate the slice, feeding each address to the callback in the same
-    order as {!addresses}, without building a list — runtime consumers
-    (shadow memory, {!Xinv_runtime.Signature.add_iter}) stream from these
-    on the hot path. *)
-
-val iter_write_addresses : t -> Env.t -> (int -> unit) -> unit
-
 val iter_read_addresses : t -> Env.t -> (int -> unit) -> unit
+(** Evaluate the read slice, feeding each address to the callback in the
+    same order as {!read_addresses}, without building a list. *)

@@ -26,10 +26,6 @@ let index_arrays s =
   |> List.map fst
   |> List.sort_uniq String.compare
 
-let touched_arrays s =
-  let direct = List.map (fun (a : Access.t) -> a.Access.base) (accesses s) in
-  List.sort_uniq String.compare (direct @ index_arrays s)
-
 let feed_structure fi fs s =
   fi 8;
   fi (if s.commutes then 1 else 0);

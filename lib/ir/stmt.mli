@@ -33,9 +33,6 @@ val fixed_cost : float -> Env.t -> float
 val accesses : t -> Access.t list
 (** Reads then writes. *)
 
-val touched_arrays : t -> string list
-(** Sorted, deduplicated base arrays of all accesses including index loads. *)
-
 val index_arrays : t -> string list
 (** Arrays read inside index expressions (what [computeAddr] must load). *)
 

@@ -31,12 +31,12 @@ let default_config ~workers =
 let queue_capacity = 1024
 
 (* Signature request, one per speculative task.  [r_started] is the dpos
-   snapshot taken at task entry; [r_g] the task's global position. *)
+   snapshot taken at task entry.  The worker has already stored [r_sig] in
+   the signature log, where later tasks' windows find it. *)
 type req = {
   r_gen : int;
   r_worker : int;
   r_epoch : int;
-  r_g : int;
   r_sig : Rt.Signature.t;
   r_started : int array;
   r_force : bool;
@@ -87,10 +87,12 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   let sh = Nbarrier.share ~work:cfg.work ~grain:1 ~threads:workers env in
   let ckpts = Rt.Checkpoint.create () in
   Rt.Checkpoint.save ckpts ~epoch:0 mem;
+  ev Obs.Flight.Checkpoint ~domain:0 ~a:0 ~b:0;
+  let siglog = Rt.Siglog.create ~workers in
 
   (* ---- shared state ---- *)
   let dummy_req =
-    { r_gen = -1; r_worker = 0; r_epoch = 0; r_g = 0;
+    { r_gen = -1; r_worker = 0; r_epoch = 0;
       r_sig = Rt.Signature.create cfg.sig_kind; r_started = [||]; r_force = false }
   in
   let qs =
@@ -110,11 +112,9 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   let processed = Pad.atomic 0 in
   let submitted_total = Pad.atomic 0 in
   let misspec_ctr = Pad.atomic 0 in
-  let comparison_ctr = Pad.atomic 0 in
   let max_epoch = Pad.atomic 0 in
   let ckpt_done = Pad.atomic (-1) in
   let io_done = Pad.atomic (-1) in
-  let prune_floor = Pad.atomic (-1) in
   let redo_from = Pad.atomic 0 in
   let redo_to = Pad.atomic 0 in
   let resume_from = Pad.atomic 0 in
@@ -168,35 +168,17 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   (* ---- checker domain ---- *)
   let checker () =
     let cur_gen = ref 0 in
-    let pending = Array.init workers (fun _ -> Queue.create ()) in
-    (* Per worker, newest-first: (global position, epoch, signature). *)
-    let storage = Array.make workers ([] : (int * int * Rt.Signature.t) list) in
-    let floor_seen = ref (-1) in
-    let drain () =
-      let any = ref false in
-      for w = 0 to workers - 1 do
-        let continue_ = ref true in
-        while !continue_ do
-          match Spsc.try_pop qs.(w) with
-          | None -> continue_ := false
-          | Some r ->
-              any := true;
-              if r.r_gen = !cur_gen then Queue.add r pending.(w)
-        done
-      done;
-      !any
+    (* The oldest unprocessed request of each worker.  A worker's later
+       requests are no readier than its oldest, so one slot each suffices. *)
+    let held = Array.make workers None in
+    let rec refill w =
+      if Option.is_none held.(w) then
+        match Spsc.try_pop qs.(w) with
+        | Some r when r.r_gen <> !cur_gen -> refill w
+        | r -> held.(w) <- r
     in
-    let prune () =
-      let fl = Atomic.get prune_floor in
-      if fl > !floor_seen then begin
-        floor_seen := fl;
-        for w = 0 to workers - 1 do
-          storage.(w) <- List.filter (fun (g, _, _) -> g > fl) storage.(w)
-        done
-      end
-    in
-    (* A request is processable once every other worker's signatures for
-       epochs below it are complete (its frontier passed the epoch base). *)
+    (* Every other worker's frontier passed the request's epoch base, so
+       every signature its window needs is already in the log. *)
     let ready (r : req) =
       let need = epoch_base.(r.r_epoch) - 1 in
       let ok = ref true in
@@ -208,107 +190,67 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
     let process (r : req) =
       Fault.inject fault Fault.Checker_die ~domain:workers
         ~site:(Atomic.get processed);
-      let conflict = ref r.r_force in
+      let conflict = ref r.r_force and win = ref 0 in
       for w' = 0 to workers - 1 do
         if w' <> r.r_worker then begin
-          let from_pos = r.r_started.(w') in
-          let rec scan = function
-            | [] -> ()
-            | (g', e', sg') :: rest ->
-                if g' > from_pos then begin
-                  if e' < r.r_epoch then begin
-                    Atomic.incr comparison_ctr;
-                    if Rt.Signature.intersects r.r_sig sg' then conflict := true
-                  end;
-                  scan rest
-                end
-            (* positions descend: nothing below from_pos matters *)
+          let n, hit =
+            Rt.Siglog.compare_window siglog ~worker:w' ~after:r.r_started.(w')
+              ~epoch:r.r_epoch ~upto:r.r_epoch r.r_sig
           in
-          scan storage.(w')
+          win := !win + n;
+          if hit then conflict := true
         end
       done;
-      storage.(r.r_worker) <- (r.r_g, r.r_epoch, r.r_sig) :: storage.(r.r_worker);
+      ev Obs.Flight.Sig_check ~domain:workers ~a:r.r_epoch ~b:!win;
       if !conflict then begin
-        Array.iter Queue.clear pending;
-        Array.fill storage 0 workers [];
+        Array.fill held 0 workers None;
         incr cur_gen;
-        publish checker_gen !cur_gen;
         Atomic.incr misspec_ctr;
         ev Obs.Flight.Misspec ~domain:workers ~a:r.r_epoch ~b:r.r_worker;
+        (* abort before processed, so a worker that observes the full drain
+           also observes the abort; the generation last, so recovery's reset
+           of processed cannot precede this increment *)
         publish abort true;
-        (* abort is published before processed so a worker that observes the
-           full drain also observes the abort *)
-        publish_incr processed
+        publish_incr processed;
+        publish checker_gen !cur_gen
       end
       else publish_incr processed
     in
-    (* Process pending requests in ascending global position, so every
-       signature a later request's window needs is in storage first. *)
-    let pick () =
-      let best = ref (-1) in
-      for w = 0 to workers - 1 do
-        match Queue.peek_opt pending.(w) with
-        | Some r ->
-            if !best < 0 || r.r_g < (Queue.peek pending.(!best)).r_g then
-              best := w
-        | None -> ()
-      done;
-      !best
-    in
-    (* Idle until a request arrives, the oldest pending one becomes ready
+    (* Idle until a request reaches an empty slot, a held one becomes ready
        (a frontier moved), the run finishes or the cohort is cancelled. *)
     let idle_on =
       changed :: Watchdog.on_cancel wd :: Array.to_list (Array.map Spsc.on_push qs)
     in
     let has_work () =
       Atomic.get finished || Watchdog.cancelled wd
-      || Array.exists (fun q -> Spsc.length q > 0) qs
-      ||
-      let b = pick () in
-      b >= 0 && ready (Queue.peek pending.(b))
+      || Array.exists2
+           (fun h q ->
+             match h with Some r -> ready r | None -> Spsc.length q > 0)
+           held qs
     in
     let running = ref true in
     while !running do
-      let any = drain () in
-      prune ();
-      let progressed = ref true in
-      while !progressed do
-        progressed := false;
-        let b = pick () in
-        if b >= 0 then begin
-          let r = Queue.peek pending.(b) in
-          if ready r then begin
-            (* The frontiers [ready] just read prove every signature from
-               epochs below [r]'s is already *pushed* — but possibly still
-               sitting in a queue.  Drain now and re-pick: a just-drained
-               request can sort below [r] and must be processed first, or
-               its signature would silently miss [r]'s comparison window. *)
-            drain () |> ignore;
-            let b' = pick () in
-            if b' >= 0 && Queue.peek pending.(b') == r then begin
-              ignore (Queue.pop pending.(b'));
-              process r;
-              (* a conflict purged the pending queues *)
-              drain () |> ignore
-            end;
+      let progressed = ref false in
+      for w = 0 to workers - 1 do
+        refill w;
+        match held.(w) with
+        | Some r when ready r ->
+            held.(w) <- None;
+            process r;
             progressed := true
-          end
-        end
+        | _ -> ()
       done;
-      let empty =
-        Array.for_all Queue.is_empty pending
-        && Array.for_all (fun q -> Spsc.length q = 0) qs
-      in
-      if Atomic.get finished && empty then running := false
-      else if Watchdog.cancelled wd then running := false
-      else if not any then ignore (Wake.await idle_on has_work : bool)
+      if Atomic.get finished || Watchdog.cancelled wd then running := false
+      else if not !progressed then ignore (Wake.await idle_on has_work : bool)
     done
   in
 
   (* ---- per-epoch execution ---- *)
   let submit ~w req =
-    (* Fast path: the checker normally keeps the ring drained.  Only a
-       genuinely full queue pays the blocking (and stall-accounted) push. *)
+    (* Fast path: the ring normally has room.  It fills only when this
+       worker runs a whole ring ahead of a peer whose frontier its oldest
+       request waits for; only then is the push blocking (and
+       stall-accounted). *)
     if not (Spsc.try_push qs.(w) req) then
       Stallcat.timed ?fr ~domain:w stat Stallcat.Queue_full (fun () ->
           Spsc.push ~wd ~role:(role_of w) qs.(w) req);
@@ -342,7 +284,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
          and freeze the frontier — downstream waits must time out. *)
       (try ignore (task ()) with e when containable e -> ())
     else begin
-      (* Everything of mine below [g] is already enqueued. *)
+      (* Everything of mine below [g] is already in the log. *)
       publish dpos.(w) (g - 1);
       let started = Array.map Atomic.get dpos in
       let sg = Rt.Signature.create cfg.sig_kind in
@@ -354,34 +296,37 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
           Atomic.set injected true;
           force := true
       | _ -> ());
+      Rt.Siglog.store siglog ~worker:w ~pos:g ~epoch sg;
       publish_incr submitted;
       Atomic.incr submitted_total;
       submit ~w
-        { r_gen = gen; r_worker = w; r_epoch = epoch; r_g = g; r_sig = sg;
+        { r_gen = gen; r_worker = w; r_epoch = epoch; r_sig = sg;
           r_started = started; r_force = !force };
       publish dpos.(w) g
     end
   in
-  (* Submit a no-signature forced conflict: used when speculative state is
-     so inconsistent that even scheduling-side evaluation raises. *)
-  let submit_forced ~w ~gen ~epoch ~g =
+  (* Submit a no-signature forced conflict, used when speculative state is
+     so inconsistent that even scheduling-side evaluation raises, and wait
+     for the abort it causes: re-running the epoch would store positions
+     the log already holds. *)
+  let force_conflict ~w ~gen ~epoch ~g =
     publish dpos.(w) (g - 1);
     let started = Array.map Atomic.get dpos in
     publish_incr submitted;
     Atomic.incr submitted_total;
     submit ~w
-      { r_gen = gen; r_worker = w; r_epoch = epoch; r_g = g;
+      { r_gen = gen; r_worker = w; r_epoch = epoch;
         r_sig = Rt.Signature.create cfg.sig_kind; r_started = started;
         r_force = true };
-    publish dpos.(w) g
+    publish dpos.(w) g;
+    wait_or_abort ~cause:Stallcat.Checker_lag ~w ~for_:"forced conflict" (fun () -> false);
+    raise Abort_now
   in
   let exec_epoch_spec ~w ~gen e =
     let il, env_t = env_of_epoch e in
     (* Replicated on every worker (privatizable per-invocation slots). *)
     (try Nbarrier.exec_pre cfg.work env_t il
-     with ex when containable ex ->
-       submit_forced ~w ~gen ~epoch:e ~g:epoch_base.(e);
-       raise Abort_now);
+     with ex when containable ex -> force_conflict ~w ~gen ~epoch:e ~g:epoch_base.(e));
     let trip = il.Ir.Program.trip env_t in
     if w = 0 then tasks_total := !tasks_total + trip;
     match cfg.mode_of il.Ir.Program.ilabel with
@@ -426,8 +371,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
           (match mine with
           | None ->
               (* Ownership itself read garbage: force a conflict. *)
-              submit_forced ~w ~gen ~epoch:e ~g;
-              raise Abort_now
+              force_conflict ~w ~gen ~epoch:e ~g
           | Some false -> publish dpos.(w) g
           | Some true ->
               run_task ~w ~gen ~epoch:e ~g (fun () ->
@@ -446,12 +390,14 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   (* ---- recovery ---- *)
   let recover w gen =
     let role = role_of w in
+    let t_rec = Unix.gettimeofday () in
     bar_wait ~w;
     (* All workers rallied: nothing new is being pushed or executed. *)
     if w = 0 then begin
       Stallcat.timed ?fr ~domain:w stat Stallcat.Checker_lag (fun () ->
           Watchdog.wait ~wd ~role ~for_:"checker generation bump" ~on:[ changed ]
             (fun () -> Atomic.get checker_gen > !gen));
+      Rt.Siglog.clear siglog;
       let ck = Rt.Checkpoint.restore ckpts ~into:mem in
       Atomic.set redo_from ck;
       Atomic.set redo_to (Stdlib.min (Atomic.get max_epoch) (nepochs - 1));
@@ -480,10 +426,14 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
     if w = 0 then begin
       let rf = Atomic.get resume_from in
       Rt.Checkpoint.save ckpts ~epoch:rf mem;
-      publish ckpt_done rf;
-      Atomic.set prune_floor (epoch_base.(rf) - 1)
+      ev Obs.Flight.Checkpoint ~domain:w ~a:rf ~b:0;
+      publish ckpt_done rf
     end;
     bar_wait ~w;
+    if w = 0 then
+      ev Obs.Flight.Recovery ~domain:w
+        ~a:(Atomic.get redo_to - Atomic.get redo_from + 1)
+        ~b:(int_of_float (1e9 *. (Unix.gettimeofday () -. t_rec)));
     Atomic.get resume_from
   in
 
@@ -540,7 +490,8 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
             wait_or_abort ~cause:Stallcat.Checker_lag ~w ~for_:"checker drain" drained;
             if not (aborted ()) then begin
               Rt.Checkpoint.save ckpts ~epoch:!e mem;
-              Atomic.set prune_floor (epoch_base.(!e) - 1);
+              ev Obs.Flight.Checkpoint ~domain:w ~a:!e ~b:0;
+              Rt.Siglog.prune siglog ~upto:!e;
               publish ckpt_done !e
             end
           end
@@ -560,7 +511,8 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
               let il, env_t = env_of_epoch !e in
               tasks_total := !tasks_total + Nbarrier.run_invocation_seq cfg.work env_t il;
               Rt.Checkpoint.save ckpts ~epoch:(!e + 1) mem;
-              Atomic.set prune_floor (epoch_base.(!e + 1) - 1);
+              ev Obs.Flight.Checkpoint ~domain:w ~a:(!e + 1) ~b:0;
+              Rt.Siglog.prune siglog ~upto:(!e + 1);
               publish io_done !e
             end
           end

@@ -2,27 +2,34 @@
     domains, with a dedicated checker domain.
 
     Workers execute consecutive epochs (inner-loop invocations) without
-    barriers, bounded by the speculative-range throttle.  Each task logs a
-    {!Xinv_runtime.Signature} of its instrumented accesses together with a
-    snapshot of every other worker's signature frontier ([dpos], a
-    monotonic [Atomic] per worker: every signature at a global task
-    position <= its value is already enqueued, and — because the frontier
-    store follows the task's memory writes — those tasks' effects are
-    visible to any domain that reads the frontier afterwards).  The checker
-    compares a task only against other workers' signatures {e above the
-    snapshot} and {e from earlier epochs}: anything at or below the
-    snapshot was finished before the task started and is therefore ordered;
-    same-epoch tasks are independent by construction.  The epoch layout
-    is the simulator's ({!Xinv_speccross.Runtime.Epochs}), as are the
-    LOCALWRITE ownership rules ({!Xinv_parallel.Intra.owns}).
+    barriers, bounded by the speculative-range throttle.  When a task ends,
+    its worker stores the {!Xinv_runtime.Signature} of its instrumented
+    accesses in the {!Xinv_runtime.Siglog}, at the task's global position,
+    then sends the checker a request carrying the signature and a snapshot
+    of every other worker's signature frontier taken at task entry, and
+    only then advances its own frontier ([dpos], a monotonic [Atomic] per
+    worker: every signature at a global position <= its value is already
+    in the log, and, because the frontier store follows the task's memory
+    writes, those tasks' effects are visible to any domain that reads the
+    frontier afterwards).  The checker only reads the log, with the
+    simulator's window rule: a task is compared against other workers'
+    signatures {e after the snapshot} and {e from earlier epochs}.  It
+    holds each worker's oldest request and processes any held request once
+    every other frontier has passed the request's epoch base, in any
+    order, because the request's window is then complete.  The epoch
+    layout is the simulator's ({!Xinv_speccross.Runtime.Epochs}), as are
+    the LOCALWRITE ownership rules ({!Xinv_parallel.Intra.owns}).
 
     On a conflict the checker flips the global abort flag and bumps the
     generation; workers rally at a sense-reversing barrier, worker 0
     restores the last in-memory checkpoint, the misspeculated epochs are
     re-executed non-speculatively with real barriers, each through the
     barrier engine's per-invocation share ({!Nbarrier.run_share}), a fresh
-    checkpoint is taken and speculation resumes.  Requests from dead generations are
-    drained and dropped, so recovery never leaks stale conflicts. *)
+    checkpoint is taken and speculation resumes.  Worker 0 clears the
+    signature log during recovery, while every worker waits at the barrier,
+    and prunes it at the checkpoint and irreversible-epoch rallies, after
+    the checker has drained.  Requests from dead generations are dropped,
+    so recovery never leaks stale conflicts. *)
 
 type config = {
   workers : int;  (** worker domains, excluding the checker *)
@@ -71,6 +78,8 @@ val run :
 
     With a flight recorder [fr] attached (needs [workers + 1] rings:
     worker [w] on ring [w], checker on ring [workers]) the run records
-    block dispatches, epoch commits, misspeculations, barrier episodes,
-    queue samples and stall episodes with no effect on speculation.
+    block dispatches, epoch commits, signature checks with their window
+    sizes, misspeculations, checkpoints, recoveries (epochs redone and
+    nanoseconds taken), barrier episodes, queue samples and stall episodes
+    with no effect on speculation.
     @raise Invalid_argument if any inner's mode is [M_domore]. *)

@@ -65,8 +65,6 @@ let rec cancel t e =
       end
       else cancel t e
 
-let raise_if_cancelled t ~role = if cancelled t then raise (Cancelled role)
-
 let stall t ~role ~for_ ~started =
   Atomic.incr t.stall_count;
   let waited_ns = (Unix.gettimeofday () -. started) *. 1e9 in

@@ -74,8 +74,6 @@ val on_cancel : t -> Wake.t
 val cancelled : t -> bool
 val root_cause : t -> exn option
 
-val raise_if_cancelled : t -> role:string -> unit
-
 val stalls : t -> int
 (** Number of {!Stalled} raises on this watchdog (feeds the
     [watchdog.stall] counter). *)

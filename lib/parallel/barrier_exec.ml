@@ -76,6 +76,3 @@ let run ?(machine = Sim.Machine.default) ?(nlocks = 64) ?(trace = false) ?obs ~t
   Run.make ~technique:(Printf.sprintf "%s+barrier" (Intra.name (plan (List.hd p.Ir.Program.inners).Ir.Program.ilabel)))
     ~threads ~makespan:(Sim.Engine.now eng) ~engine:eng ~tasks:!tasks
     ~invocations:!invocations ~barrier_episodes:(Sim.Barrier.waits bar) ?recorder:obs ()
-
-let run_uniform ?machine ~threads ~technique p env =
-  run ?machine ~threads ~plan:(fun _ -> technique) p env

@@ -20,11 +20,3 @@ val run :
     inner-loop label to its technique.  With [?obs], barrier crossings and
     stall episodes are recorded; recording consumes no virtual time, so the
     run is bit-identical with and without it. *)
-
-val run_uniform :
-  ?machine:Xinv_sim.Machine.t ->
-  threads:int ->
-  technique:Intra.technique ->
-  Xinv_ir.Program.t ->
-  Xinv_ir.Env.t ->
-  Run.t

@@ -1,38 +1,62 @@
-type t = { logs : (int, (int * Signature.t) list) Hashtbl.t array }
+type entry = { pos : int; epoch : int; sg : Signature.t }
 
-(* logs.(w) maps epoch -> (task, signature) list, newest first. *)
+(* One worker's log: live entries are [arr.(lo) .. arr.(len - 1)], in
+   strictly ascending [pos], hence non-decreasing [epoch].  A record is never
+   mutated; each slot of [arr] is written once, at the [len] of the record
+   the store then replaces, and growing copies into a fresh array. *)
+type log = { arr : entry array; lo : int; len : int }
+
+type t = { logs : log array }
+
+(* Fills unwritten slots.  Its [pos] and [epoch] sort after every entry, so
+   a scan that reads a slot whose store it cannot see yet stops there. *)
+let sentinel = { pos = max_int; epoch = max_int; sg = Signature.create Signature.Exact }
 
 let create ~workers =
   assert (workers > 0);
-  { logs = Array.init workers (fun _ -> Hashtbl.create 64) }
+  { logs = Array.make workers { arr = [||]; lo = 0; len = 0 } }
 
-let store t ~worker ~epoch ~task sg =
-  let tbl = t.logs.(worker) in
-  let cur = try Hashtbl.find tbl epoch with Not_found -> [] in
-  Hashtbl.replace tbl epoch ((task, sg) :: cur)
+let store t ~worker ~pos ~epoch sg =
+  let { arr; lo; len } = t.logs.(worker) in
+  assert (len = lo || arr.(len - 1).pos < pos);
+  let e = { pos; epoch; sg } in
+  if len < Array.length arr then begin
+    arr.(len) <- e;
+    t.logs.(worker) <- { arr; lo; len = len + 1 }
+  end
+  else begin
+    let live = len - lo in
+    let arr' = Array.make (Stdlib.max 16 (2 * (live + 1))) sentinel in
+    Array.blit arr lo arr' 0 live;
+    arr'.(live) <- e;
+    t.logs.(worker) <- { arr = arr'; lo = 0; len = live + 1 }
+  end
 
-let between t ~worker ~from_epoch ~from_task ~upto_epoch =
-  let tbl = t.logs.(worker) in
-  let out = ref [] in
-  for e = from_epoch to upto_epoch - 1 do
-    match Hashtbl.find_opt tbl e with
-    | None -> ()
-    | Some entries ->
-        List.iter
-          (fun (task, sg) ->
-            if e > from_epoch || task >= from_task then out := (e, task, sg) :: !out)
-          entries
-  done;
-  List.sort (fun (e1, t1, _) (e2, t2, _) -> compare (e1, t1) (e2, t2)) !out
+let compare_window t ~worker ~after ~epoch ~upto sg =
+  let { arr; lo; len } = t.logs.(worker) in
+  (* First live entry past [after]. *)
+  let rec first lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if arr.(mid).pos > after then first lo mid else first (mid + 1) hi
+  in
+  let rec scan i n hit =
+    if i < len && arr.(i).epoch < upto then
+      let e = arr.(i) in
+      scan (i + 1) (n + 1) (hit || (e.epoch < epoch && Signature.intersects sg e.sg))
+    else (n, hit)
+  in
+  scan (first lo len) 0 false
 
-let clear_before t ~epoch =
-  Array.iter
-    (fun tbl ->
-      let stale = Hashtbl.fold (fun e _ acc -> if e < epoch then e :: acc else acc) tbl [] in
-      List.iter (Hashtbl.remove tbl) stale)
+let prune t ~upto =
+  Array.iteri
+    (fun w ({ arr; lo; len } as l) ->
+      let lo' = ref lo in
+      while !lo' < len && arr.(!lo').epoch < upto do
+        incr lo'
+      done;
+      if !lo' > lo then t.logs.(w) <- { l with lo = !lo' })
     t.logs
 
-let stored t =
-  Array.fold_left
-    (fun acc tbl -> Hashtbl.fold (fun _ l a -> a + List.length l) tbl acc)
-    0 t.logs
+let clear t = Array.iteri (fun w l -> t.logs.(w) <- { l with lo = l.len }) t.logs

@@ -55,20 +55,6 @@ let produce q x =
   push q x;
   wake_one q
 
-let produce_list q xs =
-  (* With a per-element produce cost, element k must become visible at
-     t0 + k*cost (a blocked consumer legally observes the queue between two
-     produces), so batching is only cost-neutral — and only taken — when the
-     machine model charges nothing for a produce. *)
-  if q.produce_cost > 0. then List.iter (produce q) xs
-  else begin
-    List.iter
-      (fun x ->
-        push q x;
-        wake_one q)
-      xs
-  end
-
 let pop q =
   let x = q.buf.(q.head) in
   q.head <- (q.head + 1) mod Array.length q.buf;

@@ -12,12 +12,6 @@ val create : ?produce_cost:float -> ?consume_cost:float -> unit -> 'a t
 
 val produce : 'a t -> 'a -> unit
 
-val produce_list : 'a t -> 'a list -> unit
-(** Equivalent to [List.iter (produce q) xs].  When the queue's produce cost
-    is zero the machine model permits enqueueing the batch without the
-    per-element effect dispatch; with a nonzero cost the per-element timing
-    of {!produce} is preserved (a blocked consumer may legally observe the
-    queue between two produces). *)
 
 val consume : 'a t -> 'a
 (** Blocks until an element is available. *)

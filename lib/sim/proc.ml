@@ -18,5 +18,3 @@ let charge_wait cat ~since =
   let eng = engine () in
   let dt = now () -. since in
   if dt > 0. then Engine.charge eng (self ()) cat dt
-
-let yield () = advance Category.Runtime 0.

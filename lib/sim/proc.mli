@@ -24,6 +24,3 @@ val suspend : ((unit -> unit) -> unit) -> unit
 
 val charge_wait : Category.t -> since:float -> unit
 (** Attribute [now () - since] virtual cycles of blocked time. *)
-
-val yield : unit -> unit
-(** Re-schedule self at the current time (lets co-scheduled events run). *)

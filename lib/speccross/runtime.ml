@@ -86,7 +86,8 @@ type gstate = {
   g_id : int;
   progress : Sim.Mono_cell.t array;  (** epoch boundary reached per worker *)
   tpos : Sim.Mono_cell.t array;  (** global task position per worker *)
-  positions : (int * int) array;  (** live (epoch, task) per worker *)
+  positions : int array;
+      (** per worker, the global position up to which its tasks are done *)
   submitted : int ref;
   processed : Sim.Mono_cell.t;
   abort : bool ref;
@@ -103,7 +104,7 @@ let fresh_gstate ~id ~workers =
     g_id = id;
     progress = Array.init workers (fun _ -> Sim.Mono_cell.create ~init:(-1) ());
     tpos = Array.init workers (fun _ -> Sim.Mono_cell.create ~init:(-1) ());
-    positions = Array.make workers (0, 0);
+    positions = Array.make workers (-1);
     submitted = ref 0;
     processed = Sim.Mono_cell.create ~init:0 ();
     abort = ref false;
@@ -121,7 +122,7 @@ type cmsg =
       worker : int;
       epoch : int;
       sg : Rt.Signature.t;
-      started : (int * int) array;
+      started : int array;
       force : bool;
     }
   | Reset of int
@@ -228,26 +229,18 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
           else begin
             let conflict = ref r.force in
             let win = ref 0 in
+            let upto = if cfg.tm_style then r.epoch + 1 else r.epoch in
             for w' = 0 to workers - 1 do
               if w' <> r.worker then begin
-                let e0, t0 = r.started.(w') in
-                let upto = if cfg.tm_style then r.epoch + 1 else r.epoch in
-                let window =
-                  Rt.Siglog.between siglog ~worker:w' ~from_epoch:e0 ~from_task:t0
-                    ~upto_epoch:upto
+                let n, hit =
+                  Rt.Siglog.compare_window siglog ~worker:w' ~after:r.started.(w')
+                    ~epoch:r.epoch ~upto r.sg
                 in
-                win := !win + List.length window;
-                if window <> [] then
+                win := !win + n;
+                if n > 0 then
                   Sim.Proc.advance ~label:"check" Sim.Category.Checker
-                    (machine.Sim.Machine.check_per_sig
-                    *. float_of_int (List.length window));
-                List.iter
-                  (fun (we, _, sg') ->
-                    (* Same-epoch pairs are provably independent: TM-style
-                       checking pays for them but cannot flag them. *)
-                    if we < r.epoch && Rt.Signature.intersects r.sg sg' then
-                      conflict := true)
-                  window
+                    (machine.Sim.Machine.check_per_sig *. float_of_int n);
+                if hit then conflict := true
               end
             done;
             mincr m_checks;
@@ -300,10 +293,10 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
     end
   in
   (* Speculative bracket around one task. *)
-  let run_task (s : gstate) ~w ~epoch ~task ~addrs body =
+  let run_task (s : gstate) ~w ~epoch ~g ~addrs body =
     if cfg.non_spec_barriers then body ()
     else begin
-      s.positions.(w) <- (epoch, task);
+      s.positions.(w) <- g - 1;
       Sim.Proc.advance ~label:"enter_task" Sim.Category.Runtime
         machine.Sim.Machine.task_enter;
       let started = Array.copy s.positions in
@@ -314,7 +307,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
       Rt.Signature.add_list sg addrs;
       Sim.Proc.advance ~label:"exit_task" Sim.Category.Runtime
         machine.Sim.Machine.task_exit;
-      Rt.Siglog.store siglog ~worker:w ~epoch ~task sg;
+      Rt.Siglog.store siglog ~worker:w ~pos:g ~epoch sg;
       let force =
         (not !injected)
         && match cfg.inject_misspec with
@@ -327,9 +320,8 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
       incr requests_total;
       Sim.Channel.produce checker_q
         (Request { gen = s.g_id; worker = w; epoch; sg; started; force });
-      (* Everything strictly below (epoch, task+1) is now complete, so later
-         tasks' comparison windows exclude this one once it is finished. *)
-      s.positions.(w) <- (epoch, task + 1)
+      (* Later tasks' comparison windows exclude this one, now finished. *)
+      s.positions.(w) <- g
     end
   in
   let exec_epoch_spec (s : gstate) w e =
@@ -337,27 +329,27 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
     exec_pre w env_t il;
     let trip = il.Ir.Program.trip env_t in
     if w = 0 then tasks_total := !tasks_total + trip;
-    let task = ref 0 in
     match cfg.mode_of il.Ir.Program.ilabel with
     | M_doall ->
         let j = ref w in
         while !j < trip do
           let env_j = Ir.Env.with_inner env_t !j in
           let addrs = Ir.Footprint.body_filtered ~hot env_j il in
-          throttle s ~w (epoch_base.(e) + !j);
-          run_task s ~w ~epoch:e ~task:!task ~addrs (fun () -> plain_body env_j il);
-          incr task;
+          let g = epoch_base.(e) + !j in
+          throttle s ~w g;
+          run_task s ~w ~epoch:e ~g ~addrs (fun () -> plain_body env_j il);
           j := !j + workers
         done
     | M_localwrite ->
         for j = 0 to trip - 1 do
           let env_j = Ir.Env.with_inner env_t j in
-          throttle s ~w (epoch_base.(e) + j);
+          let g = epoch_base.(e) + j in
+          throttle s ~w g;
           let owned = Xinv_parallel.Intra.owns ~threads:workers ~tid:w env_j in
           let mine = List.exists owned il.Ir.Program.body in
-          if mine then begin
+          if mine then
             let addrs = Ir.Footprint.body_filtered ~hot env_j il in
-            run_task s ~w ~epoch:e ~task:!task ~addrs (fun () ->
+            run_task s ~w ~epoch:e ~g ~addrs (fun () ->
                 List.iter
                   (fun (stm : Ir.Stmt.t) ->
                     if stm.Ir.Stmt.writes = [] then begin
@@ -370,13 +362,11 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
                     end
                     else
                       Sim.Proc.advance ~label:"own?" Sim.Category.Redundant 4.)
-                  il.Ir.Program.body);
-            incr task
-          end
+                  il.Ir.Program.body)
           else begin
             (* Redundant visit: the non-writing traversal plus the ownership
                check; publish progress so checker windows stay tight. *)
-            s.positions.(w) <- (e, !task);
+            s.positions.(w) <- g;
             let traversal =
               List.fold_left
                 (fun acc (stm : Ir.Stmt.t) ->
@@ -405,7 +395,8 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
         let deps = Rt.Shadow.Deps.create () in
         for j = 0 to trip - 1 do
           let env_j = Ir.Env.with_inner env_t j in
-          throttle s ~w (epoch_base.(e) + j);
+          let g = epoch_base.(e) + j in
+          throttle s ~w g;
           let addrs = Ir.Footprint.body_filtered ~hot env_j il in
           let waddrs =
             List.concat_map (fun stm -> Ir.Footprint.writes env_j stm) il.Ir.Program.body
@@ -431,17 +422,15 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
           List.iter
             (fun addr -> Rt.Shadow.note_write_deps shadow addr ~tid:owner ~iter:j deps)
             waddrs;
-          if owner <> w then s.positions.(w) <- (e, !task);
-          if owner = w then begin
-            run_task s ~w ~epoch:e ~task:!task ~addrs (fun () ->
+          if owner <> w then s.positions.(w) <- g
+          else
+            run_task s ~w ~epoch:e ~g ~addrs (fun () ->
                 Rt.Shadow.Deps.iter
                   (fun ~tid:dt ~iter:di ->
                     Sim.Mono_cell.wait_ge ~cat:Sim.Category.Sync_wait cells.(dt) di)
                   deps;
                 plain_body env_j il;
-                Sim.Mono_cell.raise_to cells.(w) j);
-            incr task
-          end
+                Sim.Mono_cell.raise_to cells.(w) j)
         done
   in
   (* Non-speculative re-execution of one epoch (technique preserved, barriers
@@ -492,7 +481,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
       redo_from := ck;
       redo_to := Stdlib.min !max_epoch (nepochs - 1);
       resume_from := !redo_to + 1;
-      Rt.Siglog.clear_before siglog ~epoch:max_int;
+      Rt.Siglog.clear siglog;
       let g' = s.g_id + 1 in
       let s' = fresh_gstate ~id:g' ~workers in
       Hashtbl.replace states g' s';
@@ -558,7 +547,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
       end
       else begin
         (* Epoch boundary. *)
-        s.positions.(w) <- (!e, 0);
+        s.positions.(w) <- epoch_base.(!e) - 1;
         Sim.Mono_cell.raise_to s.progress.(w) !e;
         if cfg.non_spec_barriers && !e > 0 then begin
           Sim.Proc.advance ~label:"barrier" Sim.Category.Barrier_wait
@@ -588,7 +577,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
               Rt.Checkpoint.save ckpts ~epoch:!e mem;
               mincr m_ckpts;
               emit ~at:(Sim.Proc.now ()) ~tid:w Obs.Flight.Checkpoint ~a:!e ~b:0;
-              Rt.Siglog.clear_before siglog ~epoch:!e;
+              Rt.Siglog.prune siglog ~upto:!e;
               Sim.Mono_cell.raise_to s.ckpt_done !e
             end
           end
@@ -634,7 +623,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
               Rt.Checkpoint.save ckpts ~epoch:(!e + 1) mem;
               mincr m_ckpts;
               emit ~at:(Sim.Proc.now ()) ~tid:w Obs.Flight.Checkpoint ~a:(!e + 1) ~b:0;
-              Rt.Siglog.clear_before siglog ~epoch:(!e + 1);
+              Rt.Siglog.prune siglog ~upto:(!e + 1);
               Sim.Mono_cell.raise_to s.io_done !e
             end
           end

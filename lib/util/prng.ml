@@ -13,8 +13,6 @@ let next t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let bits64 t = next t
-
 let split t = { state = next t }
 
 let copy t = { state = t.state }
@@ -45,7 +43,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let exponential t ~mean =
-  let u = Stdlib.max 1e-12 (float t 1.0) in
-  -.mean *. log u

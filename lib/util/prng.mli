@@ -24,13 +24,8 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val bits64 : t -> int64
-
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed positive float with the given mean. *)

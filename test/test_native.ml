@@ -306,6 +306,50 @@ let test_native_inject_recovers_localwrite () =
       check_verified (name ^ "/inject") n)
     [ ("CG", Wl.Workload.Ref_spec); ("FLUIDANIMATE-2", Wl.Workload.Train) ]
 
+(* The report of a native SPECCROSS run with a flight recorder counts what
+   the checker, the checkpoints and recovery did, as the simulator's does. *)
+let test_native_speccross_report () =
+  let n =
+    C.run_request @@ C.Request.make
+      ~backend:(`Native { C.native_defaults with C.flight = true })
+      ~input:Wl.Workload.Train ~technique:(C.Speccross_inject 3) ~threads:3
+      (Wl.Registry.find "JACOBI")
+  in
+  check_verified "JACOBI/inject" n;
+  let r = Option.get (C.report n) in
+  Alcotest.(check int) "one misspeculation" 1 r.Xinv_obs.Report.misspeculations;
+  Alcotest.(check bool) "initial and recovery checkpoints" true (r.Xinv_obs.Report.checkpoints >= 2);
+  Alcotest.(check bool) "an epoch redone" true (r.Xinv_obs.Report.epochs_redone >= 1);
+  Alcotest.(check bool) "signatures compared" true (r.Xinv_obs.Report.signatures_compared > 0)
+
+(* Real cross-epoch conflicts, not forced ones: few cells and an unbounded
+   speculative range make workers overlap on shared cells, which the checker
+   must catch and recovery must repair. *)
+let test_native_speccross_detects_conflicts () =
+  let program, fresh =
+    Wl.Synth.make
+      { Wl.Synth.default with Wl.Synth.seed = 5; cells = 8; outer = 8; trip = 6; inners = 2 }
+  in
+  let seq = fresh () in
+  let (_ : float) = Ir.Seq_interp.run program seq in
+  List.iter
+    (fun workers ->
+      Nat.Pool.with_pool ~workers (fun pool ->
+          for run = 1 to 10 do
+            let env = fresh () in
+            let config =
+              { (Nat.Nspec.default_config ~workers) with
+                Nat.Nspec.spec_distance = 1 lsl 20; checkpoint_every = 4 }
+            in
+            let r = Nat.Nspec.run ~pool ~config program env in
+            let tag = Printf.sprintf "%d workers, run %d" workers run in
+            Alcotest.(check (list (pair string int)))
+              (tag ^ ": sequential memory") []
+              (Ir.Memory.diff seq.Ir.Env.mem env.Ir.Env.mem);
+            Alcotest.(check bool) (tag ^ ": misspeculated") true (r.Nat.Nrun.misspecs >= 1)
+          done))
+    [ 2; 3; 4 ]
+
 let test_native_bloom_speccross () =
   (* Exercise the Bloom signature kind natively (Segmented is the default):
      termination and correctness, not zero false positives. *)
@@ -547,4 +591,8 @@ let suite =
       test_parkers_leak_no_fd;
     Alcotest.test_case "speccross: recovery through LOCALWRITE epochs" `Quick
       test_native_inject_recovers_localwrite;
+    Alcotest.test_case "speccross: report counts checks, checkpoints, recovery" `Quick
+      test_native_speccross_report;
+    Alcotest.test_case "speccross: real conflicts detected and repaired" `Quick
+      test_native_speccross_detects_conflicts;
   ]

@@ -123,25 +123,101 @@ let test_signature_merge () =
         (Rt.Signature.intersects a probe))
     kinds
 
+let exact_sig addrs =
+  let s = Rt.Signature.create Rt.Signature.Exact in
+  List.iter (Rt.Signature.add s) addrs;
+  s
+
+(* Entries of one worker's log: how many, whatever their epoch. *)
+let siglog_held log ~worker =
+  fst
+    (Rt.Siglog.compare_window log ~worker ~after:min_int ~epoch:0 ~upto:max_int
+       (exact_sig []))
+
 let test_siglog () =
   let log = Rt.Siglog.create ~workers:2 in
-  let sg i =
-    let s = Rt.Signature.create Rt.Signature.Exact in
-    Rt.Signature.add s i;
-    s
+  let window = Alcotest.(check (pair int bool)) in
+  (* Epoch 1 starts at global position 10, epoch 2 at 20. *)
+  Rt.Siglog.store log ~worker:0 ~pos:10 ~epoch:1 (exact_sig [ 1 ]);
+  Rt.Siglog.store log ~worker:0 ~pos:12 ~epoch:1 (exact_sig [ 2 ]);
+  Rt.Siglog.store log ~worker:0 ~pos:20 ~epoch:2 (exact_sig [ 3 ]);
+  Rt.Siglog.store log ~worker:1 ~pos:11 ~epoch:1 (exact_sig [ 4 ]);
+  Alcotest.(check (pair int int)) "stored" (3, 1)
+    (siglog_held log ~worker:0, siglog_held log ~worker:1);
+  window "window after position 10, epochs below 3" (2, true)
+    (Rt.Siglog.compare_window log ~worker:0 ~after:10 ~epoch:3 ~upto:3 (exact_sig [ 3 ]));
+  window "TM-style: same-epoch entries counted, never flagged" (2, false)
+    (Rt.Siglog.compare_window log ~worker:0 ~after:10 ~epoch:2 ~upto:3 (exact_sig [ 3 ]));
+  window "empty window" (0, false)
+    (Rt.Siglog.compare_window log ~worker:1 ~after:19 ~epoch:2 ~upto:2 (exact_sig [ 4 ]));
+  Rt.Siglog.prune log ~upto:2;
+  Alcotest.(check (pair int int)) "pruned below epoch 2" (1, 0)
+    (siglog_held log ~worker:0, siglog_held log ~worker:1);
+  Rt.Siglog.clear log;
+  Alcotest.(check int) "cleared" 0 (siglog_held log ~worker:0)
+
+(* Per worker, strictly ascending positions with non-decreasing epochs, each
+   with the addresses of an Exact signature; then a probe signature, the
+   window bounds [after], [epoch] and [upto], and a prune bound. *)
+let siglog_case =
+  let open QCheck.Gen in
+  let steps =
+    list_size (int_range 0 40)
+      (triple (int_range 1 3) (int_range 0 1) (list_size (int_range 0 3) (int_range 0 15)))
   in
-  Rt.Siglog.store log ~worker:0 ~epoch:1 ~task:0 (sg 1);
-  Rt.Siglog.store log ~worker:0 ~epoch:1 ~task:1 (sg 2);
-  Rt.Siglog.store log ~worker:0 ~epoch:2 ~task:0 (sg 3);
-  Rt.Siglog.store log ~worker:1 ~epoch:1 ~task:0 (sg 4);
-  Alcotest.(check int) "stored" 4 (Rt.Siglog.stored log);
-  let w = Rt.Siglog.between log ~worker:0 ~from_epoch:1 ~from_task:1 ~upto_epoch:3 in
-  Alcotest.(check (list (pair int int))) "window (epoch, task)" [ (1, 1); (2, 0) ]
-    (List.map (fun (e, t, _) -> (e, t)) w);
-  let empty = Rt.Siglog.between log ~worker:1 ~from_epoch:2 ~from_task:0 ~upto_epoch:2 in
-  Alcotest.(check int) "empty window" 0 (List.length empty);
-  Rt.Siglog.clear_before log ~epoch:2;
-  Alcotest.(check int) "cleared" 1 (Rt.Siglog.stored log)
+  let to_log steps =
+    let pos = ref (-1) and epoch = ref 0 in
+    List.map
+      (fun (gap, de, addrs) ->
+        pos := !pos + gap;
+        epoch := !epoch + de;
+        (!pos, !epoch, addrs))
+      steps
+  in
+  pair
+    (pair (list_size (int_range 1 3) (map to_log steps)) (list_size (int_range 0 3) (int_range 0 15)))
+    (quad (int_range (-2) 122) (int_range 0 42) (int_range 0 42) (int_range 0 42))
+
+let prop_siglog_window =
+  QCheck.Test.make ~name:"signature log: window, prune and clear = brute force" ~count:300
+    (QCheck.make siglog_case)
+    (fun ((logs, probe), (after, epoch, upto, cut)) ->
+      let log = Rt.Siglog.create ~workers:(List.length logs) in
+      let store ~shift =
+        List.iteri
+          (fun worker entries ->
+            List.iter
+              (fun (pos, epoch, addrs) ->
+                Rt.Siglog.store log ~worker ~pos:(pos + shift) ~epoch (exact_sig addrs))
+              entries)
+          logs
+      in
+      let windows_match ~shift logs =
+        List.for_all
+          (fun (worker, entries) ->
+            let win = List.filter (fun (p, e, _) -> p > after && e < upto) entries in
+            let hit =
+              List.exists
+                (fun (_, e, addrs) -> e < epoch && List.exists (fun a -> List.mem a probe) addrs)
+                win
+            in
+            Rt.Siglog.compare_window log ~worker ~after:(after + shift) ~epoch ~upto
+              (exact_sig probe)
+            = (List.length win, hit)
+            && siglog_held log ~worker = List.length entries)
+          (List.mapi (fun w l -> (w, l)) logs)
+      in
+      store ~shift:0;
+      let stored = windows_match ~shift:0 logs in
+      Rt.Siglog.prune log ~upto:cut;
+      let pruned =
+        windows_match ~shift:0 (List.map (List.filter (fun (_, e, _) -> e >= cut)) logs)
+      in
+      Rt.Siglog.clear log;
+      let cleared = windows_match ~shift:0 (List.map (fun _ -> []) logs) in
+      (* The log keeps working after a clear, at later positions. *)
+      store ~shift:1000;
+      stored && pruned && cleared && windows_match ~shift:1000 logs)
 
 let test_checkpoint () =
   let m = Ir.Memory.create [ Ir.Memory.Floats ("a", [| 1.; 2. |]) ] in
@@ -414,6 +490,7 @@ let suite =
     Alcotest.test_case "segmented precision" `Quick test_segmented_beats_range;
     Alcotest.test_case "signature merge" `Quick test_signature_merge;
     Alcotest.test_case "signature log" `Quick test_siglog;
+    QCheck_alcotest.to_alcotest prop_siglog_window;
     Alcotest.test_case "checkpoint" `Quick test_checkpoint;
     QCheck_alcotest.to_alcotest prop_shadow_matches_reference;
     QCheck_alcotest.to_alcotest prop_deps_accumulator_matches;

@@ -223,10 +223,14 @@ let usage_error fmt =
       exit 3)
     fmt
 
-(* The numeric checks [run] and [submit] share; returns the thread count,
-   defaulting to the 24 simulated cores of the paper's machine or 4
-   domains. *)
-let check_run_args ~backend ~grain ~batch ~deadline_ms threads =
+(* The numeric checks [run], [stats] and [submit] share; returns the thread
+   count ([--domains] wins over [--threads]), defaulting to the 24 simulated
+   cores of the paper's machine or 4 domains. *)
+let check_run_args ~backend ?grain ?batch ?deadline_ms ?domains threads =
+  (match domains with
+  | Some d when d < 1 -> usage_error "--domains must be >= 1 (got %d)" d
+  | _ -> ());
+  let threads = if Option.is_some domains then domains else threads in
   (match grain with
   | Some g when g < 1 -> usage_error "--grain must be >= 1 (got %d)" g
   | _ -> ());
@@ -275,13 +279,7 @@ let run_cmd =
          --backend native)";
       exit 1
     end;
-    (match domains with
-    | Some d when d < 1 -> usage_error "--domains must be >= 1 (got %d)" d
-    | _ -> ());
-    let threads =
-      check_run_args ~backend ~grain ~batch ~deadline_ms
-        (if Option.is_some domains then domains else threads)
-    in
+    let threads = check_run_args ~backend ?grain ?batch ?deadline_ms ?domains threads in
     let backend_name = match backend with `Sim -> "sim" | `Native -> "native" in
     match Cx.applicable ~backend technique wl with
     | Error reason ->
@@ -437,6 +435,7 @@ let stats_cmd =
           "--domains only applies to the native backend (add --backend native)";
         exit 1
     | _ -> ());
+    let threads = check_run_args ~backend ?domains threads in
     match Cx.applicable ~backend technique wl with
     | Error reason ->
         Printf.eprintf "%s is inapplicable to %s: %s\n" (Cx.technique_name technique)
@@ -444,12 +443,10 @@ let stats_cmd =
         exit 1
     | Ok () -> (
         let obs = Xinv_obs.Recorder.create () in
-        let b, threads =
+        let b =
           match backend with
-          | `Sim -> (`Sim None, threads)
-          | `Native ->
-              ( `Native { Cx.native_defaults with Cx.flight = true },
-                Option.value domains ~default:4 )
+          | `Sim -> `Sim None
+          | `Native -> `Native { Cx.native_defaults with Cx.flight = true }
         in
         let o =
           Cx.run_request @@ Cx.Request.make ~backend:b ~input ~obs ~technique ~threads wl
@@ -481,7 +478,7 @@ let stats_cmd =
          "Run one workload instrumented and print the stall/utilization report \
           (text, --json or --csv), on either backend.")
     Term.(
-      const run $ wl_arg $ tech_arg $ threads_arg $ input_arg $ backend_arg
+      const run $ wl_arg $ tech_arg $ run_threads_arg $ input_arg $ backend_arg
       $ domains_arg $ json $ csv)
 
 (* ---- top ---- *)
@@ -1171,7 +1168,7 @@ let submit_cmd =
   in
   let run socket wl technique threads input backend policy grain batch sig_kind
       spec_distance cache inject deadline_ms priority tenant no_verify =
-    let threads = check_run_args ~backend ~grain ~batch ~deadline_ms threads in
+    let threads = check_run_args ~backend ?grain ?batch ?deadline_ms threads in
     let req =
       SReq.make ~input ~backend
         ~technique:(Cx.technique_name technique)

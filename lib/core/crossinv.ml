@@ -500,7 +500,7 @@ let sim_engine ?(trace = false) (r : Request.t) engine env =
   | Engine.Domore (plan, config) ->
       Some (Xinv_domore.Domore.run ~config ?obs ~trace ~plan program env)
   | Engine.Domore_dup (plan, config) ->
-      Some (Xinv_domore.Duplicated.run ~config ?obs ~plan program env)
+      Some (Xinv_domore.Domore.run_duplicated ~config ?obs ~plan program env)
   | Engine.Speccross { config; _ } ->
       Some (Xinv_speccross.Runtime.run ~config ?obs ~trace program env)
 
@@ -799,9 +799,10 @@ let run_native ~actx ~opts ~source ~baseline (r : Request.t) =
   bump_counter obs "watchdog.stall" !stalls_total;
   bump_counter obs "degrade.level" (List.length !degraded);
   (match executed with
-  | Domore | Domore_dup ->
+  | Domore ->
       bump_counter obs "domore.tasks_dispatched" nrun.Nat.Nrun.tasks;
       bump_counter obs "domore.sync_conds_forwarded" nrun.Nat.Nrun.conds
+  | Domore_dup -> bump_counter obs "domore.sync_conds_forwarded" nrun.Nat.Nrun.conds
   | Speccross | Speccross_inject _ ->
       bump_counter obs "speccross.epochs_committed" nrun.Nat.Nrun.invocations;
       bump_counter obs "speccross.signature_checks" nrun.Nat.Nrun.checks;

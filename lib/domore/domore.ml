@@ -1,173 +1,143 @@
 module Sim = Xinv_sim
 module Ir = Xinv_ir
-module Rt = Xinv_runtime
+module Obs = Xinv_obs
 
 type config = { machine : Sim.Machine.t; policy : Policy.t; workers : int }
 
 let default_config ~workers =
   { machine = Sim.Machine.default; policy = Policy.Round_robin; workers }
 
-(* Queue payload.  Sync carries a {!Rt.Sync_cond.to_int}-encoded condition:
-   the simulator's channels and the native backend's atomic int queues share
-   one wire format. *)
-type msg =
-  | Sync of int
-  | Do of { t : int; j : int; inner : int; iter : int }
+(* One simulated run: per-message channel costs, [latestFinished] cells,
+   and every charge of the protocol in virtual cycles. *)
+type machine = {
+  machine : Sim.Machine.t;
+  obs : Obs.Recorder.t option;
+  eng : Sim.Engine.t;
+  queues : Protocol.msg Sim.Channel.t array;
+  cells : Sim.Mono_cell.t array;
+  wf : float;
+  sched : Sim.Category.t;  (* what scheduling is charged to *)
+  base : int;  (* engine thread of worker 0 *)
+  name : int -> string;
+}
 
-let run ?config ?obs ?(trace = false) ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) env =
-  let config = match config with Some c -> c | None -> default_config ~workers:3 in
-  let { machine; policy; workers } = config in
-  assert (workers > 0);
-  if plan.Ir.Mtcg.scheduler_extra <> [] then
-    invalid_arg "Domore.run: body statements re-partitioned into the scheduler";
-  let module Obs = Xinv_obs in
-  let m_conds, m_dispatched, h_occupancy =
-    match obs with
+module Machine = struct
+  type t = machine
+
+  let queue_length m w = Sim.Channel.length m.queues.(w)
+  let send m w msg = Sim.Channel.produce m.queues.(w) msg
+
+  let recv m w =
+    match m.obs with
+    | None -> Sim.Channel.consume m.queues.(w)
     | Some o ->
-        let m = Obs.Recorder.metrics o in
-        ( Some (Obs.Metrics.counter m "domore.sync_conds_forwarded"),
-          Some (Obs.Metrics.counter m "domore.tasks_dispatched"),
-          Some (Obs.Metrics.histogram m "domore.queue_occupancy") )
-    | None -> (None, None, None)
+        let t0 = Sim.Proc.now () in
+        let msg = Sim.Channel.consume m.queues.(w) in
+        let dur = Sim.Proc.now () -. t0 -. m.machine.Sim.Machine.queue_consume in
+        Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:(m.base + w) Obs.Cause.Queue_empty
+          dur;
+        msg
+
+  let flush _ = ()
+  let frontier m w = Sim.Mono_cell.get m.cells.(w)
+  let publish m w iter = Sim.Mono_cell.set m.cells.(w) iter
+
+  let await m ~self w iter =
+    match m.obs with
+    | None -> Sim.Mono_cell.wait_ge ~cat:Sim.Category.Sync_wait m.cells.(w) iter
+    | Some o ->
+        let t0 = Sim.Proc.now () in
+        Sim.Mono_cell.wait_ge ~cat:Sim.Category.Sync_wait m.cells.(w) iter;
+        Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:(m.base + self)
+          Obs.Cause.Sync_cond (Sim.Proc.now () -. t0)
+
+  let exec m role env (s : Ir.Stmt.t) =
+    let label = s.Ir.Stmt.name and cost = m.wf *. s.Ir.Stmt.cost env in
+    (match role with
+    | Protocol.Seq -> Sim.Proc.advance ~label Sim.Category.Sequential cost
+    | Protocol.Redundant -> Sim.Proc.advance ~label Sim.Category.Redundant cost
+    | Protocol.Body -> Sim.Proc.work ~label cost);
+    s.Ir.Stmt.exec env
+
+  let schedule m slice =
+    Sim.Proc.advance ~label:"computeAddr" m.sched
+      (Ir.Slice.cost_per_iter slice +. m.machine.Sim.Machine.sched_per_iter)
+
+  let shadow m (slice : Ir.Slice.t) =
+    Sim.Proc.advance ~label:"shadow" m.sched
+      (m.machine.Sim.Machine.shadow_per_addr
+      *. float_of_int (List.length slice.Ir.Slice.reads + List.length slice.Ir.Slice.writes))
+
+  (* Figure 3.9: a duplicated scheduler produces and consumes its own
+     conditions. *)
+  let self_conds m n =
+    Sim.Proc.advance ~label:"conds" Sim.Category.Queue
+      (float_of_int n
+      *. (m.machine.Sim.Machine.queue_produce +. m.machine.Sim.Machine.queue_consume))
+
+  let record m ~domain kind ~a ~b =
+    match m.obs with
+    | Some o -> Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain kind ~a ~b
+    | None -> ()
+
+  let fault _ _ ~domain:_ ~site:_ = false
+
+  let run m fns =
+    Array.iteri (fun i f -> ignore (Sim.Engine.spawn m.eng ~name:(m.name i) f)) fns;
+    Sim.Engine.run m.eng
+end
+
+module Engine = Protocol.Make (Machine)
+
+let machine ?obs ?(trace = false) ~queues ~threads ~sched ~base ~name (c : config) =
+  let mc = c.machine in
+  {
+    machine = mc;
+    obs;
+    eng = Sim.Engine.create ~trace ();
+    queues =
+      Array.init queues (fun _ ->
+          Sim.Channel.create ~produce_cost:mc.Sim.Machine.queue_produce
+            ~consume_cost:mc.Sim.Machine.queue_consume ());
+    cells = Array.init c.workers (fun _ -> Sim.Mono_cell.create ~init:(-1) ());
+    wf = Sim.Machine.work_factor mc ~threads;
+    sched;
+    base;
+    name;
+  }
+
+let count m name n =
+  match m.obs with
+  | Some o when n > 0 -> Obs.Metrics.add (Obs.Metrics.counter (Obs.Recorder.metrics o) name) n
+  | _ -> ()
+
+let result m ~technique ~threads p (c : Protocol.counts) =
+  count m "domore.sync_conds_forwarded" c.Protocol.conds;
+  Xinv_parallel.Run.make ~technique ~threads ~makespan:(Sim.Engine.now m.eng) ~engine:m.eng
+    ~tasks:c.Protocol.tasks ~invocations:(Ir.Program.invocations p) ~checks:c.Protocol.conds
+    ?recorder:m.obs ()
+
+let run ?config ?obs ?trace ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) env =
+  let config = match config with Some c -> c | None -> default_config ~workers:3 in
+  let { policy; workers; _ } = config in
+  let name i = if i = 0 then "scheduler" else Printf.sprintf "worker%d" (i - 1) in
+  let m =
+    machine ?obs ?trace ~queues:workers ~threads:(workers + 1) ~sched:Sim.Category.Runtime
+      ~base:1 ~name config
   in
-  let eng = Sim.Engine.create ~trace () in
-  let queues =
-    Array.init workers (fun _ ->
-        Sim.Channel.create ~produce_cost:machine.Sim.Machine.queue_produce
-          ~consume_cost:machine.Sim.Machine.queue_consume ())
+  let c = Engine.centralized m ~policy ~workers ~grain:1 ~plan p env in
+  count m "domore.tasks_dispatched" c.Protocol.tasks;
+  result m ~technique:"DOMORE" ~threads:(workers + 1) p c
+
+let run_duplicated ?config ?obs ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) env =
+  let config = match config with Some c -> c | None -> default_config ~workers:4 in
+  let { policy; workers; _ } = config in
+  let m =
+    machine ?obs ~queues:0 ~threads:workers ~sched:Sim.Category.Redundant ~base:0
+      ~name:(Printf.sprintf "dup%d") config
   in
-  let cells = Array.init workers (fun _ -> Sim.Mono_cell.create ~init:(-1) ()) in
-  let shadow = Rt.Shadow.create () in
-  let wf = Sim.Machine.work_factor machine ~threads:(workers + 1) in
-  let iternum = ref 0 in
-  let conds = ref 0 in
-  let bodies = Array.of_list p.Ir.Program.inners in
-  (* Scratch reused across every iteration: the queue-load snapshot for the
-     scheduling policy and the deduplicated dependence set. *)
-  let loads = Array.make workers 0 in
-  let loads_opt = Some loads in
-  let deps = Rt.Shadow.Deps.create () in
-  let scheduler () =
-    for t = 0 to p.Ir.Program.outer_trip - 1 do
-      let env_t = Ir.Env.with_outer env t in
-      Array.iteri
-        (fun ii (il : Ir.Program.inner) ->
-          List.iter
-            (fun (s : Ir.Stmt.t) ->
-              Sim.Proc.advance ~label:s.Ir.Stmt.name Sim.Category.Sequential
-                (wf *. s.Ir.Stmt.cost env_t);
-              s.Ir.Stmt.exec env_t)
-            il.Ir.Program.pre;
-          let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
-          let slice_cost = Ir.Slice.cost_per_iter slice in
-          (* The slice's access count is static, so the per-iteration shadow
-             charge is too. *)
-          let shadow_cost =
-            machine.Sim.Machine.shadow_per_addr
-            *. float_of_int
-                 (List.length slice.Ir.Slice.reads + List.length slice.Ir.Slice.writes)
-          in
-          let trip = il.Ir.Program.trip env_t in
-          for j = 0 to trip - 1 do
-            let env_j = Ir.Env.with_inner env_t j in
-            Sim.Proc.advance ~label:"computeAddr" Sim.Category.Runtime
-              (slice_cost +. machine.Sim.Machine.sched_per_iter);
-            for w = 0 to workers - 1 do
-              loads.(w) <- Sim.Channel.length queues.(w)
-            done;
-            (match obs with
-            | None -> ()
-            | Some o ->
-                let at = Sim.Proc.now () in
-                for w = 0 to workers - 1 do
-                  (match h_occupancy with
-                  | Some h -> Obs.Metrics.observe h (float_of_int loads.(w))
-                  | None -> ());
-                  Obs.Recorder.emit o ~at ~domain:0 Obs.Flight.Queue_sample ~a:w
-                    ~b:loads.(w)
-                done);
-            let tid =
-              Policy.assign policy slice shadow deps ~loads:loads_opt ~threads:workers
-                ~iter:!iternum ~slot:!iternum env_j
-            in
-            Sim.Proc.advance ~label:"shadow" Sim.Category.Runtime shadow_cost;
-            Rt.Shadow.Deps.iter
-              (fun ~tid:dt ~iter:di ->
-                incr conds;
-                (match obs with
-                | None -> ()
-                | Some o ->
-                    (match m_conds with Some c -> Obs.Metrics.incr c | None -> ());
-                    Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:0
-                      Obs.Flight.Sync_send ~a:di ~b:(tid + 1));
-                Sim.Channel.produce queues.(tid)
-                  (Sync (Rt.Sync_cond.to_int (Rt.Sync_cond.Wait { dep_tid = dt; dep_iter = di }))))
-              deps;
-            (match obs with
-            | None -> ()
-            | Some o ->
-                (match m_dispatched with Some c -> Obs.Metrics.incr c | None -> ());
-                Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:0 Obs.Flight.Dispatch
-                  ~a:!iternum ~b:(tid + 1));
-            Sim.Channel.produce queues.(tid) (Do { t; j; inner = ii; iter = !iternum });
-            incr iternum
-          done)
-        bodies
-    done;
-    Array.iter
-      (fun q -> Sim.Channel.produce q (Sync (Rt.Sync_cond.to_int Rt.Sync_cond.End_token)))
-      queues
-  in
-  let worker w () =
-    (* Engine tid of worker [w]: the scheduler is spawned first as thread 0. *)
-    let tid = w + 1 in
-    let consume q =
-      match obs with
-      | None -> Sim.Channel.consume q
-      | Some o ->
-          let t0 = Sim.Proc.now () in
-          let msg = Sim.Channel.consume q in
-          let dur = Sim.Proc.now () -. t0 -. machine.Sim.Machine.queue_consume in
-          Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid Obs.Cause.Queue_empty dur;
-          msg
-    in
-    let continue_ = ref true in
-    while !continue_ do
-      match consume queues.(w) with
-      | Sync word -> (
-          match Rt.Sync_cond.of_int word with
-          | Rt.Sync_cond.End_token -> continue_ := false
-          | Rt.Sync_cond.No_sync _ -> ()
-          | Rt.Sync_cond.Wait { dep_tid; dep_iter } -> (
-              match obs with
-              | None ->
-                  Sim.Mono_cell.wait_ge ~cat:Sim.Category.Sync_wait cells.(dep_tid)
-                    dep_iter
-              | Some o ->
-                  let t0 = Sim.Proc.now () in
-                  Sim.Mono_cell.wait_ge ~cat:Sim.Category.Sync_wait cells.(dep_tid)
-                    dep_iter;
-                  Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid
-                    Obs.Cause.Sync_cond (Sim.Proc.now () -. t0)))
-      | Do { t; j; inner; iter } ->
-          let il = bodies.(inner) in
-          let env_j = Ir.Env.with_inner (Ir.Env.with_outer env t) j in
-          List.iter
-            (fun (s : Ir.Stmt.t) ->
-              Sim.Proc.work ~label:s.Ir.Stmt.name (wf *. s.Ir.Stmt.cost env_j);
-              s.Ir.Stmt.exec env_j)
-            il.Ir.Program.body;
-          Sim.Mono_cell.set cells.(w) iter
-    done
-  in
-  let _sched = Sim.Engine.spawn eng ~name:"scheduler" scheduler in
-  for w = 0 to workers - 1 do
-    ignore (Sim.Engine.spawn eng ~name:(Printf.sprintf "worker%d" w) (worker w))
-  done;
-  Sim.Engine.run eng;
-  Xinv_parallel.Run.make ~technique:"DOMORE" ~threads:(workers + 1)
-    ~makespan:(Sim.Engine.now eng) ~engine:eng ~tasks:!iternum
-    ~invocations:(Ir.Program.invocations p) ~checks:!conds ?recorder:obs ()
+  let c = Engine.duplicated m ~policy ~workers ~batch:1 ~plan p env in
+  result m ~technique:"DOMORE-dup" ~threads:workers p c
 
 let scheduler_worker_ratio (r : Xinv_parallel.Run.t) =
   let eng = r.Xinv_parallel.Run.engine in

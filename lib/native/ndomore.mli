@@ -1,23 +1,28 @@
 (** Native DOMORE (dissertation Chapter 3) on real domains.
 
-    One scheduler domain executes the sequential regions, evaluates the
-    address slice per iteration, detects dynamic dependences in shadow
-    memory ({!Xinv_runtime.Shadow}) and streams synchronization conditions
-    plus Do-task messages to worker domains over lock-free int queues
-    ({!Spsc}).  Workers publish completed iteration numbers in monotonic
-    [Atomic] cells; a [Wait] condition waits until the named worker's cell
-    reaches the named iteration, parking after a short spin and woken by
-    that worker's next completion store.
+    Both engines are {!Xinv_domore.Protocol.Make} on real domains, so they
+    schedule, frame and synchronize exactly as the simulated ones
+    ({!Xinv_domore.Domore}).  One scheduler domain executes the sequential
+    regions, evaluates the address slice per iteration, detects dynamic
+    dependences in shadow memory ({!Xinv_runtime.Shadow}) and streams
+    synchronization conditions plus Do-task frames to worker domains over
+    lock-free int queues ({!Spsc}).  Workers publish completed iteration
+    numbers in monotonic [Atomic] cells; a [Wait] condition waits until the
+    named worker's cell reaches the named iteration, parking after a short
+    spin and woken by that worker's next completion store.
 
     Wire format (one word per message on the queue): words with low bits
-    00/01/10 are {!Xinv_runtime.Sync_cond.to_int} encodings; low bits 11
-    (the encoding's reserved tag) frame a Do-task header carrying the inner
-    index.  Bit 2 of the header selects the frame shape: clear means a
-    single iteration ([hdr; t; j; iter]), set means a chunk of [len]
-    consecutive iterations ([hdr; t; j0; len; iter0]) produced when
-    [grain > 1].  Words travel through per-worker write-combining buffers
-    ({!Spsc.Batch}): one atomic publish per [batch] words instead of one
-    per word, with the flushed stream identical to the unbatched one. *)
+    00/01/10 are {!Xinv_runtime.Sync_cond.to_int} encodings; low bits 11 (the encoding's
+    reserved tag) frame a Do-task header carrying the inner index.  Bit 2
+    of the header selects the frame shape: clear means a single iteration
+    ([hdr; t; j; iter]), set means a chunk of [len] consecutive iterations
+    ([hdr; t; j0; len; iter0]) produced when [grain > 1].  A frame is sent
+    as soon as it holds [grain] iterations, so at grain 1 each iteration
+    leaves in its own scheduling step; a shorter frame leaves when the next
+    iteration goes to another worker or needs a condition, or the
+    invocation ends.  Words travel through per-worker write-combining
+    buffers ({!Spsc.Batch}): one atomic publish per [batch] words instead of
+    one per word, with the flushed stream identical to the unbatched one. *)
 
 type config = {
   policy : Xinv_domore.Policy.t;
@@ -77,5 +82,7 @@ val run_duplicated :
 (** §3.4 duplicated-scheduler variant: every one of [workers] domains runs
     the full scheduling computation against a private shadow memory and
     executes only the iterations it owns — no scheduler domain, no queues,
-    synchronization purely through the completion cells.  Flight ring
+    synchronization purely through the completion cells.  [conds] and
+    [checks] count the conditions the owners awaited.  [Worker_raise] and
+    [Poison_cond] fire at the owner of the matched iteration.  Flight ring
     mapping: worker [tid] on ring [tid]. *)

@@ -31,9 +31,6 @@ val make :
   unit ->
   t
 
-val dominant_stall : t -> string option
-(** The stall cause with the most blocked wall time, if any. *)
-
 val timed : (unit -> unit) -> float
 (** Wall-clock nanoseconds the thunk took. *)
 

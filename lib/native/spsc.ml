@@ -151,9 +151,7 @@ module Batch = struct
     if size <= 0 then invalid_arg "Spsc.Batch.create: size must be positive";
     { q; store = Array.make size q.dummy; fill = 0 }
 
-  let queue b = b.q
   let pending b = b.fill
-  let size b = Array.length b.store
 
   let try_flush b =
     if b.fill = 0 then true

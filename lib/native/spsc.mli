@@ -12,7 +12,7 @@
     counter's.  The slot write happens before the counter store, which gives
     the peer happens-before on the payload.
 
-    The bulk operations ({!try_push_array}, {!pop_chunk}, {!Batch}) amortize
+    The bulk operations ({!pop_chunk}, {!Batch}) amortize
     the expensive seq_cst counter store over many items: one atomic publish
     per batch instead of one per element.
 
@@ -46,11 +46,6 @@ val on_pop : 'a t -> Wake.t
 
 val try_push : 'a t -> 'a -> bool
 (** Producer only.  False when full. *)
-
-val try_push_array : 'a t -> 'a array -> pos:int -> len:int -> int
-(** Producer only.  Writes as many of [src.(pos .. pos+len-1)] as currently
-    fit and publishes them with a {e single} atomic store; returns the
-    number written (0 when full). *)
 
 val push : ?wd:Watchdog.t -> ?role:string -> 'a t -> 'a -> unit
 (** Producer only.  Waits (parked) while full.
@@ -86,12 +81,8 @@ module Batch : sig
   val create : ?size:int -> 'a queue -> 'a b
   (** A buffer of [size] (default 32) items over [q].  Producer only. *)
 
-  val queue : 'a b -> 'a queue
-
   val pending : 'a b -> int
   (** Items buffered locally, not yet visible to the consumer. *)
-
-  val size : 'a b -> int
 
   val try_flush : 'a b -> bool
   (** Publish as much of the buffer as currently fits (one atomic store);

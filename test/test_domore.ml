@@ -127,7 +127,7 @@ let test_duplicated_correct () =
       | Ir.Mtcg.Inapplicable r -> Alcotest.failf "inapplicable: %s" r
       | Ir.Mtcg.Plan plan ->
           let config = Dm.Domore.default_config ~workers in
-          ignore (Dm.Duplicated.run ~config ~plan p env);
+          ignore (Dm.Domore.run_duplicated ~config ~plan p env);
           check_equal (Printf.sprintf "dup@%d" workers) seq_env env)
     [ 1; 2; 4 ]
 
@@ -137,7 +137,7 @@ let test_duplicated_redundant_scheduling () =
   match Ir.Mtcg.generate p env with
   | Ir.Mtcg.Inapplicable r -> Alcotest.failf "inapplicable: %s" r
   | Ir.Mtcg.Plan plan ->
-      let r = Dm.Duplicated.run ~config:(Dm.Domore.default_config ~workers:3) ~plan p env in
+      let r = Dm.Domore.run_duplicated ~config:(Dm.Domore.default_config ~workers:3) ~plan p env in
       Alcotest.(check bool) "redundant scheduling charged" true
         (Par.Run.category_total r Xinv_sim.Category.Redundant > 0.)
 
@@ -214,8 +214,94 @@ let prop_duplicated_equals_domore_semantics =
       | Ir.Mtcg.Plan plan ->
           let config = Dm.Domore.default_config ~workers in
           ignore (Dm.Domore.run ~config ~plan p env1);
-          ignore (Dm.Duplicated.run ~config ~plan p env2);
+          ignore (Dm.Domore.run_duplicated ~config ~plan p env2);
           Ir.Memory.equal env1.Ir.Env.mem env2.Ir.Env.mem)
+
+(* A machine that runs only the scheduler and logs each message with its
+   queue and the scheduling step (iteration) it was sent in. *)
+module Log = struct
+  type t = {
+    mutable step : int;
+    mutable sent : (int * int * Dm.Protocol.msg) list;  (* newest first *)
+    lengths : int array;
+  }
+
+  let queue_length m w = m.lengths.(w)
+
+  let send m w msg =
+    m.sent <- (m.step, w, msg) :: m.sent;
+    m.lengths.(w) <- m.lengths.(w) + 1
+
+  let recv _ _ = assert false
+  let flush _ = ()
+  let frontier _ _ = assert false
+  let publish _ _ _ = assert false
+  let await _ ~self:_ _ _ = assert false
+
+  let exec _ role env (s : Ir.Stmt.t) =
+    assert (role <> Dm.Protocol.Body);
+    s.Ir.Stmt.exec env
+
+  let schedule m _ = m.step <- m.step + 1
+  let shadow _ _ = ()
+  let self_conds _ _ = ()
+  let record _ ~domain:_ _ ~a:_ ~b:_ = ()
+  let fault _ _ ~domain:_ ~site:_ = false
+  let run _ fns = fns.(0) ()
+end
+
+module Log_engine = Dm.Protocol.Make (Log)
+
+let prop_frame_stream =
+  QCheck.Test.make
+    ~name:"DOMORE frame stream: ordered partition, grain-bounded, conditions first"
+    ~count:60
+    QCheck.(
+      quad (int_range 1 10_000) (oneofl [ 1; 2; 3; 4 ]) (oneofl [ 1; 2; 3; 8 ])
+        (oneofl Dm.Policy.[ Round_robin; Mem_partition; Least_loaded ]))
+    (fun (seed, workers, grain, policy) ->
+      let p, fresh =
+        Wl.Synth.make
+          { Wl.Synth.default with Wl.Synth.seed; cells = 14; outer = 4; trip = 8; inners = 2 }
+      in
+      let env = fresh () in
+      match Ir.Mtcg.generate p env with
+      | Ir.Mtcg.Inapplicable _ -> false
+      | Ir.Mtcg.Plan plan ->
+          let m = { Log.step = -1; sent = []; lengths = Array.make workers 0 } in
+          let c = Log_engine.centralized m ~policy ~workers ~grain ~plan p env in
+          let sent = Array.of_list (List.rev m.Log.sent) in
+          (* Where each iteration's frame went: (message index, queue). *)
+          let frame_of = Array.make c.Dm.Protocol.tasks None in
+          let next = ref 0 and ok = ref true in
+          Array.iteri
+            (fun i (step, w, msg) ->
+              match msg with
+              | Dm.Protocol.Frame { len; iter; _ } ->
+                  if iter <> !next || len < 1 || len > grain then ok := false;
+                  if len = grain && step <> iter + len - 1 then ok := false;
+                  for k = iter to iter + len - 1 do
+                    frame_of.(k) <- Some (i, w)
+                  done;
+                  next := iter + len
+              | Dm.Protocol.Sync_cond _ -> ())
+            sent;
+          !ok
+          && !next = c.Dm.Protocol.tasks
+          && Array.for_all Option.is_some frame_of
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun i (step, w, msg) ->
+                    match msg with
+                    | Dm.Protocol.Sync_cond word -> (
+                        match Xinv_runtime.Sync_cond.of_int word with
+                        | Xinv_runtime.Sync_cond.Wait _ -> (
+                            match frame_of.(step) with
+                            | Some (fi, fw) -> fw = w && fi > i
+                            | None -> false)
+                        | _ -> true)
+                    | Dm.Protocol.Frame _ -> true)
+                  sent))
 
 let suite =
   [
@@ -233,4 +319,5 @@ let suite =
     Alcotest.test_case "run deterministic" `Quick test_domore_run_deterministic;
     QCheck_alcotest.to_alcotest prop_domore_correct;
     QCheck_alcotest.to_alcotest prop_duplicated_equals_domore_semantics;
+    QCheck_alcotest.to_alcotest prop_frame_stream;
   ]

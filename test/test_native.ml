@@ -246,7 +246,17 @@ let test_crossval_domore () =
               check_verified (name ^ "/domore-dup") d;
               Alcotest.(check int)
                 (name ^ "/domore-dup: task counts match")
-                sr.Par.Run.tasks (nrun d).Nat.Nrun.tasks)
+                sr.Par.Run.tasks (nrun d).Nat.Nrun.tasks;
+              (* Every duplicated scheduler derives the same conditions, so
+                 the ones their owners await match too. *)
+              let sd = Option.get (sim_outcome C.Domore_dup wl).C.run in
+              Alcotest.(check int)
+                (name ^ "/domore-dup: awaited-condition counts match")
+                sd.Par.Run.checks (nrun d).Nat.Nrun.conds;
+              if name = "ECLAT" then
+                Alcotest.(check bool)
+                  "ECLAT/domore-dup: conditions awaited" true
+                  ((nrun d).Nat.Nrun.conds > 0))
         (Wl.Registry.all ()))
 
 let test_crossval_speccross () =

@@ -6,7 +6,9 @@ type t = {
   domains : int;  (** total domains used, including scheduler/checker roles *)
   workers : int;  (** domains executing loop iterations *)
   wall_ns : float;  (** monotonic wall-clock duration of the region *)
-  tasks : int;  (** loop iterations executed (first attempt; redo excluded) *)
+  tasks : int;
+      (** loop iterations executed (first attempt; redo excluded); for
+          SPECCROSS, the region's iteration count *)
   invocations : int;
   conds : int;  (** DOMORE sync conditions forwarded *)
   checks : int;  (** SPECCROSS signature requests submitted *)

@@ -1,43 +1,40 @@
-(** Native SPECCROSS (dissertation Chapter 4): speculative barriers on real
-    domains, with a dedicated checker domain.
+(** Native SPECCROSS (dissertation Chapter 4): {!Xinv_speccross.Protocol.Make}
+    on real domains, with a dedicated checker domain.
 
-    Workers execute consecutive epochs (inner-loop invocations) without
-    barriers, bounded by the speculative-range throttle.  When a task ends,
-    its worker stores the {!Xinv_runtime.Signature} of its instrumented
-    accesses in the {!Xinv_runtime.Siglog}, at the task's global position,
-    then sends the checker a request carrying the signature and a snapshot
-    of every other worker's signature frontier taken at task entry, and
-    only then advances its own frontier ([dpos], a monotonic [Atomic] per
-    worker: every signature at a global position <= its value is already
-    in the log, and, because the frontier store follows the task's memory
-    writes, those tasks' effects are visible to any domain that reads the
-    frontier afterwards).  The checker only reads the log, with the
-    simulator's window rule: a task is compared against other workers'
-    signatures {e after the snapshot} and {e from earlier epochs}.  It
-    holds each worker's oldest request and processes any held request once
-    every other frontier has passed the request's epoch base, in any
-    order, because the request's window is then complete.  The epoch
-    layout is the simulator's ({!Xinv_speccross.Runtime.Epochs}), as are
-    the LOCALWRITE ownership rules ({!Xinv_parallel.Intra.owns}).
+    The protocol — the epoch loop, the speculative-range throttle, the task
+    bracket, the three epoch modes, the rallies, the order of recovery and
+    the checker's window rule — is the simulator's, written once.  This
+    machine supplies its threads:
+    - frontiers are padded [Atomic]s, one per worker, woken through one
+      {!Wake} point signalled after every store; [Dpos] is stored after
+      the task's memory writes and its signature's
+      {!Xinv_runtime.Siglog.store}, so a domain that reads it sees both;
+    - each worker sends its checking requests on its own {!Spsc} ring.
+      The checker holds the oldest unprocessed request of each worker and
+      takes any held request once every other worker's [Progress] reached
+      its epoch, because its window is then complete;
+    - on a conflict the checker raises the abort flag, which releases every
+      wait, and bumps the generation; a worker leaves its aborted epoch at
+      the next iteration.  Workers rally at a sense-reversing barrier
+      ({!Nbar}); worker 0 restores the last checkpoint and resets the
+      frontiers; the misspeculated epochs re-execute through the barrier
+      engine's per-invocation share ({!Nbarrier.run_share}); requests from
+      dead generations are dropped;
+    - an exception from speculative work (other than a fault or the
+      watchdog's) turns the task into a forced conflict.
 
-    On a conflict the checker flips the global abort flag and bumps the
-    generation; workers rally at a sense-reversing barrier, worker 0
-    restores the last in-memory checkpoint, the misspeculated epochs are
-    re-executed non-speculatively with real barriers, each through the
-    barrier engine's per-invocation share ({!Nbarrier.run_share}), a fresh
-    checkpoint is taken and speculation resumes.  Worker 0 clears the
-    signature log during recovery, while every worker waits at the barrier,
-    and prunes it at the checkpoint and irreversible-epoch rallies, after
-    the checker has drained.  Requests from dead generations are dropped,
-    so recovery never leaks stale conflicts. *)
+    [M_domore] epochs run the §3.4 duplicated scheduler: a worker waits on
+    an owner's [Done] frontier, the global position of the last iteration
+    it executed or passed.  Schedules that disagree (read from speculative
+    memory) are caught by the engine's schedule check at the next rally or
+    the region end, as on the simulator. *)
 
 type config = {
   workers : int;  (** worker domains, excluding the checker *)
   sig_kind : Xinv_runtime.Signature.kind;
   checkpoint_every : int;  (** epochs between checkpoints; 0 disables *)
   spec_distance : int;  (** max task lead over the slowest worker *)
-  mode_of : string -> Xinv_speccross.Runtime.mode;
-      (** per-inner execution mode; [M_domore] is not supported natively *)
+  mode_of : string -> Xinv_speccross.Runtime.mode;  (** per inner-loop label *)
   inject_misspec : (int * int) option;  (** force one conflict at (epoch, worker) *)
   work : Work.t;
   grain : int;
@@ -70,16 +67,17 @@ val run :
     failing domain cancels [wd], which wakes every waiter, and the root
     cause is re-raised after the run unwinds — also when the caller
     cancelled [wd] itself.  Speculative misspeculation recovery is
-    unaffected.  [fault] sites are epoch ordinals ([Checker_die]:
-    drained-request count): [Worker_raise] raises in the matched worker,
+    unaffected.  [fault] sites are epoch ordinals ([Checker_die]: the
+    checker's request count): [Worker_raise] raises in the matched worker,
     [Scheduler_die] in worker 0, [Checker_die] in the checker,
     [Queue_stall] freezes the matched worker's signature stream, and
     [Poison_cond] wedges the matched worker.
 
     With a flight recorder [fr] attached (needs [workers + 1] rings:
     worker [w] on ring [w], checker on ring [workers]) the run records
-    block dispatches, epoch commits, signature checks with their window
+    block dispatches, worker 0's epoch commits (redone epochs too),
+    signature checks with their window
     sizes, misspeculations, checkpoints, recoveries (epochs redone and
     nanoseconds taken), barrier episodes, queue samples and stall episodes
-    with no effect on speculation.
-    @raise Invalid_argument if any inner's mode is [M_domore]. *)
+    with no effect on speculation.  [Nrun.tasks] is the region's iteration
+    count. *)

@@ -5,7 +5,9 @@ type t = {
   threads : int;  (** worker threads (excluding scheduler/checker helpers) *)
   makespan : float;  (** virtual time from region start to completion *)
   engine : Xinv_sim.Engine.t;  (** retained for per-category accounting *)
-  tasks : int;  (** inner-loop iterations executed (first try) *)
+  tasks : int;
+      (** inner-loop iterations executed (first try); for SPECCROSS, the
+          region's iteration count, however often recovery redid some *)
   invocations : int;
   barrier_episodes : int;
   checks : int;  (** speculation checking requests processed *)

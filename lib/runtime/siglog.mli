@@ -3,7 +3,7 @@
 
     Each worker stores the signature of every speculative task it ends,
     keyed by the task's {e global position}: its epoch's base plus its
-    iteration ({!Xinv_speccross.Runtime.Epochs}), which increases strictly
+    iteration ({!Xinv_speccross.Protocol.Epochs}), which increases strictly
     per worker.  The checker only reads the log.
 
     {b Window rule.}  A task of epoch [e] is compared against each other

@@ -1,4 +1,7 @@
-(** The SPECCROSS speculative-barrier runtime (dissertation Chapter 4).
+(** The SPECCROSS speculative-barrier runtime (dissertation Chapter 4) on
+    the simulator: {!Protocol.Make} on a machine of [Mono_cell] frontiers,
+    one per worker and generation, a checker channel that charges every
+    request, and every [Proc.advance] charge of the protocol.
 
     Worker threads execute the region's invocations (epochs) without
     synchronizing at invocation boundaries: each task records the epoch/task
@@ -11,42 +14,12 @@
     speculation resumes.  A profiling-derived speculative range bounds how
     many epochs a thread may lead the slowest one. *)
 
-type mode =
+type mode = Protocol.mode =
   | M_doall  (** iterations cyclically distributed, no within-epoch conflicts *)
   | M_localwrite  (** owner-compute within the epoch *)
   | M_domore of Xinv_domore.Policy.t
       (** §3.4 duplicated-scheduler DOMORE handles the epoch's irregular
           conflicts; the checker still guards cross-epoch dependences *)
-
-(** The epoch layout of a region (§4.2), the machine-independent half of
-    SPECCROSS that the simulated runtime below and the native engine
-    ([Xinv_native.Nspec]) share: epoch [e] is inner loop [e mod n] of outer
-    iteration [e / n], for [n] inner loops. *)
-module Epochs : sig
-  type t = {
-    env : Xinv_ir.Env.t;  (** the region's environment *)
-    inners : Xinv_ir.Program.inner array;
-    count : int;  (** epochs: outer trip count times inner loops *)
-    base : int array;
-        (** global task position of each epoch's first task; [base.(count)]
-            is the region's task total *)
-    hot : string -> bool;
-        (** arrays some inner-loop body writes: the only accesses that may
-            alias across epochs, so the only ones a signature records *)
-    side_effecting : bool array;  (** per inner loop: has irreversible statements *)
-  }
-
-  val make : Xinv_ir.Program.t -> Xinv_ir.Env.t -> t
-
-  val env_of : t -> int -> Xinv_ir.Program.inner * Xinv_ir.Env.t
-  (** The inner loop of an epoch and its outer iteration's environment. *)
-
-  val irreversible : t -> int -> bool
-  (** Whether an epoch contains irreversible (side-effecting) statements:
-      such epochs execute non-speculatively, once, with all workers
-      rallied, and a fresh checkpoint follows so recovery never replays
-      them (§4.2.2). *)
-end
 
 type config = {
   machine : Xinv_sim.Machine.t;
@@ -83,8 +56,10 @@ val run :
   Xinv_ir.Env.t ->
   Xinv_parallel.Run.t
 (** Simulates the speculative execution, mutating the environment's memory
-    to the (verified) final state.  [Run.checks] counts checking requests,
-    [Run.misspecs] recoveries.  With [?obs], epoch commits, misspeculations,
-    recoveries, checkpoints, signature checks and worker stalls are
-    recorded; recording consumes no virtual time, so the run is
+    to the (verified) final state.  [Run.tasks] is the region's iteration
+    count, [Run.checks] counts checking requests, [Run.misspecs]
+    recoveries.  With [?obs], epoch commits, task dispatches,
+    misspeculations, recoveries, checkpoints, signature checks and worker
+    stalls are recorded, and [speccross.epochs_committed] counts each epoch
+    of the region once; recording consumes no virtual time, so the run is
     bit-identical with and without it. *)

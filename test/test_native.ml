@@ -274,21 +274,99 @@ let test_crossval_speccross () =
                 (name ^ "/speccross: sim verified")
                 true s.C.verified;
               let sr = Option.get s.C.run in
+              (* Both engines report the region's iteration count, however
+                 often either recovered. *)
+              Alcotest.(check int)
+                (name ^ "/speccross: task counts match")
+                sr.Par.Run.tasks (nrun n).Nat.Nrun.tasks;
               (* A dependence inside the profiled speculative range (FDTD's
                  WAR pairs at distance spec_distance - 1) misspeculates in
                  both engines; when the simulator saw none, the throttle
                  provably orders every profiled dependence and the native
-                 run must be race-free too.  First-attempt task counts only
-                 coincide when neither side recovered. *)
-              if sr.Par.Run.misspecs = 0 then begin
+                 run must be race-free too. *)
+              if sr.Par.Run.misspecs = 0 then
                 Alcotest.(check int)
                   (name ^ "/speccross: native misspeculations")
-                  0 (nrun n).Nat.Nrun.misspecs;
-                Alcotest.(check int)
-                  (name ^ "/speccross: task counts match")
-                  sr.Par.Run.tasks (nrun n).Nat.Nrun.tasks
-              end)
+                  0 (nrun n).Nat.Nrun.misspecs)
         (Wl.Registry.all ()))
+
+(* Both backends count each epoch of the region once, however many of
+   them recovery redid. *)
+let test_speccross_epochs_committed_agree () =
+  let wl = Wl.Registry.find "JACOBI" in
+  let committed backend =
+    let obs = Xinv_obs.Recorder.create () in
+    let o =
+      C.run_request @@ C.Request.make ~backend ~input:Wl.Workload.Train ~obs
+        ~technique:(C.Speccross_inject 3) ~threads:3 wl
+    in
+    let r = Option.get (C.report ~obs o) in
+    Alcotest.(check int) "one misspeculation" 1 r.Xinv_obs.Report.misspeculations;
+    r.Xinv_obs.Report.epochs_committed
+  in
+  let epochs = Ir.Program.invocations (wl.Wl.Workload.program Wl.Workload.Train) in
+  Alcotest.(check int) "sim: every epoch once" epochs (committed (`Sim None));
+  Alcotest.(check int) "native: every epoch once" epochs
+    (committed (`Native { C.native_defaults with C.flight = true }))
+
+(* Figure 5.6's mode map runs FLUIDANIMATE's LOCALWRITE loops as DOMORE
+   epochs: natively, each worker schedules every iteration of such an
+   epoch and waits on its peers' [Done] frontiers, with and without a
+   forced misspeculation. *)
+let test_native_speccross_domore_epochs () =
+  let wl = Wl.Registry.find "FLUIDANIMATE-2" in
+  let input = Wl.Workload.Train in
+  let seq = sim_seq_env wl input in
+  let program = wl.Wl.Workload.program input in
+  let mode_of label =
+    match Wl.Workload.technique_of wl label with
+    | Par.Intra.Localwrite -> Xinv_speccross.Protocol.M_domore Xinv_domore.Policy.Mem_partition
+    | _ -> Xinv_speccross.Protocol.M_doall
+  in
+  List.iter
+    (fun (workers, inject) ->
+      Nat.Pool.with_pool ~workers (fun pool ->
+          let env = wl.Wl.Workload.fresh_env input in
+          let config =
+            { (Nat.Nspec.default_config ~workers) with
+              Nat.Nspec.mode_of; inject_misspec = inject; spec_distance = 64 }
+          in
+          let r = Nat.Nspec.run ~pool ~config program env in
+          let tag =
+            Printf.sprintf "%d workers%s" workers
+              (if inject = None then "" else ", injected")
+          in
+          Alcotest.(check (list (pair string int)))
+            (tag ^ ": sequential memory") []
+            (Ir.Memory.diff seq.Ir.Env.mem env.Ir.Env.mem);
+          if inject <> None then
+            Alcotest.(check bool) (tag ^ ": misspeculated") true (r.Nat.Nrun.misspecs >= 1)))
+    [ (2, None); (3, None); (3, Some (3, 1)) ]
+
+(* DOMORE epochs whose owners depend on an index array the previous epoch
+   rewrites ({!Test_speccross.routed}): workers that schedule from a stale
+   index can disagree on an owner, and whatever the interleaving the run
+   must end in the sequential state. *)
+let test_native_speccross_stale_schedules () =
+  let program, fresh, mode_of = Test_speccross.routed () in
+  let seq = fresh () in
+  let (_ : float) = Ir.Seq_interp.run program seq in
+  List.iter
+    (fun workers ->
+      Nat.Pool.with_pool ~workers (fun pool ->
+          for run = 1 to 10 do
+            let env = fresh () in
+            let config =
+              { (Nat.Nspec.default_config ~workers) with
+                Nat.Nspec.mode_of; work = Nat.Work.Spin 10.0; spec_distance = 1 lsl 20;
+                checkpoint_every = 4 }
+            in
+            let (_ : Nat.Nrun.t) = Nat.Nspec.run ~pool ~config program env in
+            Alcotest.(check (list (pair string int)))
+              (Printf.sprintf "%d workers, run %d: sequential memory" workers run)
+              [] (Ir.Memory.diff seq.Ir.Env.mem env.Ir.Env.mem)
+          done))
+    [ 2; 3; 4 ]
 
 let test_native_inject_recovers () =
   let wl = Wl.Registry.find "SYMM" in
@@ -605,4 +683,10 @@ let suite =
       test_native_speccross_report;
     Alcotest.test_case "speccross: real conflicts detected and repaired" `Quick
       test_native_speccross_detects_conflicts;
+    Alcotest.test_case "speccross: epochs committed agree across backends" `Quick
+      test_speccross_epochs_committed_agree;
+    Alcotest.test_case "speccross: DOMORE epochs run natively" `Quick
+      test_native_speccross_domore_epochs;
+    Alcotest.test_case "speccross: stale DOMORE schedules repaired" `Quick
+      test_native_speccross_stale_schedules;
   ]

@@ -223,6 +223,68 @@ let test_irreversible_epochs_exactly_once () =
       (Ir.Memory.get_float env.Ir.Env.mem "log" t)
   done
 
+(* DOMORE epochs whose write addresses go through an index array that the
+   previous epoch rewrites: "route" (DOALL) updates idx[j], then "scatter"
+   (DOMORE, owner by the written cell) folds j into data[idx[j]].  Odd
+   iterations route slowly, so a worker that schedules "scatter" while a
+   peer is still routing reads a stale index and can disagree with its
+   peers on an owner. *)
+let routed ?(outer = 8) ?(trip = 12) ?(cells = 24) () =
+  let at = Ir.Expr.(ld "idx" i) in
+  let route =
+    Ir.Stmt.make
+      ~reads:[ Ir.Access.make "idx" Ir.Expr.i ]
+      ~writes:[ Ir.Access.make "idx" Ir.Expr.i ]
+      ~cost:(fun env -> if env.Ir.Env.j_inner mod 2 = 1 then 3000. else 100.)
+      ~exec:(fun env ->
+        let mem = env.Ir.Env.mem and j = env.Ir.Env.j_inner in
+        Ir.Memory.set_int mem "idx" j
+          (((Ir.Memory.get_int mem "idx" j * 7) + env.Ir.Env.t_outer + 3) mod cells))
+      "route"
+  in
+  let scatter =
+    Ir.Stmt.make
+      ~reads:[ Ir.Access.make "idx" Ir.Expr.i; Ir.Access.make "data" at ]
+      ~writes:[ Ir.Access.make "data" at ]
+      ~cost:(Ir.Stmt.fixed_cost 500.)
+      ~exec:(fun env ->
+        let mem = env.Ir.Env.mem in
+        let c = Ir.Expr.eval env at in
+        Ir.Memory.set_float mem "data" c
+          ((Ir.Memory.get_float mem "data" c *. 0.5) +. float_of_int (env.Ir.Env.j_inner + 1)))
+      "scatter"
+  in
+  let inner label st = Ir.Program.inner ~label ~trip:(Ir.Program.const_trip trip) [ st ] in
+  let p =
+    Ir.Program.make ~name:"ROUTED" ~outer_trip:outer
+      [ inner "route" route; inner "scatter" scatter ]
+  in
+  let fresh () =
+    Ir.Env.make
+      (Ir.Memory.create
+         [ Ir.Memory.Ints ("idx", Array.init trip (fun j -> j * 5 mod cells));
+           Ir.Memory.Floats ("data", Array.make cells 1.) ])
+  in
+  let mode_of = function
+    | "scatter" -> Sp.Protocol.M_domore Xinv_domore.Policy.Mem_partition
+    | _ -> Sp.Protocol.M_doall
+  in
+  (p, fresh, mode_of)
+
+let test_domore_stale_schedules () =
+  let p, fresh, mode_of = routed () in
+  let seq_env = fresh () in
+  ignore (Ir.Seq_interp.run p seq_env);
+  List.iter
+    (fun (workers, checkpoint_every) ->
+      let env = fresh () in
+      let cfg = { (config ~workers ~checkpoint_every env) with Sp.Runtime.mode_of } in
+      let r = Sp.Runtime.run ~config:cfg p env in
+      let tag = Printf.sprintf "%d workers, checkpoint every %d" workers checkpoint_every in
+      check_equal tag seq_env env;
+      Alcotest.(check int) (tag ^ ": every iteration counted") (8 * 2 * 12) r.Par.Run.tasks)
+    [ (2, 4); (2, 0); (3, 4); (4, 4); (3, 0); (4, 1000) ]
+
 (* Property: speculation with recovery is semantically transparent for random
    conflict densities, worker counts, speculation ranges and checkpoint
    intervals. *)
@@ -282,4 +344,6 @@ let suite =
     Alcotest.test_case "profiler conflict-free" `Quick test_profiler_conflict_free;
     QCheck_alcotest.to_alcotest prop_spec_transparent;
     QCheck_alcotest.to_alcotest prop_profile_guided_no_misspec;
+    Alcotest.test_case "DOMORE epochs: stale schedules repaired" `Quick
+      test_domore_stale_schedules;
   ]

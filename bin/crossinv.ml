@@ -204,15 +204,14 @@ let postmortem_dir_arg =
 let policy_arg =
   Arg.(
     value
-    & opt (enum [ ("fixed", `Fixed); ("auto", `Auto); ("adaptive", `Adaptive) ])
-        `Fixed
+    & opt (enum [ ("fixed", `Fixed); ("auto", `Auto) ]) `Fixed
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:
           "Where the run's configuration comes from: $(b,fixed) (the flags on \
-           this command line, the default), $(b,auto) (a tuned policy stored \
-           in the analysis cache by $(b,xinv tune), falling back to the flags \
-           on a miss — requires $(b,--cache)) or $(b,adaptive) (auto \
-           resolution under the online probe-and-switch controller).")
+           this command line, the default) or $(b,auto) (a tuned policy that \
+           $(b,xinv tune) stored in the analysis cache — the daemon's, for \
+           $(b,submit) — falling back to the flags on a miss; requires \
+           $(b,--cache) $(b,ro) or $(b,rw)).")
 
 (* Invalid numeric arguments are a usage error, distinct from run failures:
    typed one-line message, exit 3. *)
@@ -223,10 +222,14 @@ let usage_error fmt =
       exit 3)
     fmt
 
-(* The numeric checks [run], [stats] and [submit] share; returns the thread
-   count ([--domains] wins over [--threads]), defaulting to the 24 simulated
-   cores of the paper's machine or 4 domains. *)
-let check_run_args ~backend ?grain ?batch ?deadline_ms ?domains threads =
+(* The argument checks [run], [stats] and [submit] share; returns the
+   thread count ([--domains] wins over [--threads]), defaulting to the 24
+   simulated cores of the paper's machine or 4 domains.  [--policy auto]
+   reads the analysis cache, so it needs one. *)
+let check_run_args ~backend ?(policy = `Fixed) ?(cache = `Off) ?grain ?batch
+    ?deadline_ms ?domains threads =
+  if policy = `Auto && cache = `Off then
+    usage_error "--policy auto requires --cache ro or --cache rw";
   (match domains with
   | Some d when d < 1 -> usage_error "--domains must be >= 1 (got %d)" d
   | _ -> ());
@@ -279,7 +282,10 @@ let run_cmd =
          --backend native)";
       exit 1
     end;
-    let threads = check_run_args ~backend ?grain ?batch ?deadline_ms ?domains threads in
+    let threads =
+      check_run_args ~backend ~policy ~cache ?grain ?batch ?deadline_ms ?domains
+        threads
+    in
     let backend_name = match backend with `Sim -> "sim" | `Native -> "native" in
     match Cx.applicable ~backend technique wl with
     | Error reason ->
@@ -307,12 +313,6 @@ let run_cmd =
                   flight;
                   postmortem_dir;
                 }
-        in
-        let policy =
-          match policy with
-          | `Fixed -> `Fixed
-          | `Auto -> `Auto
-          | `Adaptive -> `Adaptive (Cx.adaptive ())
         in
         let o =
           (* With --no-degrade (or an exhausted deadline) the native run
@@ -795,7 +795,7 @@ let trace_cmd =
 let tune_cmd =
   let module Tune = Xinv_tune.Tune in
   let module Search = Xinv_tune.Search in
-  let run wl budget strategy seed domains_max trial_deadline_ms input cache
+  let run wl budget seed domains_max trial_deadline_ms input cache
       cache_dir json stats =
     if budget < 1 then usage_error "--budget must be >= 1 (got %d)" budget;
     (match domains_max with
@@ -807,16 +807,15 @@ let tune_cmd =
     | _ -> ());
     let obs = if stats then Some (Xinv_obs.Recorder.create ()) else None in
     let r =
-      Tune.tune ?obs ~cache ?cache_dir ~input ~budget ~strategy ~seed
+      Tune.tune ?obs ~cache ?cache_dir ~input ~budget ~seed
         ?max_domains:domains_max ?trial_deadline_ms wl
     in
     if json then print_string (Tune.report_json r)
     else begin
       let t = r.Tune.tuned in
-      Printf.printf "tuned %s (%s input, %s search, seed %d, budget %d):\n"
+      Printf.printf "tuned %s (%s input, hill search, seed %d, budget %d):\n"
         r.Tune.workload
         (Wl.Workload.input_name r.Tune.input)
-        (Search.strategy_name r.Tune.strategy)
         r.Tune.seed r.Tune.budget;
       Printf.printf "  source           %s%s\n"
         (Tune.source_name r.Tune.source)
@@ -860,16 +859,6 @@ let tune_cmd =
       value & opt int 32
       & info [ "budget" ] ~docv:"N"
           ~doc:"Maximum measured search trials (default 32).")
-  in
-  let strategy =
-    Arg.(
-      value
-      & opt (enum [ ("hill", Search.Hill); ("ga", Search.Ga) ]) Search.Hill
-      & info [ "strategy" ] ~docv:"STRAT"
-          ~doc:
-            "Search strategy: $(b,hill) (seeded first-improvement \
-             hill-climbing with random restarts, the default) or $(b,ga) \
-             (generational crossover/mutation).")
   in
   let seed =
     Arg.(
@@ -915,7 +904,7 @@ let tune_cmd =
           the analysis cache with --cache rw; a later tune or run --policy \
           auto reuses it with zero search.")
     Term.(
-      const run $ wl_arg $ budget $ strategy $ seed $ domains_max
+      const run $ wl_arg $ budget $ seed $ domains_max
       $ trial_deadline $ input_arg $ cache_mode_arg $ cache_dir_arg $ json
       $ stats)
 
@@ -1168,7 +1157,9 @@ let submit_cmd =
   in
   let run socket wl technique threads input backend policy grain batch sig_kind
       spec_distance cache inject deadline_ms priority tenant no_verify =
-    let threads = check_run_args ~backend ?grain ?batch ?deadline_ms threads in
+    let threads =
+      check_run_args ~backend ~policy ~cache ?grain ?batch ?deadline_ms threads
+    in
     let req =
       SReq.make ~input ~backend
         ~technique:(Cx.technique_name technique)
@@ -1208,16 +1199,6 @@ let submit_cmd =
              expired queued request is rejected, a running one is cut off \
              by the daemon's watchdog.")
   in
-  let submit_policy =
-    Arg.(
-      value
-      & opt (enum [ ("fixed", `Fixed); ("auto", `Auto) ]) `Fixed
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:
-            "$(b,fixed) (the flags on this command line) or $(b,auto) (a \
-             tuned policy from the daemon's analysis cache, falling back to \
-             the flags on a miss).")
-  in
   Cmd.v
     (Cmd.info "submit"
        ~doc:
@@ -1226,7 +1207,7 @@ let submit_cmd =
           rejected/failed/unreachable.")
     Term.(
       const run $ socket_arg $ wl_arg $ tech_arg $ run_threads_arg $ input_arg
-      $ backend_arg $ submit_policy $ grain_arg $ batch_arg $ sig_arg
+      $ backend_arg $ policy_arg $ grain_arg $ batch_arg $ sig_arg
       $ spec_arg $ cache_mode_arg $ inject_arg $ submit_deadline
       $ priority_arg $ tenant_arg $ no_verify_arg)
 

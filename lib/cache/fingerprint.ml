@@ -48,7 +48,7 @@ let traverse (p : Ir.Program.t) (env : Ir.Env.t) ~fi =
      The closures themselves are unhashable; what analysis consumes of them
      (iteration counts, the guard's cost ratio, profiling trip structure) is
      covered by sampling a few (outer, inner) coordinates against the
-     initial environment.  Never calls [exec]; cost/trip must not mutate. *)
+     initial environment.  Never calls [exec]; cost/trip must not modify it. *)
   let probe_ts =
     List.sort_uniq compare
       [ 0; 1; p.Ir.Program.outer_trip / 2; p.Ir.Program.outer_trip - 1 ]

@@ -5,11 +5,12 @@
     machine": which backend, which technique, how many execution contexts,
     the native dispatch grain and publish batch, the SPECCROSS signature
     scheme and speculative distance, and the checkpoint epoch size.  The
-    autotuner ([lib/tune]) explores this space, a [`Reified] policy on a
-    [Crossinv.Request.t] turns a point of it into an actual run, and {!tuned} records the
-    winning point together with the evidence (measured wall time, trials
-    spent, search seed) inside the analysis-cache artifact keyed by the
-    workload's {!Fingerprint} — so a tuned workload never re-searches.
+    autotuner ([lib/tune]) explores this space,
+    [Crossinv.Request.apply_policy] turns a point of it into an actual
+    run, and {!tuned} records the winning point together with the evidence
+    (measured wall time, trials spent, search seed) inside the
+    analysis-cache artifact keyed by the workload's {!Fingerprint} — so a
+    tuned workload never re-searches.
 
     The same record is also the wire form of a run's axes: a serve-daemon
     request ([Xinv_serve.Request.t]) carries one, and the daemon resolves

@@ -78,7 +78,6 @@ let metrics t = t.metrics
 let evictions t = t.c_evict.Obs.Metrics.c_value
 let invalidated t = t.c_quarantine.Obs.Metrics.c_value
 let stores t = t.c_store.Obs.Metrics.c_value
-let io_errors t = t.c_io_error.Obs.Metrics.c_value
 let inject t f = t.injected <- f
 
 let entry_path t fp = Filename.concat t.dir (Fingerprint.to_hex fp ^ ".xc")

@@ -66,9 +66,6 @@ val invalidated : t -> int
 val stores : t -> int
 (** The [cache.store] counter. *)
 
-val io_errors : t -> int
-(** The [cache.io_error] counter. *)
-
 (** {2 Fault injection}
 
     A {!Xinv_native.Fault}-style injection point for crash-mid-write tests:

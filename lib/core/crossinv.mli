@@ -113,8 +113,8 @@ type outcome = {
   cost : cost;  (** the run's cost in its backend's unit *)
   seq_cost : cost option;
       (** sequential execution of the same input, same unit.  [None]
-          exactly when no baseline ran: a request with [verify] off and a
-          policy other than [`Adaptive] executes once.  When [technique] is
+          exactly when no baseline ran: a request with [verify] off
+          executes once.  When [technique] is
           [Sequential] (asked for or degraded to), the run is its own
           baseline and this is [Some cost]. *)
   speedup : float option;
@@ -144,10 +144,8 @@ type outcome = {
           order (each sits next to a [.trace.json] Perfetto dump) *)
   policy_source : string;
       (** where the run's configuration came from: ["fixed"] (caller's
-          arguments, the default), ["cached"] / ["default"] for
-          [~policy:`Auto], the label of a [`Reified] policy, or
-          ["adaptive:cached"] / ["adaptive:default"] /
-          ["adaptive:sequential"] under the online controller *)
+          arguments, the default), or ["cached"] / ["default"] for
+          [~policy:`Auto] *)
 }
 
 val report : ?obs:Xinv_obs.Recorder.t -> outcome -> Xinv_obs.Report.t option
@@ -174,45 +172,14 @@ val supported : backend:[ `Sim | `Native ] -> technique list
 
 (** {1 Execution policies}
 
-    The facade can take its configuration from three places: the caller's
-    arguments ([`Fixed], the historical behaviour), a tuned policy
-    persisted in the analysis cache by the {!Xinv_tune} autotuner
-    ([`Auto]), or an online controller that probes a candidate policy
-    against the per-run sequential baseline and abandons it mid-stream
-    when it does not pay ([`Adaptive]). *)
-
-type adaptive
-(** Mutable controller state shared across a stream of {!run_request}
-    calls. *)
-
-type adaptive_phase = [ `Probing | `Candidate | `Sequential ]
-
-val adaptive : ?probe_runs:int -> ?margin:float -> unit -> adaptive
-(** A fresh controller: the first [probe_runs] (default 3) invocations run
-    the candidate policy; if their cumulative wall time stays within
-    [margin] (default 1.1) of the cumulative sequential baseline the
-    candidate is committed, otherwise the stream switches to sequential
-    execution.  A committed candidate is still watched: two consecutive
-    losing runs switch to sequential for the rest of the stream, so an
-    adaptive stream can never end slower than [margin] × sequential. *)
-
-val adaptive_phase : adaptive -> adaptive_phase
-val adaptive_switches : adaptive -> int
-
-val adaptive_note :
-  adaptive -> cand_ns:float -> seq_ns:float -> [ `Keep | `Switch ]
-(** The controller's decision function, exposed for tests: feed one
-    run's candidate and sequential timings, get the transition.
-    {!run_request} with [policy = `Adaptive ctl] calls this internally. *)
+    The facade takes its configuration from one of two places, chosen once
+    per run: the caller's arguments ([`Fixed], the historical behaviour),
+    or a tuned policy persisted in the analysis cache by the {!Xinv_tune}
+    autotuner ([`Auto]). *)
 
 type policy =
   [ `Fixed  (** the request's own fields, the historical behaviour *)
-  | `Auto  (** tuned policy from the analysis cache, if one is stored *)
-  | `Adaptive of adaptive  (** [`Auto] + online sequential-baseline probe *)
-  | `Reified of Xinv_cache.Policy.t * string
-    (** this exact policy record; the string labels [policy_source] and
-        the [policy.source.*] counter (["searched"] from the autotuner) *)
-  ]
+  | `Auto  (** tuned policy from the analysis cache, if one is stored *) ]
 
 (** {1 The request record}
 
@@ -286,13 +253,12 @@ val run_request : Request.t -> outcome
     run counts no hit and no miss.  [`Ro] never writes; [`Rw] publishes
     fresh results atomically.
 
-    The sequential baseline runs only when something consumes it:
-    [verify] (default on) diffs the final memory against the baseline's,
-    and [`Adaptive] compares the run's cost with the baseline's.  It runs
-    on its own fresh environment ahead of the engine (the simulator's
-    sequential interpreter, or one native sequential run).  With [verify]
-    off and no adaptive controller, nothing but the request's own
-    technique executes, and [seq_cost] and [speedup] are [None].  A
+    The sequential baseline runs exactly when [verify] (default on) is
+    set: it diffs the final memory against the baseline's.  It runs on its
+    own fresh environment ahead of the engine (the simulator's sequential
+    interpreter, or one native sequential run).  With [verify] off,
+    nothing but the request's own technique executes, and [seq_cost] and
+    [speedup] are [None].  A
     [Sequential] execution never runs a second, separate baseline.
 
     With [obs], the run is instrumented: the simulated backend streams
@@ -319,12 +285,9 @@ val run_request : Request.t -> outcome
     grain, batch, signature kind, speculative distance and epoch size
     (the caller's [native_opts] keep supplying work model, pool, faults,
     deadlines and flight recording); on a miss the caller's configuration
-    runs unchanged with [policy_source = "default"].  [`Adaptive ctl]
-    runs the [`Auto] resolution while the controller probes, and switches
-    the stream to sequential execution when the candidate does not pay
-    (see {!adaptive}).  Policy resolution bumps the
-    [policy.source.cached|searched|default] counters and emits
-    [Policy_applied] / [Tune_switch] events when [obs] is attached.
+    runs unchanged with [policy_source = "default"].  [`Auto] resolution
+    bumps the [policy.source.cached|default] counters and emits a
+    [Policy_applied] event when [obs] is attached.
 
     [sig_kind] and [spec_distance] expose the two previously hard-wired
     SPECCROSS knobs (default: [`Segmented] over live memory bounds; the

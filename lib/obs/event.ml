@@ -6,4 +6,3 @@ type t =
   | Fingerprint_miss of { fp : string; reason : string }
   | Policy_applied of { source : string; policy : string }
   | Tune_trial of { policy : string; wall_ns : float; pruned : bool }
-  | Tune_switch of { from_ : string; to_ : string; reason : string }

@@ -18,11 +18,9 @@ type t =
       (** the analysis cache could not serve the fingerprint ([reason]:
           absent, partial, alias, corrupt, version, …) and fresh analysis ran *)
   | Policy_applied of { source : string; policy : string }
-      (** the facade resolved the run's execution policy ([source]: cached,
-          searched, default or adaptive) *)
+      (** the run's execution policy was resolved from the analysis cache
+          ([source]: cached, or default on a miss) *)
   | Tune_trial of { policy : string; wall_ns : float; pruned : bool }
       (** the autotuner measured one candidate policy ([pruned] when the
           per-trial watchdog deadline cut it off as slower than the
           incumbent) *)
-  | Tune_switch of { from_ : string; to_ : string; reason : string }
-      (** the online adaptive controller switched policy mid-stream *)

@@ -70,11 +70,6 @@ let choose ?profile (p : Ir.Program.t) =
       end)
     p.Ir.Program.inners
 
-let technique_for choices label =
-  match List.find_opt (fun c -> String.equal c.label label) choices with
-  | Some c -> c.technique
-  | None -> invalid_arg (Printf.sprintf "Plan.technique_for: no choice for %s" label)
-
 let speccross_applicable (p : Ir.Program.t) =
   (* Irreversible statements are legal: their epochs execute non-speculatively
      between checkpoints (§4.2.2). *)

@@ -20,8 +20,6 @@ val choose :
 (** One choice per inner loop, or raises [Failure] when some inner loop
     cannot be handled by any of the four techniques. *)
 
-val technique_for : choice list -> string -> Intra.technique
-
 val speccross_applicable : Xinv_ir.Program.t -> (unit, string) result
 (** SPECCROSS preconditions (dissertation §4.3): every inner loop
     parallelizable non-speculatively, sequential code privatizable (no

@@ -7,13 +7,12 @@ type tune_req = {
   t_budget : int;
   t_seed : int;
   t_max_domains : int option;
-  t_strategy : string;
   t_priority : [ `High | `Normal ];
   t_tenant : string;
 }
 
 let tune_req ?(input = Xinv_workloads.Workload.Train) ?(budget = 16)
-    ?(seed = 42) ?max_domains ?(strategy = "hill") ?(priority = `Normal)
+    ?(seed = 42) ?max_domains ?(priority = `Normal)
     ?(tenant = "default") name =
   {
     t_workload = name;
@@ -21,7 +20,6 @@ let tune_req ?(input = Xinv_workloads.Workload.Train) ?(budget = 16)
     t_budget = budget;
     t_seed = seed;
     t_max_domains = max_domains;
-    t_strategy = strategy;
     t_priority = priority;
     t_tenant = tenant;
   }
@@ -144,7 +142,9 @@ let put_tune w t =
   Wire.put_u32 w t.t_budget;
   Wire.put_u32 w t.t_seed;
   Wire.put_opt w Wire.put_u32 t.t_max_domains;
-  Wire.put_string w t.t_strategy;
+  (* The retired search-strategy slot: hill climbing is the only search,
+     and every frame still carries its name. *)
+  Wire.put_string w "hill";
   Wire.put_enum w Request.priority_tags t.t_priority;
   Wire.put_string w t.t_tenant
 
@@ -154,7 +154,9 @@ let get_tune r =
   let t_budget = Wire.get_u32 r in
   let t_seed = Wire.get_u32 r in
   let t_max_domains = Wire.get_opt r Wire.get_u32 in
-  let t_strategy = Wire.get_string r in
+  (match String.lowercase_ascii (Wire.get_string r) with
+  | "hill" | "hillclimb" | "hill-climb" -> ()
+  | s -> bad "strategy %S" s);
   let t_priority = Wire.get_enum r "priority" Request.priority_tags in
   let t_tenant = Wire.get_string r in
   {
@@ -163,7 +165,6 @@ let get_tune r =
     t_budget;
     t_seed;
     t_max_domains;
-    t_strategy;
     t_priority;
     t_tenant;
   }

@@ -14,7 +14,6 @@ type tune_req = {
   t_budget : int;
   t_seed : int;
   t_max_domains : int option;
-  t_strategy : string;  (** {!Xinv_tune.Search.strategy_name} spelling *)
   t_priority : [ `High | `Normal ];
   t_tenant : string;
 }
@@ -24,7 +23,6 @@ val tune_req :
   ?budget:int ->
   ?seed:int ->
   ?max_domains:int ->
-  ?strategy:string ->
   ?priority:[ `High | `Normal ] ->
   ?tenant:string ->
   string ->
@@ -57,7 +55,7 @@ type summary = {
   o_cost : float;
   o_seq_cost : float;
       (** the sequential baseline's cost, or [nan] when the run measured
-          none (verify off, no adaptive controller) *)
+          none (verify off) *)
   o_speedup : float;  (** [nan] exactly when [o_seq_cost] is *)
   o_verified : bool;
       (** [false] only when a check ran and found a mismatch; [true] when
@@ -109,7 +107,10 @@ val encode_client : client_msg -> string
 (** A full wire frame. *)
 
 val decode_client : string -> client_msg
-(** Raises {!Wire.Error} on any malformation. *)
+(** Raises {!Wire.Error} on any malformation.  A Tune frame keeps its
+    retired search-strategy string slot (the encoder always writes
+    ["hill"]); any value but a spelling of hill climbing ([hill],
+    [hillclimb], [hill-climb], any case) is a [Bad_payload]. *)
 
 val encode_server : server_msg -> string
 val decode_server : string -> server_msg

@@ -180,4 +180,4 @@ let to_crossinv ?obs ?pool ?cache_dir ?(cache_limit = `Rw) ?deadline_ms
       ?cache_dir ?obs ~technique ~threads:a.Policy.domains wl
     |> Cx.Request.apply_policy a
   in
-  Ok { r with Cx.Request.policy = (t.policy :> Cx.policy) }
+  Ok { r with Cx.Request.policy = t.policy }

@@ -310,42 +310,33 @@ let exec_tune t job (tr : Protocol.tune_req) ~remaining_ms =
       finish t job
         (Protocol.Rejected (Protocol.Unknown_workload tr.Protocol.t_workload))
   | wl -> (
-      match Xinv_tune.Search.strategy_of_string tr.Protocol.t_strategy with
-      | None ->
+      (* [Tune.tune] has no end-to-end abort, so the deadline's remainder
+         is threaded in as the per-trial watchdog cap (tightening the
+         2000 ms default): a nearly-spent budget cannot fund long trials,
+         though a large [t_budget] can still overrun in aggregate — see
+         the mli. *)
+      let trial_deadline_ms =
+        Option.map (fun r -> Float.min r 2000.) remaining_ms
+      in
+      match
+        Xinv_tune.Tune.tune ~cache:t.cfg.cache ?cache_dir:t.cfg.cache_dir
+          ~input:tr.Protocol.t_input ~budget:tr.Protocol.t_budget
+          ~seed:tr.Protocol.t_seed ?max_domains:tr.Protocol.t_max_domains
+          ?trial_deadline_ms wl
+      with
+      | r ->
+          let tuned = r.Xinv_tune.Tune.tuned in
           finish t job
-            (Protocol.Rejected
-               (Protocol.Bad_request
-                  ("unknown strategy " ^ tr.Protocol.t_strategy)))
-      | Some strategy -> (
-          (* [Tune.tune] has no end-to-end abort, so the deadline's
-             remainder is threaded in as the per-trial watchdog cap
-             (tightening the 2000 ms default): a nearly-spent budget
-             cannot fund long trials, though a large [t_budget] can still
-             overrun in aggregate — see the mli. *)
-          let trial_deadline_ms =
-            Option.map (fun r -> Float.min r 2000.) remaining_ms
-          in
-          match
-            Xinv_tune.Tune.tune ~cache:t.cfg.cache ?cache_dir:t.cfg.cache_dir
-              ~input:tr.Protocol.t_input ~budget:tr.Protocol.t_budget
-              ~strategy ~seed:tr.Protocol.t_seed
-              ?max_domains:tr.Protocol.t_max_domains ?trial_deadline_ms wl
-          with
-          | r ->
-              let tuned = r.Xinv_tune.Tune.tuned in
-              finish t job
-                (Protocol.Tune_reply
-                   {
-                     Protocol.r_policy_key =
-                       Xinv_cache.Policy.key tuned.Xinv_cache.Policy.policy;
-                     r_wall_ns = tuned.Xinv_cache.Policy.wall_ns;
-                     r_seq_wall_ns = tuned.Xinv_cache.Policy.seq_wall_ns;
-                     r_trials = List.length r.Xinv_tune.Tune.trials;
-                     r_source =
-                       Xinv_tune.Tune.source_name r.Xinv_tune.Tune.source;
-                   })
-          | exception e -> finish t job (Protocol.Failed (Printexc.to_string e))
-          ))
+            (Protocol.Tune_reply
+               {
+                 Protocol.r_policy_key =
+                   Xinv_cache.Policy.key tuned.Xinv_cache.Policy.policy;
+                 r_wall_ns = tuned.Xinv_cache.Policy.wall_ns;
+                 r_seq_wall_ns = tuned.Xinv_cache.Policy.seq_wall_ns;
+                 r_trials = List.length r.Xinv_tune.Tune.trials;
+                 r_source = Xinv_tune.Tune.source_name r.Xinv_tune.Tune.source;
+               })
+      | exception e -> finish t job (Protocol.Failed (Printexc.to_string e)))
 
 let execute t job =
   let queue_wait_ns = (now () -. job.enqueued_at) *. 1e9 in

@@ -2,16 +2,6 @@ module Policy = Xinv_cache.Policy
 module Obs = Xinv_obs
 module Prng = Xinv_util.Prng
 
-type strategy = Hill | Ga
-
-let strategy_name = function Hill -> "hill" | Ga -> "ga"
-
-let strategy_of_string s =
-  match String.lowercase_ascii s with
-  | "hill" | "hillclimb" | "hill-climb" -> Some Hill
-  | "ga" | "genetic" -> Some Ga
-  | _ -> None
-
 type measurement = {
   m_wall_ns : float;
   m_seq_ns : float;
@@ -128,36 +118,7 @@ let hill st =
     climb st (Space.random st.rng st.axes)
   done
 
-let ga st =
-  let pop_size = 6 and elite = 3 in
-  let pop = ref (Space.seeds st.axes) in
-  while List.length !pop < pop_size do
-    pop := !pop @ [ Space.random st.rng st.axes ]
-  done;
-  let gens = ref 0 in
-  let max_gens = 4 * st.budget in
-  while st.n < st.budget && !gens < max_gens do
-    incr gens;
-    let scored = List.map (fun p -> (score (eval st p), p)) !pop in
-    let sorted =
-      List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) scored
-    in
-    let elites =
-      List.filteri (fun i _ -> i < elite) sorted |> List.map snd
-    in
-    let parent () = List.nth elites (Prng.int st.rng (List.length elites)) in
-    let children =
-      List.init
-        (pop_size - List.length elites)
-        (fun _ ->
-          let child = Space.crossover st.rng (parent ()) (parent ()) in
-          if Prng.chance st.rng 0.7 then Space.mutate st.rng st.axes child
-          else child)
-    in
-    pop := elites @ children
-  done
-
-let search ?obs ~strategy ~budget ~seed ~axes ~measure () =
+let search ?obs ~budget ~seed ~axes ~measure () =
   let st =
     {
       rng = Prng.create ~seed;
@@ -175,7 +136,7 @@ let search ?obs ~strategy ~budget ~seed ~axes ~measure () =
   in
   (try
      ignore (eval st Policy.default);
-     match strategy with Hill -> hill st | Ga -> ga st
+     hill st
    with Budget_exhausted -> ());
   {
     best = st.best;

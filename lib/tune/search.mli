@@ -12,15 +12,6 @@
 
 module Policy := Xinv_cache.Policy
 
-type strategy =
-  | Hill  (** first-improvement hill climbing from {!Space.seeds}, then
-              random restarts until the budget runs out *)
-  | Ga  (** generational search: elite survivors, uniform crossover,
-            single-axis mutation *)
-
-val strategy_name : strategy -> string
-val strategy_of_string : string -> strategy option
-
 type measurement = {
   m_wall_ns : float;  (** measured cost; [infinity] when the run failed *)
   m_seq_ns : float;  (** sequential baseline of the same measurement *)
@@ -48,16 +39,16 @@ type result = {
 
 val search :
   ?obs:Xinv_obs.Recorder.t ->
-  strategy:strategy ->
   budget:int ->
   seed:int ->
   axes:Space.axes ->
   measure:(incumbent_ns:float -> Policy.t -> measurement) ->
   unit ->
   result
-(** Explore [axes] for at most [budget] measured trials.  Trial 1 is
-    always {!Policy.default} (native sequential), which seeds the
-    incumbent; [measure] receives the incumbent's wall time so it can set
+(** Explore [axes] for at most [budget] measured trials by
+    first-improvement hill climbing from {!Space.seeds}, then random
+    restarts until the budget runs out.  Trial 1 is always
+    {!Policy.default} (native sequential), which seeds the incumbent; [measure] receives the incumbent's wall time so it can set
     a pruning deadline ([infinity] before the first success).  With
     [?obs], each measurement bumps the [tune.trial] counter and records a
     [Tune_trial] event. *)

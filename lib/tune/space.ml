@@ -96,33 +96,6 @@ let random rng a =
       epoch_size = pick rng a.epochs;
     }
 
-let mutate rng a (p : Policy.t) =
-  let p =
-    match Prng.int rng 7 with
-    | 0 -> { p with Policy.technique = pick rng a.techniques }
-    | 1 -> { p with Policy.domains = pick rng a.domains }
-    | 2 -> { p with Policy.grain = pick rng a.grains }
-    | 3 -> { p with Policy.batch = pick rng a.batches }
-    | 4 -> { p with Policy.sig_kind = pick rng a.sigs }
-    | 5 -> { p with Policy.spec_distance = pick rng a.spec_distances }
-    | _ -> { p with Policy.epoch_size = pick rng a.epochs }
-  in
-  canon p
-
-let crossover rng (a : Policy.t) (b : Policy.t) =
-  let side x y = if Prng.bool rng then x else y in
-  canon
-    {
-      Policy.backend = side a.Policy.backend b.Policy.backend;
-      technique = side a.Policy.technique b.Policy.technique;
-      domains = side a.Policy.domains b.Policy.domains;
-      grain = side a.Policy.grain b.Policy.grain;
-      batch = side a.Policy.batch b.Policy.batch;
-      sig_kind = side a.Policy.sig_kind b.Policy.sig_kind;
-      spec_distance = side a.Policy.spec_distance b.Policy.spec_distance;
-      epoch_size = side a.Policy.epoch_size b.Policy.epoch_size;
-    }
-
 let dedup ps =
   let seen = Hashtbl.create 16 in
   List.filter

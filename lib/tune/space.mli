@@ -1,7 +1,7 @@
 (** The policy search space: which values each {!Xinv_cache.Policy} axis
-    may take for one workload on this machine, plus the moves the search
-    strategies make through it (random points, single-axis mutations,
-    crossover, hill-climbing neighbourhoods).
+    may take for one workload on this machine, plus the moves the hill
+    climber makes through it (random restart points, one-axis
+    neighbourhoods).
 
     Many axis combinations are observationally equivalent — the publish
     batch does not exist under the barrier engine, the signature scheme
@@ -37,12 +37,6 @@ val canon : Policy.t -> Policy.t
     reset to {!Policy.default}'s values. *)
 
 val random : Xinv_util.Prng.t -> axes -> Policy.t
-
-val mutate : Xinv_util.Prng.t -> axes -> Policy.t -> Policy.t
-(** Re-draw one axis (possibly the technique itself). *)
-
-val crossover : Xinv_util.Prng.t -> Policy.t -> Policy.t -> Policy.t
-(** Uniform crossover: each axis from either parent with equal odds. *)
 
 val neighbours : axes -> Policy.t -> Policy.t list
 (** Every canonical policy one axis-change away, deduplicated, without

@@ -13,7 +13,6 @@ type report = {
   workload : string;
   input : Wl.Workload.input;
   seed : int;
-  strategy : Search.strategy;
   budget : int;
   source : source;
   tuned : Policy.tuned;
@@ -28,7 +27,7 @@ let record obs ev =
 let default_trial_deadline_ms = 2000.
 
 let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
-    ?(budget = 32) ?(strategy = Search.Hill) ?(seed = 42) ?max_domains
+    ?(budget = 32) ?(seed = 42) ?max_domains
     ?(trial_deadline_ms = default_trial_deadline_ms) ?(work = Nat.Work.Off)
     (wl : Wl.Workload.t) =
   let analysis =
@@ -53,7 +52,6 @@ let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
         workload = wl.Wl.Workload.name;
         input;
         seed;
-        strategy;
         budget;
         source = `Cached;
         tuned;
@@ -85,8 +83,8 @@ let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
             (Core.Crossinv.Request.make
                ~backend:(`Native native)
                ~input ~verify:true ~cache ?cache_dir ?obs
-               ~policy:(`Reified (p, "searched"))
-               ~technique:Core.Crossinv.Sequential ~threads:1 wl)
+               ~technique:Core.Crossinv.Sequential ~threads:1 wl
+            |> Core.Crossinv.Request.apply_policy p)
         with
         | o ->
             (* The trial's baseline becomes the tuned policy's
@@ -109,13 +107,6 @@ let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
               m_ok = false;
               m_pruned = true;
             }
-        | exception Nat.Fault.Injected _ ->
-            {
-              Search.m_wall_ns = Float.infinity;
-              m_seq_ns = 0.;
-              m_ok = false;
-              m_pruned = true;
-            }
         | exception Failure _ ->
             {
               Search.m_wall_ns = Float.infinity;
@@ -124,7 +115,7 @@ let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
               m_pruned = false;
             }
       in
-      let r = Search.search ?obs ~strategy ~budget ~seed ~axes ~measure () in
+      let r = Search.search ?obs ~budget ~seed ~axes ~measure () in
       let tuned =
         {
           Policy.policy = r.Search.best;
@@ -144,21 +135,11 @@ let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
         workload = wl.Wl.Workload.name;
         input;
         seed;
-        strategy;
         budget;
         source = `Searched;
         tuned;
         trials = r.Search.trials;
       }
-
-let apply ?obs ?(input = Wl.Workload.Ref)
-    ?(native = Core.Crossinv.native_defaults) r wl =
-  Core.Crossinv.run_request
-    (Core.Crossinv.Request.make
-       ~backend:(`Native native)
-       ~input ?obs
-       ~policy:(`Reified (r.tuned.Policy.policy, source_name r.source))
-       ~technique:Core.Crossinv.Sequential ~threads:1 wl)
 
 let json_ns v = if Float.is_finite v then Printf.sprintf "%.0f" v else "-1"
 
@@ -173,15 +154,13 @@ let report_json r =
   Buffer.add_string b
     (Printf.sprintf
        "{\"schema\": \"xinv-tune/1\", \"workload\": %S, \"input\": %S, \
-        \"seed\": %d, \"strategy\": %S, \"budget\": %d, \"trials_run\": %d, \
+        \"seed\": %d, \"budget\": %d, \"trials_run\": %d, \
         \"source\": %S, \"cores\": %d, \"best\": {\"policy\": %s, \"key\": \
         %S, \"wall_ns\": %s, \"seq_wall_ns\": %s, \"speedup_vs_seq\": %.4f}, \
         \"trials\": ["
        r.workload
        (Wl.Workload.input_name r.input)
-       r.seed
-       (Search.strategy_name r.strategy)
-       r.budget (List.length r.trials) (source_name r.source)
+       r.seed r.budget (List.length r.trials) (source_name r.source)
        (Domain.recommended_domain_count ())
        (Policy.to_json t.Policy.policy)
        (Policy.key t.Policy.policy) (json_ns t.Policy.wall_ns)

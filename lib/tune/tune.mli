@@ -23,7 +23,6 @@ type report = {
   workload : string;
   input : Xinv_workloads.Workload.input;
   seed : int;
-  strategy : Search.strategy;
   budget : int;
   source : source;
   tuned : Xinv_cache.Policy.tuned;
@@ -37,7 +36,6 @@ val tune :
   ?cache_dir:string ->
   ?input:Xinv_workloads.Workload.input ->
   ?budget:int ->
-  ?strategy:Search.strategy ->
   ?seed:int ->
   ?max_domains:int ->
   ?trial_deadline_ms:float ->
@@ -46,10 +44,10 @@ val tune :
   report
 (** Autotune the workload.  With [cache] (default [`Off]) the stored
     policy is consulted first — a hit returns immediately with
-    [source = `Cached]; otherwise a {!Search.search} runs (default:
-    [Hill], [budget] 32 trials, [seed] 42) measuring each candidate with
-    [Crossinv.run_request] (a [`Reified] policy) under a per-trial
-    watchdog deadline of
+    [source = `Cached]; otherwise a {!Search.search} hill climb runs
+    (default: [budget] 32 trials, [seed] 42) measuring each candidate with
+    [Crossinv.run_request] (the candidate pinned onto the request by
+    [Crossinv.Request.apply_policy]) under a per-trial watchdog deadline of
     [1.5 ×] the incumbent's wall time (floored at 20 ms, capped at
     [trial_deadline_ms], default 2000) with degradation off, so trials
     slower than the incumbent are cut off and marked pruned rather than
@@ -57,19 +55,8 @@ val tune :
     incumbent.  With [`Rw] the winner is persisted under the workload's
     fingerprint. *)
 
-val apply :
-  ?obs:Xinv_obs.Recorder.t ->
-  ?input:Xinv_workloads.Workload.input ->
-  ?native:Xinv_core.Crossinv.native_opts ->
-  report ->
-  Xinv_workloads.Workload.t ->
-  Xinv_core.Crossinv.outcome
-(** Run the report's best policy once ([Crossinv.run_request] with a
-    [`Reified] policy labelled with the report's source, which becomes the
-    outcome's [policy_source]). *)
-
 val report_json : report -> string
 (** The report as an [xinv-tune/1] JSON object (schema, workload, input,
-    seed, strategy, budget, trials_run, source, cores, best policy with
+    seed, budget, trials_run, source, cores, best policy with
     measured wall times and speedup, and the full trial list).  Non-finite
     wall times are emitted as [-1]. *)

@@ -482,7 +482,7 @@ let test_profile_cached_equals_fresh () =
       (* The uncached profiler executes the program (training run); a hit
          must leave the environment untouched. *)
       Alcotest.(check bool)
-        "hit does not mutate the environment" true
+        "hit does not modify the environment" true
         (Ir.Memory.equal before env.Ir.Env.mem))
 
 let test_alias_detected () =

@@ -339,12 +339,22 @@ let run_cmd =
                 postmortem_dir;
               exit 3
         in
+        (* The header names what ran: a cached policy can pin another
+           technique, width or backend than the flags asked for.  A
+           degradation keeps the technique first attempted here. *)
+        let ran =
+          match o.Cx.degraded with
+          | s :: _ -> s.Cx.d_from
+          | [] -> o.Cx.technique
+        in
+        let width, contexts, ran_backend =
+          match (o.Cx.nrun, o.Cx.run) with
+          | Some nr, _ -> (nr.Xinv_native.Nrun.domains, "domains", "native")
+          | None, Some r -> (r.Xinv_parallel.Run.threads, "threads", "sim")
+          | None, None -> (1, "threads", "sim")
+        in
         Printf.printf "%s under %s, %d %s (%s backend, input %s):\n"
-          wl.Wl.Workload.name
-          (Cx.technique_name technique)
-          threads
-          (match backend with `Sim -> "threads" | `Native -> "domains")
-          backend_name
+          wl.Wl.Workload.name (Cx.technique_name ran) width contexts ran_backend
           (Wl.Workload.input_name input);
         Printf.printf "  sequential cost  %s\n"
           (Option.fold ~none:"not measured" ~some:Cx.cost_to_string o.Cx.seq_cost);
@@ -375,9 +385,7 @@ let run_cmd =
               (Cx.technique_name s.Cx.d_to)
               s.Cx.d_reason)
           o.Cx.degraded;
-        (* A resolved policy or a degradation can execute something other
-           than the requested technique; name it either way. *)
-        if o.Cx.degraded <> [] || o.Cx.technique <> technique then
+        if o.Cx.degraded <> [] then
           Printf.printf "  executed as      %s\n"
             (Cx.technique_name o.Cx.technique);
         List.iter

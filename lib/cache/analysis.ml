@@ -6,7 +6,6 @@ type mode = [ `Ro | `Rw ]
 type t = {
   store : Store.t;
   mode : mode;
-  obs : Obs.Recorder.t option;
   (* Registered in the store's registry — the recorder's when one is
      attached — so cache.hit/cache.miss sit next to the store's own
      counters in every exposition. *)
@@ -23,7 +22,6 @@ let make ?obs ?max_bytes ?dir ~mode () =
   {
     store;
     mode;
-    obs;
     c_hit = Obs.Metrics.counter m "cache.hit";
     c_miss = Obs.Metrics.counter m "cache.miss";
     hits = 0;
@@ -35,34 +33,26 @@ let mode t = t.mode
 let hits t = t.hits
 let misses t = t.misses
 
-let record t ev =
-  match t.obs with
-  | None -> ()
-  | Some r -> Obs.Recorder.record r ~at:(Unix.gettimeofday ()) ~tid:0 ev
-
-let hit t fp =
+let hit t =
   t.hits <- t.hits + 1;
-  Obs.Metrics.incr t.c_hit;
-  record t (Obs.Event.Fingerprint_hit { fp = Fingerprint.to_hex fp })
+  Obs.Metrics.incr t.c_hit
 
-let miss t fp reason =
+let miss t =
   t.misses <- t.misses + 1;
-  Obs.Metrics.incr t.c_miss;
-  record t (Obs.Event.Fingerprint_miss { fp = Fingerprint.to_hex fp; reason })
+  Obs.Metrics.incr t.c_miss
 
 (* A usable artifact: valid on disk and written for these names (two
    programs that are renamings of each other share a fingerprint; replaying
    across the alias would wire the plan to the wrong arrays). *)
 let lookup t fp names =
   match Store.load t.store fp with
-  | Ok a when a.Artifact.names = names -> Ok a
-  | Ok _ -> Error "alias"
-  | Error reason -> Error reason
+  | Ok a when a.Artifact.names = names -> Some a
+  | Ok _ | Error _ -> None
 
 let merge_save t fp names update =
   if t.mode = `Rw then begin
     let base =
-      match lookup t fp names with Ok a -> a | Error _ -> Artifact.empty ~names
+      match lookup t fp names with Some a -> a | None -> Artifact.empty ~names
     in
     Store.save t.store fp (update base)
   end
@@ -75,17 +65,11 @@ let bump_policy_counter t name =
 let cached_policy t p env =
   let fp, names = Fingerprint.keyed p env in
   match lookup t fp names with
-  | Ok { Artifact.policy = Some tuned; _ } ->
+  | Some { Artifact.policy = Some tuned; _ } ->
       bump_policy_counter t "policy.cache.hit";
-      record t (Obs.Event.Fingerprint_hit { fp = Fingerprint.to_hex fp });
       Some tuned
-  | Ok _ ->
+  | Some _ | None ->
       bump_policy_counter t "policy.cache.miss";
-      None
-  | Error why ->
-      bump_policy_counter t "policy.cache.miss";
-      record t
-        (Obs.Event.Fingerprint_miss { fp = Fingerprint.to_hex fp; reason = why });
       None
 
 let store_policy t p env tuned =
@@ -94,15 +78,14 @@ let store_policy t p env tuned =
 
 let profile t p env =
   let fp, names = Fingerprint.keyed p env in
-  let fresh why =
-    miss t fp why;
+  let fresh () =
+    miss t;
     let pr = Xinv_speccross.Profiler.profile p env in
     merge_save t fp names (fun a -> { a with Artifact.profile = Some pr });
     pr
   in
   match lookup t fp names with
-  | Ok { Artifact.profile = Some pr; _ } ->
-      hit t fp;
+  | Some { Artifact.profile = Some pr; _ } ->
+      hit t;
       pr
-  | Ok _ -> fresh "partial"
-  | Error why -> fresh why
+  | Some _ | None -> fresh ()

@@ -556,11 +556,6 @@ let event_line = function
   | Nat.Watchdog.Cancelled role -> Printf.sprintf "run_cancelled role=%S" role
   | e -> Printf.sprintf "exception %S" (Printexc.to_string e)
 
-let record_event obs ev =
-  match obs with
-  | None -> ()
-  | Some r -> Xinv_obs.Recorder.record r ~at:0. ~tid:0 ev
-
 let bump_counter obs name v =
   match obs with
   | None -> ()
@@ -694,19 +689,11 @@ let run_native ~actx ~opts ~source ~baseline (r : Request.t) =
         | result -> finish result
         | exception e when rest <> [] && opts.degrade && degradable e ->
             stalls_total := !stalls_total + Nat.Watchdog.stalls wd;
-            (match e with
-            | Nat.Watchdog.Stalled { role; waiting_for; waited_ns } ->
-                record_event obs
-                  (Xinv_obs.Event.Run_stalled { role; waiting_for; waited_ns })
-            | _ -> ());
             let next = List.hd rest in
             write_postmortem ~tech ~next:(Some next) e fr;
-            let reason = failure_reason e in
             degraded :=
-              !degraded @ [ { d_from = tech; d_to = next; d_reason = reason } ];
-            record_event obs
-              (Xinv_obs.Event.Degraded
-                 { from_ = technique_name tech; to_ = technique_name next; reason });
+              !degraded
+              @ [ { d_from = tech; d_to = next; d_reason = failure_reason e } ];
             attempt rest
         | exception e ->
             stalls_total := !stalls_total + Nat.Watchdog.stalls wd;
@@ -716,28 +703,9 @@ let run_native ~actx ~opts ~source ~baseline (r : Request.t) =
   let executed, nrun, nprofile, env =
     attempt (degrade_chain r.Request.technique)
   in
-  (if Nat.Fault.fired fault then
-     match fault with
-     | Some f ->
-         let kind, domain, site = Nat.Fault.info f in
-         record_event obs
-           (Xinv_obs.Event.Fault_injected
-              { kind = Nat.Fault.kind_name kind; domain; site })
-     | None -> ());
   bump_counter obs "fault.injected" (if Nat.Fault.fired fault then 1 else 0);
   bump_counter obs "watchdog.stall" !stalls_total;
   bump_counter obs "degrade.level" (List.length !degraded);
-  (match executed with
-  | Domore ->
-      bump_counter obs "domore.tasks_dispatched" nrun.Nat.Nrun.tasks;
-      bump_counter obs "domore.sync_conds_forwarded" nrun.Nat.Nrun.conds
-  | Domore_dup -> bump_counter obs "domore.sync_conds_forwarded" nrun.Nat.Nrun.conds
-  | Speccross | Speccross_inject _ ->
-      bump_counter obs "speccross.epochs_committed" nrun.Nat.Nrun.invocations;
-      bump_counter obs "speccross.signature_checks" nrun.Nat.Nrun.checks;
-      bump_counter obs "speccross.misspeculations" nrun.Nat.Nrun.misspecs;
-      bump_counter obs "barrier.crossings" nrun.Nat.Nrun.barrier_episodes
-  | _ -> bump_counter obs "barrier.crossings" nrun.Nat.Nrun.barrier_episodes);
   (nrun, seq, nprofile, env, executed, !degraded, !last_flight, !postmortems)
 
 (* ---- unified entry point ---- *)
@@ -827,41 +795,80 @@ let exec ~actx ~source (r : Request.t) =
         postmortems;
       }
 
+(* ---- run counters ----
+
+   Engines report what a run counted only in their result record; the
+   counters are published from it once, here, with one meaning on either
+   backend.  The simulator's [Run.checks] holds DOMORE's forwarded
+   conditions as well as SPECCROSS's checking requests. *)
+
+type counts = {
+  tasks : int;
+  invocations : int;
+  conds : int;
+  checks : int;
+  misspecs : int;
+  barriers : int;
+}
+
+let counts o =
+  match (o.run, o.nrun) with
+  | Some r, _ ->
+      let checks = r.Par.Run.checks in
+      Some
+        { tasks = r.Par.Run.tasks; invocations = r.Par.Run.invocations; conds = checks;
+          checks; misspecs = r.Par.Run.misspecs; barriers = r.Par.Run.barrier_episodes }
+  | None, Some n ->
+      Some
+        { tasks = n.Nat.Nrun.tasks; invocations = n.Nat.Nrun.invocations;
+          conds = n.Nat.Nrun.conds; checks = n.Nat.Nrun.checks;
+          misspecs = n.Nat.Nrun.misspecs; barriers = n.Nat.Nrun.barrier_episodes }
+  | None, None -> None
+
+let publish_counts obs executed c =
+  let bump = bump_counter obs in
+  match executed with
+  | Domore ->
+      bump "domore.tasks_dispatched" c.tasks;
+      bump "domore.sync_conds_forwarded" c.conds
+  | Domore_dup -> bump "domore.sync_conds_forwarded" c.conds
+  | Speccross | Speccross_inject _ ->
+      bump "speccross.epochs_committed" c.invocations;
+      bump "speccross.signature_checks" c.checks;
+      bump "speccross.misspeculations" c.misspecs;
+      bump "barrier.crossings" c.barriers
+  | _ -> bump "barrier.crossings" c.barriers
+
 let run_request (r : Request.t) =
   assert (r.Request.threads > 0);
   let obs = r.Request.obs in
   let wl = r.Request.workload in
   let input = r.Request.input in
   let actx = analysis_ctx ?obs r.Request.cache r.Request.cache_dir in
-  match r.Request.policy with
-  | `Fixed -> exec ~actx ~source:"fixed" r
-  | `Auto -> (
-      let tuned =
-        match actx.a_cache with
-        | None -> None
-        | Some c ->
-            timed actx (fun () ->
-                Cache.Analysis.cached_policy c
-                  (wl.Wl.Workload.program input)
-                  (wl.Wl.Workload.fresh_env input))
-      in
-      match tuned with
-      | Some tuned ->
-          let p = tuned.Cache.Policy.policy in
-          bump_counter obs "policy.source.cached" 1;
-          record_event obs
-            (Xinv_obs.Event.Policy_applied
-               { source = "cached"; policy = Cache.Policy.to_string p });
-          exec ~actx ~source:"cached" (Request.apply_policy p r)
-      | None ->
-          bump_counter obs "policy.source.default" 1;
-          record_event obs
-            (Xinv_obs.Event.Policy_applied
-               {
-                 source = "default";
-                 policy = technique_name r.Request.technique;
-               });
-          exec ~actx ~source:"default" r)
+  let o =
+    match r.Request.policy with
+    | `Fixed -> exec ~actx ~source:"fixed" r
+    | `Auto -> (
+        let tuned =
+          match actx.a_cache with
+          | None -> None
+          | Some c ->
+              timed actx (fun () ->
+                  Cache.Analysis.cached_policy c
+                    (wl.Wl.Workload.program input)
+                    (wl.Wl.Workload.fresh_env input))
+        in
+        match tuned with
+        | Some tuned ->
+            bump_counter obs "policy.source.cached" 1;
+            exec ~actx ~source:"cached"
+              (Request.apply_policy tuned.Cache.Policy.policy r)
+        | None ->
+            bump_counter obs "policy.source.default" 1;
+            exec ~actx ~source:"default" r)
+  in
+  Option.iter (publish_counts obs o.technique) (counts o);
+  o
 
 let report ?obs o =
   match (o.run, o.nrun) with

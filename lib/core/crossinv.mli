@@ -261,12 +261,13 @@ val run_request : Request.t -> outcome
     [speedup] are [None].  A
     [Sequential] execution never runs a second, separate baseline.
 
-    With [obs], the run is instrumented: the simulated backend streams
-    typed events and metrics into the recorder; the native backend bumps
-    aggregate counters ([domore.*], [speccross.*], [barrier.crossings])
-    plus the robustness counters [fault.injected], [watchdog.stall] and
-    [degrade.level], and records [Fault_injected] / [Run_stalled] /
-    [Degraded] events.
+    With [obs], the run is instrumented: the simulated engines log their
+    run events into the recorder, and once the run ends its counters
+    ([domore.*], [speccross.*], [barrier.crossings]) are published from
+    the result, under the same names and meanings on both backends;
+    [barrier.crossings] is the engine's barrier episodes.  The native
+    backend adds the robustness counters [fault.injected],
+    [watchdog.stall] and [degrade.level].
 
     Native robustness: an armed [fault] fires at most once across the
     whole run; every blocking wait is bounded per [native_opts]; a failed
@@ -286,8 +287,8 @@ val run_request : Request.t -> outcome
     (the caller's [native_opts] keep supplying work model, pool, faults,
     deadlines and flight recording); on a miss the caller's configuration
     runs unchanged with [policy_source = "default"].  [`Auto] resolution
-    bumps the [policy.source.cached|default] counters and emits a
-    [Policy_applied] event when [obs] is attached.
+    bumps the [policy.source.cached|default] counters when [obs] is
+    attached.
 
     [sig_kind] and [spec_distance] expose the two previously hard-wired
     SPECCROSS knobs (default: [`Segmented] over live memory bounds; the

@@ -106,13 +106,7 @@ let machine ?obs ?(trace = false) ~queues ~threads ~sched ~base ~name (c : confi
     name;
   }
 
-let count m name n =
-  match m.obs with
-  | Some o when n > 0 -> Obs.Metrics.add (Obs.Metrics.counter (Obs.Recorder.metrics o) name) n
-  | _ -> ()
-
 let result m ~technique ~threads p (c : Protocol.counts) =
-  count m "domore.sync_conds_forwarded" c.Protocol.conds;
   Xinv_parallel.Run.make ~technique ~threads ~makespan:(Sim.Engine.now m.eng) ~engine:m.eng
     ~tasks:c.Protocol.tasks ~invocations:(Ir.Program.invocations p) ~checks:c.Protocol.conds
     ?recorder:m.obs ()
@@ -126,7 +120,6 @@ let run ?config ?obs ?trace ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) env =
       ~base:1 ~name config
   in
   let c = Engine.centralized m ~policy ~workers ~grain:1 ~plan p env in
-  count m "domore.tasks_dispatched" c.Protocol.tasks;
   result m ~technique:"DOMORE" ~threads:(workers + 1) p c
 
 let run_duplicated ?config ?obs ~(plan : Ir.Mtcg.plan) (p : Ir.Program.t) env =

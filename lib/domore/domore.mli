@@ -33,7 +33,8 @@ val run :
   Xinv_parallel.Run.t
 (** Simulates DOMORE execution; mutates the environment's memory to the
     final program state.  The scheduler is simulated thread 0, workers are
-    threads 1..workers.  With [?obs], sync-condition forwarding, task
+    threads 1..workers.  [Run.checks] counts the synchronization conditions
+    forwarded.  With [?obs], sync-condition forwarding, task
     dispatch, sampled queue occupancy and worker stalls are recorded; recording
     consumes no virtual time, so the run is bit-identical with and without
     it.  @raise Invalid_argument if the plan re-partitioned body statements

@@ -1,15 +1,12 @@
-type entry = { at : float; tid : int; ev : Event.t }
-
 type t = {
   mutable log : Flight.entry array;
   mutable len : int;
-  mutable events : entry list; (* newest first *)
   metrics : Metrics.t;
 }
 
 let dummy = { Flight.f_at = 0; f_domain = 0; f_kind = Flight.Mark; f_a = 0; f_b = 0 }
 
-let create () = { log = [||]; len = 0; events = []; metrics = Metrics.create () }
+let create () = { log = [||]; len = 0; metrics = Metrics.create () }
 
 let ticks x = int_of_float (Float.round x)
 
@@ -27,10 +24,6 @@ let stall t ~at ~domain cause dur =
 
 let flight t = List.init t.len (fun i -> t.log.(i))
 
-let record t ~at ~tid ev = t.events <- { at; tid; ev } :: t.events
-
-let length t = t.len + List.length t.events
-
-let entries t = List.rev t.events
+let length t = t.len
 
 let metrics t = t.metrics

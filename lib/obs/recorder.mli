@@ -1,8 +1,11 @@
 (** The observability collection point threaded through the runtimes.
 
     Holds the run's {!Flight.entry} log (a growable array: the simulator
-    emits every event with its virtual-cycle stamp and never drops one),
-    the once-per-run {!Event} control records and the {!Metrics} registry.
+    emits every event with its virtual-cycle stamp and never drops one)
+    and the {!Metrics} registry.  The simulated engines log run events
+    here but bump no counter: [Crossinv.run_request] publishes a run's
+    counts from its result record, once per run, under the same names on
+    either backend.
     Recording consumes no virtual time and performs no effects, so a run
     with a recorder attached is bit-identical (makespan, tasks, checks,
     misspeculations) to the same run without one — the property test in
@@ -11,8 +14,6 @@
     Observability is off by default: executors take the recorder as an
     optional argument and instrumented sites guard on its presence, so the
     disabled path costs one pattern match. *)
-
-type entry = { at : float; tid : int; ev : Event.t }
 
 type t
 
@@ -29,13 +30,7 @@ val stall : t -> at:float -> domain:int -> Cause.t -> float -> unit
 val flight : t -> Flight.entry list
 (** The run events, in emission order. *)
 
-val record : t -> at:float -> tid:int -> Event.t -> unit
-(** Append one control record. *)
-
-val entries : t -> entry list
-(** The control records, oldest first. *)
-
 val length : t -> int
-(** Run events plus control records. *)
+(** Run events logged. *)
 
 val metrics : t -> Metrics.t

@@ -52,7 +52,8 @@ type t = {
       (** the [speccross.signature_checks] counter, else [Sig_check] entries *)
   signatures_compared : int;  (** sum of checking-window sizes *)
   barrier_crossings : int;
-      (** the [barrier.crossings] counter, else [Barrier_release] entries *)
+      (** the [barrier.crossings] counter (the run's barrier episodes),
+          else [Barrier_release] entries *)
   counters : (string * int) list;  (** metrics registry dump *)
   gauges : (string * float) list;
 }

@@ -5,11 +5,6 @@ module Obs = Xinv_obs
 let run ?(machine = Sim.Machine.default) ?(nlocks = 64) ?(trace = false) ?obs ~threads
     ~plan (p : Ir.Program.t) env =
   assert (threads > 0);
-  let m_crossings =
-    match obs with
-    | Some o -> Some (Obs.Metrics.counter (Obs.Recorder.metrics o) "barrier.crossings")
-    | None -> None
-  in
   let eng = Sim.Engine.create ~trace () in
   let bar = Sim.Barrier.create ~parties:threads in
   let locks =
@@ -62,7 +57,6 @@ let run ?(machine = Sim.Machine.default) ?(nlocks = 64) ?(trace = false) ?obs ~t
               let t0 = Sim.Proc.now () in
               Sim.Barrier.wait ~cost:barrier_cost bar;
               let dur = Sim.Proc.now () -. t0 -. barrier_cost in
-              (match m_crossings with Some c -> Obs.Metrics.incr c | None -> ());
               Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid Obs.Cause.Barrier_wait dur;
               Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:tid Obs.Flight.Barrier_release
                 ~a:(Sim.Barrier.waits bar) ~b:0))

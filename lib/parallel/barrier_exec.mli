@@ -17,6 +17,7 @@ val run :
   Run.t
 (** [run ~threads ~plan p env] simulates the barrier-parallel execution,
     mutating [env]'s memory to the final program state.  [plan] maps an
-    inner-loop label to its technique.  With [?obs], barrier crossings and
-    stall episodes are recorded; recording consumes no virtual time, so the
-    run is bit-identical with and without it. *)
+    inner-loop label to its technique.  With [?obs], barrier releases and
+    stall episodes are logged; the run's barrier episodes are counted in
+    [Run.barrier_episodes].  Recording consumes no virtual time, so the run
+    is bit-identical with and without it. *)

@@ -27,12 +27,6 @@ let serialized_sids (p : Ir.Program.t) =
 
 let run ?(machine = Sim.Machine.default) ?obs ~threads (p : Ir.Program.t) env =
   assert (threads > 0);
-  let module Obs = Xinv_obs in
-  let m_crossings =
-    match obs with
-    | Some o -> Some (Obs.Metrics.counter (Obs.Recorder.metrics o) "barrier.crossings")
-    | None -> None
-  in
   let eng = Sim.Engine.create () in
   let bar = Sim.Barrier.create ~parties:threads in
   let serial = serialized_sids p in
@@ -110,7 +104,6 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads (p : Ir.Program.t) env =
           | None -> ()
           | Some o ->
               let module Obs = Xinv_obs in
-              (match m_crossings with Some c -> Obs.Metrics.incr c | None -> ());
               Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:tid
                 Obs.Flight.Barrier_release ~a:(Sim.Barrier.waits bar) ~b:0)
         p.Ir.Program.inners

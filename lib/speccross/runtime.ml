@@ -286,14 +286,7 @@ module Machine = struct
   let record m ~domain kind ~a ~b =
     match m.obs with
     | None -> ()
-    | Some o ->
-        let bump name = Obs.Metrics.incr (Obs.Metrics.counter (Obs.Recorder.metrics o) name) in
-        (match (kind : Obs.Flight.kind) with
-        | Obs.Flight.Checkpoint -> bump "speccross.checkpoints"
-        | Obs.Flight.Sig_check -> bump "speccross.signature_checks"
-        | Obs.Flight.Misspec -> bump "speccross.misspeculations"
-        | _ -> ());
-        Obs.Recorder.emit o ~at:(Sim.Engine.now m.eng) ~domain kind ~a ~b
+    | Some o -> Obs.Recorder.emit o ~at:(Sim.Engine.now m.eng) ~domain kind ~a ~b
 
   let run m fns =
     let n = Array.length fns - 1 in
@@ -310,11 +303,6 @@ module Engine = P.Make (Machine)
 let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
   let cfg = match config with Some c -> c | None -> default_config ~workers:3 in
   let { machine = mc; workers; _ } = cfg in
-  let counter name = Option.map (fun o -> Obs.Metrics.counter (Obs.Recorder.metrics o) name) obs in
-  List.iter
-    (fun name -> ignore (counter name))
-    [ "speccross.epochs_committed"; "speccross.misspeculations"; "speccross.signature_checks";
-      "speccross.checkpoints" ];
   let g0 = fresh_gstate ~id:0 ~workers in
   let m =
     {
@@ -341,11 +329,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
         tm_style = cfg.tm_style; grain = 1 }
       p env
   in
-  (* Each epoch of the region commits once, however often recovery redid it. *)
-  Option.iter
-    (fun ctr -> Obs.Metrics.add ctr (Ir.Program.invocations p))
-    (counter "speccross.epochs_committed");
   Xinv_parallel.Run.make ~technique:"SPECCROSS" ~threads:(workers + 1)
     ~makespan:(Sim.Engine.now m.eng) ~engine:m.eng ~tasks:c.P.tasks
     ~invocations:(Ir.Program.invocations p) ~checks:c.P.checks ~misspecs:c.P.misspecs
-    ?recorder:obs ()
+    ~barrier_episodes:(Sim.Barrier.waits m.bar) ?recorder:obs ()

@@ -58,8 +58,8 @@ val run :
 (** Simulates the speculative execution, mutating the environment's memory
     to the (verified) final state.  [Run.tasks] is the region's iteration
     count, [Run.checks] counts checking requests, [Run.misspecs]
-    recoveries.  With [?obs], epoch commits, task dispatches,
-    misspeculations, recoveries, checkpoints, signature checks and worker
-    stalls are recorded, and [speccross.epochs_committed] counts each epoch
-    of the region once; recording consumes no virtual time, so the run is
-    bit-identical with and without it. *)
+    recoveries and [Run.barrier_episodes] the recovery barriers.  With
+    [?obs], epoch commits, task dispatches, misspeculations, recoveries,
+    checkpoints, signature checks and worker stalls are logged; recording
+    consumes no virtual time, so the run is bit-identical with and without
+    it. *)

@@ -42,14 +42,10 @@ type state = {
   mutable best_seq : float;
 }
 
-let note st p m =
+let note st =
   match st.obs with
   | None -> ()
-  | Some r ->
-      Obs.Metrics.incr (Obs.Metrics.counter (Obs.Recorder.metrics r) "tune.trial");
-      Obs.Recorder.record r ~at:0. ~tid:0
-        (Obs.Event.Tune_trial
-           { policy = Policy.key p; wall_ns = m.m_wall_ns; pruned = m.m_pruned })
+  | Some r -> Obs.Metrics.incr (Obs.Metrics.counter (Obs.Recorder.metrics r) "tune.trial")
 
 (* Comparison score: failed or pruned trials never become the incumbent. *)
 let score m = if m.m_ok && not m.m_pruned then m.m_wall_ns else Float.infinity
@@ -74,7 +70,7 @@ let eval st p =
           t_pruned = m.m_pruned;
         }
         :: st.log;
-      note st p m;
+      note st;
       if score m < st.best_wall then begin
         st.best <- p;
         st.best_wall <- m.m_wall_ns;

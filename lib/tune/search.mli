@@ -50,5 +50,4 @@ val search :
     restarts until the budget runs out.  Trial 1 is always
     {!Policy.default} (native sequential), which seeds the incumbent; [measure] receives the incumbent's wall time so it can set
     a pruning deadline ([infinity] before the first success).  With
-    [?obs], each measurement bumps the [tune.trial] counter and records a
-    [Tune_trial] event. *)
+    [?obs], each measurement bumps the [tune.trial] counter. *)

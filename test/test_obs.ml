@@ -283,7 +283,13 @@ let test_perfetto_export () =
     events
 
 let test_report_contents () =
-  let r, _ = domore_traced_run () in
+  let obs = Obs.Recorder.create () in
+  let o =
+    Cx.run_request
+    @@ Cx.Request.make ~input:Wl.Workload.Train ~obs ~technique:Cx.Domore ~threads:4
+         (Wl.Registry.find "CG")
+  in
+  let r = match o.Cx.run with Some r -> r | None -> Alcotest.fail "no run" in
   let report = Xinv_parallel.Run.report r in
   Alcotest.(check bool) "events were logged" true (report.Obs.Report.events_logged > 0);
   Alcotest.(check bool) "queue occupancy computed" true
@@ -695,6 +701,42 @@ let test_report_counts_are_counters () =
       ("JACOBI", Cx.Speccross, "speccross.signature_checks");
     ]
 
+(* One request per backend publishes the same counter names, each counted
+   once per run from the run's result; on the simulator a barrier crossing
+   is one barrier episode, not one per thread. *)
+let test_counter_names_both_backends () =
+  List.iter
+    (fun (name, technique) ->
+      let wl = Wl.Registry.find name in
+      let go backend =
+        let obs = Obs.Recorder.create () in
+        let o =
+          Cx.run_request
+          @@ Cx.Request.make ~backend ~input:Wl.Workload.Train ~obs ~technique ~threads:3 wl
+        in
+        (o, Obs.Metrics.counters (Obs.Recorder.metrics obs))
+      in
+      let tag k = Printf.sprintf "%s %s: %s" name (Cx.technique_name technique) k in
+      let sim, sim_counters = go (`Sim None) in
+      let _, nat_counters = go (`Native Cx.native_defaults) in
+      Alcotest.(check bool) (tag "counters published") true (sim_counters <> []);
+      Alcotest.(check (list string)) (tag "same counter names")
+        (List.sort compare (List.map fst sim_counters))
+        (List.sort compare (List.map fst nat_counters));
+      match (sim.Cx.run, List.assoc_opt "barrier.crossings" sim_counters) with
+      | Some r, Some crossings ->
+          Alcotest.(check int) (tag "sim barrier.crossings = barrier episodes")
+            r.Xinv_parallel.Run.barrier_episodes crossings
+      | Some r, None ->
+          Alcotest.(check int) (tag "no crossings counted, none run") 0
+            r.Xinv_parallel.Run.barrier_episodes
+      | None, _ -> Alcotest.fail "no sim run")
+    [
+      ("ECLAT", Cx.Domore);
+      ("JACOBI", Cx.Speccross_inject 3);
+      ("SYMM", Cx.Barrier);
+    ]
+
 let suite =
   [
     Alcotest.test_case "metrics counter" `Quick test_metrics_counter;
@@ -719,4 +761,6 @@ let suite =
       test_flight_off_bit_identical;
     Alcotest.test_case "report counts equal their counters" `Quick
       test_report_counts_are_counters;
+    Alcotest.test_case "same counter names on both backends" `Quick
+      test_counter_names_both_backends;
   ]

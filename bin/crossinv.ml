@@ -314,13 +314,17 @@ let run_cmd =
                   postmortem_dir;
                 }
         in
+        let req =
+          Cx.Request.make ~backend:b ~input ~cache ?cache_dir ?obs ~policy ~technique ~threads
+            wl
+        in
+        (* Time the verify baseline and the run warm, not as the process's
+           first native runs. *)
+        Cx.warm_up req;
         let o =
           (* With --no-degrade (or an exhausted deadline) the native run
              surfaces its typed error; report it instead of a backtrace. *)
-          match
-            Cx.run_request @@ Cx.Request.make ~backend:b ~input ~cache ?cache_dir ?obs ~policy ~technique
-              ~threads wl
-          with
+          match Cx.run_request req with
           | o -> o
           | exception Xinv_native.Fault.Injected { kind; domain; site } ->
               Printf.eprintf "fault injected: %s at domain %d, site %d\n"

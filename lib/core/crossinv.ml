@@ -429,8 +429,8 @@ let sim_engine ?(trace = false) (r : Request.t) engine env =
   | Engine.Doacross -> Some (Par.Doacross.run ~machine ?obs ~threads program env)
   | Engine.Dswp -> Some (Par.Dswp.run ~machine ?obs ~threads program env)
   | Engine.Inspector plan ->
-      Some (Par.Inspector.run ~machine ~threads ~plan program env)
-  | Engine.Tls plan -> Some (Par.Tls.run ~machine ~threads ~plan program env)
+      Some (Par.Inspector.run ~machine ?obs ~threads ~plan program env)
+  | Engine.Tls plan -> Some (Par.Tls.run ~machine ?obs ~threads ~plan program env)
   | Engine.Domore (plan, config) ->
       Some (Xinv_domore.Domore.run ~config ?obs ~trace ~plan program env)
   | Engine.Domore_dup (plan, config) ->
@@ -869,6 +869,26 @@ let run_request (r : Request.t) =
   in
   Option.iter (publish_counts obs o.technique) (counts o);
   o
+
+(* A process's first native run is timed cold: pool start-up, first-touch
+   page faults and code warm-up all land on it.  Two unverified sequential
+   runs take them; after only one, a tune's first trial still read
+   1.6-3.5x its sequential baseline (SYMM train, 2-vCPU VM).  They carry
+   no fault, recorder, flight or postmortem. *)
+let warm_up (r : Request.t) =
+  match r.Request.backend with
+  | `Sim _ -> ()
+  | `Native n ->
+      let quiet =
+        Request.make
+          ~backend:(`Native { native_defaults with work = n.work; pool = n.pool })
+          ~input:r.Request.input ~verify:false ~cache:r.Request.cache
+          ?cache_dir:r.Request.cache_dir ~technique:Sequential ~threads:1
+          r.Request.workload
+      in
+      for _ = 1 to 2 do
+        ignore (run_request quiet)
+      done
 
 let report ?obs o =
   match (o.run, o.nrun) with

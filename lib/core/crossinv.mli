@@ -298,6 +298,13 @@ val run_request : Request.t -> outcome
     @raise Failure when the technique is inapplicable to the backend
     (see {!applicable}). *)
 
+val warm_up : Request.t -> unit
+(** Two unverified native sequential runs of the request's workload and
+    input, with its work model, pool and cache, so that the request's own
+    run (and its verify baseline) is not the process's first native run.
+    They carry no fault, recorder, flight or postmortem, so counters and
+    postmortems stay the request's own.  A no-op on the sim backend. *)
+
 val spec_mode_of_plan :
   Xinv_workloads.Workload.t -> string -> Xinv_speccross.Runtime.mode
 (** Map the workload's Table 5.1 plan onto SPECCROSS execution modes. *)

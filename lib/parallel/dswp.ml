@@ -46,15 +46,7 @@ let merge_stages ~max_stages groups =
   end
 
 let run ?(machine = Sim.Machine.default) ?obs ~threads (p : Ir.Program.t) env =
-  assert (threads > 0);
-  let eng = Sim.Engine.create () in
-  let bar = Sim.Barrier.create ~parties:threads in
   let all_stages = stages p in
-  let barrier_cost =
-    machine.Sim.Machine.barrier_base
-    +. (machine.Sim.Machine.barrier_per_thread *. float_of_int threads)
-  in
-  let tasks = ref 0 and invocations = ref 0 in
   (* Queues between consecutive stages, shared across invocations: the token
      is the iteration number. *)
   let queues =
@@ -62,71 +54,36 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads (p : Ir.Program.t) env =
         Sim.Channel.create ~produce_cost:machine.Sim.Machine.queue_produce
           ~consume_cost:machine.Sim.Machine.queue_consume ())
   in
-  let worker tid () =
-    for t = 0 to p.Ir.Program.outer_trip - 1 do
-      let env_t = Ir.Env.with_outer env t in
-      List.iter
-        (fun (il : Ir.Program.inner) ->
-          if tid = 0 then begin
-            List.iter (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.exec env_t) il.Ir.Program.pre;
-            incr invocations
-          end;
-          List.iter
-            (fun (s : Ir.Stmt.t) ->
-              let cat =
-                if tid = 0 then Sim.Category.Sequential else Sim.Category.Redundant
-              in
-              Sim.Proc.advance ~label:s.Ir.Stmt.name cat (s.Ir.Stmt.cost env_t))
-            il.Ir.Program.pre;
-          let groups =
-            merge_stages ~max_stages:threads
-              (List.assoc il.Ir.Program.ilabel all_stages)
-          in
-          let nstages = List.length groups in
-          let trip = il.Ir.Program.trip env_t in
-          if tid = 0 then tasks := !tasks + trip;
-          if tid < nstages then begin
-            let my_sids = List.nth groups tid in
-            for j = 0 to trip - 1 do
-              if tid > 0 then begin
-                match obs with
-                | None -> ignore (Sim.Channel.consume queues.(tid))
-                | Some o ->
-                    let module Obs = Xinv_obs in
-                    let t0 = Sim.Proc.now () in
-                    ignore (Sim.Channel.consume queues.(tid));
-                    let dur =
-                      Sim.Proc.now () -. t0 -. machine.Sim.Machine.queue_consume
-                    in
-                    Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid
-                      Obs.Cause.Queue_empty dur
-              end;
-              let env_j = Ir.Env.with_inner env_t j in
-              List.iter
-                (fun (s : Ir.Stmt.t) ->
-                  if List.mem s.Ir.Stmt.sid my_sids then begin
-                    Sim.Proc.work ~label:s.Ir.Stmt.name
-                    (Sim.Machine.work_factor machine ~threads *. s.Ir.Stmt.cost env_j);
-                    s.Ir.Stmt.exec env_j
-                  end)
-                il.Ir.Program.body;
-              if tid < nstages - 1 then Sim.Channel.produce queues.(tid + 1) j
-            done
-          end;
-          Sim.Barrier.wait ~cost:barrier_cost bar;
+  let share { Barrier_exec.tid; inner = il; env = env_t; trip; work_factor = wf; _ } =
+    let groups =
+      merge_stages ~max_stages:threads (List.assoc il.Ir.Program.ilabel all_stages)
+    in
+    let nstages = List.length groups in
+    if tid < nstages then begin
+      let my_sids = List.nth groups tid in
+      for j = 0 to trip - 1 do
+        if tid > 0 then begin
           match obs with
-          | None -> ()
+          | None -> ignore (Sim.Channel.consume queues.(tid))
           | Some o ->
               let module Obs = Xinv_obs in
-              Obs.Recorder.emit o ~at:(Sim.Proc.now ()) ~domain:tid
-                Obs.Flight.Barrier_release ~a:(Sim.Barrier.waits bar) ~b:0)
-        p.Ir.Program.inners
-    done
+              let t0 = Sim.Proc.now () in
+              ignore (Sim.Channel.consume queues.(tid));
+              let dur = Sim.Proc.now () -. t0 -. machine.Sim.Machine.queue_consume in
+              Obs.Recorder.stall o ~at:(Sim.Proc.now ()) ~domain:tid Obs.Cause.Queue_empty
+                dur
+        end;
+        let env_j = Ir.Env.with_inner env_t j in
+        List.iter
+          (fun (s : Ir.Stmt.t) ->
+            if List.mem s.Ir.Stmt.sid my_sids then begin
+              Sim.Proc.work ~label:s.Ir.Stmt.name (wf *. s.Ir.Stmt.cost env_j);
+              s.Ir.Stmt.exec env_j
+            end)
+          il.Ir.Program.body;
+        if tid < nstages - 1 then Sim.Channel.produce queues.(tid + 1) j
+      done
+    end
   in
-  for tid = 0 to threads - 1 do
-    ignore (Sim.Engine.spawn eng ~name:(Printf.sprintf "dswp%d" tid) (worker tid))
-  done;
-  Sim.Engine.run eng;
-  Run.make ~technique:"DSWP+barrier" ~threads ~makespan:(Sim.Engine.now eng) ~engine:eng
-    ~tasks:!tasks ~invocations:!invocations ~barrier_episodes:(Sim.Barrier.waits bar)
-    ?recorder:obs ()
+  Barrier_exec.region ~machine ?obs ~threads ~track:"dswp" ~technique:"DSWP+barrier" p env
+    share

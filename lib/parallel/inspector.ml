@@ -31,76 +31,47 @@ let wavefronts (slice : Ir.Slice.t) env ~trip =
   done;
   wave
 
-let run ?(machine = Sim.Machine.default) ~threads ~(plan : Ir.Mtcg.plan)
+let run ?(machine = Sim.Machine.default) ?obs ~threads ~(plan : Ir.Mtcg.plan)
     (p : Ir.Program.t) env =
-  assert (threads > 0);
-  let eng = Sim.Engine.create () in
-  let bar = Sim.Barrier.create ~parties:threads in
-  let barrier_cost =
-    machine.Sim.Machine.barrier_base
-    +. (machine.Sim.Machine.barrier_per_thread *. float_of_int threads)
-  in
-  let wf = Sim.Machine.work_factor machine ~threads in
-  let tasks = ref 0 and invocations = ref 0 in
   (* The inspection result for the current invocation, published by thread 0
      before the wavefront barrier releases the others. *)
   let current = ref [||] in
-  let worker tid () =
-    for t = 0 to p.Ir.Program.outer_trip - 1 do
-      let env_t = Ir.Env.with_outer env t in
-      List.iter
-        (fun (il : Ir.Program.inner) ->
-          if tid = 0 then
-            List.iter (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.exec env_t) il.Ir.Program.pre;
-          List.iter
-            (fun (s : Ir.Stmt.t) ->
-              let cat =
-                if tid = 0 then Sim.Category.Sequential else Sim.Category.Redundant
-              in
-              Sim.Proc.advance ~label:s.Ir.Stmt.name cat (wf *. s.Ir.Stmt.cost env_t))
-            il.Ir.Program.pre;
-          let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
-          let trip = il.Ir.Program.trip env_t in
-          (* Inspection phase: serialized on thread 0 while the others wait
-             at the barrier. *)
-          if tid = 0 then begin
-            incr invocations;
-            tasks := !tasks + trip;
-            Sim.Proc.advance ~label:"inspect" Sim.Category.Runtime
-              ((Ir.Slice.cost_per_iter slice +. machine.Sim.Machine.shadow_per_addr)
-              *. float_of_int trip);
-            current := wavefronts slice env_t ~trip
-          end;
-          Sim.Barrier.wait ~cost:barrier_cost bar;
-          let wave = !current in
-          let nwaves =
-            Array.fold_left (fun acc w -> Stdlib.max acc (w + 1)) 0 wave
-          in
-          for w = 0 to nwaves - 1 do
-            (* Iterations of one wavefront, distributed cyclically. *)
-            let k = ref 0 in
-            for j = 0 to trip - 1 do
-              if wave.(j) = w then begin
-                if !k mod threads = tid then begin
-                  let env_j = Ir.Env.with_inner env_t j in
-                  List.iter
-                    (fun (s : Ir.Stmt.t) ->
-                      Sim.Proc.work ~label:s.Ir.Stmt.name (wf *. s.Ir.Stmt.cost env_j);
-                      s.Ir.Stmt.exec env_j)
-                    il.Ir.Program.body
-                end;
-                incr k
-              end
-            done;
-            Sim.Barrier.wait ~cost:barrier_cost bar
-          done)
-        p.Ir.Program.inners
-    done
+  let share { Barrier_exec.tid; inner = il; env = env_t; trip; work_factor = wf; sync; _ } =
+    (* Inspection phase: serialized on thread 0 while the others wait at
+       the barrier. *)
+    if tid = 0 then begin
+      let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
+      Sim.Proc.advance ~label:"inspect" Sim.Category.Runtime
+        ((Ir.Slice.cost_per_iter slice +. machine.Sim.Machine.shadow_per_addr)
+        *. float_of_int trip);
+      current := wavefronts slice env_t ~trip
+    end;
+    (* An empty invocation has no wavefront: the barrier ending it is the
+       only one. *)
+    if trip > 0 then begin
+      sync ();
+      let wave = !current in
+      let nwaves = Array.fold_left (fun acc w -> Stdlib.max acc (w + 1)) 0 wave in
+      for w = 0 to nwaves - 1 do
+        (* Iterations of one wavefront, distributed cyclically; a barrier
+           separates wavefronts, and the last one ends the invocation. *)
+        let k = ref 0 in
+        for j = 0 to trip - 1 do
+          if wave.(j) = w then begin
+            if !k mod threads = tid then begin
+              let env_j = Ir.Env.with_inner env_t j in
+              List.iter
+                (fun (s : Ir.Stmt.t) ->
+                  Sim.Proc.work ~label:s.Ir.Stmt.name (wf *. s.Ir.Stmt.cost env_j);
+                  s.Ir.Stmt.exec env_j)
+                il.Ir.Program.body
+            end;
+            incr k
+          end
+        done;
+        if w < nwaves - 1 then sync ()
+      done
+    end
   in
-  for tid = 0 to threads - 1 do
-    ignore (Sim.Engine.spawn eng ~name:(Printf.sprintf "ie%d" tid) (worker tid))
-  done;
-  Sim.Engine.run eng;
-  Run.make ~technique:"Inspector-Executor" ~threads ~makespan:(Sim.Engine.now eng)
-    ~engine:eng ~tasks:!tasks ~invocations:!invocations
-    ~barrier_episodes:(Sim.Barrier.waits bar) ()
+  Barrier_exec.region ~machine ?obs ~threads ~track:"ie" ~technique:"Inspector-Executor" p env
+    share

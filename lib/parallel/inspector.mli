@@ -16,6 +16,7 @@ val wavefronts :
 
 val run :
   ?machine:Xinv_sim.Machine.t ->
+  ?obs:Xinv_obs.Recorder.t ->
   threads:int ->
   plan:Xinv_ir.Mtcg.plan ->
   Xinv_ir.Program.t ->

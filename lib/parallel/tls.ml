@@ -1,95 +1,60 @@
 module Sim = Xinv_sim
 module Ir = Xinv_ir
 
-let run ?(machine = Sim.Machine.default) ~threads ~(plan : Ir.Mtcg.plan)
+let run ?(machine = Sim.Machine.default) ?obs ~threads ~(plan : Ir.Mtcg.plan)
     (p : Ir.Program.t) env =
-  assert (threads > 0);
-  let eng = Sim.Engine.create () in
-  let bar = Sim.Barrier.create ~parties:threads in
-  let barrier_cost =
-    machine.Sim.Machine.barrier_base
-    +. (machine.Sim.Machine.barrier_per_thread *. float_of_int threads)
-  in
-  let wf = Sim.Machine.work_factor machine ~threads in
-  let tasks = ref 0 and invocations = ref 0 and squashes = ref 0 in
-  (* Per-invocation commit token and per-address last committed writer, both
-     recreated per invocation occurrence (allocated up front). *)
-  let committed = Hashtbl.create 64 in
-  let ninners = List.length p.Ir.Program.inners in
-  for t = 0 to p.Ir.Program.outer_trip - 1 do
-    for ii = 0 to ninners - 1 do
-      Hashtbl.replace committed (t, ii) (Sim.Mono_cell.create ~init:(-1) ())
-    done
-  done;
+  let squashes = ref 0 in
+  (* Per-invocation commit token, and the per-address last committed writer
+     that thread 0 clears when an invocation starts. *)
+  let cell_of = Barrier_exec.commit_cells p in
   let last_writer : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let worker tid () =
-    for t = 0 to p.Ir.Program.outer_trip - 1 do
-      let env_t = Ir.Env.with_outer env t in
-      List.iteri
-        (fun ii (il : Ir.Program.inner) ->
-          if tid = 0 then begin
-            List.iter (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.exec env_t) il.Ir.Program.pre;
-            incr invocations;
-            Hashtbl.reset last_writer
-          end;
-          List.iter
-            (fun (s : Ir.Stmt.t) ->
-              let cat =
-                if tid = 0 then Sim.Category.Sequential else Sim.Category.Redundant
-              in
-              Sim.Proc.advance ~label:s.Ir.Stmt.name cat (wf *. s.Ir.Stmt.cost env_t))
-            il.Ir.Program.pre;
-          let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
-          let trip = il.Ir.Program.trip env_t in
-          if tid = 0 then tasks := !tasks + trip;
-          let cell = Hashtbl.find committed (t, ii) in
-          let j = ref tid in
-          while !j < trip do
-            let env_j = Ir.Env.with_inner env_t !j in
-            let speculative_cost () =
-              List.fold_left
-                (fun acc (s : Ir.Stmt.t) -> acc +. (wf *. s.Ir.Stmt.cost env_j))
-                0. il.Ir.Program.body
-            in
-            (* Speculative execution: pay the work and the validation
-               bookkeeping; remember which commits were visible at start. *)
-            let start_commit = Sim.Mono_cell.get cell in
-            let raddrs = Ir.Slice.read_addresses slice env_j in
-            let waddrs = Ir.Slice.write_addresses slice env_j in
-            Sim.Proc.advance ~label:"track" Sim.Category.Runtime
-              (machine.Sim.Machine.sig_per_access
-              *. float_of_int (List.length raddrs + List.length waddrs));
-            Sim.Proc.work ~label:"spec-work" (speculative_cost ());
-            (* In-order commit. *)
-            Sim.Mono_cell.wait_ge ~cat:Sim.Category.Sync_wait cell (!j - 1);
-            let dirty addr =
-              match Hashtbl.find_opt last_writer addr with
-              | Some w -> w > start_commit && w < !j
-              | None -> false
-            in
-            if List.exists dirty raddrs || List.exists dirty waddrs then begin
-              (* Violation: squash and re-execute against committed state. *)
-              incr squashes;
-              Sim.Proc.work ~label:"re-exec" (speculative_cost ())
-            end;
-            (* Commit: apply semantics in order. *)
-            List.iter
-              (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.exec env_j)
-              il.Ir.Program.body;
-            List.iter (fun a -> Hashtbl.replace last_writer a !j) waddrs;
-            Sim.Proc.advance ~label:"commit" Sim.Category.Runtime 12.;
-            Sim.Mono_cell.set cell !j;
-            j := !j + threads
-          done;
-          (* Laggards that own no iteration still release the commit chain. *)
-          Sim.Barrier.wait ~cost:barrier_cost bar)
-        p.Ir.Program.inners
+  let share ({ Barrier_exec.tid; inner = il; env = env_t; trip; work_factor = wf; _ } as inv) =
+    (* Nobody reads [last_writer] before iteration 0, run by thread 0,
+       commits. *)
+    if tid = 0 then Hashtbl.reset last_writer;
+    let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
+    let cell = cell_of inv in
+    let j = ref tid in
+    while !j < trip do
+      let env_j = Ir.Env.with_inner env_t !j in
+      let speculative_cost () =
+        List.fold_left
+          (fun acc (s : Ir.Stmt.t) -> acc +. (wf *. s.Ir.Stmt.cost env_j))
+          0. il.Ir.Program.body
+      in
+      (* Speculative execution: pay the work and the validation
+         bookkeeping; remember which commits were visible at start. *)
+      let start_commit = Sim.Mono_cell.get cell in
+      let raddrs = Ir.Slice.read_addresses slice env_j in
+      let waddrs = Ir.Slice.write_addresses slice env_j in
+      Sim.Proc.advance ~label:"track" Sim.Category.Runtime
+        (machine.Sim.Machine.sig_per_access
+        *. float_of_int (List.length raddrs + List.length waddrs));
+      Sim.Proc.work ~label:"spec-work" (speculative_cost ());
+      (* In-order commit. *)
+      Sim.Mono_cell.wait_ge ~cat:Sim.Category.Sync_wait cell (!j - 1);
+      let dirty addr =
+        match Hashtbl.find_opt last_writer addr with
+        | Some w -> w > start_commit && w < !j
+        | None -> false
+      in
+      if List.exists dirty raddrs || List.exists dirty waddrs then begin
+        (* Violation: squash and re-execute against committed state. *)
+        incr squashes;
+        Sim.Proc.work ~label:"re-exec" (speculative_cost ())
+      end;
+      (* Commit: apply semantics in order. *)
+      List.iter (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.exec env_j) il.Ir.Program.body;
+      List.iter (fun a -> Hashtbl.replace last_writer a !j) waddrs;
+      Sim.Proc.advance ~label:"commit" Sim.Category.Runtime 12.;
+      Sim.Mono_cell.set cell !j;
+      j := !j + threads
     done
+    (* Laggards that own no iteration still release the commit chain at
+       the barrier that ends the invocation. *)
   in
-  for tid = 0 to threads - 1 do
-    ignore (Sim.Engine.spawn eng ~name:(Printf.sprintf "tls%d" tid) (worker tid))
-  done;
-  Sim.Engine.run eng;
-  Run.make ~technique:"TLS+barrier" ~threads ~makespan:(Sim.Engine.now eng) ~engine:eng
-    ~tasks:!tasks ~invocations:!invocations ~barrier_episodes:(Sim.Barrier.waits bar)
-    ~misspecs:!squashes ()
+  let run =
+    Barrier_exec.region ~machine ?obs ~threads ~track:"tls" ~technique:"TLS+barrier" p env
+      share
+  in
+  { run with Run.misspecs = !squashes }

@@ -9,6 +9,7 @@
 
 val run :
   ?machine:Xinv_sim.Machine.t ->
+  ?obs:Xinv_obs.Recorder.t ->
   threads:int ->
   plan:Xinv_ir.Mtcg.plan ->
   Xinv_ir.Program.t ->

@@ -88,7 +88,10 @@ let summary_of_outcome ~workload ~queue_wait_ns (o : Cx.outcome) =
     o_cache_misses = o.Cx.cache_misses;
     o_policy_source = o.Cx.policy_source;
     o_tasks =
-      (match o.Cx.nrun with Some n -> n.Xinv_native.Nrun.tasks | None -> 0);
+      (match (o.Cx.run, o.Cx.nrun) with
+      | Some r, _ -> r.Xinv_parallel.Run.tasks
+      | None, Some n -> n.Xinv_native.Nrun.tasks
+      | None, None -> 0);
     o_queue_wait_ns = queue_wait_ns;
   }
 

@@ -66,7 +66,7 @@ type summary = {
   o_cache_hits : int;
   o_cache_misses : int;
   o_policy_source : string;
-  o_tasks : int;  (** native run tasks; 0 on the sim backend *)
+  o_tasks : int;  (** inner-loop iterations the run executed, on either backend *)
   o_queue_wait_ns : float;
 }
 

@@ -106,19 +106,11 @@ let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
               m_pruned = false;
             }
       in
-      (* Trial 1 (native sequential) would otherwise be the process's first
-         native run, timed cold.  Two unverified sequential runs first make
-         the incumbent it sets a warm measurement: after only one, trial 1
-         still read 1.6-3.5x the same tune's sequential baseline with the
-         cache on (SYMM train, 2-vCPU VM). *)
-      for _ = 1 to 2 do
-        ignore
-          (Core.Crossinv.run_request
-             (Core.Crossinv.Request.make
-                ~backend:(`Native { Core.Crossinv.native_defaults with work })
-                ~input ~verify:false ~cache ?cache_dir
-                ~technique:Core.Crossinv.Sequential ~threads:1 wl))
-      done;
+      (* Trial 1 (native sequential) sets the incumbent: time it warm. *)
+      Core.Crossinv.warm_up
+        (Core.Crossinv.Request.make
+           ~backend:(`Native { Core.Crossinv.native_defaults with work })
+           ~input ~cache ?cache_dir ~technique:Core.Crossinv.Sequential ~threads:1 wl);
       let r = Search.search ?obs ~budget ~seed ~axes ~measure () in
       let tuned =
         {

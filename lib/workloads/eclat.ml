@@ -68,16 +68,7 @@ let build_program outer =
     [ Ir.Program.inner ~pre:[ fetch ] ~label:"invert" ~trip [ append ] ]
 
 let make () =
-  let progs = Hashtbl.create 3 in
-  let program input =
-    let n = nodes_of input in
-    match Hashtbl.find_opt progs n with
-    | Some p -> p
-    | None ->
-        let p = build_program n in
-        Hashtbl.replace progs n p;
-        p
-  in
+  let program = Wl_util.memo_by nodes_of (fun input -> build_program (nodes_of input)) in
   {
     Workload.name = "ECLAT";
     suite = "MineBench";

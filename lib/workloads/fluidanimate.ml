@@ -88,15 +88,8 @@ let build_program1 input =
     ]
 
 let make1 () =
-  let progs = Hashtbl.create 3 in
-  let program input =
-    let key = (p1_of input, frames1_of input) in
-    match Hashtbl.find_opt progs key with
-    | Some p -> p
-    | None ->
-        let p = build_program1 input in
-        Hashtbl.replace progs key p;
-        p
+  let program =
+    Wl_util.memo_by (fun input -> (p1_of input, frames1_of input)) build_program1
   in
   {
     Workload.name = "FLUIDANIMATE-1";
@@ -275,15 +268,8 @@ let plan2 =
   ]
 
 let make2 () =
-  let progs = Hashtbl.create 3 in
-  let program input =
-    let key = (p2_of input, frames2_of input) in
-    match Hashtbl.find_opt progs key with
-    | Some p -> p
-    | None ->
-        let p = build_program2 input in
-        Hashtbl.replace progs key p;
-        p
+  let program =
+    Wl_util.memo_by (fun input -> (p2_of input, frames2_of input)) build_program2
   in
   {
     Workload.name = "FLUIDANIMATE-2";

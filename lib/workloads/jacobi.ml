@@ -66,16 +66,7 @@ let build_program input =
     [ stencil ~label:"fwd" ~src:"U" ~dst:"V" n; stencil ~label:"bwd" ~src:"V" ~dst:"U" n ]
 
 let make () =
-  let progs = Hashtbl.create 3 in
-  let program input =
-    let key = (trip_of input, outer_of input) in
-    match Hashtbl.find_opt progs key with
-    | Some p -> p
-    | None ->
-        let p = build_program input in
-        Hashtbl.replace progs key p;
-        p
-  in
+  let program = Wl_util.memo_by (fun input -> (trip_of input, outer_of input)) build_program in
   {
     Workload.name = "JACOBI";
     suite = "PolyBench";

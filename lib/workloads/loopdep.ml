@@ -71,15 +71,8 @@ let build_program input =
     ]
 
 let make () =
-  let progs = Hashtbl.create 3 in
-  let program input =
-    let key = (trip1_of input, outer_of input) in
-    match Hashtbl.find_opt progs key with
-    | Some p -> p
-    | None ->
-        let p = build_program input in
-        Hashtbl.replace progs key p;
-        p
+  let program =
+    Wl_util.memo_by (fun input -> (trip1_of input, outer_of input)) build_program
   in
   {
     Workload.name = "LOOPDEP";

@@ -57,16 +57,7 @@ let build_program outer =
     [ Ir.Program.inner ~label:"symm" ~trip:(Ir.Program.const_trip trip) [ body ] ]
 
 let make () =
-  let progs = Hashtbl.create 3 in
-  let program input =
-    let n = outer_of input in
-    match Hashtbl.find_opt progs n with
-    | Some p -> p
-    | None ->
-        let p = build_program n in
-        Hashtbl.replace progs n p;
-        p
-  in
+  let program = Wl_util.memo_by outer_of (fun input -> build_program (outer_of input)) in
   {
     Workload.name = "SYMM";
     suite = "PolyBench";

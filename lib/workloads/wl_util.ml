@@ -48,3 +48,16 @@ let memo f =
         let v = f mem in
         Atomic.set slot (Some (mem, v));
         v
+
+(* A workload's program per input size.  Not domain-safe: the table is
+   filled from whichever caller asks first. *)
+let memo_by key build =
+  let progs = Hashtbl.create 3 in
+  fun input ->
+    let k = key input in
+    match Hashtbl.find_opt progs k with
+    | Some p -> p
+    | None ->
+        let p = build input in
+        Hashtbl.replace progs k p;
+        p

@@ -28,3 +28,10 @@ val memo : (Xinv_ir.Memory.t -> 'a) -> Xinv_ir.Memory.t -> 'a
     Workloads use it to resolve {!Xinv_ir.Memory.float_data} handles once
     per run instead of once per access; [resolve] must be pure.  Thread-safe
     — concurrent refills just recompute the same value. *)
+
+val memo_by : ('i -> 'k) -> ('i -> 'p) -> 'i -> 'p
+(** [memo_by key build] is [build], except that inputs with equal [key]s
+    share the value built for the first of them: a workload builds one
+    program object, with one set of statement ids, per input size.  The
+    cache is an unsynchronized [Hashtbl]; callers on several domains must
+    not race its first fill. *)

@@ -333,6 +333,11 @@ let fixed_runs =
     ("BLACKSCHOLES", Cx.Domore, 8);
     ("JACOBI", Cx.Speccross, 8);
     ("FDTD", Cx.Speccross, 8);
+    ("SYMM", Cx.Barrier, 4);
+    ("SYMM", Cx.Doacross, 4);
+    ("SYMM", Cx.Dswp, 4);
+    ("SYMM", Cx.Inspector, 4);
+    ("SYMM", Cx.Tls, 4);
   ]
 
 let test_obs_off_bit_identical () =
@@ -737,6 +742,28 @@ let test_counter_names_both_backends () =
       ("SYMM", Cx.Barrier);
     ]
 
+(* The five barrier-separated engines share one invocation loop, so each
+   reports its barrier episodes as crossings and the time threads spent
+   blocked at them. *)
+let test_barrier_engines_report_barriers () =
+  let wl = Wl.Registry.find "SYMM" in
+  List.iter
+    (fun technique ->
+      let obs = Obs.Recorder.create () in
+      let o =
+        Cx.run_request
+        @@ Cx.Request.make ~input:Wl.Workload.Train ~obs ~technique ~threads:4 wl
+      in
+      let tag k = Printf.sprintf "SYMM %s: %s" (Cx.technique_name technique) k in
+      match (o.Cx.run, Cx.report ~obs o) with
+      | Some r, Some rep ->
+          Alcotest.(check int) (tag "barrier_crossings = barrier episodes")
+            r.Xinv_parallel.Run.barrier_episodes rep.Obs.Report.barrier_crossings;
+          Alcotest.(check bool) (tag "barrier stall > 0") true
+            (List.assoc Obs.Cause.Barrier_wait rep.Obs.Report.stall_by_cause > 0.)
+      | _ -> Alcotest.fail (tag "no sim run or report"))
+    [ Cx.Barrier; Cx.Doacross; Cx.Dswp; Cx.Inspector; Cx.Tls ]
+
 let suite =
   [
     Alcotest.test_case "metrics counter" `Quick test_metrics_counter;
@@ -763,4 +790,6 @@ let suite =
       test_report_counts_are_counters;
     Alcotest.test_case "same counter names on both backends" `Quick
       test_counter_names_both_backends;
+    Alcotest.test_case "barrier engines report their barriers" `Quick
+      test_barrier_engines_report_barriers;
   ]

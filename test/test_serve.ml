@@ -802,7 +802,11 @@ let test_differential_submit_vs_inprocess () =
                     s_in.Proto.o_policy_source s.Proto.o_policy_source;
                   Alcotest.(check bool) (label ^ " degradations") true
                     (s_in.Proto.o_degraded = s.Proto.o_degraded);
+                  Alcotest.(check int) (label ^ " tasks")
+                    s_in.Proto.o_tasks s.Proto.o_tasks;
                   if backend = `Sim then begin
+                    Alcotest.(check bool) (label ^ " sim tasks counted") true
+                      (s.Proto.o_tasks > 0);
                     (* virtual time: the whole outcome is bit-identical *)
                     Alcotest.(check bool) (label ^ " cost kind") true
                       (s.Proto.o_cost_kind = `Cycles);
@@ -815,9 +819,7 @@ let test_differential_submit_vs_inprocess () =
                   end
                   else begin
                     Alcotest.(check bool) (label ^ " cost kind") true
-                      (s.Proto.o_cost_kind = `Wall_ns);
-                    Alcotest.(check int) (label ^ " tasks")
-                      s_in.Proto.o_tasks s.Proto.o_tasks
+                      (s.Proto.o_cost_kind = `Wall_ns)
                   end
               | m ->
                   Alcotest.failf "%s: %s" label

@@ -17,24 +17,43 @@ let all env s = reads env s @ writes env s
 
 let body env (il : Program.inner) = List.concat_map (all env) il.Program.body
 
-let body_filtered ~hot env (il : Program.inner) =
+(* One instrumented access: the array's name, flat base and size, resolved
+   once, and the index evaluated per iteration. *)
+type site = { name : string; base : int; size : int; index : Expr.t }
+
+type feeder = site array
+
+let feeder ~hot mem (il : Program.inner) =
+  let site name index =
+    { name; base = Memory.base mem name; size = Memory.size mem name; index }
+  in
   List.concat_map
     (fun (s : Stmt.t) ->
+      let accesses = Stmt.accesses s in
       let direct =
         List.filter_map
           (fun (a : Access.t) ->
-            if hot a.Access.base then Some (Access.addr env env.Env.mem a) else None)
-          (Stmt.accesses s)
+            if hot a.Access.base then Some (site a.Access.base a.Access.index) else None)
+          accesses
       in
       let idx =
         List.concat_map
           (fun (a : Access.t) ->
             List.filter_map
-              (fun (arr, ix) ->
-                if hot arr then Some (Memory.addr env.Env.mem arr (Expr.eval env ix))
-                else None)
+              (fun (arr, ix) -> if hot arr then Some (site arr ix) else None)
               (Expr.loads a.Access.index))
-          (Stmt.accesses s)
+          accesses
       in
       direct @ idx)
     il.Program.body
+  |> Array.of_list
+
+let feed fd env sink =
+  for k = 0 to Array.length fd - 1 do
+    let s = fd.(k) in
+    let i = Expr.eval env s.index in
+    if i < 0 || i >= s.size then
+      invalid_arg
+        (Printf.sprintf "Footprint.feed: %s[%d] out of bounds (size %d)" s.name i s.size);
+    sink (s.base + i)
+  done

@@ -12,6 +12,18 @@ val all : Env.t -> Stmt.t -> int list
 val body : Env.t -> Program.inner -> int list
 (** Footprint of one whole inner-loop iteration. *)
 
-val body_filtered : hot:(string -> bool) -> Env.t -> Program.inner -> int list
-(** Footprint restricted to arrays satisfying [hot] — the accesses SPECCROSS
-    actually instruments (those that may alias across invocations). *)
+type feeder
+(** The accesses SPECCROSS instruments in one inner loop's body: those on
+    arrays satisfying [hot] (the ones that may alias across invocations),
+    directly or as index-array loads, with each array's base and bounds
+    resolved once. *)
+
+val feeder : hot:(string -> bool) -> Memory.t -> Program.inner -> feeder
+(** Built once per run: [Memory.t] must keep its layout while the feeder is
+    used (restoring a snapshot does). *)
+
+val feed : feeder -> Env.t -> (int -> unit) -> unit
+(** [feed fd env sink]: the flat address of every instrumented access of
+    the iteration [env], to [sink], without building a list.  Only the
+    indices are evaluated.
+    @raise Invalid_argument when an index falls outside its array. *)

@@ -34,9 +34,13 @@ let queue_capacity = 1024
    in: the checker drops those of generations it already aborted. *)
 type stamped = { gen : int; req : P.request }
 
-(* One native run: [Spsc] rings to the checker, padded [Atomic] frontiers
-   and flags woken through one [Wake] point, and every wait bounded by
-   [wd]. *)
+(* One native run: [Spsc] rings to the checker, fed through [Spsc.Batch]
+   write-combining buffers, padded [Atomic] frontiers and flags woken
+   through one [Wake] point, and every wait bounded by [wd].  A worker's
+   buffered requests reach the checker before it waits ({!block},
+   {!barrier}), publishes a new epoch ([Progress]) or leaves the region:
+   every wait of the protocol may depend on the checker having seen them,
+   and no worker runs an unbounded stretch without one of the three. *)
 type machine = {
   pool : Pool.t;
   wd : Watchdog.t;
@@ -47,6 +51,7 @@ type machine = {
   work : Work.t;
   sh : Nbarrier.share;
   qs : stamped Spsc.t array;
+  bufs : stamped Spsc.Batch.b array;  (* per worker, over [qs]; its worker only *)
   (* The frontier arrays are the contended heart of the protocol: every
      worker writes its own slot while every peer polls all of them, so each
      slot lives on its own cache line ({!Pad}), as do the scalar flags the
@@ -102,16 +107,26 @@ module Machine = struct
     Atomic.set a v;
     Wake.signal m.changed
 
+  let flush m ~w =
+    let b = m.bufs.(w) in
+    if not (Spsc.Batch.try_flush b) then
+      Stallcat.timed ?fr:m.fr ~domain:w m.stat Stallcat.Queue_full (fun () ->
+          Spsc.Batch.flush ~wd:m.wd ~role:(role w) b)
+
   (* A stalled worker keeps executing but stops publishing: its frozen
      frontiers starve its peers' waits, which the watchdog then bounds. *)
-  let publish m ~w f v = if not m.stalled.(w) then set m (cell m f w) v
+  let publish m ~w f v =
+    if f = P.Progress then flush m ~w;
+    if not m.stalled.(w) then set m (cell m f w) v
   let get m ~w:_ f p = Atomic.get (cell m f p)
   let aborted m ~w:_ = Atomic.get m.abort
 
   let block m ~w cause ~for_ pred =
-    if not (pred ()) then
+    if not (pred ()) then begin
+      flush m ~w;
       Stallcat.timed ?fr:m.fr ~domain:w m.stat cause (fun () ->
           Watchdog.wait ~wd:m.wd ~role:(role w) ~for_ ~on:[ m.changed ] pred)
+    end
 
   (* Every wait of the protocol returns on an abort too. *)
   let wait m ~w cause ~for_ pred =
@@ -148,6 +163,7 @@ module Machine = struct
     match m.fr with Some f -> Obs.Flight.record f ~domain kind ~a ~b | None -> ()
 
   let barrier m ~w =
+    flush m ~w;
     record m ~domain:w Obs.Flight.Barrier_arrive ~a:m.episodes.(w) ~b:0;
     Stallcat.timed ?fr:m.fr ~domain:w m.stat Stallcat.Barrier_wait (fun () ->
         Nbar.wait ~wd:m.wd ~role:(role w) m.bar);
@@ -172,17 +188,24 @@ module Machine = struct
     if not m.stalled.(w) then begin
       Atomic.incr m.submitted;
       Wake.signal m.changed;
-      let s = { gen = m.gen; req = r } in
-      (* Fast path: the ring normally has room.  It fills only when this
-         worker runs a whole ring ahead of a peer its oldest request waits
-         for; only then is the push blocking (and stall-accounted). *)
-      if not (Spsc.try_push m.qs.(w) s) then
+      let b = m.bufs.(w) and s = { gen = m.gen; req = r } in
+      (* Fast path: the buffer, or the ring it flushes into, normally has
+         room.  The ring fills only when this worker runs a whole ring
+         ahead of a peer its oldest request waits for; only then is the
+         push blocking (and stall-accounted). *)
+      if not (Spsc.Batch.add b s) then
         Stallcat.timed ?fr:m.fr ~domain:w m.stat Stallcat.Queue_full (fun () ->
-            Spsc.push ~wd:m.wd ~role:(role w) m.qs.(w) s);
-      record m ~domain:w Obs.Flight.Queue_sample ~a:w ~b:(Spsc.length m.qs.(w))
+            Spsc.Batch.push ~wd:m.wd ~role:(role w) b s);
+      match m.fr with
+      | Some f ->
+          Obs.Flight.record f ~domain:w Obs.Flight.Queue_sample ~a:w
+            ~b:(Spsc.length m.qs.(w) + Spsc.Batch.pending b)
+      | None -> ()
     end
 
-  let finish m ~w = if w = 0 then set m m.finished true
+  let finish m ~w =
+    flush m ~w;
+    if w = 0 then set m m.finished true
 
   let ready m { req = r; _ } =
     let ok = ref true in
@@ -326,6 +349,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
       work = cfg.work;
       sh = Nbarrier.share ~work:cfg.work ~grain:1 ~threads:workers env;
       qs;
+      bufs = Array.map Spsc.Batch.create qs;
       progress = Pad.atomic_array workers (-1);
       tpos = Pad.atomic_array workers (-1);
       dpos = Pad.atomic_array workers (-1);

@@ -9,10 +9,14 @@
       {!Wake} point signalled after every store; [Dpos] is stored after
       the task's memory writes and its signature's
       {!Xinv_runtime.Siglog.store}, so a domain that reads it sees both;
-    - each worker sends its checking requests on its own {!Spsc} ring.
-      The checker holds the oldest unprocessed request of each worker and
-      takes any held request once every other worker's [Progress] reached
-      its epoch, because its window is then complete;
+    - each worker sends its checking requests on its own {!Spsc} ring,
+      write-combined through a {!Spsc.Batch} of the default size and
+      flushed before the worker waits (on a frontier, the checker or a
+      barrier), when it publishes [Progress] and when it leaves the
+      region: the protocol's rule on buffered requests.  The checker
+      holds the oldest unprocessed request of each worker and takes any
+      held request once every other worker's [Progress] reached its
+      epoch, because its window is then complete;
     - on a conflict the checker raises the abort flag, which releases every
       wait, and bumps the generation; a worker leaves its aborted epoch at
       the next iteration.  Workers rally at a sense-reversing barrier

@@ -157,9 +157,13 @@ module Batch = struct
     if b.fill = 0 then true
     else begin
       let n = try_push_array b.q b.store ~pos:0 ~len:b.fill in
-      if n > 0 && n < b.fill then
+      if n > 0 then begin
         Array.blit b.store n b.store 0 (b.fill - n);
-      b.fill <- b.fill - n;
+        (* Flushed slots go back to [dummy], as popped ring slots do, so
+           the buffer never pins a payload the consumer already dropped. *)
+        Array.fill b.store (b.fill - n) n b.q.dummy;
+        b.fill <- b.fill - n
+      end;
       b.fill = 0
     end
 

@@ -3,7 +3,8 @@
     The native-backend counterpart of the simulator's {!Xinv_sim.Channel}:
     the DOMORE scheduler domain streams {!Xinv_runtime.Sync_cond.to_int}
     words to each worker domain through one of these, and SPECCROSS workers
-    stream signature requests to the checker domain.
+    stream signature requests to the checker domain.  Both producers write
+    through a {!Batch}.
 
     Exactly one domain may push and exactly one may pop.  [head] and [tail]
     are monotonic [Atomic] counters padded onto their own cache lines; each
@@ -72,7 +73,11 @@ val length : 'a t -> int
     and publishes them in ring-sized bursts, so the per-item cost drops to
     a plain array store.  The flushed stream is byte-for-byte the same
     sequence a plain {!push} loop would have produced — framing only, no
-    reordering (property-tested against the unbatched path). *)
+    reordering (property-tested against the unbatched path).  Flushed
+    slots are reset to the queue's [dummy], so a buffer pins no payload it
+    already published.  Users: the DOMORE scheduler ([Ndomore], at
+    [--batch]) and each SPECCROSS worker ([Nspec], at the default size,
+    flushed before every wait). *)
 module Batch : sig
   type 'a queue := 'a t
 

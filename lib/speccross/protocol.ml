@@ -138,6 +138,7 @@ module Make (M : MACHINE) = struct
     let mem = env.Ir.Env.mem in
     let ep = Epochs.make p env in
     let nepochs = ep.Epochs.count and base = ep.Epochs.base and hot = ep.Epochs.hot in
+    let feeders = Array.map (Ir.Footprint.feeder ~hot mem) ep.Epochs.inners in
     let siglog = Rt.Siglog.create ~workers in
     let ckpts = Rt.Checkpoint.create () in
     let checks = Atomic.make 0 and misspecs = ref 0 in
@@ -246,9 +247,10 @@ module Make (M : MACHINE) = struct
         done
     in
     (* The bracket around one task at global position [g].  Its
-       instrumented accesses [addrs ()] are evaluated after the snapshot, so
-       every index they load is final or written by a task in the window. *)
-    let task ~w ~epoch ~g ~addrs body =
+       instrumented accesses [feed] streams into the signature are evaluated
+       after the snapshot, so every index they load is final or written by
+       a task in the window. *)
+    let task ~w ~epoch ~g ~feed body =
       M.record m ~domain:w Flight.Dispatch ~a:g ~b:epoch;
       if cfg.non_spec_barriers then body ()
       else begin
@@ -258,9 +260,8 @@ module Make (M : MACHINE) = struct
         let sg = Rt.Signature.create cfg.sig_kind in
         let failed =
           match
-            let a = addrs () in
-            M.charge m (Access (List.length a));
-            Rt.Signature.add_list sg a;
+            Rt.Signature.add_iter sg feed;
+            M.charge m (Access (Rt.Signature.count sg));
             body ()
           with
           | () -> false
@@ -283,7 +284,8 @@ module Make (M : MACHINE) = struct
       guard ~w ~epoch:e ~g:base.(e) (fun () -> M.exec m ~w Pre env_t il);
       let trip = il.Ir.Program.trip env_t in
       let at j = Ir.Env.with_inner env_t j in
-      let footprint j = Ir.Footprint.body_filtered ~hot (at j) il in
+      let fd = feeders.(e mod Array.length feeders) in
+      let footprint j = Ir.Footprint.feed fd (at j) in
       match cfg.mode_of il.Ir.Program.ilabel with
       | M_doall ->
           (* Block-cyclic blocks of [grain] iterations, one task each,
@@ -295,14 +297,12 @@ module Make (M : MACHINE) = struct
             let j1 = Stdlib.min trip (j0 + grain) - 1 in
             let g = base.(e) + j1 in
             throttle ~w g;
-            let addrs () =
-              let acc = ref [] in
+            let feed sink =
               for j = j0 to j1 do
-                acc := List.rev_append (footprint j) !acc
-              done;
-              !acc
+                footprint j sink
+              done
             in
-            task ~w ~epoch:e ~g ~addrs (fun () ->
+            task ~w ~epoch:e ~g ~feed (fun () ->
                 for j = j0 to j1 do
                   M.exec m ~w Doall (at j) il
                 done);
@@ -315,7 +315,7 @@ module Make (M : MACHINE) = struct
             throttle ~w g;
             let owned = Xinv_parallel.Intra.owns ~threads:workers ~tid:w (at j) in
             if guard ~w ~epoch:e ~g (fun () -> List.exists owned il.Ir.Program.body) then
-              task ~w ~epoch:e ~g ~addrs:(fun () -> footprint j) (fun () ->
+              task ~w ~epoch:e ~g ~feed:(footprint j) (fun () ->
                   M.exec m ~w Localwrite (at j) il)
             else begin
               (* Publish progress so checker windows stay tight. *)
@@ -335,11 +335,14 @@ module Make (M : MACHINE) = struct
             throttle ~w g;
             let owner =
               guard ~w ~epoch:e ~g (fun () ->
-                  let addrs = footprint j in
+                  (* Evaluated, not just counted: an index speculative
+                     memory puts out of bounds raises here, in the guard. *)
+                  let accesses = ref 0 in
+                  footprint j (fun _ -> incr accesses);
                   let waddrs =
                     List.concat_map (Ir.Footprint.writes env_j) il.Ir.Program.body
                   in
-                  M.charge m (Schedule (List.length addrs));
+                  M.charge m (Schedule !accesses);
                   let owner =
                     Xinv_domore.Policy.pick policy ~loads:None ~mem ~threads:workers ~iter:j
                       ~write_addrs:waddrs
@@ -367,7 +370,7 @@ module Make (M : MACHINE) = struct
               M.publish m ~w Done g
             end
             else
-              task ~w ~epoch:e ~g ~addrs:(fun () -> footprint j) (fun () ->
+              task ~w ~epoch:e ~g ~feed:(footprint j) (fun () ->
                   Rt.Shadow.Deps.iter
                     (fun ~tid ~iter -> M.await m ~w Dep Done tid (base.(e) + iter))
                     deps;

@@ -23,6 +23,12 @@
     - {b Signal after every store.}  A wait may only return early by
       raising; so every store that can satisfy one (a frontier, a drained
       checker, an abort, the end of the run) must wake its waiters.
+    - {b Buffered requests reach the checker before their worker waits.}
+      A machine may hold {!MACHINE.submit}ted requests back to publish
+      them in bursts, but a worker's buffered requests reach the checker
+      before it blocks (any wait, a barrier) or publishes a new epoch
+      ([Progress]), and before it {!MACHINE.finish}es: a drain, a rally or
+      the wait for a forced conflict's abort may depend on them.
     - {!MACHINE.run} returns once every thread returned; thread [i] records
       on flight domain [i]: workers [0 .. workers - 1], then the checker. *)
 

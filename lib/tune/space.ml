@@ -76,8 +76,9 @@ let canon (p : Policy.t) =
         epoch_size = d.Policy.epoch_size;
       }
   | "speccross" ->
-      (* SPECCROSS dispatches speculative blocks by grain but never
-         batches publishes. *)
+      (* SPECCROSS dispatches speculative blocks by grain; its workers
+         batch checking requests at a fixed factor, so the batch axis
+         stays DOMORE's. *)
       { p with Policy.batch = d.Policy.batch }
   | _ -> p
 

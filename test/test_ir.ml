@@ -293,8 +293,10 @@ let test_footprint () =
   let fp = Ir.Footprint.body env il in
   (* acc read + acc write + tgt index load (twice: once per access) *)
   Alcotest.(check int) "footprint size" 4 (List.length fp);
-  let hot = Ir.Footprint.body_filtered ~hot:(String.equal "acc") env il in
-  Alcotest.(check (list int)) "filtered to acc" [ 17; 17 ] hot
+  let fd = Ir.Footprint.feeder ~hot:(String.equal "acc") env.Ir.Env.mem il in
+  let hot = ref [] in
+  Ir.Footprint.feed fd env (fun a -> hot := a :: !hot);
+  Alcotest.(check (list int)) "filtered to acc" [ 17; 17 ] (List.rev !hot)
 
 let test_opaque () =
   let p, fresh = small_program () in

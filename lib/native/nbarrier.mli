@@ -7,9 +7,10 @@ val run_seq : ?work:Work.t -> Xinv_ir.Program.t -> Xinv_ir.Env.t -> Nrun.t
 
 (** {2 One invocation}
 
-    The pieces {!run} is built from, shared with the native SPECCROSS
-    engine's non-speculative epochs ({!Nspec}): one engine executes an
-    invocation under a barrier, whether or not it speculates elsewhere. *)
+    The pieces of {!run} that the native SPECCROSS engine ({!Nspec}) also
+    executes its epochs with, speculative or not: the sequential region,
+    an irreversible epoch in program order, and one thread's part of an
+    iteration. *)
 
 val exec_pre : Work.t -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> unit
 (** The invocation's sequential region, in the outer iteration's
@@ -37,18 +38,6 @@ val exec_iteration :
     body, under the DOANY lock stripe when it commutes, or for LOCALWRITE
     the statements it owns, with traversal statements burned and applied
     by the {!Xinv_parallel.Intra.executor}. *)
-
-val run_share :
-  share ->
-  tid:int ->
-  Xinv_parallel.Intra.technique ->
-  Xinv_ir.Env.t ->
-  Xinv_ir.Program.inner ->
-  unit
-(** Thread [tid]'s share of one invocation's iterations through
-    {!exec_iteration}, with no synchronization: LOCALWRITE visits every
-    iteration; the other techniques take blocks of [grain] iterations
-    cyclically. *)
 
 val run :
   pool:Pool.t ->

@@ -69,7 +69,6 @@ type machine = {
   checker_gen : int Atomic.t;  (* conflicts found, published last *)
   changed : Wake.t;  (* signalled after every store to the above *)
   bar : Nbar.t;
-  episodes : int array;  (* per worker: barrier episodes crossed *)
   stalled : bool array;  (* per worker: its signature stream is frozen *)
   mutable gen : int;  (* recoveries; written by worker 0 between barriers *)
   (* The checker's own state. *)
@@ -162,26 +161,11 @@ module Machine = struct
   let record m ~domain kind ~a ~b =
     match m.fr with Some f -> Obs.Flight.record f ~domain kind ~a ~b | None -> ()
 
+  (* Recovery's rally and resume, not a protocol operation. *)
   let barrier m ~w =
     flush m ~w;
-    record m ~domain:w Obs.Flight.Barrier_arrive ~a:m.episodes.(w) ~b:0;
     Stallcat.timed ?fr:m.fr ~domain:w m.stat Stallcat.Barrier_wait (fun () ->
-        Nbar.wait ~wd:m.wd ~role:(role w) m.bar);
-    record m ~domain:w Obs.Flight.Barrier_release ~a:m.episodes.(w) ~b:0;
-    m.episodes.(w) <- m.episodes.(w) + 1
-
-  (* The barrier engine's share of the epoch, under the technique its mode
-     runs as without speculation. *)
-  let redo m ~w (mode : P.mode) env_t il =
-    if w = 0 then Nbarrier.exec_pre m.work env_t il;
-    barrier m ~w;
-    let tech =
-      match mode with
-      | P.M_doall -> Intra.Doall
-      | P.M_localwrite | P.M_domore _ -> Intra.Localwrite
-    in
-    Nbarrier.run_share m.sh ~tid:w tech env_t il;
-    barrier m ~w
+        Nbar.wait ~wd:m.wd ~role:(role w) m.bar)
 
   let submit m (r : P.request) =
     let w = r.P.worker in
@@ -363,7 +347,6 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
       checker_gen = Pad.atomic 0;
       changed;
       bar = Nbar.create ~parties:(Stdlib.max 1 workers);
-      episodes = Array.make workers 0;
       stalled = Array.make workers false;
       gen = 0;
       held = Array.make workers None;
@@ -383,5 +366,5 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   in
   Nrun.make ~technique:"native-SPECCROSS" ~domains:(workers + 1) ~workers ~wall_ns:m.wall_ns
     ~tasks:c.P.tasks ~invocations:(Ir.Program.invocations p) ~checks:c.P.checks
-    ~misspecs:c.P.misspecs ~barrier_episodes:(Nbar.waits m.bar)
+    ~misspecs:c.P.misspecs ~barrier_episodes:c.P.barriers
     ~stalls:(Stallcat.to_list m.stat) ()

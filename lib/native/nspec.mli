@@ -21,9 +21,10 @@
       wait, and bumps the generation; a worker leaves its aborted epoch at
       the next iteration.  Workers rally at a sense-reversing barrier
       ({!Nbar}); worker 0 restores the last checkpoint and resets the
-      frontiers; the misspeculated epochs re-execute through the barrier
-      engine's per-invocation share ({!Nbarrier.run_share}); requests from
-      dead generations are dropped;
+      frontiers; requests from dead generations are dropped.  The
+      protocol's epoch loop then re-executes, without speculation, the
+      epochs up to the one the checker flagged, with the workers meeting at
+      every epoch boundary, as on the simulator;
     - an exception from speculative work (other than a fault or the
       watchdog's) turns the task into a forced conflict.
 
@@ -82,6 +83,7 @@ val run :
     block dispatches, worker 0's epoch commits (redone epochs too),
     signature checks with their window
     sizes, misspeculations, checkpoints, recoveries (epochs redone and
-    nanoseconds taken), barrier episodes, queue samples and stall episodes
-    with no effect on speculation.  [Nrun.tasks] is the region's iteration
-    count. *)
+    nanoseconds taken), queue samples and stall episodes with no effect on
+    speculation.  [Nrun.tasks] is the region's iteration count, and
+    [Nrun.barrier_episodes] the non-speculative epoch boundaries recovery
+    crossed ({!Xinv_speccross.Protocol.counts}). *)

@@ -4,7 +4,8 @@
     Each worker stores the signature of every speculative task it ends,
     keyed by the task's {e global position}: its epoch's base plus its
     iteration ({!Xinv_speccross.Protocol.Epochs}), which increases strictly
-    per worker.  The checker only reads the log.
+    per worker.  The checker only reads the log.  A run of one worker
+    stores nothing: its checker has no other worker to compare against.
 
     {b Window rule.}  A task of epoch [e] is compared against each other
     worker's signatures that lie {e after} that worker's frontier snapshot

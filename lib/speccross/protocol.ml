@@ -106,8 +106,6 @@ module type MACHINE = sig
   val await_abort : t -> w:int -> unit
   val charge : t -> cost -> unit
   val exec : t -> w:int -> kind -> Ir.Env.t -> Ir.Program.inner -> unit
-  val redo : t -> w:int -> mode -> Ir.Env.t -> Ir.Program.inner -> unit
-  val barrier : t -> w:int -> unit
   val submit : t -> request -> unit
   val finish : t -> w:int -> unit
   val take : t -> request option
@@ -124,7 +122,7 @@ module type MACHINE = sig
   val run : t -> (unit -> unit) array -> unit
 end
 
-type counts = { tasks : int; checks : int; misspecs : int }
+type counts = { tasks : int; checks : int; misspecs : int; barriers : int }
 
 (* A worker leaves an aborted epoch ({!MACHINE.abandon}). *)
 exception Abandoned
@@ -141,10 +139,18 @@ module Make (M : MACHINE) = struct
     let feeders = Array.map (Ir.Footprint.feeder ~hot mem) ep.Epochs.inners in
     let siglog = Rt.Siglog.create ~workers in
     let ckpts = Rt.Checkpoint.create () in
-    let checks = Atomic.make 0 and misspecs = ref 0 in
-    let max_epoch = Atomic.make 0 and injected = Atomic.make false in
-    (* Written by worker 0 before {!M.resume}, read by every worker after. *)
-    let redo_from = ref 0 and redo_to = ref 0 and resume_from = ref 0 in
+    let checks = Atomic.make 0 and misspecs = ref 0 and barriers = ref 0 in
+    let injected = Atomic.make false in
+    (* The lowest epoch the checker flagged in this generation: stored
+       before its verdict, read by worker 0 once rallied. *)
+    let flagged = ref max_int in
+    (* Written by worker 0 before {!M.resume}, read by every worker after:
+       the epoch recovery restored and the one speculation resumes at.
+       Epochs in between re-execute non-speculatively. *)
+    let restored = ref 0 and spec_from = ref 0 in
+    let speculative e = (not cfg.non_spec_barriers) && e >= !spec_from in
+    (* Worker 0: when the recovery under way began. *)
+    let recovering = ref None in
     (* The positions each worker ran in DOMORE epochs since [!unchecked]. *)
     let ran = Array.make workers [] and unchecked = ref 0 in
     (* Epochs below a checkpoint are final: the log drops them and the
@@ -184,7 +190,9 @@ module Make (M : MACHINE) = struct
       raise Abandoned
     in
     let guard ~w ~epoch ~g f =
-      try f () with ex when contained ex -> force_conflict ~w ~epoch ~g
+      if speculative epoch then
+        try f () with ex when contained ex -> force_conflict ~w ~epoch ~g
+      else f ()
     in
     (* In a DOMORE epoch every worker schedules every iteration from
        speculative memory, and no signature shows two schedules that
@@ -252,7 +260,7 @@ module Make (M : MACHINE) = struct
        a task in the window. *)
     let task ~w ~epoch ~g ~feed body =
       M.record m ~domain:w Flight.Dispatch ~a:g ~b:epoch;
-      if cfg.non_spec_barriers then body ()
+      if not (speculative epoch) then body ()
       else begin
         M.publish m ~w Dpos (g - 1);
         M.charge m Enter;
@@ -268,7 +276,8 @@ module Make (M : MACHINE) = struct
           | exception ex when contained ex -> true
         in
         M.charge m Exit;
-        Rt.Siglog.store siglog ~worker:w ~pos:g ~epoch sg;
+        (* One worker's checker has no peer to compare against. *)
+        if workers > 1 then Rt.Siglog.store siglog ~worker:w ~pos:g ~epoch sg;
         let forced =
           match cfg.inject_misspec with
           | Some (ie, iw) when ie = epoch && iw = w -> Atomic.compare_and_set injected false true
@@ -380,36 +389,34 @@ module Make (M : MACHINE) = struct
                   M.publish m ~w Done g)
           done
     in
+    (* Restore the checkpoint and start a generation that re-executes,
+       without speculation, every epoch up to the one the checker flagged;
+       the checkpoint rally at [!spec_from] ends the recovery. *)
     let recover ~w =
       let t0 = M.clock m in
       M.rally m ~w;
       if w = 0 then begin
         M.charge m Recovery;
-        redo_from := Rt.Checkpoint.restore ckpts ~into:mem;
-        redo_to := Stdlib.min (Atomic.get max_epoch) (nepochs - 1);
-        resume_from := !redo_to + 1;
+        restored := Rt.Checkpoint.restore ckpts ~into:mem;
         Rt.Siglog.clear siglog;
-        M.reset m
+        Array.fill ran 0 workers [];
+        unchecked := !restored;
+        M.reset m;
+        spec_from := Stdlib.min (!flagged + 1) nepochs;
+        flagged := max_int;
+        recovering := Some t0
       end;
       M.resume m ~w;
-      (* Re-execute the misspeculated epochs with non-speculative
-         barriers, then checkpoint the resume point. *)
-      for e = !redo_from to !redo_to do
-        let il, env_t = Epochs.env_of ep e in
-        M.redo m ~w (cfg.mode_of il.Ir.Program.ilabel) env_t il;
-        if w = 0 then commit e
-      done;
-      if w = 0 then checkpoint !resume_from;
-      M.barrier m ~w;
-      if w = 0 then
-        M.record m ~domain:0 Flight.Recovery
-          ~a:(!redo_to - !redo_from + 1)
-          ~b:(int_of_float (Float.round (M.clock m -. t0)));
-      !resume_from
+      !restored
     in
-    let rec bump_max e =
-      let cur = Atomic.get max_epoch in
-      if cur < e && not (Atomic.compare_and_set max_epoch cur e) then bump_max e
+    (* Worker 0, at [!spec_from] or the region end: the recovery is over. *)
+    let recovered e =
+      match !recovering with
+      | Some t0 when not (M.aborted m ~w:0) ->
+          recovering := None;
+          M.record m ~domain:0 Flight.Recovery ~a:(e - !restored)
+            ~b:(int_of_float (Float.round (M.clock m -. t0)))
+      | _ -> ()
     in
     let worker w () =
       let e = ref 0 in
@@ -423,6 +430,7 @@ module Make (M : MACHINE) = struct
           settle ~w Rally Drain nepochs;
           if M.aborted m ~w then e := recover ~w
           else begin
+            if w = 0 then recovered nepochs;
             M.finish m ~w;
             running := false
           end
@@ -433,19 +441,21 @@ module Make (M : MACHINE) = struct
           M.publish m ~w Dpos (base.(ep_) - 1);
           M.publish m ~w Progress ep_;
           M.fault m ~domain:w ~site:ep_;
-          if cfg.non_spec_barriers && ep_ > 0 then begin
+          if (not (speculative ep_)) && ep_ > !restored then begin
             M.charge m Barrier;
+            if w = 0 then incr barriers;
             peers ~w Rally Progress ep_
           end;
-          bump_max ep_;
           if
-            cfg.checkpoint_every > 0
-            && ep_ > 0
-            && ep_ mod cfg.checkpoint_every = 0
+            ep_ > 0
+            && (ep_ = !spec_from || (cfg.checkpoint_every > 0 && ep_ mod cfg.checkpoint_every = 0))
             && M.get m ~w Ckpt 0 < ep_
-          then rally_at ~w Ckpt_rally Ckpt_rally Ckpt ep_ ep_ ignore;
+          then begin
+            rally_at ~w Ckpt_rally Ckpt_rally Ckpt ep_ ep_ ignore;
+            if w = 0 && ep_ = !spec_from then recovered ep_
+          end;
           if M.aborted m ~w then e := recover ~w
-          else if Epochs.irreversible ep ep_ && not cfg.non_spec_barriers then begin
+          else if Epochs.irreversible ep ep_ && speculative ep_ then begin
             (* Irreversible epoch: rally everyone, drain the checker, let
                worker 0 execute the epoch exactly once, checkpoint, resume
                (§4.2.2). *)
@@ -492,6 +502,7 @@ module Make (M : MACHINE) = struct
             M.record m ~domain:workers Flight.Sig_check ~a:r.epoch ~b:!win;
             if !conflict then begin
               incr misspecs;
+              flagged := Stdlib.min !flagged r.epoch;
               M.record m ~domain:workers Flight.Misspec ~a:r.epoch ~b:r.worker
             end;
             M.verdict m r !conflict;
@@ -502,5 +513,6 @@ module Make (M : MACHINE) = struct
     Rt.Checkpoint.save ckpts ~epoch:0 mem;
     M.record m ~domain:0 Flight.Checkpoint ~a:0 ~b:0;
     M.run m (Array.init (workers + 1) (fun i -> if i < workers then worker i else checker));
-    { tasks = base.(nepochs); checks = Atomic.get checks; misspecs = !misspecs }
+    { tasks = base.(nepochs); checks = Atomic.get checks; misspecs = !misspecs;
+      barriers = !barriers }
 end

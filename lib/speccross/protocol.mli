@@ -4,11 +4,21 @@
     {!Make} holds the engine: the workers' epoch loop with its speculative
     range throttle, the task bracket (frontier snapshot, signature,
     {!Xinv_runtime.Siglog.store}, checking request), the three epoch modes,
-    the checkpoint and irreversible-epoch rallies, the order of recovery,
-    and the checker's window rule.  A {!MACHINE} supplies only how its
-    threads publish and wait on frontiers, execute statements, charge
-    time, and pass requests to the checker: the simulator
+    the checkpoint and irreversible-epoch rallies, recovery, and the
+    checker's window rule.  A {!MACHINE} supplies only how its threads
+    publish and wait on frontiers, execute statements, charge time, pass
+    requests to the checker and rally for a recovery: the simulator
     ({!Runtime.run}) and real domains ([Xinv_native.Nspec]).
+
+    Recovery runs in this order: every worker {!MACHINE.rally}s; worker 0
+    restores the last checkpoint, clears the signature log and the DOMORE
+    schedule check, {!MACHINE.reset}s, and sets the epoch speculation
+    resumes at to one past the lowest epoch the checker flagged; every
+    worker {!MACHINE.resume}s at the restored epoch.  The ordinary epoch
+    loop then re-executes the epochs below the resume point as
+    [non_spec_barriers] does (a barrier at each boundary, plain task
+    bodies), and the checkpoint rally at the resume point ends the
+    recovery.
 
     Rules every machine must keep:
     - {b Monotone frontiers.}  Within a generation (between two
@@ -26,7 +36,7 @@
     - {b Buffered requests reach the checker before their worker waits.}
       A machine may hold {!MACHINE.submit}ted requests back to publish
       them in bursts, but a worker's buffered requests reach the checker
-      before it blocks (any wait, a barrier) or publishes a new epoch
+      before it blocks (any wait, a rally) or publishes a new epoch
       ([Progress]), and before it {!MACHINE.finish}es: a drain, a rally or
       the wait for a forced conflict's abort may depend on them.
     - {!MACHINE.run} returns once every thread returned; thread [i] records
@@ -166,12 +176,6 @@ module type MACHINE = sig
   (** In the outer iteration's environment for [Pre] and [Seq], else in
       the iteration's. *)
 
-  val redo : t -> w:int -> mode -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> unit
-  (** Worker [w]'s share of a non-speculative re-execution of one epoch,
-      through the machine's barrier engine, ending at a barrier. *)
-
-  val barrier : t -> w:int -> unit
-
   val submit : t -> request -> unit
 
   val finish : t -> w:int -> unit
@@ -221,6 +225,10 @@ type counts = {
   tasks : int;  (** the region's iterations *)
   checks : int;  (** checking requests submitted *)
   misspecs : int;  (** conflicts found, each one recovery *)
+  barriers : int;
+      (** non-speculative epoch boundaries crossed: every boundary with
+          [non_spec_barriers], else those between two epochs a recovery
+          re-executes *)
 }
 
 module Make (M : MACHINE) : sig
@@ -228,7 +236,14 @@ module Make (M : MACHINE) : sig
   (** Runs the region to completion, leaving memory in its sequential
       final state.  Records [Dispatch] per task, [Epoch_commit] per epoch
       worker 0 commits (redone ones too), [Checkpoint], [Sig_check] with
-      the window size, [Misspec] and [Recovery] (epochs redone, time).
+      the window size, [Misspec] and [Recovery] (epochs redone, and the
+      time from the rally to the checkpoint that ends the re-execution, or
+      the region end).
+
+      An epoch is speculative unless [non_spec_barriers] is set or a
+      recovery re-executes it.  Only a speculative epoch contains an
+      exception its work raises ({!MACHINE.containable}) as a forced
+      conflict; in a re-executed epoch the exception escapes the run.
 
       A task's instrumented accesses are evaluated inside its bracket,
       after the frontier snapshot: every index they load is then final or

@@ -81,7 +81,6 @@ type machine = {
   workers : int;
   wf : float;
   q : cmsg Sim.Channel.t;
-  bar : Sim.Barrier.t;
   mutable st : gstate;  (* the newest generation *)
   cur : gstate array;  (* per worker: the generation it runs in *)
   mutable c_gen : int;  (* the checker's generation, in channel order *)
@@ -126,9 +125,6 @@ module Machine = struct
 
   let await_abort m ~w = wait_ge m ~w P.Drain m.cur.(w).processed wake
 
-  let barrier_cost m =
-    m.mc.Sim.Machine.barrier_base +. (m.mc.Sim.Machine.barrier_per_thread *. float_of_int m.workers)
-
   let charge m (c : P.cost) =
     let mc = m.mc in
     let adv label cat dt = Sim.Proc.advance ~label cat dt in
@@ -143,7 +139,10 @@ module Machine = struct
     | P.Schedule n ->
         adv "sched" Sim.Category.Redundant
           (mc.Sim.Machine.sched_per_iter +. (mc.Sim.Machine.shadow_per_addr *. float_of_int n))
-    | P.Barrier -> adv "barrier" Sim.Category.Barrier_wait (barrier_cost m)
+    | P.Barrier ->
+        adv "barrier" Sim.Category.Barrier_wait
+          (mc.Sim.Machine.barrier_base
+          +. (mc.Sim.Machine.barrier_per_thread *. float_of_int m.workers))
     | P.Checkpoint -> adv "checkpoint" Sim.Category.Checkpoint mc.Sim.Machine.checkpoint_cost
     | P.Recovery -> adv "recover" Sim.Category.Checkpoint mc.Sim.Machine.recovery_cost
 
@@ -182,37 +181,6 @@ module Machine = struct
         in
         Sim.Proc.advance ~label:"visit" Sim.Category.Redundant
           ((m.wf *. traversal) +. 4. +. (2. *. float_of_int (List.length body)))
-
-  let redo m ~w (mode : P.mode) env_t (il : Ir.Program.inner) =
-    exec m ~w P.Pre env_t il;
-    let trip = il.Ir.Program.trip env_t in
-    (match mode with
-    | P.M_doall ->
-        let j = ref w in
-        while !j < trip do
-          exec m ~w P.Doall (Ir.Env.with_inner env_t !j) il;
-          j := !j + m.workers
-        done
-    | P.M_localwrite | P.M_domore _ ->
-        (* Owner-compute, no speculation bookkeeping. *)
-        for j = 0 to trip - 1 do
-          let env_j = Ir.Env.with_inner env_t j in
-          List.iter
-            (fun (stm : Ir.Stmt.t) ->
-              let reads_only = stm.Ir.Stmt.writes = [] in
-              if reads_only || Xinv_parallel.Intra.owns ~threads:m.workers ~tid:w env_j stm
-              then begin
-                let cat =
-                  if reads_only && w <> 0 then Sim.Category.Redundant else Sim.Category.Work
-                in
-                Sim.Proc.advance ~label:stm.Ir.Stmt.name cat (m.wf *. stm.Ir.Stmt.cost env_j);
-                if (not reads_only) || w = 0 then stm.Ir.Stmt.exec env_j
-              end)
-            il.Ir.Program.body
-        done);
-    Sim.Barrier.wait ~cost:(barrier_cost m) m.bar
-
-  let barrier m ~w:_ = Sim.Barrier.wait ~cost:0. m.bar
 
   let submit m (r : P.request) =
     let s = m.cur.(r.P.worker) in
@@ -314,7 +282,6 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
       q =
         Sim.Channel.create ~produce_cost:mc.Sim.Machine.queue_produce
           ~consume_cost:mc.Sim.Machine.queue_consume ();
-      bar = Sim.Barrier.create ~parties:(Stdlib.max 1 workers);
       st = g0;
       cur = Array.make workers g0;
       c_gen = 0;
@@ -332,4 +299,4 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
   Xinv_parallel.Run.make ~technique:"SPECCROSS" ~threads:(workers + 1)
     ~makespan:(Sim.Engine.now m.eng) ~engine:m.eng ~tasks:c.P.tasks
     ~invocations:(Ir.Program.invocations p) ~checks:c.P.checks ~misspecs:c.P.misspecs
-    ~barrier_episodes:(Sim.Barrier.waits m.bar) ?recorder:obs ()
+    ~barrier_episodes:c.P.barriers ?recorder:obs ()

@@ -10,9 +10,9 @@
     compares the signature against every signature another worker logged
     between that recorded position and the task's own epoch.  A conflict is a
     misspeculation: workers rally, the last checkpoint is restored, and the
-    affected epoch range re-executes under non-speculative barriers before
-    speculation resumes.  A profiling-derived speculative range bounds how
-    many epochs a thread may lead the slowest one. *)
+    epochs up to the flagged one re-execute under non-speculative barriers
+    before speculation resumes.  A profiling-derived speculative range
+    bounds how many epochs a thread may lead the slowest one. *)
 
 type mode = Protocol.mode =
   | M_doall  (** iterations cyclically distributed, no within-epoch conflicts *)
@@ -58,7 +58,9 @@ val run :
 (** Simulates the speculative execution, mutating the environment's memory
     to the (verified) final state.  [Run.tasks] is the region's iteration
     count, [Run.checks] counts checking requests, [Run.misspecs]
-    recoveries and [Run.barrier_episodes] the recovery barriers.  With
+    recoveries and [Run.barrier_episodes] the non-speculative epoch
+    boundaries crossed ({!Protocol.counts}): all of them with
+    [non_spec_barriers], else those inside a recovery's re-execution.  With
     [?obs], epoch commits, task dispatches, misspeculations, recoveries,
     checkpoints, signature checks and worker stalls are logged; recording
     consumes no virtual time, so the run is bit-identical with and without

@@ -695,6 +695,102 @@ let test_idle_pool_parks () =
         true
         (used < 0.1 *. wall))
 
+(* Recovery re-executes the epochs up to the flagged one through the
+   protocol's own non-speculative epochs, so for one injected conflict both
+   backends redo the same epochs and cross the same barriers.  Each backend
+   runs the engine configuration a request resolves to; the native flight
+   recorder gets rings large enough to keep the whole run. *)
+let test_speccross_recovery_parity () =
+  List.iter
+    (fun (name, threads) ->
+      let tag k = Printf.sprintf "%s at %d threads: %s" name threads k in
+      let wl = Wl.Registry.find name and input = Wl.Workload.Train in
+      let req =
+        C.Request.make ~input ~technique:(C.Speccross_inject 3) ~threads wl
+      in
+      let program = wl.Wl.Workload.program input and seq = sim_seq_env wl input in
+      let sim_env = wl.Wl.Workload.fresh_env input in
+      let config =
+        match C.resolve req sim_env with
+        | C.Engine.Speccross { config; profitable = true; _ } -> config
+        | _ -> Alcotest.fail (tag "no speculative engine")
+      in
+      let module R = Xinv_speccross.Runtime in
+      let obs = Xinv_obs.Recorder.create () in
+      let sim = R.run ~config ~obs program sim_env in
+      let workers = config.R.workers in
+      let fr = Xinv_obs.Flight.create ~capacity:(1 lsl 16) ~domains:(workers + 1) () in
+      let env = wl.Wl.Workload.fresh_env input in
+      let nat =
+        Nat.Pool.with_pool ~workers (fun pool ->
+            Nat.Nspec.run ~pool ~fr
+              ~config:
+                { (Nat.Nspec.default_config ~workers) with
+                  Nat.Nspec.sig_kind = config.R.sig_kind;
+                  checkpoint_every = config.R.checkpoint_every;
+                  spec_distance = config.R.spec_distance; mode_of = config.R.mode_of;
+                  inject_misspec = config.R.inject_misspec }
+              program env)
+      in
+      List.iter
+        (fun (backend, mem) ->
+          Alcotest.(check (list (pair string int)))
+            (tag (backend ^ " memory = sequential memory")) []
+            (Ir.Memory.diff seq.Ir.Env.mem mem))
+        [ ("sim", sim_env.Ir.Env.mem); ("native", env.Ir.Env.mem) ];
+      Alcotest.(check (pair int int)) (tag "one misspeculation each") (1, 1)
+        (sim.Par.Run.misspecs, nat.Nat.Nrun.misspecs);
+      let sim_redone = (Par.Run.report sim).Xinv_obs.Report.epochs_redone
+      and nat_redone = (Xinv_obs.Report.of_flight fr).Xinv_obs.Report.epochs_redone in
+      Alcotest.(check bool) (tag "an epoch redone") true (sim_redone > 0);
+      Alcotest.(check int) (tag "epochs redone as simulated") sim_redone nat_redone;
+      Alcotest.(check int) (tag "barrier episodes as simulated") sim.Par.Run.barrier_episodes
+        nat.Nat.Nrun.barrier_episodes)
+    [ ("JACOBI", 2); ("JACOBI", 3); ("SYMM", 2); ("SYMM", 3) ]
+
+(* A deterministic bug is no misspeculation: the speculative epoch it
+   raises in becomes one forced conflict, and the recovery that re-executes
+   the epoch lets the exception escape rather than recover again. *)
+let test_native_speccross_bug_escapes () =
+  let program, fresh =
+    Wl.Synth.make
+      { Wl.Synth.default with Wl.Synth.seed = 7; cells = 4096; outer = 6; trip = 4; inners = 1 }
+  in
+  let raised = Atomic.make 0 in
+  let boom =
+    Ir.Stmt.make "boom" ~exec:(fun env ->
+        if env.Ir.Env.t_outer = 3 && env.Ir.Env.j_inner = 0 then begin
+          Atomic.incr raised;
+          failwith "deterministic bug"
+        end)
+  in
+  let program =
+    { program with
+      Ir.Program.inners =
+        List.map
+          (fun (il : Ir.Program.inner) ->
+            { il with Ir.Program.body = il.Ir.Program.body @ [ boom ] })
+          program.Ir.Program.inners }
+  in
+  let workers = 2 in
+  let fr = Xinv_obs.Flight.create ~domains:(workers + 1) () in
+  let wd = Nat.Watchdog.create ~deadline_ms:10_000. () in
+  (match
+     Nat.Pool.with_pool ~workers (fun pool ->
+         Nat.Nspec.run ~pool ~wd ~fr ~config:(Nat.Nspec.default_config ~workers) program
+           (fresh ()))
+   with
+  | _ -> Alcotest.fail "the bug was swallowed"
+  | exception Failure msg -> Alcotest.(check string) "the bug escapes" "deterministic bug" msg
+  | exception Nat.Watchdog.Stalled { role; waiting_for; _ } ->
+      Alcotest.failf "looped: %s still waiting for %s at the deadline" role waiting_for);
+  Alcotest.(check int) "raised speculatively, then once re-executed" 2 (Atomic.get raised);
+  Alcotest.(check int) "one forced conflict" 1
+    (List.length
+       (List.filter
+          (fun (e : Xinv_obs.Flight.entry) -> e.Xinv_obs.Flight.f_kind = Xinv_obs.Flight.Misspec)
+          (Xinv_obs.Flight.entries fr)))
+
 let suite =
   [
     Alcotest.test_case "spsc: FIFO across two domains" `Quick test_spsc_two_domains;
@@ -752,4 +848,8 @@ let suite =
       test_native_speccross_flush_before_wait;
     Alcotest.test_case "spsc: a flushed batch releases its payloads" `Quick
       test_spsc_batch_releases_flushed;
+    Alcotest.test_case "speccross: recovery redoes as simulated" `Quick
+      test_speccross_recovery_parity;
+    Alcotest.test_case "speccross: a deterministic bug escapes recovery" `Quick
+      test_native_speccross_bug_escapes;
   ]

@@ -480,7 +480,7 @@ let stats_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Emit the $(b,xinv-stats/3) JSON document (the same keys on both \
+            "Emit the $(b,xinv-stats/4) JSON document (the same keys on both \
              backends; $(b,clock) names the time unit).")
   in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit key,value CSV.") in
@@ -497,9 +497,16 @@ let stats_cmd =
 
 (* One live frame against a flight recorder that is still being written:
    the run's report so far, per domain.  Reads are racy by design —
-   Flight.read skips torn slots. *)
+   Flight.read skips torn slots.  A live run has no totals yet, so
+   commits/s counts the epoch commits the rings still hold. *)
 let render_frame ~(wl : Wl.Workload.t) ~technique ~frame fl =
   let r = Xinv_obs.Report.of_flight fl in
+  let commits =
+    List.length
+      (List.filter
+         (fun e -> e.Xinv_obs.Flight.f_kind = Xinv_obs.Flight.Epoch_commit)
+         (Xinv_obs.Flight.entries fl))
+  in
   let secs = r.Xinv_obs.Report.makespan /. 1e9 in
   Printf.printf
     "xinv top — %s under %s  |  frame %d  |  %.2f s  |  %d events (%d dropped)\n"
@@ -524,7 +531,7 @@ let render_frame ~(wl : Wl.Workload.t) ~technique ~frame fl =
   | None -> ());
   if secs > 0. then
     Printf.printf "  commits/s %.1f\n"
-      (float_of_int r.Xinv_obs.Report.epochs_committed /. secs)
+      (float_of_int commits /. secs)
 
 let top_cmd =
   let run wl technique domains interval_ms runs frames openmetrics =

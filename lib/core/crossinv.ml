@@ -797,47 +797,42 @@ let exec ~actx ~source (r : Request.t) =
 
 (* ---- run counters ----
 
-   Engines report what a run counted only in their result record; the
-   counters are published from it once, here, with one meaning on either
-   backend.  The simulator's [Run.checks] holds DOMORE's forwarded
-   conditions as well as SPECCROSS's checking requests. *)
-
-type counts = {
-  tasks : int;
-  invocations : int;
-  conds : int;
-  checks : int;
-  misspecs : int;
-  barriers : int;
-}
-
-let counts o =
+   Engines count a run's totals once, in their result record; this names
+   them, with one meaning on either backend.  [run_request] publishes
+   them and [report] lists them.  The simulator's [Run.checks] holds
+   DOMORE's forwarded conditions as well as SPECCROSS's checking
+   requests. *)
+let run_counters o =
+  let named ~tasks ~invocations ~conds ~checks ~misspecs ~barriers ~checkpoints ~redone
+      ~recovery ~compared =
+    match o.technique with
+    | Domore -> [ ("domore.tasks_dispatched", tasks); ("domore.sync_conds_forwarded", conds) ]
+    | Domore_dup -> [ ("domore.sync_conds_forwarded", conds) ]
+    | Speccross | Speccross_inject _ ->
+        [
+          ("speccross.epochs_committed", invocations);
+          ("speccross.signature_checks", checks);
+          ("speccross.signatures_compared", compared);
+          ("speccross.misspeculations", misspecs);
+          ("speccross.epochs_redone", redone);
+          ("speccross.recovery_time", recovery);
+          ("speccross.checkpoints", checkpoints);
+          ("barrier.crossings", barriers);
+        ]
+    | _ -> [ ("barrier.crossings", barriers) ]
+  in
   match (o.run, o.nrun) with
   | Some r, _ ->
-      let checks = r.Par.Run.checks in
-      Some
-        { tasks = r.Par.Run.tasks; invocations = r.Par.Run.invocations; conds = checks;
-          checks; misspecs = r.Par.Run.misspecs; barriers = r.Par.Run.barrier_episodes }
+      Par.Run.(
+        named ~tasks:r.tasks ~invocations:r.invocations ~conds:r.checks ~checks:r.checks
+          ~misspecs:r.misspecs ~barriers:r.barrier_episodes ~checkpoints:r.checkpoints
+          ~redone:r.epochs_redone ~recovery:r.recovery_time ~compared:r.signatures_compared)
   | None, Some n ->
-      Some
-        { tasks = n.Nat.Nrun.tasks; invocations = n.Nat.Nrun.invocations;
-          conds = n.Nat.Nrun.conds; checks = n.Nat.Nrun.checks;
-          misspecs = n.Nat.Nrun.misspecs; barriers = n.Nat.Nrun.barrier_episodes }
-  | None, None -> None
-
-let publish_counts obs executed c =
-  let bump = bump_counter obs in
-  match executed with
-  | Domore ->
-      bump "domore.tasks_dispatched" c.tasks;
-      bump "domore.sync_conds_forwarded" c.conds
-  | Domore_dup -> bump "domore.sync_conds_forwarded" c.conds
-  | Speccross | Speccross_inject _ ->
-      bump "speccross.epochs_committed" c.invocations;
-      bump "speccross.signature_checks" c.checks;
-      bump "speccross.misspeculations" c.misspecs;
-      bump "barrier.crossings" c.barriers
-  | _ -> bump "barrier.crossings" c.barriers
+      Nat.Nrun.(
+        named ~tasks:n.tasks ~invocations:n.invocations ~conds:n.conds ~checks:n.checks
+          ~misspecs:n.misspecs ~barriers:n.barrier_episodes ~checkpoints:n.checkpoints
+          ~redone:n.epochs_redone ~recovery:n.recovery_time ~compared:n.signatures_compared)
+  | None, None -> []
 
 let run_request (r : Request.t) =
   assert (r.Request.threads > 0);
@@ -867,7 +862,7 @@ let run_request (r : Request.t) =
             bump_counter obs "policy.source.default" 1;
             exec ~actx ~source:"default" r)
   in
-  Option.iter (publish_counts obs o.technique) (counts o);
+  List.iter (fun (name, v) -> bump_counter obs name v) (run_counters o);
   o
 
 (* A process's first native run is timed cold: pool start-up, first-touch
@@ -890,20 +885,30 @@ let warm_up (r : Request.t) =
         ignore (run_request quiet)
       done
 
+(* The run's own counters, then the recorder's others (policy source,
+   faults, cache, ...). *)
 let report ?obs o =
+  let counters recorder =
+    let run = run_counters o in
+    let recorded =
+      match recorder with
+      | Some r -> Xinv_obs.Metrics.counters (Xinv_obs.Recorder.metrics r)
+      | None -> []
+    in
+    run @ List.filter (fun (k, _) -> not (List.mem_assoc k run)) recorded
+  in
   match (o.run, o.nrun) with
-  | Some r, _ -> Some (Par.Run.report r)
+  | Some r, _ -> Some (Par.Run.report ~counters:(counters r.Par.Run.recorder) r)
   | None, Some nr ->
-      let metrics = Option.map Xinv_obs.Recorder.metrics obs in
-      let counters = Option.map Xinv_obs.Metrics.counters metrics
-      and gauges = Option.map Xinv_obs.Metrics.gauges metrics
+      let counters = counters obs
+      and gauges = Option.map Xinv_obs.Metrics.gauges (Option.map Xinv_obs.Recorder.metrics obs)
       and blocked = nr.Nat.Nrun.stalls in
       Some
         (match o.flight with
-        | Some fl -> Xinv_obs.Report.of_flight ~wall_ns:nr.Nat.Nrun.wall_ns ~blocked ?counters ?gauges fl
+        | Some fl -> Xinv_obs.Report.of_flight ~wall_ns:nr.Nat.Nrun.wall_ns ~blocked ~counters ?gauges fl
         | None ->
             Xinv_obs.Report.build ~backend:"native" ~clock:Xinv_obs.Flight.Ns
               ~makespan:nr.Nat.Nrun.wall_ns
               ~tracks:(Array.init nr.Nat.Nrun.domains (Printf.sprintf "domain %d"))
-              ~blocked ?counters ?gauges [])
+              ~blocked ~counters ?gauges [])
   | None, None -> None

@@ -152,9 +152,11 @@ val report : ?obs:Xinv_obs.Recorder.t -> outcome -> Xinv_obs.Report.t option
 (** The run's {!Xinv_obs.Report}, on either backend: the simulated run's
     entries and engine charges, or the native run's flight entries (when
     recorded) with its Stallcat blocked totals as the per-cause figures.
-    [obs] supplies the native run's counters (a simulated run carries its
-    own recorder).  [None] for a simulated sequential execution, which
-    has no run record. *)
+    Its [counters] are the run counters {!run_request} publishes, named
+    from the result record (zeros included, with or without a recorder),
+    then the other counters of [obs] (a simulated run carries its own
+    recorder).  [None] for a simulated sequential execution, which has no
+    run record. *)
 
 val applicable :
   ?backend:[ `Sim | `Native ] ->
@@ -265,7 +267,9 @@ val run_request : Request.t -> outcome
     run events into the recorder, and once the run ends its counters
     ([domore.*], [speccross.*], [barrier.crossings]) are published from
     the result, under the same names and meanings on both backends;
-    [barrier.crossings] is the engine's barrier episodes.  The native
+    [barrier.crossings] is the engine's barrier episodes, and
+    [speccross.recovery_time] is in the backend's clock (cycles or ns).
+    Only nonzero counters are published.  The native
     backend adds the robustness counters [fault.injected],
     [watchdog.stall] and [degrade.level].
 

@@ -60,10 +60,11 @@ let fig1_4 () =
       p (fresh ())
   in
   let spec_env = fresh () in
+  let profile = Xinv_speccross.Profiler.profile p (fresh ()) in
   let cfg =
     {
       (Xinv_speccross.Runtime.default_config ~workers:4) with
-      Xinv_speccross.Runtime.spec_distance = 64;
+      Xinv_speccross.Runtime.spec_distance = profile.Xinv_speccross.Profiler.spec_distance;
       sig_kind = Xinv_runtime.Signature.Segmented (Ir.Memory.bounds spec_env.Ir.Env.mem);
     }
   in

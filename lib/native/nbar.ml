@@ -12,10 +12,12 @@ let create ~parties =
      arrival invalidate every waiter. *)
   { parties; count = Pad.atomic 0; sense = Pad.atomic 0; wake = Wake.create () }
 
-let wait ?wd ?(role = "party") t =
+let wait ?wd ?(role = "party") ?(serial = ignore) t =
   let s = Atomic.get t.sense in
   if Atomic.fetch_and_add t.count 1 = t.parties - 1 then begin
-    (* Last arrival resets and flips the sense, releasing the others. *)
+    (* Last arrival runs the serial section, then resets and flips the
+       sense, releasing the others. *)
+    serial ();
     Atomic.set t.count 0;
     Atomic.set t.sense (s + 1);
     Wake.signal t.wake

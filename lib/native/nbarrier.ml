@@ -107,43 +107,43 @@ let run ~pool ?wd ?fault ?fr ?(work = Work.Off) ?(grain = 1) ~threads ~plan
   let sh = share ~work ~grain ~threads env in
   let tasks = ref 0 and invocations = ref 0 in
   let ninners = List.length p.Ir.Program.inners in
+  let invocation site =
+    (Ir.Env.with_outer env (site / ninners), List.nth p.Ir.Program.inners (site mod ninners))
+  in
+  let sites = p.Ir.Program.outer_trip * ninners in
+  (* Invocation [site]'s sequential region: the caller runs the first one;
+     the last thread to reach the barrier that ends invocation [site - 1]
+     runs the next before it releases the others. *)
+  let pre site =
+    if site < sites then
+      let env_t, il = invocation site in
+      exec_pre work env_t il
+  in
   let worker tid () =
     let role = Printf.sprintf "worker %d" tid in
-    let episode = ref 0 in
-    let bwait () =
-      ev Obs.Flight.Barrier_arrive ~domain:tid ~a:!episode ~b:0;
+    for site = 0 to sites - 1 do
+      let env_t, il = invocation site in
+      Fault.inject fault Fault.Worker_raise ~domain:tid ~site;
+      if Fault.fires fault Fault.Poison_cond ~domain:tid ~site then
+        Watchdog.park wd ~role;
+      if tid = 0 then begin
+        let trip = il.Ir.Program.trip env_t in
+        incr invocations;
+        tasks := !tasks + trip;
+        ev Obs.Flight.Dispatch ~domain:0 ~a:site ~b:trip
+      end;
+      run_share sh ~tid (plan il.Ir.Program.ilabel) env_t il;
+      ev Obs.Flight.Barrier_arrive ~domain:tid ~a:site ~b:0;
       Stallcat.timed ?fr ~domain:tid stat Stallcat.Barrier_wait (fun () ->
-          Nbar.wait ~wd ~role bar);
-      ev Obs.Flight.Barrier_release ~domain:tid ~a:!episode ~b:0;
-      incr episode
-    in
-    for t = 0 to p.Ir.Program.outer_trip - 1 do
-      let env_t = Ir.Env.with_outer env t in
-      List.iteri
-        (fun k (il : Ir.Program.inner) ->
-          let site = (t * ninners) + k in
-          let tech = plan il.Ir.Program.ilabel in
-          if tid = 0 then exec_pre work env_t il;
-          (* Unlike the simulator, real workers race ahead: order the
-             sequential region before any body iteration reads it. *)
-          bwait ();
-          Fault.inject fault Fault.Worker_raise ~domain:tid ~site;
-          if Fault.fires fault Fault.Poison_cond ~domain:tid ~site then
-            Watchdog.park wd ~role;
-          if tid = 0 then begin
-            let trip = il.Ir.Program.trip env_t in
-            incr invocations;
-            tasks := !tasks + trip;
-            ev Obs.Flight.Dispatch ~domain:0 ~a:site ~b:trip
-          end;
-          run_share sh ~tid tech env_t il;
-          bwait ();
-          if tid = 0 then ev Obs.Flight.Epoch_commit ~domain:0 ~a:site ~b:0)
-        p.Ir.Program.inners
+          Nbar.wait ~wd ~role ~serial:(fun () -> pre (site + 1)) bar);
+      ev Obs.Flight.Barrier_release ~domain:tid ~a:site ~b:0;
+      if tid = 0 then ev Obs.Flight.Epoch_commit ~domain:0 ~a:site ~b:0
     done
   in
   let wall_ns =
-    Nrun.timed (fun () -> Pool.run ~wd pool (Array.init threads worker))
+    Nrun.timed (fun () ->
+        pre 0;
+        Pool.run ~wd pool (Array.init threads worker))
   in
   let tech0 = plan (List.hd p.Ir.Program.inners).Ir.Program.ilabel in
   Nrun.make

@@ -1,6 +1,7 @@
 (** Native sequential execution and the pthreads-style baseline: the
-    workload's per-invocation plan ({!Xinv_parallel.Intra}) with a real
-    barrier after every inner-loop invocation. *)
+    workload's per-invocation plan ({!Xinv_parallel.Intra}) with one real
+    barrier after every inner-loop invocation, as on the simulator
+    ({!Xinv_parallel.Barrier_exec}). *)
 
 val run_seq : ?work:Work.t -> Xinv_ir.Program.t -> Xinv_ir.Env.t -> Nrun.t
 (** Program order on the calling domain; the wall-clock baseline. *)
@@ -14,7 +15,8 @@ val run_seq : ?work:Work.t -> Xinv_ir.Program.t -> Xinv_ir.Env.t -> Nrun.t
 
 val exec_pre : Work.t -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> unit
 (** The invocation's sequential region, in the outer iteration's
-    environment.  {!run} runs it on thread 0 before a barrier. *)
+    environment.  {!run} runs it inside the barrier that ends the
+    previous invocation. *)
 
 val run_invocation_seq : Work.t -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> int
 (** The whole invocation in program order on the calling domain:
@@ -52,8 +54,13 @@ val run :
   Xinv_ir.Env.t ->
   Nrun.t
 (** [threads] domains (1 from the caller + [threads - 1] pool domains)
-    execute every invocation under its planned technique, separated by
-    barriers.  The pool must have at least [threads - 1] workers.
+    execute every invocation under its planned technique, each ended by
+    one barrier: [Nrun.barrier_episodes] is the invocation count.  An
+    invocation's sequential region runs once, before any thread's share:
+    the caller runs the first one, and the last thread to reach the
+    barrier that ends an invocation runs the next one's before it releases
+    the others ({!Nbar.wait}'s [serial]).  The pool must have at least
+    [threads - 1] workers.
     [grain] (default 1) selects a block-cyclic iteration distribution for
     cyclic techniques: blocks of [grain] consecutive iterations per thread,
     trading load balance for spatial locality; 1 is the classic cyclic

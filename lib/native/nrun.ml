@@ -9,13 +9,19 @@ type t = {
   checks : int;
   misspecs : int;
   barrier_episodes : int;
+  checkpoints : int;
+  epochs_redone : int;
+  recovery_time : int;
+  signatures_compared : int;
   stalls : (string * float) list;
 }
 
 let make ~technique ~domains ~workers ~wall_ns ~tasks ~invocations ?(conds = 0)
-    ?(checks = 0) ?(misspecs = 0) ?(barrier_episodes = 0) ?(stalls = []) () =
+    ?(checks = 0) ?(misspecs = 0) ?(barrier_episodes = 0) ?(checkpoints = 0)
+    ?(epochs_redone = 0) ?(recovery_time = 0) ?(signatures_compared = 0) ?(stalls = []) () =
   { technique; domains; workers; wall_ns; tasks; invocations; conds; checks;
-    misspecs; barrier_episodes; stalls }
+    misspecs; barrier_episodes; checkpoints; epochs_redone; recovery_time;
+    signatures_compared; stalls }
 
 let timed f =
   let t0 = Unix.gettimeofday () in

@@ -14,6 +14,10 @@ type t = {
   checks : int;  (** SPECCROSS signature requests submitted *)
   misspecs : int;
   barrier_episodes : int;
+  checkpoints : int;  (** SPECCROSS checkpoints taken, the initial one included *)
+  epochs_redone : int;  (** epochs SPECCROSS recoveries re-executed *)
+  recovery_time : int;  (** nanoseconds inside SPECCROSS recoveries *)
+  signatures_compared : int;  (** signatures the SPECCROSS checker compared *)
   stalls : (string * float) list;
       (** blocked wall-ns by cause ({!Stallcat}); names the run's bottleneck *)
 }
@@ -29,6 +33,10 @@ val make :
   ?checks:int ->
   ?misspecs:int ->
   ?barrier_episodes:int ->
+  ?checkpoints:int ->
+  ?epochs_redone:int ->
+  ?recovery_time:int ->
+  ?signatures_compared:int ->
   ?stalls:(string * float) list ->
   unit ->
   t

@@ -366,5 +366,6 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
   in
   Nrun.make ~technique:"native-SPECCROSS" ~domains:(workers + 1) ~workers ~wall_ns:m.wall_ns
     ~tasks:c.P.tasks ~invocations:(Ir.Program.invocations p) ~checks:c.P.checks
-    ~misspecs:c.P.misspecs ~barrier_episodes:c.P.barriers
-    ~stalls:(Stallcat.to_list m.stat) ()
+    ~misspecs:c.P.misspecs ~barrier_episodes:c.P.barriers ~checkpoints:c.P.checkpoints
+    ~epochs_redone:c.P.epochs_redone ~recovery_time:c.P.recovery_time
+    ~signatures_compared:c.P.signatures_compared ~stalls:(Stallcat.to_list m.stat) ()

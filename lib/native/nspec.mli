@@ -86,4 +86,6 @@ val run :
     nanoseconds taken), queue samples and stall episodes with no effect on
     speculation.  [Nrun.tasks] is the region's iteration count, and
     [Nrun.barrier_episodes] the non-speculative epoch boundaries recovery
-    crossed ({!Xinv_speccross.Protocol.counts}). *)
+    crossed; the other {!Xinv_speccross.Protocol.counts} fill the fields of
+    the same names (recovery time in nanoseconds), whatever the flight
+    recorder kept. *)

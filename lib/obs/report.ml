@@ -24,16 +24,7 @@ type t = {
   chain_span : float;
   events_logged : int;
   drops : int;
-  sync_forwarded : int;
   queue_occupancy : percentiles option;
-  epochs_committed : int;
-  misspeculations : int;
-  recovery : float;
-  epochs_redone : int;
-  checkpoints : int;
-  signature_checks : int;
-  signatures_compared : int;
-  barrier_crossings : int;
   counters : (string * int) list;
   gauges : (string * float) list;
 }
@@ -115,10 +106,6 @@ let build ~backend ~clock ~makespan ~tracks ?work ?blocked ?(counters = [])
   let n = Array.length tracks in
   let blocked_on = Array.make_matrix n Cause.count 0. in
   let events = Array.make n 0 in
-  let sync_forwarded = ref 0 and epochs_committed = ref 0 and misspeculations = ref 0 in
-  let recovery = ref 0. and epochs_redone = ref 0 and checkpoints = ref 0 in
-  let signature_checks = ref 0 and signatures_compared = ref 0 in
-  let barrier_crossings = ref 0 in
   let samples = ref [] in
   Array.iter
     (fun (e : Flight.entry) ->
@@ -129,21 +116,8 @@ let build ~backend ~clock ~makespan ~tracks ?work ?blocked ?(counters = [])
           if e.Flight.f_a >= 0 && e.Flight.f_a < Cause.count then
             blocked_on.(d).(e.Flight.f_a) <-
               blocked_on.(d).(e.Flight.f_a) +. float_of_int e.Flight.f_b
-      | Flight.Sync_send -> incr sync_forwarded
       | Flight.Queue_sample -> samples := float_of_int e.Flight.f_b :: !samples
-      | Flight.Epoch_commit -> incr epochs_committed
-      | Flight.Misspec -> incr misspeculations
-      | Flight.Recovery ->
-          recovery := !recovery +. float_of_int e.Flight.f_b;
-          epochs_redone := !epochs_redone + e.Flight.f_a
-      | Flight.Checkpoint -> incr checkpoints
-      | Flight.Sig_check ->
-          incr signature_checks;
-          signatures_compared := !signatures_compared + e.Flight.f_b
-      | Flight.Barrier_release -> incr barrier_crossings
-      | Flight.Dispatch | Flight.Sync_recv | Flight.Barrier_arrive | Flight.Stall_begin
-      | Flight.Mark ->
-          ())
+      | _ -> ())
     es;
   let per_cause row = List.map (fun c -> (c, row (Cause.index c))) Cause.all in
   let stall_by_cause =
@@ -193,10 +167,6 @@ let build ~backend ~clock ~makespan ~tracks ?work ?blocked ?(counters = [])
           (Cause.name c) (pct v capacity)
     | None -> "compute (no stalls recorded)"
   in
-  (* A counter of the same meaning is authoritative: a ring can drop
-     entries, and a native engine may log once per domain what its counter
-     counts once per run. *)
-  let count name logged = Option.value ~default:!logged (List.assoc_opt name counters) in
   let chain, chain_span = longest_chain n es in
   let queue_occupancy =
     match !samples with
@@ -226,16 +196,7 @@ let build ~backend ~clock ~makespan ~tracks ?work ?blocked ?(counters = [])
     chain_span;
     events_logged = Array.length es;
     drops;
-    sync_forwarded = count "domore.sync_conds_forwarded" sync_forwarded;
     queue_occupancy;
-    epochs_committed = count "speccross.epochs_committed" epochs_committed;
-    misspeculations = count "speccross.misspeculations" misspeculations;
-    recovery = !recovery;
-    epochs_redone = !epochs_redone;
-    checkpoints = !checkpoints;
-    signature_checks = count "speccross.signature_checks" signature_checks;
-    signatures_compared = !signatures_compared;
-    barrier_crossings = count "barrier.crossings" barrier_crossings;
     counters;
     gauges;
   }
@@ -260,7 +221,6 @@ let pp ppf t =
   Format.fprintf ppf "utilization      %.1f%%@," (100. *. t.utilization);
   Format.fprintf ppf "bottleneck: %s@," t.bottleneck;
   Format.fprintf ppf "critical path: %d edges spanning %s@," t.chain (amount t.chain_span);
-  Format.fprintf ppf "sync-conditions forwarded  %d@," t.sync_forwarded;
   Format.fprintf ppf "worker stall time by cause (%% of capacity):@,";
   List.iter
     (fun (c, v) ->
@@ -271,14 +231,6 @@ let pp ppf t =
       Format.fprintf ppf "queue occupancy  p50 %.0f  p90 %.0f  p99 %.0f  max %.0f@,"
         q.p50 q.p90 q.p99 q.pmax
   | None -> ());
-  if t.epochs_committed > 0 || t.misspeculations > 0 || t.signature_checks > 0 then
-    Format.fprintf ppf
-      "epochs committed %d, misspeculated %d, recovery %s (%d epochs redone)@,\
-       checkpoints %d, signature checks %d (%d signatures compared)@,"
-      t.epochs_committed t.misspeculations (amount t.recovery) t.epochs_redone
-      t.checkpoints t.signature_checks t.signatures_compared;
-  if t.barrier_crossings > 0 then
-    Format.fprintf ppf "barrier crossings %d@," t.barrier_crossings;
   Format.fprintf ppf "per-thread (work%% / stall%% of makespan, dominant stall):@,";
   List.iter
     (fun tr ->
@@ -318,7 +270,7 @@ let to_json t =
   in
   let fields =
     [
-      ("schema", str "xinv-stats/3");
+      ("schema", str "xinv-stats/4");
       ("backend", str t.backend);
       ("clock", str (Flight.clock_name t.clock));
       ("makespan", fnum t.makespan);
@@ -326,7 +278,6 @@ let to_json t =
       ("utilization", fnum t.utilization);
       ("events_logged", string_of_int t.events_logged);
       ("drops", string_of_int t.drops);
-      ("sync_forwarded", string_of_int t.sync_forwarded);
       ("stall_by_cause", obj (List.map (fun (c, v) -> (Cause.name c, fnum v)) t.stall_by_cause));
       ( "dominant_stall",
         match t.dominant_stall with Some c -> str (Cause.name c) | None -> "null" );
@@ -339,18 +290,6 @@ let to_json t =
         | Some q ->
             obj [ ("p50", fnum q.p50); ("p90", fnum q.p90); ("p99", fnum q.p99); ("max", fnum q.pmax) ]
       );
-      ( "speculation",
-        obj
-          [
-            ("epochs_committed", string_of_int t.epochs_committed);
-            ("misspeculated", string_of_int t.misspeculations);
-            ("recovery", fnum t.recovery);
-            ("epochs_redone", string_of_int t.epochs_redone);
-            ("checkpoints", string_of_int t.checkpoints);
-            ("signature_checks", string_of_int t.signature_checks);
-            ("signatures_compared", string_of_int t.signatures_compared);
-          ] );
-      ("barrier_crossings", string_of_int t.barrier_crossings);
       ("per_thread", "[\n    " ^ String.concat ",\n    " (List.map thread t.per_thread) ^ "\n  ]");
       ("counters", obj (List.map (fun (k, v) -> (k, string_of_int v)) t.counters));
       ("gauges", obj (List.map (fun (k, v) -> (k, fnum v)) t.gauges));
@@ -371,7 +310,6 @@ let to_csv t =
   line "utilization" (Printf.sprintf "%.4f" t.utilization);
   line "events_logged" (string_of_int t.events_logged);
   line "drops" (string_of_int t.drops);
-  line "sync_forwarded" (string_of_int t.sync_forwarded);
   List.iter
     (fun (c, v) -> line ("stall." ^ Cause.name c) (Printf.sprintf "%.3f" v))
     t.stall_by_cause;
@@ -386,14 +324,6 @@ let to_csv t =
       line "queue_occupancy.p99" (Printf.sprintf "%.0f" q.p99);
       line "queue_occupancy.max" (Printf.sprintf "%.0f" q.pmax)
   | None -> ());
-  line "epochs_committed" (string_of_int t.epochs_committed);
-  line "misspeculated" (string_of_int t.misspeculations);
-  line "recovery" (Printf.sprintf "%.3f" t.recovery);
-  line "epochs_redone" (string_of_int t.epochs_redone);
-  line "checkpoints" (string_of_int t.checkpoints);
-  line "signature_checks" (string_of_int t.signature_checks);
-  line "signatures_compared" (string_of_int t.signatures_compared);
-  line "barrier_crossings" (string_of_int t.barrier_crossings);
   List.iter (fun (k, v) -> line ("counter." ^ k) (string_of_int v)) t.counters;
   List.iter (fun (k, v) -> line ("gauge." ^ k) (Printf.sprintf "%.3f" v)) t.gauges;
   Buffer.contents b

@@ -5,9 +5,15 @@
     domain), the per-cause blocked totals and the metrics registry.  It
     derives what the dissertation's evaluation argues with — utilization,
     blocked time by {!Cause}, the dominant stall and a one-line bottleneck
-    verdict, the longest dispatch→sync→commit chain, queue occupancy and
-    the speculation summary — and renders it as text, as the
-    [xinv-stats/3] JSON document and as CSV. *)
+    verdict, the longest dispatch→sync→commit chain and queue occupancy —
+    and renders it as text, as the [xinv-stats/4] JSON document and as
+    CSV.
+
+    A run's totals (tasks, sync conditions, epochs, checks, recoveries,
+    checkpoints, barrier crossings) are not tallied here: the engine
+    counts each once, and the report lists them in [counters] under the
+    run counters' names.  Entries only describe time and order, so a ring
+    that drops some changes no total. *)
 
 type thread_report = {
   tid : int;
@@ -38,23 +44,8 @@ type t = {
   chain_span : float;  (** time that chain spans *)
   events_logged : int;  (** entries analyzed *)
   drops : int;  (** entries lost to ring overwrite before analysis *)
-  sync_forwarded : int;
-      (** the [domore.sync_conds_forwarded] counter, else [Sync_send] entries *)
   queue_occupancy : percentiles option;  (** from [Queue_sample] entries *)
-  epochs_committed : int;
-      (** the [speccross.epochs_committed] counter, else [Epoch_commit] entries *)
-  misspeculations : int;
-      (** the [speccross.misspeculations] counter, else [Misspec] entries *)
-  recovery : float;  (** time inside misspeculation recovery *)
-  epochs_redone : int;
-  checkpoints : int;
-  signature_checks : int;
-      (** the [speccross.signature_checks] counter, else [Sig_check] entries *)
-  signatures_compared : int;  (** sum of checking-window sizes *)
-  barrier_crossings : int;
-      (** the [barrier.crossings] counter (the run's barrier episodes),
-          else [Barrier_release] entries *)
-  counters : (string * int) list;  (** metrics registry dump *)
+  counters : (string * int) list;  (** the run counters, as given *)
   gauges : (string * float) list;
 }
 
@@ -74,9 +65,7 @@ val build :
     useful work (default: makespan minus the track's blocked time).
     [blocked] gives authoritative per-cause totals keyed by {!Cause.name}
     (the native Stallcat accounting, which a drop-oldest ring can
-    undercount); by default they are the sums of the stall-end entries.
-    Likewise a summary count whose counter is in [counters] is taken from
-    it, so on both backends a report's counts equal its counters. *)
+    undercount); by default they are the sums of the stall-end entries. *)
 
 val of_flight :
   ?wall_ns:float ->
@@ -96,7 +85,7 @@ val percentile : float array -> float -> float
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> string
-(** The [xinv-stats/3] document (see EXPERIMENTS.md). *)
+(** The [xinv-stats/4] document (see EXPERIMENTS.md). *)
 
 val to_csv : t -> string
 (** Flat [key,value] lines covering the same scalar fields as the JSON. *)

@@ -8,11 +8,16 @@ type t = {
   barrier_episodes : int;
   checks : int;
   misspecs : int;
+  checkpoints : int;
+  epochs_redone : int;
+  recovery_time : int;
+  signatures_compared : int;
   recorder : Xinv_obs.Recorder.t option;
 }
 
 let make ~technique ~threads ~makespan ~engine ?(tasks = 0) ?(invocations = 0)
-    ?(barrier_episodes = 0) ?(checks = 0) ?(misspecs = 0) ?recorder () =
+    ?(barrier_episodes = 0) ?(checks = 0) ?(misspecs = 0) ?(checkpoints = 0)
+    ?(epochs_redone = 0) ?(recovery_time = 0) ?(signatures_compared = 0) ?recorder () =
   {
     technique;
     threads;
@@ -23,6 +28,10 @@ let make ~technique ~threads ~makespan ~engine ?(tasks = 0) ?(invocations = 0)
     barrier_episodes;
     checks;
     misspecs;
+    checkpoints;
+    epochs_redone;
+    recovery_time;
+    signatures_compared;
     recorder;
   }
 
@@ -46,15 +55,18 @@ let tracks r = Array.init (Xinv_sim.Engine.thread_count r.engine) (Xinv_sim.Engi
 
 let entries r = match r.recorder with Some o -> Xinv_obs.Recorder.flight o | None -> []
 
-let report r =
+let report ?counters r =
   let metrics = Option.map Xinv_obs.Recorder.metrics r.recorder in
+  let counters =
+    match counters with Some _ -> counters | None -> Option.map Xinv_obs.Metrics.counters metrics
+  in
   Xinv_obs.Report.build ~backend:"sim" ~clock:Xinv_obs.Flight.Cycles ~makespan:r.makespan
     ~tracks:(tracks r)
     ~work:
       (Array.init (Xinv_sim.Engine.thread_count r.engine) (fun tid ->
            Xinv_sim.Engine.charged r.engine tid Xinv_sim.Category.Work
            +. Xinv_sim.Engine.charged r.engine tid Xinv_sim.Category.Sequential))
-    ?counters:(Option.map Xinv_obs.Metrics.counters metrics)
+    ?counters
     ?gauges:(Option.map Xinv_obs.Metrics.gauges metrics)
     (entries r)
 

@@ -12,6 +12,10 @@ type t = {
   barrier_episodes : int;
   checks : int;  (** speculation checking requests processed *)
   misspecs : int;  (** misspeculation recoveries *)
+  checkpoints : int;  (** SPECCROSS checkpoints taken, the initial one included *)
+  epochs_redone : int;  (** epochs SPECCROSS recoveries re-executed *)
+  recovery_time : int;  (** cycles inside SPECCROSS recoveries *)
+  signatures_compared : int;  (** signatures the SPECCROSS checker compared *)
   recorder : Xinv_obs.Recorder.t option;
       (** the observability recorder the run was instrumented with, if any *)
 }
@@ -26,6 +30,10 @@ val make :
   ?barrier_episodes:int ->
   ?checks:int ->
   ?misspecs:int ->
+  ?checkpoints:int ->
+  ?epochs_redone:int ->
+  ?recovery_time:int ->
+  ?signatures_compared:int ->
   ?recorder:Xinv_obs.Recorder.t ->
   unit ->
   t
@@ -46,8 +54,9 @@ val tracks : t -> string array
 val entries : t -> Xinv_obs.Flight.entry list
 (** The run events the recorder logged, if the run carried one. *)
 
-val report : t -> Xinv_obs.Report.t
+val report : ?counters:(string * int) list -> t -> Xinv_obs.Report.t
 (** {!Xinv_obs.Report.build} over the run's entries, cycle clock, with the
-    engine's Work + Sequential charges as per-thread work. *)
+    engine's Work + Sequential charges as per-thread work.  [counters]
+    (default: the recorder's) are the run counters the report lists. *)
 
 val pp : Format.formatter -> t -> unit

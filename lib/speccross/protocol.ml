@@ -122,7 +122,16 @@ module type MACHINE = sig
   val run : t -> (unit -> unit) array -> unit
 end
 
-type counts = { tasks : int; checks : int; misspecs : int; barriers : int }
+type counts = {
+  tasks : int;
+  checks : int;
+  misspecs : int;
+  barriers : int;
+  checkpoints : int;
+  epochs_redone : int;
+  recovery_time : int;
+  signatures_compared : int;
+}
 
 (* A worker leaves an aborted epoch ({!MACHINE.abandon}). *)
 exception Abandoned
@@ -140,6 +149,9 @@ module Make (M : MACHINE) = struct
     let siglog = Rt.Siglog.create ~workers in
     let ckpts = Rt.Checkpoint.create () in
     let checks = Atomic.make 0 and misspecs = ref 0 and barriers = ref 0 in
+    (* Worker 0's counts, and the checker's. *)
+    let checkpoints = ref 0 and epochs_redone = ref 0 and recovery_time = ref 0 in
+    let compared = ref 0 in
     let injected = Atomic.make false in
     (* The lowest epoch the checker flagged in this generation: stored
        before its verdict, read by worker 0 once rallied. *)
@@ -153,15 +165,19 @@ module Make (M : MACHINE) = struct
     let recovering = ref None in
     (* The positions each worker ran in DOMORE epochs since [!unchecked]. *)
     let ran = Array.make workers [] and unchecked = ref 0 in
+    let save e =
+      Rt.Checkpoint.save ckpts ~epoch:e mem;
+      incr checkpoints;
+      M.record m ~domain:0 Flight.Checkpoint ~a:e ~b:0
+    in
     (* Epochs below a checkpoint are final: the log drops them and the
        DOMORE schedule check starts after them. *)
     let checkpoint e =
       M.charge m Checkpoint;
-      Rt.Checkpoint.save ckpts ~epoch:e mem;
+      save e;
       Rt.Siglog.prune siglog ~upto:e;
       Array.fill ran 0 workers [];
-      unchecked := e;
-      M.record m ~domain:0 Flight.Checkpoint ~a:e ~b:0
+      unchecked := e
     in
     let commit e = M.record m ~domain:0 Flight.Epoch_commit ~a:e ~b:0 in
     let peers ~w why f v =
@@ -414,8 +430,10 @@ module Make (M : MACHINE) = struct
       match !recovering with
       | Some t0 when not (M.aborted m ~w:0) ->
           recovering := None;
-          M.record m ~domain:0 Flight.Recovery ~a:(e - !restored)
-            ~b:(int_of_float (Float.round (M.clock m -. t0)))
+          let redone = e - !restored and took = int_of_float (Float.round (M.clock m -. t0)) in
+          epochs_redone := !epochs_redone + redone;
+          recovery_time := !recovery_time + took;
+          M.record m ~domain:0 Flight.Recovery ~a:redone ~b:took
       | _ -> ()
     in
     let worker w () =
@@ -499,6 +517,7 @@ module Make (M : MACHINE) = struct
                 if hit then conflict := true
               end
             done;
+            compared := !compared + !win;
             M.record m ~domain:workers Flight.Sig_check ~a:r.epoch ~b:!win;
             if !conflict then begin
               incr misspecs;
@@ -510,9 +529,9 @@ module Make (M : MACHINE) = struct
       in
       loop ()
     in
-    Rt.Checkpoint.save ckpts ~epoch:0 mem;
-    M.record m ~domain:0 Flight.Checkpoint ~a:0 ~b:0;
+    save 0;
     M.run m (Array.init (workers + 1) (fun i -> if i < workers then worker i else checker));
     { tasks = base.(nepochs); checks = Atomic.get checks; misspecs = !misspecs;
-      barriers = !barriers }
+      barriers = !barriers; checkpoints = !checkpoints; epochs_redone = !epochs_redone;
+      recovery_time = !recovery_time; signatures_compared = !compared }
 end

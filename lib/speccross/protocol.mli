@@ -221,6 +221,8 @@ module type MACHINE = sig
   val run : t -> (unit -> unit) array -> unit
 end
 
+(** What a run counted, once each: the run's totals on either machine.
+    They do not depend on the flight recorder, which may drop entries. *)
 type counts = {
   tasks : int;  (** the region's iterations *)
   checks : int;  (** checking requests submitted *)
@@ -229,16 +231,23 @@ type counts = {
       (** non-speculative epoch boundaries crossed: every boundary with
           [non_spec_barriers], else those between two epochs a recovery
           re-executes *)
+  checkpoints : int;  (** checkpoints taken, the initial one included *)
+  epochs_redone : int;  (** epochs that recoveries re-executed *)
+  recovery_time : int;
+      (** time inside recoveries, in {!MACHINE.clock}'s unit: from each
+          rally to the checkpoint that ends its re-execution, or the
+          region end *)
+  signatures_compared : int;  (** signatures the checker compared, over every window *)
 }
 
 module Make (M : MACHINE) : sig
   val run : M.t -> config -> Xinv_ir.Program.t -> Xinv_ir.Env.t -> counts
   (** Runs the region to completion, leaving memory in its sequential
-      final state.  Records [Dispatch] per task, [Epoch_commit] per epoch
-      worker 0 commits (redone ones too), [Checkpoint], [Sig_check] with
-      the window size, [Misspec] and [Recovery] (epochs redone, and the
-      time from the rally to the checkpoint that ends the re-execution, or
-      the region end).
+      final state, and returns its {!counts}.  Records [Dispatch] per
+      task, [Epoch_commit] per epoch worker 0 commits (redone ones too),
+      [Checkpoint], [Sig_check] with the window size, [Misspec] and
+      [Recovery] (epochs redone, and the time from the rally to the
+      checkpoint that ends the re-execution, or the region end).
 
       An epoch is speculative unless [non_spec_barriers] is set or a
       recovery re-executes it.  Only a speculative epoch contains an

@@ -299,4 +299,6 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
   Xinv_parallel.Run.make ~technique:"SPECCROSS" ~threads:(workers + 1)
     ~makespan:(Sim.Engine.now m.eng) ~engine:m.eng ~tasks:c.P.tasks
     ~invocations:(Ir.Program.invocations p) ~checks:c.P.checks ~misspecs:c.P.misspecs
-    ~barrier_episodes:c.P.barriers ?recorder:obs ()
+    ~barrier_episodes:c.P.barriers ~checkpoints:c.P.checkpoints
+    ~epochs_redone:c.P.epochs_redone ~recovery_time:c.P.recovery_time
+    ~signatures_compared:c.P.signatures_compared ?recorder:obs ()

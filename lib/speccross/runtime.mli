@@ -59,8 +59,9 @@ val run :
     to the (verified) final state.  [Run.tasks] is the region's iteration
     count, [Run.checks] counts checking requests, [Run.misspecs]
     recoveries and [Run.barrier_episodes] the non-speculative epoch
-    boundaries crossed ({!Protocol.counts}): all of them with
-    [non_spec_barriers], else those inside a recovery's re-execution.  With
+    boundaries crossed: all of them with [non_spec_barriers], else those
+    inside a recovery's re-execution.  The other {!Protocol.counts} fill
+    the fields of the same names (recovery time in cycles).  With
     [?obs], epoch commits, task dispatches, misspeculations, recoveries,
     checkpoints, signature checks and worker stalls are logged; recording
     consumes no virtual time, so the run is bit-identical with and without

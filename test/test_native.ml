@@ -368,8 +368,9 @@ let test_speccross_epochs_committed_agree () =
         ~technique:(C.Speccross_inject 3) ~threads:3 wl
     in
     let r = Option.get (C.report ~obs o) in
-    Alcotest.(check int) "one misspeculation" 1 r.Xinv_obs.Report.misspeculations;
-    r.Xinv_obs.Report.epochs_committed
+    let counter k = List.assoc k r.Xinv_obs.Report.counters in
+    Alcotest.(check int) "one misspeculation" 1 (counter "speccross.misspeculations");
+    counter "speccross.epochs_committed"
   in
   let epochs = Ir.Program.invocations (wl.Wl.Workload.program Wl.Workload.Train) in
   Alcotest.(check int) "sim: every epoch once" epochs (committed (`Sim None));
@@ -472,10 +473,12 @@ let test_native_speccross_report () =
   in
   check_verified "JACOBI/inject" n;
   let r = Option.get (C.report n) in
-  Alcotest.(check int) "one misspeculation" 1 r.Xinv_obs.Report.misspeculations;
-  Alcotest.(check bool) "initial and recovery checkpoints" true (r.Xinv_obs.Report.checkpoints >= 2);
-  Alcotest.(check bool) "an epoch redone" true (r.Xinv_obs.Report.epochs_redone >= 1);
-  Alcotest.(check bool) "signatures compared" true (r.Xinv_obs.Report.signatures_compared > 0)
+  let counter k = List.assoc k r.Xinv_obs.Report.counters in
+  Alcotest.(check int) "one misspeculation" 1 (counter "speccross.misspeculations");
+  Alcotest.(check bool) "initial and recovery checkpoints" true
+    (counter "speccross.checkpoints" >= 2);
+  Alcotest.(check bool) "an epoch redone" true (counter "speccross.epochs_redone" >= 1);
+  Alcotest.(check bool) "signatures compared" true (counter "speccross.signatures_compared" > 0)
 
 (* Real cross-epoch conflicts, not forced ones: few cells and an unbounded
    speculative range make workers overlap on shared cells, which the checker
@@ -697,9 +700,9 @@ let test_idle_pool_parks () =
 
 (* Recovery re-executes the epochs up to the flagged one through the
    protocol's own non-speculative epochs, so for one injected conflict both
-   backends redo the same epochs and cross the same barriers.  Each backend
-   runs the engine configuration a request resolves to; the native flight
-   recorder gets rings large enough to keep the whole run. *)
+   backends redo the same epochs, take the same checkpoints and cross the
+   same barriers, as their engines count them.  Each backend runs the
+   engine configuration a request resolves to. *)
 let test_speccross_recovery_parity () =
   List.iter
     (fun (name, threads) ->
@@ -716,14 +719,12 @@ let test_speccross_recovery_parity () =
         | _ -> Alcotest.fail (tag "no speculative engine")
       in
       let module R = Xinv_speccross.Runtime in
-      let obs = Xinv_obs.Recorder.create () in
-      let sim = R.run ~config ~obs program sim_env in
+      let sim = R.run ~config program sim_env in
       let workers = config.R.workers in
-      let fr = Xinv_obs.Flight.create ~capacity:(1 lsl 16) ~domains:(workers + 1) () in
       let env = wl.Wl.Workload.fresh_env input in
       let nat =
         Nat.Pool.with_pool ~workers (fun pool ->
-            Nat.Nspec.run ~pool ~fr
+            Nat.Nspec.run ~pool
               ~config:
                 { (Nat.Nspec.default_config ~workers) with
                   Nat.Nspec.sig_kind = config.R.sig_kind;
@@ -740,10 +741,11 @@ let test_speccross_recovery_parity () =
         [ ("sim", sim_env.Ir.Env.mem); ("native", env.Ir.Env.mem) ];
       Alcotest.(check (pair int int)) (tag "one misspeculation each") (1, 1)
         (sim.Par.Run.misspecs, nat.Nat.Nrun.misspecs);
-      let sim_redone = (Par.Run.report sim).Xinv_obs.Report.epochs_redone
-      and nat_redone = (Xinv_obs.Report.of_flight fr).Xinv_obs.Report.epochs_redone in
-      Alcotest.(check bool) (tag "an epoch redone") true (sim_redone > 0);
-      Alcotest.(check int) (tag "epochs redone as simulated") sim_redone nat_redone;
+      Alcotest.(check bool) (tag "an epoch redone") true (sim.Par.Run.epochs_redone > 0);
+      Alcotest.(check int) (tag "epochs redone as simulated") sim.Par.Run.epochs_redone
+        nat.Nat.Nrun.epochs_redone;
+      Alcotest.(check int) (tag "checkpoints as simulated") sim.Par.Run.checkpoints
+        nat.Nat.Nrun.checkpoints;
       Alcotest.(check int) (tag "barrier episodes as simulated") sim.Par.Run.barrier_episodes
         nat.Nat.Nrun.barrier_episodes)
     [ ("JACOBI", 2); ("JACOBI", 3); ("SYMM", 2); ("SYMM", 3) ]
@@ -790,6 +792,80 @@ let test_native_speccross_bug_escapes () =
        (List.filter
           (fun (e : Xinv_obs.Flight.entry) -> e.Xinv_obs.Flight.f_kind = Xinv_obs.Flight.Misspec)
           (Xinv_obs.Flight.entries fr)))
+
+(* Native Barrier ends each invocation at one barrier, as the simulator
+   does, so the same request reports the same counts on both backends. *)
+let test_barrier_parity () =
+  Nat.Pool.with_pool ~workers:2 (fun pool ->
+      List.iter
+        (fun (name, threads) ->
+          let tag k = Printf.sprintf "%s at %d threads: %s" name threads k in
+          let go backend =
+            C.run_request
+            @@ C.Request.make ~backend ~input:Wl.Workload.Train ~technique:C.Barrier ~threads
+                 (Wl.Registry.find name)
+          in
+          let s = go (`Sim None) and n = go (`Native { C.native_defaults with C.pool = Some pool }) in
+          Alcotest.(check bool) (tag "sim verified") true s.C.verified;
+          check_verified (tag "native") n;
+          let sr = Option.get s.C.run and nr = nrun n in
+          Alcotest.(check (list int)) (tag "tasks, invocations, barrier episodes")
+            [ sr.Par.Run.tasks; sr.Par.Run.invocations; sr.Par.Run.barrier_episodes ]
+            [ nr.Nat.Nrun.tasks; nr.Nat.Nrun.invocations; nr.Nat.Nrun.barrier_episodes ])
+        (List.concat_map
+           (fun name -> [ (name, 2); (name, 3) ])
+           [ "SYMM"; "JACOBI"; "CG"; "ECLAT"; "LLUBENCH" ]))
+
+(* An invocation's sequential region writes a slot every iteration of its
+   body reads: it must run once, after the previous invocation's bodies and
+   before any of its own. *)
+let test_barrier_sequential_region () =
+  let pre =
+    Ir.Stmt.make
+      ~reads:[ Ir.Access.make "out" (Ir.Expr.c 0) ]
+      ~writes:[ Ir.Access.make "scal" (Ir.Expr.c 0) ]
+      ~cost:(Ir.Stmt.fixed_cost 10.)
+      ~exec:(fun env ->
+        let mem = env.Ir.Env.mem in
+        Ir.Memory.set_float mem "scal" 0
+          (Ir.Memory.get_float mem "out" 0 +. float_of_int env.Ir.Env.t_outer))
+      "scal=f(t)"
+  in
+  let body =
+    Ir.Stmt.make
+      ~reads:[ Ir.Access.make "scal" (Ir.Expr.c 0); Ir.Access.make "out" Ir.Expr.i ]
+      ~writes:[ Ir.Access.make "out" Ir.Expr.i ]
+      ~cost:(Ir.Stmt.fixed_cost 200.)
+      ~exec:(fun env ->
+        let mem = env.Ir.Env.mem and j = env.Ir.Env.j_inner in
+        Ir.Memory.set_float mem "out" j
+          (Ir.Memory.get_float mem "out" j +. Ir.Memory.get_float mem "scal" 0))
+      "out[i]+=scal"
+  in
+  let p =
+    Ir.Program.make ~name:"scal" ~outer_trip:40
+      [ Ir.Program.inner ~pre:[ pre ] ~label:"L" ~trip:(Ir.Program.const_trip 16) [ body ] ]
+  in
+  let fresh () =
+    Ir.Env.make
+      (Ir.Memory.create
+         [ Ir.Memory.Floats ("scal", [| 0. |]); Ir.Memory.Floats ("out", Array.make 16 1.) ])
+  in
+  let seq = fresh () in
+  let (_ : float) = Ir.Seq_interp.run p seq in
+  Nat.Pool.with_pool ~workers:2 (fun pool ->
+      List.iter
+        (fun threads ->
+          let env = fresh () in
+          let r =
+            Nat.Nbarrier.run ~pool ~threads ~plan:(fun _ -> Par.Intra.Doall) p env
+          in
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "%d domains: memory = sequential memory" threads)
+            [] (Ir.Memory.diff seq.Ir.Env.mem env.Ir.Env.mem);
+          Alcotest.(check int) (Printf.sprintf "%d domains: one barrier per invocation" threads)
+            40 r.Nat.Nrun.barrier_episodes)
+        [ 2; 3 ])
 
 let suite =
   [
@@ -852,4 +928,7 @@ let suite =
       test_speccross_recovery_parity;
     Alcotest.test_case "speccross: a deterministic bug escapes recovery" `Quick
       test_native_speccross_bug_escapes;
+    Alcotest.test_case "barrier: same counts as simulated" `Quick test_barrier_parity;
+    Alcotest.test_case "barrier: sequential region before every share" `Quick
+      test_barrier_sequential_region;
   ]

@@ -324,14 +324,12 @@ let spec_profile ~actx (wl : Wl.Workload.t) input =
   let train_env = wl.Wl.Workload.fresh_env train_input in
   profiler_profile actx (wl.Wl.Workload.program train_input) train_env
 
-(* An overridden distance below the worker count would let the throttle
-   strangle the pipeline; the profiled default is clamped the same way.  With
-   no profiled conflict the lead is still bounded (a few invocations) so
-   threads stay loosely coupled and the checker's comparison windows stay
-   small. *)
+(* The engine clamps the distance up to the worker count.  With no profiled
+   conflict the lead is still bounded (a few invocations) so threads stay
+   loosely coupled and the checker's comparison windows stay small. *)
 let spec_distance override (prof : Xinv_speccross.Profiler.t) ~workers =
   match (override, prof.Xinv_speccross.Profiler.min_task_distance) with
-  | Some d, _ | None, Some d -> Stdlib.max workers d
+  | Some d, _ | None, Some d -> d
   | None, None ->
       Stdlib.max (4 * workers)
         (int_of_float (4. *. prof.Xinv_speccross.Profiler.avg_tasks_per_epoch))

@@ -296,8 +296,8 @@ val run_request : Request.t -> outcome
 
     [sig_kind] and [spec_distance] expose the two previously hard-wired
     SPECCROSS knobs (default: [`Segmented] over live memory bounds; the
-    profiled distance).  A [spec_distance] below the worker count is
-    clamped up to it.
+    profiled distance).  The SPECCROSS engine clamps a [spec_distance]
+    below the worker count up to it.
 
     @raise Failure when the technique is inapplicable to the backend
     (see {!applicable}). *)
@@ -334,7 +334,7 @@ module Engine : sig
         (** same policy, [threads] workers and no scheduler *)
     | Speccross of {
         config : Xinv_speccross.Runtime.config;
-            (** profiled (or clamped override) distance, signature scheme,
+            (** profiled (or overridden) distance, signature scheme,
                 per-loop modes and injected misspeculation *)
         profile : Xinv_speccross.Profiler.t;  (** train-input profile *)
         profitable : bool;

@@ -1,3 +1,5 @@
+module Ir = Xinv_ir
+
 type t = Round_robin | Mem_partition | Least_loaded
 
 let name = function
@@ -5,33 +7,41 @@ let name = function
   | Mem_partition -> "memory-partition"
   | Least_loaded -> "least-loaded"
 
-let pick t ~loads ~mem ~threads ~iter ~write_addrs =
-  assert (threads > 0);
+(* [first_write]: the first write's index and its array's size. *)
+let pick t ~loads ~threads ~slot ~first_write =
   match t with
-  | Round_robin -> iter mod threads
+  | Round_robin -> slot mod threads
   | Mem_partition -> (
-      match write_addrs with
-      | [] -> iter mod threads
-      | addr :: _ ->
-          let arr, idx = Xinv_ir.Memory.locate mem addr in
-          idx * threads / Xinv_ir.Memory.size mem arr)
+      match first_write with
+      | None -> slot mod threads
+      | Some (idx, size) -> idx * threads / size)
   | Least_loaded -> (
       match loads with
-      | None -> iter mod threads
+      | None -> slot mod threads
       | Some ls ->
-          let best = ref (iter mod threads) in
+          let best = ref (slot mod threads) in
           for w = 0 to threads - 1 do
             if ls.(w) < ls.(!best) then best := w
           done;
           !best)
 
-let assign t slice shadow deps ~loads ~threads ~iter ~slot env =
-  let waddrs = Xinv_ir.Slice.write_addresses slice env in
-  let tid =
-    pick t ~loads ~mem:env.Xinv_ir.Env.mem ~threads ~iter:slot ~write_addrs:waddrs
+let assign t (slice : Ir.Slice.t) shadow deps ~loads ~threads ~iter ~slot env =
+  assert (threads > 0);
+  let mem = env.Ir.Env.mem in
+  let first_write = ref None in
+  let waddrs =
+    List.map
+      (fun (a : Ir.Access.t) ->
+        let idx = Ir.Expr.eval env a.Ir.Access.index in
+        let addr = Ir.Memory.addr mem a.Ir.Access.base idx in
+        if Option.is_none !first_write then
+          first_write := Some (idx, Ir.Memory.size mem a.Ir.Access.base);
+        addr)
+      slice.Ir.Slice.writes
   in
+  let tid = pick t ~loads ~threads ~slot ~first_write:!first_write in
   Xinv_runtime.Shadow.Deps.clear deps;
-  Xinv_ir.Slice.iter_read_addresses slice env (fun addr ->
+  Ir.Slice.iter_read_addresses slice env (fun addr ->
       Xinv_runtime.Shadow.note_read_deps shadow addr ~tid ~iter deps);
   List.iter
     (fun addr -> Xinv_runtime.Shadow.note_write_deps shadow addr ~tid ~iter deps)

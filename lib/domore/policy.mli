@@ -4,24 +4,15 @@
 
 type t =
   | Round_robin
-  | Mem_partition  (** owner of the first predicted write address *)
+  | Mem_partition
+      (** owner of the first predicted write: with [n] threads, index [i]
+          of an array of size [s] belongs to thread [i * n / s] (contiguous
+          blocks of the written array, as LOCALWRITE owns them) *)
   | Least_loaded
       (** worker with the shortest dispatch queue (the "smarter scheduling"
           extension §3.3.3 anticipates); callers supply queue lengths *)
 
 val name : t -> string
-
-val pick :
-  t ->
-  loads:int array option ->
-  mem:Xinv_ir.Memory.t ->
-  threads:int ->
-  iter:int ->
-  write_addrs:int list ->
-  int
-(** Worker thread for a combined iteration number given the slice-predicted
-    write addresses.  Memory partitioning owns contiguous blocks of the
-    written array (as LOCALWRITE does), not of the flat address space. *)
 
 val assign :
   t ->
@@ -36,9 +27,12 @@ val assign :
   int
 (** DOMORE's per-iteration scheduling step (dissertation Algorithm 1),
     shared by the simulated and native schedulers, centralized and
-    duplicated: evaluate the slice's write addresses ([computeAddr]), pick
-    the owner with {!pick} at index [slot], then record the slice's reads
-    and writes in the shadow memory as iteration [iter] of that owner.
+    duplicated, and by SPECCROSS's DOMORE epochs: evaluate the slice's
+    write addresses ([computeAddr]), pick the owner by the policy at index
+    [slot] (memory partitioning reads the first write's index from the
+    same walk; an iteration without writes falls back to round-robin),
+    then record the slice's reads and writes in the shadow memory as
+    iteration [iter] of that owner.
     [deps] is cleared and refilled with the synchronization conditions the
     owner must wait for.  Returns the owner.
 

@@ -379,9 +379,7 @@ let fluid_custom ~barriers threads =
   let cfg =
     {
       config with
-      Xinv_speccross.Runtime.spec_distance =
-        Stdlib.max config.Xinv_speccross.Runtime.workers
-          profile.Xinv_speccross.Profiler.spec_distance;
+      Xinv_speccross.Runtime.spec_distance = profile.Xinv_speccross.Profiler.spec_distance;
       mode_of = fluid_mode_domore wl;
       non_spec_barriers = barriers;
     }

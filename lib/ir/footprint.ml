@@ -13,10 +13,6 @@ let reads env (s : Stmt.t) =
 let writes env (s : Stmt.t) =
   List.map (fun a -> Access.addr env env.Env.mem a) s.Stmt.writes
 
-let all env s = reads env s @ writes env s
-
-let body env (il : Program.inner) = List.concat_map (all env) il.Program.body
-
 (* One instrumented access: the array's name, flat base and size, resolved
    once, and the index evaluated per iteration. *)
 type site = { name : string; base : int; size : int; index : Expr.t }

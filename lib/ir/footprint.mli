@@ -1,16 +1,12 @@
-(** Concrete memory footprints of statements in a given iteration context —
-    the addresses SPECCROSS's [spec_access] instrumentation feeds to the
-    signature generator. *)
+(** Concrete memory footprints of statements in a given iteration context:
+    the addresses {!Profile} observes, and, through a {!feeder}, the ones
+    SPECCROSS's [spec_access] instrumentation feeds to the signature
+    generator. *)
 
 val reads : Env.t -> Stmt.t -> int list
 (** Flat addresses read, including index-array loads. *)
 
 val writes : Env.t -> Stmt.t -> int list
-
-val all : Env.t -> Stmt.t -> int list
-
-val body : Env.t -> Program.inner -> int list
-(** Footprint of one whole inner-loop iteration. *)
 
 type feeder
 (** The accesses SPECCROSS instruments in one inner loop's body: those on

@@ -131,15 +131,6 @@ let equal a b =
 
 let bounds m = Array.of_list (List.map (base m) (names m))
 
-let locate m addr =
-  let rec go = function
-    | [] -> invalid_arg (Printf.sprintf "Memory.locate: address %d out of range" addr)
-    | name :: rest ->
-        let b = base m name and s = size m name in
-        if addr >= b && addr < b + s then (name, addr - b) else go rest
-  in
-  go (names m)
-
 let to_specs m =
   List.map
     (fun name ->

@@ -54,9 +54,6 @@ val bounds : t -> int array
 (** Base offsets of all arrays in layout order (ascending) — the segment
     boundaries for per-array access signatures. *)
 
-val locate : t -> int -> string * int
-(** Array and index containing a flat address. *)
-
 val to_specs : t -> spec list
 (** Current contents as creation specs (layout order) — lets callers rebuild
     an extended memory. *)

@@ -77,23 +77,6 @@ let record st ~outer (src : mark) (dst : mark) =
     end
   end
 
-(* Addresses a statement touches in the given context, split by direction.
-   Index-array loads count as reads. *)
-let read_addrs env (s : Stmt.t) =
-  let direct = List.map (fun a -> Access.addr env env.Env.mem a) s.Stmt.reads in
-  let idx =
-    List.concat_map
-      (fun (a : Access.t) ->
-        List.map
-          (fun (arr, ix) -> Memory.addr env.Env.mem arr (Expr.eval env ix))
-          (Expr.loads a.Access.index))
-      (Stmt.accesses s)
-  in
-  direct @ idx
-
-let write_addrs env (s : Stmt.t) =
-  List.map (fun a -> Access.addr env env.Env.mem a) s.Stmt.writes
-
 let visit st ~outer env (s : Stmt.t) (mk : int -> mark) =
   let m = mk s.Stmt.sid in
   List.iter
@@ -102,7 +85,7 @@ let visit st ~outer env (s : Stmt.t) (mk : int -> mark) =
       | Some w -> record st ~outer w m
       | None -> ());
       Hashtbl.replace st.last_read addr m)
-    (read_addrs env s);
+    (Footprint.reads env s);
   List.iter
     (fun addr ->
       (match Hashtbl.find_opt st.last_write addr with
@@ -112,7 +95,7 @@ let visit st ~outer env (s : Stmt.t) (mk : int -> mark) =
       | Some r -> if r.m_sid <> s.Stmt.sid || r.m_task <> m.m_task then record st ~outer r m
       | None -> ());
       Hashtbl.replace st.last_write addr m)
-    (write_addrs env s);
+    (Footprint.writes env s);
   s.Stmt.exec env
 
 let run ?(max_events = 100_000) (p : Program.t) env =

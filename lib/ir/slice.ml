@@ -78,9 +78,6 @@ let guard_ratio s (p : Program.t) env =
   let avg = Xinv_util.Stats.mean !samples in
   if avg <= 0. then infinity else cost_per_iter s /. avg
 
-let addresses s env =
-  List.map (fun a -> Access.addr env env.Env.mem a) s.accesses
-
 let write_addresses s env =
   List.map (fun a -> Access.addr env env.Env.mem a) s.writes
 

@@ -34,9 +34,6 @@ val guard_ratio : t -> Program.t -> Env.t -> float
 (** [cost_per_iter / average worker-iteration cost], sampled over the first
     invocations; DOMORE is reported inapplicable when this is close to 1. *)
 
-val addresses : t -> Env.t -> int list
-(** Evaluate the slice: concrete flat addresses for the iteration in [env]. *)
-
 val write_addresses : t -> Env.t -> int list
 
 val read_addresses : t -> Env.t -> int list

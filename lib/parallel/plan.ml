@@ -70,18 +70,27 @@ let choose ?profile (p : Ir.Program.t) =
       end)
     p.Ir.Program.inners
 
+let speccross_sequential_regions (p : Ir.Program.t) =
+  match
+    List.find_opt
+      (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.writes <> [])
+      (List.concat_map (fun (il : Ir.Program.inner) -> il.Ir.Program.pre) p.Ir.Program.inners)
+  with
+  | Some s ->
+      Error (Printf.sprintf "sequential region statement %s writes memory" s.Ir.Stmt.name)
+  | None -> Ok ()
+
 let speccross_applicable (p : Ir.Program.t) =
-  (* Irreversible statements are legal: their epochs execute non-speculatively
-     between checkpoints (§4.2.2). *)
-  match choose p with
-    | exception Failure msg -> Error msg
-  | choices ->
-      if
-        List.exists
-          (fun c -> match c.technique with Intra.Spec_doall -> true | _ -> false)
-          choices
-      then Error "inner loop needs speculative parallelization"
-      else Ok ()
+  Result.bind (speccross_sequential_regions p) (fun () ->
+      match choose p with
+      | exception Failure msg -> Error msg
+      | choices ->
+          if
+            List.exists
+              (fun c -> match c.technique with Intra.Spec_doall -> true | _ -> false)
+              choices
+          then Error "inner loop needs speculative parallelization"
+          else Ok ())
 
 let domore_applicable (p : Ir.Program.t) env =
   match Ir.Mtcg.generate p env with

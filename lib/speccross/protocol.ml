@@ -141,11 +141,22 @@ module Make (M : MACHINE) = struct
     let workers = cfg.workers in
     if workers <= 0 then invalid_arg "SPECCROSS: workers must be positive";
     if cfg.grain <= 0 then invalid_arg "SPECCROSS: grain must be positive";
-    let grain = Stdlib.max 1 (Stdlib.min cfg.grain (cfg.spec_distance / 2)) in
+    (match Xinv_parallel.Plan.speccross_sequential_regions p with
+    | Error msg -> invalid_arg ("SPECCROSS: " ^ msg)
+    | Ok () -> ());
+    (* A range below the worker count lets the throttle strangle the
+       pipeline: each worker waits on a position its peers cannot reach. *)
+    let spec_distance = Stdlib.max workers cfg.spec_distance in
+    let grain = Stdlib.max 1 (Stdlib.min cfg.grain (spec_distance / 2)) in
     let mem = env.Ir.Env.mem in
     let ep = Epochs.make p env in
     let nepochs = ep.Epochs.count and base = ep.Epochs.base and hot = ep.Epochs.hot in
     let feeders = Array.map (Ir.Footprint.feeder ~hot mem) ep.Epochs.inners in
+    let slices =
+      Array.map
+        (fun (il : Ir.Program.inner) -> Ir.Slice.of_stmts il.Ir.Program.body)
+        ep.Epochs.inners
+    in
     let siglog = Rt.Siglog.create ~workers in
     let ckpts = Rt.Checkpoint.create () in
     let checks = Atomic.make 0 and misspecs = ref 0 and barriers = ref 0 in
@@ -261,7 +272,7 @@ module Make (M : MACHINE) = struct
        every trailing worker to come within range. *)
     let throttle ~w g =
       M.publish m ~w Tpos g;
-      let floor_ = g - cfg.spec_distance + 1 in
+      let floor_ = g - spec_distance + 1 in
       if floor_ > 0 then
         for p = 0 to workers - 1 do
           if p <> w then begin
@@ -310,6 +321,7 @@ module Make (M : MACHINE) = struct
       let trip = il.Ir.Program.trip env_t in
       let at j = Ir.Env.with_inner env_t j in
       let fd = feeders.(e mod Array.length feeders) in
+      let slice = slices.(e mod Array.length slices) in
       let footprint j = Ir.Footprint.feed fd (at j) in
       match cfg.mode_of il.Ir.Program.ilabel with
       | M_doall ->
@@ -364,29 +376,9 @@ module Make (M : MACHINE) = struct
                      memory puts out of bounds raises here, in the guard. *)
                   let accesses = ref 0 in
                   footprint j (fun _ -> incr accesses);
-                  let waddrs =
-                    List.concat_map (Ir.Footprint.writes env_j) il.Ir.Program.body
-                  in
                   M.charge m (Schedule !accesses);
-                  let owner =
-                    Xinv_domore.Policy.pick policy ~loads:None ~mem ~threads:workers ~iter:j
-                      ~write_addrs:waddrs
-                  in
-                  Rt.Shadow.Deps.clear deps;
-                  List.iter
-                    (fun (stm : Ir.Stmt.t) ->
-                      List.iter
-                        (fun (a : Ir.Access.t) ->
-                          if hot a.Ir.Access.base then
-                            Rt.Shadow.note_read_deps shadow
-                              (Ir.Access.addr env_j mem a)
-                              ~tid:owner ~iter:j deps)
-                        stm.Ir.Stmt.reads)
-                    il.Ir.Program.body;
-                  List.iter
-                    (fun addr -> Rt.Shadow.note_write_deps shadow addr ~tid:owner ~iter:j deps)
-                    waddrs;
-                  owner)
+                  Xinv_domore.Policy.assign policy slice shadow deps ~loads:None
+                    ~threads:workers ~iter:j ~slot:j env_j)
             in
             if owner <> w then begin
               (* Passing an iteration publishes it done too, so a peer whose

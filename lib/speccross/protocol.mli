@@ -82,7 +82,9 @@ type config = {
   workers : int;  (** worker threads; the checker is one extra *)
   sig_kind : Xinv_runtime.Signature.kind;
   checkpoint_every : int;  (** epochs between checkpoints; 0 disables *)
-  spec_distance : int;  (** speculative range: max task lead over the slowest worker *)
+  spec_distance : int;
+      (** speculative range: max task lead over the slowest worker; clamped
+          up to [workers], below which the throttle stalls the run *)
   mode_of : string -> mode;  (** per inner-loop label *)
   inject_misspec : (int * int) option;  (** force one conflict at (epoch, worker) *)
   non_spec_barriers : bool;
@@ -258,13 +260,17 @@ module Make (M : MACHINE) : sig
       after the frontier snapshot: every index they load is then final or
       written by a task in the request's window.
 
-      In an [M_domore] epoch every worker schedules every iteration from
-      speculative memory, so two workers can disagree on an owner (their
-      write addresses read data an unfinished earlier epoch writes); an
-      iteration then runs twice or never, and no signature shows it.
+      In an [M_domore] epoch every worker schedules every iteration with
+      {!Xinv_domore.Policy.assign}, as DOMORE's duplicated scheduler does,
+      from speculative memory, so two workers can disagree on an owner
+      (their write addresses read data an unfinished earlier epoch writes);
+      an iteration then runs twice or never, and no signature shows it.
       Wherever every worker has finished an epoch range (the checkpoint and
       irreversible-epoch rallies, the region end), the engine checks that
       the iterations the workers ran cover each DOMORE position of the
       range exactly once, and otherwise forces a misspeculation.
-      @raise Invalid_argument if [workers] or [grain] is not positive. *)
+      @raise Invalid_argument if [workers] or [grain] is not positive, or
+      if a sequential region writes memory
+      ({!Xinv_parallel.Plan.speccross_sequential_regions}): every worker
+      runs it, outside any signature. *)
 end

@@ -141,27 +141,38 @@ let test_duplicated_redundant_scheduling () =
       Alcotest.(check bool) "redundant scheduling charged" true
         (Par.Run.category_total r Xinv_sim.Category.Redundant > 0.)
 
+(* [d] sits at flat base 4, so an owner computed from flat addresses
+   instead of the array's own index lands on the wrong block. *)
 let test_policy () =
-  let mem =
-    Ir.Memory.create
-      [ Ir.Memory.Ints ("x", Array.make 4 0); Ir.Memory.Floats ("d", Array.make 100 0.) ]
+  let env =
+    Ir.Env.make
+      (Ir.Memory.create
+         [ Ir.Memory.Ints ("x", Array.make 4 0); Ir.Memory.Floats ("d", Array.make 100 0.) ])
+  in
+  let writes accs = Ir.Slice.of_stmts [ Ir.Stmt.make ~writes:accs "w" ] in
+  let at arr i = Ir.Access.make arr (Ir.Expr.c i) in
+  let assign ?loads policy slice ~threads ~slot =
+    Dm.Policy.assign policy slice (Xinv_runtime.Shadow.create ())
+      (Xinv_runtime.Shadow.Deps.create ()) ~loads ~threads ~iter:0 ~slot env
   in
   Alcotest.(check int) "round robin" 2
-    (Dm.Policy.pick Dm.Policy.Round_robin ~loads:None ~mem ~threads:3 ~iter:5
-       ~write_addrs:[ 50 ]);
-  (* d[75] with 4 threads: owner 3 (per-array block partition). *)
-  Alcotest.(check int) "mem partition by array index" 3
-    (Dm.Policy.pick Dm.Policy.Mem_partition ~loads:None ~mem ~threads:4 ~iter:0
-       ~write_addrs:[ Ir.Memory.addr mem "d" 75 ]);
+    (assign Dm.Policy.Round_robin (writes [ at "d" 50 ]) ~threads:3 ~slot:5);
+  List.iter
+    (fun (i, threads) ->
+      Alcotest.(check int)
+        (Printf.sprintf "mem partition: d[%d] of 100 at %d threads" i threads)
+        (i * threads / 100)
+        (assign Dm.Policy.Mem_partition (writes [ at "d" i ]) ~threads ~slot:7))
+    [ (0, 4); (24, 4); (25, 4); (75, 4); (99, 4); (32, 3); (33, 3); (97, 3) ];
+  Alcotest.(check int) "mem partition: the first write decides" 0
+    (assign Dm.Policy.Mem_partition (writes [ at "d" 10; at "x" 3 ]) ~threads:4 ~slot:1);
   Alcotest.(check int) "fallback without writes" 1
-    (Dm.Policy.pick Dm.Policy.Mem_partition ~loads:None ~mem ~threads:4 ~iter:5
-       ~write_addrs:[]);
+    (assign Dm.Policy.Mem_partition (writes []) ~threads:4 ~slot:5);
   Alcotest.(check int) "least loaded picks shortest queue" 1
-    (Dm.Policy.pick Dm.Policy.Least_loaded ~loads:(Some [| 4; 0; 2 |]) ~mem ~threads:3
-       ~iter:0 ~write_addrs:[ 50 ]);
+    (assign ~loads:[| 4; 0; 2 |] Dm.Policy.Least_loaded (writes [ at "d" 50 ]) ~threads:3
+       ~slot:0);
   Alcotest.(check int) "least loaded without loads falls back" 2
-    (Dm.Policy.pick Dm.Policy.Least_loaded ~loads:None ~mem ~threads:3 ~iter:5
-       ~write_addrs:[])
+    (assign Dm.Policy.Least_loaded (writes []) ~threads:3 ~slot:5)
 
 let test_domore_run_deterministic () =
   let run () =

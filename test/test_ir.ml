@@ -71,7 +71,6 @@ let test_memory () =
   Alcotest.(check int) "base y" 2 (Ir.Memory.base m "y");
   Alcotest.(check int) "addr" 3 (Ir.Memory.addr m "y" 1);
   Alcotest.(check int) "total" 5 (Ir.Memory.total_words m);
-  Alcotest.(check (pair string int)) "locate" ("y", 1) (Ir.Memory.locate m 3);
   Alcotest.(check bool) "bounds" true (Ir.Memory.bounds m = [| 0; 2 |]);
   let snap = Ir.Memory.snapshot m in
   Ir.Memory.set_float m "y" 0 9.;
@@ -200,9 +199,9 @@ let test_slice () =
       Alcotest.(check int) "two accesses (r+w)" 2 (List.length slice.Ir.Slice.accesses);
       Alcotest.(check (list string)) "index arrays" [ "tgt" ] slice.Ir.Slice.index_arrays;
       let env0 = Ir.Env.with_inner (Ir.Env.with_outer env 0) 1 in
-      let addrs = Ir.Slice.addresses slice env0 in
       (* tgt[0*4+1] = 5; acc base is 12. *)
-      Alcotest.(check (list int)) "addresses" [ 17; 17 ] addrs;
+      Alcotest.(check (list int)) "read addresses" [ 17 ] (Ir.Slice.read_addresses slice env0);
+      Alcotest.(check (list int)) "write addresses" [ 17 ] (Ir.Slice.write_addresses slice env0);
       Alcotest.(check bool) "guard ratio sane" true (plan.Ir.Mtcg.guard_ratio < 0.9);
       let rendered = Ir.Mtcg.render plan in
       Alcotest.(check bool) "render mentions scheduler" true
@@ -290,9 +289,11 @@ let test_footprint () =
   let p, fresh = small_program () in
   let env = Ir.Env.with_inner (Ir.Env.with_outer (fresh ()) 0) 1 in
   let il = Ir.Program.find_inner p "L" in
-  let fp = Ir.Footprint.body env il in
-  (* acc read + acc write + tgt index load (twice: once per access) *)
-  Alcotest.(check int) "footprint size" 4 (List.length fp);
+  let reads = List.concat_map (Ir.Footprint.reads env) il.Ir.Program.body in
+  let writes = List.concat_map (Ir.Footprint.writes env) il.Ir.Program.body in
+  (* acc read + tgt index load (once per access: read and write) *)
+  Alcotest.(check int) "reads" 3 (List.length reads);
+  Alcotest.(check (list int)) "writes" [ 17 ] writes;
   let fd = Ir.Footprint.feeder ~hot:(String.equal "acc") env.Ir.Env.mem il in
   let hot = ref [] in
   Ir.Footprint.feed fd env (fun a -> hot := a :: !hot);

@@ -819,7 +819,7 @@ let test_barrier_parity () =
 (* An invocation's sequential region writes a slot every iteration of its
    body reads: it must run once, after the previous invocation's bodies and
    before any of its own. *)
-let test_barrier_sequential_region () =
+let scal_program () =
   let pre =
     Ir.Stmt.make
       ~reads:[ Ir.Access.make "out" (Ir.Expr.c 0) ]
@@ -851,6 +851,10 @@ let test_barrier_sequential_region () =
       (Ir.Memory.create
          [ Ir.Memory.Floats ("scal", [| 0. |]); Ir.Memory.Floats ("out", Array.make 16 1.) ])
   in
+  (p, fresh)
+
+let test_barrier_sequential_region () =
+  let p, fresh = scal_program () in
   let seq = fresh () in
   let (_ : float) = Ir.Seq_interp.run p seq in
   Nat.Pool.with_pool ~workers:2 (fun pool ->
@@ -866,6 +870,64 @@ let test_barrier_sequential_region () =
           Alcotest.(check int) (Printf.sprintf "%d domains: one barrier per invocation" threads)
             40 r.Nat.Nrun.barrier_episodes)
         [ 2; 3 ])
+
+(* SPECCROSS runs a sequential region on every worker, outside any
+   signature, so one that writes memory is refused by the planner and by
+   both engines rather than run into a wrong result. *)
+let test_speccross_sequential_region_rejected () =
+  let p, fresh = scal_program () in
+  let why = "sequential region statement scal=f(t) writes memory" in
+  let refused = Invalid_argument ("SPECCROSS: " ^ why) in
+  Alcotest.(check (result unit string)) "planner" (Error why) (Par.Plan.speccross_applicable p);
+  Alcotest.check_raises "simulated" refused (fun () ->
+      let config = Xinv_speccross.Runtime.default_config ~workers:3 in
+      ignore (Xinv_speccross.Runtime.run ~config p (fresh ())));
+  Alcotest.check_raises "native" refused (fun () ->
+      Nat.Pool.with_pool ~workers:2 (fun pool ->
+          let config = Nat.Nspec.default_config ~workers:2 in
+          ignore (Nat.Nspec.run ~pool ~config p (fresh ()))))
+
+(* A speculative range below the worker count: each worker's throttle
+   waits on a position its peer cannot reach.  The engine raises the range
+   to the worker count, so both backends finish in the sequential state. *)
+let test_speccross_range_below_workers () =
+  let p, fresh =
+    Wl.Synth.make
+      { Wl.Synth.default with
+        Wl.Synth.seed = 32; outer = 2; trip = 5; inners = 2; cells = 34; within_safe = true }
+  in
+  let seq = fresh () in
+  let (_ : float) = Ir.Seq_interp.run p seq in
+  let sig_kind env = Xinv_runtime.Signature.Segmented (Ir.Memory.bounds env.Ir.Env.mem) in
+  let workers = 2 in
+  Nat.Pool.with_pool ~workers (fun pool ->
+      List.iter
+        (fun checkpoint_every ->
+          let tag backend = Printf.sprintf "%s, checkpoint every %d" backend checkpoint_every in
+          let env = fresh () in
+          let (_ : Par.Run.t) =
+            Xinv_speccross.Runtime.run
+              ~config:
+                { (Xinv_speccross.Runtime.default_config ~workers) with
+                  Xinv_speccross.Runtime.sig_kind = sig_kind env; spec_distance = 1;
+                  checkpoint_every }
+              p env
+          in
+          Alcotest.(check (list (pair string int)))
+            (tag "simulated") [] (Ir.Memory.diff seq.Ir.Env.mem env.Ir.Env.mem);
+          let env = fresh () in
+          let config =
+            { (Nat.Nspec.default_config ~workers) with
+              Nat.Nspec.sig_kind = sig_kind env; spec_distance = 1; checkpoint_every }
+          in
+          let wd = Nat.Watchdog.create ~wait_timeout_ms:10_000. () in
+          (match Nat.Nspec.run ~pool ~wd ~config p env with
+          | (_ : Nat.Nrun.t) -> ()
+          | exception Nat.Watchdog.Stalled { role; waiting_for; _ } ->
+              Alcotest.failf "%s: %s stalled waiting for %s" (tag "native") role waiting_for);
+          Alcotest.(check (list (pair string int)))
+            (tag "native") [] (Ir.Memory.diff seq.Ir.Env.mem env.Ir.Env.mem))
+        [ 1; 2; 3 ])
 
 let suite =
   [
@@ -931,4 +993,8 @@ let suite =
     Alcotest.test_case "barrier: same counts as simulated" `Quick test_barrier_parity;
     Alcotest.test_case "barrier: sequential region before every share" `Quick
       test_barrier_sequential_region;
+    Alcotest.test_case "speccross: sequential region that writes is refused" `Quick
+      test_speccross_sequential_region_rejected;
+    Alcotest.test_case "speccross: range below the worker count is raised" `Quick
+      test_speccross_range_below_workers;
   ]

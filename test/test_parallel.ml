@@ -245,8 +245,9 @@ let prop_wavefronts_sound =
           let slice = plan.Ir.Mtcg.slice in
           let wave = Par.Inspector.wavefronts slice env ~trip in
           let addr j =
+            let env_j = Ir.Env.with_inner env j in
             List.sort_uniq compare
-              (Ir.Slice.addresses slice (Ir.Env.with_inner env j))
+              (Ir.Slice.read_addresses slice env_j @ Ir.Slice.write_addresses slice env_j)
           in
           let conflict j k =
             List.exists (fun a -> List.mem a (addr k)) (addr j)

@@ -53,20 +53,21 @@ let time_kernel ?(target_s = 0.25) k =
 (* ---------- shadow-memory kernels ---------- *)
 
 let shadow_note_chunk n () =
-  let sh = Rt.Shadow.create () in
+  let sh = Rt.Shadow.create ~words:4096 ~workers:4 and deps = Rt.Shadow.Deps.create () in
   for i = 0 to n - 1 do
-    let addr = i * 17 land 4095 in
-    let e = { Rt.Shadow.tid = i land 3; iter = i } in
-    if i land 3 = 0 then ignore (Rt.Shadow.note_write sh addr e)
-    else ignore (Rt.Shadow.note_read sh addr e)
+    let addr = i * 17 land 4095 and tid = i land 3 in
+    Rt.Shadow.Deps.clear deps;
+    if tid = 0 then Rt.Shadow.note_write_deps sh addr ~tid ~iter:i deps
+    else Rt.Shadow.note_read_deps sh addr ~tid ~iter:i deps
   done;
   n
 
 let shadow_reset_chunk rounds fill () =
-  let sh = Rt.Shadow.create () in
+  let sh = Rt.Shadow.create ~words:fill ~workers:4 and deps = Rt.Shadow.Deps.create () in
   for r = 0 to rounds - 1 do
     for i = 0 to fill - 1 do
-      ignore (Rt.Shadow.note_write sh i { Rt.Shadow.tid = r land 3; iter = i })
+      Rt.Shadow.Deps.clear deps;
+      Rt.Shadow.note_write_deps sh i ~tid:(r land 3) ~iter:i deps
     done;
     Rt.Shadow.reset sh
   done;

@@ -16,7 +16,15 @@
          the worst of ten pinned runs: 2.16-3.50x with batched checker
          requests and streamed footprints, where per-request ring
          publishes and list-built footprints read 3.22-4.56x; pinned to
-         one core, five batched runs read 4.1-5.4x.  Each row also
+         one core, five batched runs read 4.1-5.4x.
+         A 2-domain DOMORE-dup run of SYMM (both domains schedule every
+         iteration and run the ones they own; SYMM touches every memory
+         word, so it covers the shadow's full extent) must stay within
+         3.2x of sequential (12x on one core), about twice the worst of
+         ten pinned runs: 1.07-1.61x with a direct-mapped shadow and
+         slice sites resolved once per run, where a hashed shadow and
+         per-iteration name lookups read 1.79-4.59x; pinned to one core,
+         five runs read 1.78-2.79x.  Each row also
          prints the native speedup, the simulator's speedup at the same
          threads and input, and their ratio, the cell's native
          efficiency.
@@ -92,7 +100,8 @@ let perf () =
     Printf.printf "perf ok: %s %.2fx within %.1fx envelope\n%!" name ratio envelope
   in
   row C.Barrier ~envelope:(if cores >= 2 then 1.5 else 12.0);
-  row C.Speccross ~envelope:(if cores >= 2 then 7.0 else 12.0)
+  row C.Speccross ~envelope:(if cores >= 2 then 7.0 else 12.0);
+  row C.Domore_dup ~envelope:(if cores >= 2 then 3.2 else 12.0)
 
 let obs () =
   let reps = 7 and attempts = 3 in

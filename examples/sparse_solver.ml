@@ -73,7 +73,7 @@ let () =
     (List.length (Ir.Partition.scheduler_stmts part pdg))
     (List.length (Ir.Partition.worker_stmts part pdg))
     (Ir.Partition.pipeline_ok part pdg);
-  (match Ir.Slice.compute_addr program part pdg with
+  (match Ir.Slice.compute_addr part pdg with
   | Ir.Slice.Sliceable slice ->
       Printf.printf "computeAddr: %d accesses through %s (%.0f cycles/iteration)\n"
         (List.length slice.Ir.Slice.accesses)

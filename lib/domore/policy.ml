@@ -1,4 +1,5 @@
 module Ir = Xinv_ir
+module Shadow = Xinv_runtime.Shadow
 
 type t = Round_robin | Mem_partition | Least_loaded
 
@@ -7,14 +8,10 @@ let name = function
   | Mem_partition -> "memory-partition"
   | Least_loaded -> "least-loaded"
 
-(* [first_write]: the first write's index and its array's size. *)
-let pick t ~loads ~threads ~slot ~first_write =
+let pick t ~(writes : Ir.Footprint.site array) ~loads ~threads ~slot env =
   match t with
-  | Round_robin -> slot mod threads
-  | Mem_partition -> (
-      match first_write with
-      | None -> slot mod threads
-      | Some (idx, size) -> idx * threads / size)
+  | Mem_partition when Array.length writes > 0 ->
+      Ir.Footprint.index env writes.(0) * threads / writes.(0).Ir.Footprint.size
   | Least_loaded -> (
       match loads with
       | None -> slot mod threads
@@ -24,26 +21,16 @@ let pick t ~loads ~threads ~slot ~first_write =
             if ls.(w) < ls.(!best) then best := w
           done;
           !best)
+  | Round_robin | Mem_partition -> slot mod threads
 
-let assign t (slice : Ir.Slice.t) shadow deps ~loads ~threads ~iter ~slot env =
+let assign t ~reads ~writes shadow deps ~loads ~threads ~iter ~slot env =
   assert (threads > 0);
-  let mem = env.Ir.Env.mem in
-  let first_write = ref None in
-  let waddrs =
-    List.map
-      (fun (a : Ir.Access.t) ->
-        let idx = Ir.Expr.eval env a.Ir.Access.index in
-        let addr = Ir.Memory.addr mem a.Ir.Access.base idx in
-        if Option.is_none !first_write then
-          first_write := Some (idx, Ir.Memory.size mem a.Ir.Access.base);
-        addr)
-      slice.Ir.Slice.writes
-  in
-  let tid = pick t ~loads ~threads ~slot ~first_write:!first_write in
-  Xinv_runtime.Shadow.Deps.clear deps;
-  Ir.Slice.iter_read_addresses slice env (fun addr ->
-      Xinv_runtime.Shadow.note_read_deps shadow addr ~tid ~iter deps);
-  List.iter
-    (fun addr -> Xinv_runtime.Shadow.note_write_deps shadow addr ~tid ~iter deps)
-    waddrs;
+  let tid = pick t ~writes ~loads ~threads ~slot env in
+  Shadow.Deps.clear deps;
+  for k = 0 to Array.length reads - 1 do
+    Shadow.note_read_deps shadow (Ir.Footprint.addr env reads.(k)) ~tid ~iter deps
+  done;
+  for k = 0 to Array.length writes - 1 do
+    Shadow.note_write_deps shadow (Ir.Footprint.addr env writes.(k)) ~tid ~iter deps
+  done;
   tid

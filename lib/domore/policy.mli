@@ -16,7 +16,8 @@ val name : t -> string
 
 val assign :
   t ->
-  Xinv_ir.Slice.t ->
+  reads:Xinv_ir.Footprint.site array ->
+  writes:Xinv_ir.Footprint.site array ->
   Xinv_runtime.Shadow.t ->
   Xinv_runtime.Shadow.Deps.t ->
   loads:int array option ->
@@ -27,12 +28,15 @@ val assign :
   int
 (** DOMORE's per-iteration scheduling step (dissertation Algorithm 1),
     shared by the simulated and native schedulers, centralized and
-    duplicated, and by SPECCROSS's DOMORE epochs: evaluate the slice's
-    write addresses ([computeAddr]), pick the owner by the policy at index
-    [slot] (memory partitioning reads the first write's index from the
-    same walk; an iteration without writes falls back to round-robin),
-    then record the slice's reads and writes in the shadow memory as
-    iteration [iter] of that owner.
+    duplicated, and by SPECCROSS's DOMORE epochs.  [reads] and [writes]
+    are the iteration's slice resolved once per run
+    ({!Xinv_ir.Footprint.sites} of {!Xinv_ir.Slice.t}'s [reads] and
+    [writes]); the shadow covers the run's memory and [threads] workers.
+    Picks the owner by the policy at index [slot] (memory partitioning
+    reads the first write's index and size from its site; an iteration
+    without writes falls back to round-robin), then evaluates the sites
+    ([computeAddr]) and records the reads, then the writes, in the shadow
+    as iteration [iter] of that owner.
     [deps] is cleared and refilled with the synchronization conditions the
     owner must wait for.  Returns the owner.
 

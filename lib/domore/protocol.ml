@@ -43,9 +43,12 @@ module Make (M : MACHINE) = struct
     check ~workers plan;
     if grain <= 0 then invalid_arg "DOMORE: grain must be positive";
     let bodies = Array.of_list p.Ir.Program.inners in
+    let mem = env.Ir.Env.mem in
+    let sites = Ir.Mtcg.sites_for plan mem in
     let iternum = ref 0 and conds = ref 0 in
     let scheduler () =
-      let shadow = Rt.Shadow.create () and deps = Rt.Shadow.Deps.create () in
+      let shadow = Rt.Shadow.create ~words:(Ir.Memory.total_words mem) ~workers in
+      let deps = Rt.Shadow.Deps.create () in
       let loads = Array.make workers 0 in
       let loads_opt = Some loads in
       let sample_loads = policy = Policy.Least_loaded in
@@ -77,6 +80,7 @@ module Make (M : MACHINE) = struct
           (fun ii (il : Ir.Program.inner) ->
             List.iter (M.exec m Seq env_t) il.Ir.Program.pre;
             let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
+            let reads, writes = sites il.Ir.Program.ilabel in
             for j = 0 to il.Ir.Program.trip env_t - 1 do
               let iter = !iternum in
               ignore (M.fault m Schedule ~domain:0 ~site:iter : bool);
@@ -86,8 +90,8 @@ module Make (M : MACHINE) = struct
                   loads.(w) <- M.queue_length m w
                 done;
               let tid =
-                Policy.assign policy slice shadow deps ~loads:loads_opt ~threads:workers
-                  ~iter ~slot:(iter / grain) (Ir.Env.with_inner env_t j)
+                Policy.assign policy ~reads ~writes shadow deps ~loads:loads_opt
+                  ~threads:workers ~iter ~slot:(iter / grain) (Ir.Env.with_inner env_t j)
               in
               M.shadow m slice;
               let poisoned = M.fault m Feed ~domain:tid ~site:iter in
@@ -151,8 +155,11 @@ module Make (M : MACHINE) = struct
     if batch <= 0 then invalid_arg "DOMORE: batch must be positive";
     let tasks = ref 0 in
     let conds = Array.make workers 0 in
+    let mem = env.Ir.Env.mem in
+    let sites = Ir.Mtcg.sites_for plan mem in
     let thread tid () =
-      let shadow = Rt.Shadow.create () and deps = Rt.Shadow.Deps.create () in
+      let shadow = Rt.Shadow.create ~words:(Ir.Memory.total_words mem) ~workers in
+      let deps = Rt.Shadow.Deps.create () in
       let iternum = ref 0 and awaited = ref 0 in
       let last_done = ref (-1) and unpublished = ref 0 in
       let publish () =
@@ -182,6 +189,7 @@ module Make (M : MACHINE) = struct
           (fun (il : Ir.Program.inner) ->
             List.iter (M.exec m pre env_t) il.Ir.Program.pre;
             let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
+            let reads, writes = sites il.Ir.Program.ilabel in
             let trip = il.Ir.Program.trip env_t in
             if tid = 0 then tasks := !tasks + trip;
             for j = 0 to trip - 1 do
@@ -189,8 +197,8 @@ module Make (M : MACHINE) = struct
               let env_j = Ir.Env.with_inner env_t j in
               M.schedule m slice;
               let owner =
-                Policy.assign policy slice shadow deps ~loads:None ~threads:workers ~iter
-                  ~slot:iter env_j
+                Policy.assign policy ~reads ~writes shadow deps ~loads:None ~threads:workers
+                  ~iter ~slot:iter env_j
               in
               M.shadow m slice;
               if owner = tid then begin

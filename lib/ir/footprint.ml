@@ -13,30 +13,41 @@ let reads env (s : Stmt.t) =
 let writes env (s : Stmt.t) =
   List.map (fun a -> Access.addr env env.Env.mem a) s.Stmt.writes
 
-(* One instrumented access: the array's name, flat base and size, resolved
-   once, and the index evaluated per iteration. *)
+(* One access: the array's name, flat base and size, resolved once, and
+   the index evaluated per iteration. *)
 type site = { name : string; base : int; size : int; index : Expr.t }
+
+let site mem name index =
+  { name; base = Memory.base mem name; size = Memory.size mem name; index }
+
+let sites mem accesses =
+  Array.of_list (List.map (fun (a : Access.t) -> site mem a.Access.base a.Access.index) accesses)
+
+let index env s =
+  let i = Expr.eval env s.index in
+  if i < 0 || i >= s.size then
+    invalid_arg (Printf.sprintf "Footprint: %s[%d] out of bounds (size %d)" s.name i s.size);
+  i
+
+let addr env s = s.base + index env s
 
 type feeder = site array
 
 let feeder ~hot mem (il : Program.inner) =
-  let site name index =
-    { name; base = Memory.base mem name; size = Memory.size mem name; index }
-  in
   List.concat_map
     (fun (s : Stmt.t) ->
       let accesses = Stmt.accesses s in
       let direct =
         List.filter_map
           (fun (a : Access.t) ->
-            if hot a.Access.base then Some (site a.Access.base a.Access.index) else None)
+            if hot a.Access.base then Some (site mem a.Access.base a.Access.index) else None)
           accesses
       in
       let idx =
         List.concat_map
           (fun (a : Access.t) ->
             List.filter_map
-              (fun (arr, ix) -> if hot arr then Some (site arr ix) else None)
+              (fun (arr, ix) -> if hot arr then Some (site mem arr ix) else None)
               (Expr.loads a.Access.index))
           accesses
       in
@@ -46,10 +57,5 @@ let feeder ~hot mem (il : Program.inner) =
 
 let feed fd env sink =
   for k = 0 to Array.length fd - 1 do
-    let s = fd.(k) in
-    let i = Expr.eval env s.index in
-    if i < 0 || i >= s.size then
-      invalid_arg
-        (Printf.sprintf "Footprint.feed: %s[%d] out of bounds (size %d)" s.name i s.size);
-    sink (s.base + i)
+    sink (addr env fd.(k))
   done

@@ -40,7 +40,7 @@ let generate ?(guard_threshold = 0.9) (p : Program.t) env =
   if forwarding_hazard p partition pdg then
     Inapplicable "scheduler-to-worker value forwarding not representable"
   else
-  match Slice.compute_addr p partition pdg with
+  match Slice.compute_addr partition pdg with
   | Slice.Inapplicable reason -> Inapplicable reason
   | Slice.Sliceable slice ->
       let ratio = Slice.guard_ratio slice p env in
@@ -73,6 +73,13 @@ let slice_for plan label =
   match List.assoc_opt label plan.slices with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Mtcg.slice_for: unknown inner %s" label)
+
+let sites_for plan mem =
+  let resolved = List.map (fun (label, s) -> (label, Slice.resolve s mem)) plan.slices in
+  fun label ->
+    match List.assoc_opt label resolved with
+    | Some r -> r
+    | None -> invalid_arg (Printf.sprintf "Mtcg.sites_for: unknown inner %s" label)
 
 let render plan =
   let b = Buffer.create 1024 in

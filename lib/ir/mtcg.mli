@@ -28,5 +28,10 @@ val generate : ?guard_threshold:float -> Program.t -> Env.t -> verdict
 val slice_for : plan -> string -> Slice.t
 (** Per-inner slice by label.  @raise Invalid_argument on unknown label. *)
 
+val sites_for : plan -> Memory.t -> string -> Footprint.site array * Footprint.site array
+(** [sites_for plan mem] resolves every per-inner slice against [mem] once
+    ({!Slice.resolve}); the result gives an inner's resolved reads and
+    writes by label.  @raise Invalid_argument on unknown label. *)
+
 val render : plan -> string
 (** Pseudo-code of the generated scheduler and worker functions. *)

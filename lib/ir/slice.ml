@@ -8,7 +8,7 @@ type t = {
 
 type verdict = Sliceable of t | Inapplicable of string
 
-let compute_addr (p : Program.t) (part : Partition.t) (pdg : Pdg.t) =
+let compute_addr (part : Partition.t) (pdg : Pdg.t) =
   let worker = Partition.worker_stmts part pdg in
   if worker = [] then Inapplicable "no worker statements (region is sequential)"
   else if List.exists (fun s -> s.Stmt.side_effect) worker then
@@ -29,7 +29,6 @@ let compute_addr (p : Program.t) (part : Partition.t) (pdg : Pdg.t) =
     let tainted =
       List.filter (fun a -> List.mem a written_by_workers) index_arrays
     in
-    ignore p;
     if tainted <> [] then
       Inapplicable
         (Printf.sprintf "address computation reads arrays updated by workers: %s"
@@ -78,11 +77,4 @@ let guard_ratio s (p : Program.t) env =
   let avg = Xinv_util.Stats.mean !samples in
   if avg <= 0. then infinity else cost_per_iter s /. avg
 
-let write_addresses s env =
-  List.map (fun a -> Access.addr env env.Env.mem a) s.writes
-
-let read_addresses s env =
-  List.map (fun a -> Access.addr env env.Env.mem a) s.reads
-
-let iter_read_addresses s env f =
-  List.iter (fun a -> f (Access.addr env env.Env.mem a)) s.reads
+let resolve s mem = (Footprint.sites mem s.reads, Footprint.sites mem s.writes)

@@ -5,7 +5,11 @@
     touch.  The transformation aborts when the slice would read state the
     workers themselves update (the Figure 4.1 limitation), or would have side
     effects; a separate performance guard compares slice cost against worker
-    cost (the scheduler/worker ratio of Table 5.2). *)
+    cost (the scheduler/worker ratio of Table 5.2).
+
+    A slice names arrays and index expressions; it holds no memory.  An
+    executor {!resolve}s its [reads] and [writes] against the run's memory
+    once and evaluates the resulting {!Footprint.site}s per iteration. *)
 
 type t = {
   accesses : Access.t list;  (** per-iteration addresses to precompute *)
@@ -17,7 +21,7 @@ type t = {
 
 type verdict = Sliceable of t | Inapplicable of string
 
-val compute_addr : Program.t -> Partition.t -> Pdg.t -> verdict
+val compute_addr : Partition.t -> Pdg.t -> verdict
 (** Region-wide slice: used for the taint check, the performance guard and
     reporting.  Executors should predict a single iteration's addresses with
     the per-inner slice from {!of_stmts}. *)
@@ -34,10 +38,5 @@ val guard_ratio : t -> Program.t -> Env.t -> float
 (** [cost_per_iter / average worker-iteration cost], sampled over the first
     invocations; DOMORE is reported inapplicable when this is close to 1. *)
 
-val write_addresses : t -> Env.t -> int list
-
-val read_addresses : t -> Env.t -> int list
-
-val iter_read_addresses : t -> Env.t -> (int -> unit) -> unit
-(** Evaluate the read slice, feeding each address to the callback in the
-    same order as {!read_addresses}, without building a list. *)
+val resolve : t -> Memory.t -> Footprint.site array * Footprint.site array
+(** [reads] and [writes] resolved against a memory layout, once per run. *)

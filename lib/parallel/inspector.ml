@@ -3,27 +3,27 @@ module Ir = Xinv_ir
 
 (* Topological wavefront per iteration: a read depends on the last write of
    the address, a write on the last write and on every read since it. *)
-let wavefronts (slice : Ir.Slice.t) env ~trip =
+let wavefronts ~reads ~writes env ~trip =
   let last_write : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let max_read : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let wave = Array.make trip 0 in
   let get tbl addr = match Hashtbl.find_opt tbl addr with Some w -> w | None -> -1 in
   for j = 0 to trip - 1 do
     let env_j = Ir.Env.with_inner env j in
-    let raddrs = Ir.Slice.read_addresses slice env_j in
-    let waddrs = Ir.Slice.write_addresses slice env_j in
+    let raddrs = Array.map (Ir.Footprint.addr env_j) reads in
+    let waddrs = Array.map (Ir.Footprint.addr env_j) writes in
     let req = ref (-1) in
-    List.iter (fun a -> req := Stdlib.max !req (get last_write a)) raddrs;
-    List.iter
+    Array.iter (fun a -> req := Stdlib.max !req (get last_write a)) raddrs;
+    Array.iter
       (fun a ->
         req := Stdlib.max !req (get last_write a);
         req := Stdlib.max !req (get max_read a))
       waddrs;
     wave.(j) <- !req + 1;
-    List.iter
+    Array.iter
       (fun a -> Hashtbl.replace max_read a (Stdlib.max (get max_read a) wave.(j)))
       raddrs;
-    List.iter
+    Array.iter
       (fun a ->
         Hashtbl.replace last_write a wave.(j);
         Hashtbl.remove max_read a)
@@ -36,6 +36,7 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads ~(plan : Ir.Mtcg.plan)
   (* The inspection result for the current invocation, published by thread 0
      before the wavefront barrier releases the others. *)
   let current = ref [||] in
+  let sites = Ir.Mtcg.sites_for plan env.Ir.Env.mem in
   let share { Barrier_exec.tid; inner = il; env = env_t; trip; work_factor = wf; sync; _ } =
     (* Inspection phase: serialized on thread 0 while the others wait at
        the barrier. *)
@@ -44,7 +45,8 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads ~(plan : Ir.Mtcg.plan)
       Sim.Proc.advance ~label:"inspect" Sim.Category.Runtime
         ((Ir.Slice.cost_per_iter slice +. machine.Sim.Machine.shadow_per_addr)
         *. float_of_int trip);
-      current := wavefronts slice env_t ~trip
+      let reads, writes = sites il.Ir.Program.ilabel in
+      current := wavefronts ~reads ~writes env_t ~trip
     end;
     (* An empty invocation has no wavefront: the barrier ending it is the
        only one. *)

@@ -9,10 +9,15 @@
     invocation boundary. *)
 
 val wavefronts :
-  Xinv_ir.Slice.t -> Xinv_ir.Env.t -> trip:int -> int array
+  reads:Xinv_ir.Footprint.site array ->
+  writes:Xinv_ir.Footprint.site array ->
+  Xinv_ir.Env.t ->
+  trip:int ->
+  int array
 (** Wavefront number (0-based topological level of the dependence DAG) per
     iteration of the invocation whose outer index is set in the
-    environment. *)
+    environment, from a slice's resolved reads and writes
+    ({!Xinv_ir.Slice.resolve}). *)
 
 val run :
   ?machine:Xinv_sim.Machine.t ->

@@ -8,11 +8,12 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads ~(plan : Ir.Mtcg.plan)
      that thread 0 clears when an invocation starts. *)
   let cell_of = Barrier_exec.commit_cells p in
   let last_writer : (int, int) Hashtbl.t = Hashtbl.create 4096 in
+  let sites = Ir.Mtcg.sites_for plan env.Ir.Env.mem in
   let share ({ Barrier_exec.tid; inner = il; env = env_t; trip; work_factor = wf; _ } as inv) =
     (* Nobody reads [last_writer] before iteration 0, run by thread 0,
        commits. *)
     if tid = 0 then Hashtbl.reset last_writer;
-    let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
+    let reads, writes = sites il.Ir.Program.ilabel in
     let cell = cell_of inv in
     let j = ref tid in
     while !j < trip do
@@ -25,11 +26,11 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads ~(plan : Ir.Mtcg.plan)
       (* Speculative execution: pay the work and the validation
          bookkeeping; remember which commits were visible at start. *)
       let start_commit = Sim.Mono_cell.get cell in
-      let raddrs = Ir.Slice.read_addresses slice env_j in
-      let waddrs = Ir.Slice.write_addresses slice env_j in
+      let raddrs = Array.map (Ir.Footprint.addr env_j) reads in
+      let waddrs = Array.map (Ir.Footprint.addr env_j) writes in
       Sim.Proc.advance ~label:"track" Sim.Category.Runtime
         (machine.Sim.Machine.sig_per_access
-        *. float_of_int (List.length raddrs + List.length waddrs));
+        *. float_of_int (Array.length raddrs + Array.length waddrs));
       Sim.Proc.work ~label:"spec-work" (speculative_cost ());
       (* In-order commit. *)
       Sim.Mono_cell.wait_ge ~cat:Sim.Category.Sync_wait cell (!j - 1);
@@ -38,14 +39,14 @@ let run ?(machine = Sim.Machine.default) ?obs ~threads ~(plan : Ir.Mtcg.plan)
         | Some w -> w > start_commit && w < !j
         | None -> false
       in
-      if List.exists dirty raddrs || List.exists dirty waddrs then begin
+      if Array.exists dirty raddrs || Array.exists dirty waddrs then begin
         (* Violation: squash and re-execute against committed state. *)
         incr squashes;
         Sim.Proc.work ~label:"re-exec" (speculative_cost ())
       end;
       (* Commit: apply semantics in order. *)
       List.iter (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.exec env_j) il.Ir.Program.body;
-      List.iter (fun a -> Hashtbl.replace last_writer a !j) waddrs;
+      Array.iter (fun a -> Hashtbl.replace last_writer a !j) waddrs;
       Sim.Proc.advance ~label:"commit" Sim.Category.Runtime 12.;
       Sim.Mono_cell.set cell !j;
       j := !j + threads

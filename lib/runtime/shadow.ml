@@ -1,241 +1,3 @@
-type entry = { tid : int; iter : int }
-
-(* Open-addressing hash table keyed by flat address, with generation-stamped
-   slots so [reset] is O(1): a slot belongs to the current generation iff
-   [stamps.(i) = gen], and bumping [gen] frees every slot at once.  Within a
-   generation slots only go free -> occupied, so linear-probe chains stay
-   valid.
-
-   Per slot we track the last write (worker/iteration) and, in a flat
-   [cap * nw] matrix, the latest read iteration per worker together with a
-   recency tick.  The tick reproduces the seed implementation's reader
-   ordering (most recently reading worker first), which the simulator's
-   makespans depend on. *)
-
-type t = {
-  mutable cap : int;  (* power of two *)
-  mutable mask : int;
-  mutable keys : int array;
-  mutable stamps : int array;  (* generation that owns the slot; 0 = never *)
-  mutable wtids : int array;  (* last writer tid, [no_entry] = none *)
-  mutable witers : int array;
-  mutable nw : int;  (* reader columns per slot (max tid + 1, rounded up) *)
-  mutable r_iters : int array;  (* cap * nw; [no_entry] = absent *)
-  mutable r_ticks : int array;  (* cap * nw; recency of the latest read *)
-  mutable live : int;
-  mutable gen : int;  (* starts at 1 so fresh [stamps] are all stale *)
-  mutable tick : int;
-  (* scratch for sorting a write's foreign readers by recency *)
-  mutable sc_tid : int array;
-  mutable sc_iter : int array;
-  mutable sc_tick : int array;
-}
-
-let no_entry = min_int
-
-let initial_cap = 4096
-
-let initial_nw = 4
-
-let create () =
-  {
-    cap = initial_cap;
-    mask = initial_cap - 1;
-    keys = Array.make initial_cap 0;
-    stamps = Array.make initial_cap 0;
-    wtids = Array.make initial_cap no_entry;
-    witers = Array.make initial_cap no_entry;
-    nw = initial_nw;
-    r_iters = Array.make (initial_cap * initial_nw) no_entry;
-    r_ticks = Array.make (initial_cap * initial_nw) 0;
-    live = 0;
-    gen = 1;
-    tick = 0;
-    sc_tid = Array.make initial_nw 0;
-    sc_iter = Array.make initial_nw 0;
-    sc_tick = Array.make initial_nw 0;
-  }
-
-(* Fibonacci-style multiplicative hash; [land mask] keeps it in range. *)
-let hash_addr addr = (addr * 0x2545F4914F6CDD1D) lxor (addr lsr 7)
-
-let clear_readers sh i =
-  let base = i * sh.nw in
-  for k = 0 to sh.nw - 1 do
-    sh.r_iters.(base + k) <- no_entry
-  done
-
-(* Index of the slot holding [addr], or the first free slot of the probe
-   chain (claimed, counted live, write/readers cleared). *)
-let rec find_or_add sh addr =
-  let mask = sh.mask in
-  let i = ref (hash_addr addr land mask) in
-  let found = ref (-1) in
-  (try
-     while true do
-       let j = !i in
-       if sh.stamps.(j) <> sh.gen then begin
-         (* free this generation: claim it *)
-         sh.keys.(j) <- addr;
-         sh.stamps.(j) <- sh.gen;
-         sh.wtids.(j) <- no_entry;
-         clear_readers sh j;
-         sh.live <- sh.live + 1;
-         found := j;
-         raise Exit
-       end
-       else if sh.keys.(j) = addr then begin
-         found := j;
-         raise Exit
-       end
-       else i := (j + 1) land mask
-     done
-   with Exit -> ());
-  if sh.live * 4 > sh.cap * 3 then begin
-    grow sh;
-    find_or_add sh addr
-  end
-  else !found
-
-and grow sh =
-  let ocap = sh.cap and onw = sh.nw in
-  let okeys = sh.keys and ostamps = sh.stamps in
-  let owtids = sh.wtids and owiters = sh.witers in
-  let oriters = sh.r_iters and orticks = sh.r_ticks in
-  let ncap = ocap * 2 in
-  sh.cap <- ncap;
-  sh.mask <- ncap - 1;
-  sh.keys <- Array.make ncap 0;
-  sh.stamps <- Array.make ncap 0;
-  sh.wtids <- Array.make ncap no_entry;
-  sh.witers <- Array.make ncap no_entry;
-  sh.r_iters <- Array.make (ncap * onw) no_entry;
-  sh.r_ticks <- Array.make (ncap * onw) 0;
-  for i = 0 to ocap - 1 do
-    if ostamps.(i) = sh.gen then begin
-      (* re-insert; the new table has room by construction *)
-      let j = ref (hash_addr okeys.(i) land sh.mask) in
-      while sh.stamps.(!j) = sh.gen do
-        j := (!j + 1) land sh.mask
-      done;
-      let j = !j in
-      sh.keys.(j) <- okeys.(i);
-      sh.stamps.(j) <- sh.gen;
-      sh.wtids.(j) <- owtids.(i);
-      sh.witers.(j) <- owiters.(i);
-      Array.blit oriters (i * onw) sh.r_iters (j * onw) onw;
-      Array.blit orticks (i * onw) sh.r_ticks (j * onw) onw
-    end
-  done
-
-(* Widen the reader matrix so column [tid] exists. *)
-let grow_readers sh tid =
-  let onw = sh.nw in
-  let nnw =
-    let n = ref onw in
-    while tid >= !n do
-      n := !n * 2
-    done;
-    !n
-  in
-  let nriters = Array.make (sh.cap * nnw) no_entry in
-  let nrticks = Array.make (sh.cap * nnw) 0 in
-  for i = 0 to sh.cap - 1 do
-    Array.blit sh.r_iters (i * onw) nriters (i * nnw) onw;
-    Array.blit sh.r_ticks (i * onw) nrticks (i * nnw) onw
-  done;
-  sh.nw <- nnw;
-  sh.r_iters <- nriters;
-  sh.r_ticks <- nrticks;
-  sh.sc_tid <- Array.make nnw 0;
-  sh.sc_iter <- Array.make nnw 0;
-  sh.sc_tick <- Array.make nnw 0
-
-(* Core note operations, emitting each synchronization dependence through
-   [emit] in the order the seed implementation produced them. *)
-
-let note_read_emit sh addr ~tid ~iter emit =
-  if tid >= sh.nw then grow_readers sh tid;
-  let i = find_or_add sh addr in
-  if sh.wtids.(i) <> no_entry && sh.wtids.(i) <> tid then
-    emit ~tid:sh.wtids.(i) ~iter:sh.witers.(i);
-  let o = (i * sh.nw) + tid in
-  let prev = sh.r_iters.(o) in
-  sh.r_iters.(o) <- (if prev = no_entry || iter > prev then iter else prev);
-  sh.r_ticks.(o) <- sh.tick;
-  sh.tick <- sh.tick + 1
-
-let note_write_emit sh addr ~tid ~iter emit =
-  if tid >= sh.nw then grow_readers sh tid;
-  let i = find_or_add sh addr in
-  if sh.wtids.(i) <> no_entry && sh.wtids.(i) <> tid then
-    emit ~tid:sh.wtids.(i) ~iter:sh.witers.(i);
-  (* gather foreign readers, most recent first (insertion sort on tick) *)
-  let base = i * sh.nw in
-  let n = ref 0 in
-  for k = 0 to sh.nw - 1 do
-    let it = sh.r_iters.(base + k) in
-    if it <> no_entry then begin
-      if k <> tid then begin
-        let tk = sh.r_ticks.(base + k) in
-        let j = ref !n in
-        while !j > 0 && sh.sc_tick.(!j - 1) < tk do
-          sh.sc_tid.(!j) <- sh.sc_tid.(!j - 1);
-          sh.sc_iter.(!j) <- sh.sc_iter.(!j - 1);
-          sh.sc_tick.(!j) <- sh.sc_tick.(!j - 1);
-          decr j
-        done;
-        sh.sc_tid.(!j) <- k;
-        sh.sc_iter.(!j) <- it;
-        sh.sc_tick.(!j) <- tk;
-        incr n
-      end;
-      sh.r_iters.(base + k) <- no_entry
-    end
-  done;
-  for j = 0 to !n - 1 do
-    emit ~tid:sh.sc_tid.(j) ~iter:sh.sc_iter.(j)
-  done;
-  sh.wtids.(i) <- tid;
-  sh.witers.(i) <- iter
-
-(* ---------- list-returning API (compatibility; tests, cold paths) ---------- *)
-
-let collect f =
-  let acc = ref [] in
-  f (fun ~tid ~iter -> acc := { tid; iter } :: !acc);
-  List.rev !acc
-
-let note_read sh addr e = collect (note_read_emit sh addr ~tid:e.tid ~iter:e.iter)
-
-let note_write sh addr e = collect (note_write_emit sh addr ~tid:e.tid ~iter:e.iter)
-
-let last_write sh addr =
-  let mask = sh.mask in
-  let i = ref (hash_addr addr land mask) in
-  let res = ref None in
-  (try
-     while true do
-       let j = !i in
-       if sh.stamps.(j) <> sh.gen then raise Exit
-       else if sh.keys.(j) = addr then begin
-         if sh.wtids.(j) <> no_entry then
-           res := Some { tid = sh.wtids.(j); iter = sh.witers.(j) };
-         raise Exit
-       end
-       else i := (j + 1) land mask
-     done
-   with Exit -> ());
-  !res
-
-let reset sh =
-  sh.gen <- sh.gen + 1;
-  sh.live <- 0
-
-let entries sh = sh.live
-
-let capacity sh = sh.cap
-
 (* ---------- per-iteration dependence accumulator ---------- *)
 
 module Deps = struct
@@ -293,7 +55,99 @@ module Deps = struct
     !acc
 end
 
-let note_read_deps sh addr ~tid ~iter deps = note_read_emit sh addr ~tid ~iter (Deps.add deps)
+(* ---------- the shadow ---------- *)
+
+(* One row per flat address: the last write (worker/iteration) and, in a
+   [words * nw] matrix, each worker's latest read iteration with a recency
+   tick.  The tick reproduces the reference's reader order (most recently
+   reading worker first).  A row belongs to the current generation iff
+   [stamps.(addr) = gen]; any other row reads as untouched, so bumping
+   [gen] forgets everything at once. *)
+
+type t = {
+  nw : int;  (* workers: reader columns per row *)
+  stamps : int array;  (* generation that last touched the row; 0 = never *)
+  wtids : int array;  (* last writer tid, [no_entry] = none *)
+  witers : int array;
+  r_iters : int array;  (* words * nw; [no_entry] = absent *)
+  r_ticks : int array;  (* words * nw; recency of the latest read *)
+  mutable gen : int;  (* starts at 1 so fresh [stamps] are all stale *)
+  mutable tick : int;
+  (* scratch for sorting a write's foreign readers by recency *)
+  sc_tid : int array;
+  sc_iter : int array;
+  sc_tick : int array;
+}
+
+let no_entry = min_int
+
+let create ~words ~workers =
+  if words < 0 || workers <= 0 then
+    invalid_arg (Printf.sprintf "Shadow.create: words %d, workers %d" words workers);
+  {
+    nw = workers;
+    stamps = Array.make words 0;
+    wtids = Array.make words no_entry;
+    witers = Array.make words no_entry;
+    r_iters = Array.make (words * workers) no_entry;
+    r_ticks = Array.make (words * workers) 0;
+    gen = 1;
+    tick = 0;
+    sc_tid = Array.make workers 0;
+    sc_iter = Array.make workers 0;
+    sc_tick = Array.make workers 0;
+  }
+
+let reset sh = sh.gen <- sh.gen + 1
+
+(* Claim [addr]'s row for this generation (emptying a stale one) and add
+   its last write to [deps] unless [tid] made it. *)
+let touch sh addr ~tid deps =
+  if tid < 0 || tid >= sh.nw then
+    invalid_arg (Printf.sprintf "Shadow: worker %d of %d" tid sh.nw);
+  if sh.stamps.(addr) <> sh.gen then begin
+    sh.stamps.(addr) <- sh.gen;
+    sh.wtids.(addr) <- no_entry;
+    Array.fill sh.r_iters (addr * sh.nw) sh.nw no_entry
+  end
+  else if sh.wtids.(addr) <> no_entry && sh.wtids.(addr) <> tid then
+    Deps.add deps ~tid:sh.wtids.(addr) ~iter:sh.witers.(addr)
+
+let note_read_deps sh addr ~tid ~iter deps =
+  touch sh addr ~tid deps;
+  let o = (addr * sh.nw) + tid in
+  let prev = sh.r_iters.(o) in
+  sh.r_iters.(o) <- (if prev = no_entry || iter > prev then iter else prev);
+  sh.r_ticks.(o) <- sh.tick;
+  sh.tick <- sh.tick + 1
 
 let note_write_deps sh addr ~tid ~iter deps =
-  note_write_emit sh addr ~tid ~iter (Deps.add deps)
+  touch sh addr ~tid deps;
+  (* gather foreign readers, most recent first (insertion sort on tick) *)
+  let base = addr * sh.nw in
+  let n = ref 0 in
+  for k = 0 to sh.nw - 1 do
+    let it = sh.r_iters.(base + k) in
+    if it <> no_entry then begin
+      if k <> tid then begin
+        let tk = sh.r_ticks.(base + k) in
+        let j = ref !n in
+        while !j > 0 && sh.sc_tick.(!j - 1) < tk do
+          sh.sc_tid.(!j) <- sh.sc_tid.(!j - 1);
+          sh.sc_iter.(!j) <- sh.sc_iter.(!j - 1);
+          sh.sc_tick.(!j) <- sh.sc_tick.(!j - 1);
+          decr j
+        done;
+        sh.sc_tid.(!j) <- k;
+        sh.sc_iter.(!j) <- it;
+        sh.sc_tick.(!j) <- tk;
+        incr n
+      end;
+      sh.r_iters.(base + k) <- no_entry
+    end
+  done;
+  for j = 0 to !n - 1 do
+    Deps.add deps ~tid:sh.sc_tid.(j) ~iter:sh.sc_iter.(j)
+  done;
+  sh.wtids.(addr) <- tid;
+  sh.witers.(addr) <- iter

@@ -1,47 +1,32 @@
 (** DOMORE shadow memory (dissertation §3.2.1).
 
     Tracks, per flat address, the worker/iteration of the most recent write
-    and of the most recent read, so the scheduler emits synchronization
-    conditions for true, anti and output dependences but not for
-    read-after-read.
+    and each worker's most recent read, so the scheduler emits
+    synchronization conditions for true, anti and output dependences but not
+    for read-after-read.
 
-    The table is an int-keyed open-addressing hash table whose slots are
-    generation-stamped: {!reset} is O(1) (a generation bump) and never
-    releases or rehashes storage.  Per-worker latest reads live in a flat
-    matrix rather than per-slot association lists, so the note operations
-    allocate nothing on the hot path (use the [_deps] variants). *)
+    The shadow is direct-mapped: one row per word of the memory it shadows
+    and one reader column per worker, all sized at {!create}, so a note is
+    an array index with no hashing, probing or growth.  Each row carries the
+    generation that last touched it: {!reset} is O(1) (a generation bump)
+    and never reallocates.  The note operations allocate nothing. *)
 
 type t
 
-type entry = { tid : int; iter : int }
-
-val create : unit -> t
-
-val note_read : t -> int -> entry -> entry list
-(** Record a read; returns the prior conflicting access (the last write, if
-    by another worker) the reader must wait for. *)
-
-val note_write : t -> int -> entry -> entry list
-(** Record a write; returns prior conflicting accesses by other workers
-    (last write and last read). *)
-
-val last_write : t -> int -> entry option
+val create : words:int -> workers:int -> t
+(** A shadow for addresses [0 .. words - 1] (a memory's
+    {!Xinv_ir.Memory.total_words}) noted by workers [0 .. workers - 1].
+    Built once per scheduling thread and run, then {!reset} where a fresh
+    shadow is needed.
+    @raise Invalid_argument when [words < 0] or [workers <= 0]. *)
 
 val reset : t -> unit
-(** O(1): bumps the slot generation.  Capacity is retained, so a table that
-    is reset and refilled every invocation stops allocating entirely. *)
-
-val entries : t -> int
-(** Number of addresses currently tracked. *)
-
-val capacity : t -> int
-(** Internal slot capacity (diagnostics; lets tests check that {!reset} did
-    not shrink or rehash the table). *)
+(** O(1): forgets every access by bumping the generation. *)
 
 (** Accumulator for one iteration's synchronization dependences: the
-    distinct [(tid, iter)] pairs returned by the note operations, in
-    first-seen order, deduplicated with a per-worker bitmask instead of the
-    O(n²) [List.mem] scan.  Created once and {!Deps.clear}ed per iteration,
+    distinct [(tid, iter)] pairs the note operations found, in first-seen
+    order, deduplicated with a per-worker bitmask instead of the O(n²)
+    [List.mem] scan.  Created once and {!Deps.clear}ed per iteration,
     so the dependence-collection hot path performs zero allocation. *)
 module Deps : sig
   type t
@@ -53,17 +38,20 @@ module Deps : sig
   val length : t -> int
 
   val iter : (tid:int -> iter:int -> unit) -> t -> unit
-  (** Iterate in first-seen order (the order the seed implementation's
-      [List.rev !deps] produced). *)
+  (** Iterate in first-seen order. *)
 
   val to_list : t -> (int * int) list
   (** [(tid, iter)] pairs, first-seen order; for tests and cold paths. *)
 end
 
 val note_read_deps : t -> int -> tid:int -> iter:int -> Deps.t -> unit
-(** As {!note_read}, but folds the dependences into the accumulator without
-    allocating. *)
+(** Record a read of an address by iteration [iter] of worker [tid]; adds
+    the last write, if by another worker, to the accumulator.
+    @raise Invalid_argument when [tid] or the address is out of range. *)
 
 val note_write_deps : t -> int -> tid:int -> iter:int -> Deps.t -> unit
-(** As {!note_write}, but folds the dependences into the accumulator without
-    allocating. *)
+(** Record a write; adds the last write and the latest reads, each only if
+    by another worker, to the accumulator: the writer first, then the
+    readers, most recent first (the simulator's makespans depend on this
+    order).
+    @raise Invalid_argument when [tid] or the address is out of range. *)

@@ -152,10 +152,24 @@ module Make (M : MACHINE) = struct
     let ep = Epochs.make p env in
     let nepochs = ep.Epochs.count and base = ep.Epochs.base and hot = ep.Epochs.hot in
     let feeders = Array.map (Ir.Footprint.feeder ~hot mem) ep.Epochs.inners in
-    let slices =
+    (* DOMORE epochs: each inner loop's slice resolved once, and one
+       shadow per worker, reset at every epoch. *)
+    let sites =
       Array.map
-        (fun (il : Ir.Program.inner) -> Ir.Slice.of_stmts il.Ir.Program.body)
+        (fun (il : Ir.Program.inner) -> Ir.Slice.resolve (Ir.Slice.of_stmts il.Ir.Program.body) mem)
         ep.Epochs.inners
+    in
+    let shadows =
+      if
+        Array.exists
+          (fun (il : Ir.Program.inner) ->
+            match cfg.mode_of il.Ir.Program.ilabel with M_domore _ -> true | _ -> false)
+          ep.Epochs.inners
+      then
+        Array.init workers (fun _ ->
+            ( Rt.Shadow.create ~words:(Ir.Memory.total_words mem) ~workers,
+              Rt.Shadow.Deps.create () ))
+      else [||]
     in
     let siglog = Rt.Siglog.create ~workers in
     let ckpts = Rt.Checkpoint.create () in
@@ -321,7 +335,7 @@ module Make (M : MACHINE) = struct
       let trip = il.Ir.Program.trip env_t in
       let at j = Ir.Env.with_inner env_t j in
       let fd = feeders.(e mod Array.length feeders) in
-      let slice = slices.(e mod Array.length slices) in
+      let reads, writes = sites.(e mod Array.length sites) in
       let footprint j = Ir.Footprint.feed fd (at j) in
       match cfg.mode_of il.Ir.Program.ilabel with
       | M_doall ->
@@ -365,7 +379,8 @@ module Make (M : MACHINE) = struct
              schedules every iteration against a private shadow and
              executes the ones it owns, after their dependences' owners
              executed theirs. *)
-          let shadow = Rt.Shadow.create () and deps = Rt.Shadow.Deps.create () in
+          let shadow, deps = shadows.(w) in
+          Rt.Shadow.reset shadow;
           for j = 0 to trip - 1 do
             leave ~w;
             let env_j = at j and g = base.(e) + j in
@@ -377,7 +392,7 @@ module Make (M : MACHINE) = struct
                   let accesses = ref 0 in
                   footprint j (fun _ -> incr accesses);
                   M.charge m (Schedule !accesses);
-                  Xinv_domore.Policy.assign policy slice shadow deps ~loads:None
+                  Xinv_domore.Policy.assign policy ~reads ~writes shadow deps ~loads:None
                     ~threads:workers ~iter:j ~slot:j env_j)
             in
             if owner <> w then begin

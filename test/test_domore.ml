@@ -149,10 +149,11 @@ let test_policy () =
       (Ir.Memory.create
          [ Ir.Memory.Ints ("x", Array.make 4 0); Ir.Memory.Floats ("d", Array.make 100 0.) ])
   in
-  let writes accs = Ir.Slice.of_stmts [ Ir.Stmt.make ~writes:accs "w" ] in
+  let writes accs = Ir.Footprint.sites env.Ir.Env.mem accs in
   let at arr i = Ir.Access.make arr (Ir.Expr.c i) in
-  let assign ?loads policy slice ~threads ~slot =
-    Dm.Policy.assign policy slice (Xinv_runtime.Shadow.create ())
+  let assign ?loads policy writes ~threads ~slot =
+    Dm.Policy.assign policy ~reads:[||] ~writes
+      (Xinv_runtime.Shadow.create ~words:(Ir.Memory.total_words env.Ir.Env.mem) ~workers:threads)
       (Xinv_runtime.Shadow.Deps.create ()) ~loads ~threads ~iter:0 ~slot env
   in
   Alcotest.(check int) "round robin" 2
@@ -173,6 +174,81 @@ let test_policy () =
        ~slot:0);
   Alcotest.(check int) "least loaded without loads falls back" 2
     (assign Dm.Policy.Least_loaded (writes []) ~threads:3 ~slot:5)
+
+(* A reference for [Policy.assign]: owners picked from [Access.addr]
+   lists and [Memory] lookups, dependences from the naive [Ref_shadow].
+   Every DOMORE workload runs sequentially at train input, and each
+   iteration is scheduled both ways before it executes. *)
+let test_policy_matches_reference () =
+  let module Sh = Xinv_runtime.Shadow in
+  let ref_owner policy (slice : Ir.Slice.t) ~loads ~threads ~slot env =
+    match (policy, slice.Ir.Slice.writes) with
+    | Dm.Policy.Mem_partition, (a : Ir.Access.t) :: _ ->
+        Ir.Expr.eval env a.Ir.Access.index * threads
+        / Ir.Memory.size env.Ir.Env.mem a.Ir.Access.base
+    | Dm.Policy.Least_loaded, _ ->
+        let best = ref (slot mod threads) in
+        Array.iteri (fun w l -> if l < loads.(!best) then best := w) loads;
+        !best
+    | _ -> slot mod threads
+  in
+  let schedule (wl : Wl.Workload.t) policy threads =
+    let p = wl.Wl.Workload.program Wl.Workload.Train in
+    let env = wl.Wl.Workload.fresh_env Wl.Workload.Train in
+    let plan =
+      match Ir.Mtcg.generate p env with
+      | Ir.Mtcg.Plan plan -> plan
+      | Ir.Mtcg.Inapplicable r -> Alcotest.failf "%s: %s" wl.Wl.Workload.name r
+    in
+    let mem = env.Ir.Env.mem in
+    let sites = Ir.Mtcg.sites_for plan mem in
+    let sh = Sh.create ~words:(Ir.Memory.total_words mem) ~workers:threads in
+    let deps = Sh.Deps.create () and rf = Ref_shadow.create () in
+    let loads = Array.make threads 0 in
+    let got = ref [] and want = ref [] and iter = ref 0 in
+    for t = 0 to p.Ir.Program.outer_trip - 1 do
+      let env_t = Ir.Env.with_outer env t in
+      List.iter
+        (fun (il : Ir.Program.inner) ->
+          List.iter (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.exec env_t) il.Ir.Program.pre;
+          let slice = Ir.Mtcg.slice_for plan il.Ir.Program.ilabel in
+          let reads, writes = sites il.Ir.Program.ilabel in
+          for j = 0 to il.Ir.Program.trip env_t - 1 do
+            let env_j = Ir.Env.with_inner env_t j and i = !iter in
+            Array.iteri (fun w _ -> loads.(w) <- ((i * 7) + (w * 13)) mod 5) loads;
+            let tid =
+              Dm.Policy.assign policy ~reads ~writes sh deps ~loads:(Some loads) ~threads
+                ~iter:i ~slot:i env_j
+            in
+            got := (tid, Sh.Deps.to_list deps) :: !got;
+            let tid = ref_owner policy slice ~loads ~threads ~slot:i env_j in
+            let addrs = List.map (Ir.Access.addr env_j mem) in
+            let on_reads =
+              List.concat_map
+                (fun a -> Ref_shadow.note_read rf a ~tid ~iter:i)
+                (addrs slice.Ir.Slice.reads)
+            in
+            let on_writes =
+              List.concat_map
+                (fun a -> Ref_shadow.note_write rf a ~tid ~iter:i)
+                (addrs slice.Ir.Slice.writes)
+            in
+            want := (tid, Ref_shadow.dedup (on_reads @ on_writes)) :: !want;
+            List.iter (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.exec env_j) il.Ir.Program.body;
+            incr iter
+          done)
+        p.Ir.Program.inners
+    done;
+    Alcotest.(check (list (pair int (list (pair int int)))))
+      (Printf.sprintf "%s %s @%d" wl.Wl.Workload.name (Dm.Policy.name policy) threads)
+      (List.rev !want) (List.rev !got)
+  in
+  List.iter
+    (fun wl ->
+      List.iter
+        (fun policy -> List.iter (schedule wl policy) [ 1; 2; 8 ])
+        Dm.Policy.[ Round_robin; Mem_partition; Least_loaded ])
+    (Wl.Registry.domore_set ())
 
 let test_domore_run_deterministic () =
   let run () =
@@ -327,6 +403,8 @@ let suite =
     Alcotest.test_case "duplicated variant correct" `Quick test_duplicated_correct;
     Alcotest.test_case "duplicated redundancy" `Quick test_duplicated_redundant_scheduling;
     Alcotest.test_case "scheduling policies" `Quick test_policy;
+    Alcotest.test_case "schedules match the reference scheduler" `Quick
+      test_policy_matches_reference;
     Alcotest.test_case "run deterministic" `Quick test_domore_run_deterministic;
     QCheck_alcotest.to_alcotest prop_domore_correct;
     QCheck_alcotest.to_alcotest prop_duplicated_equals_domore_semantics;

@@ -200,8 +200,10 @@ let test_slice () =
       Alcotest.(check (list string)) "index arrays" [ "tgt" ] slice.Ir.Slice.index_arrays;
       let env0 = Ir.Env.with_inner (Ir.Env.with_outer env 0) 1 in
       (* tgt[0*4+1] = 5; acc base is 12. *)
-      Alcotest.(check (list int)) "read addresses" [ 17 ] (Ir.Slice.read_addresses slice env0);
-      Alcotest.(check (list int)) "write addresses" [ 17 ] (Ir.Slice.write_addresses slice env0);
+      let reads, writes = Ir.Slice.resolve slice env.Ir.Env.mem in
+      let addrs = Array.map (Ir.Footprint.addr env0) in
+      Alcotest.(check (array int)) "read addresses" [| 17 |] (addrs reads);
+      Alcotest.(check (array int)) "write addresses" [| 17 |] (addrs writes);
       Alcotest.(check bool) "guard ratio sane" true (plan.Ir.Mtcg.guard_ratio < 0.9);
       let rendered = Ir.Mtcg.render plan in
       Alcotest.(check bool) "render mentions scheduler" true

@@ -151,7 +151,8 @@ let test_inspector_wavefronts () =
   match Ir.Mtcg.generate p env with
   | Ir.Mtcg.Inapplicable r -> Alcotest.failf "inapplicable: %s" r
   | Ir.Mtcg.Plan plan ->
-      let w = Par.Inspector.wavefronts plan.Ir.Mtcg.slice env ~trip:3 in
+      let reads, writes = Ir.Slice.resolve plan.Ir.Mtcg.slice env.Ir.Env.mem in
+      let w = Par.Inspector.wavefronts ~reads ~writes env ~trip:3 in
       Alcotest.(check (array int)) "wavefronts" [| 0; 1; 0 |] w
 
 let test_tls_correct_and_squashes () =
@@ -243,11 +244,13 @@ let prop_wavefronts_sound =
       | Ir.Mtcg.Inapplicable _ -> false
       | Ir.Mtcg.Plan plan ->
           let slice = plan.Ir.Mtcg.slice in
-          let wave = Par.Inspector.wavefronts slice env ~trip in
+          let reads, writes = Ir.Slice.resolve slice env.Ir.Env.mem in
+          let wave = Par.Inspector.wavefronts ~reads ~writes env ~trip in
           let addr j =
             let env_j = Ir.Env.with_inner env j in
             List.sort_uniq compare
-              (Ir.Slice.read_addresses slice env_j @ Ir.Slice.write_addresses slice env_j)
+              (List.map (Ir.Access.addr env_j env.Ir.Env.mem)
+                 (slice.Ir.Slice.reads @ slice.Ir.Slice.writes))
           in
           let conflict j k =
             List.exists (fun a -> List.mem a (addr k)) (addr j)

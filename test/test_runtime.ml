@@ -4,36 +4,47 @@
 module Rt = Xinv_runtime
 module Ir = Xinv_ir
 
-let e tid iter = { Rt.Shadow.tid; iter }
-
 let deps_eq = Alcotest.(check (list (pair int int)))
 
-let as_pairs = List.map (fun (d : Rt.Shadow.entry) -> (d.Rt.Shadow.tid, d.Rt.Shadow.iter))
+(* One note's dependences through a fresh accumulator. *)
+let note ~write sh addr tid iter =
+  let d = Rt.Shadow.Deps.create () in
+  (if write then Rt.Shadow.note_write_deps sh addr ~tid ~iter d
+   else Rt.Shadow.note_read_deps sh addr ~tid ~iter d);
+  Rt.Shadow.Deps.to_list d
+
+let rd = note ~write:false
+
+let wr = note ~write:true
 
 let test_shadow_war_waw_raw () =
-  let sh = Rt.Shadow.create () in
+  let sh = Rt.Shadow.create ~words:16 ~workers:3 in
   (* write by t0/i0; read by t1/i1 must wait for the write *)
-  deps_eq "first write no deps" [] (as_pairs (Rt.Shadow.note_write sh 5 (e 0 0)));
-  deps_eq "RAW" [ (0, 0) ] (as_pairs (Rt.Shadow.note_read sh 5 (e 1 1)));
+  deps_eq "first write no deps" [] (wr sh 5 0 0);
+  deps_eq "RAW" [ (0, 0) ] (rd sh 5 1 1);
   (* write by t2/i2 waits for last write and the reader *)
-  deps_eq "WAW+WAR" [ (0, 0); (1, 1) ] (as_pairs (Rt.Shadow.note_write sh 5 (e 2 2)));
+  deps_eq "WAW+WAR" [ (0, 0); (1, 1) ] (wr sh 5 2 2);
   (* same-thread accesses never synchronize *)
-  deps_eq "same tid" [] (as_pairs (Rt.Shadow.note_write sh 5 (e 2 3)))
+  deps_eq "same tid" [] (wr sh 5 2 3);
+  Alcotest.(check bool) "worker out of range rejected" true
+    (try ignore (rd sh 5 3 4); false with Invalid_argument _ -> true);
+  Alcotest.(check bool) "address out of range rejected" true
+    (try ignore (wr sh 16 0 4); false with Invalid_argument _ -> true)
 
 let test_shadow_no_rar () =
-  let sh = Rt.Shadow.create () in
-  deps_eq "r1" [] (as_pairs (Rt.Shadow.note_read sh 9 (e 0 0)));
-  deps_eq "read-after-read free" [] (as_pairs (Rt.Shadow.note_read sh 9 (e 1 1)));
+  let sh = Rt.Shadow.create ~words:16 ~workers:3 in
+  deps_eq "r1" [] (rd sh 9 0 0);
+  deps_eq "read-after-read free" [] (rd sh 9 1 1);
   (* but a write must wait for all foreign readers *)
-  let deps = as_pairs (Rt.Shadow.note_write sh 9 (e 2 2)) in
+  let deps = wr sh 9 2 2 in
   Alcotest.(check bool) "write waits for both readers" true
     (List.mem (0, 0) deps && List.mem (1, 1) deps)
 
 let test_shadow_reader_latest_kept () =
-  let sh = Rt.Shadow.create () in
-  ignore (Rt.Shadow.note_read sh 1 (e 0 3));
-  ignore (Rt.Shadow.note_read sh 1 (e 0 7));
-  deps_eq "latest read per tid" [ (0, 7) ] (as_pairs (Rt.Shadow.note_write sh 1 (e 1 9)))
+  let sh = Rt.Shadow.create ~words:2 ~workers:2 in
+  ignore (rd sh 1 0 3);
+  ignore (rd sh 1 0 7);
+  deps_eq "latest read per tid" [ (0, 7) ] (wr sh 1 1 9)
 
 let test_sync_cond () =
   let open Rt.Sync_cond in
@@ -231,127 +242,95 @@ let test_checkpoint () =
   Alcotest.(check int) "saves counted" 2 (Rt.Checkpoint.saves ck);
   Alcotest.(check (option int)) "latest" (Some 9) (Rt.Checkpoint.latest_epoch ck)
 
-(* ---------- PR1: optimized primitives vs naive reference models ---------- *)
+(* ---------- optimized primitives vs naive reference models ---------- *)
 
-(* Naive shadow memory: the seed implementation (assoc lists, Hashtbl),
-   kept as the executable specification the optimized open-addressing table
-   must match dependence-for-dependence, order included. *)
-module Ref_shadow = struct
-  type slot = { mutable w : (int * int) option; mutable rs : (int * int) list }
+(* Batches of random notes (addr, tid, write?), [reset] between batches;
+   the step index is the iteration number, so iterations increase
+   monotonically like a real run.  Addresses and workers are drawn raw and
+   folded into the shadow's [words] and [workers]. *)
+let batches_gen =
+  QCheck.(
+    list_of_size Gen.(int_range 1 4)
+      (list_of_size Gen.(int_range 0 120) (triple (int_range 0 1_000) (int_range 0 1_000) bool)))
 
-  type t = (int, slot) Hashtbl.t
+let prop_shadow_matches_reference =
+  QCheck.Test.make ~name:"optimized shadow = naive reference (deps, order)" ~count:200
+    QCheck.(triple (int_range 1 24) (int_range 1 48) batches_gen)
+    (fun (workers, words, batches) ->
+      let sh = Rt.Shadow.create ~words ~workers and d = Rt.Shadow.Deps.create () in
+      let step = ref 0 in
+      List.for_all
+        (fun batch ->
+          Rt.Shadow.reset sh;
+          let rf = Ref_shadow.create () in
+          List.for_all
+            (fun (a, t, write) ->
+              let addr = a mod words and tid = t mod workers and iter = !step in
+              incr step;
+              Rt.Shadow.Deps.clear d;
+              let want =
+                if write then (
+                  Rt.Shadow.note_write_deps sh addr ~tid ~iter d;
+                  Ref_shadow.note_write rf addr ~tid ~iter)
+                else (
+                  Rt.Shadow.note_read_deps sh addr ~tid ~iter d;
+                  Ref_shadow.note_read rf addr ~tid ~iter)
+              in
+              Rt.Shadow.Deps.to_list d = Ref_shadow.dedup want)
+            batch)
+        batches)
 
-  let create () : t = Hashtbl.create 64
-
-  let slot sh addr =
-    match Hashtbl.find_opt sh addr with
-    | Some s -> s
-    | None ->
-        let s = { w = None; rs = [] } in
-        Hashtbl.replace sh addr s;
-        s
-
-  let foreign tid = function Some (t, i) when t <> tid -> [ (t, i) ] | _ -> []
-
-  let note_read sh addr ~tid ~iter =
-    let s = slot sh addr in
-    let deps = foreign tid s.w in
-    let rest = List.remove_assoc tid s.rs in
-    let prev = try List.assoc tid s.rs with Not_found -> min_int in
-    s.rs <- (tid, Stdlib.max prev iter) :: rest;
-    deps
-
-  let note_write sh addr ~tid ~iter =
-    let s = slot sh addr in
-    let readers = List.filter (fun (t, _) -> t <> tid) s.rs in
-    let deps = foreign tid s.w @ readers in
-    s.w <- Some (tid, iter);
-    s.rs <- [];
-    deps
-end
-
-(* A random access trace: (addr, tid, write?) per step; the step index is the
-   iteration number, so iterations increase monotonically like a real run. *)
+(* A random access trace: (addr, tid, write?) per step over 41 words and 6
+   workers. *)
 let trace_gen =
   QCheck.(
     list_of_size Gen.(int_range 0 200)
       (triple (int_range 0 40) (int_range 0 5) bool))
 
-let prop_shadow_matches_reference =
-  QCheck.Test.make ~name:"optimized shadow = naive reference (deps, order)" ~count:200
-    trace_gen
-    (fun trace ->
-      let sh = Rt.Shadow.create () and rf = Ref_shadow.create () in
-      List.for_all
-        (fun (step, (addr, tid, w)) ->
-          let iter = step in
-          let got =
-            as_pairs
-              (if w then Rt.Shadow.note_write sh addr (e tid iter)
-               else Rt.Shadow.note_read sh addr (e tid iter))
-          in
-          let want =
-            if w then Ref_shadow.note_write rf addr ~tid ~iter
-            else Ref_shadow.note_read rf addr ~tid ~iter
-          in
-          got = want)
-        (List.mapi (fun i x -> (i, x)) trace))
-
-(* The zero-allocation Deps accumulator must agree with the list API plus the
-   seed's List.mem dedup, across a whole iteration's worth of notes. *)
+(* The Deps accumulator must agree with the reference plus List.mem dedup
+   across a whole iteration's worth of notes. *)
 let prop_deps_accumulator_matches =
-  QCheck.Test.make ~name:"Deps accumulator = list API + List.mem dedup" ~count:200
+  QCheck.Test.make ~name:"Deps accumulator = Ref_shadow + List.mem dedup" ~count:200
     QCheck.(pair trace_gen (int_range 0 5))
     (fun (trace, tid) ->
-      let sh1 = Rt.Shadow.create () and sh2 = Rt.Shadow.create () in
-      (* Warm both tables identically with the trace ... *)
+      let sh = Rt.Shadow.create ~words:41 ~workers:6 and rf = Ref_shadow.create () in
+      let deps = Rt.Shadow.Deps.create () in
+      (* Warm both with the trace ... *)
       List.iteri
         (fun i (addr, t, w) ->
           if w then (
-            ignore (Rt.Shadow.note_write sh1 addr (e t i));
-            ignore (Rt.Shadow.note_write sh2 addr (e t i)))
+            Rt.Shadow.note_write_deps sh addr ~tid:t ~iter:i deps;
+            ignore (Ref_shadow.note_write rf addr ~tid:t ~iter:i))
           else (
-            ignore (Rt.Shadow.note_read sh1 addr (e t i));
-            ignore (Rt.Shadow.note_read sh2 addr (e t i))))
+            Rt.Shadow.note_read_deps sh addr ~tid:t ~iter:i deps;
+            ignore (Ref_shadow.note_read rf addr ~tid:t ~iter:i)))
         trace;
       (* ... then collect one iteration's dependences over a fixed footprint
          both ways. *)
       let iter = List.length trace in
       let raddrs = [ 0; 7; 13; 21 ] and waddrs = [ 3; 7; 33 ] in
-      let dedup = ref [] in
-      let note found =
-        List.iter
-          (fun (d : Rt.Shadow.entry) ->
-            let c = (d.Rt.Shadow.tid, d.Rt.Shadow.iter) in
-            if not (List.mem c !dedup) then dedup := c :: !dedup)
-          found
-      in
-      List.iter (fun a -> note (Rt.Shadow.note_read sh1 a (e tid iter))) raddrs;
-      List.iter (fun a -> note (Rt.Shadow.note_write sh1 a (e tid iter))) waddrs;
-      let deps = Rt.Shadow.Deps.create () in
-      List.iter (fun a -> Rt.Shadow.note_read_deps sh2 a ~tid ~iter deps) raddrs;
-      List.iter (fun a -> Rt.Shadow.note_write_deps sh2 a ~tid ~iter deps) waddrs;
-      Rt.Shadow.Deps.to_list deps = List.rev !dedup)
+      Rt.Shadow.Deps.clear deps;
+      List.iter (fun a -> Rt.Shadow.note_read_deps sh a ~tid ~iter deps) raddrs;
+      List.iter (fun a -> Rt.Shadow.note_write_deps sh a ~tid ~iter deps) waddrs;
+      let on_reads = List.concat_map (fun a -> Ref_shadow.note_read rf a ~tid ~iter) raddrs in
+      let on_writes = List.concat_map (fun a -> Ref_shadow.note_write rf a ~tid ~iter) waddrs in
+      Rt.Shadow.Deps.to_list deps = Ref_shadow.dedup (on_reads @ on_writes))
 
 let test_shadow_reset_o1 () =
-  let sh = Rt.Shadow.create () in
   let n = 100_000 in
+  let sh = Rt.Shadow.create ~words:n ~workers:4 in
   for i = 0 to n - 1 do
-    ignore (Rt.Shadow.note_write sh i (e (i land 3) i))
+    ignore (wr sh i (i land 3) i)
   done;
-  Alcotest.(check int) "entries before reset" n (Rt.Shadow.entries sh);
-  let cap = Rt.Shadow.capacity sh in
+  deps_eq "written before reset" [ (1, 9) ] (rd sh 9 0 n);
   Rt.Shadow.reset sh;
-  Alcotest.(check int) "empty after reset" 0 (Rt.Shadow.entries sh);
-  Alcotest.(check int) "reset does not rehash or shrink" cap (Rt.Shadow.capacity sh);
-  Alcotest.(check (option (pair int int)))
-    "stale entries invisible" None
-    (Option.map (fun (d : Rt.Shadow.entry) -> (d.tid, d.iter)) (Rt.Shadow.last_write sh 5));
-  (* refilling reuses the retained capacity *)
+  deps_eq "stale write invisible after reset" [] (rd sh 5 0 n);
+  deps_eq "stale read invisible after reset" [] (wr sh 9 1 n);
+  (* refilling after a reset finds the new generation's accesses *)
   for i = 0 to n - 1 do
-    ignore (Rt.Shadow.note_write sh i (e 1 i))
+    ignore (wr sh i 1 i)
   done;
-  Alcotest.(check int) "refill finds capacity in place" cap (Rt.Shadow.capacity sh)
+  deps_eq "refill visible" [ (1, 7) ] (rd sh 7 2 n)
 
 (* Every signature kind must over-approximate the exact oracle, including on
    addresses outside the Segmented bounds (clamped, not crashing). *)

@@ -45,6 +45,8 @@ let build_input () =
 
 let col_at = E.ld "col" E.((o * c row_len) + i)
 
+let col = Xinv_workloads.Wl_util.index col_at
+
 let update =
   Ir.Stmt.make
     ~reads:[ Ir.Access.make "x" col_at ]
@@ -52,7 +54,7 @@ let update =
     ~cost:(Ir.Stmt.fixed_cost 1100.)
     ~exec:(fun env ->
       let mem = env.Ir.Env.mem in
-      let c = E.eval env col_at in
+      let c = col env in
       let v = Ir.Memory.get_float mem "x" c in
       Ir.Memory.set_float mem "x" c (Float.rem ((3. *. v) +. 1.) 1048576.0))
     "x[col[r,k]] = relax(x)"

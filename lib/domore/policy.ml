@@ -11,7 +11,7 @@ let name = function
 let pick t ~(writes : Ir.Footprint.site array) ~loads ~threads ~slot env =
   match t with
   | Mem_partition when Array.length writes > 0 ->
-      Ir.Footprint.index env writes.(0) * threads / writes.(0).Ir.Footprint.size
+      Ir.Footprint.owner ~threads env writes.(0)
   | Least_loaded -> (
       match loads with
       | None -> slot mod threads

@@ -5,9 +5,8 @@
 type t =
   | Round_robin
   | Mem_partition
-      (** owner of the first predicted write: with [n] threads, index [i]
-          of an array of size [s] belongs to thread [i * n / s] (contiguous
-          blocks of the written array, as LOCALWRITE owns them) *)
+      (** owner of the first predicted write, as LOCALWRITE owns it
+          ({!Xinv_ir.Footprint.owner}) *)
   | Least_loaded
       (** worker with the shortest dispatch queue (the "smarter scheduling"
           extension §3.3.3 anticipates); callers supply queue lengths *)
@@ -33,8 +32,8 @@ val assign :
     ({!Xinv_ir.Footprint.sites} of {!Xinv_ir.Slice.t}'s [reads] and
     [writes]); the shadow covers the run's memory and [threads] workers.
     Picks the owner by the policy at index [slot] (memory partitioning
-    reads the first write's index and size from its site; an iteration
-    without writes falls back to round-robin), then evaluates the sites
+    takes the first write site's owner; an iteration without writes
+    falls back to round-robin), then evaluates the sites
     ([computeAddr]) and records the reads, then the writes, in the shadow
     as iteration [iter] of that owner.
     [deps] is cleared and refilled with the synchronization conditions the

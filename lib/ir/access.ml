@@ -4,8 +4,6 @@ let make base index = { base; index }
 
 let pp ppf a = Format.fprintf ppf "%s[%a]" a.base Expr.pp a.index
 
-let addr env mem a = Memory.addr mem a.base (Expr.eval env a.index)
-
 let affine a = Affine.of_expr a.index
 
 let irregular a = affine a = None

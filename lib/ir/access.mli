@@ -6,9 +6,6 @@ val make : string -> Expr.t -> t
 
 val pp : Format.formatter -> t -> unit
 
-val addr : Env.t -> Memory.t -> t -> int
-(** Concrete flat address of the access in the given context. *)
-
 val affine : t -> Affine.t option
 
 val irregular : t -> bool

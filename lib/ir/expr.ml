@@ -15,16 +15,31 @@ let apply op a b =
   | Mul -> a * b
   | Div -> if b = 0 then invalid_arg "Expr.eval: division by zero" else a / b
   | Mod -> if b = 0 then invalid_arg "Expr.eval: modulo by zero" else a mod b
-  | Min -> Stdlib.min a b
-  | Max -> Stdlib.max a b
+  | Min -> if a <= b then a else b
+  | Max -> if a >= b then a else b
 
-let rec eval env = function
-  | Const k -> k
-  | Ivar -> env.Env.j_inner
-  | Ovar -> env.Env.t_outer
-  | Param p -> Env.param env p
-  | Load (a, ix) -> Memory.get_int env.Env.mem a (eval env ix)
-  | Bin (op, x, y) -> apply op (eval env x) (eval env y)
+(* One closure per node, built once: each [Load] holds its array, and a
+   binary node runs its right operand first, as OCaml evaluates
+   arguments.  A load still reports to an installed observer. *)
+let compile mem e =
+  let rec go = function
+    | Const k -> fun _ -> k
+    | Ivar -> fun env -> env.Env.j_inner
+    | Ovar -> fun env -> env.Env.t_outer
+    | Param p -> fun env -> Env.param env p
+    | Load (a, ix) ->
+        let ix = go ix and data = Memory.int_data mem a in
+        fun env ->
+          let i = ix env in
+          if Memory.observed mem then Memory.get_int mem a i else data.(i)
+    | Bin (op, x, y) ->
+        let y = go y in
+        let x = go x in
+        fun env ->
+          let b = y env in
+          apply op (x env) b
+  in
+  go e
 
 let op_str = function
   | Add -> "+"

@@ -16,7 +16,16 @@ type t =
   | Load of string * t  (** integer-array element *)
   | Bin of binop * t * t
 
-val eval : Env.t -> t -> int
+val compile : Memory.t -> t -> Env.t -> int
+(** [compile mem e] is [e]'s value as a function of the iteration: it
+    reads only [t_outer], [j_inner] and, for a [Param], [params].  Each
+    [Load]'s array is looked up in [mem] once, here (raising as
+    {!Memory.int_data} does), so the result is valid for [mem] only,
+    including after {!Memory.restore} into it, which keeps its arrays.
+    A call raises [Invalid_argument] on an out-of-range load, a division
+    or modulo by zero, or an unknown parameter, evaluating a binary
+    node's right operand before its left.  Loads report to an observer
+    installed on [mem] ({!Memory.set_observer}). *)
 
 val pp : Format.formatter -> t -> unit
 

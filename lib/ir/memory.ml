@@ -40,13 +40,6 @@ let base m name = (entry m name).ebase
 let size m name =
   match (entry m name).data with I a -> Array.length a | F a -> Array.length a
 
-let addr m name i =
-  let e = entry m name in
-  let len = match e.data with I a -> Array.length a | F a -> Array.length a in
-  if i < 0 || i >= len then
-    invalid_arg (Printf.sprintf "Memory.addr: %s[%d] out of bounds (size %d)" name i len);
-  e.ebase + i
-
 let observe m ~write name i =
   match m.observer with Some f -> f ~write name i | None -> ()
 
@@ -74,7 +67,7 @@ let set_float m name i v =
   | F a -> a.(i) <- v
   | I _ -> invalid_arg (Printf.sprintf "Memory.set_float: %s is an int array" name)
 
-let observed m = m.observer <> None
+let observed m = match m.observer with Some _ -> true | None -> false
 
 let is_int m name = match (entry m name).data with I _ -> true | F _ -> false
 

@@ -19,9 +19,6 @@ val base : t -> string -> int
 
 val size : t -> string -> int
 
-val addr : t -> string -> int -> int
-(** [addr m a i] is the flat address of [a.(i)].  Bounds-checked. *)
-
 val get_int : t -> string -> int -> int
 
 val set_int : t -> string -> int -> int -> unit

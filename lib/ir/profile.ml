@@ -77,25 +77,26 @@ let record st ~outer (src : mark) (dst : mark) =
     end
   end
 
-let visit st ~outer env (s : Stmt.t) (mk : int -> mark) =
+let visit st ~outer env (t : Footprint.touch) (mk : int -> mark) =
+  let s = t.Footprint.stmt in
   let m = mk s.Stmt.sid in
-  List.iter
-    (fun addr ->
-      (match Hashtbl.find_opt st.last_write addr with
-      | Some w -> record st ~outer w m
-      | None -> ());
-      Hashtbl.replace st.last_read addr m)
-    (Footprint.reads env s);
-  List.iter
-    (fun addr ->
-      (match Hashtbl.find_opt st.last_write addr with
-      | Some w -> record st ~outer w m
-      | None -> ());
+  let from_write a = Option.iter (fun w -> record st ~outer w m) (Hashtbl.find_opt st.last_write a) in
+  let read site =
+    let addr = Footprint.addr env site in
+    from_write addr;
+    Hashtbl.replace st.last_read addr m
+  in
+  Array.iter read t.Footprint.reads;
+  Array.iter read t.Footprint.loads;
+  Array.iter
+    (fun site ->
+      let addr = Footprint.addr env site in
+      from_write addr;
       (match Hashtbl.find_opt st.last_read addr with
       | Some r -> if r.m_sid <> s.Stmt.sid || r.m_task <> m.m_task then record st ~outer r m
       | None -> ());
       Hashtbl.replace st.last_write addr m)
-    (Footprint.writes env s);
+    t.Footprint.writes;
   s.Stmt.exec env
 
 let run ?(max_events = 100_000) (p : Program.t) env =
@@ -110,29 +111,30 @@ let run ?(max_events = 100_000) (p : Program.t) env =
       min_dist = None;
     }
   in
+  let inners = Footprint.program env.Env.mem p in
   let task = ref 0 in
   let inv = ref 0 in
   for t = 0 to p.Program.outer_trip - 1 do
     let env_t = Env.with_outer env t in
     List.iter
-      (fun (il : Program.inner) ->
-        List.iter
+      (fun ((il : Program.inner), pre, body) ->
+        Array.iter
           (fun s ->
             visit st ~outer:t env_t s (fun sid ->
                 { m_sid = sid; m_task = !task; m_inv = !inv; m_iter = -1; m_seq = true }))
-          il.Program.pre;
+          pre;
         let trip = il.Program.trip env_t in
         for j = 0 to trip - 1 do
           let env_j = Env.with_inner env_t j in
-          List.iter
+          Array.iter
             (fun s ->
               visit st ~outer:t env_j s (fun sid ->
                   { m_sid = sid; m_task = !task; m_inv = !inv; m_iter = j; m_seq = false }))
-            il.Program.body;
+            body;
           incr task
         done;
         incr inv)
-      p.Program.inners
+      inners
   done;
   {
     deps = List.rev st.events;

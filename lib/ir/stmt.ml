@@ -9,14 +9,14 @@ type t = {
   exec : Env.t -> unit;
 }
 
-let counter = ref 0
+(* Atomic: programs may be built on several domains at once. *)
+let counter = Atomic.make 1
 
 let fixed_cost c _ = c
 
 let make ?(reads = []) ?(writes = []) ?(commutes = false) ?(side_effect = false)
     ?(cost = fixed_cost 0.) ?(exec = fun _ -> ()) name =
-  incr counter;
-  { sid = !counter; name; reads; writes; commutes; side_effect; cost; exec }
+  { sid = Atomic.fetch_and_add counter 1; name; reads; writes; commutes; side_effect; cost; exec }
 
 let accesses s = s.reads @ s.writes
 

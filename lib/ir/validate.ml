@@ -15,22 +15,13 @@ let pp_violation ppf v =
 (* The declared footprint of a statement in a context, as (arr, idx) pairs.
    Reads include index-array loads; evaluating the declaration itself also
    reads memory, so evaluation happens before the observer is installed. *)
-let declared env (s : Stmt.t) =
-  let of_access (a : Access.t) =
-    (a.Access.base, Expr.eval env a.Access.index)
-  in
-  let idx_loads =
-    List.concat_map
-      (fun (a : Access.t) ->
-        List.map (fun (arr, ix) -> (arr, Expr.eval env ix)) (Expr.loads a.Access.index))
-      (Stmt.accesses s)
-  in
-  let reads = List.map of_access s.Stmt.reads @ idx_loads in
-  let writes = List.map of_access s.Stmt.writes in
-  (reads, writes)
+let declared env (t : Footprint.touch) =
+  let at = Array.fold_right (fun (s : Footprint.site) l -> (s.name, s.index env) :: l) in
+  (at t.Footprint.reads (at t.Footprint.loads []), at t.Footprint.writes [])
 
-let stmt env (s : Stmt.t) =
-  let reads, writes = declared env s in
+let check env (t : Footprint.touch) =
+  let s = t.Footprint.stmt in
+  let reads, writes = declared env t in
   let out = ref [] in
   let observer ~write arr idx =
     let ok = if write then List.mem (arr, idx) writes else List.mem (arr, idx) reads in
@@ -52,18 +43,21 @@ let stmt env (s : Stmt.t) =
     (fun () -> s.Stmt.exec env);
   List.rev !out
 
+let stmt env s = check env (Footprint.touch env.Env.mem s)
+
 let program ?(max_outer = max_int) ?(max_inner = max_int) (p : Program.t) env =
   let out = ref [] in
+  let inners = Footprint.program env.Env.mem p in
   for t = 0 to Stdlib.min max_outer p.Program.outer_trip - 1 do
     let env_t = Env.with_outer env t in
     List.iter
-      (fun (il : Program.inner) ->
-        List.iter (fun s -> out := stmt env_t s @ !out) il.Program.pre;
+      (fun ((il : Program.inner), pre, body) ->
+        Array.iter (fun s -> out := check env_t s @ !out) pre;
         let trip = il.Program.trip env_t in
         for j = 0 to Stdlib.min max_inner trip - 1 do
           let env_j = Env.with_inner env_t j in
-          List.iter (fun s -> out := stmt env_j s @ !out) il.Program.body
+          Array.iter (fun s -> out := check env_j s @ !out) body
         done)
-      p.Program.inners
+      inners
   done;
   List.rev !out

@@ -33,42 +33,42 @@ type share = {
   threads : int;
   locks : Mutex.t array;  (* the DOANY lock stripe *)
   total_words : int;
+  bodies : Ir.Program.inner -> Ir.Footprint.touch array;
 }
 
-let share ~work ~grain ~threads env =
+let share ~work ~grain ~threads p env =
+  let mem = env.Ir.Env.mem in
   { work; grain; threads; locks = Array.init 64 (fun _ -> Mutex.create ());
-    total_words = Ir.Memory.total_words env.Ir.Env.mem }
+    total_words = Ir.Memory.total_words mem; bodies = Ir.Footprint.bodies mem p }
 
 let exec_iteration sh tech ~tid env_j (il : Ir.Program.inner) =
   match (tech : Intra.technique) with
   | Intra.Doall | Intra.Spec_doall ->
       List.iter (Work.exec sh.work env_j) il.Ir.Program.body
   | Intra.Doany ->
-      List.iter
-        (fun (s : Ir.Stmt.t) ->
-          if s.Ir.Stmt.commutes && s.Ir.Stmt.writes <> [] then begin
-            let m =
-              sh.locks.(Intra.lock_index ~nlocks:(Array.length sh.locks)
-                          ~total_words:sh.total_words env_j (List.hd s.Ir.Stmt.writes))
-            in
-            Mutex.lock m;
-            Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () ->
-                Work.exec sh.work env_j s)
-          end
-          else Work.exec sh.work env_j s)
-        il.Ir.Program.body
+      Array.iter
+        (fun (t : Ir.Footprint.touch) ->
+          let s = t.Ir.Footprint.stmt in
+          match Intra.stripe ~nlocks:(Array.length sh.locks) ~total_words:sh.total_words env_j t with
+          | Some k ->
+              Mutex.lock sh.locks.(k);
+              Fun.protect ~finally:(fun () -> Mutex.unlock sh.locks.(k)) (fun () ->
+                  Work.exec sh.work env_j s)
+          | None -> Work.exec sh.work env_j s)
+        (sh.bodies il)
   | Intra.Localwrite ->
-      let threads = sh.threads in
-      let executor = Intra.executor ~threads env_j il in
-      List.iter
-        (fun (s : Ir.Stmt.t) ->
-          if s.Ir.Stmt.writes = [] then begin
+      let threads = sh.threads and body = sh.bodies il in
+      let executor = Intra.executor ~threads env_j body in
+      Array.iter
+        (fun (t : Ir.Footprint.touch) ->
+          let s = t.Ir.Footprint.stmt in
+          if Array.length t.Ir.Footprint.writes = 0 then begin
             (* Redundant traversal on every thread; semantics once. *)
             Work.burn sh.work (s.Ir.Stmt.cost env_j);
             if tid = executor then s.Ir.Stmt.exec env_j
           end
-          else if Intra.owns ~threads ~tid env_j s then Work.exec sh.work env_j s)
-        il.Ir.Program.body
+          else if Intra.owns ~threads ~tid env_j t then Work.exec sh.work env_j s)
+        body
 
 let run_share sh ~tid tech env_t (il : Ir.Program.inner) =
   let trip = il.Ir.Program.trip env_t in
@@ -104,7 +104,7 @@ let run ~pool ?wd ?fault ?fr ?(work = Work.Off) ?(grain = 1) ~threads ~plan
   let wd = match wd with Some w -> w | None -> Watchdog.unbounded () in
   let stat = Stallcat.create () in
   let bar = Nbar.create ~parties:threads in
-  let sh = share ~work ~grain ~threads env in
+  let sh = share ~work ~grain ~threads p env in
   let tasks = ref 0 and invocations = ref 0 in
   let ninners = List.length p.Ir.Program.inners in
   let invocation site =

@@ -24,10 +24,11 @@ val run_invocation_seq : Work.t -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> int
 
 type share
 (** What the threads of a barrier cohort share to execute their parts of
-    an invocation: the work model, the grain, the thread count and the
-    DOANY lock stripe ({!Xinv_parallel.Intra.lock_index}). *)
+    an invocation: the work model, the grain, the thread count, the
+    DOANY lock stripe ({!Xinv_parallel.Intra.stripe}) and the
+    program's bodies, resolved once ({!Xinv_ir.Footprint.bodies}). *)
 
-val share : work:Work.t -> grain:int -> threads:int -> Xinv_ir.Env.t -> share
+val share : work:Work.t -> grain:int -> threads:int -> Xinv_ir.Program.t -> Xinv_ir.Env.t -> share
 
 val exec_iteration :
   share ->

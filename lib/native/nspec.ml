@@ -331,7 +331,7 @@ let run ~pool ?wd ?fault ?fr ?config (p : Ir.Program.t) env =
       stat = Stallcat.create ();
       workers;
       work = cfg.work;
-      sh = Nbarrier.share ~work:cfg.work ~grain:1 ~threads:workers env;
+      sh = Nbarrier.share ~work:cfg.work ~grain:1 ~threads:workers p env;
       qs;
       bufs = Array.map Spsc.Batch.create qs;
       progress = Pad.atomic_array workers (-1);

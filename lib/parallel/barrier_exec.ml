@@ -87,20 +87,21 @@ let run ?(machine = Sim.Machine.default) ?(nlocks = 64) ?trace ?obs ~threads ~pl
   let ctxs =
     Array.init threads (fun tid -> Intra.make_ctx ~machine ~threads ~tid ~locks ~total_words)
   in
+  let bodies = Ir.Footprint.bodies env.Ir.Env.mem p in
   let first = List.hd p.Ir.Program.inners in
   let technique = Printf.sprintf "%s+barrier" (Intra.name (plan first.Ir.Program.ilabel)) in
   region ~machine ?trace ?obs ~threads ~track:"worker" ~technique p env (fun inv ->
       let il = inv.inner in
       let tech = plan il.Ir.Program.ilabel in
-      let ctx = ctxs.(inv.tid) in
+      let ctx = ctxs.(inv.tid) and body = bodies il in
       if Intra.visits_all_iterations tech then
         for j = 0 to inv.trip - 1 do
-          Intra.exec_iteration tech ctx (Ir.Env.with_inner inv.env j) il
+          Intra.exec_iteration tech ctx (Ir.Env.with_inner inv.env j) body
         done
       else begin
         let j = ref inv.tid in
         while !j < inv.trip do
-          Intra.exec_iteration tech ctx (Ir.Env.with_inner inv.env !j) il;
+          Intra.exec_iteration tech ctx (Ir.Env.with_inner inv.env !j) body;
           j := !j + threads
         done
       end)

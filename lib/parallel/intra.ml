@@ -1,3 +1,5 @@
+module Fp = Xinv_ir.Footprint
+
 type technique = Doall | Doany | Localwrite | Spec_doall
 
 let name = function
@@ -28,31 +30,19 @@ type ctx = {
 let make_ctx ~machine ~threads ~tid ~locks ~total_words =
   { machine; threads; tid; locks; nlocks = Array.length locks; total_words }
 
-let owner_of ~threads env (a : Xinv_ir.Access.t) =
-  let idx = Xinv_ir.Expr.eval env a.Xinv_ir.Access.index in
-  let size = Xinv_ir.Memory.size env.Xinv_ir.Env.mem a.Xinv_ir.Access.base in
-  assert (idx >= 0 && idx < size);
-  idx * threads / size
+let owns ~threads ~tid env (t : Fp.touch) =
+  Array.exists (fun w -> Fp.owner ~threads env w = tid) t.Fp.writes
 
-let rec owns_any ~threads ~tid env = function
-  | [] -> false
-  | a :: rest -> owner_of ~threads env a = tid || owns_any ~threads ~tid env rest
+let executor ~threads env body =
+  let low w (t : Fp.touch) =
+    Array.fold_left (fun w a -> Stdlib.min w (Fp.owner ~threads env a)) w t.Fp.writes
+  in
+  match Array.fold_left low max_int body with w when w = max_int -> 0 | w -> w
 
-let owns ~threads ~tid env (s : Xinv_ir.Stmt.t) =
-  owns_any ~threads ~tid env s.Xinv_ir.Stmt.writes
-
-let executor ~threads env (il : Xinv_ir.Program.inner) =
-  let low = ref max_int in
-  List.iter
-    (fun (s : Xinv_ir.Stmt.t) ->
-      List.iter
-        (fun a -> low := Stdlib.min !low (owner_of ~threads env a))
-        s.Xinv_ir.Stmt.writes)
-    il.Xinv_ir.Program.body;
-  if !low = max_int then 0 else !low
-
-let lock_index ~nlocks ~total_words env (a : Xinv_ir.Access.t) =
-  Xinv_ir.Access.addr env env.Xinv_ir.Env.mem a * nlocks / Stdlib.max 1 total_words
+let stripe ~nlocks ~total_words env (t : Fp.touch) =
+  if t.Fp.stmt.Xinv_ir.Stmt.commutes && Array.length t.Fp.writes > 0 then
+    Some (Fp.addr env t.Fp.writes.(0) * nlocks / Stdlib.max 1 total_words)
+  else None
 
 let exec_stmt ctx env (s : Xinv_ir.Stmt.t) =
   let wf = Xinv_sim.Machine.work_factor ctx.machine ~threads:ctx.threads in
@@ -67,62 +57,58 @@ let visit_cost (s : Xinv_ir.Stmt.t) =
       acc +. 2.0 +. (1.5 *. float_of_int (Xinv_ir.Expr.size a.Xinv_ir.Access.index)))
     0. s.Xinv_ir.Stmt.writes
 
-let exec_doall ctx env (il : Xinv_ir.Program.inner) =
-  List.iter (exec_stmt ctx env) il.Xinv_ir.Program.body
+let exec_doall ctx env body =
+  Array.iter (fun (t : Fp.touch) -> exec_stmt ctx env t.Fp.stmt) body
 
-let exec_doany ctx env (il : Xinv_ir.Program.inner) =
-  List.iter
-    (fun (s : Xinv_ir.Stmt.t) ->
-      if s.Xinv_ir.Stmt.commutes && s.Xinv_ir.Stmt.writes <> [] then begin
-        let m =
-          ctx.locks.(lock_index ~nlocks:ctx.nlocks ~total_words:ctx.total_words env
-                       (List.hd s.Xinv_ir.Stmt.writes))
-        in
-        Xinv_sim.Mutex.with_lock m (fun () -> exec_stmt ctx env s)
-      end
-      else exec_stmt ctx env s)
-    il.Xinv_ir.Program.body
+let exec_doany ctx env body =
+  Array.iter
+    (fun (t : Fp.touch) ->
+      match stripe ~nlocks:ctx.nlocks ~total_words:ctx.total_words env t with
+      | Some k -> Xinv_sim.Mutex.with_lock ctx.locks.(k) (fun () -> exec_stmt ctx env t.Fp.stmt)
+      | None -> exec_stmt ctx env t.Fp.stmt)
+    body
 
-let exec_localwrite ctx env (il : Xinv_ir.Program.inner) =
+let exec_localwrite ctx env body =
   (* Determine whether this thread owns any write of the iteration; the
      iteration's lowest owner applies the non-writing (traversal)
      statements. *)
   let threads = ctx.threads in
-  let mine = List.exists (owns ~threads ~tid:ctx.tid env) il.Xinv_ir.Program.body in
-  let executor = executor ~threads env il in
-  List.iter
-    (fun (s : Xinv_ir.Stmt.t) ->
-      match s.Xinv_ir.Stmt.writes with
-      | [] ->
-          (* Redundant computation on every thread; semantics applied once. *)
-          let cat = if mine then Xinv_sim.Category.Work else Xinv_sim.Category.Redundant in
-          let wf = Xinv_sim.Machine.work_factor ctx.machine ~threads in
-          Xinv_sim.Proc.advance ~label:s.Xinv_ir.Stmt.name cat (wf *. s.Xinv_ir.Stmt.cost env);
-          if ctx.tid = executor then s.Xinv_ir.Stmt.exec env
-      | a :: rest ->
-          (* All writes of a statement fall in one owner's partition. *)
-          let o = owner_of ~threads env a in
-          assert (List.for_all (fun b -> owner_of ~threads env b = o) rest);
-          if o = ctx.tid then exec_stmt ctx env s
-          else
-            Xinv_sim.Proc.advance ~label:"own?" Xinv_sim.Category.Redundant (visit_cost s))
-    il.Xinv_ir.Program.body
+  let mine = Array.exists (owns ~threads ~tid:ctx.tid env) body in
+  let executor = executor ~threads env body in
+  Array.iter
+    (fun (t : Fp.touch) ->
+      let s = t.Fp.stmt in
+      if Array.length t.Fp.writes = 0 then begin
+        (* Redundant computation on every thread; semantics applied once. *)
+        let cat = if mine then Xinv_sim.Category.Work else Xinv_sim.Category.Redundant in
+        let wf = Xinv_sim.Machine.work_factor ctx.machine ~threads in
+        Xinv_sim.Proc.advance ~label:s.Xinv_ir.Stmt.name cat (wf *. s.Xinv_ir.Stmt.cost env);
+        if ctx.tid = executor then s.Xinv_ir.Stmt.exec env
+      end
+      else begin
+        (* All writes of a statement fall in one owner's partition. *)
+        let o = Fp.owner ~threads env t.Fp.writes.(0) in
+        assert (Array.for_all (fun b -> Fp.owner ~threads env b = o) t.Fp.writes);
+        if o = ctx.tid then exec_stmt ctx env s
+        else Xinv_sim.Proc.advance ~label:"own?" Xinv_sim.Category.Redundant (visit_cost s)
+      end)
+    body
 
-let exec_spec_doall ctx env (il : Xinv_ir.Program.inner) =
+let exec_spec_doall ctx env body =
   let accesses =
-    List.fold_left
-      (fun acc (s : Xinv_ir.Stmt.t) -> acc + List.length (Xinv_ir.Stmt.accesses s))
-      0 il.Xinv_ir.Program.body
+    Array.fold_left
+      (fun acc (t : Fp.touch) -> acc + Array.length t.Fp.reads + Array.length t.Fp.writes)
+      0 body
   in
   Xinv_sim.Proc.advance ~label:"validate" Xinv_sim.Category.Runtime
     (ctx.machine.Xinv_sim.Machine.sig_per_access *. float_of_int accesses);
-  List.iter (exec_stmt ctx env) il.Xinv_ir.Program.body;
+  exec_doall ctx env body;
   (* Commit bookkeeping (version check + publish). *)
   Xinv_sim.Proc.advance ~label:"commit" Xinv_sim.Category.Runtime 10.
 
-let exec_iteration tech ctx env il =
+let exec_iteration tech ctx env body =
   match tech with
-  | Doall -> exec_doall ctx env il
-  | Doany -> exec_doany ctx env il
-  | Localwrite -> exec_localwrite ctx env il
-  | Spec_doall -> exec_spec_doall ctx env il
+  | Doall -> exec_doall ctx env body
+  | Doany -> exec_doany ctx env body
+  | Localwrite -> exec_localwrite ctx env body
+  | Spec_doall -> exec_spec_doall ctx env body

@@ -43,23 +43,24 @@ val make_ctx :
     the native barrier and SPECCROSS engines.  Only how an engine waits and
     charges time differs. *)
 
-val owner_of : threads:int -> Xinv_ir.Env.t -> Xinv_ir.Access.t -> int
-(** LOCALWRITE owner of a write access: contiguous block partition of the
-    written array across [threads] workers.  Asserts the index is in
-    bounds. *)
+val owns : threads:int -> tid:int -> Xinv_ir.Env.t -> Xinv_ir.Footprint.touch -> bool
+(** Whether worker [tid] owns some write of the statement
+    ({!Xinv_ir.Footprint.owner}). *)
 
-val owns : threads:int -> tid:int -> Xinv_ir.Env.t -> Xinv_ir.Stmt.t -> bool
-(** Whether worker [tid] owns some write of the statement. *)
-
-val executor : threads:int -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> int
+val executor : threads:int -> Xinv_ir.Env.t -> Xinv_ir.Footprint.touch array -> int
 (** The worker that applies a LOCALWRITE iteration's non-writing statements
     (which every worker visits): the lowest owner of any write in the
-    iteration, or 0 when the body writes nothing. *)
+    body, or 0 when the body writes nothing. *)
 
-val lock_index : nlocks:int -> total_words:int -> Xinv_ir.Env.t -> Xinv_ir.Access.t -> int
-(** DOANY lock stripe of an access: the flat address space split into
-    [nlocks] equal ranges. *)
+val stripe :
+  nlocks:int -> total_words:int -> Xinv_ir.Env.t -> Xinv_ir.Footprint.touch -> int option
+(** The DOANY lock a statement runs under: for a commuting statement that
+    writes, the stripe of its first write's flat address, the address
+    space split into [nlocks] equal ranges; [None] for any other
+    statement, which runs unlocked. *)
 
-val exec_iteration : technique -> ctx -> Xinv_ir.Env.t -> Xinv_ir.Program.inner -> unit
+val exec_iteration :
+  technique -> ctx -> Xinv_ir.Env.t -> Xinv_ir.Footprint.touch array -> unit
 (** Execute (or, for LOCALWRITE non-owners, visit) the iteration whose
-    induction values are in the environment. *)
+    induction values are in the environment.  The body is resolved once
+    per run ({!Xinv_ir.Footprint.bodies}). *)

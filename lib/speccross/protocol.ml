@@ -151,7 +151,8 @@ module Make (M : MACHINE) = struct
     let mem = env.Ir.Env.mem in
     let ep = Epochs.make p env in
     let nepochs = ep.Epochs.count and base = ep.Epochs.base and hot = ep.Epochs.hot in
-    let feeders = Array.map (Ir.Footprint.feeder ~hot mem) ep.Epochs.inners in
+    let bodies = Ir.Footprint.bodies mem p in
+    let feeders = Array.map (fun il -> Ir.Footprint.feeder ~hot (bodies il)) ep.Epochs.inners in
     (* DOMORE epochs: each inner loop's slice resolved once, and one
        shadow per worker, reset at every epoch. *)
     let sites =
@@ -334,7 +335,7 @@ module Make (M : MACHINE) = struct
       guard ~w ~epoch:e ~g:base.(e) (fun () -> M.exec m ~w Pre env_t il);
       let trip = il.Ir.Program.trip env_t in
       let at j = Ir.Env.with_inner env_t j in
-      let fd = feeders.(e mod Array.length feeders) in
+      let fd = feeders.(e mod Array.length feeders) and body = bodies il in
       let reads, writes = sites.(e mod Array.length sites) in
       let footprint j = Ir.Footprint.feed fd (at j) in
       match cfg.mode_of il.Ir.Program.ilabel with
@@ -365,7 +366,7 @@ module Make (M : MACHINE) = struct
             let g = base.(e) + j in
             throttle ~w g;
             let owned = Xinv_parallel.Intra.owns ~threads:workers ~tid:w (at j) in
-            if guard ~w ~epoch:e ~g (fun () -> List.exists owned il.Ir.Program.body) then
+            if guard ~w ~epoch:e ~g (fun () -> Array.exists owned body) then
               task ~w ~epoch:e ~g ~feed:(footprint j) (fun () ->
                   M.exec m ~w Localwrite (at j) il)
             else begin

@@ -80,6 +80,7 @@ type machine = {
   eng : Sim.Engine.t;
   workers : int;
   wf : float;
+  bodies : Ir.Program.inner -> Ir.Footprint.touch array;  (* resolved once *)
   q : cmsg Sim.Channel.t;
   mutable st : gstate;  (* the newest generation *)
   cur : gstate array;  (* per worker: the generation it runs in *)
@@ -163,14 +164,14 @@ module Machine = struct
         done
     | P.Doall -> List.iter (step m Sim.Category.Work env) body
     | P.Localwrite ->
-        List.iter
-          (fun (stm : Ir.Stmt.t) ->
+        Array.iter
+          (fun (t : Ir.Footprint.touch) ->
             if
-              stm.Ir.Stmt.writes = []
-              || Xinv_parallel.Intra.owns ~threads:m.workers ~tid:w env stm
-            then step m Sim.Category.Work env stm
+              Array.length t.Ir.Footprint.writes = 0
+              || Xinv_parallel.Intra.owns ~threads:m.workers ~tid:w env t
+            then step m Sim.Category.Work env t.Ir.Footprint.stmt
             else Sim.Proc.advance ~label:"own?" Sim.Category.Redundant 4.)
-          body
+          (m.bodies il)
     | P.Skip ->
         (* The non-writing traversal plus the ownership check. *)
         let traversal =
@@ -279,6 +280,7 @@ let run ?config ?obs ?(trace = false) (p : Ir.Program.t) env =
       eng = Sim.Engine.create ~trace ();
       workers;
       wf = Sim.Machine.work_factor mc ~threads:(workers + 1);
+      bodies = Ir.Footprint.bodies env.Ir.Env.mem p;
       q =
         Sim.Channel.create ~produce_cost:mc.Sim.Machine.queue_produce
           ~consume_cost:mc.Sim.Machine.queue_consume ();

@@ -29,6 +29,7 @@ let build_input input =
 let slot = E.ld "pm" E.i
 
 let build_program outer =
+  let slot_at = Wl_util.index slot in
   let handles =
     Wl_util.memo (fun mem ->
         ( Ir.Memory.int_data mem "pm",
@@ -45,7 +46,7 @@ let build_program outer =
         if Ir.Memory.observed mem then begin
           (* Observable slow path: Validate watches every access. *)
           let s = Ir.Memory.get_float mem "spot" env.Ir.Env.j_inner in
-          let p = E.eval env slot in
+          let p = slot_at env in
           let cur = Ir.Memory.get_float mem "price" p in
           Ir.Memory.set_float mem "price" p (Wl_util.mix cur s)
         end

@@ -59,13 +59,14 @@ let build_input input =
 
 let build_program () =
   let col_expr = E.ld "col" E.(ld "rowstart" o + i) in
+  let col = Wl_util.index col_expr in
   let update =
     Ir.Stmt.make
       ~reads:[ Ir.Access.make "C" col_expr ]
       ~writes:[ Ir.Access.make "C" col_expr ]
       ~cost:(fun env -> Wl_util.jittered ~base:900. ~salt:3 env)
       ~exec:(fun env ->
-        let ci = E.eval env col_expr in
+        let ci = col env in
         let cur = Ir.Memory.get_float env.Ir.Env.mem "C" ci in
         let k =
           float_of_int (((env.Ir.Env.t_outer * 31) + env.Ir.Env.j_inner) mod 97)

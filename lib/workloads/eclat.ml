@@ -44,6 +44,7 @@ let build_input input =
 let txn_expr = E.ld "txn" E.(ld "itemstart" o + i)
 
 let build_program outer =
+  let txn = Wl_util.index txn_expr in
   let append =
     Ir.Stmt.make
       ~reads:[ Ir.Access.make "db" txn_expr; Ir.Access.make "cnt" txn_expr ]
@@ -51,7 +52,7 @@ let build_program outer =
       ~cost:(fun env -> Wl_util.jittered ~base:800. ~spread:0.5 ~salt:29 env)
       ~exec:(fun env ->
         let mem = env.Ir.Env.mem in
-        let ti = E.eval env txn_expr in
+        let ti = txn env in
         let item = float_of_int ((env.Ir.Env.t_outer * 7) mod 101) in
         Ir.Memory.set_float mem "db" ti (Wl_util.mix (Ir.Memory.get_float mem "db" ti) item);
         Ir.Memory.set_float mem "cnt" ti (Ir.Memory.get_float mem "cnt" ti +. 1.))

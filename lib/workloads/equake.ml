@@ -31,6 +31,7 @@ let out = E.((o * c trip) + i)
 let stiff_at = E.ld "colV" E.i
 
 let build_program outer =
+  let stiff = Wl_util.index stiff_at and wave = Wl_util.index out in
   let smvp =
     Ir.Stmt.make
       ~reads:[ Ir.Access.make "stiff" stiff_at ]
@@ -38,8 +39,8 @@ let build_program outer =
       ~cost:(fun env -> Wl_util.jittered ~base:1300. ~spread:0.55 ~salt:41 env)
       ~exec:(fun env ->
         let mem = env.Ir.Env.mem in
-        let k = Ir.Memory.get_float mem "stiff" (E.eval env stiff_at) in
-        Ir.Memory.set_float mem "wave" (E.eval env out)
+        let k = Ir.Memory.get_float mem "stiff" (stiff env) in
+        Ir.Memory.set_float mem "wave" (wave env)
           (Float.rem (k +. float_of_int env.Ir.Env.t_outer) Wl_util.modulus))
       "w[Anext] = K[col[j]]*v"
   in

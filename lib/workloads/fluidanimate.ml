@@ -67,6 +67,7 @@ let build_program1 input =
           (Wl_util.mix (Ir.Memory.get_float mem "force" j) k))
       "force[p] += fk"
   in
+  let neighbour = Wl_util.index (n_at 0) in
   let neigh_update =
     Ir.Stmt.make
       ~reads:[ Ir.Access.make "pos" E.i; Ir.Access.make "force" (n_at 0) ]
@@ -74,7 +75,7 @@ let build_program1 input =
       ~cost:(fun env -> Wl_util.jittered ~base:500. ~spread:0.3 ~salt:61 env)
       ~exec:(fun env ->
         let mem = env.Ir.Env.mem in
-        let q = E.eval env (n_at 0) in
+        let q = neighbour env in
         let k = Ir.Memory.get_float mem "pos" env.Ir.Env.j_inner in
         Ir.Memory.set_float mem "force" q
           (Wl_util.mix (Ir.Memory.get_float mem "force" q) (k +. 1.)))
@@ -170,6 +171,7 @@ let build_program2 input =
   let via_cell =
     E.ld "neigh" E.((i * c neighbours) + Bin (Mod, ld "cellof" i, c neighbours))
   in
+  let cell = Wl_util.index via_cell in
   let gather1 =
     (* Neighbour-gathering traversal: no writes, so LOCALWRITE repeats it on
        every thread — the redundancy that limits LOCALWRITE in §5.4. *)
@@ -186,7 +188,7 @@ let build_program2 input =
       ~writes:[ Ir.Access.make "dens" via_cell ]
       (fun env ->
         let mem = env.Ir.Env.mem in
-        let q = E.eval env via_cell in
+        let q = cell env in
         let k = memf mem "pos" env.Ir.Env.j_inner in
         setf mem "dens" q (memf mem "dens" q +. k))
   in
@@ -216,7 +218,7 @@ let build_program2 input =
       ~writes:[ Ir.Access.make "force" via_cell ]
       (fun env ->
         let mem = env.Ir.Env.mem in
-        let q = E.eval env via_cell in
+        let q = cell env in
         let k = memf mem "dens" env.Ir.Env.j_inner in
         setf mem "force" q (memf mem "force" q +. k +. 3.))
   in

@@ -23,6 +23,7 @@ let build_input input =
 
 let build_program outer =
   let node = E.ld "nodeidx" E.((o * c trip) + i) in
+  let node_at = Wl_util.index node in
   let handles =
     Wl_util.memo (fun mem ->
         (Ir.Memory.int_data mem "nodeidx", Ir.Memory.float_data mem "data"))
@@ -36,7 +37,7 @@ let build_program outer =
         let mem = env.Ir.Env.mem in
         if Ir.Memory.observed mem then begin
           (* Observable slow path: Validate watches every access. *)
-          let ni = E.eval env node in
+          let ni = node_at env in
           let cur = Ir.Memory.get_float mem "data" ni in
           Ir.Memory.set_float mem "data" ni
             (Wl_util.mix cur (float_of_int (ni mod 127)))

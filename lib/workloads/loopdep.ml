@@ -38,6 +38,7 @@ let build_input input =
 let build_program input =
   let t1 = trip1_of input in
   let c_at = E.ld "C" E.i in
+  let c_of = Wl_util.index c_at in
   let l1 =
     Ir.Stmt.make
       ~reads:[ Ir.Access.make "B" c_at; Ir.Access.make "A" E.i ]
@@ -45,12 +46,13 @@ let build_program input =
       ~cost:(fun env -> Wl_util.jittered ~base:1000. ~salt:43 env)
       ~exec:(fun env ->
         let mem = env.Ir.Env.mem in
-        let bv = Ir.Memory.get_float mem "B" (E.eval env c_at) in
+        let bv = Ir.Memory.get_float mem "B" (c_of env) in
         let cur = Ir.Memory.get_float mem "A" env.Ir.Env.j_inner in
         Ir.Memory.set_float mem "A" env.Ir.Env.j_inner (Wl_util.mix cur bv))
       "A[i] = update_1(B[C[i]])"
   in
   let d_at = E.ld "D" E.i in
+  let d_of = Wl_util.index d_at in
   let l2 =
     Ir.Stmt.make
       ~reads:[ Ir.Access.make "master" d_at ]
@@ -58,7 +60,7 @@ let build_program input =
       ~cost:(fun env -> Wl_util.jittered ~base:1000. ~salt:47 env)
       ~exec:(fun env ->
         let mem = env.Ir.Env.mem in
-        let slot = E.eval env d_at in
+        let slot = d_of env in
         let base = Ir.Memory.get_int mem "master" slot in
         let nb = Ir.Memory.size mem "B" in
         Ir.Memory.set_int mem "C" slot ((base + (7 * env.Ir.Env.t_outer)) mod nb))

@@ -24,6 +24,7 @@ let build_input input =
 let out_expr = E.((o * c trip) + i)
 
 let build_program outer =
+  let out = Wl_util.index out_expr in
   let handles =
     Wl_util.memo (fun mem ->
         ( Ir.Memory.float_data mem "A",
@@ -41,7 +42,7 @@ let build_program outer =
           (* Observable slow path: Validate watches every access. *)
           let av = Ir.Memory.get_float mem "A" env.Ir.Env.j_inner in
           let bv = Ir.Memory.get_float mem "B" env.Ir.Env.t_outer in
-          Ir.Memory.set_float mem "Cm" (E.eval env out_expr)
+          Ir.Memory.set_float mem "Cm" (out env)
             (Float.rem ((av *. bv) +. av +. bv) Wl_util.modulus)
         end
         else begin

@@ -37,6 +37,7 @@ let make spec =
   let mk_inner li =
     let off = li * spec.outer * spec.trip in
     let at = E.(ld "tgt" (c off + (o * c spec.trip) + i)) in
+    let target = Wl_util.index at in
     let body =
       Ir.Stmt.make
         ~reads:[ Ir.Access.make "data" at ]
@@ -44,7 +45,7 @@ let make spec =
         ~cost:(fun env -> Wl_util.jittered ~base:spec.base_cost ~salt:(li + 7) env)
         ~exec:(fun env ->
           let mem = env.Ir.Env.mem in
-          let c = E.eval env at in
+          let c = target env in
           let k =
             float_of_int
               (((li * 131) + (env.Ir.Env.t_outer * 17) + env.Ir.Env.j_inner) mod 255)

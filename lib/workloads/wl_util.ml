@@ -49,6 +49,10 @@ let memo f =
         Atomic.set slot (Some (mem, v));
         v
 
+let index e =
+  let at = memo (fun mem -> Xinv_ir.Expr.compile mem e) in
+  fun env -> at env.Xinv_ir.Env.mem env
+
 (* A workload's program per input size.  Not domain-safe: the table is
    filled from whichever caller asks first. *)
 let memo_by key build =

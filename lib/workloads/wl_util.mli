@@ -29,6 +29,11 @@ val memo : (Xinv_ir.Memory.t -> 'a) -> Xinv_ir.Memory.t -> 'a
     per run instead of once per access; [resolve] must be pure.  Thread-safe
     — concurrent refills just recompute the same value. *)
 
+val index : Xinv_ir.Expr.t -> Xinv_ir.Env.t -> int
+(** [index e] evaluates [e] in an iteration's environment, compiled once
+    per memory ({!Xinv_ir.Expr.compile} through {!memo}).  Apply it to [e]
+    when building the program, not inside an exec closure. *)
+
 val memo_by : ('i -> 'k) -> ('i -> 'p) -> 'i -> 'p
 (** [memo_by key build] is [build], except that inputs with equal [key]s
     share the value built for the first of them: a workload builds one

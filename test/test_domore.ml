@@ -175,8 +175,8 @@ let test_policy () =
   Alcotest.(check int) "least loaded without loads falls back" 2
     (assign Dm.Policy.Least_loaded (writes []) ~threads:3 ~slot:5)
 
-(* A reference for [Policy.assign]: owners picked from [Access.addr]
-   lists and [Memory] lookups, dependences from the naive [Ref_shadow].
+(* A reference for [Policy.assign]: owners picked from [Ref_expr]
+   addresses and [Memory] lookups, dependences from the naive [Ref_shadow].
    Every DOMORE workload runs sequentially at train input, and each
    iteration is scheduled both ways before it executes. *)
 let test_policy_matches_reference () =
@@ -184,7 +184,7 @@ let test_policy_matches_reference () =
   let ref_owner policy (slice : Ir.Slice.t) ~loads ~threads ~slot env =
     match (policy, slice.Ir.Slice.writes) with
     | Dm.Policy.Mem_partition, (a : Ir.Access.t) :: _ ->
-        Ir.Expr.eval env a.Ir.Access.index * threads
+        Ref_expr.eval env a.Ir.Access.index * threads
         / Ir.Memory.size env.Ir.Env.mem a.Ir.Access.base
     | Dm.Policy.Least_loaded, _ ->
         let best = ref (slot mod threads) in
@@ -222,7 +222,7 @@ let test_policy_matches_reference () =
             in
             got := (tid, Sh.Deps.to_list deps) :: !got;
             let tid = ref_owner policy slice ~loads ~threads ~slot:i env_j in
-            let addrs = List.map (Ir.Access.addr env_j mem) in
+            let addrs = List.map (Ref_expr.addr env_j mem) in
             let on_reads =
               List.concat_map
                 (fun a -> Ref_shadow.note_read rf a ~tid ~iter:i)

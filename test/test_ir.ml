@@ -11,13 +11,22 @@ let test_expr_eval () =
     mk_env [ Ir.Memory.Ints ("idx", [| 7; 8; 9 |]) ]
   in
   let env = Ir.Env.with_outer (Ir.Env.with_inner env 2) 5 in
-  Alcotest.(check int) "const" 3 (E.eval env (E.c 3));
-  Alcotest.(check int) "ivar" 2 (E.eval env E.i);
-  Alcotest.(check int) "ovar" 5 (E.eval env E.o);
-  Alcotest.(check int) "load" 9 (E.eval env (E.ld "idx" E.i));
+  let eval env e = E.compile env.Ir.Env.mem e env in
+  Alcotest.(check int) "const" 3 (eval env (E.c 3));
+  Alcotest.(check int) "ivar" 2 (eval env E.i);
+  Alcotest.(check int) "ovar" 5 (eval env E.o);
+  Alcotest.(check int) "load" 9 (eval env (E.ld "idx" E.i));
   Alcotest.(check int) "arith" 17 E.(eval env ((o * c 3) + i));
   Alcotest.(check int) "mod" 1 E.(eval env (Bin (Mod, o, c 2)));
-  Alcotest.(check int) "min" 2 E.(eval env (Bin (Min, i, o)))
+  Alcotest.(check int) "min" 2 E.(eval env (Bin (Min, i, o)));
+  (* Compiled once: a later store to the index array is seen, as it is
+     after restoring a snapshot into the same memory. *)
+  let at = E.compile env.Ir.Env.mem (E.ld "idx" E.i) in
+  let snap = Ir.Memory.snapshot env.Ir.Env.mem in
+  Ir.Memory.set_int env.Ir.Env.mem "idx" 2 4;
+  Alcotest.(check int) "load sees stores" 4 (at env);
+  Ir.Memory.restore ~dst:env.Ir.Env.mem ~src:snap;
+  Alcotest.(check int) "load sees restore" 9 (at env)
 
 let test_expr_helpers () =
   let e = E.(ld "a" (i + c 1)) in
@@ -69,7 +78,9 @@ let test_memory () =
       [ Ir.Memory.Ints ("x", [| 1; 2 |]); Ir.Memory.Floats ("y", [| 1.5; 2.5; 3.5 |]) ]
   in
   Alcotest.(check int) "base y" 2 (Ir.Memory.base m "y");
-  Alcotest.(check int) "addr" 3 (Ir.Memory.addr m "y" 1);
+  let y i = Ir.Footprint.site m (Ir.Access.make "y" (E.c i)) in
+  let env = Ir.Env.make m in
+  Alcotest.(check int) "addr" 3 (Ir.Footprint.addr env (y 1));
   Alcotest.(check int) "total" 5 (Ir.Memory.total_words m);
   Alcotest.(check bool) "bounds" true (Ir.Memory.bounds m = [| 0; 2 |]);
   let snap = Ir.Memory.snapshot m in
@@ -80,8 +91,8 @@ let test_memory () =
   Ir.Memory.restore ~dst:m ~src:snap;
   Alcotest.(check bool) "restored" true (Ir.Memory.equal m snap);
   Alcotest.check_raises "oob addr"
-    (Invalid_argument "Memory.addr: y[3] out of bounds (size 3)") (fun () ->
-      ignore (Ir.Memory.addr m "y" 3));
+    (Invalid_argument "Footprint: y[3] out of bounds (size 3)") (fun () ->
+      ignore (Ir.Footprint.addr env (y 3)));
   let specs = Ir.Memory.to_specs m in
   Alcotest.(check bool) "to_specs round-trip" true
     (Ir.Memory.equal m (Ir.Memory.create specs))
@@ -97,7 +108,7 @@ let small_program ?(pre_reads = []) () =
       ~cost:(Ir.Stmt.fixed_cost 100.)
       ~exec:(fun env ->
         let mem = env.Ir.Env.mem in
-        let x = E.eval env at in
+        let x = Ref_expr.eval env at in
         Ir.Memory.set_float mem "acc" x (Ir.Memory.get_float mem "acc" x +. 1.))
       "upd"
   in
@@ -291,12 +302,16 @@ let test_footprint () =
   let p, fresh = small_program () in
   let env = Ir.Env.with_inner (Ir.Env.with_outer (fresh ()) 0) 1 in
   let il = Ir.Program.find_inner p "L" in
-  let reads = List.concat_map (Ir.Footprint.reads env) il.Ir.Program.body in
-  let writes = List.concat_map (Ir.Footprint.writes env) il.Ir.Program.body in
+  let body = Ir.Footprint.touches env.Ir.Env.mem il.Ir.Program.body in
+  let addrs f =
+    List.concat_map (fun t -> Array.to_list (Array.map (Ir.Footprint.addr env) (f t)))
+      (Array.to_list body)
+  in
   (* acc read + tgt index load (once per access: read and write) *)
-  Alcotest.(check int) "reads" 3 (List.length reads);
-  Alcotest.(check (list int)) "writes" [ 17 ] writes;
-  let fd = Ir.Footprint.feeder ~hot:(String.equal "acc") env.Ir.Env.mem il in
+  Alcotest.(check (list int)) "reads" [ 17 ] (addrs (fun t -> t.Ir.Footprint.reads));
+  Alcotest.(check (list int)) "loads" [ 1; 1 ] (addrs (fun t -> t.Ir.Footprint.loads));
+  Alcotest.(check (list int)) "writes" [ 17 ] (addrs (fun t -> t.Ir.Footprint.writes));
+  let fd = Ir.Footprint.feeder ~hot:(String.equal "acc") body in
   let hot = ref [] in
   Ir.Footprint.feed fd env (fun a -> hot := a :: !hot);
   Alcotest.(check (list int)) "filtered to acc" [ 17; 17 ] (List.rev !hot)
@@ -433,18 +448,30 @@ let test_error_contracts () =
   Alcotest.check_raises "type mismatch"
     (Invalid_argument "Memory.get_int: f is a float array") (fun () ->
       ignore (Ir.Memory.get_int env.Ir.Env.mem "f" 0));
+  let eval env e = E.compile env.Ir.Env.mem e env in
   Alcotest.check_raises "unknown param"
     (Invalid_argument "Env.param: unknown parameter n") (fun () ->
-      ignore (E.eval env (E.Param "n")));
+      ignore (eval env (E.Param "n")));
   Alcotest.check_raises "division by zero"
     (Invalid_argument "Expr.eval: division by zero") (fun () ->
-      ignore (E.eval env (E.Bin (E.Div, E.c 1, E.c 0))));
+      ignore (eval env (E.Bin (E.Div, E.c 1, E.c 0))));
   let p, _ = small_program () in
   Alcotest.check_raises "unknown inner"
     (Invalid_argument "Program.find_inner: no inner loop Z") (fun () ->
       ignore (Ir.Program.find_inner p "Z"));
   let env2 = Ir.Env.make ~params:[ ("n", 7) ] env.Ir.Env.mem in
-  Alcotest.(check int) "param lookup" 7 (E.eval env2 (E.Param "n"))
+  Alcotest.(check int) "param lookup" 7 (eval env2 (E.Param "n"));
+  Alcotest.check_raises "modulo by zero"
+    (Invalid_argument "Expr.eval: modulo by zero") (fun () ->
+      ignore (eval env (E.Bin (E.Mod, E.c 1, E.c 0))));
+  Alcotest.check_raises "load out of range" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (eval env (E.ld "x" (E.c 1))));
+  Alcotest.check_raises "right operand first"
+    (Invalid_argument "Expr.eval: division by zero") (fun () ->
+      ignore (eval env E.(Bin (Add, Param "n", Bin (Div, c 1, c 0)))));
+  Alcotest.check_raises "array resolved at compile time"
+    (Invalid_argument "Memory.int_data: f is a float array") (fun () ->
+      ignore (E.compile env.Ir.Env.mem (E.ld "f" E.i) : Ir.Env.t -> int))
 
 let test_slice_for_contract () =
   let p, fresh = small_program () in
@@ -510,7 +537,7 @@ let prop_affine_agrees_with_eval =
                   (Ir.Env.with_inner (mk_env []) j)
                   t
               in
-              E.eval env e = (ci * j) + (co * t) + k)
+              E.compile env.Ir.Env.mem e env = (ci * j) + (co * t) + k)
             [ (0, 0); (3, 5); (7, 2); (11, 13) ])
 
 let prop_snapshot_roundtrip =
@@ -547,6 +574,50 @@ let prop_profiler_transparent =
       ignore (Ir.Profile.run p e2);
       Ir.Memory.equal e1.Ir.Env.mem e2.Ir.Env.mem)
 
+(* Random index expressions over every node kind, evaluated in random
+   int memories and iterations: nested and out-of-range loads, division
+   and modulo by zero, and an unknown parameter ("m") all occur. *)
+let prop_compile_matches_reference =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [ (3, return E.i); (3, return E.o); (4, map E.c (int_range (-4) 9));
+        (1, return (E.Param "n")); (1, return (E.Param "m")) ]
+  in
+  let rec expr n =
+    if n = 0 then leaf
+    else
+      frequency
+        [
+          (2, leaf);
+          ( 3,
+            map3
+              (fun op x y -> E.Bin (op, x, y))
+              (oneofl E.[ Add; Sub; Mul; Div; Mod; Min; Max ])
+              (expr (n - 1)) (expr (n - 1)) );
+          (2, map2 (fun a ix -> E.Load (a, ix)) (oneofl [ "a"; "b" ]) (expr (n - 1)));
+        ]
+  in
+  let ints = array_size (int_range 1 6) (int_range (-2) 7) in
+  let case = quad (expr 4) (pair ints ints) (int_range (-1) 6) (int_range (-1) 6) in
+  let print (e, _, t, j) = Printf.sprintf "%s at t=%d, j=%d" (E.to_string e) t j in
+  QCheck.Test.make ~name:"compiled index = reference interpreter" ~count:1000
+    (QCheck.make ~print case)
+    (fun (e, (a, b), t, j) ->
+      let mem = Ir.Memory.create [ Ir.Memory.Ints ("a", a); Ir.Memory.Ints ("b", b) ] in
+      let env =
+        Ir.Env.with_outer (Ir.Env.with_inner (Ir.Env.make ~params:[ ("n", 3) ] mem) j) t
+      in
+      let run f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      run (fun () -> E.compile mem e env) = run (fun () -> Ref_expr.eval env e))
+
+let test_stmt_ids_domains () =
+  let make () = List.init 10_000 (fun _ -> (Ir.Stmt.make "s").Ir.Stmt.sid) in
+  let other = Domain.spawn make in
+  let mine = make () in
+  let ids = mine @ Domain.join other in
+  Alcotest.(check int) "every sid distinct" 20_000 (List.length (List.sort_uniq compare ids))
+
 let prop_stmt_ids_unique =
   QCheck.Test.make ~name:"stmt ids unique" ~count:20 QCheck.small_int (fun _ ->
       let a = Ir.Stmt.make "a" and b = Ir.Stmt.make "b" in
@@ -579,7 +650,9 @@ let suite =
     Alcotest.test_case "forwarding hazard" `Quick test_forwarding_hazard;
     Alcotest.test_case "error contracts" `Quick test_error_contracts;
     Alcotest.test_case "per-inner slices" `Quick test_slice_for_contract;
+    Alcotest.test_case "stmt ids unique across domains" `Quick test_stmt_ids_domains;
     QCheck_alcotest.to_alcotest prop_affine_agrees_with_eval;
+    QCheck_alcotest.to_alcotest prop_compile_matches_reference;
     QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
     QCheck_alcotest.to_alcotest prop_profiler_transparent;
     QCheck_alcotest.to_alcotest prop_stmt_ids_unique;

@@ -68,7 +68,7 @@ let doany_program () =
       ~cost:(Ir.Stmt.fixed_cost 80.)
       ~exec:(fun env ->
         let mem = env.Ir.Env.mem in
-        let x = Ir.Expr.eval env at in
+        let x = Ref_expr.eval env at in
         Ir.Memory.set_float mem "acc" x (Ir.Memory.get_float mem "acc" x +. 2.))
       "acc+=2"
   in
@@ -249,7 +249,7 @@ let prop_wavefronts_sound =
           let addr j =
             let env_j = Ir.Env.with_inner env j in
             List.sort_uniq compare
-              (List.map (Ir.Access.addr env_j env.Ir.Env.mem)
+              (List.map (Ref_expr.addr env_j env.Ir.Env.mem)
                  (slice.Ir.Slice.reads @ slice.Ir.Slice.writes))
           in
           let conflict j k =

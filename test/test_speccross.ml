@@ -249,7 +249,7 @@ let routed ?(outer = 8) ?(trip = 12) ?(cells = 24) () =
       ~cost:(Ir.Stmt.fixed_cost 500.)
       ~exec:(fun env ->
         let mem = env.Ir.Env.mem in
-        let c = Ir.Expr.eval env at in
+        let c = Ref_expr.eval env at in
         Ir.Memory.set_float mem "data" c
           ((Ir.Memory.get_float mem "data" c *. 0.5) +. float_of_int (env.Ir.Env.j_inner + 1)))
       "scatter"

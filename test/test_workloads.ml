@@ -33,6 +33,34 @@ let test_footprints_sound () =
             (Format.asprintf "%a" Ir.Validate.pp_violation v))
     all
 
+(* The declared footprints, as sites, against what every workload's exec
+   closures touch in its first iterations at train input: no violation,
+   and one as soon as a statement's declared writes are dropped, so the
+   sweep checks each real access shape. *)
+let test_validate_sweep () =
+  List.iter
+    (fun (wl : Wl.Workload.t) ->
+      let name = wl.Wl.Workload.name in
+      let p = wl.Wl.Workload.program Wl.Workload.Train in
+      let sweep p =
+        Ir.Validate.program ~max_outer:2 ~max_inner:32 p (wl.Wl.Workload.fresh_env Wl.Workload.Train)
+      in
+      Alcotest.(check int) (name ^ " violations") 0 (List.length (sweep p));
+      let victim =
+        List.find (fun (s : Ir.Stmt.t) -> s.Ir.Stmt.writes <> []) (Ir.Program.body_stmts p)
+      in
+      let drop (s : Ir.Stmt.t) = if s == victim then { s with Ir.Stmt.writes = [] } else s in
+      let mutant =
+        { p with
+          Ir.Program.inners =
+            List.map
+              (fun (il : Ir.Program.inner) ->
+                { il with Ir.Program.body = List.map drop il.Ir.Program.body })
+              p.Ir.Program.inners }
+      in
+      Alcotest.(check bool) (name ^ " undeclared write caught") true (sweep mutant <> []))
+    all
+
 let test_sequential_deterministic () =
   List.iter
     (fun (wl : Wl.Workload.t) ->
@@ -255,6 +283,7 @@ let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "footprints sound" `Quick test_footprints_sound;
+    Alcotest.test_case "validate sweep at train" `Quick test_validate_sweep;
     Alcotest.test_case "sequential deterministic" `Quick test_sequential_deterministic;
     Alcotest.test_case "train < ref" `Quick test_train_differs_from_ref;
     Alcotest.test_case "Table 5.1 applicability" `Quick test_applicability_matches_table_5_1;

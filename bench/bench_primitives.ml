@@ -1,6 +1,6 @@
 (* Micro-benchmarks for the runtime primitives (shadow memory, access
-   signatures, DES engine bookkeeping), plus a semantic fingerprint of a few
-   fixed simulated runs.
+   signatures, DES engine bookkeeping, the dependence profiler), plus a
+   semantic fingerprint of a few fixed simulated runs.
 
    Modes:
      bench_primitives                  print a table of ns/op
@@ -115,6 +115,21 @@ let engine_charge_chunk n () =
   ignore (Sim.Engine.charged eng tid Sim.Category.Work);
   n
 
+(* ---------- dependence profiler ---------- *)
+
+(* One [Profile.run] per chunk over a workload's train input, restored from
+   a snapshot first (a blit); an op is one profiled inner iteration. *)
+let profile_chunk name =
+  let module Ir = Xinv_ir in
+  let module Wl = Xinv_workloads in
+  let wl = Wl.Registry.find name in
+  let p = wl.Wl.Workload.program Wl.Workload.Train in
+  let env = wl.Wl.Workload.fresh_env Wl.Workload.Train in
+  let init = Ir.Memory.snapshot env.Ir.Env.mem in
+  fun () ->
+    Ir.Memory.restore ~dst:env.Ir.Env.mem ~src:init;
+    (Ir.Profile.run p env).Ir.Profile.total_tasks
+
 (* ---------- end-to-end kernels ---------- *)
 
 (* One complete simulated run per chunk.  These exist to measure the cost of
@@ -174,6 +189,8 @@ let kernels ~smoke =
     { name = "signature.exact"; chunk = sig_chunk Rt.Signature.Exact (s 2_000 16) (s 64 2) };
     { name = "engine.spawn_advance"; chunk = engine_advance_chunk 4 (s 2_500 8) };
     { name = "engine.charge"; chunk = engine_charge_chunk (s 100_000 64) };
+    { name = "profile.run_symm_train"; chunk = profile_chunk "SYMM" };
+    { name = "profile.run_jacobi_train"; chunk = profile_chunk "JACOBI" };
     { name = "e2e.domore_cg"; chunk = e2e_domore_chunk "CG" 8 };
     { name = "e2e.speccross_jacobi"; chunk = e2e_speccross_chunk "JACOBI" 8 };
     { name = "e2e.domore_cg+obs"; chunk = e2e_domore_chunk ~obs:true "CG" 8 };

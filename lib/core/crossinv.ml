@@ -158,7 +158,10 @@ let spec_mode_of_plan (wl : Wl.Workload.t) label =
   match Wl.Workload.technique_of wl label with
   | Par.Intra.Doall | Par.Intra.Spec_doall -> Xinv_speccross.Runtime.M_doall
   | Par.Intra.Localwrite -> Xinv_speccross.Runtime.M_localwrite
-  | Par.Intra.Doany -> Xinv_speccross.Runtime.M_doall
+  | Par.Intra.Doany ->
+      invalid_arg
+        (Printf.sprintf "Crossinv.spec_mode_of_plan: %s's %s is DOANY" wl.Wl.Workload.name
+           label)
 
 let native_supported = function
   | Sequential | Barrier | Domore | Domore_dup | Speccross
@@ -184,12 +187,11 @@ let applicable ?(backend = `Sim) technique (wl : Wl.Workload.t) =
           (wl.Wl.Workload.program Wl.Workload.Ref)
           (wl.Wl.Workload.fresh_env Wl.Workload.Ref)
     | Speccross | Speccross_inject _ ->
-        if
-          List.exists
-            (fun (_, t) -> t = Par.Intra.Spec_doall)
-            wl.Wl.Workload.plan
-        then
+        let planned t = List.exists (fun (_, t') -> t' = t) wl.Wl.Workload.plan in
+        if planned Par.Intra.Spec_doall then
           Error "inner loop requires speculative intra-invocation parallelization"
+        else if planned Par.Intra.Doany then
+          Error "inner loop requires lock-protected (DOANY) intra-invocation parallelization"
         else Par.Plan.speccross_applicable (wl.Wl.Workload.program Wl.Workload.Ref)
   in
   match backend with

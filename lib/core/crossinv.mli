@@ -167,7 +167,9 @@ val applicable :
     given backend (default [`Sim]).  Native inapplicability (Doacross,
     DSWP, Inspector, TLS have no native engines) is an [Error], not an
     exception.  The DOMORE-family check is a fresh [Mtcg.generate] on the
-    ref input ({!Xinv_parallel.Plan.domore_applicable}). *)
+    ref input ({!Xinv_parallel.Plan.domore_applicable}).  SPECCROSS refuses
+    a plan with a SPEC-DOALL or a DOANY inner loop; it would run a DOANY
+    loop's commuting updates without their lock stripe. *)
 
 val supported : backend:[ `Sim | `Native ] -> technique list
 (** Techniques with an engine on the backend. *)
@@ -311,7 +313,8 @@ val warm_up : Request.t -> unit
 
 val spec_mode_of_plan :
   Xinv_workloads.Workload.t -> string -> Xinv_speccross.Runtime.mode
-(** Map the workload's Table 5.1 plan onto SPECCROSS execution modes. *)
+(** Map the workload's Table 5.1 plan onto SPECCROSS execution modes.
+    @raise Invalid_argument for a DOANY inner loop (see {!applicable}). *)
 
 (** {1 Engine configuration}
 

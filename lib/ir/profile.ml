@@ -1,153 +1,109 @@
-type scope = Within_invocation | Across_invocations
-
-type dep = {
-  src_sid : int;
-  dst_sid : int;
-  scope : scope;
-  src_task : int;
-  dst_task : int;
-  involves_seq : bool;
-}
-
-type pair_stat = { within : int; across : int; outer_iters : int list }
+type pair_stat = { within : int; outers : int }
 
 type result = {
-  deps : dep list;
   pairs : ((int * int) * pair_stat) list;
   min_task_distance : int option;
   total_tasks : int;
   total_invocations : int;
 }
 
-(* Last access bookkeeping per flat address. *)
-type mark = { m_sid : int; m_task : int; m_inv : int; m_iter : int; m_seq : bool }
+(* The last access to a flat address: statement, global task, invocation
+   and inner iteration ([-1] in a sequential region). *)
+type mark = { sid : int; task : int; inv : int; iter : int }
+
+let never = { sid = -1; task = -1; inv = -1; iter = -1 }
+
+(* One pair's running summary.  Outer iterations arrive in increasing
+   order, so [last_outer] is enough to count each one once. *)
+type tally = { mutable t_within : int; mutable t_outers : int; mutable last_outer : int }
 
 type state = {
-  mutable events : dep list;
-  mutable n_events : int;
-  max_events : int;
-  pairs : (int * int, pair_stat) Hashtbl.t;
-  last_write : (int, mark) Hashtbl.t;
-  last_read : (int, mark) Hashtbl.t;
-  mutable min_dist : int option;
+  pairs : (int * int, tally) Hashtbl.t;
+  last_write : mark array;  (* per flat address; [never] = untouched *)
+  last_read : mark array;
+  mutable min_dist : int;  (* [max_int] = none *)
 }
 
-let record st ~outer (src : mark) (dst : mark) =
-  if not (src.m_inv = dst.m_inv && src.m_iter = dst.m_iter && src.m_seq = dst.m_seq)
-  then begin
-    let scope = if src.m_inv = dst.m_inv then Within_invocation else Across_invocations in
-    let involves_seq = src.m_seq || dst.m_seq in
-    let key = (src.m_sid, dst.m_sid) in
-    let cur =
-      try Hashtbl.find st.pairs key
-      with Not_found -> { within = 0; across = 0; outer_iters = [] }
+let record st ~outer src dst =
+  if src != never && not (src.inv = dst.inv && src.iter = dst.iter) then begin
+    let c =
+      match Hashtbl.find_opt st.pairs (src.sid, dst.sid) with
+      | Some c -> c
+      | None ->
+          let c = { t_within = 0; t_outers = 0; last_outer = -1 } in
+          Hashtbl.add st.pairs (src.sid, dst.sid) c;
+          c
     in
-    let cur =
-      match scope with
-      | Within_invocation -> { cur with within = cur.within + 1 }
-      | Across_invocations ->
-          {
-            cur with
-            across = cur.across + 1;
-            outer_iters =
-              (match cur.outer_iters with
-              | o :: _ when o = outer -> cur.outer_iters
-              | _ -> outer :: cur.outer_iters);
-          }
-    in
-    Hashtbl.replace st.pairs key cur;
-    if scope = Across_invocations && not involves_seq then begin
-      let d = dst.m_task - src.m_task in
-      match st.min_dist with
-      | Some m when m <= d -> ()
-      | _ -> st.min_dist <- Some d
-    end;
-    if st.n_events < st.max_events then begin
-      st.events <-
-        {
-          src_sid = src.m_sid;
-          dst_sid = dst.m_sid;
-          scope;
-          src_task = src.m_task;
-          dst_task = dst.m_task;
-          involves_seq;
-        }
-        :: st.events;
-      st.n_events <- st.n_events + 1
+    if src.inv = dst.inv then c.t_within <- c.t_within + 1
+    else begin
+      if c.last_outer <> outer then begin
+        c.t_outers <- c.t_outers + 1;
+        c.last_outer <- outer
+      end;
+      if src.iter >= 0 && dst.iter >= 0 then
+        st.min_dist <- Stdlib.min st.min_dist (dst.task - src.task)
     end
   end
 
-let visit st ~outer env (t : Footprint.touch) (mk : int -> mark) =
-  let s = t.Footprint.stmt in
-  let m = mk s.Stmt.sid in
-  let from_write a = Option.iter (fun w -> record st ~outer w m) (Hashtbl.find_opt st.last_write a) in
+let visit st ~outer env (t : Footprint.touch) m =
   let read site =
-    let addr = Footprint.addr env site in
-    from_write addr;
-    Hashtbl.replace st.last_read addr m
+    let a = Footprint.addr env site in
+    record st ~outer st.last_write.(a) m;
+    st.last_read.(a) <- m
   in
   Array.iter read t.Footprint.reads;
   Array.iter read t.Footprint.loads;
   Array.iter
     (fun site ->
-      let addr = Footprint.addr env site in
-      from_write addr;
-      (match Hashtbl.find_opt st.last_read addr with
-      | Some r -> if r.m_sid <> s.Stmt.sid || r.m_task <> m.m_task then record st ~outer r m
-      | None -> ());
-      Hashtbl.replace st.last_write addr m)
+      let a = Footprint.addr env site in
+      record st ~outer st.last_write.(a) m;
+      let r = st.last_read.(a) in
+      if r.sid <> m.sid || r.task <> m.task then record st ~outer r m;
+      st.last_write.(a) <- m)
     t.Footprint.writes;
-  s.Stmt.exec env
+  t.Footprint.stmt.Stmt.exec env
 
-let run ?(max_events = 100_000) (p : Program.t) env =
+let run (p : Program.t) env =
+  let words = Memory.total_words env.Env.mem in
   let st =
     {
-      events = [];
-      n_events = 0;
-      max_events;
       pairs = Hashtbl.create 64;
-      last_write = Hashtbl.create 4096;
-      last_read = Hashtbl.create 4096;
-      min_dist = None;
+      last_write = Array.make words never;
+      last_read = Array.make words never;
+      min_dist = max_int;
     }
   in
   let inners = Footprint.program env.Env.mem p in
-  let task = ref 0 in
-  let inv = ref 0 in
-  for t = 0 to p.Program.outer_trip - 1 do
-    let env_t = Env.with_outer env t in
+  let task = ref 0 and inv = ref 0 in
+  let mark (t : Footprint.touch) iter =
+    { sid = t.Footprint.stmt.Stmt.sid; task = !task; inv = !inv; iter }
+  in
+  for o = 0 to p.Program.outer_trip - 1 do
+    let env_o = Env.with_outer env o in
     List.iter
       (fun ((il : Program.inner), pre, body) ->
-        Array.iter
-          (fun s ->
-            visit st ~outer:t env_t s (fun sid ->
-                { m_sid = sid; m_task = !task; m_inv = !inv; m_iter = -1; m_seq = true }))
-          pre;
-        let trip = il.Program.trip env_t in
-        for j = 0 to trip - 1 do
-          let env_j = Env.with_inner env_t j in
-          Array.iter
-            (fun s ->
-              visit st ~outer:t env_j s (fun sid ->
-                  { m_sid = sid; m_task = !task; m_inv = !inv; m_iter = j; m_seq = false }))
-            body;
+        Array.iter (fun t -> visit st ~outer:o env_o t (mark t (-1))) pre;
+        for j = 0 to il.Program.trip env_o - 1 do
+          let env_j = Env.with_inner env_o j in
+          Array.iter (fun t -> visit st ~outer:o env_j t (mark t j)) body;
           incr task
         done;
         incr inv)
       inners
   done;
   {
-    deps = List.rev st.events;
-    pairs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.pairs [] |> List.sort compare;
-    min_task_distance = st.min_dist;
+    pairs =
+      Hashtbl.fold
+        (fun k c acc -> (k, { within = c.t_within; outers = c.t_outers }) :: acc)
+        st.pairs []
+      |> List.sort compare;
+    min_task_distance = (if st.min_dist = max_int then None else Some st.min_dist);
     total_tasks = !task;
     total_invocations = !inv;
   }
 
 let manifest_rate (result : result) (p : Program.t) ~src_sid ~dst_sid =
   match List.assoc_opt (src_sid, dst_sid) result.pairs with
-  | None -> 0.
-  | Some stat ->
-      let distinct = List.sort_uniq compare stat.outer_iters in
-      if p.Program.outer_trip <= 1 then 0.
-      else float_of_int (List.length distinct) /. float_of_int (p.Program.outer_trip - 1)
+  | Some stat when p.Program.outer_trip > 1 ->
+      float_of_int stat.outers /. float_of_int (p.Program.outer_trip - 1)
+  | _ -> 0.

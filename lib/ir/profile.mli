@@ -1,28 +1,24 @@
 (** Runtime dependence profiler.
 
     Executes the region sequentially while observing every concrete memory
-    access, and reports which statically-assumed dependences actually
-    manifest, at what scope (within an invocation vs. across invocations),
-    how often per outer iteration, and with what minimum task distance — the
-    runtime information DOMORE's planner and SPECCROSS's profiling mode
-    (dissertation §4.4, Table 5.3) are built on. *)
+    access, and summarises which statement pairs' dependences actually
+    manifest, within an invocation or across invocations, in how many outer
+    iterations, and with what minimum task distance.  SPECCROSS's profiling
+    mode (dissertation §4.4, Table 5.3) reads the distance through
+    [Xinv_speccross.Profiler]; [Xinv_parallel.Plan.choose ~profile] reads
+    the within-invocation counts.  Each address's last read and last write
+    live in tables indexed by flat address ({!Memory.total_words}). *)
 
-type scope = Within_invocation | Across_invocations
-
-type dep = {
-  src_sid : int;
-  dst_sid : int;
-  scope : scope;
-  src_task : int;  (** global task number of the source access *)
-  dst_task : int;
-  involves_seq : bool;  (** one endpoint is a sequential (pre) statement *)
+type pair_stat = {
+  within : int;  (** within-invocation dependence events *)
+  outers : int;
+      (** distinct outer iterations in which a cross-invocation dependence
+          manifested *)
 }
 
-type pair_stat = { within : int; across : int; outer_iters : int list }
-
 type result = {
-  deps : dep list;  (** every manifested dependence event, oldest first *)
-  pairs : ((int * int) * pair_stat) list;  (** per (src_sid, dst_sid) summary *)
+  pairs : ((int * int) * pair_stat) list;
+      (** per (src_sid, dst_sid) summary, sorted by key *)
   min_task_distance : int option;
       (** minimum [dst_task - src_task] over cross-invocation body-to-body
           dependences; [None] when no such dependence manifested *)
@@ -30,10 +26,9 @@ type result = {
   total_invocations : int;
 }
 
-val run : ?max_events:int -> Program.t -> Env.t -> result
-(** Profiles a fresh sequential execution (mutates the environment's memory).
-    At most [max_events] dependence events are retained in [deps] (summaries
-    remain exact). *)
+val run : Program.t -> Env.t -> result
+(** Profiles a fresh sequential execution (mutates the environment's
+    memory). *)
 
 val manifest_rate : result -> Program.t -> src_sid:int -> dst_sid:int -> float
 (** Fraction of outer iterations (beyond the first) in which the pair's

@@ -574,6 +574,28 @@ let prop_profiler_transparent =
       ignore (Ir.Profile.run p e2);
       Ir.Memory.equal e1.Ir.Env.mem e2.Ir.Env.mem)
 
+(* Random synthetic loop nests, from conflict-free to one-cell: the flat
+   profiler and the hash-table reference find the same summaries. *)
+let prop_profile_matches_reference =
+  let module Sy = Xinv_workloads.Synth in
+  let spec =
+    QCheck.Gen.(
+      map
+        (fun (outer, inners, trip, extra, within_safe, seed) ->
+          let cells = if within_safe then trip + extra else 1 + extra in
+          { Sy.default with Sy.outer; inners; trip; cells; within_safe; seed })
+        (tup6 (int_range 1 6) (int_range 1 3) (int_range 1 10) (int_range 0 12) bool
+           (int_range 0 1_000_000)))
+  in
+  let print (s : Sy.spec) =
+    Printf.sprintf "outer %d inners %d trip %d cells %d within_safe %b seed %d" s.Sy.outer
+      s.Sy.inners s.Sy.trip s.Sy.cells s.Sy.within_safe s.Sy.seed
+  in
+  QCheck.Test.make ~name:"profile = reference profiler" ~count:300 (QCheck.make ~print spec)
+    (fun spec ->
+      let p, fresh = Sy.make spec in
+      Ir.Profile.run p (fresh ()) = Ref_profile.run p (fresh ()))
+
 (* Random index expressions over every node kind, evaluated in random
    int memories and iterations: nested and out-of-range loads, division
    and modulo by zero, and an unknown parameter ("m") all occur. *)
@@ -655,5 +677,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_compile_matches_reference;
     QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
     QCheck_alcotest.to_alcotest prop_profiler_transparent;
+    QCheck_alcotest.to_alcotest prop_profile_matches_reference;
     QCheck_alcotest.to_alcotest prop_stmt_ids_unique;
   ]

@@ -105,6 +105,67 @@ let test_applicability_matches_table_5_1 () =
           (ok (Cx.applicable Cx.Speccross wl)))
     all
 
+(* Figure 5.6's re-plan of FLUIDANIMATE-2 (every LOCALWRITE loop as
+   DOANY): SPECCROSS would run the commuting updates without their lock
+   stripe, so it is refused on both backends; Barrier still applies. *)
+let test_speccross_refuses_doany () =
+  let wl = Wl.Registry.find "FLUIDANIMATE-2" in
+  let doany =
+    {
+      wl with
+      Wl.Workload.plan =
+        List.map
+          (fun (label, t) ->
+            let open Xinv_parallel.Intra in
+            (label, if t = Localwrite then Doany else t))
+          wl.Wl.Workload.plan;
+    }
+  in
+  let label, _ =
+    List.find (fun (_, t) -> t = Xinv_parallel.Intra.Doany) doany.Wl.Workload.plan
+  in
+  let ok = function Ok () -> true | Error _ -> false in
+  List.iter
+    (fun backend ->
+      Alcotest.(check bool) "SPECCROSS applies to the LOCALWRITE plan" true
+        (ok (Cx.applicable ~backend Cx.Speccross wl));
+      Alcotest.(check bool) "SPECCROSS refuses the DOANY plan" false
+        (ok (Cx.applicable ~backend Cx.Speccross doany));
+      Alcotest.(check bool) "Barrier applies to the DOANY plan" true
+        (ok (Cx.applicable ~backend Cx.Barrier doany)))
+    [ `Sim; `Native ];
+  Alcotest.check_raises "no SPECCROSS mode for DOANY"
+    (Invalid_argument
+       (Printf.sprintf "Crossinv.spec_mode_of_plan: FLUIDANIMATE-2's %s is DOANY" label))
+    (fun () -> ignore (Cx.spec_mode_of_plan doany label))
+
+(* Every workload's train inputs: the flat profiler and the hash-table
+   reference find the same summaries. *)
+let test_profile_matches_reference () =
+  let stats (r : Ir.Profile.result) =
+    List.map
+      (fun (k, (s : Ir.Profile.pair_stat)) -> (k, (s.Ir.Profile.within, s.outers)))
+      r.Ir.Profile.pairs
+  in
+  List.iter
+    (fun (wl : Wl.Workload.t) ->
+      List.iter
+        (fun input ->
+          let name = wl.Wl.Workload.name ^ " " ^ Wl.Workload.input_name input in
+          let p = wl.Wl.Workload.program input in
+          let got = Ir.Profile.run p (wl.Wl.Workload.fresh_env input) in
+          let want = Ref_profile.run p (wl.Wl.Workload.fresh_env input) in
+          Alcotest.(check (list (pair (pair int int) (pair int int))))
+            (name ^ " pairs") (stats want) (stats got);
+          Alcotest.(check (option int)) (name ^ " distance") want.Ir.Profile.min_task_distance
+            got.Ir.Profile.min_task_distance;
+          Alcotest.(check int) (name ^ " tasks") want.Ir.Profile.total_tasks
+            got.Ir.Profile.total_tasks;
+          Alcotest.(check int) (name ^ " invocations") want.Ir.Profile.total_invocations
+            got.Ir.Profile.total_invocations)
+        [ Wl.Workload.Train; Wl.Workload.Train_spec ])
+    all
+
 let test_cg_dependence_structure () =
   let wl = Wl.Registry.find "CG" in
   (* Reference input: no within-invocation conflicts, frequent
@@ -287,6 +348,8 @@ let suite =
     Alcotest.test_case "sequential deterministic" `Quick test_sequential_deterministic;
     Alcotest.test_case "train < ref" `Quick test_train_differs_from_ref;
     Alcotest.test_case "Table 5.1 applicability" `Quick test_applicability_matches_table_5_1;
+    Alcotest.test_case "SPECCROSS refuses DOANY plans" `Quick test_speccross_refuses_doany;
+    Alcotest.test_case "profile = reference at train" `Quick test_profile_matches_reference;
     Alcotest.test_case "CG dependence structure" `Quick test_cg_dependence_structure;
     Alcotest.test_case "Table 5.3 distance shapes" `Quick test_min_distances_shape;
     Alcotest.test_case "JACOBI distance tracks input" `Quick test_jacobi_distance_tracks_input;

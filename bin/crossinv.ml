@@ -252,6 +252,18 @@ let check_run_args ~backend ?(policy = `Fixed) ?(cache = `Off) ?grain ?batch
     usage_error "--threads/--domains must be >= 1 (got %d)" threads;
   threads
 
+(* Refuse an inapplicable technique before anything runs, with the text
+   [run_request] raises. *)
+let require_applicable ~backend technique wl =
+  match Cx.applicable ~backend technique wl with
+  | Ok () -> ()
+  | Error reason ->
+      prerr_endline (Cx.refusal ~backend technique wl reason);
+      Printf.eprintf "techniques supported on %s: %s\n"
+        (match backend with `Sim -> "sim" | `Native -> "native")
+        (String.concat ", " (List.map Cx.technique_name (Cx.supported ~backend)));
+      exit 1
+
 let run_cmd =
   let run wl technique threads input backend domains verbose stats inject
       deadline_ms no_degrade grain batch cache cache_dir flight postmortem_dir
@@ -286,134 +298,124 @@ let run_cmd =
       check_run_args ~backend ~policy ~cache ?grain ?batch ?deadline_ms ?domains
         threads
     in
-    let backend_name = match backend with `Sim -> "sim" | `Native -> "native" in
-    match Cx.applicable ~backend technique wl with
-    | Error reason ->
-        Printf.eprintf "%s is inapplicable to %s on the %s backend: %s\n"
-          (Cx.technique_name technique)
-          wl.Wl.Workload.name backend_name reason;
-        Printf.eprintf "techniques supported on %s: %s\n" backend_name
-          (String.concat ", "
-             (List.map Cx.technique_name (Cx.supported ~backend)));
-        exit 1
-    | Ok () ->
-        let obs = if stats then Some (Xinv_obs.Recorder.create ()) else None in
-        let b =
-          match backend with
-          | `Sim -> `Sim None
-          | `Native ->
-              `Native
-                {
-                  Cx.native_defaults with
-                  Cx.fault = inject;
-                  deadline_ms;
-                  degrade = not no_degrade;
-                  grain = Option.value grain ~default:Cx.native_defaults.Cx.grain;
-                  batch = Option.value batch ~default:Cx.native_defaults.Cx.batch;
-                  flight;
-                  postmortem_dir;
-                }
+    require_applicable ~backend technique wl;
+    let obs = if stats then Some (Xinv_obs.Recorder.create ()) else None in
+    let b =
+      match backend with
+      | `Sim -> `Sim None
+      | `Native ->
+          `Native
+            {
+              Cx.native_defaults with
+              Cx.fault = inject;
+              deadline_ms;
+              degrade = not no_degrade;
+              grain = Option.value grain ~default:Cx.native_defaults.Cx.grain;
+              batch = Option.value batch ~default:Cx.native_defaults.Cx.batch;
+              flight;
+              postmortem_dir;
+            }
+    in
+    let req =
+      Cx.Request.make ~backend:b ~input ~cache ?cache_dir ?obs ~policy ~technique ~threads
+        wl
+    in
+    (* Time the verify baseline and the run warm, not as the process's
+       first native runs. *)
+    Cx.warm_up req;
+    let o =
+      (* With --no-degrade (or an exhausted deadline) the native run
+         surfaces its typed error; report it instead of a backtrace. *)
+      match Cx.run_request req with
+      | o -> o
+      | exception Xinv_native.Fault.Injected { kind; domain; site } ->
+          Printf.eprintf "fault injected: %s at domain %d, site %d\n"
+            (Xinv_native.Fault.kind_name kind)
+            domain site;
+          Option.iter
+            (Printf.eprintf "postmortem written under %s\n")
+            postmortem_dir;
+          exit 3
+      | exception Xinv_native.Watchdog.Stalled { role; waiting_for; waited_ns }
+        ->
+          Printf.eprintf "stalled: %s waited %.1f ms for %s\n" role
+            (waited_ns /. 1e6) waiting_for;
+          Option.iter
+            (Printf.eprintf "postmortem written under %s\n")
+            postmortem_dir;
+          exit 3
+    in
+    (* The header names what ran: a cached policy can pin another
+       technique, width or backend than the flags asked for.  A
+       degradation keeps the technique first attempted here. *)
+    let ran =
+      match o.Cx.degraded with
+      | s :: _ -> s.Cx.d_from
+      | [] -> o.Cx.technique
+    in
+    let width, contexts, ran_backend =
+      match (o.Cx.nrun, o.Cx.run) with
+      | Some nr, _ -> (nr.Xinv_native.Nrun.domains, "domains", "native")
+      | None, Some r -> (r.Xinv_parallel.Run.threads, "threads", "sim")
+      | None, None -> (1, "threads", "sim")
+    in
+    Printf.printf "%s under %s, %d %s (%s backend, input %s):\n"
+      wl.Wl.Workload.name (Cx.technique_name ran) width contexts ran_backend
+      (Wl.Workload.input_name input);
+    Printf.printf "  sequential cost  %s\n"
+      (Option.fold ~none:"not measured" ~some:Cx.cost_to_string o.Cx.seq_cost);
+    Printf.printf "  cost             %s\n" (Cx.cost_to_string o.Cx.cost);
+    Option.iter (Printf.printf "  speedup          %.2fx\n") o.Cx.speedup;
+    if o.Cx.policy_source <> "fixed" then
+      Printf.printf "  policy source    %s\n" o.Cx.policy_source;
+    (match cache with
+    | `Off ->
+        Printf.printf "  analysis         %.3f ms\n" (o.Cx.analysis_ns /. 1e6)
+    | `Ro | `Rw when o.Cx.cache_hits = 0 && o.Cx.cache_misses = 0 ->
+        Printf.printf "  analysis         %.3f ms (no cached analysis)\n"
+          (o.Cx.analysis_ns /. 1e6)
+    | `Ro | `Rw ->
+        let status =
+          if o.Cx.cache_misses = 0 then "cache hit"
+          else if o.Cx.cache_hits = 0 then "cache miss"
+          else "cache partial"
         in
-        let req =
-          Cx.Request.make ~backend:b ~input ~cache ?cache_dir ?obs ~policy ~technique ~threads
-            wl
-        in
-        (* Time the verify baseline and the run warm, not as the process's
-           first native runs. *)
-        Cx.warm_up req;
-        let o =
-          (* With --no-degrade (or an exhausted deadline) the native run
-             surfaces its typed error; report it instead of a backtrace. *)
-          match Cx.run_request req with
-          | o -> o
-          | exception Xinv_native.Fault.Injected { kind; domain; site } ->
-              Printf.eprintf "fault injected: %s at domain %d, site %d\n"
-                (Xinv_native.Fault.kind_name kind)
-                domain site;
-              Option.iter
-                (Printf.eprintf "postmortem written under %s\n")
-                postmortem_dir;
-              exit 3
-          | exception Xinv_native.Watchdog.Stalled { role; waiting_for; waited_ns }
-            ->
-              Printf.eprintf "stalled: %s waited %.1f ms for %s\n" role
-                (waited_ns /. 1e6) waiting_for;
-              Option.iter
-                (Printf.eprintf "postmortem written under %s\n")
-                postmortem_dir;
-              exit 3
-        in
-        (* The header names what ran: a cached policy can pin another
-           technique, width or backend than the flags asked for.  A
-           degradation keeps the technique first attempted here. *)
-        let ran =
-          match o.Cx.degraded with
-          | s :: _ -> s.Cx.d_from
-          | [] -> o.Cx.technique
-        in
-        let width, contexts, ran_backend =
-          match (o.Cx.nrun, o.Cx.run) with
-          | Some nr, _ -> (nr.Xinv_native.Nrun.domains, "domains", "native")
-          | None, Some r -> (r.Xinv_parallel.Run.threads, "threads", "sim")
-          | None, None -> (1, "threads", "sim")
-        in
-        Printf.printf "%s under %s, %d %s (%s backend, input %s):\n"
-          wl.Wl.Workload.name (Cx.technique_name ran) width contexts ran_backend
-          (Wl.Workload.input_name input);
-        Printf.printf "  sequential cost  %s\n"
-          (Option.fold ~none:"not measured" ~some:Cx.cost_to_string o.Cx.seq_cost);
-        Printf.printf "  cost             %s\n" (Cx.cost_to_string o.Cx.cost);
-        Option.iter (Printf.printf "  speedup          %.2fx\n") o.Cx.speedup;
-        if o.Cx.policy_source <> "fixed" then
-          Printf.printf "  policy source    %s\n" o.Cx.policy_source;
-        (match cache with
-        | `Off ->
-            Printf.printf "  analysis         %.3f ms\n" (o.Cx.analysis_ns /. 1e6)
-        | `Ro | `Rw when o.Cx.cache_hits = 0 && o.Cx.cache_misses = 0 ->
-            Printf.printf "  analysis         %.3f ms (no cached analysis)\n"
-              (o.Cx.analysis_ns /. 1e6)
-        | `Ro | `Rw ->
-            let status =
-              if o.Cx.cache_misses = 0 then "cache hit"
-              else if o.Cx.cache_hits = 0 then "cache miss"
-              else "cache partial"
-            in
-            Printf.printf "  analysis         %.3f ms (%s: %d hit, %d miss)\n"
-              (o.Cx.analysis_ns /. 1e6)
-              status o.Cx.cache_hits o.Cx.cache_misses);
-        Printf.printf "  verified         %b\n" o.Cx.verified;
-        List.iter
-          (fun (s : Cx.degrade_step) ->
-            Printf.printf "  degraded         %s -> %s (%s)\n"
-              (Cx.technique_name s.Cx.d_from)
-              (Cx.technique_name s.Cx.d_to)
-              s.Cx.d_reason)
-          o.Cx.degraded;
-        if o.Cx.degraded <> [] then
-          Printf.printf "  executed as      %s\n"
-            (Cx.technique_name o.Cx.technique);
-        List.iter
-          (fun p -> Printf.printf "  postmortem       %s\n" p)
-          o.Cx.postmortems;
-        (match o.Cx.flight with
-        | Some fl ->
-            Printf.printf "  flight           %d events recorded, %d dropped\n"
-              (Xinv_obs.Flight.total_length fl)
-              (Xinv_obs.Flight.total_drops fl)
-        | None -> ());
-        (match o.Cx.run with
-        | Some r when verbose -> Format.printf "  %a@." Xinv_parallel.Run.pp r
-        | _ -> ());
-        (match o.Cx.nrun with
-        | Some nr when verbose -> Format.printf "  %a@." Xinv_native.Nrun.pp nr
-        | _ -> ());
-        (match o.Cx.profile with
-        | Some prof when verbose ->
-            Format.printf "  %a@." Xinv_speccross.Profiler.pp prof
-        | _ -> ());
-        if stats || (verbose && o.Cx.flight <> None) then
-          Option.iter (Format.printf "%a@." Xinv_obs.Report.pp) (Cx.report ?obs o);
-        if not o.Cx.verified then exit 2
+        Printf.printf "  analysis         %.3f ms (%s: %d hit, %d miss)\n"
+          (o.Cx.analysis_ns /. 1e6)
+          status o.Cx.cache_hits o.Cx.cache_misses);
+    Printf.printf "  verified         %b\n" o.Cx.verified;
+    List.iter
+      (fun (s : Cx.degrade_step) ->
+        Printf.printf "  degraded         %s -> %s (%s)\n"
+          (Cx.technique_name s.Cx.d_from)
+          (Cx.technique_name s.Cx.d_to)
+          s.Cx.d_reason)
+      o.Cx.degraded;
+    if o.Cx.degraded <> [] then
+      Printf.printf "  executed as      %s\n"
+        (Cx.technique_name o.Cx.technique);
+    List.iter
+      (fun p -> Printf.printf "  postmortem       %s\n" p)
+      o.Cx.postmortems;
+    (match o.Cx.flight with
+    | Some fl ->
+        Printf.printf "  flight           %d events recorded, %d dropped\n"
+          (Xinv_obs.Flight.total_length fl)
+          (Xinv_obs.Flight.total_drops fl)
+    | None -> ());
+    (match o.Cx.run with
+    | Some r when verbose -> Format.printf "  %a@." Xinv_parallel.Run.pp r
+    | _ -> ());
+    (match o.Cx.nrun with
+    | Some nr when verbose -> Format.printf "  %a@." Xinv_native.Nrun.pp nr
+    | _ -> ());
+    (match o.Cx.profile with
+    | Some prof when verbose ->
+        Format.printf "  %a@." Xinv_speccross.Profiler.pp prof
+    | _ -> ());
+    if stats || (verbose && o.Cx.flight <> None) then
+      Option.iter (Format.printf "%a@." Xinv_obs.Report.pp) (Cx.report ?obs o);
+    if not o.Cx.verified then exit 2
   in
   let wl_arg =
     Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
@@ -448,29 +450,24 @@ let stats_cmd =
         exit 1
     | _ -> ());
     let threads = check_run_args ~backend ?domains threads in
-    match Cx.applicable ~backend technique wl with
-    | Error reason ->
-        Printf.eprintf "%s is inapplicable to %s: %s\n" (Cx.technique_name technique)
-          wl.Wl.Workload.name reason;
+    require_applicable ~backend technique wl;
+    let obs = Xinv_obs.Recorder.create () in
+    let b =
+      match backend with
+      | `Sim -> `Sim None
+      | `Native -> `Native { Cx.native_defaults with Cx.flight = true }
+    in
+    let o =
+      Cx.run_request @@ Cx.Request.make ~backend:b ~input ~obs ~technique ~threads wl
+    in
+    match Cx.report ~obs o with
+    | None ->
+        Printf.eprintf "sequential execution has no stats\n";
         exit 1
-    | Ok () -> (
-        let obs = Xinv_obs.Recorder.create () in
-        let b =
-          match backend with
-          | `Sim -> `Sim None
-          | `Native -> `Native { Cx.native_defaults with Cx.flight = true }
-        in
-        let o =
-          Cx.run_request @@ Cx.Request.make ~backend:b ~input ~obs ~technique ~threads wl
-        in
-        match Cx.report ~obs o with
-        | None ->
-            Printf.eprintf "sequential execution has no stats\n";
-            exit 1
-        | Some report ->
-            if json then print_string (Xinv_obs.Report.to_json report)
-            else if csv then print_string (Xinv_obs.Report.to_csv report)
-            else Format.printf "%a@." Xinv_obs.Report.pp report)
+    | Some report ->
+        if json then print_string (Xinv_obs.Report.to_json report)
+        else if csv then print_string (Xinv_obs.Report.to_csv report)
+        else Format.printf "%a@." Xinv_obs.Report.pp report
   in
   let wl_arg =
     Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
@@ -535,13 +532,7 @@ let render_frame ~(wl : Wl.Workload.t) ~technique ~frame fl =
 
 let top_cmd =
   let run wl technique domains interval_ms runs frames openmetrics =
-    (match Cx.applicable ~backend:`Native technique wl with
-    | Error reason ->
-        Printf.eprintf "%s is inapplicable to %s on the native backend: %s\n"
-          (Cx.technique_name technique)
-          wl.Wl.Workload.name reason;
-        exit 1
-    | Ok () -> ());
+    require_applicable ~backend:`Native technique wl;
     if domains < 1 || interval_ms < 1 || runs < 1 || frames < 0 then begin
       prerr_endline "--domains, --interval-ms and --runs must be >= 1";
       exit 1

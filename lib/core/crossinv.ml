@@ -140,9 +140,6 @@ let timed actx f =
   actx.a_ns <- actx.a_ns +. ((Unix.gettimeofday () -. t0) *. 1e9);
   r
 
-let mtcg_verdict actx program env =
-  timed actx (fun () -> Ir.Mtcg.generate program env)
-
 let profiler_profile actx program env =
   timed actx (fun () ->
       match actx.a_cache with
@@ -178,30 +175,47 @@ let supported ~backend =
   | `Sim -> all
   | `Native -> List.filter native_supported all
 
-let applicable ?(backend = `Sim) technique (wl : Wl.Workload.t) =
-  let shared () =
+(* ---- applicability: every rule in one check ----
+
+   An engine on the backend; the MTCG plan; for SPECCROSS, no Spec-DOALL or
+   DOANY loop in the plan its engine runs ([spec_mode_of_plan]) and no
+   sequential region that writes memory.  [env] is forced only for MTCG. *)
+let check ~mtcg ~backend technique (wl : Wl.Workload.t) input env =
+  let program = wl.Wl.Workload.program input in
+  if backend = `Native && not (native_supported technique) then
+    Error
+      (Printf.sprintf "%s has no native backend (simulator only)"
+         (technique_name technique))
+  else
     match technique with
-    | Sequential | Barrier | Doacross | Dswp -> Ok ()
-    | Inspector | Tls | Domore | Domore_dup ->
-        Par.Plan.domore_applicable
-          (wl.Wl.Workload.program Wl.Workload.Ref)
-          (wl.Wl.Workload.fresh_env Wl.Workload.Ref)
+    | Sequential | Barrier | Doacross | Dswp -> Ok None
+    | Inspector | Tls | Domore | Domore_dup -> (
+        match mtcg program (env ()) with
+        | Ir.Mtcg.Plan plan -> Ok (Some plan)
+        | Ir.Mtcg.Inapplicable reason -> Error reason)
     | Speccross | Speccross_inject _ ->
-        let planned t = List.exists (fun (_, t') -> t' = t) wl.Wl.Workload.plan in
+        let planned t =
+          List.exists
+            (fun (il : Ir.Program.inner) ->
+              Wl.Workload.technique_of wl il.Ir.Program.ilabel = t)
+            program.Ir.Program.inners
+        in
         if planned Par.Intra.Spec_doall then
           Error "inner loop requires speculative intra-invocation parallelization"
         else if planned Par.Intra.Doany then
           Error "inner loop requires lock-protected (DOANY) intra-invocation parallelization"
-        else Par.Plan.speccross_applicable (wl.Wl.Workload.program Wl.Workload.Ref)
-  in
-  match backend with
-  | `Sim -> shared ()
-  | `Native ->
-      if native_supported technique then shared ()
-      else
-        Error
-          (Printf.sprintf "%s has no native backend (simulator only)"
-             (technique_name technique))
+        else Result.map (fun () -> None) (Par.Plan.speccross_sequential_regions program)
+
+let applicable ?(backend = `Sim) technique (wl : Wl.Workload.t) =
+  Result.map ignore
+    (check ~mtcg:Ir.Mtcg.generate ~backend technique wl Wl.Workload.Ref (fun () ->
+         wl.Wl.Workload.fresh_env Wl.Workload.Ref))
+
+let refusal ~backend technique (wl : Wl.Workload.t) reason =
+  Printf.sprintf "%s is inapplicable to %s on the %s backend: %s"
+    (technique_name technique) wl.Wl.Workload.name
+    (match backend with `Sim -> "sim" | `Native -> "native")
+    reason
 
 (* ---- policy resolution ---- *)
 
@@ -349,24 +363,26 @@ let sim_machine (r : Request.t) =
   | `Sim (Some m) -> m
   | `Sim None | `Native _ -> Sim.Machine.default
 
-let resolve_with ~actx (r : Request.t) env =
+(* [check] on the request's own input and [env]: its MTCG plan, which every
+   attempt then runs, or the documented refusal. *)
+let checked_plan ~actx (r : Request.t) env =
+  let backend = match r.Request.backend with `Sim _ -> `Sim | `Native _ -> `Native in
+  let wl = r.Request.workload and technique = r.Request.technique in
+  let mtcg p e = timed actx (fun () -> Ir.Mtcg.generate p e) in
+  match check ~mtcg ~backend technique wl r.Request.input (fun () -> env) with
+  | Ok plan -> plan
+  | Error reason -> failwith (refusal ~backend technique wl reason)
+
+(* [plan] is [checked_plan]'s: [Some] for every MTCG technique. *)
+let resolve_with ~actx ~plan (r : Request.t) env =
   let wl = r.Request.workload in
-  let program = wl.Wl.Workload.program r.Request.input in
   let machine = sim_machine r in
-  let mtcg what =
-    match mtcg_verdict actx program env with
-    | Ir.Mtcg.Plan plan -> plan
-    | Ir.Mtcg.Inapplicable reason ->
-        failwith
-          (Printf.sprintf "%s inapplicable to %s: %s" what wl.Wl.Workload.name
-             reason)
-  in
   let domore ~workers =
     let policy =
       if wl.Wl.Workload.mem_partition then Xinv_domore.Policy.Mem_partition
       else Xinv_domore.Policy.Round_robin
     in
-    (mtcg "DOMORE", { Xinv_domore.Domore.machine; policy; workers })
+    (Option.get plan, { Xinv_domore.Domore.machine; policy; workers })
   in
   let workers = Stdlib.max 1 (r.Request.threads - 1) in
   match r.Request.technique with
@@ -374,8 +390,8 @@ let resolve_with ~actx (r : Request.t) env =
   | Barrier -> Engine.Barrier
   | Doacross -> Engine.Doacross
   | Dswp -> Engine.Dswp
-  | Inspector -> Engine.Inspector (mtcg "inspector-executor")
-  | Tls -> Engine.Tls (mtcg "TLS")
+  | Inspector -> Engine.Inspector (Option.get plan)
+  | Tls -> Engine.Tls (Option.get plan)
   | Domore -> Engine.Domore (domore ~workers)
   | Domore_dup -> Engine.Domore_dup (domore ~workers:r.Request.threads)
   | (Speccross | Speccross_inject _) as t ->
@@ -406,7 +422,7 @@ let resolve_with ~actx (r : Request.t) env =
 
 let resolve (r : Request.t) env =
   let actx = analysis_ctx ?obs:r.Request.obs r.Request.cache r.Request.cache_dir in
-  resolve_with ~actx r env
+  resolve_with ~actx ~plan:(checked_plan ~actx r env) r env
 
 let engine_profile = function
   | Engine.Speccross { profile; _ } -> Some profile
@@ -474,15 +490,10 @@ let nspec_config opts (c : Xinv_speccross.Runtime.config) =
   }
 
 (* One native attempt of one technique; raises on failure. *)
-let run_native_once ~actx ~opts ~wd ~fault ?fr (r : Request.t) env =
+let run_native_once ~actx ~opts ~wd ~fault ?fr ~plan (r : Request.t) env =
   let wl = r.Request.workload and technique = r.Request.technique in
   let threads = r.Request.threads in
-  if not (native_supported technique) then
-    failwith
-      (Printf.sprintf "%s has no native backend (simulator only)"
-         (technique_name technique));
   let program = wl.Wl.Workload.program r.Request.input in
-  let plan = Wl.Workload.plan_fn wl in
   let work = opts.work in
   let with_pool f =
     match opts.pool with
@@ -491,10 +502,10 @@ let run_native_once ~actx ~opts ~wd ~fault ?fr (r : Request.t) env =
   in
   let barrier ?grain () =
     with_pool (fun pool ->
-        Nat.Nbarrier.run ~pool ~wd ?fault ?fr ~work ?grain ~threads ~plan program
-          env)
+        Nat.Nbarrier.run ~pool ~wd ?fault ?fr ~work ?grain ~threads
+          ~plan:(Wl.Workload.plan_fn wl) program env)
   in
-  let engine = resolve_with ~actx r env in
+  let engine = resolve_with ~actx ~plan r env in
   let nrun =
     match engine with
     | Engine.Sequential -> Nat.Nbarrier.run_seq ~work program env
@@ -513,7 +524,7 @@ let run_native_once ~actx ~opts ~wd ~fault ?fr (r : Request.t) env =
             Nat.Nspec.run ~pool ~wd ?fault ?fr ~config:(nspec_config opts config)
               program env)
     | Engine.Doacross | Engine.Dswp | Engine.Inspector _ | Engine.Tls _ ->
-        assert false (* rejected above, before any analysis *)
+        assert false (* refused by [check] before any attempt *)
   in
   (nrun, engine_profile engine)
 
@@ -570,19 +581,11 @@ let bump_counter obs name v =
 let source_code source =
   match source with "fixed" -> 0 | "cached" -> 1 | _ (* "default" *) -> 3
 
-let run_native ~actx ~opts ~source ~baseline (r : Request.t) =
+(* [env], the one [check] ran on, is the first attempt's. *)
+let run_native ~actx ~opts ~source ~plan (r : Request.t) env =
   let wl = r.Request.workload and input = r.Request.input in
   let obs = r.Request.obs and threads = r.Request.threads in
   let program = wl.Wl.Workload.program input in
-  (* Wall-clock baseline and bit-exact reference memory in one pass, ahead
-     of the engine. *)
-  let seq =
-    if baseline then
-      let seq_env = wl.Wl.Workload.fresh_env input in
-      let seq_run = Nat.Nbarrier.run_seq ~work:opts.work program seq_env in
-      Some (Wall_ns seq_run.Nat.Nrun.wall_ns, seq_env)
-    else None
-  in
   (* The degradation chain shares one overall deadline and one armed fault
      (which fires at most once across every attempt). *)
   let overall_deadline =
@@ -663,7 +666,7 @@ let run_native ~actx ~opts ~source ~baseline (r : Request.t) =
            client-disconnect cancellation handle, like [on_flight] for the
            recorder) before any domain starts waiting on it. *)
         (match opts.on_watchdog with Some f -> f wd | None -> ());
-        let env = wl.Wl.Workload.fresh_env input in
+        let env = if !attempt_no = 0 then env else wl.Wl.Workload.fresh_env input in
         incr attempt_no;
         let fr =
           if not want_flight then None
@@ -682,7 +685,7 @@ let run_native ~actx ~opts ~source ~baseline (r : Request.t) =
           (tech, nrun, profile, env)
         in
         match
-          run_native_once ~actx ~opts ~wd ~fault ?fr
+          run_native_once ~actx ~opts ~wd ~fault ?fr ~plan
             { r with Request.technique = tech }
             env
         with
@@ -706,7 +709,7 @@ let run_native ~actx ~opts ~source ~baseline (r : Request.t) =
   bump_counter obs "fault.injected" (if Nat.Fault.fired fault then 1 else 0);
   bump_counter obs "watchdog.stall" !stalls_total;
   bump_counter obs "degrade.level" (List.length !degraded);
-  (nrun, seq, nprofile, env, executed, !degraded, !last_flight, !postmortems)
+  (nrun, nprofile, env, executed, !degraded, !last_flight, !postmortems)
 
 (* ---- unified entry point ---- *)
 
@@ -743,25 +746,32 @@ let outcome ~actx ~source ~executed ~cost ~speedup env seq =
     policy_source = source;
   }
 
-(* One fully-resolved execution: every knob pinned, no policy lookup.
+(* One fully-resolved execution: every knob pinned, no policy lookup.  The
+   applicability check comes first, so a refused request runs nothing.
    Verification runs the sequential baseline; without it a request executes
    once, and a [Sequential] request never runs a second one. *)
 let exec ~actx ~source (r : Request.t) =
-  let technique = r.Request.technique in
-  let baseline = r.Request.verify && technique <> Sequential in
+  let technique = r.Request.technique and wl = r.Request.workload in
+  let input = r.Request.input in
+  let program = wl.Wl.Workload.program input in
   assert (r.Request.threads > 0);
+  let env = wl.Wl.Workload.fresh_env input in
+  let plan = checked_plan ~actx r env in
+  (* The baseline's cost and reference memory in one pass on its own
+     environment, ahead of the engine. *)
+  let seq =
+    if r.Request.verify && technique <> Sequential then
+      let seq_env = wl.Wl.Workload.fresh_env input in
+      match r.Request.backend with
+      | `Sim _ -> Some (Sim_cycles (Ir.Seq_interp.run program seq_env), seq_env)
+      | `Native o ->
+          let seq_run = Nat.Nbarrier.run_seq ~work:o.work program seq_env in
+          Some (Wall_ns seq_run.Nat.Nrun.wall_ns, seq_env)
+    else None
+  in
   match r.Request.backend with
   | `Sim _ ->
-      let wl = r.Request.workload in
-      let program = wl.Wl.Workload.program r.Request.input in
-      let seq =
-        if baseline then
-          let seq_env = wl.Wl.Workload.fresh_env r.Request.input in
-          Some (Sim_cycles (Ir.Seq_interp.run program seq_env), seq_env)
-        else None
-      in
-      let env = wl.Wl.Workload.fresh_env r.Request.input in
-      let engine = resolve_with ~actx r env in
+      let engine = resolve_with ~actx ~plan r env in
       let run = sim_engine r engine env in
       let cost, speedup =
         match run with
@@ -779,8 +789,8 @@ let exec ~actx ~source (r : Request.t) =
         run;
       }
   | `Native opts ->
-      let nrun, seq, profile, env, executed, degraded, flight, postmortems =
-        run_native ~actx ~opts ~source ~baseline r
+      let nrun, profile, env, executed, degraded, flight, postmortems =
+        run_native ~actx ~opts ~source ~plan r env
       in
       {
         (outcome ~actx ~source ~executed

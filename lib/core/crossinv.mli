@@ -164,12 +164,29 @@ val applicable :
   Xinv_workloads.Workload.t ->
   (unit, string) result
 (** Compile-time applicability of the technique to the workload on the
-    given backend (default [`Sim]).  Native inapplicability (Doacross,
-    DSWP, Inspector, TLS have no native engines) is an [Error], not an
-    exception.  The DOMORE-family check is a fresh [Mtcg.generate] on the
-    ref input ({!Xinv_parallel.Plan.domore_applicable}).  SPECCROSS refuses
-    a plan with a SPEC-DOALL or a DOANY inner loop; it would run a DOANY
-    loop's commuting updates without their lock stripe. *)
+    given backend (default [`Sim]), judged on the ref input.  This is the
+    one place the rules live, and {!run_request} enforces the same rules on
+    the request's own input before it runs anything:
+    - the backend has an engine for the technique (Doacross, DSWP,
+      Inspector and TLS have no native engines);
+    - Inspector, TLS, DOMORE and DOMORE-dup need a plan from a fresh
+      [Mtcg.generate] (partition, slice, performance guard);
+    - SPECCROSS refuses a workload whose plan gives an inner loop
+      Spec-DOALL (its engine would run it as plain DOALL) or DOANY (it
+      would run the commuting updates without their lock stripe), and a
+      sequential region that writes memory
+      ({!Xinv_parallel.Plan.speccross_sequential_regions}).
+    The [Error] is the reason alone; {!refusal} words the whole message. *)
+
+val refusal :
+  backend:[ `Sim | `Native ] ->
+  technique ->
+  Xinv_workloads.Workload.t ->
+  string ->
+  string
+(** [refusal ~backend t wl reason] is the message of {!run_request}'s
+    refusal: ["<technique> is inapplicable to <workload> on the <backend>
+    backend: <reason>"]. *)
 
 val supported : backend:[ `Sim | `Native ] -> technique list
 (** Techniques with an engine on the backend. *)
@@ -301,8 +318,11 @@ val run_request : Request.t -> outcome
     profiled distance).  The SPECCROSS engine clamps a [spec_distance]
     below the worker count up to it.
 
-    @raise Failure when the technique is inapplicable to the backend
-    (see {!applicable}). *)
+    @raise Failure with the {!refusal} message when the technique is
+    inapplicable to the request's workload, input and backend (the rules of
+    {!applicable}).  The refusal comes after [`Auto] picked the technique
+    and before any baseline, profile, pool or engine, on both backends;
+    it is never degraded to another technique. *)
 
 val warm_up : Request.t -> unit
 (** Two unverified native sequential runs of the request's workload and
@@ -314,7 +334,9 @@ val warm_up : Request.t -> unit
 val spec_mode_of_plan :
   Xinv_workloads.Workload.t -> string -> Xinv_speccross.Runtime.mode
 (** Map the workload's Table 5.1 plan onto SPECCROSS execution modes.
-    @raise Invalid_argument for a DOANY inner loop (see {!applicable}). *)
+    @raise Invalid_argument for a DOANY inner loop.  {!run_request}
+    refuses such a plan first ({!applicable}); the raise stays for callers
+    that configure the SPECCROSS engines directly with this mapping. *)
 
 (** {1 Engine configuration}
 
@@ -352,7 +374,8 @@ val resolve : Request.t -> Xinv_ir.Env.t -> Engine.t
     native request); native runs derive their engine configs from these
     records.  Consults the analysis cache for the SPECCROSS profile per
     the request's [cache].
-    @raise Failure when the MTCG transformation is inapplicable. *)
+    @raise Failure with the {!refusal} message when the technique is
+    inapplicable (the check {!run_request} makes). *)
 
 val simulate : ?trace:bool -> Request.t -> Xinv_parallel.Run.t option
 (** The simulated engine call {!run_request} makes for a fixed request —

@@ -79,20 +79,3 @@ let speccross_sequential_regions (p : Ir.Program.t) =
   | Some s ->
       Error (Printf.sprintf "sequential region statement %s writes memory" s.Ir.Stmt.name)
   | None -> Ok ()
-
-let speccross_applicable (p : Ir.Program.t) =
-  Result.bind (speccross_sequential_regions p) (fun () ->
-      match choose p with
-      | exception Failure msg -> Error msg
-      | choices ->
-          if
-            List.exists
-              (fun c -> match c.technique with Intra.Spec_doall -> true | _ -> false)
-              choices
-          then Error "inner loop needs speculative parallelization"
-          else Ok ())
-
-let domore_applicable (p : Ir.Program.t) env =
-  match Ir.Mtcg.generate p env with
-  | Ir.Mtcg.Plan _ -> Ok ()
-  | Ir.Mtcg.Inapplicable reason -> Error reason

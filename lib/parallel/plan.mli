@@ -1,5 +1,9 @@
 (** Parallelization planning: pick an intra-invocation technique per inner
-    loop and decide DOMORE / SPECCROSS applicability (Table 5.1).
+    loop (Table 5.1's plans), and SPECCROSS's sequential-region rule.
+    Whether a technique may run a workload is decided in one place,
+    [Xinv_core.Crossinv.applicable], which [run_request] enforces; it
+    reads a workload's stored plan and this module's
+    {!speccross_sequential_regions}.
 
     The automatic rules mirror the dissertation's pipeline: DOALL when static
     analysis proves iterations independent; DOANY when the only conflicting
@@ -24,13 +28,3 @@ val speccross_sequential_regions : Xinv_ir.Program.t -> (unit, string) result
 (** SPECCROSS runs each invocation's sequential ([pre]) region on every
     worker, outside any signature, so no [pre] statement may write memory:
     the error names the first that does. *)
-
-val speccross_applicable : Xinv_ir.Program.t -> (unit, string) result
-(** SPECCROSS preconditions (dissertation §4.3): sequential regions that
-    write no memory ({!speccross_sequential_regions}) and every inner loop
-    parallelizable non-speculatively.  Irreversible statements are legal:
-    their epochs execute non-speculatively between checkpoints (§4.2.2). *)
-
-val domore_applicable : Xinv_ir.Program.t -> Xinv_ir.Env.t -> (unit, string) result
-(** DOMORE preconditions: the MTCG pipeline succeeds (partition, slice,
-    performance guard). *)

@@ -871,14 +871,31 @@ let test_barrier_sequential_region () =
             40 r.Nat.Nrun.barrier_episodes)
         [ 2; 3 ])
 
+(* [scal_program] as a workload, its one loop planned DOALL. *)
+let scal_workload () =
+  let p, fresh = scal_program () in
+  {
+    Wl.Workload.name = "SCAL";
+    suite = "test";
+    func = "scal";
+    exec_pct = 100.;
+    program = (fun _ -> p);
+    fresh_env = (fun _ -> fresh ());
+    plan = [ ("L", Par.Intra.Doall) ];
+    mem_partition = false;
+    domore_expected = false;
+    speccross_expected = false;
+  }
+
 (* SPECCROSS runs a sequential region on every worker, outside any
-   signature, so one that writes memory is refused by the planner and by
-   both engines rather than run into a wrong result. *)
+   signature, so one that writes memory is refused by the applicability
+   check and by both engines rather than run into a wrong result. *)
 let test_speccross_sequential_region_rejected () =
   let p, fresh = scal_program () in
   let why = "sequential region statement scal=f(t) writes memory" in
   let refused = Invalid_argument ("SPECCROSS: " ^ why) in
-  Alcotest.(check (result unit string)) "planner" (Error why) (Par.Plan.speccross_applicable p);
+  Alcotest.(check (result unit string)) "planner" (Error why)
+    (C.applicable C.Speccross (scal_workload ()));
   Alcotest.check_raises "simulated" refused (fun () ->
       let config = Xinv_speccross.Runtime.default_config ~workers:3 in
       ignore (Xinv_speccross.Runtime.run ~config p (fresh ())));

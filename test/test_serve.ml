@@ -857,6 +857,63 @@ let test_unverified_submit_has_no_baseline () =
             (contains shown "speedup")
       | m -> Alcotest.failf "%s" (Format.asprintf "%a" Proto.pp_server m))
 
+(* ---------- refused requests ---------- *)
+
+(* Refused requests: the daemon replies [Failed] with the reason
+   [run_request] raises in-process, on both backends, and keeps serving. *)
+let test_refused_submit_vs_inprocess () =
+  with_server ~domains:2 (fun srv ->
+      Server.start srv;
+      List.iter
+        (fun (name, technique) ->
+          List.iter
+            (fun backend ->
+              let threads = match backend with `Sim -> 8 | `Native -> 2 in
+              let label =
+                Printf.sprintf "%s/%s/%s" name (Cx.technique_name technique)
+                  (match backend with `Sim -> "sim" | `Native -> "native")
+              in
+              let raised =
+                match
+                  Cx.run_request
+                  @@ Cx.Request.make
+                       ~backend:
+                         (match backend with
+                         | `Sim -> `Sim None
+                         | `Native -> `Native Cx.native_defaults)
+                       ~input:Wl.Workload.Train ~technique ~threads
+                       (Wl.Registry.find name)
+                with
+                | _ -> Alcotest.failf "%s: ran in-process" label
+                | exception (Failure _ as e) -> Printexc.to_string e
+              in
+              Alcotest.(check bool) (label ^ " says inapplicable") true
+                (contains raised "is inapplicable to");
+              let req =
+                SReq.make ~backend ~technique:(Cx.technique_name technique) ~threads
+                  ~input:Wl.Workload.Train (`Name name)
+              in
+              match Server.await (Server.submit srv req) with
+              | Proto.Failed why -> Alcotest.(check string) label raised why
+              | m ->
+                  Alcotest.failf "%s: %s" label (Format.asprintf "%a" Proto.pp_server m))
+            [ `Sim; `Native ])
+        [
+          ("ECLAT", Cx.Speccross);
+          ("BLACKSCHOLES", Cx.Speccross);
+          ("JACOBI", Cx.Domore);
+          ("JACOBI", Cx.Domore_dup);
+          ("LOOPDEP", Cx.Domore);
+          ("LOOPDEP", Cx.Domore_dup);
+        ];
+      let req =
+        SReq.make ~backend:`Native ~technique:"barrier" ~threads:2
+          ~input:Wl.Workload.Train (`Name "SYMM")
+      in
+      match Server.await (Server.submit srv req) with
+      | Proto.Outcome s -> Alcotest.(check bool) "still serving" true s.Proto.o_verified
+      | m -> Alcotest.failf "after refusals: %s" (Format.asprintf "%a" Proto.pp_server m))
+
 (* ---------- one shared pool across a thousand queued runs ---------- *)
 
 let test_thousand_requests_one_pool () =
@@ -1245,6 +1302,8 @@ let suite =
     Alcotest.test_case "tune frame strategy slot reads hill only" `Quick
       test_tune_frame_strategy_slot;
     QCheck_alcotest.to_alcotest prop_summary_roundtrip;
+    Alcotest.test_case "refused submits match in-process run_request" `Slow
+      test_refused_submit_vs_inprocess;
     Alcotest.test_case "unverified submit reports no baseline" `Quick
       test_unverified_submit_has_no_baseline;
   ]

@@ -105,22 +105,76 @@ let test_applicability_matches_table_5_1 () =
           (ok (Cx.applicable Cx.Speccross wl)))
     all
 
-(* Figure 5.6's re-plan of FLUIDANIMATE-2 (every LOCALWRITE loop as
-   DOANY): SPECCROSS would run the commuting updates without their lock
-   stripe, so it is refused on both backends; Barrier still applies. *)
+(* The applicability verdict of every registry workload, for every
+   technique with an engine on either backend.  xbench's native cells,
+   serve's [pick_technique], [Space.default_axes] and tab5.1 all choose
+   from it.  Row: workload, the MTCG refusal (Inspector, TLS, DOMORE,
+   DOMORE-dup), the SPECCROSS refusal; every other technique is [Ok]. *)
+let no_workers = "no worker statements (region is sequential)"
+let spec_doall = "inner loop requires speculative intra-invocation parallelization"
+let tainted arr = "address computation reads arrays updated by workers: " ^ arr
+
+let verdicts =
+  [
+    ("FDTD", Some no_workers, None);
+    ("JACOBI", Some no_workers, None);
+    ("SYMM", None, None);
+    ("LOOPDEP", Some (tainted "C"), None);
+    ("BLACKSCHOLES", None, Some spec_doall);
+    ("FLUIDANIMATE-1", None, None);
+    ("FLUIDANIMATE-2", Some (tainted "cellof"), None);
+    ("EQUAKE", Some no_workers, None);
+    ("LLUBENCH", None, None);
+    ("CG", None, None);
+    ("ECLAT", None, Some spec_doall);
+  ]
+
+let test_verdict_table () =
+  Alcotest.(check (list string)) "one row per registry workload"
+    (List.map (fun (wl : Wl.Workload.t) -> wl.Wl.Workload.name) all)
+    (List.map (fun (name, _, _) -> name) verdicts);
+  List.iter
+    (fun (name, mtcg, spec) ->
+      let wl = Wl.Registry.find name in
+      List.iter
+        (fun (backend, bname) ->
+          List.iter
+            (fun t ->
+              let refused =
+                if not (List.mem t (Cx.supported ~backend)) then
+                  Some (Cx.technique_name t ^ " has no native backend (simulator only)")
+                else
+                  match t with
+                  | Cx.Inspector | Cx.Tls | Cx.Domore | Cx.Domore_dup -> mtcg
+                  | Cx.Speccross | Cx.Speccross_inject _ -> spec
+                  | _ -> None
+              in
+              Alcotest.(check (result unit string))
+                (Printf.sprintf "%s/%s/%s" name (Cx.technique_name t) bname)
+                (match refused with None -> Ok () | Some r -> Error r)
+                (Cx.applicable ~backend t wl))
+            (Cx.supported ~backend:`Sim))
+        [ (`Sim, "sim"); (`Native, "native") ])
+    verdicts
+
+(* Figure 5.6's re-plan of FLUIDANIMATE-2: every LOCALWRITE loop as DOANY. *)
+let doany_fluidanimate () =
+  let wl = Wl.Registry.find "FLUIDANIMATE-2" in
+  {
+    wl with
+    Wl.Workload.plan =
+      List.map
+        (fun (label, t) ->
+          let open Xinv_parallel.Intra in
+          (label, if t = Localwrite then Doany else t))
+        wl.Wl.Workload.plan;
+  }
+
+(* SPECCROSS would run the DOANY plan's commuting updates without their
+   lock stripe, so it is refused on both backends; Barrier still applies. *)
 let test_speccross_refuses_doany () =
   let wl = Wl.Registry.find "FLUIDANIMATE-2" in
-  let doany =
-    {
-      wl with
-      Wl.Workload.plan =
-        List.map
-          (fun (label, t) ->
-            let open Xinv_parallel.Intra in
-            (label, if t = Localwrite then Doany else t))
-          wl.Wl.Workload.plan;
-    }
-  in
+  let doany = doany_fluidanimate () in
   let label, _ =
     List.find (fun (_, t) -> t = Xinv_parallel.Intra.Doany) doany.Wl.Workload.plan
   in
@@ -221,6 +275,57 @@ let test_jacobi_distance_tracks_input () =
   in
   Alcotest.(check bool) "ref distance larger than train (bigger rows)" true
     (d Wl.Workload.Ref > d Wl.Workload.Train)
+
+(* A refused request runs nothing, on either backend: it raises
+   [Cx.refusal]'s [Failure] before the verify baseline, the profile (the
+   read-write cache stays empty), the pool and the engine, and takes no
+   degradation step. *)
+let test_run_request_refuses () =
+  let reg = Wl.Registry.find in
+  let cases =
+    [
+      (reg "ECLAT", Cx.Speccross, spec_doall);
+      (reg "BLACKSCHOLES", Cx.Speccross, spec_doall);
+      (reg "JACOBI", Cx.Domore, no_workers);
+      (reg "JACOBI", Cx.Domore_dup, no_workers);
+      (reg "LOOPDEP", Cx.Domore, tainted "C");
+      (reg "LOOPDEP", Cx.Domore_dup, tainted "C");
+      ( doany_fluidanimate (),
+        Cx.Speccross,
+        "inner loop requires lock-protected (DOANY) intra-invocation parallelization" );
+      ( Test_native.scal_workload (),
+        Cx.Speccross,
+        "sequential region statement scal=f(t) writes memory" );
+    ]
+  in
+  Alcotest.(check string) "the message"
+    "speccross is inapplicable to ECLAT on the native backend: inner loop requires \
+     speculative intra-invocation parallelization"
+    (Cx.refusal ~backend:`Native Cx.Speccross (reg "ECLAT") spec_doall);
+  List.iter
+    (fun ((wl : Wl.Workload.t), technique, reason) ->
+      List.iter
+        (fun (backend, b, bname, threads) ->
+          let label =
+            Printf.sprintf "%s/%s/%s" wl.Wl.Workload.name (Cx.technique_name technique)
+              bname
+          in
+          Test_cache.with_dir (fun dir ->
+              let obs = Xinv_obs.Recorder.create () in
+              Alcotest.check_raises label
+                (Failure (Cx.refusal ~backend technique wl reason))
+                (fun () ->
+                  ignore
+                    (Cx.run_request
+                    @@ Cx.Request.make ~backend:b ~input:Wl.Workload.Train ~cache:`Rw
+                         ~cache_dir:dir ~obs ~technique ~threads wl));
+              Alcotest.(check int) (label ^ ": no profile stored") 0
+                (Xinv_cache.Store.stats ~dir).Xinv_cache.Store.s_entries;
+              Alcotest.(check bool) (label ^ ": no degradation") false
+                (List.mem_assoc "degrade.level"
+                   (Xinv_obs.Metrics.counters (Xinv_obs.Recorder.metrics obs)))))
+        [ (`Sim, `Sim None, "sim", 4); (`Native, `Native Cx.native_defaults, "native", 2) ])
+    cases
 
 let exec_techniques (wl : Wl.Workload.t) =
   List.filter
@@ -348,7 +453,9 @@ let suite =
     Alcotest.test_case "sequential deterministic" `Quick test_sequential_deterministic;
     Alcotest.test_case "train < ref" `Quick test_train_differs_from_ref;
     Alcotest.test_case "Table 5.1 applicability" `Quick test_applicability_matches_table_5_1;
+    Alcotest.test_case "applicability verdict table" `Quick test_verdict_table;
     Alcotest.test_case "SPECCROSS refuses DOANY plans" `Quick test_speccross_refuses_doany;
+    Alcotest.test_case "run_request refuses before running" `Quick test_run_request_refuses;
     Alcotest.test_case "profile = reference at train" `Quick test_profile_matches_reference;
     Alcotest.test_case "CG dependence structure" `Quick test_cg_dependence_structure;
     Alcotest.test_case "Table 5.3 distance shapes" `Quick test_min_distances_shape;

@@ -103,6 +103,29 @@ let engine_advance_chunk threads per_thread () =
   Sim.Engine.run eng;
   threads * per_thread
 
+(* Two threads ping-pong through a pair of monotone cells: per round trip
+   each thread advances once, blocks once and is woken once, so an op
+   covers two advances, two waits charged at wake-up and four resumes. *)
+let engine_suspend_wake_chunk n () =
+  let eng = Sim.Engine.create () in
+  let ping = Sim.Mono_cell.create ~init:0 () and pong = Sim.Mono_cell.create ~init:0 () in
+  ignore
+    (Sim.Engine.spawn eng (fun () ->
+         for i = 1 to n do
+           Sim.Proc.work 1.;
+           Sim.Mono_cell.set ping i;
+           Sim.Mono_cell.wait_ge pong i
+         done));
+  ignore
+    (Sim.Engine.spawn eng (fun () ->
+         for i = 1 to n do
+           Sim.Mono_cell.wait_ge ping i;
+           Sim.Proc.work 1.;
+           Sim.Mono_cell.set pong i
+         done));
+  Sim.Engine.run eng;
+  n
+
 let engine_charge_chunk n () =
   let eng = Sim.Engine.create () in
   let tid = Sim.Engine.spawn eng (fun () -> ()) in
@@ -188,6 +211,7 @@ let kernels ~smoke =
     };
     { name = "signature.exact"; chunk = sig_chunk Rt.Signature.Exact (s 2_000 16) (s 64 2) };
     { name = "engine.spawn_advance"; chunk = engine_advance_chunk 4 (s 2_500 8) };
+    { name = "engine.suspend_wake"; chunk = engine_suspend_wake_chunk (s 2_500 8) };
     { name = "engine.charge"; chunk = engine_charge_chunk (s 100_000 64) };
     { name = "profile.run_symm_train"; chunk = profile_chunk "SYMM" };
     { name = "profile.run_jacobi_train"; chunk = profile_chunk "JACOBI" };

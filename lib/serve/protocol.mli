@@ -97,7 +97,9 @@ type tune_reply = {
 type server_msg =
   | Outcome of summary
   | Rejected of reject_reason
-  | Failed of string  (** the run raised; payload is the exception text *)
+  | Failed of string
+      (** the run raised; payload is a [Failure]'s message (e.g. a
+          refusal), otherwise the exception's printed form *)
   | Pong of pong
   | Stats_reply of Xinv_obs.Snapshot.t
   | Tune_reply of tune_reply

@@ -245,6 +245,12 @@ let fit_threads ~pool ~technique threads =
   in
   go threads
 
+(* A refusal or other [Failure] replies with its message; anything else
+   with the exception's printed form. *)
+let failed = function
+  | Failure m -> Protocol.Failed m
+  | e -> Protocol.Failed (Printexc.to_string e)
+
 let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
   if not (Nat.Pool.live t.pool) then t.pool <- new_pool t.cfg t.c_pool_create;
   let on_watchdog wd =
@@ -302,7 +308,7 @@ let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
             match e with
             | Nat.Watchdog.Stalled _ ->
                 finish t job (Protocol.Rejected Protocol.Deadline_exceeded)
-            | e -> finish t job (Protocol.Failed (Printexc.to_string e))))
+            | e -> finish t job (failed e)))
 
 let exec_tune t job (tr : Protocol.tune_req) ~remaining_ms =
   match Xinv_workloads.Registry.find tr.Protocol.t_workload with
@@ -336,7 +342,7 @@ let exec_tune t job (tr : Protocol.tune_req) ~remaining_ms =
                  r_trials = List.length r.Xinv_tune.Tune.trials;
                  r_source = Xinv_tune.Tune.source_name r.Xinv_tune.Tune.source;
                })
-      | exception e -> finish t job (Protocol.Failed (Printexc.to_string e)))
+      | exception e -> finish t job (failed e))
 
 let execute t job =
   let queue_wait_ns = (now () -. job.enqueued_at) *. 1e9 in

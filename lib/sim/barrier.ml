@@ -24,8 +24,4 @@ let wait ?(cost = 0.) ?(cost_cat = Category.Barrier_wait) b =
     b.episodes <- b.episodes + 1;
     List.iter (fun w -> w ()) (List.rev ws)
   end
-  else begin
-    let t0 = Proc.now () in
-    Proc.suspend (fun waker -> b.waiters <- waker :: b.waiters);
-    Proc.charge_wait Category.Barrier_wait ~since:t0
-  end
+  else Proc.suspend Category.Barrier_wait (fun waker -> b.waiters <- waker :: b.waiters)

@@ -63,9 +63,7 @@ let pop q =
 
 let rec consume q =
   if q.len = 0 then begin
-    let t0 = Proc.now () in
-    Proc.suspend (fun waker -> q.waiters <- q.waiters @ [ waker ]);
-    Proc.charge_wait Category.Queue ~since:t0;
+    Proc.suspend Category.Queue (fun waker -> q.waiters <- q.waiters @ [ waker ]);
     consume q
   end
   else begin

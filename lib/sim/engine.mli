@@ -5,9 +5,12 @@
     blocks/wakes through the primitives built on {!Proc.suspend}
     ({!Barrier}, {!Channel}, {!Mono_cell}, {!Mutex}).
 
-    Events at equal virtual times fire in FIFO order of scheduling, so a run
-    is a pure function of its inputs — reproducibility the dissertation's
-    evaluation relies on. *)
+    The engine keeps its own event queue, ordered by (virtual time,
+    scheduling sequence): events at equal virtual times fire in FIFO order
+    of scheduling, not thread order, so a run is a pure function of its
+    inputs — reproducibility the dissertation's evaluation relies on.  A
+    blocked wait is charged to the category its primitive names when the
+    waker fires. *)
 
 type t
 
@@ -21,17 +24,15 @@ exception Deadlock of string
 
 type _ Effect.t +=
   | E_advance : Category.t * string option * float -> unit Effect.t
-  | E_suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | E_suspend : Category.t * ((unit -> unit) -> unit) -> unit Effect.t
   | E_now : float Effect.t
-  | E_self : tid Effect.t
-  | E_engine : t Effect.t
-  | E_spawn : string * (unit -> unit) -> tid Effect.t
+(** Performed by {!Proc}; handled only inside a thread started by {!run}. *)
 
 val create : ?trace:bool -> unit -> t
 
 val spawn : t -> ?name:string -> (unit -> unit) -> tid
 (** [spawn eng f] registers a thread whose body runs when {!run} reaches its
-    start time (the engine's current time). *)
+    start time (the engine's current time).  Tids are dense, from 0. *)
 
 val run : t -> unit
 (** Runs until no event remains.  @raise Deadlock if threads are stuck. *)
@@ -53,10 +54,8 @@ val busy : t -> tid -> float
 (** Sum over all categories for one thread. *)
 
 val charge : t -> tid -> Category.t -> float -> unit
-(** Bookkeeping-only charge (no virtual time consumed); used by blocking
-    primitives to attribute waiting time. *)
+(** Bookkeeping-only charge (no virtual time consumed).  The engine uses it
+    to attribute a blocked wait when the waker fires. *)
 
 val segments : t -> Trace.segment list
 (** Captured trace segments, oldest first (empty unless [~trace:true]). *)
-
-val add_segment : t -> Trace.segment -> unit

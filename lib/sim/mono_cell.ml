@@ -12,10 +12,7 @@ let set c v =
   List.iter (fun (_, w) -> w ()) (List.rev ready)
 
 let wait_ge ?(cat = Category.Sync_wait) c threshold =
-  if c.value < threshold then begin
-    let t0 = Proc.now () in
-    Proc.suspend (fun waker -> c.waiters <- (threshold, waker) :: c.waiters);
-    Proc.charge_wait cat ~since:t0
-  end
+  if c.value < threshold then
+    Proc.suspend cat (fun waker -> c.waiters <- (threshold, waker) :: c.waiters)
 
 let raise_to c v = if v > c.value then set c v

@@ -14,9 +14,7 @@ let rec lock m =
   if m.acquire_cost > 0. then Proc.advance Category.Runtime m.acquire_cost;
   if m.held then begin
     m.contended <- m.contended + 1;
-    let t0 = Proc.now () in
-    Proc.suspend (fun waker -> m.waiters <- m.waiters @ [ waker ]);
-    Proc.charge_wait Category.Sync_wait ~since:t0;
+    Proc.suspend Category.Sync_wait (fun waker -> m.waiters <- m.waiters @ [ waker ]);
     lock m
   end
   else m.held <- true

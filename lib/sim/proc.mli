@@ -11,16 +11,8 @@ val work : ?label:string -> float -> unit
 
 val now : unit -> float
 
-val self : unit -> Engine.tid
-
-val engine : unit -> Engine.t
-
-val spawn : ?name:string -> (unit -> unit) -> Engine.tid
-
-val suspend : ((unit -> unit) -> unit) -> unit
-(** [suspend register] parks the calling thread; [register] receives a waker
-    that, when called (once), makes the thread runnable at the waker caller's
-    current virtual time. *)
-
-val charge_wait : Category.t -> since:float -> unit
-(** Attribute [now () - since] virtual cycles of blocked time. *)
+val suspend : Category.t -> ((unit -> unit) -> unit) -> unit
+(** [suspend cat register] parks the calling thread; [register] receives a
+    waker that, when first called, makes the thread runnable at the waker
+    caller's current virtual time and charges the cycles blocked since the
+    suspend to [cat] (nothing when none passed).  Later calls do nothing. *)

@@ -885,7 +885,7 @@ let test_refused_submit_vs_inprocess () =
                        (Wl.Registry.find name)
                 with
                 | _ -> Alcotest.failf "%s: ran in-process" label
-                | exception (Failure _ as e) -> Printexc.to_string e
+                | exception Failure m -> m
               in
               Alcotest.(check bool) (label ^ " says inapplicable") true
                 (contains raised "is inapplicable to");

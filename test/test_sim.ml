@@ -29,20 +29,59 @@ let test_parallel_threads_independent_clocks () =
   Alcotest.(check (float 1e-9)) "total work sums" 130.
     (Engine.total eng Sim.Category.Work)
 
-let test_spawn_from_inside () =
+let test_equal_time_scheduling_order () =
+  (* C is spawned first but reaches t=10 through an event scheduled at t=5,
+     after A's and B's t=10 events were scheduled at t=0: equal-time events
+     resume in scheduling order, not thread order. *)
   let eng = Engine.create () in
-  let child_done = ref false in
-  ignore
-    (Engine.spawn eng (fun () ->
-         Proc.work 5.;
-         ignore (Proc.spawn (fun () -> Proc.work 7.; child_done := true))));
+  let order = ref [] in
+  let thread name steps =
+    ignore
+      (Engine.spawn eng ~name (fun () ->
+           List.iter Proc.work steps;
+           order := (name, Proc.now ()) :: !order))
+  in
+  thread "C" [ 5.; 5. ];
+  thread "A" [ 10. ];
+  thread "B" [ 10. ];
   Engine.run eng;
-  Alcotest.(check bool) "child ran" true !child_done;
-  Alcotest.(check (float 1e-9)) "child started at parent time" 12. (Engine.now eng)
+  Alcotest.(check (list (pair string (float 0.))))
+    "A, B, C at t=10"
+    [ ("A", 10.); ("B", 10.); ("C", 10.) ]
+    (List.rev !order)
+
+(* Up to 40 threads keep up to 40 events pending, so the engine's queue
+   grows past its initial 16 slots. *)
+let prop_resume_times_monotone =
+  QCheck.Test.make ~name:"resume times monotone; makespan max"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 40) (list_of_size Gen.(int_range 0 12) (int_range 0 50)))
+    (fun threads ->
+      let eng = Engine.create () in
+      let resumed = ref [] in
+      List.iter
+        (fun steps ->
+          ignore
+            (Engine.spawn eng (fun () ->
+                 List.iter
+                   (fun c ->
+                     Proc.work (float_of_int c);
+                     resumed := Proc.now () :: !resumed)
+                   steps)))
+        threads;
+      Engine.run eng;
+      let rec nondecreasing = function
+        | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
+        | _ -> true
+      in
+      let longest =
+        List.fold_left (fun m steps -> Stdlib.max m (List.fold_left ( + ) 0 steps)) 0 threads
+      in
+      nondecreasing (List.rev !resumed) && Engine.now eng = float_of_int longest)
 
 let test_deadlock_detection () =
   let eng = Engine.create () in
-  ignore (Engine.spawn eng ~name:"stuck" (fun () -> Proc.suspend (fun _ -> ())));
+  ignore (Engine.spawn eng ~name:"stuck" (fun () -> Proc.suspend Sim.Category.Sync_wait (fun _ -> ())));
   Alcotest.check_raises "deadlock raised"
     (Engine.Deadlock "at t=0: stuck(#0,Suspended)") (fun () -> Engine.run eng)
 
@@ -149,7 +188,12 @@ let test_channel_blocks_until_produced () =
   ignore (Engine.spawn eng (fun () -> Proc.work 42.; Sim.Channel.produce q ()));
   Engine.run eng;
   Alcotest.(check (float 1e-9)) "consumer waited" 42. !consumed_at;
-  Alcotest.(check int) "produced count" 1 (Sim.Channel.produced q)
+  Alcotest.(check int) "produced count" 1 (Sim.Channel.produced q);
+  Alcotest.(check (float 0.)) "blocked consumer charged Queue once" 42.
+    (Engine.charged eng 0 Sim.Category.Queue);
+  Alcotest.(check (float 0.)) "only the consumer waited" 42.
+    (Engine.total eng Sim.Category.Queue);
+  Alcotest.(check (float 0.)) "no other category charged" 42. (Engine.busy eng 0)
 
 let test_channel_costs () =
   let eng = Engine.create () in
@@ -188,7 +232,12 @@ let test_mutex_exclusion () =
   Engine.run eng;
   Alcotest.(check int) "mutual exclusion" 1 !max_inside;
   Alcotest.(check (float 1e-9)) "serialized" 40. (Engine.now eng);
-  Alcotest.(check int) "contended count" 3 (Sim.Mutex.contended m)
+  Alcotest.(check int) "contended count" 3 (Sim.Mutex.contended m);
+  (* FIFO hand-off: the waiters got the lock at 10, 20 and 30. *)
+  Alcotest.(check (list (float 0.))) "waiters charged Sync_wait once each"
+    [ 0.; 10.; 20.; 30. ]
+    (List.init 4 (fun id -> Engine.charged eng id Sim.Category.Sync_wait));
+  Alcotest.(check (float 0.)) "Sync_wait total" 60. (Engine.total eng Sim.Category.Sync_wait)
 
 let test_mono_cell () =
   let eng = Engine.create () in
@@ -204,9 +253,16 @@ let test_mono_cell () =
          Sim.Mono_cell.set c 3;
          Proc.work 10.;
          Sim.Mono_cell.set c 7));
+  ignore (Engine.spawn eng (fun () -> Sim.Mono_cell.wait_ge ~cat:Sim.Category.Checker c 3));
   Engine.run eng;
   Alcotest.(check (float 1e-9)) "woken when threshold reached" 20. !woke_at;
-  Alcotest.(check int) "value" 7 (Sim.Mono_cell.get c)
+  Alcotest.(check int) "value" 7 (Sim.Mono_cell.get c);
+  Alcotest.(check (float 0.)) "default wait charged Sync_wait once" 20.
+    (Engine.charged eng 0 Sim.Category.Sync_wait);
+  Alcotest.(check (float 0.)) "cat wait charged to its cat once" 10.
+    (Engine.charged eng 2 Sim.Category.Checker);
+  Alcotest.(check (list (float 0.))) "nothing else charged" [ 20.; 20.; 10. ]
+    (List.init 3 (Engine.busy eng))
 
 let test_mono_cell_raise_to () =
   let c = Sim.Mono_cell.create ~init:5 () in
@@ -363,7 +419,9 @@ let suite =
   [
     Alcotest.test_case "advance/now" `Quick test_advance_and_now;
     Alcotest.test_case "parallel threads" `Quick test_parallel_threads_independent_clocks;
-    Alcotest.test_case "spawn from inside" `Quick test_spawn_from_inside;
+    Alcotest.test_case "equal times resume in schedule order" `Quick
+      test_equal_time_scheduling_order;
+    QCheck_alcotest.to_alcotest prop_resume_times_monotone;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "deadlock two threads" `Quick test_deadlock_two_threads;
     Alcotest.test_case "determinism" `Quick test_determinism;

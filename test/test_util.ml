@@ -1,47 +1,8 @@
 (* Unit and property tests for the utility library. *)
 
-module Heap = Xinv_util.Heap
 module Prng = Xinv_util.Prng
 module Stats = Xinv_util.Stats
 module Tab = Xinv_util.Tab
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  Alcotest.(check int) "size" 7 (Heap.size h);
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain []);
-  Alcotest.(check bool) "empty" true (Heap.is_empty h)
-
-let test_heap_fifo_ties () =
-  (* Equal keys must come out in insertion order (simulator determinism). *)
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  List.iter (Heap.push h) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
-  let order =
-    List.init 4 (fun _ -> match Heap.pop h with Some (_, s) -> s | None -> "?")
-  in
-  Alcotest.(check (list string)) "fifo" [ "z"; "a"; "b"; "c" ] order
-
-let test_heap_peek_clear () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "to_list" 2 (List.length (Heap.to_list h));
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
 
 let test_prng_deterministic () =
   let a = Prng.create ~seed:42 and b = Prng.create ~seed:42 in
@@ -95,10 +56,6 @@ let test_tab () =
 
 let suite =
   [
-    Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
-    Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
-    Alcotest.test_case "heap peek/clear" `Quick test_heap_peek_clear;
-    QCheck_alcotest.to_alcotest prop_heap_sorted;
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
     Alcotest.test_case "prng split" `Quick test_prng_split;
     QCheck_alcotest.to_alcotest prop_prng_bounds;

@@ -254,8 +254,8 @@ let check_run_args ~backend ?(policy = `Fixed) ?(cache = `Off) ?grain ?batch
 
 (* Refuse an inapplicable technique before anything runs, with the text
    [run_request] raises. *)
-let require_applicable ~backend technique wl =
-  match Cx.applicable ~backend technique wl with
+let require_applicable ~backend ~threads technique wl =
+  match Cx.applicable ~backend ~threads technique wl with
   | Ok () -> ()
   | Error reason ->
       prerr_endline (Cx.refusal ~backend technique wl reason);
@@ -298,7 +298,7 @@ let run_cmd =
       check_run_args ~backend ~policy ~cache ?grain ?batch ?deadline_ms ?domains
         threads
     in
-    require_applicable ~backend technique wl;
+    require_applicable ~backend ~threads technique wl;
     let obs = if stats then Some (Xinv_obs.Recorder.create ()) else None in
     let b =
       match backend with
@@ -450,7 +450,7 @@ let stats_cmd =
         exit 1
     | _ -> ());
     let threads = check_run_args ~backend ?domains threads in
-    require_applicable ~backend technique wl;
+    require_applicable ~backend ~threads technique wl;
     let obs = Xinv_obs.Recorder.create () in
     let b =
       match backend with
@@ -532,11 +532,11 @@ let render_frame ~(wl : Wl.Workload.t) ~technique ~frame fl =
 
 let top_cmd =
   let run wl technique domains interval_ms runs frames openmetrics =
-    require_applicable ~backend:`Native technique wl;
     if domains < 1 || interval_ms < 1 || runs < 1 || frames < 0 then begin
       prerr_endline "--domains, --interval-ms and --runs must be >= 1";
       exit 1
     end;
+    require_applicable ~backend:`Native ~threads:domains technique wl;
     let cur = Atomic.make None in
     let finished = Atomic.make false in
     let failure = Atomic.make None in
@@ -1110,7 +1110,7 @@ let serve_cmd =
        ~doc:
          "Run the resident parallelization daemon: one shared domain pool, \
           one analysis-cache configuration and one metrics registry serving \
-          run/tune/stats requests from $(b,xinv submit), $(b,xinv ping), \
+          run and stats requests from $(b,xinv submit), $(b,xinv ping), \
           $(b,xinv serve-stats) and $(b,xinv shutdown) over a Unix-domain \
           socket ($(b,xinv-serve/1) protocol).")
     Term.(

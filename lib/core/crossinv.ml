@@ -177,10 +177,11 @@ let supported ~backend =
 
 (* ---- applicability: every rule in one check ----
 
-   An engine on the backend; the MTCG plan; for SPECCROSS, no Spec-DOALL or
-   DOANY loop in the plan its engine runs ([spec_mode_of_plan]) and no
-   sequential region that writes memory.  [env] is forced only for MTCG. *)
-let check ~mtcg ~backend technique (wl : Wl.Workload.t) input env =
+   An engine on the backend; with [threads], 2 contexts for DOMORE and
+   SPECCROSS; the MTCG plan; for SPECCROSS, no Spec-DOALL or DOANY loop in
+   the plan its engine runs ([spec_mode_of_plan]) and no sequential region
+   that writes memory.  [env] is forced only for MTCG. *)
+let check ~mtcg ~backend ?threads technique (wl : Wl.Workload.t) input env =
   let program = wl.Wl.Workload.program input in
   if backend = `Native && not (native_supported technique) then
     Error
@@ -188,6 +189,9 @@ let check ~mtcg ~backend technique (wl : Wl.Workload.t) input env =
          (technique_name technique))
   else
     match technique with
+    | (Domore | Speccross | Speccross_inject _)
+      when (match threads with Some n -> n < 2 | None -> false) ->
+        Error "needs a scheduler (or checker) and at least one worker: 2 contexts"
     | Sequential | Barrier | Doacross | Dswp -> Ok None
     | Inspector | Tls | Domore | Domore_dup -> (
         match mtcg program (env ()) with
@@ -206,10 +210,10 @@ let check ~mtcg ~backend technique (wl : Wl.Workload.t) input env =
           Error "inner loop requires lock-protected (DOANY) intra-invocation parallelization"
         else Result.map (fun () -> None) (Par.Plan.speccross_sequential_regions program)
 
-let applicable ?(backend = `Sim) technique (wl : Wl.Workload.t) =
+let applicable ?(backend = `Sim) ?threads technique (wl : Wl.Workload.t) =
   Result.map ignore
-    (check ~mtcg:Ir.Mtcg.generate ~backend technique wl Wl.Workload.Ref (fun () ->
-         wl.Wl.Workload.fresh_env Wl.Workload.Ref))
+    (check ~mtcg:Ir.Mtcg.generate ~backend ?threads technique wl Wl.Workload.Ref
+       (fun () -> wl.Wl.Workload.fresh_env Wl.Workload.Ref))
 
 let refusal ~backend technique (wl : Wl.Workload.t) reason =
   Printf.sprintf "%s is inapplicable to %s on the %s backend: %s"
@@ -369,7 +373,10 @@ let checked_plan ~actx (r : Request.t) env =
   let backend = match r.Request.backend with `Sim _ -> `Sim | `Native _ -> `Native in
   let wl = r.Request.workload and technique = r.Request.technique in
   let mtcg p e = timed actx (fun () -> Ir.Mtcg.generate p e) in
-  match check ~mtcg ~backend technique wl r.Request.input (fun () -> env) with
+  match
+    check ~mtcg ~backend ~threads:r.Request.threads technique wl r.Request.input
+      (fun () -> env)
+  with
   | Ok plan -> plan
   | Error reason -> failwith (refusal ~backend technique wl reason)
 
@@ -384,7 +391,7 @@ let resolve_with ~actx ~plan (r : Request.t) env =
     in
     (Option.get plan, { Xinv_domore.Domore.machine; policy; workers })
   in
-  let workers = Stdlib.max 1 (r.Request.threads - 1) in
+  let workers = r.Request.threads - 1 in
   match r.Request.technique with
   | Sequential -> Engine.Sequential
   | Barrier -> Engine.Barrier
@@ -463,8 +470,7 @@ let simulate ?trace (r : Request.t) =
 let native_pool_size ~technique ~threads =
   match technique with
   | Sequential -> 0
-  | Barrier | Domore_dup -> threads - 1
-  | Domore | Speccross | Speccross_inject _ -> Stdlib.max 1 (threads - 1)
+  | Barrier | Domore | Domore_dup | Speccross | Speccross_inject _ -> threads - 1
   | Doacross | Dswp | Inspector | Tls -> 0
 
 let ndomore_config opts (c : Xinv_domore.Domore.config) =

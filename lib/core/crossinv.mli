@@ -160,15 +160,20 @@ val report : ?obs:Xinv_obs.Recorder.t -> outcome -> Xinv_obs.Report.t option
 
 val applicable :
   ?backend:[ `Sim | `Native ] ->
+  ?threads:int ->
   technique ->
   Xinv_workloads.Workload.t ->
   (unit, string) result
 (** Compile-time applicability of the technique to the workload on the
-    given backend (default [`Sim]), judged on the ref input.  This is the
-    one place the rules live, and {!run_request} enforces the same rules on
-    the request's own input before it runs anything:
+    given backend (default [`Sim]), judged on the ref input and, when
+    [threads] is given, on that many contexts.  This is the one place the
+    rules live, and {!run_request} enforces the same rules on the
+    request's own input and thread count before it runs anything:
     - the backend has an engine for the technique (Doacross, DSWP,
       Inspector and TLS have no native engines);
+    - DOMORE and SPECCROSS need a scheduler (or checker) and at least one
+      worker, so they refuse fewer than 2 contexts (DOMORE-dup, whose
+      every context schedules and works, runs on 1);
     - Inspector, TLS, DOMORE and DOMORE-dup need a plan from a fresh
       [Mtcg.generate] (partition, slice, performance guard);
     - SPECCROSS refuses a workload whose plan gives an inner loop
@@ -319,8 +324,8 @@ val run_request : Request.t -> outcome
     below the worker count up to it.
 
     @raise Failure with the {!refusal} message when the technique is
-    inapplicable to the request's workload, input and backend (the rules of
-    {!applicable}).  The refusal comes after [`Auto] picked the technique
+    inapplicable to the request's workload, input, backend and thread count
+    (the rules of {!applicable}).  The refusal comes after [`Auto] picked the technique
     and before any baseline, profile, pool or engine, on both backends;
     it is never degraded to another technique. *)
 
@@ -385,4 +390,5 @@ val simulate : ?trace:bool -> Request.t -> Xinv_parallel.Run.t option
     DOMORE and SPECCROSS engines, which [xinv trace] renders. *)
 
 val native_pool_size : technique:technique -> threads:int -> int
-(** Pool domains one native run of [technique] needs beyond the caller. *)
+(** Pool domains one native run of [technique] needs beyond the caller:
+    [threads - 1] for every parallel engine. *)

@@ -23,10 +23,6 @@ let kind_name = function
 let all_kinds =
   [| Worker_raise; Scheduler_die; Checker_die; Queue_stall; Poison_cond |]
 
-let describe { kind; domain; site; _ } =
-  let dom = if domain < 0 then "*" else string_of_int domain in
-  Printf.sprintf "%s@%s:%d" (kind_name kind) dom site
-
 let spec_to_string = function
   | Random seed -> Printf.sprintf "rand:%d" seed
   | Exact { kind; domain; site } ->

@@ -61,5 +61,3 @@ val kind : t option -> kind option
 val info : t -> kind * int * int
 (** Armed (kind, domain, site) — the spec's coordinates, not necessarily
     the exact firing coordinate (wildcard domains, at-or-after sites). *)
-
-val describe : t -> string

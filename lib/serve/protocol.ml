@@ -1,35 +1,11 @@
 module Cx = Xinv_core.Crossinv
 module Snapshot = Xinv_obs.Snapshot
 
-type tune_req = {
-  t_workload : string;
-  t_input : Xinv_workloads.Workload.input;
-  t_budget : int;
-  t_seed : int;
-  t_max_domains : int option;
-  t_priority : [ `High | `Normal ];
-  t_tenant : string;
-}
-
-let tune_req ?(input = Xinv_workloads.Workload.Train) ?(budget = 16)
-    ?(seed = 42) ?max_domains ?(priority = `Normal)
-    ?(tenant = "default") name =
-  {
-    t_workload = name;
-    t_input = input;
-    t_budget = budget;
-    t_seed = seed;
-    t_max_domains = max_domains;
-    t_priority = priority;
-    t_tenant = tenant;
-  }
-
 type client_msg =
   | Run of Request.t
   | Ping
   | Stats
   | Shutdown
-  | Tune of tune_req
 
 type reject_reason =
   | Queue_full of int
@@ -103,74 +79,33 @@ type pong = {
   p_served : int;
 }
 
-type tune_reply = {
-  r_policy_key : string;
-  r_wall_ns : float;
-  r_seq_wall_ns : float;
-  r_trials : int;
-  r_source : string;
-}
-
 type server_msg =
   | Outcome of summary
   | Rejected of reject_reason
   | Failed of string
   | Pong of pong
   | Stats_reply of Snapshot.t
-  | Tune_reply of tune_reply
   | Shutdown_ack of { served : int }
 
-(* ---- tags ---- *)
+(* ---- tags ----
+
+   5 and 69 carried daemon-side tuning and are retired: no decoder accepts
+   them, so an older client's tune frame is a [Bad_tag]. *)
 
 let tag_run = 1
 let tag_ping = 2
 let tag_stats = 3
 let tag_shutdown = 4
-let tag_tune = 5
 let tag_outcome = 64
 let tag_rejected = 65
 let tag_failed = 66
 let tag_pong = 67
 let tag_stats_reply = 68
-let tag_tune_reply = 69
 let tag_shutdown_ack = 70
 
 (* ---- payload codecs ---- *)
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Wire.Error (Wire.Bad_payload s))) fmt
-
-let put_tune w t =
-  Wire.put_string w t.t_workload;
-  Wire.put_enum w Request.input_tags t.t_input;
-  Wire.put_u32 w t.t_budget;
-  Wire.put_u32 w t.t_seed;
-  Wire.put_opt w Wire.put_u32 t.t_max_domains;
-  (* The retired search-strategy slot: hill climbing is the only search,
-     and every frame still carries its name. *)
-  Wire.put_string w "hill";
-  Wire.put_enum w Request.priority_tags t.t_priority;
-  Wire.put_string w t.t_tenant
-
-let get_tune r =
-  let t_workload = Wire.get_string r in
-  let t_input = Wire.get_enum r "input" Request.input_tags in
-  let t_budget = Wire.get_u32 r in
-  let t_seed = Wire.get_u32 r in
-  let t_max_domains = Wire.get_opt r Wire.get_u32 in
-  (match String.lowercase_ascii (Wire.get_string r) with
-  | "hill" | "hillclimb" | "hill-climb" -> ()
-  | s -> bad "strategy %S" s);
-  let t_priority = Wire.get_enum r "priority" Request.priority_tags in
-  let t_tenant = Wire.get_string r in
-  {
-    t_workload;
-    t_input;
-    t_budget;
-    t_seed;
-    t_max_domains;
-    t_priority;
-    t_tenant;
-  }
 
 let put_reject w = function
   | Queue_full cap ->
@@ -321,9 +256,6 @@ let encode_client m =
     | Ping -> tag_ping
     | Stats -> tag_stats
     | Shutdown -> tag_shutdown
-    | Tune t ->
-        put_tune w t;
-        tag_tune
   in
   Wire.encode_frame ~tag (Wire.contents w)
 
@@ -334,7 +266,6 @@ let decode_client_payload tag payload =
     else if tag = tag_ping then Ping
     else if tag = tag_stats then Stats
     else if tag = tag_shutdown then Shutdown
-    else if tag = tag_tune then Tune (get_tune r)
     else raise (Wire.Error (Wire.Bad_tag tag))
   in
   if not (Wire.reader_done r) then
@@ -368,13 +299,6 @@ let encode_server m =
     | Stats_reply s ->
         put_snapshot w s;
         tag_stats_reply
-    | Tune_reply t ->
-        Wire.put_string w t.r_policy_key;
-        Wire.put_f64 w t.r_wall_ns;
-        Wire.put_f64 w t.r_seq_wall_ns;
-        Wire.put_u32 w t.r_trials;
-        Wire.put_string w t.r_source;
-        tag_tune_reply
     | Shutdown_ack { served } ->
         Wire.put_u32 w served;
         tag_shutdown_ack
@@ -396,14 +320,6 @@ let decode_server_payload tag payload =
       Pong { p_uptime_ns; p_pool_domains; p_pool_creates; p_queued; p_served }
     end
     else if tag = tag_stats_reply then Stats_reply (get_snapshot r)
-    else if tag = tag_tune_reply then begin
-      let r_policy_key = Wire.get_string r in
-      let r_wall_ns = Wire.get_f64 r in
-      let r_seq_wall_ns = Wire.get_f64 r in
-      let r_trials = Wire.get_u32 r in
-      let r_source = Wire.get_string r in
-      Tune_reply { r_policy_key; r_wall_ns; r_seq_wall_ns; r_trials; r_source }
-    end
     else if tag = tag_shutdown_ack then
       Shutdown_ack { served = Wire.get_u32 r }
     else raise (Wire.Error (Wire.Bad_tag tag))
@@ -467,10 +383,6 @@ let pp_server ppf = function
         (if p.p_pool_creates = 1 then "" else "s")
         p.p_queued p.p_served
   | Stats_reply s -> Xinv_obs.Snapshot.pp ppf s
-  | Tune_reply t ->
-      Format.fprintf ppf "tuned (%s, %d trials): %s (%.2fx)" t.r_source
-        t.r_trials t.r_policy_key
-        (if t.r_wall_ns > 0. then t.r_seq_wall_ns /. t.r_wall_ns else 0.)
   | Shutdown_ack { served } ->
       Format.fprintf ppf "daemon stopped after %d served request%s" served
         (if served = 1 then "" else "s")

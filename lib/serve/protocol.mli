@@ -2,38 +2,20 @@
     ({!client_msg}) and what the daemon answers ({!server_msg}), with
     frame-level codecs over {!Wire}.
 
-    Tags: client frames use 1–5 (Run, Ping, Stats, Shutdown, Tune);
-    server frames use 64–70 (Outcome, Rejected, Failed, Pong,
-    Stats_reply, Tune_reply, Shutdown_ack).  A decoder presented with the
-    other side's tag — or any unknown tag — raises
-    [Wire.Error (Bad_tag _)]. *)
-
-type tune_req = {
-  t_workload : string;  (** registry name *)
-  t_input : Xinv_workloads.Workload.input;
-  t_budget : int;
-  t_seed : int;
-  t_max_domains : int option;
-  t_priority : [ `High | `Normal ];
-  t_tenant : string;
-}
-
-val tune_req :
-  ?input:Xinv_workloads.Workload.input ->
-  ?budget:int ->
-  ?seed:int ->
-  ?max_domains:int ->
-  ?priority:[ `High | `Normal ] ->
-  ?tenant:string ->
-  string ->
-  tune_req
+    Tags: client frames use 1–4 (Run, Ping, Stats, Shutdown); server
+    frames use 64–68 (Outcome, Rejected, Failed, Pong, Stats_reply) and 70
+    (Shutdown_ack).  Client tag 5 and server tag 69 carried daemon-side
+    tuning and are retired (tune with [xinv tune --cache rw] on the
+    daemon's cache directory instead).  A decoder presented with a retired
+    tag, the other side's tag or any unknown tag raises
+    [Wire.Error (Bad_tag _)]; the daemon answers such a frame with one
+    [Rejected (Bad_request _)]. *)
 
 type client_msg =
   | Run of Request.t
   | Ping
   | Stats
   | Shutdown
-  | Tune of tune_req
 
 type reject_reason =
   | Queue_full of int  (** payload: the queue capacity *)
@@ -86,14 +68,6 @@ type pong = {
   p_served : int;
 }
 
-type tune_reply = {
-  r_policy_key : string;
-  r_wall_ns : float;
-  r_seq_wall_ns : float;
-  r_trials : int;
-  r_source : string;  (** ["cached"] or ["searched"] *)
-}
-
 type server_msg =
   | Outcome of summary
   | Rejected of reject_reason
@@ -102,17 +76,13 @@ type server_msg =
           refusal), otherwise the exception's printed form *)
   | Pong of pong
   | Stats_reply of Xinv_obs.Snapshot.t
-  | Tune_reply of tune_reply
   | Shutdown_ack of { served : int }
 
 val encode_client : client_msg -> string
 (** A full wire frame. *)
 
 val decode_client : string -> client_msg
-(** Raises {!Wire.Error} on any malformation.  A Tune frame keeps its
-    retired search-strategy string slot (the encoder always writes
-    ["hill"]); any value but a spelling of hill climbing ([hill],
-    [hillclimb], [hill-climb], any case) is a [Bad_payload]. *)
+(** Raises {!Wire.Error} on any malformation. *)
 
 val encode_server : server_msg -> string
 val decode_server : string -> server_msg

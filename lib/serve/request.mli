@@ -69,10 +69,6 @@ val get : Wire.reader -> t
 (** Payload codec (raises {!Wire.Error} on malformed input).  An absent
     signature on the wire decodes as {!Xinv_cache.Policy.default}'s. *)
 
-val input_tags : (Xinv_workloads.Workload.input * int) list
-val priority_tags : ([ `High | `Normal ] * int) list
-(** Wire tag tables shared with the tune payload. *)
-
 type resolve_error =
   [ `Unknown_workload of string
   | `Bad_request of string

@@ -20,15 +20,12 @@ let default_config =
     default_deadline_ms = None;
   }
 
-type kind = KRun of Request.t | KTune of Protocol.tune_req
-
 type job = {
   id : int;
-  kind : kind;
-  priority : [ `High | `Normal ];
-  tenant : string;
+  req : Request.t;
+      (** its [deadline_ms], an end-to-end budget from [enqueued_at], is
+          defaulted from the config at submission *)
   enqueued_at : float;
-  deadline_ms : float option;  (** end-to-end budget from [enqueued_at] *)
   jm : Mutex.t;
   jc : Condition.t;
   mutable result : Protocol.server_msg option;
@@ -125,17 +122,18 @@ let finish t job msg =
   Mutex.unlock job.jm;
   if first then begin
     Atomic.incr t.served_jobs;
+    let tenant = job.req.Request.tenant in
     match msg with
-    | Protocol.Outcome _ | Protocol.Tune_reply _ ->
+    | Protocol.Outcome _ ->
         Metrics.incr t.c_completed;
-        Metrics.incr (tenant_counter t job.tenant "completed")
+        Metrics.incr (tenant_counter t tenant "completed")
     | Protocol.Rejected why ->
         Metrics.incr t.c_rejected;
-        Metrics.incr (tenant_counter t job.tenant "rejected");
+        Metrics.incr (tenant_counter t tenant "rejected");
         (match why with
         | Protocol.Deadline_exceeded ->
             Metrics.incr t.c_deadline_missed;
-            Metrics.incr (tenant_counter t job.tenant "deadline_missed")
+            Metrics.incr (tenant_counter t tenant "deadline_missed")
         | Protocol.Cancelled -> Metrics.incr t.c_cancelled
         | _ -> ())
     | Protocol.Failed _ -> Metrics.incr t.c_failed
@@ -157,15 +155,18 @@ let peek job =
   Mutex.unlock job.jm;
   r
 
-let enqueue t ~kind ~priority ~tenant ~deadline_ms =
+let submit t (req : Request.t) =
+  let req =
+    match req.Request.deadline_ms with
+    | Some _ -> req
+    | None -> { req with Request.deadline_ms = t.cfg.default_deadline_ms }
+  in
+  let tenant = req.Request.tenant in
   let job =
     {
       id = Atomic.fetch_and_add t.next_id 1;
-      kind;
-      priority;
-      tenant;
+      req;
       enqueued_at = now ();
-      deadline_ms;
       jm = Mutex.create ();
       jc = Condition.create ();
       result = None;
@@ -182,7 +183,7 @@ let enqueue t ~kind ~priority ~tenant ~deadline_ms =
     finish t job (Protocol.Rejected Protocol.Shutting_down)
   end
   else begin
-    match Fair.push t.queue ~priority ~tenant job with
+    match Fair.push t.queue ~priority:req.Request.priority ~tenant job with
     | Ok () ->
         Metrics.set t.g_depth (float_of_int (Fair.length t.queue));
         Condition.signal t.work;
@@ -192,19 +193,6 @@ let enqueue t ~kind ~priority ~tenant ~deadline_ms =
         finish t job (Protocol.Rejected (Protocol.Queue_full cap))
   end;
   job
-
-let submit t (req : Request.t) =
-  let deadline_ms =
-    match req.Request.deadline_ms with
-    | Some _ as d -> d
-    | None -> t.cfg.default_deadline_ms
-  in
-  enqueue t ~kind:(KRun req) ~priority:req.Request.priority
-    ~tenant:req.Request.tenant ~deadline_ms
-
-let submit_tune t (tr : Protocol.tune_req) =
-  enqueue t ~kind:(KTune tr) ~priority:tr.Protocol.t_priority
-    ~tenant:tr.Protocol.t_tenant ~deadline_ms:t.cfg.default_deadline_ms
 
 (* Cancelling with [Cancelled] makes the request final: the degradation
    chain does not retry a request whose client is gone. *)
@@ -245,13 +233,13 @@ let fit_threads ~pool ~technique threads =
   in
   go threads
 
-(* A refusal or other [Failure] replies with its message; anything else
-   with the exception's printed form. *)
-let failed = function
-  | Failure m -> Protocol.Failed m
-  | e -> Protocol.Failed (Printexc.to_string e)
+let is_cancelled job =
+  Mutex.lock job.jm;
+  let c = job.cancelled in
+  Mutex.unlock job.jm;
+  c
 
-let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
+let exec_run t job ~queue_wait_ns ~remaining_ms =
   if not (Nat.Pool.live t.pool) then t.pool <- new_pool t.cfg t.c_pool_create;
   let on_watchdog wd =
     Mutex.lock job.jm;
@@ -262,13 +250,13 @@ let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
   in
   match
     Request.to_crossinv ~pool:t.pool ?cache_dir:t.cfg.cache_dir
-      ~cache_limit:t.cfg.cache ?deadline_ms:remaining_ms ~on_watchdog req
+      ~cache_limit:t.cfg.cache ?deadline_ms:remaining_ms ~on_watchdog job.req
   with
   | Error (`Unknown_workload n) ->
       finish t job (Protocol.Rejected (Protocol.Unknown_workload n))
   | Error (`Bad_request r) ->
       finish t job (Protocol.Rejected (Protocol.Bad_request r))
-  | Ok creq -> (
+  | Ok creq ->
       let native =
         match creq.Cx.Request.backend with `Native _ -> true | `Sim _ -> false
       in
@@ -282,89 +270,35 @@ let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
                 creq.Cx.Request.threads;
           }
       in
-      let was_cancelled () =
-        Mutex.lock job.jm;
-        let c = job.cancelled in
-        Mutex.unlock job.jm;
-        c
-      in
       let workload = creq.Cx.Request.workload.Xinv_workloads.Workload.name in
-      match Cx.run_request creq with
-      | o ->
-          (* A cancel that lands after the last cancel point (in the
-             sequential baseline, say) lets the run complete — the client
-             is gone either way, and the cancellation wins.  (Sim runs have
-             no cancel point and deliver their outcome; see the mli.) *)
-          if was_cancelled () && native then
-            finish t job (Protocol.Rejected Protocol.Cancelled)
-          else
-            finish t job
-              (Protocol.Outcome
-                 (Protocol.summary_of_outcome ~workload ~queue_wait_ns o))
-      | exception e ->
-          if was_cancelled () then
-            finish t job (Protocol.Rejected Protocol.Cancelled)
-          else (
-            match e with
-            | Nat.Watchdog.Stalled _ ->
-                finish t job (Protocol.Rejected Protocol.Deadline_exceeded)
-            | e -> finish t job (failed e)))
-
-let exec_tune t job (tr : Protocol.tune_req) ~remaining_ms =
-  match Xinv_workloads.Registry.find tr.Protocol.t_workload with
-  | exception Invalid_argument _ ->
       finish t job
-        (Protocol.Rejected (Protocol.Unknown_workload tr.Protocol.t_workload))
-  | wl -> (
-      (* [Tune.tune] has no end-to-end abort, so the deadline's remainder
-         is threaded in as the per-trial watchdog cap (tightening the
-         2000 ms default): a nearly-spent budget cannot fund long trials,
-         though a large [t_budget] can still overrun in aggregate — see
-         the mli. *)
-      let trial_deadline_ms =
-        Option.map (fun r -> Float.min r 2000.) remaining_ms
-      in
-      match
-        Xinv_tune.Tune.tune ~cache:t.cfg.cache ?cache_dir:t.cfg.cache_dir
-          ~input:tr.Protocol.t_input ~budget:tr.Protocol.t_budget
-          ~seed:tr.Protocol.t_seed ?max_domains:tr.Protocol.t_max_domains
-          ?trial_deadline_ms wl
-      with
-      | r ->
-          let tuned = r.Xinv_tune.Tune.tuned in
-          finish t job
-            (Protocol.Tune_reply
-               {
-                 Protocol.r_policy_key =
-                   Xinv_cache.Policy.key tuned.Xinv_cache.Policy.policy;
-                 r_wall_ns = tuned.Xinv_cache.Policy.wall_ns;
-                 r_seq_wall_ns = tuned.Xinv_cache.Policy.seq_wall_ns;
-                 r_trials = List.length r.Xinv_tune.Tune.trials;
-                 r_source = Xinv_tune.Tune.source_name r.Xinv_tune.Tune.source;
-               })
-      | exception e -> finish t job (failed e))
+        (match Cx.run_request creq with
+        (* A cancel that lands after the last cancel point (in the
+           sequential baseline, say) lets the run complete — the client is
+           gone either way, and the cancellation wins.  (Sim runs have no
+           cancel point and deliver their outcome; see the mli.) *)
+        | _ when native && is_cancelled job -> Protocol.Rejected Protocol.Cancelled
+        | o ->
+            Protocol.Outcome (Protocol.summary_of_outcome ~workload ~queue_wait_ns o)
+        | exception _ when is_cancelled job -> Protocol.Rejected Protocol.Cancelled
+        | exception Nat.Watchdog.Stalled _ ->
+            Protocol.Rejected Protocol.Deadline_exceeded
+        (* a refusal or other [Failure] replies with its message *)
+        | exception Failure m -> Protocol.Failed m
+        | exception e -> Protocol.Failed (Printexc.to_string e))
 
 let execute t job =
   let queue_wait_ns = (now () -. job.enqueued_at) *. 1e9 in
   Metrics.observe t.h_queue_wait (queue_wait_ns /. 1e6);
   let remaining_ms =
-    Option.map (fun d -> d -. (queue_wait_ns /. 1e6)) job.deadline_ms
+    Option.map (fun d -> d -. (queue_wait_ns /. 1e6)) job.req.Request.deadline_ms
   in
-  let cancelled =
-    Mutex.lock job.jm;
-    let c = job.cancelled in
-    Mutex.unlock job.jm;
-    c
-  in
-  if cancelled then finish t job (Protocol.Rejected Protocol.Cancelled)
+  if is_cancelled job then finish t job (Protocol.Rejected Protocol.Cancelled)
   else
     match remaining_ms with
     | Some r when r <= 0. ->
         finish t job (Protocol.Rejected Protocol.Deadline_exceeded)
-    | _ -> (
-        match job.kind with
-        | KRun req -> exec_run t job req ~queue_wait_ns ~remaining_ms
-        | KTune tr -> exec_tune t job tr ~remaining_ms)
+    | _ -> exec_run t job ~queue_wait_ns ~remaining_ms
 
 (* ---- scheduler ---- *)
 
@@ -520,7 +454,6 @@ let handle_message s msg =
         (Protocol.Shutdown_ack { served = served s.srv });
       false
   | Protocol.Run req -> reply_watching s (submit s.srv req)
-  | Protocol.Tune tr -> reply_watching s (submit_tune s.srv tr)
 
 let handle_conn s =
   let rec session () =

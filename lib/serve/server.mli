@@ -8,18 +8,17 @@
     them one at a time on the shared pool — concurrency lives in the
     queue, parallelism inside each run — so a thousand queued runs reuse
     the same domains instead of churning a pool each ({!pool_creates}
-    stays 1).
+    stays 1).  The daemon runs requests only: a tuned policy reaches its
+    [`Auto] runs through its [cache_dir], where [xinv tune --cache rw]
+    stores it.
 
     Scheduling contract:
     - {e admission control}: a full queue rejects with
       [Rejected (Queue_full _)] at submission, typed, never blocking;
     - {e deadlines}: a request's [deadline_ms] is an end-to-end budget
       from submission.  Spent entirely in the queue it rejects with
-      [Deadline_exceeded]; for a run the remainder is armed as the native
-      run's {!Xinv_native.Watchdog} deadline.  A tune job has no
-      end-to-end abort: the remainder instead caps each trial's watchdog
-      deadline (tightening {!Xinv_tune.Tune.tune}'s default), so a large
-      trial budget can still overrun the deadline in aggregate;
+      [Deadline_exceeded]; otherwise the remainder is armed as the native
+      run's {!Xinv_native.Watchdog} deadline;
     - {e fairness}: [`High] before [`Normal], round-robin across tenants
       within a level (see {!Fair});
     - {e cancellation}: {!cancel} withdraws a queued job immediately, and
@@ -67,11 +66,6 @@ val submit : t -> Request.t -> job
     stopping server the returned job is already finished with the typed
     rejection. *)
 
-val submit_tune : t -> Protocol.tune_req -> job
-(** Enqueue an autotune request; it takes its fairness turn like a run
-    and executes on the daemon's cache configuration, so the tuned policy
-    is visible to every later [`Auto] run. *)
-
 val await : job -> Protocol.server_msg
 (** Block until the job finishes (thread-safe, any number of waiters). *)
 
@@ -114,8 +108,8 @@ val serve : t -> socket:string -> unit
     SIGPIPE is set to ignore
     process-wide, so a racing disconnect surfaces as a per-connection
     [EPIPE] instead of killing the daemon.  A frame that does not decode
-    (including the retired marshalled-workload tag) gets one
-    [Bad_request] reply and its connection is dropped.  On shutdown every
+    (including the retired marshalled-workload tag and the retired tune
+    tag 5) gets one [Bad_request] reply and its connection is dropped.  On shutdown every
     still-open connection is forcibly EOF'd so idle keep-alive clients
     cannot stall the exit.  Returns after the listener is closed, the
     socket file unlinked, all connection threads joined and the

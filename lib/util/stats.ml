@@ -8,21 +8,3 @@ let geomean = function
       assert (List.for_all (fun x -> x > 0.) xs);
       let s = List.fold_left (fun acc x -> acc +. log x) 0. xs in
       exp (s /. float_of_int (List.length xs))
-
-let minimum = function [] -> 0. | x :: xs -> List.fold_left Stdlib.min x xs
-
-let maximum = function [] -> 0. | x :: xs -> List.fold_left Stdlib.max x xs
-
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.
-  | _ ->
-      let m = mean xs in
-      let var = mean (List.map (fun x -> (x -. m) ** 2.) xs) in
-      sqrt var
-
-let round_to d x =
-  let f = 10. ** float_of_int d in
-  Float.round (x *. f) /. f
-
-let pct part whole = if whole = 0. then 0. else 100. *. part /. whole

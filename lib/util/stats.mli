@@ -5,15 +5,3 @@ val mean : float list -> float
 
 val geomean : float list -> float
 (** Geometric mean; 0. on the empty list.  All inputs must be positive. *)
-
-val minimum : float list -> float
-
-val maximum : float list -> float
-
-val stddev : float list -> float
-
-val round_to : int -> float -> float
-(** [round_to d x] rounds [x] to [d] decimal places. *)
-
-val pct : float -> float -> float
-(** [pct part whole] is [100 * part / whole] (0. when [whole] is 0). *)

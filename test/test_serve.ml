@@ -111,7 +111,6 @@ let client_msgs () =
     Proto.Ping;
     Proto.Stats;
     Proto.Shutdown;
-    Proto.Tune (Proto.tune_req ~budget:4 ~max_domains:2 "JACOBI");
   ]
 
 let server_msgs () =
@@ -150,14 +149,6 @@ let server_msgs () =
         p_served = 41;
       };
     Proto.Stats_reply (sample_snapshot ());
-    Proto.Tune_reply
-      {
-        Proto.r_policy_key = "native/domore/4";
-        r_wall_ns = 5e6;
-        r_seq_wall_ns = 2e7;
-        r_trials = 9;
-        r_source = "searched";
-      };
     Proto.Shutdown_ack { served = 1000 };
   ]
 
@@ -419,54 +410,6 @@ let test_golden_frames () =
           | Error _ -> Alcotest.fail "golden frame does not resolve")
       | _ -> Alcotest.fail "golden frame is not a run request")
     golden_frames
-
-(* The Tune request above as the xinv-serve/1 encoder writes it; the
-   strategy slot carries "hill". *)
-let golden_tune_frame =
-  "5853525601050000002c5994ea23e6a6ce4ae9763b3d5f95c270000000064a41434f4249\
-   00000000040000002a01000000020000000468696c6c010000000764656661756c74"
-
-let to_hex s =
-  String.concat ""
-    (List.init (String.length s) (fun i ->
-         Printf.sprintf "%02x" (Char.code s.[i])))
-
-let test_golden_tune_frame () =
-  let req = Proto.tune_req ~budget:4 ~max_domains:2 "JACOBI" in
-  Alcotest.(check string)
-    "tune frame bytes" golden_tune_frame
-    (to_hex (Proto.encode_client (Proto.Tune req)));
-  match Proto.decode_client (of_hex golden_tune_frame) with
-  | Proto.Tune back -> Alcotest.(check bool) "decodes to the request" true (back = req)
-  | _ -> Alcotest.fail "golden tune frame is not a tune request"
-
-(* The Tune frame keeps its retired strategy slot: a spelling of hill
-   climbing decodes, anything else (a "ga" frame from an older client) is
-   a typed payload error, not a request for another search. *)
-let test_tune_frame_strategy_slot () =
-  let tag, payload = Wire.decode_frame (of_hex golden_tune_frame) in
-  let hill = "\000\000\000\004hill" in
-  let at =
-    let rec find i =
-      if String.sub payload i (String.length hill) = hill then i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let with_strategy v =
-    let w = Wire.writer () in
-    Wire.put_string w v;
-    Wire.encode_frame ~tag
-      (String.sub payload 0 at ^ Wire.contents w
-      ^ String.sub payload (at + String.length hill)
-          (String.length payload - at - String.length hill))
-  in
-  (match Proto.decode_client (with_strategy "Hill-Climb") with
-  | Proto.Tune _ -> ()
-  | _ -> Alcotest.fail "a hill spelling must decode to a tune request");
-  match Proto.decode_client (with_strategy "ga") with
-  | _ -> Alcotest.fail "a ga strategy slot must not decode"
-  | exception Wire.Error (Wire.Bad_payload _) -> ()
 
 (* qcheck: random outcome summaries survive the wire, including those of a
    run without a baseline, whose [nan] slots compare by bits *)
@@ -953,28 +896,22 @@ let test_thousand_requests_one_pool () =
       Alcotest.(check int) "every run's queue wait observed" 1000
         wait_hist.Xinv_obs.Snapshot.s_count)
 
-(* ---------- tune through the daemon ---------- *)
+(* ---------- tuned policies reach the daemon ---------- *)
 
+(* [Tune.tune] is the one way to tune: run in process on the daemon's
+   cache directory, its stored policy serves the daemon's [`Auto] runs. *)
 let test_tune_then_auto () =
   let dir = tmpdir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
+      let r =
+        Xinv_tune.Tune.tune ~cache:`Rw ~cache_dir:dir ~budget:2 ~max_domains:2
+          ~input:Wl.Workload.Train (Wl.Registry.find "FDTD")
+      in
+      Alcotest.(check bool) "trials ran" true (r.Xinv_tune.Tune.trials <> []);
       with_server ~domains:4 ~cache:`Rw ~cache_dir:dir (fun srv ->
           Server.start srv;
-          let tj =
-            Server.submit_tune srv
-              (Proto.tune_req ~budget:2 ~max_domains:2
-                 ~input:Wl.Workload.Train "FDTD")
-          in
-          (match Server.await tj with
-          | Proto.Tune_reply r ->
-              Alcotest.(check bool) "trials ran" true (r.Proto.r_trials >= 1);
-              Alcotest.(check bool) "policy key non-empty" true
-                (String.length r.Proto.r_policy_key > 0)
-          | m ->
-              Alcotest.failf "tune: %s"
-                (Format.asprintf "%a" Proto.pp_server m));
           (* a later [`Auto] run resolves the policy the tune stored *)
           let req =
             SReq.make ~policy:`Auto ~cache:`Rw ~input:Wl.Workload.Train
@@ -1253,6 +1190,72 @@ let test_socket_back_to_back () =
       let dt = Unix.gettimeofday () -. t0 in
       if dt > 10. then Alcotest.failf "200 round trips took %.1f s" dt)
 
+(* A tune frame as older clients wrote it (tag 5, JACOBI, budget 4, at
+   most 2 domains).  Daemon-side tuning is retired, so the tag decodes to
+   [Bad_tag 5] and the daemon answers it with one typed rejection, then
+   keeps serving on its one pool. *)
+let retired_tune_frame =
+  "5853525601050000002c5994ea23e6a6ce4ae9763b3d5f95c270000000064a41434f4249\
+   00000000040000002a01000000020000000468696c6c010000000764656661756c74"
+
+let test_retired_tune_frame () =
+  let frame = of_hex retired_tune_frame in
+  (match Proto.decode_client frame with
+  | _ -> Alcotest.fail "tag 5 decoded"
+  | exception Wire.Error (Wire.Bad_tag 5) -> ());
+  with_daemon "tune" (fun srv socket ->
+      SClient.with_connection socket (fun fd ->
+          ignore (Unix.write_substring fd frame 0 (String.length frame));
+          (match Proto.recv_server fd with
+          | Proto.Rejected (Proto.Bad_request _) -> ()
+          | m -> Alcotest.failf "tag 5: %s" (Format.asprintf "%a" Proto.pp_server m));
+          match Proto.recv_server fd with
+          | exception Wire.Error Wire.Closed -> ()
+          | m ->
+              Alcotest.failf "second reply to tag 5: %s"
+                (Format.asprintf "%a" Proto.pp_server m));
+      (match
+         SClient.call ~socket
+           (Proto.Run
+              (SReq.make ~backend:`Native ~technique:"domore" ~threads:2
+                 ~input:Wl.Workload.Train (`Name "SYMM")))
+       with
+      | Proto.Outcome s -> Alcotest.(check bool) "SYMM verified" true s.Proto.o_verified
+      | m -> Alcotest.failf "SYMM: %s" (Format.asprintf "%a" Proto.pp_server m));
+      Alcotest.(check int) "one pool" 1 (Server.pool_creates srv))
+
+(* One context for DOMORE or SPECCROSS: the daemon replies [Failed] with
+   the refusal [run_request] raises in process, on both backends. *)
+let test_one_context_submit () =
+  with_server ~domains:2 (fun srv ->
+      Server.start srv;
+      List.iter
+        (fun (backend, b) ->
+          List.iter
+            (fun technique ->
+              let label =
+                Printf.sprintf "%s/%s" (Cx.technique_name technique)
+                  (match backend with `Sim -> "sim" | `Native -> "native")
+              in
+              let raised =
+                match
+                  Cx.run_request
+                  @@ Cx.Request.make ~backend:b ~input:Wl.Workload.Train ~technique
+                       ~threads:1 (Wl.Registry.find "SYMM")
+                with
+                | _ -> Alcotest.failf "%s: ran in-process" label
+                | exception Failure m -> m
+              in
+              let req =
+                SReq.make ~backend ~technique:(Cx.technique_name technique) ~threads:1
+                  ~input:Wl.Workload.Train (`Name "SYMM")
+              in
+              match Server.await (Server.submit srv req) with
+              | Proto.Failed why -> Alcotest.(check string) label raised why
+              | m -> Alcotest.failf "%s: %s" label (Format.asprintf "%a" Proto.pp_server m))
+            [ Cx.Domore; Cx.Speccross ])
+        [ (`Sim, `Sim None); (`Native, `Native Cx.native_defaults) ])
+
 let suite =
   [
     Alcotest.test_case "wire primitives round-trip" `Quick test_wire_prims;
@@ -1298,12 +1301,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_resolves_like_core;
     Alcotest.test_case "golden run frames resolve as recorded" `Quick
       test_golden_frames;
-    Alcotest.test_case "golden tune frame" `Quick test_golden_tune_frame;
-    Alcotest.test_case "tune frame strategy slot reads hill only" `Quick
-      test_tune_frame_strategy_slot;
+    Alcotest.test_case "retired tune frame is rejected" `Quick
+      test_retired_tune_frame;
     QCheck_alcotest.to_alcotest prop_summary_roundtrip;
     Alcotest.test_case "refused submits match in-process run_request" `Slow
       test_refused_submit_vs_inprocess;
+    Alcotest.test_case "one-context submits refused as in process" `Quick
+      test_one_context_submit;
     Alcotest.test_case "unverified submit reports no baseline" `Quick
       test_unverified_submit_has_no_baseline;
   ]

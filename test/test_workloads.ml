@@ -327,6 +327,37 @@ let test_run_request_refuses () =
         [ (`Sim, `Sim None, "sim", 4); (`Native, `Native Cx.native_defaults, "native", 2) ])
     cases
 
+(* DOMORE and SPECCROSS need a scheduler (or checker) beside a worker:
+   one context is refused on both backends, not widened to two.
+   DOMORE-dup, whose every context schedules and works, runs on one. *)
+let test_one_context_refused () =
+  let wl = Wl.Registry.find "SYMM" in
+  let backends =
+    [ (`Sim, `Sim None); (`Native, `Native Cx.native_defaults) ]
+  in
+  let run b technique =
+    Cx.run_request
+    @@ Cx.Request.make ~backend:b ~input:Wl.Workload.Train ~technique ~threads:1 wl
+  in
+  List.iter
+    (fun (backend, b) ->
+      List.iter
+        (fun technique ->
+          Alcotest.check_raises (Cx.technique_name technique)
+            (Failure
+               (Cx.refusal ~backend technique wl
+                  "needs a scheduler (or checker) and at least one worker: 2 contexts"))
+            (fun () -> ignore (run b technique)))
+        [ Cx.Domore; Cx.Speccross; Cx.Speccross_inject 3 ];
+      let o = run b Cx.Domore_dup in
+      Alcotest.(check bool) "domore-dup verified" true o.Cx.verified;
+      Alcotest.(check (option int)) "domore-dup on one context" (Some 1)
+        (match (o.Cx.nrun, o.Cx.run) with
+        | Some nr, _ -> Some nr.Xinv_native.Nrun.domains
+        | None, Some r -> Some r.Xinv_parallel.Run.threads
+        | None, None -> None))
+    backends
+
 let exec_techniques (wl : Wl.Workload.t) =
   List.filter
     (fun t -> match Cx.applicable t wl with Ok () -> true | Error _ -> false)
@@ -456,6 +487,8 @@ let suite =
     Alcotest.test_case "applicability verdict table" `Quick test_verdict_table;
     Alcotest.test_case "SPECCROSS refuses DOANY plans" `Quick test_speccross_refuses_doany;
     Alcotest.test_case "run_request refuses before running" `Quick test_run_request_refuses;
+    Alcotest.test_case "one context refuses DOMORE and SPECCROSS" `Quick
+      test_one_context_refused;
     Alcotest.test_case "profile = reference at train" `Quick test_profile_matches_reference;
     Alcotest.test_case "CG dependence structure" `Quick test_cg_dependence_structure;
     Alcotest.test_case "Table 5.3 distance shapes" `Quick test_min_distances_shape;

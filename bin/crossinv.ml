@@ -253,15 +253,19 @@ let check_run_args ~backend ?(policy = `Fixed) ?(cache = `Off) ?grain ?batch
   threads
 
 (* Refuse an inapplicable technique before anything runs, with the text
-   [run_request] raises. *)
+   [run_request] raises.  The backend's techniques are listed only when it
+   has no engine for this one. *)
 let require_applicable ~backend ~threads technique wl =
   match Cx.applicable ~backend ~threads technique wl with
   | Ok () -> ()
   | Error reason ->
       prerr_endline (Cx.refusal ~backend technique wl reason);
-      Printf.eprintf "techniques supported on %s: %s\n"
-        (match backend with `Sim -> "sim" | `Native -> "native")
-        (String.concat ", " (List.map Cx.technique_name (Cx.supported ~backend)));
+      let base = match technique with Cx.Speccross_inject _ -> Cx.Speccross | t -> t in
+      let supported = Cx.supported ~backend in
+      if not (List.mem base supported) then
+        Printf.eprintf "techniques supported on %s: %s\n"
+          (match backend with `Sim -> "sim" | `Native -> "native")
+          (String.concat ", " (List.map Cx.technique_name supported));
       exit 1
 
 let run_cmd =

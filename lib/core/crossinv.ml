@@ -97,6 +97,7 @@ type outcome = {
   technique : technique;  (** the technique that actually executed *)
   cost : cost;
   seq_cost : cost option;
+  baseline_reused : bool;
   speedup : float option;
   verified : bool;
   mismatches : (string * int) list;
@@ -717,26 +718,96 @@ let run_native ~actx ~opts ~source ~plan (r : Request.t) env =
   bump_counter obs "degrade.level" (List.length !degraded);
   (nrun, nprofile, env, executed, !degraded, !last_flight, !postmortems)
 
+(* ---- the sequential reference ----
+
+   A registry workload's program and environment are pure functions of its
+   input, so its sequential execution is too.  The process keeps, per
+   (workload, input), a frozen copy of the final memory, and per backend
+   and work model the cost of the latest sequential execution.
+   Verification diffs against that copy instead of running the program
+   again.  The memory is shared by every backend and work model: both
+   backends execute the same statements in the same order.  Only records
+   [Registry] returns are kept; any other workload (a test's [Synth], a
+   derived record) runs its baseline every time. *)
+
+module Reference = struct
+  type entry = {
+    mem : Ir.Memory.frozen;
+    mutable costs : ([ `Sim | `Native of Nat.Work.t ] * cost) list;
+  }
+
+  let table : (string * Wl.Workload.input, entry) Hashtbl.t = Hashtbl.create 16
+  let mu = Mutex.create ()
+
+  let key (r : Request.t) =
+    let wl = r.Request.workload in
+    if List.memq wl (Wl.Registry.all ()) then
+      Some
+        ( (wl.Wl.Workload.name, r.Request.input),
+          match r.Request.backend with `Sim _ -> `Sim | `Native o -> `Native o.work )
+    else None
+
+  let find (program, machine) =
+    Mutex.protect mu (fun () ->
+        match Hashtbl.find_opt table program with
+        | None -> None
+        | Some e -> Option.map (fun c -> (c, e.mem)) (List.assoc_opt machine e.costs))
+
+  (* [mem] is copied only for a (workload, input) seen for the first time. *)
+  let store r cost mem =
+    Option.iter
+      (fun (program, machine) ->
+        Mutex.protect mu (fun () ->
+            match Hashtbl.find_opt table program with
+            | Some e -> e.costs <- (machine, cost) :: List.remove_assoc machine e.costs
+            | None ->
+                Hashtbl.replace table program
+                  { mem = Ir.Memory.freeze mem; costs = [ (machine, cost) ] }))
+      (key r)
+end
+
+(* The request's sequential cost, the check of a memory against the
+   reference, and whether they came from the memo.  A miss runs one
+   baseline on its own environment (the simulator's sequential
+   interpreter, or one native sequential run) and stores it. *)
+let reference (r : Request.t) =
+  match Option.bind (Reference.key r) Reference.find with
+  | Some (cost, frozen) -> (cost, Ir.Memory.diff_frozen frozen, true)
+  | None ->
+      let wl = r.Request.workload and input = r.Request.input in
+      let program = wl.Wl.Workload.program input in
+      let env = wl.Wl.Workload.fresh_env input in
+      let cost =
+        match r.Request.backend with
+        | `Sim _ -> Sim_cycles (Ir.Seq_interp.run program env)
+        | `Native o -> Wall_ns (Nat.Nbarrier.run_seq ~work:o.work program env).Nat.Nrun.wall_ns
+      in
+      Reference.store r cost env.Ir.Env.mem;
+      (cost, Ir.Memory.diff env.Ir.Env.mem, false)
+
+let reference_diff r mem =
+  let _, check, reused = reference r in
+  (check mem, reused)
+
 (* ---- unified entry point ---- *)
 
-(* The sequential baseline is a result only [verify] consumes: it diffs the
-   run's memory against it.  An execution that ran [Sequential] (asked for,
-   or degraded to) is its own baseline: its cost is the sequential cost and
-   its memory the reference. *)
+(* The sequential reference is a result only [verify] consumes: it diffs
+   the run's memory against it.  An execution that ran [Sequential] (asked
+   for, or degraded to) is its own baseline: its cost is the sequential
+   cost and its memory the reference. *)
 let outcome ~actx ~source ~executed ~cost ~speedup env seq =
-  let seq_cost, speedup, mismatches =
+  let seq_cost, speedup, mismatches, baseline_reused =
     match (executed, seq) with
-    | Sequential, _ -> (Some cost, Some 1.0, [])
-    | _, None -> (None, None, [])
-    | _, Some (seq_cost, seq_env) ->
-        ( Some seq_cost,
-          Some (speedup (cost_value seq_cost)),
-          Ir.Memory.diff seq_env.Ir.Env.mem env.Ir.Env.mem )
+    | Sequential, _ -> (Some cost, Some 1.0, [], false)
+    | _, None -> (None, None, [], false)
+    | _, Some (seq_cost, check, reused) ->
+        (Some seq_cost, Some (speedup (cost_value seq_cost)), check env.Ir.Env.mem, reused)
   in
   {
     technique = executed;
     cost;
     seq_cost;
+    baseline_reused;
     speedup;
     verified = mismatches = [];
     mismatches;
@@ -754,8 +825,10 @@ let outcome ~actx ~source ~executed ~cost ~speedup env seq =
 
 (* One fully-resolved execution: every knob pinned, no policy lookup.  The
    applicability check comes first, so a refused request runs nothing.
-   Verification runs the sequential baseline; without it a request executes
-   once, and a [Sequential] request never runs a second one. *)
+   Verification takes the sequential reference, ahead of the engine;
+   without it a request executes once, and a [Sequential] request never
+   runs a second one.  A [Sequential] request's execution refreshes the
+   cost its key stores. *)
 let exec ~actx ~source (r : Request.t) =
   let technique = r.Request.technique and wl = r.Request.workload in
   let input = r.Request.input in
@@ -763,53 +836,49 @@ let exec ~actx ~source (r : Request.t) =
   assert (r.Request.threads > 0);
   let env = wl.Wl.Workload.fresh_env input in
   let plan = checked_plan ~actx r env in
-  (* The baseline's cost and reference memory in one pass on its own
-     environment, ahead of the engine. *)
   let seq =
-    if r.Request.verify && technique <> Sequential then
-      let seq_env = wl.Wl.Workload.fresh_env input in
-      match r.Request.backend with
-      | `Sim _ -> Some (Sim_cycles (Ir.Seq_interp.run program seq_env), seq_env)
-      | `Native o ->
-          let seq_run = Nat.Nbarrier.run_seq ~work:o.work program seq_env in
-          Some (Wall_ns seq_run.Nat.Nrun.wall_ns, seq_env)
-    else None
+    if r.Request.verify && technique <> Sequential then Some (reference r) else None
   in
-  match r.Request.backend with
-  | `Sim _ ->
-      let engine = resolve_with ~actx ~plan r env in
-      let run = sim_engine r engine env in
-      let cost, speedup =
-        match run with
-        | None ->
-            (* [Sequential]: interpreting is the execution *)
-            (Ir.Seq_interp.run program env, fun _ -> 1.0)
-        | Some run ->
-            (run.Par.Run.makespan, fun seq_cost -> Par.Run.speedup ~seq_cost run)
-      in
-      {
-        (outcome ~actx ~source ~executed:technique
-           ~cost:(Sim_cycles cost) ~speedup env seq)
-        with
-        profile = engine_profile engine;
-        run;
-      }
-  | `Native opts ->
-      let nrun, profile, env, executed, degraded, flight, postmortems =
-        run_native ~actx ~opts ~source ~plan r env
-      in
-      {
-        (outcome ~actx ~source ~executed
-           ~cost:(Wall_ns nrun.Nat.Nrun.wall_ns)
-           ~speedup:(fun seq_wall_ns -> Nat.Nrun.speedup ~seq_wall_ns nrun)
-           env seq)
-        with
-        profile;
-        nrun = Some nrun;
-        degraded;
-        flight;
-        postmortems;
-      }
+  let o =
+    match r.Request.backend with
+    | `Sim _ ->
+        let engine = resolve_with ~actx ~plan r env in
+        let run = sim_engine r engine env in
+        let cost, speedup =
+          match run with
+          | None ->
+              (* [Sequential]: interpreting is the execution *)
+              (Ir.Seq_interp.run program env, fun _ -> 1.0)
+          | Some run ->
+              (run.Par.Run.makespan, fun seq_cost -> Par.Run.speedup ~seq_cost run)
+        in
+        {
+          (outcome ~actx ~source ~executed:technique
+             ~cost:(Sim_cycles cost) ~speedup env seq)
+          with
+          profile = engine_profile engine;
+          run;
+        }
+    | `Native opts ->
+        let nrun, profile, env, executed, degraded, flight, postmortems =
+          run_native ~actx ~opts ~source ~plan r env
+        in
+        {
+          (outcome ~actx ~source ~executed
+             ~cost:(Wall_ns nrun.Nat.Nrun.wall_ns)
+             ~speedup:(fun seq_wall_ns -> Nat.Nrun.speedup ~seq_wall_ns nrun)
+             env seq)
+          with
+          profile;
+          nrun = Some nrun;
+          degraded;
+          flight;
+          postmortems;
+        }
+  in
+  (* A [Sequential] request has one attempt, on [env]. *)
+  if technique = Sequential then Reference.store r o.cost env.Ir.Env.mem;
+  o
 
 (* ---- run counters ----
 

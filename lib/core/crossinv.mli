@@ -113,10 +113,20 @@ type outcome = {
   cost : cost;  (** the run's cost in its backend's unit *)
   seq_cost : cost option;
       (** sequential execution of the same input, same unit.  [None]
-          exactly when no baseline ran: a request with [verify] off
+          exactly when no baseline was taken: a request with [verify] off
           executes once.  When [technique] is
           [Sequential] (asked for or degraded to), the run is its own
-          baseline and this is [Some cost]. *)
+          baseline and this is [Some cost].  When [baseline_reused], it is
+          the cost the process-wide reference stores: the latest
+          sequential execution of the same registry workload, input,
+          backend and work model (a [Sequential] request, or the baseline
+          of the request that filled the entry).  Simulated cycles are
+          deterministic, so only a native entry's time moves. *)
+  baseline_reused : bool;
+      (** the sequential reference (cost and memory) came from the
+          process-wide memo, so this request ran no baseline and built no
+          second environment; [false] when a baseline ran, when none was
+          needed, and for a [Sequential] execution *)
   speedup : float option;
       (** [seq_cost] over [cost]; [None] exactly when [seq_cost] is, [Some
           1.0] for a [Sequential] execution *)
@@ -279,12 +289,21 @@ val run_request : Request.t -> outcome
     run counts no hit and no miss.  [`Ro] never writes; [`Rw] publishes
     fresh results atomically.
 
-    The sequential baseline runs exactly when [verify] (default on) is
-    set: it diffs the final memory against the baseline's.  It runs on its
-    own fresh environment ahead of the engine (the simulator's sequential
-    interpreter, or one native sequential run).  With [verify] off,
-    nothing but the request's own technique executes, and [seq_cost] and
-    [speedup] are [None].  A
+    The sequential reference is taken exactly when [verify] (default on)
+    is set: the run's final memory is diffed, word for word, against the
+    reference's.  For a workload {!Xinv_workloads.Registry} returns, the
+    reference is memoized for the life of the process, keyed by
+    (workload, input, backend, work model), because the program is a pure
+    function of that key: the first verified request runs the baseline
+    once, on its own fresh environment ahead of the engine (the
+    simulator's sequential interpreter, or one native sequential run), and
+    later ones reuse its memory and cost ([baseline_reused]).  The memory
+    is kept once per (workload, input), frozen outside the OCaml heap
+    ({!Xinv_ir.Memory.freeze}).  Every [Sequential] request refreshes its
+    key's cost with its own execution.  Any other workload runs its
+    baseline every time.  The memo is independent of [cache] and never
+    persisted, and safe to share between threads and domains.  With [verify] off, nothing but the request's
+    own technique executes, and [seq_cost] and [speedup] are [None].  A
     [Sequential] execution never runs a second, separate baseline.
 
     With [obs], the run is instrumented: the simulated engines log their
@@ -329,10 +348,20 @@ val run_request : Request.t -> outcome
     and before any baseline, profile, pool or engine, on both backends;
     it is never degraded to another technique. *)
 
+val reference_diff :
+  Request.t -> Xinv_ir.Memory.t -> (string * int) list * bool
+(** [reference_diff r mem] is the check {!run_request} makes when it
+    verifies [r]: the locations where [mem] differs from [r]'s sequential
+    reference, and whether that reference was reused from the memo (a
+    miss runs and stores the baseline, as {!run_request} does).  It lets
+    a caller verify a memory produced outside {!run_request}. *)
+
 val warm_up : Request.t -> unit
 (** Two unverified native sequential runs of the request's workload and
     input, with its work model, pool and cache, so that the request's own
-    run (and its verify baseline) is not the process's first native run.
+    run is not the process's first native run.  Being [Sequential]
+    requests, they also store a registry workload's sequential
+    reference, so the request's verify reuses the second, warm run.
     They carry no fault, recorder, flight or postmortem, so counters and
     postmortems stay the request's own.  A no-op on the sim backend. *)
 

@@ -119,6 +119,43 @@ let diff a b =
     (names a);
   List.rev !out
 
+module Ba = Bigarray.Array1
+
+type frozen_data =
+  | Fi of (int, Bigarray.int_elt, Bigarray.c_layout) Ba.t
+  | Ff of (float, Bigarray.float64_elt, Bigarray.c_layout) Ba.t
+
+(* Outside the OCaml heap: a copy kept for the life of the process would
+   otherwise count toward the heap size the collector paces itself by. *)
+type frozen = (string * frozen_data) list
+
+let freeze m =
+  List.map
+    (fun name ->
+      ( name,
+        match (entry m name).data with
+        | I a -> Fi (Ba.of_array Bigarray.int Bigarray.c_layout a)
+        | F a -> Ff (Ba.of_array Bigarray.float64 Bigarray.c_layout a) ))
+    (names m)
+
+(* The same comparisons, in the same order, as [diff]. *)
+let diff_frozen f b =
+  let out = ref [] in
+  List.iter
+    (fun (name, fa) ->
+      match (fa, (entry b name).data) with
+      | Fi xa, I xb ->
+          for i = 0 to Ba.dim xa - 1 do
+            if xa.{i} <> xb.(i) then out := (name, i) :: !out
+          done
+      | Ff xa, F xb ->
+          for i = 0 to Ba.dim xa - 1 do
+            if xa.{i} <> xb.(i) then out := (name, i) :: !out
+          done
+      | _ -> out := (name, -1) :: !out)
+    f;
+  List.rev !out
+
 let equal a b =
   try names a = names b && diff a b = [] with Invalid_argument _ -> false
 

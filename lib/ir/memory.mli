@@ -47,6 +47,17 @@ val total_words : t -> int
 val diff : t -> t -> (string * int) list
 (** Locations (array, index) whose contents differ; empty iff {!equal}. *)
 
+type frozen
+(** An immutable copy of a memory's contents, held outside the OCaml heap
+    (one [Bigarray] per array), for a reference kept for the life of the
+    process. *)
+
+val freeze : t -> frozen
+
+val diff_frozen : frozen -> t -> (string * int) list
+(** [diff_frozen (freeze a) b] is [diff a b] for the contents [a] had when
+    frozen. *)
+
 val bounds : t -> int array
 (** Base offsets of all arrays in layout order (ascending) — the segment
     boundaries for per-array access signatures. *)

@@ -55,6 +55,7 @@ type t = {
   c_failed : Metrics.counter;
   c_cancelled : Metrics.counter;
   c_deadline_missed : Metrics.counter;
+  c_baseline_reused : Metrics.counter;
   h_queue_wait : Metrics.histogram;
   g_depth : Metrics.gauge;
 }
@@ -94,6 +95,7 @@ let create cfg =
     c_failed = Metrics.counter metrics "serve.failed";
     c_cancelled = Metrics.counter metrics "serve.cancelled";
     c_deadline_missed = Metrics.counter metrics "serve.deadline_missed";
+    c_baseline_reused = Metrics.counter metrics "serve.baseline.reused";
     h_queue_wait = Metrics.histogram metrics "serve.queue_wait_ms";
     g_depth = Metrics.gauge metrics "serve.queue.depth";
   }
@@ -279,6 +281,7 @@ let exec_run t job ~queue_wait_ns ~remaining_ms =
            cancel point and deliver their outcome; see the mli.) *)
         | _ when native && is_cancelled job -> Protocol.Rejected Protocol.Cancelled
         | o ->
+            if o.Cx.baseline_reused then Metrics.incr t.c_baseline_reused;
             Protocol.Outcome (Protocol.summary_of_outcome ~workload ~queue_wait_ns o)
         | exception _ when is_cancelled job -> Protocol.Rejected Protocol.Cancelled
         | exception Nat.Watchdog.Stalled _ ->

@@ -7,6 +7,7 @@ type axes = {
   backends : Policy.backend list;
   techniques : string list;
   domains : int list;
+  widths : (string * int list) list;
   grains : int list;
   batches : int list;
   sigs : Policy.sig_kind list;
@@ -20,25 +21,35 @@ let default_axes ?max_domains (wl : Wl.Workload.t) =
     | Some n -> Stdlib.max 1 n
     | None -> Domain.recommended_domain_count ()
   in
-  let techniques =
+  let domains = List.filter (fun d -> d <= cores) [ 1; 2; 4 ] in
+  let widths =
     List.filter_map
       (fun t ->
-        match Core.Crossinv.applicable ~backend:`Native t wl with
-        | Ok () -> Some (Core.Crossinv.technique_name t)
-        | Error _ -> None)
-      Core.Crossinv.
-        [ Sequential; Barrier; Domore; Domore_dup; Speccross ]
+        match
+          List.filter
+            (fun d -> Core.Crossinv.applicable ~backend:`Native ~threads:d t wl = Ok ())
+            domains
+        with
+        | [] -> None
+        | ds -> Some (Core.Crossinv.technique_name t, ds))
+      Core.Crossinv.[ Sequential; Barrier; Domore; Domore_dup; Speccross ]
   in
   {
     backends = [ `Native ];
-    techniques;
-    domains = List.filter (fun d -> d <= cores) [ 1; 2; 4 ];
+    techniques = List.map fst widths;
+    domains;
+    widths;
     grains = [ 1; 4; 16; 64 ];
     batches = [ 1; 32; 128 ];
     sigs = [ `Segmented; `Range; `Bloom ];
     spec_distances = [ None; Some 4; Some 16; Some 64 ];
     epochs = [ 250; 1000; 4000 ];
   }
+
+let runs a (p : Policy.t) =
+  match List.assoc_opt p.Policy.technique a.widths with
+  | Some ds -> List.mem p.Policy.domains ds
+  | None -> false
 
 let size a =
   List.length a.backends * List.length a.techniques * List.length a.domains
@@ -85,11 +96,12 @@ let canon (p : Policy.t) =
 let pick rng l = List.nth l (Prng.int rng (List.length l))
 
 let random rng a =
+  let technique = pick rng a.techniques in
   canon
     {
       Policy.backend = pick rng a.backends;
-      technique = pick rng a.techniques;
-      domains = pick rng a.domains;
+      technique;
+      domains = pick rng (List.assoc technique a.widths);
       grain = pick rng a.grains;
       batch = pick rng a.batches;
       sig_kind = pick rng a.sigs;
@@ -124,13 +136,13 @@ let neighbours a (p : Policy.t) =
   in
   List.concat_map (List.map canon) per_axis
   |> dedup
-  |> List.filter (fun q -> not (Policy.equal q p))
+  |> List.filter (fun q -> runs a q && not (Policy.equal q p))
 
 let seeds a =
-  let widest = List.fold_left Stdlib.max 1 a.domains in
   dedup
     (List.map
-       (fun t ->
+       (fun (t, ds) ->
+         let widest = List.fold_left Stdlib.max 1 ds in
          canon
            { Policy.default with Policy.technique = t; domains = widest; grain = 16 })
-       a.techniques)
+       a.widths)

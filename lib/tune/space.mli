@@ -16,6 +16,10 @@ type axes = {
   backends : Policy.backend list;
   techniques : string list;  (** technique names, always includes sequential *)
   domains : int list;
+  widths : (string * int list) list;
+      (** per technique, the [domains] it runs at: those
+          {!Xinv_core.Crossinv.applicable} accepts as its [~threads]
+          (DOMORE and SPECCROSS need 2).  [techniques] are its keys. *)
   grains : int list;
   batches : int list;
   sigs : Policy.sig_kind list;
@@ -24,10 +28,13 @@ type axes = {
 }
 
 val default_axes : ?max_domains:int -> Xinv_workloads.Workload.t -> axes
-(** The native search space for the workload: techniques are filtered to
-    those {!Xinv_core.Crossinv.applicable} on the native backend, domain
-    counts to [1;2;4] capped at [max_domains] (default
-    [Domain.recommended_domain_count ()]). *)
+(** The native search space for the workload: domain counts are [1;2;4]
+    capped at [max_domains] (default [Domain.recommended_domain_count ()]),
+    and each technique keeps the counts at which
+    {!Xinv_core.Crossinv.applicable} accepts it on the native backend; a
+    technique that runs at none is dropped.  {!random}, {!neighbours} and
+    {!seeds} propose only policies whose technique runs at their domain
+    count. *)
 
 val size : axes -> int
 (** Upper bound on distinct points (pre-{!canon} product of axis sizes). *)
@@ -45,4 +52,4 @@ val neighbours : axes -> Policy.t -> Policy.t list
 
 val seeds : axes -> Policy.t list
 (** Hill-climbing starting points: one sensible configuration per
-    applicable technique (widest domain count, mid grain). *)
+    applicable technique (its widest domain count, mid grain). *)

@@ -84,13 +84,14 @@ let build_program () =
   Ir.Program.make ~name:"CG" ~outer_trip:(rows_of Workload.Ref)
     [ Ir.Program.inner ~pre:[ bounds ] ~label:"sparse" ~trip [ update ] ]
 
-(* The train input has fewer rows than the program's outer trip; build a
-   separate program per arity.  Trip counts and data always come from the
+(* The train input has fewer rows than the program's outer trip; build one
+   program per arity.  Trip counts and data always come from the
    environment, so the statements are shared safely. *)
 let make () =
   let base = lazy (build_program ()) in
-  let program input =
-    { (Lazy.force base) with Ir.Program.outer_trip = rows_of input }
+  let program =
+    Wl_util.memo_by rows_of (fun input ->
+        { (Lazy.force base) with Ir.Program.outer_trip = rows_of input })
   in
   {
     Workload.name = "CG";

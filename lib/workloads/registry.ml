@@ -1,7 +1,10 @@
-let cache = ref None
+(* Built once per process; a racing first call keeps whichever list was
+   published first, so every caller sees the same records (the sequential
+   reference memo recognizes registry workloads by identity). *)
+let cache = Atomic.make None
 
 let all () =
-  match !cache with
+  match Atomic.get cache with
   | Some ws -> ws
   | None ->
       let ws =
@@ -19,8 +22,8 @@ let all () =
           Eclat.make ();
         ]
       in
-      cache := Some ws;
-      ws
+      ignore (Atomic.compare_and_set cache None (Some ws));
+      Option.get (Atomic.get cache)
 
 let find name =
   let target = String.uppercase_ascii name in

@@ -1,6 +1,7 @@
 (** All benchmark workloads (the rows of Table 5.1). *)
 
 val all : unit -> Workload.t list
+(** The same records on every call, from every domain. *)
 
 val find : string -> Workload.t
 (** Case-insensitive lookup.  @raise Invalid_argument on unknown name. *)

@@ -53,15 +53,16 @@ let index e =
   let at = memo (fun mem -> Xinv_ir.Expr.compile mem e) in
   fun env -> at env.Xinv_ir.Env.mem env
 
-(* A workload's program per input size.  Not domain-safe: the table is
-   filled from whichever caller asks first. *)
+(* A workload's program per input size, built under the table's lock so
+   that every caller, on any domain, gets the same program object. *)
 let memo_by key build =
-  let progs = Hashtbl.create 3 in
+  let progs = Hashtbl.create 3 and mu = Mutex.create () in
   fun input ->
     let k = key input in
-    match Hashtbl.find_opt progs k with
-    | Some p -> p
-    | None ->
-        let p = build input in
-        Hashtbl.replace progs k p;
-        p
+    Mutex.protect mu (fun () ->
+        match Hashtbl.find_opt progs k with
+        | Some p -> p
+        | None ->
+            let p = build input in
+            Hashtbl.replace progs k p;
+            p)

@@ -38,5 +38,5 @@ val memo_by : ('i -> 'k) -> ('i -> 'p) -> 'i -> 'p
 (** [memo_by key build] is [build], except that inputs with equal [key]s
     share the value built for the first of them: a workload builds one
     program object, with one set of statement ids, per input size.  The
-    cache is an unsynchronized [Hashtbl]; callers on several domains must
-    not race its first fill. *)
+    table is locked, so callers on several domains share one value per
+    key too. *)

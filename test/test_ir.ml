@@ -559,6 +559,26 @@ let prop_snapshot_roundtrip =
       Ir.Memory.restore ~dst:m ~src:snap;
       Ir.Memory.equal m snap)
 
+(* A frozen copy diffs like the memory it was taken from, NaN included. *)
+let prop_frozen_diff =
+  QCheck.Test.make ~name:"frozen memory diffs like a snapshot" ~count:100
+    QCheck.(list (pair (int_range 0 15) (int_range (-3) 3)))
+    (fun mutations ->
+      let m =
+        Ir.Memory.create
+          [
+            Ir.Memory.Ints ("a", Array.init 16 Fun.id);
+            Ir.Memory.Floats ("b", Array.init 16 (fun i -> if i = 5 then Float.nan else 1.));
+          ]
+      in
+      let snap = Ir.Memory.snapshot m and frozen = Ir.Memory.freeze m in
+      List.iter
+        (fun (i, v) ->
+          Ir.Memory.set_int m "a" i v;
+          Ir.Memory.set_float m "b" i (float_of_int v))
+        mutations;
+      Ir.Memory.diff_frozen frozen m = Ir.Memory.diff snap m)
+
 (* The sequential interpreter and the profiler must compute identical final
    states (the profiler only observes). *)
 let prop_profiler_transparent =
@@ -679,4 +699,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_profiler_transparent;
     QCheck_alcotest.to_alcotest prop_profile_matches_reference;
     QCheck_alcotest.to_alcotest prop_stmt_ids_unique;
+    QCheck_alcotest.to_alcotest prop_frozen_diff;
   ]

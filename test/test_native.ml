@@ -649,6 +649,127 @@ let test_verified_measures_baseline () =
       Alcotest.(check bool) (name ^ ": verified") true o.C.verified)
     backends
 
+(* ---------- the process-wide sequential reference ---------- *)
+
+let test_second_request_reuses_reference () =
+  (* The first verified request on a key fills the reference (or finds
+     it filled); the second runs no baseline and still reports one. *)
+  List.iter
+    (fun (name, backend) ->
+      let req = symm_request ~backend ~verify:true C.Barrier in
+      ignore (C.run_request req);
+      let o = C.run_request req in
+      Alcotest.(check bool) (name ^ ": baseline reused") true o.C.baseline_reused;
+      (match o.C.seq_cost with
+      | Some c when C.cost_value c > 0. -> ()
+      | _ -> Alcotest.failf "%s: reused baseline has no cost" name);
+      Alcotest.(check bool) (name ^ ": verified") true o.C.verified;
+      if name = "sim" then begin
+        (* cycles are deterministic: the stored cost is a fresh one *)
+        let wl = req.C.Request.workload in
+        let env = wl.Wl.Workload.fresh_env Wl.Workload.Train in
+        let fresh = Ir.Seq_interp.run (wl.Wl.Workload.program Wl.Workload.Train) env in
+        Alcotest.(check (float 0.)) "sim: stored cost = fresh cost" fresh
+          (C.cost_value (Option.get o.C.seq_cost))
+      end)
+    backends
+
+let test_corrupted_result_fails_warm () =
+  (* A wrong memory fails against the stored reference exactly as it
+     fails against a freshly measured baseline. *)
+  let wl = Wl.Registry.find "SYMM" and input = Wl.Workload.Train in
+  let program = wl.Wl.Workload.program input in
+  List.iter
+    (fun (name, backend) ->
+      let req = symm_request ~backend ~verify:true C.Barrier in
+      ignore (C.run_request req);
+      let env = wl.Wl.Workload.fresh_env input in
+      ignore
+        (Par.Barrier_exec.run ~threads:2 ~plan:(Wl.Workload.plan_fn wl) program env);
+      let mem = env.Ir.Env.mem in
+      List.iter
+        (fun i -> Ir.Memory.set_float mem "Cm" i (Ir.Memory.get_float mem "Cm" i +. 1.))
+        [ 7; 4321 ];
+      let warm, reused = C.reference_diff req mem in
+      Alcotest.(check bool) (name ^ ": reference reused") true reused;
+      let seq_env = wl.Wl.Workload.fresh_env input in
+      ignore (Ir.Seq_interp.run program seq_env);
+      let fresh = Ir.Memory.diff seq_env.Ir.Env.mem mem in
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": mismatches = a fresh baseline's") fresh warm;
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": the corrupted words") [ ("Cm", 7); ("Cm", 4321) ] warm;
+      (* the check read the reference and wrote nothing to it *)
+      let o = C.run_request req in
+      Alcotest.(check bool) (name ^ ": next request verifies") true
+        (o.C.baseline_reused && o.C.verified))
+    backends
+
+let test_synth_never_memoized () =
+  (* Only records the registry returns are kept: a generated workload, and
+     a copy of a registry record under the same name, run their baseline
+     every time, even after a sequential execution of the same input. *)
+  let spec = { Wl.Synth.default with Wl.Synth.within_safe = true } in
+  let p, fresh = Wl.Synth.make spec in
+  let synth =
+    {
+      Wl.Workload.name = "SYNTH";
+      suite = "test";
+      func = "synth";
+      exec_pct = 100.;
+      program = (fun _ -> p);
+      fresh_env = (fun _ -> fresh ());
+      plan =
+        List.map
+          (fun (il : Ir.Program.inner) -> (il.Ir.Program.ilabel, Par.Intra.Doall))
+          p.Ir.Program.inners;
+      mem_partition = false;
+      domore_expected = false;
+      speccross_expected = false;
+    }
+  in
+  let copy = { (Wl.Registry.find "SYMM") with Wl.Workload.suite = "copy" } in
+  List.iter
+    (fun (wl : Wl.Workload.t) ->
+      List.iter
+        (fun (name, backend) ->
+          let req technique =
+            C.Request.make ~backend ~input:Wl.Workload.Train ~technique ~threads:2 wl
+          in
+          ignore (C.run_request (req C.Sequential));
+          for _ = 1 to 2 do
+            let o = C.run_request (req C.Barrier) in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s: baseline ran" wl.Wl.Workload.suite name)
+              false o.C.baseline_reused;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s: verified" wl.Wl.Workload.suite name)
+              true o.C.verified
+          done)
+        backends)
+    [ synth; copy ]
+
+let test_concurrent_verifiers () =
+  (* Two domains verify the same key at once; whichever fills the entry,
+     both verify against the true sequential memory. *)
+  let backend = `Native { C.native_defaults with C.work = Nat.Work.Spin 0.001 } in
+  let req =
+    C.Request.make ~backend ~input:Wl.Workload.Train_spec ~technique:C.Barrier
+      ~threads:2 (Wl.Registry.find "LLUBENCH")
+  in
+  let outcomes =
+    List.map Domain.join
+      (List.init 2 (fun _ -> Domain.spawn (fun () -> C.run_request req)))
+  in
+  List.iteri
+    (fun i (o : C.outcome) ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d: verified" i) true o.C.verified;
+      Alcotest.(check bool) (Printf.sprintf "domain %d: baseline reported" i) true
+        (o.C.seq_cost <> None))
+    outcomes;
+  Alcotest.(check bool) "a third request reuses the entry" true
+    (C.run_request req).C.baseline_reused
+
 (* ---------- parking ---------- *)
 
 let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
@@ -1014,4 +1135,12 @@ let suite =
       test_speccross_sequential_region_rejected;
     Alcotest.test_case "speccross: range below the worker count is raised" `Quick
       test_speccross_range_below_workers;
+    Alcotest.test_case "reference: a second verified request reuses it" `Quick
+      test_second_request_reuses_reference;
+    Alcotest.test_case "reference: a corrupted result fails as against a fresh one" `Quick
+      test_corrupted_result_fails_warm;
+    Alcotest.test_case "reference: other workloads never enter the memo" `Quick
+      test_synth_never_memoized;
+    Alcotest.test_case "reference: two domains verify one key at once" `Quick
+      test_concurrent_verifiers;
   ]

@@ -1256,6 +1256,37 @@ let test_one_context_submit () =
             [ Cx.Domore; Cx.Speccross ])
         [ (`Sim, `Sim None); (`Native, `Native Cx.native_defaults) ])
 
+(* ---------- verified submits reuse the sequential reference ---------- *)
+
+let test_submits_reuse_reference () =
+  with_server ~domains:1 (fun srv ->
+      Server.start srv;
+      let n = 3 in
+      List.iter
+        (fun backend ->
+          for _ = 1 to n do
+            let req =
+              SReq.make ~backend ~technique:"barrier" ~threads:2
+                ~input:Wl.Workload.Train (`Name "SYMM")
+            in
+            match Server.await (Server.submit srv req) with
+            | Proto.Outcome s ->
+                Alcotest.(check bool) "verified" true s.Proto.o_verified;
+                Alcotest.(check bool) "reports a baseline" true
+                  (s.Proto.o_seq_cost > 0.)
+            | m -> Alcotest.failf "%s" (Format.asprintf "%a" Proto.pp_server m)
+          done)
+        [ `Sim; `Native ];
+      (* per backend, at most the first submit runs a baseline *)
+      let reused =
+        (Xinv_obs.Metrics.counter (Server.metrics srv) "serve.baseline.reused")
+          .Xinv_obs.Metrics.c_value
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d of %d submits reused the reference" reused (2 * n))
+        true
+        (reused >= 2 * (n - 1) && reused <= 2 * n))
+
 let suite =
   [
     Alcotest.test_case "wire primitives round-trip" `Quick test_wire_prims;
@@ -1310,4 +1341,6 @@ let suite =
       test_one_context_submit;
     Alcotest.test_case "unverified submit reports no baseline" `Quick
       test_unverified_submit_has_no_baseline;
+    Alcotest.test_case "verified submits reuse the sequential reference" `Quick
+      test_submits_reuse_reference;
   ]

@@ -101,6 +101,28 @@ let test_space_seeds () =
         (Policy.key (Space.canon s)))
     ss
 
+(* Every policy the space proposes runs: [run_request] refuses what
+   [applicable ~threads] refuses (one-domain DOMORE and SPECCROSS), so such
+   a trial would only spend budget. *)
+let test_space_proposes_runnable () =
+  List.iter
+    (fun (name, max_domains) ->
+      let wl = Wl.Registry.find name in
+      let axes = Space.default_axes ~max_domains wl in
+      let rng = Prng.create ~seed:3 in
+      let randoms = List.init 100 (fun _ -> Space.random rng axes) in
+      let starts = Space.seeds axes @ randoms in
+      List.iter
+        (fun (p : Policy.t) ->
+          let technique = Option.get (Cx.technique_of_string p.Policy.technique) in
+          match Cx.applicable ~backend:`Native ~threads:p.Policy.domains technique wl with
+          | Ok () -> ()
+          | Error why ->
+              Alcotest.failf "%s at %d domains proposes %s: %s" name max_domains
+                (Policy.key p) why)
+        (starts @ List.concat_map (Space.neighbours axes) starts))
+    [ ("SYMM", 2); ("SYMM", 4); ("ECLAT", 2); ("CG", 1) ]
+
 (* ---------- search determinism (synthetic cost model) ---------- *)
 
 (* A deterministic synthetic cost: hash of the policy key, so every
@@ -124,92 +146,92 @@ let trial_keys r =
 (* Golden hill-climbing trajectories: the trial keys and the best policy
    of [Search.search] on the synthetic cost model above, SYMM's axes at 4
    domains, budget 24.  A change to the climb, the neighbourhood order,
-   the seeds or [Space.canon] moves these. *)
+   the seeds, the per-technique widths or [Space.canon] moves these. *)
 let hill_golden =
   [
     ( 3,
-      "native:speccross d1 g1 b32 sig=segmented spec=64 epoch=1000",
-      [
-        "native:sequential d1 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:domore d1 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:barrier d1 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:domore-dup d1 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g64 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=auto epoch=250";
-        "native:speccross d1 g1 b32 sig=segmented spec=4 epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=16 epoch=1000";
-        "native:speccross d2 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g4 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g16 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=range spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=bloom spec=auto epoch=1000";
-        "native:speccross d4 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d2 g1 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d1 g4 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d4 g1 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=64 epoch=250";
-        "native:speccross d1 g16 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d1 g64 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=64 epoch=4000";
-        "native:speccross d1 g1 b32 sig=range spec=64 epoch=1000";
-      ] );
-    ( 5,
-      "native:speccross d1 g1 b32 sig=segmented spec=64 epoch=1000",
+      "native:speccross d4 g4 b32 sig=segmented spec=auto epoch=1000",
       [
         "native:sequential d1 g1 b32 sig=segmented spec=auto epoch=1000";
         "native:barrier d1 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=auto epoch=1000";
         "native:domore-dup d1 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=auto epoch=250";
-        "native:speccross d1 g1 b32 sig=segmented spec=16 epoch=1000";
-        "native:speccross d4 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:domore d1 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=bloom spec=auto epoch=1000";
-        "native:speccross d2 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=4 epoch=1000";
-        "native:speccross d1 g1 b32 sig=bloom spec=64 epoch=1000";
-        "native:speccross d1 g64 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d1 g16 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d1 g1 b32 sig=range spec=64 epoch=1000";
-        "native:speccross d4 g1 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=64 epoch=4000";
-        "native:speccross d1 g1 b32 sig=segmented spec=64 epoch=250";
-        "native:speccross d1 g4 b32 sig=segmented spec=64 epoch=1000";
-        "native:speccross d2 g1 b32 sig=segmented spec=64 epoch=1000";
         "native:barrier d4 g16 b32 sig=segmented spec=auto epoch=1000";
         "native:barrier d4 g64 b32 sig=segmented spec=auto epoch=1000";
-        "native:domore-dup d4 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d4 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d1 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d2 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d4 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d4 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:speccross d4 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d4 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:speccross d2 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:speccross d4 g1 b32 sig=range spec=auto epoch=1000";
+        "native:speccross d4 g1 b32 sig=segmented spec=4 epoch=1000";
+        "native:speccross d4 g64 b32 sig=segmented spec=auto epoch=1000";
+        "native:speccross d4 g1 b32 sig=segmented spec=64 epoch=1000";
+        "native:speccross d4 g1 b32 sig=segmented spec=16 epoch=1000";
+        "native:speccross d4 g1 b32 sig=bloom spec=auto epoch=1000";
+        "native:domore d4 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:speccross d4 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:speccross d4 g4 b32 sig=range spec=auto epoch=1000";
+        "native:speccross d4 g4 b32 sig=segmented spec=auto epoch=4000";
+        "native:speccross d4 g4 b32 sig=segmented spec=auto epoch=250";
       ] );
-    ( 7,
-      "native:speccross d2 g1 b32 sig=segmented spec=auto epoch=4000",
+    ( 5,
+      "native:domore d4 g4 b32 sig=segmented spec=auto epoch=1000",
       [
         "native:sequential d1 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=4 epoch=1000";
-        "native:speccross d1 g1 b32 sig=range spec=auto epoch=1000";
-        "native:speccross d4 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d1 g1 b32 sig=segmented spec=auto epoch=4000";
-        "native:speccross d2 g1 b32 sig=segmented spec=auto epoch=4000";
-        "native:speccross d2 g16 b32 sig=segmented spec=auto epoch=4000";
-        "native:speccross d2 g1 b32 sig=segmented spec=64 epoch=4000";
-        "native:speccross d2 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d2 g4 b32 sig=segmented spec=auto epoch=4000";
-        "native:speccross d2 g1 b32 sig=segmented spec=4 epoch=4000";
-        "native:barrier d2 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d2 g1 b32 sig=range spec=auto epoch=4000";
-        "native:speccross d2 g1 b32 sig=bloom spec=auto epoch=4000";
-        "native:domore d2 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d2 g1 b32 sig=segmented spec=16 epoch=4000";
-        "native:speccross d2 g1 b32 sig=segmented spec=auto epoch=250";
-        "native:domore-dup d2 g1 b32 sig=segmented spec=auto epoch=1000";
-        "native:speccross d2 g64 b32 sig=segmented spec=auto epoch=4000";
-        "native:speccross d4 g1 b32 sig=segmented spec=auto epoch=4000";
+        "native:domore-dup d1 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d1 g1 b32 sig=segmented spec=auto epoch=1000";
         "native:barrier d4 g16 b32 sig=segmented spec=auto epoch=1000";
-        "native:barrier d4 g1 b32 sig=segmented spec=auto epoch=1000";
         "native:barrier d4 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:speccross d4 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d2 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d4 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g4 b1 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g64 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g4 b128 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d4 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g16 b1 sig=segmented spec=auto epoch=1000";
+        "native:domore d2 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g16 b128 sig=segmented spec=auto epoch=1000";
+        "native:speccross d4 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d2 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d4 g16 b128 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d4 g64 b32 sig=segmented spec=auto epoch=1000";
+        "native:speccross d4 g64 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d4 g1 b32 sig=segmented spec=auto epoch=1000";
+      ] );
+    ( 7,
+      "native:domore d4 g4 b32 sig=segmented spec=auto epoch=1000",
+      [
+        "native:sequential d1 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d1 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d1 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d4 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d2 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d2 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:speccross d2 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d1 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d1 g64 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d1 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d1 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d2 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d4 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d1 g64 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d1 g16 b1 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d1 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d1 g16 b128 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g16 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g64 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d4 g1 b32 sig=segmented spec=auto epoch=1000";
+        "native:barrier d4 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore-dup d4 g4 b32 sig=segmented spec=auto epoch=1000";
+        "native:domore d2 g4 b32 sig=segmented spec=auto epoch=1000";
       ] );
   ]
 
@@ -361,4 +383,6 @@ let suite =
       test_tune_roundtrip;
     Alcotest.test_case "policy replay all workloads" `Slow
       test_policy_replay_all;
+    Alcotest.test_case "space proposes only runnable policies" `Quick
+      test_space_proposes_runnable;
   ]

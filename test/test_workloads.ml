@@ -476,6 +476,21 @@ let test_scheduler_ratio_bands () =
   Alcotest.(check bool) "ECLAT heavier than LLUBENCH and BLACKSCHOLES" true
     (eclat > llu && eclat > bs)
 
+(* One program object per workload and input: the statements' ids and
+   compiled sites belong to it, and nothing keyed on it may grow per call. *)
+let test_program_memoized () =
+  List.iter
+    (fun (wl : Wl.Workload.t) ->
+      List.iter
+        (fun input ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: one program" wl.Wl.Workload.name
+               (Wl.Workload.input_name input))
+            true
+            (wl.Wl.Workload.program input == wl.Wl.Workload.program input))
+        Wl.Workload.[ Train; Train_spec; Ref; Ref_spec ])
+    (Wl.Registry.all ())
+
 let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
@@ -499,4 +514,5 @@ let suite =
     Alcotest.test_case "Table 5.2 ratio bands" `Slow test_scheduler_ratio_bands;
     Alcotest.test_case "CG speculation vs fallback" `Slow test_cg_spec_fallback_vs_speculation;
     Alcotest.test_case "DOMORE rejection reasons" `Quick test_domore_rejection_reasons;
+    Alcotest.test_case "one program per workload and input" `Quick test_program_memoized;
   ]
